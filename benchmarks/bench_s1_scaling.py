@@ -132,11 +132,14 @@ def _route_point(n_wires: int, repeats: int) -> Dict[str, object]:
 
 
 #: Budgeted superlinearity of the 1k->10k route point: the measured wall
-#: ratio is ~1.4x over linear (per-wave numpy overhead grows with wave
-#: count), so the extrapolated "reference" time carries this allowance
-#: and the perf suite's near-parity absolute gate (PARITY_SLOWDOWN,
-#: 1.25x) fires only when 10k routing drifts beyond ~1.9x over linear.
-S1_SUPERLINEAR_ALLOWANCE = 1.5
+#: ratio is 0.85-1.0x linear (a wave's table work is bounded by what the
+#: wave reads, so nothing scales as waves x grid), so the extrapolated
+#: "reference" time carries this allowance and the perf suite's
+#: near-parity absolute gate (PARITY_SLOWDOWN, 1.25x) fires when 10k
+#: routing drifts beyond 1.5x over linear.  The allowance must keep the
+#: committed "speedup" under the suite's GATE_MIN_SPEEDUP (1.5), or the
+#: entry would silently switch to the ratio gate.
+S1_SUPERLINEAR_ALLOWANCE = 1.2
 
 
 def bench_s1_route_scaling(quick: bool, repeats: int) -> Dict[str, object]:

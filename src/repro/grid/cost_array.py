@@ -304,38 +304,6 @@ class CostArray:
         block = self._data[c_lo : c_hi + 1, x_lo : x_hi + 1]
         return block.sum(axis=0, dtype=np.int64)
 
-    def block_prefix_tables(
-        self, c_lo: int, c_hi: int, x_lo: int, x_hi: int, need_col: bool = True
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Exclusive prefix-sum tables over an inclusive bbox of entries.
-
-        Returns ``(rowp, colp)`` for the block of rows ``c_lo..c_hi`` and
-        columns ``x_lo..x_hi``:
-
-        - ``rowp`` has shape ``(rows, width + 1)``; ``rowp[r, k]`` is the
-          sum of the first ``k`` entries of block row ``r``, so a row's
-          inclusive column-range sum is ``rowp[r, b+1] - rowp[r, a]``;
-        - ``colp`` has shape ``(rows + 1, width)``; ``colp[k, x]`` is the
-          sum of the first ``k`` entries of block column ``x``, so a
-          column's inclusive row-range sum is ``colp[b+1, x] - colp[a, x]``.
-
-        One pair of tables prices every two-bend candidate of every segment
-        of a wire whose pins lie inside the bbox — the per-route shared
-        table the vectorised router builds once per :func:`route_wire`.
-        ``need_col=False`` skips the column table (returned as ``None``)
-        for callers whose segments never cross an interior channel.
-        """
-        self._check_box(BBox(c_lo, x_lo, c_hi, x_hi))
-        block = self._data[c_lo : c_hi + 1, x_lo : x_hi + 1]
-        rows, width = block.shape
-        rowp = np.zeros((rows, width + 1), dtype=np.int64)
-        np.cumsum(block, axis=1, dtype=np.int64, out=rowp[:, 1:])
-        if not need_col:
-            return rowp, None
-        colp = np.zeros((rows + 1, width), dtype=np.int64)
-        np.cumsum(block, axis=0, dtype=np.int64, out=colp[1:, :])
-        return rowp, colp
-
     # ------------------------------------------------------------------
     # regions / update support
     # ------------------------------------------------------------------

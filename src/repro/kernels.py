@@ -1,17 +1,21 @@
 """Global switch between vectorised and reference simulation kernels.
 
-Three hot paths have two interchangeable implementations each — a scalar
+Each hot path below has two interchangeable implementations — a scalar
 *reference* engine (the differential oracle, written to mirror the
 protocol/algorithm description directly) and a *vectorized* engine
 (columnar NumPy, bit-identical output):
 
-==============  ================================  ===========================
-hot path        reference                         vectorized
-==============  ================================  ===========================
-coherence       ``memsim.coherence``              ``memsim.columnar``
-two-bend route  ``route.twobend.route_segment``   per-route prefix tables
-sweep dispatch  per-line-size scalar replay       shared ``ColumnarTrace``
-==============  ================================  ===========================
+=================  ===================================  ===============================================
+hot path           reference                            vectorized
+=================  ===================================  ===============================================
+coherence          ``memsim.coherence``                 ``memsim.columnar``
+sweep dispatch     per-line-size scalar replay          shared ``ColumnarTrace``
+two-bend route     ``route.twobend.route_segment``      ``route.wavefront.route_wire_fused``
+routing iteration  per-wire loop in ``route.engine``    one fused step per wave (``route.wavefront``)
+event queue        ``events.queue.EventQueue``          ``events.columnar.ColumnarEventQueue``
+link reservation   per-hop loop in ``netsim.wormhole``  cached routes, batched above ``BATCH_MIN_HOPS``
+MP update push     per-region dirty-box scan            ``DeltaArray.dirty_bboxes_by_owner``
+=================  ===================================  ===============================================
 
 The vectorized engines are the default.  The reference engines remain
 load-bearing: ``locusroute verify`` replays both and reports any

@@ -25,7 +25,8 @@ from ..grid.cost_array import CostArray
 from ..kernels import active_kernels
 from .path import RoutePath
 from .quality import QualityReport, circuit_height
-from .twobend import WireRoute, route_wire
+from .segments import WireRoute
+from .twobend import route_wire
 from .wavefront import route_iteration_wavefront
 
 __all__ = ["SequentialRouter", "SequentialResult", "DEFAULT_ITERATIONS"]
@@ -92,8 +93,8 @@ class SequentialRouter:
         for iteration in range(self.iterations):
             if wavefront:
                 # Batched wave-front routing: partitions this iteration's
-                # wires into independence classes and routes each class in
-                # one fused evaluation.  Bit-identical to the scalar loop
+                # wires into independence waves and routes each wave in
+                # one fused NumPy step.  Bit-identical to the scalar loop
                 # below (locusroute verify replays both).
                 occupancy, work = route_iteration_wavefront(
                     cost, circuit, order, paths, tie_break=iteration % 2

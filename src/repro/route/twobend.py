@@ -38,8 +38,7 @@ the naive footprint: every cell of the segment's bounding rectangle is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 import numpy as np
 
@@ -49,6 +48,8 @@ from ..grid.bbox import BBox
 from ..grid.cost_array import CostArray
 from ..kernels import active_kernels
 from .path import RoutePath
+from .segments import MAX_CANDIDATES, SegmentRoute, WireRoute, candidate_columns
+from .wavefront import route_wire_fused
 
 __all__ = [
     "SegmentRoute",
@@ -60,94 +61,6 @@ __all__ = [
     "route_wire_vectorized",
     "MAX_CANDIDATES",
 ]
-
-#: Candidate-column cap per segment.  LocusRoute does not evaluate every
-#: two-bend route of a chip-crossing wire: long segments sample their
-#: candidate columns (Rose, DAC '88) so evaluation cost stays roughly
-#: linear in span.  Segments with more than this many columns evaluate a
-#: strided sample (endpoints always included), which also keeps the
-#: work distribution's tail short enough to load-balance — with full
-#: enumeration a single chip-crossing wire costs O(span^2) and no static
-#: assignment can balance it.
-MAX_CANDIDATES = 64
-
-
-@dataclass(frozen=True)
-class SegmentRoute:
-    """Outcome of routing one two-pin segment.
-
-    Attributes
-    ----------
-    xv:
-        The chosen vertical column.
-    cost:
-        Sum of cost-array entries along the chosen path (pre-increment).
-    work_cells:
-        Simulated candidate-cell inspections performed by the evaluation.
-    read_box:
-        The bounding rectangle of everything the evaluation inspected.
-    c1, x1, c2, x2:
-        The segment's pin coordinates (``x1 <= x2``).
-    candidates:
-        The candidate columns evaluated (empty for same-channel segments).
-    """
-
-    xv: int
-    cost: int
-    work_cells: int
-    read_box: BBox
-    c1: int
-    x1: int
-    c2: int
-    x2: int
-    candidates: np.ndarray
-
-    def read_cells(self, n_grids: int) -> np.ndarray:
-        """Flat indices of every cell the evaluation inspected.
-
-        The candidate loop reads the two pin-channel rows *contiguously*
-        over the segment's column range, but the interior channels only at
-        the sampled candidate columns — a *strided* access pattern.  The
-        distinction matters for the shared memory traffic study (Table 3):
-        strided references use one word per fetched cache line, so their
-        bus cost grows with the line size, while the contiguous row runs
-        coalesce.
-        """
-        parts = [
-            self.c1 * n_grids + np.arange(self.x1, self.x2 + 1, dtype=np.int64)
-        ]
-        if self.c2 != self.c1:
-            parts.append(
-                self.c2 * n_grids + np.arange(self.x1, self.x2 + 1, dtype=np.int64)
-            )
-            c_lo, c_hi = sorted((self.c1, self.c2))
-            if c_hi - c_lo > 1 and self.candidates.size:
-                interior = np.arange(c_lo + 1, c_hi, dtype=np.int64)
-                parts.append(
-                    (interior[:, None] * n_grids + self.candidates[None, :]).reshape(-1)
-                )
-        return np.concatenate(parts)
-
-
-@dataclass(frozen=True)
-class WireRoute:
-    """Outcome of routing a whole wire.
-
-    ``cost`` is the sum of the wire's cells' occupancies at evaluation time
-    (the wire's contribution to the occupancy factor when measured on the
-    routing view); ``segments`` keeps per-segment detail for tracing and
-    the locality measure.
-    """
-
-    path: RoutePath
-    cost: int
-    work_cells: int
-    segments: Tuple[SegmentRoute, ...]
-
-    @property
-    def read_boxes(self) -> List[BBox]:
-        """Rectangles read during evaluation, one per segment."""
-        return [s.read_box for s in self.segments]
 
 
 def _evaluate_segment(
@@ -189,7 +102,7 @@ def _evaluate_segment(
 
     p1 = row_prefix(c1)
     p2 = row_prefix(c2)
-    xv_all = _candidate_columns(x1, x2)
+    xv_all = candidate_columns(x1, x2)
     h1 = p1[xv_all + 1] - p1[x1]  # channel c1: x1 .. xv inclusive
     h2 = p2[x2 + 1] - p2[xv_all]  # channel c2: xv .. x2 inclusive
     interior = cost.column_range_sums(c_lo + 1, c_hi - 1, x1, x2)[xv_all - x1]
@@ -264,21 +177,6 @@ def segment_cells(a: Pin, b: Pin, xv: int, n_grids: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _candidate_columns(x1: int, x2: int) -> np.ndarray:
-    """Candidate vertical columns for a segment spanning ``[x1, x2]``."""
-    if x2 - x1 + 1 <= MAX_CANDIDATES:
-        return np.arange(x1, x2 + 1, dtype=np.int64)
-    # Strided candidate sampling for long segments; both endpoints are
-    # always candidates so degenerate detours are never forced.  The
-    # rounded linspace is already non-decreasing, so deduplication is a
-    # neighbour comparison rather than a full np.unique sort.
-    cols = np.linspace(x1, x2, MAX_CANDIDATES).round().astype(np.int64)
-    keep = np.empty(cols.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(cols[1:], cols[:-1], out=keep[1:])
-    return cols[keep]
-
-
 def route_wire_reference(
     cost: CostArray, wire: Wire, tie_break: int = 0
 ) -> WireRoute:
@@ -300,29 +198,8 @@ def route_wire_reference(
     )
 
 
-def route_wire_vectorized(
-    cost: CostArray, wire: Wire, tie_break: int = 0
-) -> WireRoute:
-    """Fused whole-wire evaluation (one prefix-table build per wire).
-
-    Delegates to :func:`repro.route.wavefront.route_wire_fused`: one
-    :meth:`CostArray.block_prefix_tables` call prices every candidate of
-    every segment of the wire in stacked array arithmetic, with no
-    per-wire cache invalidation tax (the earlier write-invalidated prefix
-    cache paid invalidation on every parallel-commit, which made it a net
-    loss on the T6 path).  Output is bit-identical to
-    :func:`route_wire_reference`.
-    """
-    global _route_wire_fused
-    if _route_wire_fused is None:
-        from .wavefront import route_wire_fused as _fused
-
-        _route_wire_fused = _fused
-    return _route_wire_fused(cost, wire, tie_break=tie_break)
-
-
-#: Lazily resolved to break the twobend <-> wavefront import cycle.
-_route_wire_fused = None
+#: The vectorised kernel under its pre-wave-front name.
+route_wire_vectorized = route_wire_fused
 
 
 def route_wire(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRoute:
@@ -335,10 +212,12 @@ def route_wire(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRoute:
     once — consistent with the one-increment-per-cell occupancy rule.
     ``tie_break`` is forwarded to the segment evaluator.
 
-    Dispatches on :func:`repro.kernels.active_kernels`: the vectorised
-    per-wire prefix-table kernel by default, the per-segment reference
-    kernel under ``reference`` mode.  Both produce bit-identical routes.
+    Dispatches on :func:`repro.kernels.active_kernels`: the fused
+    lone-wire evaluator :func:`repro.route.wavefront.route_wire_fused` by
+    default (one prefix-table buffer over the wire's bounding box, one
+    gather, one arg-min), the per-segment :func:`route_wire_reference`
+    under ``reference`` mode.  Both produce bit-identical routes.
     """
     if active_kernels() == "vectorized":
-        return route_wire_vectorized(cost, wire, tie_break=tie_break)
+        return route_wire_fused(cost, wire, tie_break=tie_break)
     return route_wire_reference(cost, wire, tie_break=tie_break)

@@ -1,4 +1,4 @@
-"""Wave-front batched routing: fused evaluation of independent wires.
+"""Wave-front batched routing: one fused NumPy step per independence wave.
 
 The sequential rip-up-and-reroute loop routes one wire at a time: rip up,
 price every candidate two-bend route, commit, move on.  Each step is a
@@ -12,15 +12,23 @@ built from the same pins, so every path cell is inside some segment box).
 Two wires whose box unions are disjoint therefore *commute* — routing one
 first cannot change what the other reads, rips up, or prices.  Each
 iteration greedily partitions the pending wires, in visit order, into
-**waves** of pairwise-disjoint footprints, then routes a whole wave as one
-fused step:
+**waves** of pairwise-disjoint footprints, and the wave, not the wire, is
+the unit of work (:func:`route_iteration_wavefront`):
 
 1. rip up every wave member's old path in one grouped ``remove_path``;
-2. build one pair of block prefix tables over the wave's row band and
-   price *every candidate of every segment of every wire* in stacked
-   array arithmetic (:func:`_evaluate`);
-3. reconstruct each wire's path, price it, and commit the whole wave in
-   one grouped ``apply_path``.
+2. gather the cells the wave's evaluation reads into one vector, take
+   one running sum over it, and fetch every prefix term of *every
+   candidate of every bend segment of every wire* with one gather per
+   table (the per-order plan stores each wave's indices as a contiguous
+   slice); pick each segment's bend column with one ragged
+   ``minimum.reduceat``;
+3. expand the chosen routes into the wave's path cells, de-duplicate
+   them per wire with one sort, price them with one ``path_cost`` and
+   commit them with one grouped ``apply_path``.
+
+All geometry that does not depend on the cost array — segment endpoints,
+candidate columns, work accounting, footprints — is built once per
+circuit as columns (:class:`CircuitGeometry`), in array arithmetic.
 
 Order preservation: the greedy partition defers a wire whose footprint
 overlaps *any* earlier pending wire (whether that wire joined the wave or
@@ -29,6 +37,10 @@ could interact with.  Within a wave, disjointness makes the batched
 rip-up / evaluate / price / commit schedule produce exactly the
 sequential result — :func:`repro.route.twobend.route_wire_reference`
 stays the differential oracle and ``locusroute verify`` replays both.
+
+The simulators route one wire at a time against a private view, so they
+use the *lone-wire* evaluator :func:`route_wire_fused` (a per-wire
+:class:`WireGeometry`, one prefix buffer over the wire's own box).
 
 Everything is integer arithmetic over the same ``int64`` sums in the same
 per-element association order as the reference evaluator, so the chosen
@@ -39,6 +51,7 @@ merely equivalent.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -48,13 +61,14 @@ from ..errors import RoutingError
 from ..grid.bbox import BBox
 from ..grid.cost_array import CostArray
 from .path import RoutePath
-from .twobend import SegmentRoute, WireRoute, _candidate_columns
+from .segments import MAX_CANDIDATES, SegmentRoute, WireRoute, candidate_columns
 
 __all__ = [
     "WireGeometry",
     "wire_geometry",
     "route_wire_fused",
-    "plan_wave",
+    "CircuitGeometry",
+    "circuit_geometry",
     "plan_waves",
     "plan_waves_reference",
     "route_iteration_wavefront",
@@ -74,7 +88,7 @@ class WireGeometry:
     candidate columns, read boxes, work accounting — so it is computed
     once per ``(wire, n_grids)`` and cached on the wire object.  The cost
     array never enters; evaluation against a concrete array is
-    :func:`_evaluate`.
+    :func:`_evaluate_single`.
     """
 
     __slots__ = (
@@ -142,7 +156,7 @@ class WireGeometry:
                 seg_tmpl.append((c1 * n_grids + xs,))
             else:
                 c_lo, c_hi = (c1, c2) if c1 <= c2 else (c2, c1)
-                cand = _candidate_columns(x1, x2)
+                cand = candidate_columns(x1, x2)
                 n_interior = max(0, c_hi - c_lo - 1)
                 seg_is_bend.append(True)
                 bend_rows.append((c1, x1, c2, x2, c_lo, c_hi))
@@ -369,123 +383,6 @@ def _evaluate_single(
     return out
 
 
-def _evaluate(
-    cost: CostArray, geoms: Sequence[WireGeometry], tie_break: int
-) -> List[List[Tuple[int, int]]]:
-    """Price every segment of every geometry against *cost*, fused.
-
-    One :meth:`CostArray.block_prefix_tables` call over the union bbox
-    of all geometries serves every prefix difference; every bend
-    segment's full candidate row evaluates in one stacked expression.
-    Returns, per geometry, the chain-ordered list of ``(xv, cost)`` —
-    bit-identical to per-segment :func:`repro.route.twobend.route_segment`.
-    """
-    if len(geoms) == 1:
-        return [_evaluate_single(cost, geoms[0], tie_break)]
-
-    band_lo = min(g.bbox[0] for g in geoms)
-    band_hi = max(g.bbox[2] for g in geoms)
-    x_lo = min(g.bbox[1] for g in geoms)
-    x_hi = max(g.bbox[3] for g in geoms)
-    need_col = any(g.needs_col for g in geoms)
-    # Density dispatch.  Wave members are pairwise disjoint, so whenever
-    # the wave is spread out its union bbox is mostly gap — and the
-    # shared tables below pay a cumsum over every gap cell.  The shared
-    # sweep only beats per-wire evaluation when the wires tile most of
-    # the band; below that density, price each wire against its own
-    # bbox tables (still one fused gather per wire, and exactly the
-    # same arithmetic, so the choice never changes a routed cell).
-    union_cells = (2 if need_col else 1) * (band_hi - band_lo + 1) * (
-        x_hi - x_lo + 1
-    )
-    if union_cells > 2 * sum(g.buf_size for g in geoms):
-        return [_evaluate_single(cost, g, tie_break) for g in geoms]
-    rowp, colp = cost.block_prefix_tables(
-        band_lo, band_hi, x_lo, x_hi, need_col
-    )
-
-    n_bend = sum(g.n_bend for g in geoms)
-    if n_bend:
-        b_c1 = np.concatenate([g.b_c1 for g in geoms])
-        b_x1 = np.concatenate([g.b_x1 for g in geoms])
-        b_c2 = np.concatenate([g.b_c2 for g in geoms])
-        b_x2 = np.concatenate([g.b_x2 for g in geoms])
-        b_clo = np.concatenate([g.b_clo for g in geoms])
-        b_chi = np.concatenate([g.b_chi for g in geoms])
-        # Candidate rows are padded per wire to that wire's widest
-        # segment; re-pad to the wave's widest row (padding repeats the
-        # row's first candidate and is masked to _INF below).
-        width = max(g.b_cand.shape[1] for g in geoms if g.n_bend)
-        b_cand = np.empty((n_bend, width), dtype=np.int64)
-        b_valid = np.zeros((n_bend, width), dtype=bool)
-        row = 0
-        for g in geoms:
-            nb = g.n_bend
-            if not nb:
-                continue
-            w = g.b_cand.shape[1]
-            b_cand[row : row + nb, :w] = g.b_cand
-            if w < width:
-                b_cand[row : row + nb, w:] = g.b_cand[:, :1]
-            b_valid[row : row + nb, :w] = g.b_valid
-            row += nb
-
-        r1 = b_c1 - band_lo
-        r2 = b_c2 - band_lo
-        cand = b_cand - x_lo
-        # H1: channel c1, columns x1..xv inclusive, for every candidate xv.
-        h1 = rowp[r1[:, None], cand + 1] - rowp[r1, b_x1 - x_lo][:, None]
-        # H2: channel c2, columns xv..x2 inclusive.
-        h2 = rowp[r2, b_x2 + 1 - x_lo][:, None] - rowp[r2[:, None], cand]
-        totals = h1 + h2
-        if need_col:
-            # V: strictly interior channels c_lo+1..c_hi-1 at column xv.
-            # Skipped when every bend spans adjacent channels (the
-            # reference adds an exact zero there, so the sum is
-            # bit-identical either way).
-            totals += (
-                colp[(b_chi - band_lo)[:, None], cand]
-                - colp[(b_clo + 1 - band_lo)[:, None], cand]
-            )
-        totals[~b_valid] = _INF
-        if tie_break == 0:
-            best = np.argmin(totals, axis=1)  # first minimum: smallest xv
-        else:
-            # Last minimum: padded slots sit at _INF, so the reversed
-            # argmin lands on the last *real* minimum, exactly the
-            # reference's totals[::-1] scan.
-            best = totals.shape[1] - 1 - np.argmin(totals[:, ::-1], axis=1)
-        rows = np.arange(best.size)
-        b_xv = b_cand[rows, best]
-        b_cost = totals[rows, best]
-    else:
-        b_xv = b_cost = _EMPTY
-
-    s_c = np.concatenate([g.s_c for g in geoms])
-    s_x1 = np.concatenate([g.s_x1 for g in geoms])
-    s_x2 = np.concatenate([g.s_x2 for g in geoms])
-    if s_c.size:
-        sr = s_c - band_lo
-        s_cost = rowp[sr, s_x2 + 1 - x_lo] - rowp[sr, s_x1 - x_lo]
-    else:
-        s_cost = _EMPTY
-
-    results: List[List[Tuple[int, int]]] = []
-    b_off = 0
-    s_off = 0
-    for g in geoms:
-        out: List[Tuple[int, int]] = []
-        for is_bend in g.seg_is_bend:
-            if is_bend:
-                out.append((int(b_xv[b_off]), int(b_cost[b_off])))
-                b_off += 1
-            else:
-                out.append((int(s_x1[s_off]), int(s_cost[s_off])))
-                s_off += 1
-        results.append(out)
-    return results
-
-
 def _build_path(geom: WireGeometry, xvs: Sequence[int], n_grids: int) -> RoutePath:
     """Assemble the wire's :class:`RoutePath` from chosen bend columns.
 
@@ -565,55 +462,16 @@ def route_wire_fused(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRou
     )
 
 
-def plan_wave(
-    pending: Sequence[int],
-    footprints: Dict[int, Tuple[int, int, int, int]],
-) -> Tuple[List[int], List[int]]:
-    """Greedy in-order split of *pending* into ``(wave, deferred)``.
-
-    A wire joins the wave only if its footprint is disjoint from *every*
-    earlier pending wire's footprint — wave members **and** deferred ones.
-    Blocking on deferred wires too is what preserves routing order: if a
-    deferred wire's later routing could interact with a subsequent wire,
-    that subsequent wire must wait for a later wave.
-    """
-    n = len(pending)
-    clo = np.empty(n, dtype=np.int64)
-    xlo = np.empty(n, dtype=np.int64)
-    chi = np.empty(n, dtype=np.int64)
-    xhi = np.empty(n, dtype=np.int64)
-    wave: List[int] = []
-    deferred: List[int] = []
-    k = 0
-    for idx in pending:
-        c_lo, x_lo, c_hi, x_hi = footprints[idx]
-        if k and bool(
-            np.any(
-                (clo[:k] <= c_hi)
-                & (chi[:k] >= c_lo)
-                & (xlo[:k] <= x_hi)
-                & (xhi[:k] >= x_lo)
-            )
-        ):
-            deferred.append(idx)
-        else:
-            wave.append(idx)
-        clo[k] = c_lo
-        xlo[k] = x_lo
-        chi[k] = c_hi
-        xhi[k] = x_hi
-        k += 1
-    return wave, deferred
-
-
 def plan_waves_reference(
     order: Sequence[int],
     footprints: Dict[int, Tuple[int, int, int, int]],
 ) -> List[List[int]]:
     """The full wave decomposition of *order*, by the O(n^2) recurrence.
 
-    Equivalent to iterating :func:`plan_wave` to exhaustion (wave ``w``
-    is the ``w``-th round's wave, members in visit order), via the
+    Wave ``w`` is what the ``w``-th round of the greedy in-order split
+    yields — a pending wire joins the round's wave only if its footprint
+    is disjoint from *every* earlier pending wire's, wave members and
+    deferred ones alike — with members in visit order.  Computed by the
     layering recurrence: a wire with no earlier overlapping wire joins
     wave 0, otherwise wave ``1 + max(wave of earlier overlapping
     wires)`` — an earlier overlapping wire in wave ``w`` is still
@@ -1011,6 +869,387 @@ def plan_waves(
     return waves
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
+    """``s, s + step, ...`` (``n`` terms) for every ``(s, n)`` pair, concatenated."""
+    ends = np.cumsum(counts)
+    out = np.repeat(starts - (ends - counts) * step, counts)
+    out += np.arange(0, out.size * step, step)
+    return out
+
+
+def _pointers(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets ``[0, c0, c0 + c1, ...]`` of consecutive groups."""
+    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _narrowest(bound: int) -> np.dtype:
+    """The narrowest integer dtype that holds ``0..bound``.
+
+    The per-order tables dominate what a cached plan retains, and up to
+    :data:`WAVE_CACHE_MAX_ORDERS` plans stay alive per circuit.
+    """
+    dtype = np.min_scalar_type(bound)
+    return dtype if dtype.itemsize < 8 else np.dtype(np.int64)
+
+
+def _narrow(values: np.ndarray, bound: int) -> np.ndarray:
+    """*values* (all in ``0..bound``) in the narrowest integer dtype."""
+    return values.astype(_narrowest(bound))
+
+
+def _chunked(
+    first: np.ndarray,
+    first_ptr: np.ndarray,
+    second: np.ndarray,
+    second_ptr: np.ndarray,
+    bound: int,
+) -> np.ndarray:
+    """Group by group, the group's *first* entries then its *second*."""
+    out = np.empty(first.size + second.size, dtype=_narrowest(bound))
+    at = 0
+    for f0, f1, s0, s1 in zip(
+        first_ptr[:-1].tolist(), first_ptr[1:].tolist(),
+        second_ptr[:-1].tolist(), second_ptr[1:].tolist(),
+    ):
+        mid = at + f1 - f0
+        out[at:mid] = first[f0:f1]
+        at = mid + s1 - s0
+        out[mid:at] = second[s0:s1]
+    return out
+
+
+class CircuitGeometry:
+    """Routing-invariant geometry of every wire of a circuit, as columns.
+
+    Segments are numbered wire by wire, each wire's pin chain left to
+    right: wire ``w`` owns segments ``seg_ptr[w]:seg_ptr[w + 1]``, and
+    segment ``s`` runs from pin ``(x1[s], c1[s])`` to ``(x2[s], c2[s])``.
+    A bend segment (``c1 != c2``) prices the candidate columns
+    ``cand[cand_ptr[s]:cand_ptr[s + 1]]``; a straight run has none.
+    ``work_cells[w]`` and the rows ``(c_lo, x_lo, c_hi, x_hi)`` of
+    ``bbox`` equal the per-wire :class:`WireGeometry` fields of the same
+    names.  One walk over the :class:`~repro.circuits.model.Pin` objects
+    fills the pin columns; everything else is array arithmetic.
+    """
+
+    __slots__ = (
+        "seg_ptr", "x1", "c1", "x2", "c2", "cand_ptr", "cand", "work_cells", "bbox"
+    )
+
+    def __init__(self, circuit: Circuit) -> None:
+        wires = circuit.wires
+        pins = [p for w in wires for p in w.pins]
+        px = np.array([p.x for p in pins], dtype=np.int64)
+        pc = np.array([p.channel for p in pins], dtype=np.int64)
+        pin_ptr = _pointers(np.array([len(w.pins) for w in wires], dtype=np.int64))
+
+        # A k-pin wire chains k - 1 segments: every pin but the wire's
+        # last one starts a segment that ends at the next pin.
+        starts_seg = np.ones(px.size, dtype=bool)
+        starts_seg[pin_ptr[1:] - 1] = False
+        a = np.flatnonzero(starts_seg)
+        self.seg_ptr = seg_ptr = pin_ptr - np.arange(pin_ptr.size)
+        self.x1, self.c1 = x1, c1 = px[a], pc[a]
+        self.x2, self.c2 = x2, c2 = px[a + 1], pc[a + 1]
+
+        span = x2 - x1
+        bend = c1 != c2
+        n_cand = np.where(bend, np.minimum(span + 1, MAX_CANDIDATES), 0)
+        self.cand_ptr = _pointers(n_cand)
+        cand = _ranges(x1, n_cand)
+        sampled = bend & (span >= MAX_CANDIDATES)
+        if sampled.any():
+            # Array-valued linspace evaluates ``arange(num) * step + start``
+            # per element exactly like the scalar call in
+            # ``candidate_columns``.  Its neighbour de-duplication is a
+            # no-op here: the step exceeds one, so rounded samples are
+            # strictly increasing and every sampled segment keeps all
+            # MAX_CANDIDATES columns.
+            cand[np.repeat(sampled, n_cand)] = (
+                np.linspace(x1[sampled], x2[sampled], MAX_CANDIDATES, axis=-1)
+                .round()
+                .astype(np.int64)
+                .ravel()
+            )
+        self.cand = cand
+
+        c_lo = np.minimum(c1, c2)
+        c_hi = np.maximum(c1, c2)
+        # Every candidate's path has span + 2 + interior cells (the naive
+        # evaluation inspects them all); a straight run has span + 1.
+        seg_work = np.where(bend, n_cand * (span + 1 + c_hi - c_lo), span + 1)
+        first = seg_ptr[:-1]  # every wire has >= 2 pins, so no empty group
+        self.work_cells = np.add.reduceat(seg_work, first)
+        self.bbox = np.stack(
+            (
+                np.minimum.reduceat(c_lo, first),
+                px[pin_ptr[:-1]],
+                np.maximum.reduceat(c_hi, first),
+                px[pin_ptr[1:] - 1],
+            ),
+            axis=1,
+        )
+
+
+def circuit_geometry(circuit: Circuit) -> CircuitGeometry:
+    """The circuit's :class:`CircuitGeometry`, cached on the circuit."""
+    geom = getattr(circuit, "_wf_geom", None)
+    if geom is None:
+        geom = CircuitGeometry(circuit)
+        object.__setattr__(circuit, "_wf_geom", geom)
+    return geom
+
+
+class _WavePlan:
+    """One visit order's waves, laid out so that each wave is a slice.
+
+    The plan permutes the order's segments into wave order and stores,
+    per wave, contiguous slices of
+
+    - ``read_cells``: the flat cost-array cells the wave's evaluation
+      reads — for every bend segment the columns ``x1..x2`` of channel
+      ``c1`` then of channel ``c2``, then for every candidate column of
+      every segment that crosses interior channels the cells
+      ``(c_lo + 1..c_hi - 1, xv)``.  One gather and one running ``int64``
+      sum over that vector replace per-wire prefix tables, so a wave's
+      table work is bounded by what the wave reads, not by the grid;
+    - the gather tables ``plus`` / ``minus`` into that running sum, whose
+      difference is, per candidate column ``xv`` of every bend segment,
+      ``H1(xv) + H2(xv)`` less a per-segment constant (the sum over
+      ``c1`` up to ``xv`` minus the sum over ``c2`` before ``xv``),
+      followed for waves with an interior channel by ``V(xv)``.  The
+      constant (``c1`` before ``x1``, ``c2`` up to ``x2``) that completes
+      the reference's ``H1 + H2 + V`` cannot move an arg-min and the wave
+      step never reports per-segment costs, so it is not fetched;
+    - everything static about the wave's path cells as *sort keys*
+      ``rank * n_cells + cell`` (``rank`` = the wire's position in its
+      wave): straight runs whole, interior column cells up to the chosen
+      column, and the base keys of the two row runs of every bend.
+    """
+
+    __slots__ = (
+        "waves", "work_cells", "n_cells", "n_grids", "steps",
+        "read_cells", "plus", "minus", "cand", "cand_j", "cand_start",
+        "x1m1", "x2p1", "a_base", "c_base",
+        "s_keys", "v_keys", "v_seg", "rank_base",
+    )
+
+    def __init__(
+        self, geom: CircuitGeometry, waves: List[List[int]], n_channels: int, n_grids: int
+    ) -> None:
+        self.waves = waves
+        self.n_grids = n_grids
+        self.n_cells = n_cells = n_channels * n_grids
+        n_waves = len(waves)
+
+        sizes = np.fromiter(map(len, waves), np.int64, n_waves)
+        wire_seq = np.fromiter(chain.from_iterable(waves), np.int64, int(sizes.sum()))
+        self.work_cells = int(geom.work_cells[wire_seq].sum())
+        max_size = int(sizes.max()) if n_waves else 0
+        self.rank_base = np.arange(max_size + 1, dtype=np.int64) * n_cells
+        key_bound = max_size * n_cells
+        wave_edges = np.arange(n_waves + 1)
+
+        # Segments in wave order, each tagged with its wave and with its
+        # wire's sort-key base.
+        n_seg = geom.seg_ptr[wire_seq + 1] - geom.seg_ptr[wire_seq]
+        seg = _ranges(geom.seg_ptr[wire_seq], n_seg)
+        seg_wave = np.repeat(np.repeat(wave_edges[:-1], sizes), n_seg)
+        key0 = np.repeat(_ranges(np.zeros(n_waves, dtype=np.int64), sizes), n_seg) * n_cells
+        x1, c1, x2, c2 = geom.x1[seg], geom.c1[seg], geom.x2[seg], geom.c2[seg]
+        is_bend = c1 != c2
+
+        # Straight runs never depend on the cost array: whole keys.
+        s = np.flatnonzero(~is_bend)
+        s_len = x2[s] - x1[s] + 1
+        self.s_keys = _narrow(_ranges(key0[s] + c1[s] * n_grids + x1[s], s_len), key_bound)
+        s_ptr = _pointers(s_len)[np.searchsorted(seg_wave[s], wave_edges)]
+
+        # Bend segments: run bases, candidates, what they read.
+        b = np.flatnonzero(is_bend)
+        b_wave = seg_wave[b]
+        b_ptr = np.searchsorted(b_wave, wave_edges)
+        n_bend = np.diff(b_ptr)
+        bx1, bc1, bx2, bc2, bkey0 = x1[b], c1[b], x2[b], c2[b], key0[b]
+        c_lo = np.minimum(bc1, bc2)
+        interior = np.maximum(bc1, bc2) - c_lo - 1
+        self.x1m1 = bx1 - 1
+        self.x2p1 = bx2 + 1
+        self.a_base = bkey0 + bc1 * n_grids + bx1
+        self.c_base = bkey0 + bc2 * n_grids
+
+        n_cand = geom.cand_ptr[seg[b] + 1] - geom.cand_ptr[seg[b]]
+        cand = geom.cand[_ranges(geom.cand_ptr[seg[b]], n_cand)]
+        cand_ptr = _pointers(n_cand)
+        k_ptr = cand_ptr[b_ptr]
+        cand_wave = np.repeat(b_wave, n_cand)
+        self.cand = _narrow(cand, n_grids)
+        self.cand_j = _ranges(np.zeros(b.size, dtype=np.int64), n_cand).astype(np.uint8)
+        self.cand_start = _narrow(
+            cand_ptr[:-1] - np.repeat(k_ptr[:-1], n_bend), max(int(cand_ptr[-1]), 1)
+        )
+
+        def per_cand(column: np.ndarray) -> np.ndarray:
+            return np.repeat(column, n_cand)
+
+        # What each wave reads: per segment, channel c1 then channel c2
+        # over x1..x2; then per candidate of a channel-crossing segment,
+        # channels c_lo+1..c_hi-1 at xv.  The two cell vectors are the
+        # largest intermediates of the build, so they come first and as
+        # argument expressions: each is freed once copied.
+        width = bx2 - bx1 + 1
+        row_ptr = _pointers(2 * width)
+        cand_int = per_cand(interior)
+        int_ptr = _pointers(cand_int)
+        self.read_cells = _chunked(
+            _ranges(
+                np.stack((bc1 * n_grids + bx1, bc2 * n_grids + bx1), axis=1).ravel(),
+                np.repeat(width, 2),
+            ),
+            row_ptr[b_ptr],
+            _ranges(per_cand((c_lo + 1) * n_grids) + cand, cand_int, n_grids),
+            int_ptr[k_ptr],
+            n_cells,
+        )
+        row_total = np.diff(row_ptr[b_ptr])  # per wave
+        int_total = np.diff(int_ptr[k_ptr])
+        r_ptr = _pointers(row_total + int_total)
+        read_bound = max(int(np.diff(r_ptr).max()), 1) if n_waves else 1
+
+        # Positions in the wave's running sum.  Rows: through (c1, xv),
+        # less through (c2, xv - 1) one row run further on.
+        row_at = row_ptr[:-1] - np.repeat(row_ptr[b_ptr[:-1]], n_bend)
+        h_plus = per_cand(row_at - bx1) + cand
+        h_minus = h_plus + per_cand(width - 1)
+        # Interior, only for waves that have any: through the candidate's
+        # last interior cell, less through the cell before its first.
+        has_interior = int_total > 0
+        with_v = has_interior[cand_wave]
+        int_at = (row_total[cand_wave] + int_ptr[:-1] - int_ptr[k_ptr[:-1]][cand_wave])[with_v]
+        crosses = cand_int[with_v] > 0
+        v_minus = np.where(crosses, int_at - 1, 0)
+        v_plus = np.where(crosses, int_at + cand_int[with_v] - 1, 0)
+        # Wave w's slice of each table: its row entries, then its interior ones.
+        v_ptr_k = _pointers(np.diff(k_ptr) * has_interior)
+        self.plus = _chunked(h_plus, k_ptr, v_plus, v_ptr_k, read_bound)
+        self.minus = _chunked(h_minus, k_ptr, v_minus, v_ptr_k, read_bound)
+        t_ptr = k_ptr + v_ptr_k
+
+        # Interior path cells: static up to the chosen column xv.
+        v_ptr = _pointers(interior)[b_ptr]
+        self.v_keys = _narrow(
+            _ranges(bkey0 + (c_lo + 1) * n_grids, interior, n_grids), key_bound
+        )
+        self.v_seg = _narrow(
+            np.repeat(np.arange(b.size) - np.repeat(b_ptr[:-1], n_bend), interior),
+            max(b.size, 1),
+        )
+
+        def slices(ptr: np.ndarray):
+            return zip(ptr[:-1].tolist(), ptr[1:].tolist())
+
+        self.steps = list(
+            zip(slices(r_ptr), slices(t_ptr), slices(k_ptr), slices(b_ptr),
+                slices(s_ptr), slices(v_ptr))
+        )
+
+    def route(self, cost: CostArray, paths: Dict[int, RoutePath], tie_break: int) -> int:
+        """Route every wave against *cost*; returns the occupancy sum."""
+        n_grids, n_cells = self.n_grids, self.n_cells
+        flat = cost.data.reshape(-1)
+        trusted = RoutePath._trusted
+        occupancy = 0
+
+        for wave, ((r0, r1), (t0, t1), (k0, k1), (b0, b1), (s0, s1), (v0, v1)) in zip(
+            self.waves, self.steps
+        ):
+            if paths:
+                old = [p.flat_cells for p in map(paths.get, wave) if p is not None]
+                if old:
+                    # Disjoint footprints: one grouped rip-up == per-wire rip-ups.
+                    cost.remove_path(np.concatenate(old))
+
+            key_parts = [self.s_keys[s0:s1]]
+            if b1 > b0:
+                prefix = np.cumsum(flat[self.read_cells[r0:r1]], dtype=np.int64)
+                totals = prefix[self.plus[t0:t1]]
+                totals -= prefix[self.minus[t0:t1]]
+                n_cand = k1 - k0
+                if t1 - t0 > n_cand:
+                    totals[:n_cand] += totals[n_cand:]
+                    totals = totals[:n_cand]
+
+                # Ragged arg-min: fold the candidate's position into the
+                # low bits so one minimum.reduceat yields both the minimum
+                # and its first (tie_break 0) or last (1) position.
+                totals *= MAX_CANDIDATES
+                starts = self.cand_start[b0:b1]
+                if tie_break == 0:
+                    totals += self.cand_j[k0:k1]
+                    j = np.minimum.reduceat(totals, starts) % MAX_CANDIDATES
+                else:
+                    totals -= self.cand_j[k0:k1]
+                    j = -np.minimum.reduceat(totals, starts) % MAX_CANDIDATES
+                xv = self.cand[k0:k1][starts + j].astype(np.int64)
+
+                # Row runs as (base key, length): channel c1 from x1 to
+                # xv, channel c2 from xv to x2.
+                lens = np.concatenate((xv - self.x1m1[b0:b1], self.x2p1[b0:b1] - xv))
+                bases = np.concatenate((self.a_base[b0:b1], self.c_base[b0:b1] + xv))
+                key_parts.append(_ranges(bases, lens))
+                if v1 > v0:
+                    key_parts.append(self.v_keys[v0:v1] + xv[self.v_seg[v0:v1]])
+
+            # One sort orders every wire's cells (keys are rank-major) and
+            # brings the duplicates of multi-segment wires together.
+            keys = np.concatenate(key_parts, dtype=np.int64)
+            keys.sort()
+            keep = np.empty(keys.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            keys = keys[keep]
+            bounds = np.searchsorted(keys, self.rank_base[: len(wave) + 1]).tolist()
+            cells = keys % n_cells
+
+            # Price before the grouped commit: no other wave member's
+            # cells intersect a wire's path, so the sum equals the
+            # sequential prices taken right after each wire's own rip-up.
+            occupancy += cost.path_cost(cells)
+            cost.apply_path(cells)
+            for idx, lo, hi in zip(wave, bounds, bounds[1:]):
+                paths[idx] = trusted(cells[lo:hi], n_grids)
+        return occupancy
+
+
+def _wave_plan(circuit: Circuit, order: Sequence[int]) -> _WavePlan:
+    """The :class:`_WavePlan` of *order*, cached on the circuit.
+
+    The decomposition depends only on the visit order and the static
+    geometry boxes, so it is identical in every iteration.  The cache is
+    LRU-bounded: long rip-up/reroute runs that permute the order
+    (annealed schedules, per-iteration reorderings) would otherwise
+    retain one O(n) plan per distinct order for the circuit's lifetime.
+    """
+    cache: "OrderedDict[Tuple[int, ...], _WavePlan]" = getattr(circuit, "_wf_waves", None)
+    if cache is None:
+        cache = OrderedDict()
+        object.__setattr__(circuit, "_wf_waves", cache)
+    key = tuple(order)
+    plan = cache.get(key)
+    if plan is None:
+        geom = circuit_geometry(circuit)
+        waves = plan_waves(key, dict(enumerate(zip(*geom.bbox.T.tolist()))))
+        plan = _WavePlan(geom, waves, circuit.n_channels, circuit.n_grids)
+        cache[key] = plan
+        while len(cache) > WAVE_CACHE_MAX_ORDERS:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return plan
+
+
 def route_iteration_wavefront(
     cost: CostArray,
     circuit: Circuit,
@@ -1026,57 +1265,11 @@ def route_iteration_wavefront(
     the new path of a wire always lie inside its own geometry box, so
     the partition never needs to look at current paths.
     """
-    n_grids = cost.n_grids
-    geoms: Dict[int, WireGeometry] = {}
-    footprints: Dict[int, Tuple[int, int, int, int]] = {}
-    for idx in order:
-        g = wire_geometry(circuit.wire(idx), n_grids)
-        geoms[idx] = g
-        footprints[idx] = g.bbox
-
-    # The decomposition depends only on the visit order and the static
-    # geometry boxes, so it is identical in every iteration — cache it
-    # on the circuit, keyed by the order.  The cache is LRU-bounded:
-    # long rip-up/reroute runs that permute the order (annealed
-    # schedules, per-iteration reorderings) would otherwise retain one
-    # O(n) decomposition per distinct order for the circuit's lifetime.
-    cache: "OrderedDict[Tuple[int, ...], List[List[int]]]" = getattr(
-        circuit, "_wf_waves", None
-    )
-    if cache is None:
-        cache = OrderedDict()
-        object.__setattr__(circuit, "_wf_waves", cache)
-    key = tuple(order)
-    waves = cache.get(key)
-    if waves is None:
-        waves = plan_waves(order, footprints)
-        cache[key] = waves
-        while len(cache) > WAVE_CACHE_MAX_ORDERS:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-
-    occupancy = 0
-    work = 0
-    for wave in waves:
-        wave_geoms = [geoms[i] for i in wave]
-
-        old_parts = [paths[i].flat_cells for i in wave if i in paths]
-        if old_parts:
-            # Disjoint footprints: one grouped rip-up == per-wire rip-ups.
-            cost.remove_path(np.concatenate(old_parts))
-
-        per_wire = _evaluate(cost, wave_geoms, tie_break)
-
-        new_cells: List[np.ndarray] = []
-        for idx, geom, res in zip(wave, wave_geoms, per_wire):
-            path = _build_path(geom, [xv for xv, _ in res], n_grids)
-            # Price before the grouped commit: no other wave member's
-            # cells intersect this path, so this equals the sequential
-            # price taken right after this wire's own rip-up.
-            occupancy += cost.path_cost(path.flat_cells)
-            work += geom.work_cells
-            paths[idx] = path
-            new_cells.append(path.flat_cells)
-        cost.apply_path(np.concatenate(new_cells))
-    return occupancy, work
+    if tie_break not in (0, 1):
+        raise RoutingError(f"tie_break must be 0 or 1, got {tie_break}")
+    if cost.shape != circuit.shape:
+        raise RoutingError(
+            f"cost array {cost.shape} does not match circuit grid {circuit.shape}"
+        )
+    plan = _wave_plan(circuit, order)
+    return plan.route(cost, paths, tie_break), plan.work_cells

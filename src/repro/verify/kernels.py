@@ -67,8 +67,9 @@ def _coherence_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
 
 
 def _twobend_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
-    """Reference vs prefix-cached router through rip-up/reroute churn."""
-    from ..route.twobend import route_wire_reference, route_wire_vectorized
+    """Reference vs fused lone-wire router through rip-up/reroute churn."""
+    from ..route.twobend import route_wire_reference
+    from ..route.wavefront import route_wire_fused
 
     def churn(router) -> Tuple[bytes, Tuple]:
         cost = CostArray(circuit.n_channels, circuit.n_grids)
@@ -85,7 +86,7 @@ def _twobend_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
         return cost.data.tobytes(), tuple(cells)
 
     ref = churn(route_wire_reference)
-    vec = churn(route_wire_vectorized)
+    vec = churn(route_wire_fused)
     identical = ref == vec
     detail = (
         f"{circuit.n_wires} wires x {iterations} rip-up/reroute iterations"

@@ -135,29 +135,6 @@ class TestEquivalenceUnderMutation:
             assert np.array_equal(cost.row_prefix(channel), expected)
 
 
-class TestBlockPrefixTables:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        cost_grid,
-        st.integers(min_value=0, max_value=N_CHANNELS - 1),
-        st.integers(min_value=0, max_value=N_CHANNELS - 1),
-        st.integers(min_value=0, max_value=N_GRIDS - 1),
-        st.integers(min_value=0, max_value=N_GRIDS - 1),
-    )
-    def test_rectangle_sums(self, grid, c0, c1, x0, x1):
-        c_lo, c_hi = min(c0, c1), max(c0, c1)
-        x_lo, x_hi = min(x0, x1), max(x0, x1)
-        data = np.array(grid, dtype=np.int64).reshape(N_CHANNELS, N_GRIDS)
-        cost = CostArray(N_CHANNELS, N_GRIDS, data=data.copy())
-        rowp, colp = cost.block_prefix_tables(c_lo, c_hi, x_lo, x_hi)
-        block = data[c_lo : c_hi + 1, x_lo : x_hi + 1]
-        rows, width = block.shape
-        for r in range(rows):
-            assert rowp[r, width] - rowp[r, 0] == block[r].sum()
-        for x in range(width):
-            assert colp[rows, x] - colp[0, x] == block[:, x].sum()
-
-
 class TestKernelDispatch:
     def test_route_wire_dispatches_on_mode(self):
         cost = CostArray(N_CHANNELS, N_GRIDS)

@@ -16,14 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import Circuit, Pin, Wire
+from repro.circuits import Circuit, Pin, Wire, bnre_like, generate_scaled
 from repro.grid import CostArray
 from repro.kernels import use_kernels
 from repro.route import SequentialRouter
-from repro.route.twobend import route_wire_reference
+from repro.route.twobend import MAX_CANDIDATES, route_wire_reference
 from repro.route.wavefront import (
-    plan_wave,
+    circuit_geometry,
     plan_waves,
+    plan_waves_reference,
     route_iteration_wavefront,
     route_wire_fused,
     wire_geometry,
@@ -31,6 +32,9 @@ from repro.route.wavefront import (
 
 N_CHANNELS = 8
 N_GRIDS = 24
+#: Wide enough that random pin pairs often span more than MAX_CANDIDATES
+#: columns (the strided ``linspace`` candidates).
+N_GRIDS_WIDE = 3 * MAX_CANDIDATES
 
 
 def assert_same_route(ref, vec):
@@ -77,23 +81,35 @@ cost_grid = st.lists(
 )
 
 
+def greedy_round(pending, footprints):
+    """One round of the greedy in-order split: ``(wave, deferred)``.
+
+    The specification the layering recurrence implements: a wire joins
+    the wave only if its footprint is disjoint from *every* earlier
+    pending wire's footprint, wave members and deferred ones alike.
+    """
+    wave, deferred, seen = [], [], []
+    for idx in pending:
+        c_lo, x_lo, c_hi, x_hi = footprints[idx]
+        blocked = any(
+            a <= c_hi and c >= c_lo and b <= x_hi and d >= x_lo
+            for a, b, c, d in seen
+        )
+        (deferred if blocked else wave).append(idx)
+        seen.append(footprints[idx])
+    return wave, deferred
+
+
 class TestWavePartition:
     def test_disjoint_wires_share_a_wave(self):
         footprints = {0: (0, 0, 1, 5), 1: (3, 0, 4, 5), 2: (6, 10, 7, 20)}
-        wave, deferred = plan_wave([0, 1, 2], footprints)
-        assert wave == [0, 1, 2]
-        assert deferred == []
+        assert plan_waves_reference([0, 1, 2], footprints) == [[0, 1, 2]]
 
     def test_overlapping_wires_serialize(self):
         # All three share cell (0, 0): every wave has exactly one wire,
         # in the original order.
         footprints = {i: (0, 0, 2, 10) for i in range(3)}
-        pending = [0, 1, 2]
-        rounds = []
-        while pending:
-            wave, pending = plan_wave(pending, footprints)
-            rounds.append(wave)
-        assert rounds == [[0], [1], [2]]
+        assert plan_waves_reference([0, 1, 2], footprints) == [[0], [1], [2]]
 
     def test_deferred_wire_blocks_later_overlaps(self):
         # B overlaps A, C overlaps only B.  C must not jump the queue
@@ -103,21 +119,17 @@ class TestWavePartition:
             1: (1, 4, 3, 10),  # B: overlaps A
             2: (3, 8, 5, 15),  # C: overlaps B, disjoint from A
         }
-        wave, deferred = plan_wave([0, 1, 2], footprints)
-        assert wave == [0]
-        assert deferred == [1, 2]
+        assert plan_waves_reference([0, 1, 2], footprints) == [[0], [1], [2]]
 
     def test_touching_edges_count_as_overlap(self):
         # Inclusive boxes sharing a boundary row conflict.
         footprints = {0: (0, 0, 2, 5), 1: (2, 5, 4, 9)}
-        wave, deferred = plan_wave([0, 1], footprints)
-        assert wave == [0]
-        assert deferred == [1]
+        assert plan_waves_reference([0, 1], footprints) == [[0], [1]]
 
     @given(st.data())
     @settings(deadline=None, max_examples=100)
     def test_plan_waves_matches_iterated_plan_wave(self, data):
-        # The one-pass layering decomposition must reproduce the
+        # The one-pass layering recurrence must reproduce the
         # round-by-round greedy partition exactly, waves in order and
         # members in visit order.
         n = data.draw(st.integers(min_value=0, max_value=12))
@@ -135,8 +147,9 @@ class TestWavePartition:
         rounds = []
         pending = list(order)
         while pending:
-            wave, pending = plan_wave(pending, footprints)
+            wave, pending = greedy_round(pending, footprints)
             rounds.append(wave)
+        assert plan_waves_reference(order, footprints) == rounds
         assert plan_waves(order, footprints) == rounds
 
 
@@ -164,6 +177,37 @@ class TestGeometry:
                 channels, xs = path.coords()
                 assert channels.min() >= c_lo and channels.max() <= c_hi
                 assert xs.min() >= x_lo and xs.max() <= x_hi
+
+
+class TestColumnarGeometry:
+    """Circuit-level columns == the per-wire ``WireGeometry`` objects."""
+
+    @pytest.mark.parametrize(
+        "build", [lambda: generate_scaled(3000, seed=5), bnre_like], ids=["scaled", "bnrE"]
+    )
+    def test_matches_per_wire_geometry(self, build):
+        circuit = build()
+        geom = circuit_geometry(circuit)
+        assert circuit_geometry(circuit) is geom
+        n_sampled = 0
+        for w, wire in enumerate(circuit.wires):
+            ref = wire_geometry(wire, circuit.n_grids)
+            assert tuple(geom.bbox[w]) == ref.bbox
+            assert geom.work_cells[w] == ref.work_cells
+            segs = range(geom.seg_ptr[w], geom.seg_ptr[w + 1])
+            assert len(segs) == len(ref.segs)
+            candidates = iter(ref.b_candidates)
+            for s, is_bend in zip(segs, ref.seg_is_bend):
+                cols = geom.cand[geom.cand_ptr[s] : geom.cand_ptr[s + 1]]
+                expected = next(candidates) if is_bend else []
+                assert np.array_equal(cols, expected)
+                n_sampled += geom.x2[s] - geom.x1[s] >= MAX_CANDIDATES and is_bend
+        assert n_sampled  # the strided-sampling branch was compared too
+
+    def test_empty_circuit(self):
+        geom = circuit_geometry(Circuit("empty", N_CHANNELS, N_GRIDS, []))
+        assert geom.bbox.shape == (0, 4)
+        assert geom.work_cells.size == 0 and geom.cand.size == 0
 
 
 class TestFusedSingleWire:
@@ -229,6 +273,60 @@ class TestIterationEquivalence:
                     ref_paths[i].flat_cells, vec_paths[i].flat_cells
                 )
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_columnar_iteration_matches_scalar_loop(self, data):
+        # The wave step on everything the columnar layout special-cases:
+        # multi-pin wires (per-wire de-duplication), segments longer than
+        # MAX_CANDIDATES (sampled candidates), both tie-breaks, a permuted
+        # visit order, and — when every wire shares one cell — size-one
+        # waves.
+        pin = st.builds(
+            Pin,
+            x=st.integers(0, N_GRIDS_WIDE - 1),
+            channel=st.integers(0, N_CHANNELS - 1),
+        )
+        pin_lists = data.draw(
+            st.lists(
+                st.lists(pin, min_size=2, max_size=5, unique=True),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        if data.draw(st.booleans()):
+            shared = Pin(N_GRIDS_WIDE // 2, N_CHANNELS // 2)
+            pin_lists = [sorted(set(pins) | {shared}) for pins in pin_lists]
+        circuit = Circuit(
+            "columnar",
+            N_CHANNELS,
+            N_GRIDS_WIDE,
+            [Wire(f"w{i}", pins) for i, pins in enumerate(pin_lists)],
+        )
+        order = data.draw(st.permutations(list(range(circuit.n_wires))))
+        first_tie = data.draw(st.integers(0, 1))
+
+        ref_cost = CostArray(N_CHANNELS, N_GRIDS_WIDE)
+        vec_cost = CostArray(N_CHANNELS, N_GRIDS_WIDE)
+        ref_paths, vec_paths = {}, {}
+        for iteration in range(3):
+            tie = (first_tie + iteration) % 2
+            ref_occ = ref_work = 0
+            for i in order:
+                if i in ref_paths:
+                    ref_cost.remove_path(ref_paths[i].flat_cells)
+                res = route_wire_reference(ref_cost, circuit.wire(i), tie_break=tie)
+                ref_occ += res.cost
+                ref_work += res.work_cells
+                ref_cost.apply_path(res.path.flat_cells)
+                ref_paths[i] = res.path
+            vec_occ, vec_work = route_iteration_wavefront(
+                vec_cost, circuit, order, vec_paths, tie_break=tie
+            )
+            assert (vec_occ, vec_work) == (ref_occ, ref_work)
+            assert ref_cost == vec_cost
+            assert vec_paths == ref_paths
+            assert all(p.flat_cells.dtype == np.int64 for p in vec_paths.values())
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(wires(), min_size=2, max_size=6),
@@ -286,8 +384,8 @@ class TestIterationEquivalence:
             i: wire_geometry(circuit.wire(i), N_GRIDS).bbox
             for i in range(circuit.n_wires)
         }
-        wave, _ = plan_wave(list(range(circuit.n_wires)), footprints)
-        assert len(wave) == 1
+        waves = plan_waves_reference(list(range(circuit.n_wires)), footprints)
+        assert [len(wave) for wave in waves] == [1] * circuit.n_wires
         with use_kernels("reference"):
             ref = SequentialRouter(circuit, iterations=3).run()
         with use_kernels("vectorized"):
@@ -334,5 +432,13 @@ class TestEngineDispatch:
         from repro.errors import RoutingError
 
         cost = CostArray(N_CHANNELS, N_GRIDS)
+        wire = Wire("w", [Pin(0, 0), Pin(5, 3)])
         with pytest.raises(RoutingError):
-            route_wire_fused(cost, Wire("w", [Pin(0, 0), Pin(5, 3)]), tie_break=2)
+            route_wire_fused(cost, wire, tie_break=2)
+        circuit = Circuit("one", N_CHANNELS, N_GRIDS, [wire])
+        with pytest.raises(RoutingError):
+            route_iteration_wavefront(cost, circuit, [0], {}, tie_break=2)
+        with pytest.raises(RoutingError):
+            route_iteration_wavefront(
+                CostArray(N_CHANNELS, N_GRIDS + 1), circuit, [0], {}, tie_break=0
+            )

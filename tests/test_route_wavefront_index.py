@@ -13,6 +13,7 @@ slot layers).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,3 +136,10 @@ def test_wave_cache_is_bounded():
     for order in orders[-WAVE_CACHE_MAX_ORDERS:]:
         assert order in cache
     assert orders[0] not in cache
+    # An entry holds the order's gather tables too, so what eviction
+    # bounds is tables, stored as narrow as this small grid allows.
+    n_cells = circuit.n_channels * circuit.n_grids
+    for plan in cache.values():
+        assert plan.read_cells.size and plan.plus.size == plan.minus.size > 0
+        assert plan.read_cells.dtype == np.min_scalar_type(n_cells)
+        assert plan.plus.dtype == plan.minus.dtype == np.uint8
