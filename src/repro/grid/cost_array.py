@@ -36,11 +36,6 @@ from .bbox import BBox
 
 __all__ = ["CostArray"]
 
-#: Marker stored in ``_row_valid`` by :meth:`CostArray.wrap`: the backing
-#: buffer is shared with other processes, so the prefix cache (whose
-#: invalidation only sees local writes) must stay off.
-_WRAPPED = object()
-
 
 class CostArray:
     """Wire-occupancy counts over the routing grid.
@@ -53,16 +48,7 @@ class CostArray:
         Optional initial contents (copied); must match the dimensions.
     """
 
-    __slots__ = (
-        "n_channels",
-        "n_grids",
-        "_data",
-        "_cache_on",
-        "_row_prefix_tab",
-        "_row_valid",
-        "_col_prefix_tab",
-        "_col_valid",
-    )
+    __slots__ = ("n_channels", "n_grids", "_data")
 
     def __init__(
         self,
@@ -82,11 +68,6 @@ class CostArray:
                     f"data shape {data.shape} != ({n_channels}, {n_grids})"
                 )
             self._data = np.array(data, dtype=np.int32, copy=True)
-        self._cache_on = False
-        self._row_prefix_tab: Optional[np.ndarray] = None
-        self._row_valid: Optional[np.ndarray] = None
-        self._col_prefix_tab: Optional[np.ndarray] = None
-        self._col_valid = False
 
     # ------------------------------------------------------------------
     # basic access
@@ -116,10 +97,7 @@ class CostArray:
         for readers, paper §3).
 
         The buffer must be a C-contiguous ``int32`` array of shape
-        ``(n_channels, n_grids)``.  Because other processes mutate the
-        buffer behind this object's back, a wrapped array must never
-        :meth:`enable_prefix_cache` — invalidation hooks only see local
-        writes.  :meth:`enable_prefix_cache` raises on a wrapped array.
+        ``(n_channels, n_grids)``.
         """
         if not isinstance(data, np.ndarray) or data.ndim != 2:
             raise GridError("wrap needs a 2-D numpy array")
@@ -134,14 +112,6 @@ class CostArray:
         self.n_channels = n_channels
         self.n_grids = n_grids
         self._data = data
-        self._cache_on = False
-        self._row_prefix_tab = None
-        # ``_row_valid is None`` marks a cache-capable array; a wrapped
-        # array reuses the slot as a shared-buffer marker (ndarray, never
-        # None) so enable_prefix_cache can refuse it.
-        self._row_valid = _WRAPPED
-        self._col_prefix_tab = None
-        self._col_valid = False
         return self
 
     def __getitem__(self, key):  # noqa: ANN001 - numpy fancy indexing passthrough
@@ -170,8 +140,6 @@ class CostArray:
             return
         flat = self._data.reshape(-1)
         flat[flat_cells] += delta
-        if self._cache_on:
-            self._invalidate_cells(flat_cells)
 
     def remove_path(
         self, flat_cells: np.ndarray, delta: int = 1, strict: bool = True
@@ -190,8 +158,6 @@ class CostArray:
         if strict and np.any(flat[flat_cells] < delta):
             raise GridError("rip-up would drive a cost array entry negative")
         flat[flat_cells] -= delta
-        if self._cache_on:
-            self._invalidate_cells(flat_cells)
 
     def path_cost(self, flat_cells: np.ndarray) -> int:
         """Sum of entries over a set of cells (the path's routing cost)."""
@@ -202,94 +168,16 @@ class CostArray:
     # ------------------------------------------------------------------
     # candidate evaluation helpers (vectorised two-bend router)
     # ------------------------------------------------------------------
-    def enable_prefix_cache(self) -> None:
-        """Keep prefix-sum tables alive across calls, with write invalidation.
-
-        Once enabled, :meth:`row_prefix` and :meth:`col_prefix_table`
-        results are cached and reused until a mutation through
-        :meth:`apply_path` / :meth:`remove_path` / :meth:`accumulate` /
-        :meth:`replace` dirties the rows they cover — which is how the
-        vectorised router shares one set of tables across all segments of
-        a wire *and* across consecutive wires between commits.
-
-        Mutating ``self.data`` directly bypasses the invalidation hooks
-        and leaves the cache stale; callers that write through ``data``
-        must not enable the cache.  Idempotent.
-        """
-        if self._cache_on:
-            return
-        if self._row_valid is _WRAPPED:
-            raise GridError(
-                "cannot enable the prefix cache on a wrapped shared buffer: "
-                "remote writes bypass the invalidation hooks"
-            )
-        self._cache_on = True
-        self._row_prefix_tab = np.zeros(
-            (self.n_channels, self.n_grids + 1), dtype=np.int64
-        )
-        self._row_valid = np.zeros(self.n_channels, dtype=bool)
-        self._col_prefix_tab = np.zeros(
-            (self.n_channels + 1, self.n_grids), dtype=np.int64
-        )
-        self._col_valid = False
-
-    def _invalidate_cells(self, flat_cells: np.ndarray) -> None:
-        """Dirty the cache rows covering *flat_cells* (conservative range).
-
-        Flat index // n_grids is monotonic, so the channel range follows
-        from the extreme flat indices without materialising a quotient
-        array.
-        """
-        c_lo = int(flat_cells.min()) // self.n_grids
-        c_hi = int(flat_cells.max()) // self.n_grids
-        self._row_valid[c_lo : c_hi + 1] = False
-        self._col_valid = False
-
-    def _invalidate_rows(self, c_lo: int, c_hi: int) -> None:
-        """Dirty the cache rows ``c_lo..c_hi`` inclusive."""
-        self._row_valid[c_lo : c_hi + 1] = False
-        self._col_valid = False
-
     def row_prefix(self, channel: int) -> np.ndarray:
         """Exclusive prefix sums of one channel row.
 
         ``row_prefix(c)[x]`` is the sum of entries ``(c, 0..x-1)``; the
         returned array has length ``n_grids + 1``, so the inclusive range
         sum over columns ``[a..b]`` is ``p[b+1] - p[a]``.
-
-        With :meth:`enable_prefix_cache` the returned array is a live row
-        of the cache table — treat it as read-only.
         """
-        if self._cache_on:
-            row = self._row_prefix_tab[channel]
-            if not self._row_valid[channel]:
-                np.cumsum(self._data[channel], out=row[1:])
-                self._row_valid[channel] = True
-            return row
         p = np.zeros(self.n_grids + 1, dtype=np.int64)
         np.cumsum(self._data[channel], out=p[1:])
         return p
-
-    def col_prefix_table(self) -> np.ndarray:
-        """Exclusive down-the-channels prefix sums, shape ``(C + 1, G)``.
-
-        ``col_prefix_table()[c, x]`` is the sum of entries
-        ``(0..c-1, x)``, so the inclusive channel-range sum at column
-        ``x`` is ``t[b+1, x] - t[a, x]`` — the vertical-run price of a
-        candidate bend column in one gather.  Cached (treat as read-only)
-        when the prefix cache is enabled.
-        """
-        if self._cache_on:
-            if not self._col_valid:
-                np.cumsum(
-                    self._data, axis=0, dtype=np.int64,
-                    out=self._col_prefix_tab[1:],
-                )
-                self._col_valid = True
-            return self._col_prefix_tab
-        t = np.zeros((self.n_channels + 1, self.n_grids), dtype=np.int64)
-        np.cumsum(self._data, axis=0, dtype=np.int64, out=t[1:])
-        return t
 
     def column_range_sums(
         self, c_lo: int, c_hi: int, x_lo: int, x_hi: int
@@ -321,8 +209,6 @@ class CostArray:
             )
         rows, cols = box.slices()
         self._data[rows, cols] = values
-        if self._cache_on:
-            self._invalidate_rows(box.c_lo, box.c_hi)
 
     def accumulate(self, box: BBox, deltas: np.ndarray) -> None:
         """Add relative *deltas* into a bbox (receiving SendRmtData)."""
@@ -333,8 +219,6 @@ class CostArray:
             )
         rows, cols = box.slices()
         self._data[rows, cols] += deltas
-        if self._cache_on:
-            self._invalidate_rows(box.c_lo, box.c_hi)
 
     def channel_maxima(self) -> np.ndarray:
         """Per-channel maximum occupancy — the routing tracks each channel

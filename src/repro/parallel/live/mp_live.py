@@ -1,43 +1,34 @@
 """The live message-passing LocusRoute: one real process per node.
 
-This is the real-core twin of
-:func:`repro.parallel.mp_sim.run_message_passing` (which models the
-design through the CBS methodology and a wormhole network simulator).
-Here the paper's §4 architecture actually executes:
+The real-core twin of :func:`repro.parallel.mp_sim.run_message_passing`,
+running the *same* protocol code.  Every node process holds one unmodified
+:class:`~repro.parallel.node.MPNode` — private view, §4.1 delta array, all
+four update kinds, look-ahead, blocking, the watchdog — and this module
+is only its real-time :class:`~repro.parallel.node.NodeServices`:
+``send_packet`` pickles the packet into the destination's pipe (a full
+point-to-point mesh; nodes share no memory), ``schedule``/``cancel`` are a
+local :class:`~repro.events.queue.EventQueue` fired against
+``time.monotonic()``, ``on_ripup``/``on_commit`` append to the node's
+durable commit log stamped with ``time.monotonic_ns()``, and
+``on_finished`` tells the parent.  The cost model charges nothing and the
+driver sets ``node.clock = max(node.clock, now)`` before every callback
+and every ``deliver``, so the node's clock *is* the wall clock.
 
-- one OS process per node, each holding a **private view** of the whole
-  cost array plus the §4.1 delta array of its unsent changes; there is
-  no shared memory between nodes;
-- wires are statically assigned (the ThresholdCost=1000 locality policy,
-  like the simulator's default);
-- real :class:`~repro.updates.packets.UpdatePacket` objects travel over
-  ``multiprocessing.Pipe`` connections — a full point-to-point mesh —
-  on the same :class:`~repro.updates.schedule.UpdateSchedule` cadence
-  the simulator uses: SendRmtData pushes deltas to region owners,
-  SendLocData pushes the owner's absolute region to its mesh
-  neighbours, and ReqRmtData requests remote regions with optional
-  blocking;
-- blocking requests run under a real-time watchdog reusing the PR 3/6
-  :class:`~repro.faults.plan.RecoveryPolicy` shape: wait with a timeout,
-  retry with exponential backoff, and finally *abandon* the request and
-  route with stale data rather than hang behind a straggler.
-
-Ground truth and quality: node views legitimately diverge (that is the
-design's quality-degradation mechanism), so every node also writes rip-up
-and commit records into a durable commit log, stamped with
-``time.monotonic_ns()`` (system-wide monotonic on Linux).  Replaying all
-logs in timestamp order rebuilds the canonical final array — the
-equivalent of the simulator's event-ordered truth array — from which
-circuit height and occupancy are computed, and which must equal the union
-of the final committed paths exactly.
+There is no per-iteration barrier: a node walks its whole queue (its
+wires, once per iteration) at its own pace, as in the simulator.  Node
+views legitimately diverge; replaying all commit logs in timestamp order
+rebuilds the canonical final array (the simulator's event-ordered truth),
+which must equal the union of the final committed paths exactly.
 """
 
 from __future__ import annotations
 
+import collections
 import os
+import queue
 import tempfile
+import threading
 import time
-from dataclasses import dataclass
 from multiprocessing.connection import wait as conn_wait
 from typing import Dict, List, Optional, Tuple
 
@@ -46,286 +37,163 @@ import numpy as np
 from ...assign.base import Assignment
 from ...circuits.model import Circuit
 from ...errors import SimulationError
+from ...events.queue import EventQueue
 from ...faults.plan import RecoveryPolicy
-from ...grid.bbox import BBox
 from ...grid.cost_array import CostArray
-from ...grid.delta import DeltaArray
 from ...grid.regions import RegionMap
 from ...kernels import active_kernels, set_kernels
 from ...obs import telemetry as obs
 from ...route.path import RoutePath
 from ...route.quality import QualityReport, circuit_height
-from ...route.twobend import route_wire
-from ...updates.packets import build_loc_data, build_request, build_response, build_rmt_data
 from ...updates.schedule import UpdateSchedule
-from ...updates.types import UpdateKind
+from ...updates.types import is_request
+from ..mp_sim import default_assignment
+from ..node import MPNode, NodeServices
+from ..timing import CostModel
 from .commitlog import COMMIT, RIPUP, CommitLogWriter, read_logs, replay_records
 from .results import LiveRunResult, LiveWorkerStats
 
 __all__ = ["run_live_message_passing", "DEFAULT_LIVE_POLICY"]
 
-#: Watchdog for blocking requests over real pipes: the simulator's 10 ms
-#: virtual-time timeout is far too twitchy for a loaded host, so the live
-#: router waits 250 ms, retries twice with 2x backoff, then abandons.
+#: The simulator's 10 ms virtual-time watchdog is far too twitchy for a
+#: loaded host: wait 250 ms, retry twice with 2x backoff, then abandon.
 DEFAULT_LIVE_POLICY = RecoveryPolicy(
     watchdog_timeout_s=0.25, backoff_factor=2.0, max_retries=2
 )
 
+#: Real time is the only cost: every charge MPNode makes to its clock is 0.
+_FREE = CostModel(time_per_unit_s=0.0, packet_fixed_s=0.0, interrupt_overhead_s=0.0)
 
-@dataclass(frozen=True)
-class _NodeConfig:
-    """Everything one node needs, picklable for the spawn start method."""
-
-    circuit: Circuit
-    node: int
-    n_procs: int
-    wires: Tuple[int, ...]
-    schedule: UpdateSchedule
-    policy: RecoveryPolicy
-    kernel_mode: str
-    log_path: str
+#: A peer (or the parent) that closed its end is gone, never a crash.
+_PEER_GONE = (EOFError, ConnectionResetError, BrokenPipeError)
 
 
-def _mp_node(cfg: _NodeConfig, control, peer_conns: Dict[int, object]) -> None:
+def _mp_node(
+    me: int,
+    wires: Tuple[int, ...],
+    node_args: Dict[str, object],
+    kernel_mode: str,
+    log_path: str,
+    control,
+    peer_conns: Dict[int, object],
+) -> None:
     """Node process body (module-level: picklable under spawn)."""
-    set_kernels(cfg.kernel_mode)
-    circuit = cfg.circuit
-    me = cfg.node
-    regions = RegionMap(circuit.n_channels, circuit.n_grids, cfg.n_procs)
-    my_region = regions.region(me)
-    neighbors = regions.neighbors(me)
-    view = CostArray(circuit.n_channels, circuit.n_grids)
-    delta = DeltaArray(circuit.n_channels, circuit.n_grids)
-    log = CommitLogWriter(cfg.log_path, me)
-    sched = cfg.schedule
-    policy = cfg.policy
-    my_paths: Dict[int, RoutePath] = {}
-    stats = {
-        "grabs": 0,
-        "commits": 0,
-        "ripups": 0,
-        "cells_written": 0,
-        "messages_sent": 0,
-        "messages_received": 0,
-        "bytes_sent": 0,
-        "bytes_received": 0,
-        "requests_sent": 0,
-        "requests_serviced": 0,
-        "retries_sent": 0,
-        "requests_abandoned": 0,
-        "late_responses": 0,
-        "blocked_time_s": 0.0,
-    }
-    #: outstanding blocking req_id -> owner processor
-    pending: Dict[int, int] = {}
-    next_req_id = 0
+    set_kernels(kernel_mode)
+    log = CommitLogWriter(log_path, me)
+    #: the totals every run reports, plus one count per packet kind sent
+    traffic = collections.Counter(
+        messages_sent=0, bytes_sent=0, requests_sent=0, requests_serviced=0
+    )
+    written = collections.Counter()  # ripups, commits, cells
+    #: ``(src, packet)`` from a peer, ``(None, message)`` from the parent
+    inbox: "queue.SimpleQueue" = queue.SimpleQueue()
+    timers = EventQueue()
 
-    def send(dst: int, pkt) -> None:
-        peer_conns[dst].send(pkt)
-        stats["messages_sent"] += 1
-        stats["bytes_sent"] += pkt.length_bytes
+    def send_packet(packet, inject_time: float) -> None:
+        traffic[packet.kind.value] += 1
+        traffic["messages_sent"] += 1
+        traffic["bytes_sent"] += packet.length_bytes
+        traffic["requests_sent"] += is_request(packet.kind)
+        try:
+            peer_conns[packet.dst].send(packet)
+        except _PEER_GONE:
+            pass
 
-    def reapply_pending(bbox) -> None:
-        """Re-add our unsent deltas after an absolute overwrite.
+    def log_write(kind: int, wire_idx: int, path: RoutePath) -> None:
+        iteration = node.qi // max(1, len(wires))
+        log.append(kind, iteration, wire_idx, time.monotonic_ns(), path.flat_cells)
+        written[kind] += 1
+        written["cells"] += path.n_cells
 
-        A SendLocData / RspRmtData block reflects the owner's knowledge,
-        which cannot include changes we have not pushed yet; without the
-        re-add our own recent commits would vanish from our view.
-        """
-        ours = delta.extract(bbox)
-        if ours.any():
-            view.accumulate(bbox, ours)
+    node = MPNode(
+        proc=me,
+        wires=wires,
+        services=NodeServices(
+            send_packet=send_packet,
+            schedule=timers.push,
+            cancel=timers.cancel,
+            on_ripup=lambda proc, w, path, t: log_write(RIPUP, w, path),
+            on_commit=lambda proc, w, path, t: log_write(COMMIT, w, path),
+            on_finished=lambda proc, t: control.send(("finished",)),
+        ),
+        **node_args,
+    )
 
-    def handle_packet(pkt) -> None:
-        stats["messages_received"] += 1
-        stats["bytes_received"] += pkt.length_bytes
-        if pkt.kind is UpdateKind.SEND_RMT_DATA:
-            # A remote's deltas inside our owned region: fold into both
-            # the view and our delta array, so the next SendLocData push
-            # propagates them (paper §4.3.2).
-            view.accumulate(pkt.bbox, pkt.values)
-            delta.accumulate(pkt.bbox, pkt.values)
-        elif pkt.kind is UpdateKind.SEND_LOC_DATA:
-            view.replace(pkt.bbox, pkt.values)
-            reapply_pending(pkt.bbox)
-        elif pkt.kind is UpdateKind.REQ_RMT_DATA:
-            stats["requests_serviced"] += 1
-            send(pkt.src, build_response(pkt, view.extract(pkt.bbox)))
-        elif pkt.kind is UpdateKind.RSP_RMT_DATA:
-            if sched.blocking and pkt.req_id is not None and pkt.req_id not in pending:
-                # Abandoned-then-answered: apply anyway (idempotent
-                # absolute overwrite), count it.  Non-blocking requests
-                # never wait, so their responses are on time by design.
-                stats["late_responses"] += 1
-            pending.pop(pkt.req_id, None)
-            view.replace(pkt.bbox, pkt.values)
-            reapply_pending(pkt.bbox)
-        # Other kinds (ReqLocData and control traffic) are not scheduled
-        # by the live router; silently ignoring them keeps the node
-        # robust to protocol evolution.
+    def reader() -> None:
+        """Move arrivals into ``inbox`` so a full pipe never blocks a peer
+        (two nodes sending to each other would both park in ``send``)."""
+        sources = {conn: src for src, conn in peer_conns.items()}
+        sources[control] = None
+        while control in sources:
+            # Control last: a "stop" must queue behind everything a peer
+            # sent before it reported "finished".
+            for conn in sorted(conn_wait(list(sources)), key=lambda c: c is control):
+                try:
+                    while conn.poll():
+                        inbox.put((sources[conn], conn.recv()))
+                except _PEER_GONE:
+                    del sources[conn]
+        inbox.put((None, ("exit",)))  # the parent went away
 
-    def drain(timeout_s: float = 0.0) -> None:
-        """Service every deliverable peer packet (bounded wait)."""
-        conns = list(peer_conns.values())
-        ready = conn_wait(conns, timeout=timeout_s) if conns else []
-        for conn in ready:
-            while conn.poll():
-                handle_packet(conn.recv())
+    def fire_next_timer() -> Optional[float]:
+        """Fire the earliest timer if it is due and return 0.0; otherwise
+        return the seconds until it is (``None``: no timer armed)."""
+        now = time.monotonic()
+        due = timers.peek_time()
+        if due is None or due > now:
+            return None if due is None else due - now
+        node.clock = max(node.clock, now)
+        timers.pop_next()[1]()
+        return 0.0
 
-    def request_regions(wire_bbox) -> None:
-        """Fire ReqRmtData at every foreign owner the wire touches."""
-        nonlocal next_req_id
-        owners = [p for p in regions.regions_touched(wire_bbox) if p != me]
-        if not owners:
-            return
-        sent: Dict[int, Tuple[int, object]] = {}
-        for owner in owners:
-            box = wire_bbox.intersect(regions.region(owner))
-            if box is None:
-                continue
-            req_id = next_req_id = next_req_id + 1
-            pkt = build_request(
-                UpdateKind.REQ_RMT_DATA, me, owner, box, owner, req_id
-            )
-            send(owner, pkt)
-            stats["requests_sent"] += 1
-            if sched.blocking:
-                pending[req_id] = owner
-                sent[req_id] = (owner, box)
-        if not sched.blocking or not pending:
-            return
-        # Real-time watchdog (PR 3/6 policy shape): wait, retry with
-        # backoff, abandon.  Abandoning routes with stale data instead of
-        # hanging the node behind a straggler.
-        t0 = time.perf_counter()
-        budget = policy.watchdog_timeout_s
-        retries = 0
-        my_ids = set(sent)
-        while my_ids & set(pending):
-            deadline = time.monotonic() + budget
-            while (my_ids & set(pending)) and time.monotonic() < deadline:
-                drain(timeout_s=0.005)
-            still = my_ids & set(pending)
-            if not still:
-                break
-            if retries >= policy.max_retries:
-                for req_id in still:
-                    pending.pop(req_id, None)
-                stats["requests_abandoned"] += len(still)
-                break
-            retries += 1
-            stats["retries_sent"] += len(still)
-            for req_id in list(still):
-                owner, box = sent[req_id]
-                new_id = next_req_id = next_req_id + 1
-                pending.pop(req_id, None)
-                pending[new_id] = owner
-                sent[new_id] = (owner, box)
-                my_ids.discard(req_id)
-                my_ids.add(new_id)
-                send(
-                    owner,
-                    build_request(
-                        UpdateKind.REQ_RMT_DATA, me, owner, box, owner, new_id
-                    ),
-                )
-            budget *= policy.backoff_factor
-        stats["blocked_time_s"] += time.perf_counter() - t0
+    def say_bye() -> None:
+        traffic["retries_sent"] = node.retries_sent
+        traffic["requests_abandoned"] = node.requests_abandoned
+        traffic["duplicate_responses_ignored"] = node.duplicate_responses_ignored
+        worker = LiveWorkerStats(
+            slot=me,
+            incarnations=1,
+            wires_committed=written[COMMIT],
+            grabs=node.qi,
+            ripups=written[RIPUP],
+            cells_written=written["cells"],
+            messages_sent=traffic["messages_sent"],
+            messages_received=node.messages_received,
+            bytes_sent=traffic["bytes_sent"],
+            blocked_time_s=node.blocked_time_s,
+        )
+        control.send(("bye", worker, dict(traffic), node.view.data))
 
-    def push_rmt() -> None:
-        """SendRmtData: push pending deltas to each foreign region owner."""
-        for p in range(cfg.n_procs):
-            if p == me:
-                continue
-            pkt = build_rmt_data(me, p, delta, regions.region(p))
-            if pkt is not None:
-                send(p, pkt)
-                delta.clear_region(regions.region(p))
-
-    def push_loc() -> None:
-        """SendLocData: push our absolute region to the mesh neighbours."""
-        pkt = None
-        for nbr in neighbors:
-            pkt = build_loc_data(me, nbr, view, delta, my_region)
-            if pkt is None:
-                return
-            send(nbr, pkt)
-        if pkt is not None:
-            delta.clear_region(my_region)
-
-    def route_iteration(iteration: int) -> None:
-        wires_done = 0
-        for wire_idx in cfg.wires:
-            drain(0.0)
-            stats["grabs"] += 1
-            wire = circuit.wire(wire_idx)
-            old = my_paths.get(wire_idx)
-            if old is not None:
-                # strict=False: the local view is only advisory — an
-                # absolute overwrite may have clipped our own path's
-                # counts, which is exactly the divergence the paper
-                # tolerates.  The durable log keeps exact truth.
-                view.remove_path(old.flat_cells, strict=False)
-                delta.record_path(old.flat_cells, -1)
-                log.append(
-                    RIPUP, iteration, wire_idx, time.monotonic_ns(), old.flat_cells
-                )
-                stats["ripups"] += 1
-                stats["cells_written"] += old.n_cells
-            if (
-                sched.req_rmt_every is not None
-                and wires_done % sched.req_rmt_every == 0
-            ):
-                c_lo, x_lo, c_hi, x_hi = wire.bounding_box
-                request_regions(BBox(c_lo, x_lo, c_hi, x_hi))
-            result = route_wire(view, wire, tie_break=iteration % 2)
-            cells = result.path.flat_cells
-            view.apply_path(cells)
-            delta.record_path(cells, 1)
-            log.append(COMMIT, iteration, wire_idx, time.monotonic_ns(), cells)
-            my_paths[wire_idx] = result.path
-            stats["commits"] += 1
-            stats["cells_written"] += int(cells.size)
-            wires_done += 1
-            if (
-                sched.send_rmt_every is not None
-                and wires_done % sched.send_rmt_every == 0
-            ):
-                push_rmt()
-            if (
-                sched.send_loc_every is not None
-                and wires_done % sched.send_loc_every == 0
-            ):
-                push_loc()
-        # End-of-iteration flush so the barrier starts the next iteration
-        # from reasonably converged views.
-        if sched.send_rmt_every is not None:
-            push_rmt()
-        if sched.send_loc_every is not None:
-            push_loc()
-        drain(0.0)
-
-    try:
-        control.send(("ready", me, 0))
-        while True:
-            # Park at the barrier, but keep answering peer requests —
-            # a blocking requester must never deadlock on a parked node.
-            waitables = [control] + list(peer_conns.values())
-            msg = None
-            while msg is None:
-                for obj in conn_wait(waitables, timeout=0.25):
-                    if obj is control:
-                        msg = control.recv()
-                        break
-                    while obj.poll():
-                        handle_packet(obj.recv())
-            if msg[0] == "stop":
-                control.send(("bye", dict(stats), view.data))
-                break
-            route_iteration(msg[1])
-            control.send(("idle", msg[1], dict(stats)))
-    finally:
-        log.close()
+    control.send(("ready",))
+    control.recv()  # "go"
+    threading.Thread(target=reader, daemon=True).start()
+    node.start()
+    if not wires:
+        # MPNode reports on_finished from its last commit: none to come.
+        control.send(("finished",))
+    while True:
+        # ONE timer callback, then every queued arrival: MPNode re-arms at
+        # its own clock, so draining all due timers first would route the
+        # whole queue without reading a packet.
+        wait = fire_next_timer()
+        try:
+            while True:
+                src, item = inbox.get(timeout=wait)
+                wait = 0.0
+                if src is not None:
+                    traffic["requests_serviced"] += is_request(item.kind)
+                    now = time.monotonic()
+                    node.clock = max(node.clock, now)
+                    node.deliver(item, now)
+                elif item[0] == "stop":
+                    # Serve what queued ahead of the "stop", then report.
+                    while fire_next_timer() == 0.0:
+                        pass
+                    say_bye()
+                else:
+                    return
+        except queue.Empty:
+            pass
 
 
 def run_live_message_passing(
@@ -343,12 +211,12 @@ def run_live_message_passing(
     """Route *circuit* with one real process per message-passing node.
 
     Parameters mirror the simulator where they overlap; ``schedule``
-    defaults to the sender-initiated ``SRD=1 SLD=1`` push schedule, and
-    ``assignment`` to the ThresholdCost=1000 locality policy.
-    ``req_loc_every`` schedules are not supported live.  ``timeout_s``
-    bounds the whole run; a node process dying (they are never killed on
-    purpose — crash stress lives in the shared-memory twin) aborts the
-    run with :class:`~repro.errors.SimulationError`.
+    defaults to the sender-initiated ``SRD=1 SLD=1`` push schedule and
+    ``assignment`` to the ThresholdCost=1000 locality policy.  ``policy``
+    is the watchdog every node arms for its ReqRmtData requests, in real
+    seconds.  ``timeout_s`` bounds the whole run; a node process dying
+    (never on purpose — crash stress lives in the shared-memory twin) or
+    a transport error aborts it with :class:`~repro.errors.SimulationError`.
     """
     wall0, cpu0 = time.perf_counter(), time.process_time()
     if n_procs < 1:
@@ -357,12 +225,9 @@ def run_live_message_passing(
         raise SimulationError("need at least one iteration")
     if schedule is None:
         schedule = UpdateSchedule.sender_initiated(1, 1)
-    if schedule.req_loc_every is not None:
-        raise SimulationError("ReqLocData schedules are not supported live")
     kernel_mode = kernel_mode or active_kernels()
 
     from ...harness.pool import mp_context
-    from ..mp_sim import default_assignment
 
     ctx = mp_context(start_method)
     regions = RegionMap(circuit.n_channels, circuit.n_grids, n_procs)
@@ -371,179 +236,119 @@ def run_live_message_passing(
     if assignment.n_procs != n_procs or assignment.n_wires != circuit.n_wires:
         raise SimulationError("assignment does not match circuit / processor count")
     per_node = assignment.per_proc_lists()
+    #: the MPNode arguments every node shares
+    node_args = dict(
+        circuit=circuit,
+        regions=regions,
+        schedule=schedule,
+        iterations=iterations,
+        cost_model=_FREE,
+        recovery=policy,
+    )
 
-    tmpdir: Optional[tempfile.TemporaryDirectory] = None
+    tmpdir = None
     if keep_logs_dir is None:
         tmpdir = tempfile.TemporaryDirectory(prefix="locusroute-live-mp-")
-        log_dir = tmpdir.name
-    else:
-        os.makedirs(keep_logs_dir, exist_ok=True)
-        log_dir = keep_logs_dir
+    log_dir = keep_logs_dir or tmpdir.name
+    os.makedirs(log_dir, exist_ok=True)
+    log_paths = [os.path.join(log_dir, f"node{p}.log") for p in range(n_procs)]
 
     # Full point-to-point mesh of pipes plus one control pipe per node.
-    node_peer_ends: List[Dict[int, object]] = [dict() for _ in range(n_procs)]
+    peer_ends: List[Dict[int, object]] = [dict() for _ in range(n_procs)]
     for i in range(n_procs):
         for j in range(i + 1, n_procs):
-            end_i, end_j = ctx.Pipe(duplex=True)
-            node_peer_ends[i][j] = end_i
-            node_peer_ends[j][i] = end_j
-
-    log_paths = [os.path.join(log_dir, f"node{p}.log") for p in range(n_procs)]
-    procs = []
-    controls = []
-    final_views: List[Optional[np.ndarray]] = [None] * n_procs
-    final_stats: List[Dict[str, object]] = [dict() for _ in range(n_procs)]
-    routing_wall = 0.0
+            peer_ends[i][j], peer_ends[j][i] = ctx.Pipe(duplex=True)
+    procs, controls = [], []
     try:
         for p in range(n_procs):
-            cfg = _NodeConfig(
-                circuit=circuit,
-                node=p,
-                n_procs=n_procs,
-                wires=tuple(int(w) for w in per_node[p]),
-                schedule=schedule,
-                policy=policy,
-                kernel_mode=kernel_mode,
-                log_path=log_paths[p],
-            )
             parent_end, child_end = ctx.Pipe(duplex=True)
+            wires = tuple(int(w) for w in per_node[p])
             proc = ctx.Process(
                 target=_mp_node,
-                args=(cfg, child_end, node_peer_ends[p]),
+                args=(p, wires, node_args, kernel_mode, log_paths[p], child_end,
+                      peer_ends[p]),
                 daemon=True,
             )
             proc.start()
             child_end.close()
-            for conn in node_peer_ends[p].values():
+            for conn in peer_ends[p].values():
                 conn.close()
             procs.append(proc)
             controls.append(parent_end)
 
         deadline = time.monotonic() + timeout_s
 
+        def tell(message: Tuple) -> None:
+            for conn in controls:
+                conn.send(message)
+
         def gather(expect: str) -> List[Tuple]:
             """Collect one *expect* message from every node."""
-            got: List[Optional[Tuple]] = [None] * n_procs
-            while any(m is None for m in got):
+            got: Dict[int, Tuple] = {}
+            while len(got) < n_procs:
                 if time.monotonic() > deadline:
-                    raise SimulationError(
-                        f"live message-passing run exceeded {timeout_s}s"
-                    )
-                waitables = {
-                    controls[p]: p for p in range(n_procs) if got[p] is None
-                }
-                for p in range(n_procs):
+                    raise SimulationError(f"live MP run exceeded {timeout_s}s")
+                waiting = {controls[p]: p for p in range(n_procs) if p not in got}
+                for conn, p in waiting.items():
                     # A dead node with an empty control pipe can never
-                    # deliver; a dead node with buffered output (it
-                    # flushed "bye" and exited) is still collectable.
-                    if (
-                        got[p] is None
-                        and not procs[p].is_alive()
-                        and not controls[p].poll()
-                    ):
+                    # deliver; one with buffered output still can.
+                    if not procs[p].is_alive() and not conn.poll():
                         raise SimulationError(
-                            f"node {p} died unexpectedly (exit "
-                            f"{procs[p].exitcode})"
+                            f"node {p} died (exit {procs[p].exitcode})"
                         )
-                for obj in conn_wait(list(waitables), timeout=0.25):
-                    p = waitables[obj]
-                    try:
-                        msg = obj.recv()
-                    except (EOFError, OSError) as exc:
-                        raise SimulationError(f"node {p} died: {exc!r}")
-                    if msg[0] != expect:  # pragma: no cover - defensive
-                        raise SimulationError(
-                            f"node {p} sent {msg[0]!r}, expected {expect!r}"
-                        )
-                    got[p] = msg
-            return got  # type: ignore[return-value]
+                for conn in conn_wait(list(waiting), timeout=0.25):
+                    got[waiting[conn]] = conn.recv()
+                    assert got[waiting[conn]][0] == expect
+            return [got[p] for p in range(n_procs)]
 
         gather("ready")
         routing_t0 = time.perf_counter()
-        for iteration in range(iterations):
-            for conn in controls:
-                conn.send(("iter", iteration))
-            for p, msg in enumerate(gather("idle")):
-                final_stats[p] = msg[2]
+        tell(("go",))
+        gather("finished")
         routing_wall = time.perf_counter() - routing_t0
-        for conn in controls:
-            conn.send(("stop",))
-        for p, msg in enumerate(gather("bye")):
-            final_stats[p] = msg[1]
-            final_views[p] = np.array(msg[2], dtype=np.int32, copy=True)
+        # Every node has routed its last wire, but packets may still be
+        # queued and serving one can send another (a ReqRmtData's answer
+        # rides with a ReqLocData).  Each "stop" round has every node serve
+        # all that was sent before it; a round in which nobody sent anything
+        # is quiescence.  Peer pipes stay open until "exit".
+        sent = None
+        while True:
+            tell(("stop",))
+            byes = gather("bye")
+            previous, sent = sent, sum(w.messages_sent for _, w, _, _ in byes)
+            if sent == previous:
+                break
+        tell(("exit",))
         for proc in procs:
             proc.join(timeout=10.0)
+    except (EOFError, OSError) as exc:
+        raise SimulationError(f"live MP transport failed: {exc!r}") from None
     finally:
         for proc in procs:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=5.0)
         for conn in controls:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn.close()
 
-    # ------------------------------------------------------------------
-    # replay: canonical truth from the durable logs
-    # ------------------------------------------------------------------
-    n_wires = circuit.n_wires
+    # Replay: canonical truth from the durable logs.
     records = read_logs(log_paths)
+    if tmpdir is not None:
+        tmpdir.cleanup()
     replay = replay_records(records, circuit.n_channels, circuit.n_grids)
     union = CostArray(circuit.n_channels, circuit.n_grids)
     for cells in replay.paths.values():
         union.apply_path(cells)
     replay_ok = (
         replay.ok
-        and replay.commits == n_wires * iterations
-        and len(replay.paths) == n_wires
+        and replay.commits == circuit.n_wires * iterations
+        and len(replay.paths) == circuit.n_wires
         and union == replay.truth
     )
-    quality = QualityReport(
-        circuit_height=circuit_height(replay.truth),
-        occupancy_factor=replay.occupancy_factor,
-        total_wire_cells=replay.truth.total_occupancy(),
-    )
-    paths = {
-        w: RoutePath.from_cells(c, circuit.n_grids) for w, c in replay.paths.items()
-    }
 
-    divergence = []
-    for p in range(n_procs):
-        if final_views[p] is not None:
-            divergence.append(
-                int(np.abs(final_views[p] - replay.truth.data).max())
-            )
-    worker_stats = [
-        LiveWorkerStats(
-            slot=p,
-            incarnations=1,
-            wires_committed=int(final_stats[p].get("commits", 0)),
-            grabs=int(final_stats[p].get("grabs", 0)),
-            ripups=int(final_stats[p].get("ripups", 0)),
-            cells_written=int(final_stats[p].get("cells_written", 0)),
-            messages_sent=int(final_stats[p].get("messages_sent", 0)),
-            messages_received=int(final_stats[p].get("messages_received", 0)),
-            bytes_sent=int(final_stats[p].get("bytes_sent", 0)),
-            blocked_time_s=float(final_stats[p].get("blocked_time_s", 0.0)),
-        )
-        for p in range(n_procs)
-    ]
-    traffic = {
-        key: int(sum(int(final_stats[p].get(key, 0)) for p in range(n_procs)))
-        for key in (
-            "messages_sent",
-            "bytes_sent",
-            "requests_sent",
-            "requests_serviced",
-            "retries_sent",
-            "requests_abandoned",
-            "late_responses",
-        )
-    }
-    if tmpdir is not None:
-        tmpdir.cleanup()
-
+    traffic = collections.Counter()
+    for _, _, node_traffic, _ in byes:
+        traffic.update(node_traffic)
     meta: Dict[str, object] = {
         "circuit": circuit.name,
         "n_procs": n_procs,
@@ -552,8 +357,10 @@ def run_live_message_passing(
         "assignment": assignment.method,
         "start_method": ctx.get_start_method(),
         "kernel_mode": kernel_mode,
-        "traffic": traffic,
-        "view_divergence_max": max(divergence) if divergence else 0,
+        "traffic": dict(traffic),
+        "view_divergence_max": max(
+            int(np.abs(view - replay.truth.data).max()) for _, _, _, view in byes
+        ),
         "replay": {
             "commits": replay.commits,
             "ripups": replay.ripups,
@@ -571,15 +378,22 @@ def run_live_message_passing(
 
     return LiveRunResult(
         paradigm="message_passing_live",
-        quality=quality,
+        quality=QualityReport(
+            circuit_height=circuit_height(replay.truth),
+            occupancy_factor=replay.occupancy_factor,
+            total_wire_cells=replay.truth.total_occupancy(),
+        ),
         n_procs=n_procs,
         iterations=iterations,
         wall_s=wall,
         routing_wall_s=routing_wall,
         replay_ok=replay_ok,
-        paths=paths,
+        paths={
+            w: RoutePath.from_cells(c, circuit.n_grids)
+            for w, c in replay.paths.items()
+        },
         truth=replay.truth,
         wire_router=np.asarray(assignment.owner, dtype=np.int64).copy(),
-        worker_stats=worker_stats,
+        worker_stats=[worker for _, worker, _, _ in byes],
         meta=meta,
     )

@@ -38,7 +38,7 @@ the naive footprint: every cell of the segment's bounding rectangle is read.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
@@ -63,22 +63,25 @@ __all__ = [
 ]
 
 
-def _evaluate_segment(
-    cost: CostArray,
-    a: Pin,
-    b: Pin,
-    tie_break: int,
-    row_prefix: Callable[[int], np.ndarray],
+def route_segment(
+    cost: CostArray, a: Pin, b: Pin, tie_break: int = 0
 ) -> SegmentRoute:
-    """Shared two-bend evaluation body, parameterized by the prefix provider.
+    """Choose the cheapest two-bend route between pins *a* and *b*.
 
-    ``row_prefix`` supplies the exclusive prefix-sum row for a channel —
-    :meth:`CostArray.row_prefix` recomputes or serves its cache depending
-    on the array's cache state, and alternative providers (a snapshot, a
-    shared table) slot in without duplicating the tie-break argmin or the
-    work accounting.  Every caller therefore picks the same column, cost,
-    and work for the same array contents.
+    Requires ``a.x <= b.x`` (wires store pins sorted).
+
+    ``tie_break`` selects which of several equal-cost candidate columns
+    wins: 0 takes the smallest ``xv``, 1 the largest.  The rip-up/reroute
+    engines alternate this per iteration, modelling the route churn of the
+    original program (whose candidate scan order made equal-cost choices
+    unstable between iterations); a fixed deterministic winner would let
+    consecutive iterations re-pick identical paths, and the delta-array
+    cancellation (§5.2) would then erase nearly all update traffic.
     """
+    if a.x > b.x:
+        raise RoutingError(f"segment pins out of order: {a} after {b}")
+    if tie_break not in (0, 1):
+        raise RoutingError(f"tie_break must be 0 or 1, got {tie_break}")
     x1, c1 = a.x, a.channel
     x2, c2 = b.x, b.channel
     c_lo, c_hi = (c1, c2) if c1 <= c2 else (c2, c1)
@@ -86,7 +89,7 @@ def _evaluate_segment(
 
     if c1 == c2:
         # Straight run inside one channel: no bend choice to make.
-        p = row_prefix(c1)
+        p = cost.row_prefix(c1)
         run_cost = int(p[x2 + 1] - p[x1])
         return SegmentRoute(
             xv=x1,
@@ -100,8 +103,8 @@ def _evaluate_segment(
             candidates=np.empty(0, dtype=np.int64),
         )
 
-    p1 = row_prefix(c1)
-    p2 = row_prefix(c2)
+    p1 = cost.row_prefix(c1)
+    p2 = cost.row_prefix(c2)
     xv_all = candidate_columns(x1, x2)
     h1 = p1[xv_all + 1] - p1[x1]  # channel c1: x1 .. xv inclusive
     h2 = p2[x2 + 1] - p2[xv_all]  # channel c2: xv .. x2 inclusive
@@ -125,28 +128,6 @@ def _evaluate_segment(
         x2=x2,
         candidates=xv_all,
     )
-
-
-def route_segment(
-    cost: CostArray, a: Pin, b: Pin, tie_break: int = 0
-) -> SegmentRoute:
-    """Choose the cheapest two-bend route between pins *a* and *b*.
-
-    Requires ``a.x <= b.x`` (wires store pins sorted).
-
-    ``tie_break`` selects which of several equal-cost candidate columns
-    wins: 0 takes the smallest ``xv``, 1 the largest.  The rip-up/reroute
-    engines alternate this per iteration, modelling the route churn of the
-    original program (whose candidate scan order made equal-cost choices
-    unstable between iterations); a fixed deterministic winner would let
-    consecutive iterations re-pick identical paths, and the delta-array
-    cancellation (§5.2) would then erase nearly all update traffic.
-    """
-    if a.x > b.x:
-        raise RoutingError(f"segment pins out of order: {a} after {b}")
-    if tie_break not in (0, 1):
-        raise RoutingError(f"tie_break must be 0 or 1, got {tie_break}")
-    return _evaluate_segment(cost, a, b, tie_break, cost.row_prefix)
 
 
 def segment_cells(a: Pin, b: Pin, xv: int, n_grids: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from .invariants import (
     check_truth_is_path_union,
     first_differing_cell,
 )
-from .live import LIVE_QUALITY_TOLERANCE, run_live_checks
+from .live import LIVE_MP_AGREEMENT, LIVE_QUALITY_TOLERANCE, run_live_checks
 from .oracle import Divergence, OracleReport, run_differential_oracle
 from .runner import VerifyRun, run_verification
 from .violations import InvariantViolation, RunVerification, VerificationReport
@@ -39,6 +39,7 @@ __all__ = [
     "check_replica_convergence",
     "check_truth_is_path_union",
     "first_differing_cell",
+    "LIVE_MP_AGREEMENT",
     "LIVE_QUALITY_TOLERANCE",
     "run_live_checks",
     "Divergence",

@@ -1,6 +1,6 @@
 """Verification checks for the live (real-core) parallel routers.
 
-Three properties tie the live executions back to the rest of the
+Four properties tie the live executions back to the rest of the
 verification story (docs/PARALLEL.md):
 
 - **replay**: replaying the durable commit logs must reproduce the final
@@ -11,6 +11,10 @@ verification story (docs/PARALLEL.md):
   differ from the sequential reference run to run — but staleness only
   perturbs routing, it does not break it, so quality must stay within
   :data:`LIVE_QUALITY_TOLERANCE` of the sequential reference;
+- **agreement**: live message passing runs the simulator's own
+  :class:`~repro.parallel.node.MPNode`, so under the *same* schedule its
+  quality must land within the much tighter :data:`LIVE_MP_AGREEMENT` of
+  :func:`~repro.parallel.mp_sim.run_message_passing`;
 - **determinism**: with one worker process there is no race, so repeated
   runs must be bit-identical.
 
@@ -27,7 +31,7 @@ from ..circuits.model import Circuit
 from ..route.quality import QualityReport
 from ..route.engine import SequentialRouter
 
-__all__ = ["LIVE_QUALITY_TOLERANCE", "run_live_checks"]
+__all__ = ["LIVE_QUALITY_TOLERANCE", "LIVE_MP_AGREEMENT", "run_live_checks"]
 
 #: Maximum relative deviation of a live run's quality (circuit height and
 #: occupancy factor) from the sequential reference.  The paper reports
@@ -37,12 +41,25 @@ __all__ = ["LIVE_QUALITY_TOLERANCE", "run_live_checks"]
 #: scheduling noise.
 LIVE_QUALITY_TOLERANCE = 0.35
 
+#: Maximum relative deviation of live message passing from the simulator
+#: under the same schedule.  Both run the same protocol code; what differs
+#: is timing (real scheduling and pipe latency against the CBS cost model),
+#: so the band is what interleaving noise alone moves.  Measured worst
+#: cases: 9.9% height / 3.7% occupancy over 60 full-size runs (bnrE- and
+#: MDC-like, 4 and 8 nodes, sender 1/1 and 2/5, mixed, receiver 1/5,
+#: blocking; 3 runs each), and 12.2% / 10.2% over 300 runs of the 120-wire
+#: ``verify --quick`` circuit at 2 nodes, where one routing track is
+#: already 2.4% of the height.
+LIVE_MP_AGREEMENT = 0.20
 
-def _within_tolerance(live: QualityReport, ref: QualityReport) -> bool:
+
+def _within_tolerance(
+    live: QualityReport, ref: QualityReport, tolerance: float = LIVE_QUALITY_TOLERANCE
+) -> bool:
     for attr in ("circuit_height", "occupancy_factor"):
         ref_v = getattr(ref, attr)
         live_v = getattr(live, attr)
-        if ref_v and abs(live_v - ref_v) / ref_v > LIVE_QUALITY_TOLERANCE:
+        if ref_v and abs(live_v - ref_v) / ref_v > tolerance:
             return False
     return True
 
@@ -60,6 +77,8 @@ def run_live_checks(
     subsystems uniformly.
     """
     from ..parallel.live import run_live_message_passing, run_live_shared_memory
+    from ..parallel.mp_sim import run_message_passing
+    from ..updates.schedule import UpdateSchedule
 
     reference = SequentialRouter(circuit, iterations=iterations).run()
     checks: Dict[str, Dict[str, object]] = {}
@@ -78,8 +97,16 @@ def run_live_checks(
         f"(tolerance {LIVE_QUALITY_TOLERANCE:.0%})",
     }
 
+    schedule = UpdateSchedule.sender_initiated(1, 1)
     mp = run_live_message_passing(
-        circuit, n_procs=n_procs, iterations=iterations, start_method=start_method
+        circuit,
+        schedule,
+        n_procs=n_procs,
+        iterations=iterations,
+        start_method=start_method,
+    )
+    mp_sim = run_message_passing(
+        circuit, schedule, n_procs=n_procs, iterations=iterations
     )
     checks["live-mp-replay"] = {
         "ok": mp.replay_ok,
@@ -90,6 +117,11 @@ def run_live_checks(
         "ok": _within_tolerance(mp.quality, reference.quality),
         "detail": f"live {mp.quality} vs sequential {reference.quality} "
         f"(tolerance {LIVE_QUALITY_TOLERANCE:.0%})",
+    }
+    checks["live-mp-agreement"] = {
+        "ok": _within_tolerance(mp.quality, mp_sim.quality, LIVE_MP_AGREEMENT),
+        "detail": f"live {mp.quality} vs simulated {mp_sim.quality} under "
+        f"{schedule.describe()} (band {LIVE_MP_AGREEMENT:.0%})",
     }
 
     solo_a = run_live_shared_memory(

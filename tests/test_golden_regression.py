@@ -3,7 +3,7 @@
 ``tests/golden/`` holds the full quick-mode outputs (columns, rows,
 shape checks) of the three headline sweep experiments: Table 1
 (sender-initiated schedules), Table 2 (receiver-initiated schedules),
-and Table 6 (shared memory line sizes).  Everything the simulators
+and Table 6 (the processor-count sweep).  Everything the simulators
 produce is deterministic — fixed circuit seeds, virtual time — so any
 diff against these fixtures is a behaviour change, not noise.
 

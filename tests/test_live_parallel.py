@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import tiny_test_circuit
+from repro.circuits import bnre_like, mdc_like, tiny_test_circuit
 from repro.errors import SimulationError
 from repro.grid import CostArray
 from repro.parallel import run_message_passing, run_shared_memory
@@ -44,7 +44,7 @@ from repro.parallel.live import (
 from repro.parallel.live.commitlog import LOG_MAGIC, CommitLogWriter
 from repro.route import SequentialRouter
 from repro.updates import UpdateSchedule
-from repro.verify.live import LIVE_QUALITY_TOLERANCE
+from repro.verify.live import LIVE_MP_AGREEMENT, LIVE_QUALITY_TOLERANCE
 
 START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -62,12 +62,12 @@ def sequential(circuit):
     return SequentialRouter(circuit, iterations=ITERATIONS).run()
 
 
-def assert_within_tolerance(live, ref):
+def assert_within_tolerance(live, ref, tolerance=LIVE_QUALITY_TOLERANCE):
     for attr in ("circuit_height", "occupancy_factor"):
         ref_v, live_v = getattr(ref, attr), getattr(live, attr)
-        assert abs(live_v - ref_v) <= LIVE_QUALITY_TOLERANCE * ref_v, (
+        assert abs(live_v - ref_v) <= tolerance * ref_v, (
             f"{attr}: live {live_v} vs reference {ref_v} "
-            f"(tolerance {LIVE_QUALITY_TOLERANCE:.0%})"
+            f"(tolerance {tolerance:.0%})"
         )
 
 
@@ -156,6 +156,16 @@ class TestLiveMessagePassing:
         assert runs[0].quality == runs[1].quality
         assert runs[0].truth == runs[1].truth
 
+    def test_single_proc_equals_sequential(self, circuit, sequential):
+        """One node, no peers, no packets: the sequential algorithm exactly."""
+        live = run_live_message_passing(circuit, n_procs=1, iterations=ITERATIONS)
+        assert live.replay_ok
+        assert live.quality == sequential.quality
+        assert live.truth == sequential.cost
+        for w, path in sequential.paths.items():
+            assert np.array_equal(live.paths[w].flat_cells, path.flat_cells)
+        assert live.meta["traffic"]["messages_sent"] == 0
+
     def test_blocking_requests_and_watchdog_counters(self, circuit):
         schedule = UpdateSchedule(req_rmt_every=2, blocking=True)
         live = run_live_message_passing(
@@ -168,14 +178,91 @@ class TestLiveMessagePassing:
         assert traffic["requests_serviced"] >= 0
         assert traffic["requests_abandoned"] + traffic["requests_serviced"] > 0
 
-    def test_req_loc_schedules_rejected(self, circuit):
-        with pytest.raises(SimulationError):
-            run_live_message_passing(
-                circuit,
-                UpdateSchedule.receiver_initiated(1, 5),
-                n_procs=2,
-                iterations=1,
-            )
+    def test_mixed_schedule_all_four_update_kinds_flow(self, circuit):
+        """The §5.1.3 mixed schedule runs live, ReqLocData included.
+
+        The shutdown handshake runs to quiescence, so with nothing
+        abandoned every request sent was serviced — exactly.
+        """
+        live = run_live_message_passing(
+            circuit, UpdateSchedule.mixed_example(), n_procs=2, iterations=ITERATIONS
+        )
+        assert live.replay_ok, live.meta["replay"]
+        assert_complete(live, circuit)
+        traffic = live.meta["traffic"]
+        for kind in ("SendLocData", "SendRmtData", "ReqRmtData", "ReqLocData"):
+            assert traffic.get(kind, 0) > 0, (kind, traffic)
+        assert traffic["requests_sent"] == (
+            traffic["ReqRmtData"] + traffic["ReqLocData"]
+        )
+        assert traffic["requests_abandoned"] == 0
+        assert traffic["requests_serviced"] == traffic["requests_sent"]
+
+    def test_node_without_wires_reports_finished(self, circuit):
+        """MPNode never calls on_finished for an empty queue; the driver does."""
+        from repro.assign.base import Assignment
+
+        everything_on_node_0 = Assignment(
+            np.zeros(circuit.n_wires, dtype=np.int64), 2, "all-on-0"
+        )
+        live = run_live_message_passing(
+            circuit,
+            n_procs=2,
+            iterations=ITERATIONS,
+            assignment=everything_on_node_0,
+            timeout_s=30.0,
+        )
+        assert live.replay_ok
+        assert_complete(live, circuit)
+        assert live.worker_stats[1].wires_committed == 0
+
+
+@pytest.mark.timeout(180)
+@pytest.mark.parametrize("start_method", START_METHODS)
+class TestLiveMessagePassingFullSize:
+    """Full circuits at 4-8 nodes: where the hand-written twin broke.
+
+    The first two configurations died in the shutdown race (a parked node
+    took a peer's closed pipe for a crash); the third is the send/recv
+    deadlock case (two nodes with full inbound pipes, both in ``send``).
+    """
+
+    ITERATIONS = 3
+
+    def run_and_check(self, circuit, schedule, n_procs, start_method):
+        live = run_live_message_passing(
+            circuit,
+            schedule,
+            n_procs=n_procs,
+            iterations=self.ITERATIONS,
+            start_method=start_method,
+            timeout_s=90.0,
+        )
+        assert live.replay_ok, live.meta["replay"]
+        assert_complete(live, circuit)
+        sim = run_message_passing(
+            circuit, schedule, n_procs=n_procs, iterations=self.ITERATIONS
+        )
+        assert_within_tolerance(live.quality, sim.quality, LIVE_MP_AGREEMENT)
+        return live
+
+    def test_bnre_sender_2_5_at_8_nodes(self, start_method):
+        self.run_and_check(
+            bnre_like(), UpdateSchedule.sender_initiated(2, 5), 8, start_method
+        )
+
+    def test_mdc_sender_1_1_at_4_nodes(self, start_method):
+        self.run_and_check(
+            mdc_like(), UpdateSchedule.sender_initiated(1, 1), 4, start_method
+        )
+
+    def test_bnre_mixed_at_4_nodes_finishes(self, start_method):
+        live = self.run_and_check(
+            bnre_like(), UpdateSchedule.mixed_example(), 4, start_method
+        )
+        traffic = live.meta["traffic"]
+        if not traffic["requests_abandoned"]:
+            assert traffic["requests_serviced"] == traffic["requests_sent"]
 
 
 # ---------------------------------------------------------------------------
