@@ -16,6 +16,19 @@ experiments:
 - **A4** — the hierarchical (NUMA) shared memory machine of §5.3.2, where
   remote references cost ~10x local ones, showing locality-aware
   assignment becoming a first-order execution-time effect.
+- **A5** — the other Archibald & Baer protocol family: write-update
+  against the paper's write-back-invalidate, on the same traces.
+- **A6** — Table 3's footnote 3: traffic against finite cache size.
+- **A7** — staleness itself: the L1 error of a node's local view against
+  the true cost array, per update schedule.
+- **A8** — the conclusions' "more sophisticated wire assignment
+  heuristics": bounding-box-centroid against leftmost-pin assignment.
+- **A9** — where the Table 3 magnitude gap comes from: replay granularity
+  (lossless) against recorded-interleaving granularity.
+
+A1, A5 and A8 are plain sweeps and run as ``SimConfig`` rows; the others
+need a simulator keyword ``SimConfig`` does not carry (a cost model, the
+dynamic master, a kept trace, divergence tracking) and call it directly.
 """
 
 from __future__ import annotations
@@ -26,34 +39,54 @@ from typing import Dict, List
 
 from ..assign import RoundRobinAssigner, ThresholdCostAssigner
 from ..grid import RegionMap
+from ..memsim import AddressMap, simulate_trace, simulate_trace_finite
+from ..memsim.reference_level import simulate_trace_reference_level
 from ..parallel import CostModel, run_dynamic_assignment, run_message_passing, run_shared_memory
+from ..parallel.results import ParallelRunResult
+from ..route import LocalityReport
 from ..updates import PacketStructure, UpdateSchedule
-from .experiments import ExperimentResult, _iters, quick_circuit
+from .experiments import (
+    SENDER_2_10,
+    Table,
+    _iters,
+    _locality,
+    _sim,
+    experiment,
+    quick_circuit,
+    sweep,
+)
+from .simjobs import run_sim_configs
 
 __all__ = [
     "run_a1_packet_structures",
     "run_a2_interrupts",
     "run_a3_dynamic_assignment",
     "run_a4_numa_locality",
+    "run_a5_write_update",
+    "run_a6_cache_size",
+    "run_a7_staleness",
+    "run_a8_centroid",
+    "run_a9_trace_granularity",
 ]
 
 
-def run_a1_packet_structures(quick: bool = False) -> ExperimentResult:
+@experiment("A1", "Ablation: §4.3.1 update packet structures (sender 2/10)")
+def run_a1_packet_structures(quick: bool = False) -> Table:
     """A1: measure the §4.3.1 packet-structure tradeoff."""
-    circuit = quick_circuit("bnrE", quick)
-    base = UpdateSchedule.sender_initiated(2, 10)
-    rows: List[Dict[str, object]] = []
-    traffic: Dict[PacketStructure, float] = {}
-    for structure in (
+    structures = (
         PacketStructure.WIRE_BASED,
         PacketStructure.FULL_REGION,
         PacketStructure.BOUNDING_BOX,
-    ):
-        result = run_message_passing(
-            circuit, replace(base, packet_structure=structure), iterations=_iters(quick)
-        )
-        traffic[structure] = result.mbytes_transferred
-        rows.append({"structure": structure.value, **result.table_row()})
+    )
+    rows, runs = sweep(
+        {"structure": [structure.value for structure in structures]},
+        lambda value: _sim(
+            "mp",
+            quick,
+            schedule=replace(SENDER_2_10, packet_structure=PacketStructure(value)),
+        ),
+    )
+    traffic = {s: runs[s.value].mbytes_transferred for s in structures}
     checks = {
         # "it uses a large number of bytes" — full-region is the most
         # expensive encoding.
@@ -68,16 +101,11 @@ def run_a1_packet_structures(quick: bool = False) -> ExperimentResult:
         "wire-based is size-competitive": traffic[PacketStructure.WIRE_BASED]
         < 2.0 * traffic[PacketStructure.BOUNDING_BOX],
     }
-    return ExperimentResult(
-        exp_id="A1",
-        title="Ablation: §4.3.1 update packet structures (sender 2/10)",
-        columns=["structure", "ckt_height", "occupancy", "mbytes", "time_s"],
-        rows=rows,
-        checks=checks,
-    )
+    return list(rows.values()), checks
 
 
-def run_a2_interrupts(quick: bool = False) -> ExperimentResult:
+@experiment("A2", "Ablation: the §5.1.3 blocking prediction (RLD=1 RRD=5)")
+def run_a2_interrupts(quick: bool = False) -> Table:
     """A2: blocking receivers with interrupt reception / faster network."""
     circuit = quick_circuit("bnrE", quick)
     slow = CostModel()
@@ -130,28 +158,22 @@ def run_a2_interrupts(quick: bool = False) -> ExperimentResult:
         "fast network keeps the penalty small": penalty["10x network, interrupts"]
         < 0.5 * penalty["paper network, polled"],
     }
-    return ExperimentResult(
-        exp_id="A2",
-        title="Ablation: the §5.1.3 blocking prediction (RLD=1 RRD=5)",
-        columns=["configuration", "non_blocking_s", "blocking_s", "blocking_penalty"],
-        rows=rows,
-        checks=checks,
-        notes=(
-            "the paper: 'With a higher performance interconnection network, "
-            "lower overhead on message reception ... the blocking strategy "
-            "would probably become more effective.'"
-        ),
+    notes = (
+        "the paper: 'With a higher performance interconnection network, "
+        "lower overhead on message reception ... the blocking strategy "
+        "would probably become more effective.'"
     )
+    return rows, checks, notes
 
 
-def run_a3_dynamic_assignment(quick: bool = False) -> ExperimentResult:
+@experiment("A3", "Ablation: §4.2 dynamic wire distribution (single iteration)")
+def run_a3_dynamic_assignment(quick: bool = False) -> Table:
     """A3: the §4.2 dynamic wire-distribution schemes vs static."""
     circuit = quick_circuit("bnrE", quick)
-    schedule = UpdateSchedule.sender_initiated(2, 10)
-    static = run_message_passing(circuit, schedule, iterations=1)
-    polled = run_dynamic_assignment(circuit, schedule)
+    static = run_message_passing(circuit, SENDER_2_10, iterations=1)
+    polled = run_dynamic_assignment(circuit, SENDER_2_10)
     interrupt = run_dynamic_assignment(
-        circuit, replace(schedule, interrupt_reception=True)
+        circuit, replace(SENDER_2_10, interrupt_reception=True)
     )
     rows = []
     for label, result in (
@@ -179,23 +201,11 @@ def run_a3_dynamic_assignment(quick: bool = False) -> ExperimentResult:
             len(r.paths) == circuit.n_wires for r in (static, polled, interrupt)
         ),
     }
-    return ExperimentResult(
-        exp_id="A3",
-        title="Ablation: §4.2 dynamic wire distribution (single iteration)",
-        columns=[
-            "assignment",
-            "ckt_height",
-            "occupancy",
-            "mbytes",
-            "time_s",
-            "mean_task_wait_ms",
-        ],
-        rows=rows,
-        checks=checks,
-    )
+    return rows, checks
 
 
-def run_a4_numa_locality(quick: bool = False) -> ExperimentResult:
+@experiment("A4", "Ablation: §5.3.2 hierarchical shared memory (remote refs 10x)")
+def run_a4_numa_locality(quick: bool = False) -> Table:
     """A4: locality on a hierarchical (NUMA) shared memory machine."""
     circuit = quick_circuit("bnrE", quick)
     regions = RegionMap(circuit.n_channels, circuit.n_grids, 16)
@@ -234,37 +244,37 @@ def run_a4_numa_locality(quick: bool = False) -> ExperimentResult:
         "round robin suffers the most NUMA slowdown": slowdown["round robin"]
         == max(slowdown.values()),
     }
-    return ExperimentResult(
-        exp_id="A4",
-        title="Ablation: §5.3.2 hierarchical shared memory (remote refs 10x)",
-        columns=["assignment", "flat_time_s", "numa_time_s", "slowdown"],
-        rows=rows,
-        checks=checks,
-        notes=(
-            "the paper: 'in hierarchical shared memory architectures ... a "
-            "local reference can be more than an order of magnitude faster "
-            "... locality will become an important part of future program "
-            "design.'"
-        ),
+    notes = (
+        "the paper: 'in hierarchical shared memory architectures ... a "
+        "local reference can be more than an order of magnitude faster "
+        "... locality will become an important part of future program "
+        "design.'"
     )
+    return rows, checks, notes
 
 
-def run_a5_write_update(quick: bool = False) -> ExperimentResult:
+@experiment("A5", "Ablation: write-update vs write-back-invalidate coherence")
+def run_a5_write_update(quick: bool = False) -> Table:
     """A5: write-update vs write-back-invalidate coherence protocols."""
-    from ..parallel import run_shared_memory as _run_sm
-
-    circuit = quick_circuit("bnrE", quick)
-    line_sizes = [4, 8, 16, 32]
-    results = {}
-    for protocol in ("invalidate", "update"):
-        run = _run_sm(
-            circuit,
-            iterations=_iters(quick),
-            line_size=line_sizes[0],
-            extra_line_sizes=line_sizes[1:],
-            protocol=protocol,
-        )
-        results[protocol] = run.meta["coherence_by_line_size"]
+    line_sizes = (4, 8, 16, 32)
+    protocols = ("invalidate", "update")
+    # One run per protocol, replayed at every line size.
+    runs = run_sim_configs(
+        [
+            _sim(
+                "sm",
+                quick,
+                line_size=line_sizes[0],
+                extra_line_sizes=line_sizes[1:],
+                protocol=protocol,
+            )
+            for protocol in protocols
+        ]
+    )
+    results = {
+        protocol: run.meta["coherence_by_line_size"]
+        for protocol, run in zip(protocols, runs)
+    }
     rows: List[Dict[str, object]] = []
     for ls in line_sizes:
         inv = results["invalidate"][ls]
@@ -297,26 +307,18 @@ def run_a5_write_update(quick: bool = False) -> ExperimentResult:
         ]
         > 0.3 * results["update"][32]["total_bytes"],
     }
-    return ExperimentResult(
-        exp_id="A5",
-        title="Ablation: write-update vs write-back-invalidate coherence",
-        columns=["line_size", "invalidate_mb", "update_mb", "update_broadcast_mb"],
-        rows=rows,
-        checks=checks,
-        notes=(
-            "the paper's protocol choice follows Archibald & Baer; this "
-            "ablation runs their other protocol family on the same traces."
-        ),
+    notes = (
+        "the paper's protocol choice follows Archibald & Baer; this "
+        "ablation runs their other protocol family on the same traces."
     )
+    return rows, checks, notes
 
 
-def run_a6_cache_size(quick: bool = False) -> ExperimentResult:
+@experiment("A6", "Ablation: footnote 3 — traffic vs finite cache size (8B lines)")
+def run_a6_cache_size(quick: bool = False) -> Table:
     """A6: the footnote-3 effect — traffic vs finite cache size."""
-    from ..memsim import AddressMap, simulate_trace, simulate_trace_finite
-    from ..parallel import run_shared_memory as _run_sm
-
     circuit = quick_circuit("bnrE", quick)
-    result = _run_sm(circuit, iterations=_iters(quick), line_size=8, keep_trace=True)
+    result = run_shared_memory(circuit, iterations=_iters(quick), line_size=8, keep_trace=True)
     trace = result.meta["trace"]
     layout = result.meta["layout"]
     amap = AddressMap(
@@ -359,16 +361,11 @@ def run_a6_cache_size(quick: bool = False) -> ExperimentResult:
         >= infinite.mbytes * 0.98,
         "tiny caches cost much more": totals[0] > 1.5 * infinite.mbytes,
     }
-    return ExperimentResult(
-        exp_id="A6",
-        title="Ablation: footnote 3 — traffic vs finite cache size (8B lines)",
-        columns=["cache_lines", "cache_bytes", "mbytes", "writeback_mb"],
-        rows=rows,
-        checks=checks,
-    )
+    return rows, checks
 
 
-def run_a7_staleness(quick: bool = False) -> ExperimentResult:
+@experiment("A7", "Ablation: staleness measured — local-view error vs update schedule")
+def run_a7_staleness(quick: bool = False) -> Table:
     """A7: staleness, measured — view divergence vs update schedule."""
     circuit = quick_circuit("bnrE", quick)
     schedules = [
@@ -408,100 +405,66 @@ def run_a7_staleness(quick: bool = False) -> ExperimentResult:
         "receiver-initiated requests also reduce error": divergence["receiver (1,5)"]
         < divergence["silent"],
     }
-    return ExperimentResult(
-        exp_id="A7",
-        title="Ablation: staleness measured — local-view error vs update schedule",
-        columns=[
-            "schedule",
-            "mean_view_error_L1",
-            "max_view_error_L1",
-            "occupancy",
-            "mbytes",
-        ],
-        rows=rows,
-        checks=checks,
-        notes=(
-            "view error = L1 distance between the routing node's view and "
-            "the true cost array over each committed route's cells (single "
-            "routing iteration; across rip-up iterations, route churn from "
-            "eager updates partially offsets their freshness advantage)."
-        ),
+    notes = (
+        "view error = L1 distance between the routing node's view and "
+        "the true cost array over each committed route's cells (single "
+        "routing iteration; across rip-up iterations, route churn from "
+        "eager updates partially offsets their freshness advantage)."
     )
+    return rows, checks, notes
 
 
-def run_a8_centroid(quick: bool = False) -> ExperimentResult:
+@experiment("A8", "Ablation: centroid vs leftmost-pin wire assignment (TC=1000)")
+def run_a8_centroid(quick: bool = False) -> Table:
     """A8: the paper's suggested smarter heuristic — centroid assignment."""
-    from ..assign import CentroidAssigner
-    from ..route import locality_measure
+    heuristics = {
+        "leftmost pin (paper)": "TC=1000",
+        "bounding-box centroid": "centroid TC=1000",
+    }
+    reports: Dict[str, LocalityReport] = {}
 
-    circuit = quick_circuit("bnrE", quick)
-    regions = RegionMap(circuit.n_channels, circuit.n_grids, 16)
-    schedule = UpdateSchedule.sender_initiated(2, 10)
-    rows: List[Dict[str, object]] = []
-    metrics: Dict[str, Dict[str, float]] = {}
-    for label, cls in (
-        ("leftmost pin (paper)", ThresholdCostAssigner),
-        ("bounding-box centroid", CentroidAssigner),
-    ):
-        assignment = cls(circuit, regions, 1000).assign()
-        result = run_message_passing(
-            circuit, schedule, assignment=assignment, iterations=_iters(quick)
-        )
-        report = locality_measure(regions, result.paths, result.wire_router)
-        metrics[label] = {
-            "hops": report.mean_hops,
-            "mbytes": result.mbytes_transferred,
-            "time": result.exec_time_s,
+    def cells(result: ParallelRunResult, label: str) -> Dict[str, object]:
+        report = reports[label] = _locality(result, "bnrE", quick)
+        return {
+            "mean_hops": round(report.mean_hops, 3),
+            "owned_fraction": round(report.owned_fraction, 3),
+            "ckt_height": result.quality.circuit_height,
+            "mbytes": round(result.mbytes_transferred, 4),
+            "time_s": round(result.exec_time_s, 3),
         }
-        rows.append(
-            {
-                "heuristic": label,
-                "mean_hops": round(report.mean_hops, 3),
-                "owned_fraction": round(report.owned_fraction, 3),
-                "ckt_height": result.quality.circuit_height,
-                "mbytes": round(result.mbytes_transferred, 4),
-                "time_s": round(result.exec_time_s, 3),
-            }
-        )
-    left = metrics["leftmost pin (paper)"]
-    cent = metrics["bounding-box centroid"]
+
+    rows, runs = sweep(
+        {"heuristic": heuristics},
+        lambda label: _sim(
+            "mp", quick, schedule=SENDER_2_10, assigner=heuristics[label]
+        ),
+        cells=(),
+        extra=cells,
+    )
+    (left, left_run), (cent, cent_run) = runs.items()
     checks = {
         # conclusions: "more sophisticated wire assignment heuristics may
         # further improve quality and reduce traffic" ...
-        "centroid improves locality": cent["hops"] < left["hops"],
-        "centroid reduces traffic": cent["mbytes"] < left["mbytes"] * 1.02,
+        "centroid improves locality": reports[cent].mean_hops < reports[left].mean_hops,
+        "centroid reduces traffic": cent_run.mbytes_transferred
+        < left_run.mbytes_transferred * 1.02,
         # ... but locality concentration costs load balance, the same
         # §5.3.3 tension as ThresholdCost=infinity.
-        "locality gain is not free (time)": cent["time"] > 0.9 * left["time"],
+        "locality gain is not free (time)": cent_run.exec_time_s
+        > 0.9 * left_run.exec_time_s,
     }
-    return ExperimentResult(
-        exp_id="A8",
-        title="Ablation: centroid vs leftmost-pin wire assignment (TC=1000)",
-        columns=[
-            "heuristic",
-            "mean_hops",
-            "owned_fraction",
-            "ckt_height",
-            "mbytes",
-            "time_s",
-        ],
-        rows=rows,
-        checks=checks,
-    )
+    return list(rows.values()), checks
 
 
-def run_a9_trace_granularity(quick: bool = False) -> ExperimentResult:
+@experiment("A9", "Ablation: trace granularity (burst vs per-reference; sweep count)")
+def run_a9_trace_granularity(quick: bool = False) -> Table:
     """A9: trace granularity — where the T3 magnitude gap comes from."""
-    from ..memsim import AddressMap, simulate_trace
-    from ..memsim.reference_level import simulate_trace_reference_level
-    from ..parallel import run_shared_memory as _run_sm
-
     circuit = quick_circuit("bnrE", quick)
     iters = _iters(quick)
 
     # Part 1: burst-level protocol processing is *lossless* — replaying
     # the same trace one reference at a time yields identical traffic.
-    base = _run_sm(circuit, iterations=iters, line_size=8, keep_trace=True)
+    base = run_shared_memory(circuit, iterations=iters, line_size=8, keep_trace=True)
     trace, layout = base.meta["trace"], base.meta["layout"]
     extra = layout.total_words - layout.array_words
     equivalent = True
@@ -524,7 +487,7 @@ def run_a9_trace_granularity(quick: bool = False) -> ExperimentResult:
     # granularity: finer sweeps expose more invalidation refetches.
     totals: List[float] = []
     for chunks in (1, 2, 4, 8):
-        run = _run_sm(circuit, iterations=iters, line_size=8, trace_chunks=chunks)
+        run = run_shared_memory(circuit, iterations=iters, line_size=8, trace_chunks=chunks)
         totals.append(run.coherence.mbytes)
         rows.append(
             {
@@ -543,17 +506,11 @@ def run_a9_trace_granularity(quick: bool = False) -> ExperimentResult:
         )
         and totals[-1] > totals[0],
     }
-    return ExperimentResult(
-        exp_id="A9",
-        title="Ablation: trace granularity (burst vs per-reference; sweep count)",
-        columns=["comparison", "burst_mb", "per_reference_mb"],
-        rows=rows,
-        checks=checks,
-        notes=(
-            "conclusion: the muted Table 3 growth is a property of how "
-            "finely the trace records interleaving (Tango recorded every "
-            "reference; we record a few sweeps per evaluation), not of "
-            "burst-level protocol processing, which is provably lossless "
-            "for a given trace."
-        ),
+    notes = (
+        "conclusion: the muted Table 3 growth is a property of how "
+        "finely the trace records interleaving (Tango recorded every "
+        "reference; we record a few sweeps per evaluation), not of "
+        "burst-level protocol processing, which is provably lossless "
+        "for a given trace."
     )
+    return rows, checks, notes

@@ -80,7 +80,11 @@ NO_FSYNC_ENV = "REPRO_NO_FSYNC"
 # ----------------------------------------------------------------------
 #: String keys that *look* like a type tag must themselves be tagged,
 #: otherwise the string key ``"int:1"`` would collide with the int key 1.
-_TAGGED_KEY = re.compile(r"^\w+:")
+#: A tag is ``<type name>:<repr>`` and no key's repr starts with a space,
+#: so prose such as the check name ``"bnrE: locality ..."`` cannot collide
+#: and passes through — payloads get canonicalised more than once on their
+#: way into a store, and a ``str:`` prefix per pass renamed the checks.
+_TAGGED_KEY = re.compile(r"^\w+:(?!\s)")
 
 
 def _jsonify_key(key: Any) -> str:
@@ -91,8 +95,8 @@ def _jsonify_key(key: Any) -> str:
     that share a spelling — ``{1: x}`` vs ``{"1": x}``, ``{True: x}`` vs
     ``{1: x}`` — canonicalise differently instead of silently merging
     into one cache key.  Plain string keys pass through untouched unless
-    they match the tag shape themselves, in which case they get an
-    explicit ``str:`` tag.
+    they match the tag shape themselves (:data:`_TAGGED_KEY`), in which
+    case they get an explicit ``str:`` tag.
     """
     if isinstance(key, str):
         return f"str:{key}" if _TAGGED_KEY.match(key) else key

@@ -1,11 +1,17 @@
 """Experiment drivers: one function per paper table / in-text result.
 
-Each driver runs the relevant simulator sweep, assembles rows with the
-paper's published values alongside the measured ones, and evaluates a set
-of *shape checks* — the qualitative claims of the paper's evaluation
-section (orderings, monotone trends, ratio bands) that a faithful
-reproduction must exhibit even though the absolute numbers come from
-synthetic stand-in circuits.
+Every artefact of the paper's evaluation is "sweep a few axes, run one
+simulation per row, print measured beside published, assert the shape".
+:func:`sweep` is that sentence once: an axes product becomes a
+:class:`~repro.harness.simjobs.SimConfig` list, runs through
+:func:`~repro.harness.simjobs.run_sim_configs` (so every table gets
+``--jobs`` row fan-out, the per-row cache and ``--timeout``), and comes
+back as rows of axis values, measured cells and the paper's cells.  A
+driver adds what is specific to its table: the axes, the config of one
+row, and the *shape checks* — the qualitative claims of the paper's
+evaluation section (orderings, monotone trends, ratio bands) that a
+faithful reproduction must exhibit even though the absolute numbers come
+from synthetic stand-in circuits.  Table columns are the first row's keys.
 
 ``quick=True`` shrinks the circuits and iteration counts so the whole
 suite runs in seconds (used by the test suite); benches run full size.
@@ -13,35 +19,54 @@ suite runs in seconds (used by the test suite); benches run full size.
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..assign import RoundRobinAssigner, ThresholdCostAssigner
-from ..circuits import Circuit, bnre_like, mdc_like
+from ..circuits import Circuit
+from ..errors import ExperimentError
 from ..faults import FaultPlan, RecoveryPolicy, random_crashes
 from ..grid import RegionMap
 from ..parallel import run_message_passing, run_shared_memory
-from ..route import locality_measure
+from ..parallel.results import ParallelRunResult
+from ..route import LocalityReport, SequentialRouter, locality_measure
 from ..updates import UpdateSchedule
 from . import reference as ref
-from .simjobs import SimConfig, run_sim_configs
+from .cache import jsonify, stable_hash
+from .simjobs import SimConfig, _named_circuit, run_sim_config, run_sim_configs
 from .tables import render_checks, render_table
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment", "quick_circuit"]
+__all__ = [
+    "ExperimentResult",
+    "EXPERIMENTS",
+    "experiment",
+    "run_experiment",
+    "quick_circuit",
+    "sweep",
+]
 
 
 @dataclass
 class ExperimentResult:
-    """Outcome of one experiment driver."""
+    """Outcome of one experiment driver.
+
+    ``columns`` defaults to the first row's key order, so a driver writes
+    each column name once — where it fills the cell.
+    """
 
     exp_id: str
     title: str
-    columns: List[str]
     rows: List[Dict[str, object]]
     checks: Dict[str, bool]
     notes: str = ""
     extras: Dict[str, object] = field(default_factory=dict)
+    columns: List[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.columns and self.rows:
+            self.columns = list(self.rows[0])
 
     @property
     def passed(self) -> bool:
@@ -57,30 +82,109 @@ class ExperimentResult:
         return "\n".join(parts)
 
 
+#: What a driver returns: ``(rows, checks)``, then optionally notes and extras.
+Table = Tuple
+
+#: Registry of every experiment driver, keyed by experiment id, in the
+#: order `experiment all` runs them and EXPERIMENTS.md lists them.
+EXPERIMENTS: Dict[str, Callable[[bool], ExperimentResult]] = {}
+
+
+def experiment(exp_id: str, title: str) -> Callable:
+    """Register ``driver(quick) -> Table`` as experiment *exp_id*.
+
+    The registered callable wraps what the driver returns — its rows,
+    its shape checks, and any notes and extras — in an
+    :class:`ExperimentResult` under this id and title.
+    """
+
+    def register(driver: Callable[[bool], Table]) -> Callable[[bool], ExperimentResult]:
+        @functools.wraps(driver)
+        def run(quick: bool = False) -> ExperimentResult:
+            return ExperimentResult(exp_id, title, *driver(quick))
+
+        EXPERIMENTS[exp_id] = run
+        return run
+
+    return register
+
+
 # ----------------------------------------------------------------------
-# circuit helpers
+# the table builder
 # ----------------------------------------------------------------------
+#: The standard measured cells, in ``ParallelRunResult.table_row()`` order.
+ROW_CELLS = ("ckt_height", "occupancy", "mbytes", "time_s")
+
+#: Published cell -> the column it is printed under beside the measured one.
+PAPER_COLUMNS = {
+    "ckt_height": "paper_height",
+    "mbytes": "paper_mbytes",
+    "time_s": "paper_time",
+}
+
+
+#: Sender initiated updates at SendRmtData=2, SendLocData=10: the schedule
+#: the paper holds fixed wherever it varies something else (Tables 4, 6).
+SENDER_2_10 = UpdateSchedule.sender_initiated(2, 10)
+
+
 def quick_circuit(which: str, quick: bool) -> Circuit:
-    """The benchmark circuit, shrunk in quick mode for fast test runs."""
-    if which == "bnrE":
-        return bnre_like(n_wires=160) if quick else bnre_like()
-    if which == "MDC":
-        return mdc_like(n_wires=200) if quick else mdc_like()
-    raise ValueError(f"unknown circuit {which!r}")
+    """The benchmark circuit, shrunk in quick mode (sizes live in simjobs)."""
+    return _named_circuit(which, quick, None)
 
 
 def _iters(quick: bool) -> int:
     return 2 if quick else 3
 
 
-def _assigners(circuit: Circuit, regions: RegionMap):
-    """The four Table 4/5 assignment policies, in paper row order."""
-    return [
-        ("round robin", RoundRobinAssigner(circuit, regions).assign()),
-        ("TC=30", ThresholdCostAssigner(circuit, regions, 30).assign()),
-        ("TC=1000", ThresholdCostAssigner(circuit, regions, 1000).assign()),
-        ("TC=inf", ThresholdCostAssigner(circuit, regions, math.inf).assign()),
-    ]
+def _sim(kind: str, quick: bool, **fields) -> SimConfig:
+    """One row's config at the harness scale (circuit size, iterations)."""
+    fields.setdefault("iterations", _iters(quick))
+    return SimConfig(kind=kind, quick=quick, **fields)
+
+
+def sweep(
+    axes: Mapping[str, Iterable],
+    config: Callable[..., SimConfig],
+    cells: Sequence[str] = ROW_CELLS,
+    extra: Optional[Callable[..., Dict[str, object]]] = None,
+    reference: Optional[Dict] = None,
+    paper: Sequence[str] = tuple(PAPER_COLUMNS),
+) -> Tuple[Dict[object, Dict[str, object]], Dict[object, ParallelRunResult]]:
+    """One simulation per point of the *axes* product, as table rows.
+
+    ``axes`` maps a column name to its values (the first axis varies
+    slowest, as in the paper's tables) and ``config(*point)`` is the
+    simulation of one point.  Each row holds, in order: the axis values,
+    the named ``table_row()`` *cells*, whatever ``extra(result, *point)``
+    measures beyond them, and — given a *reference* table of
+    :mod:`repro.harness.reference` — its published *paper* cells.
+
+    Returns ``(rows, runs)``, both keyed by point (the bare value when
+    there is one axis) in row order.
+    """
+    points = list(itertools.product(*axes.values()))
+    results = run_sim_configs([config(*point) for point in points])
+    rows: Dict[object, Dict[str, object]] = {}
+    for point, result in zip(points, results):
+        key = point if len(point) > 1 else point[0]
+        measured = result.table_row()
+        row: Dict[str, object] = dict(zip(axes, point))
+        row.update((cell, measured[cell]) for cell in cells)
+        if extra is not None:
+            row.update(extra(result, *point))
+        if reference is not None:
+            published = ref.paper_row(reference, key) or {}
+            row.update((PAPER_COLUMNS[cell], published.get(cell)) for cell in paper)
+        rows[key] = row
+    return rows, dict(zip(rows, results))
+
+
+def _locality(result: ParallelRunResult, which: str, quick: bool) -> LocalityReport:
+    """§5.3.3 locality measure of a 16-processor run on the named circuit."""
+    circuit = quick_circuit(which, quick)
+    regions = RegionMap(circuit.n_channels, circuit.n_grids, 16)
+    return locality_measure(regions, result.paths, result.wire_router)
 
 
 def _monotone_decreasing(values: List[float], tolerance: float = 0.0) -> bool:
@@ -93,179 +197,78 @@ def _monotone_increasing(values: List[float], tolerance: float = 0.0) -> bool:
     return all(b >= a * (1 - tolerance) for a, b in zip(values, values[1:]))
 
 
-# ----------------------------------------------------------------------
-# Table 1 — sender initiated updates
-# ----------------------------------------------------------------------
-def run_table1(quick: bool = False) -> ExperimentResult:
+@experiment("T1", "Sender initiated updates (bnrE-like, 16 processors)")
+def run_table1(quick: bool = False) -> Table:
     """Table 1: quality/traffic/time vs sender-initiated update frequency."""
     srd_values = [2, 5, 10]
     sld_values = [1, 5, 10, 20]
-    rows: List[Dict[str, object]] = []
-    traffic: Dict[tuple, float] = {}
-    times: Dict[tuple, float] = {}
-    heights: List[int] = []
-
-    combos = [(srd, sld) for srd in srd_values for sld in sld_values]
-    results = run_sim_configs(
-        [
-            SimConfig(
-                kind="mp",
-                which="bnrE",
-                quick=quick,
-                schedule=UpdateSchedule.sender_initiated(srd, sld),
-                iterations=_iters(quick),
-            )
-            for srd, sld in combos
-        ]
+    rows, _ = sweep(
+        {"SendRmtData": srd_values, "SendLocData": sld_values},
+        lambda srd, sld: _sim(
+            "mp", quick, schedule=UpdateSchedule.sender_initiated(srd, sld)
+        ),
+        reference=ref.TABLE1_SENDER,
     )
-    for (srd, sld), result in zip(combos, results):
-        row = result.table_row()
-        traffic[(srd, sld)] = row["mbytes"]
-        times[(srd, sld)] = row["time_s"]
-        heights.append(row["ckt_height"])
-        paper = ref.paper_row(ref.TABLE1_SENDER, (srd, sld)) or {}
-        rows.append(
-            {
-                "SendRmtData": srd,
-                "SendLocData": sld,
-                "ckt_height": row["ckt_height"],
-                "occupancy": row["occupancy"],
-                "mbytes": row["mbytes"],
-                "time_s": row["time_s"],
-                "paper_height": paper.get("ckt_height"),
-                "paper_mbytes": paper.get("mbytes"),
-                "paper_time": paper.get("time_s"),
-            }
-        )
-
+    heights = [row["ckt_height"] for row in rows.values()]
     checks = {
         # §5.1.1: "The number of bytes transferred is also a clear function
         # of the update frequency" — traffic falls as SendLocData grows.
         "traffic decreases with SendLocData interval": all(
-            _monotone_decreasing([traffic[(srd, sld)] for sld in sld_values], 0.05)
+            _monotone_decreasing([rows[srd, sld]["mbytes"] for sld in sld_values], 0.05)
             for srd in srd_values
         ),
         # and the increase with frequency is sublinear (bounding boxes).
         "traffic sublinear in update frequency": all(
-            traffic[(srd, 1)] < 20 * traffic[(srd, 20)] for srd in srd_values
+            rows[srd, 1]["mbytes"] < 20 * rows[srd, 20]["mbytes"] for srd in srd_values
         ),
         # §5.1.1: execution time falls as updates become less frequent.
         "time decreases with SendLocData interval": all(
-            _monotone_decreasing([times[(srd, sld)] for sld in sld_values], 0.03)
+            _monotone_decreasing([rows[srd, sld]["time_s"] for sld in sld_values], 0.03)
             for srd in srd_values
         ),
         # §5.1.1: circuit height has little correlation with frequency.
         "height roughly flat across schedules": max(heights) <= 1.15 * min(heights),
     }
-    return ExperimentResult(
-        exp_id="T1",
-        title="Sender initiated updates (bnrE-like, 16 processors)",
-        columns=[
-            "SendRmtData",
-            "SendLocData",
-            "ckt_height",
-            "occupancy",
-            "mbytes",
-            "time_s",
-            "paper_height",
-            "paper_mbytes",
-            "paper_time",
-        ],
-        rows=rows,
-        checks=checks,
-        extras={"traffic": traffic, "times": times},
-    )
+    return list(rows.values()), checks
 
 
-# ----------------------------------------------------------------------
-# Table 2 — non-blocking receiver initiated updates
-# ----------------------------------------------------------------------
-def run_table2(quick: bool = False) -> ExperimentResult:
+@experiment("T2", "Non-blocking receiver initiated updates (bnrE-like, 16 processors)")
+def run_table2(quick: bool = False) -> Table:
     """Table 2: non-blocking receiver-initiated update sweep."""
     rld_values = [1, 2, 10]
     rrd_values = [5, 10, 30]
-    rows: List[Dict[str, object]] = []
-    traffic: Dict[tuple, float] = {}
-    times: List[float] = []
-
-    combos = [(rld, rrd) for rld in rld_values for rrd in rrd_values]
-    results = run_sim_configs(
-        [
-            SimConfig(
-                kind="mp",
-                which="bnrE",
-                quick=quick,
-                schedule=UpdateSchedule.receiver_initiated(rld, rrd),
-                iterations=_iters(quick),
-            )
-            for rld, rrd in combos
-        ]
+    rows, _ = sweep(
+        {"ReqLocData": rld_values, "ReqRmtData": rrd_values},
+        lambda rld, rrd: _sim(
+            "mp", quick, schedule=UpdateSchedule.receiver_initiated(rld, rrd)
+        ),
+        reference=ref.TABLE2_RECEIVER,
     )
-    for (rld, rrd), result in zip(combos, results):
-        row = result.table_row()
-        traffic[(rld, rrd)] = row["mbytes"]
-        times.append(row["time_s"])
-        paper = ref.paper_row(ref.TABLE2_RECEIVER, (rld, rrd)) or {}
-        rows.append(
-            {
-                "ReqLocData": rld,
-                "ReqRmtData": rrd,
-                "ckt_height": row["ckt_height"],
-                "occupancy": row["occupancy"],
-                "mbytes": row["mbytes"],
-                "time_s": row["time_s"],
-                "paper_height": paper.get("ckt_height"),
-                "paper_mbytes": paper.get("mbytes"),
-                "paper_time": paper.get("time_s"),
-            }
-        )
-
+    times = [row["time_s"] for row in rows.values()]
     checks = {
         # Traffic falls sharply as requests become rarer.
         "traffic decreases with ReqRmtData interval": all(
-            _monotone_decreasing([traffic[(rld, rrd)] for rrd in rrd_values], 0.05)
+            _monotone_decreasing([rows[rld, rrd]["mbytes"] for rrd in rrd_values], 0.05)
             for rld in rld_values
         ),
         # §5.1.2: execution time shows little dependence on the schedule.
         "time nearly flat across schedules": max(times) <= 1.10 * min(times),
         # Less frequent ReqLocData also means less traffic.
         "traffic decreases with ReqLocData interval": all(
-            _monotone_decreasing([traffic[(rld, rrd)] for rld in rld_values], 0.10)
+            _monotone_decreasing([rows[rld, rrd]["mbytes"] for rld in rld_values], 0.10)
             for rrd in rrd_values
         ),
     }
-    return ExperimentResult(
-        exp_id="T2",
-        title="Non-blocking receiver initiated updates (bnrE-like, 16 processors)",
-        columns=[
-            "ReqLocData",
-            "ReqRmtData",
-            "ckt_height",
-            "occupancy",
-            "mbytes",
-            "time_s",
-            "paper_height",
-            "paper_mbytes",
-            "paper_time",
-        ],
-        rows=rows,
-        checks=checks,
-        extras={"traffic": traffic, "times": times},
-    )
+    return list(rows.values()), checks
 
 
-# ----------------------------------------------------------------------
-# Table 3 — shared memory traffic vs cache line size
-# ----------------------------------------------------------------------
-def run_table3(quick: bool = False) -> ExperimentResult:
+@experiment("T3", "Shared memory traffic vs cache line size (bnrE-like, 16 processors)")
+def run_table3(quick: bool = False) -> Table:
     """Table 3: coherence bus traffic as a function of cache line size."""
-    circuit = quick_circuit("bnrE", quick)
-    line_sizes = [4, 8, 16, 32]
-    result = run_shared_memory(
-        circuit,
-        iterations=_iters(quick),
-        line_size=line_sizes[0],
-        extra_line_sizes=line_sizes[1:],
+    line_sizes = (4, 8, 16, 32)
+    # One run, replayed at every line size: four rows from one simulation.
+    (result,) = run_sim_configs(
+        [_sim("sm", quick, line_size=line_sizes[0], extra_line_sizes=line_sizes[1:])]
     )
     by_line = result.meta["coherence_by_line_size"]
     rows = []
@@ -296,61 +299,35 @@ def run_table3(quick: bool = False) -> ExperimentResult:
             by_line[ls]["write_caused_fraction"] > write_floor for ls in line_sizes
         ),
     }
-    return ExperimentResult(
-        exp_id="T3",
-        title="Shared memory traffic vs cache line size (bnrE-like, 16 processors)",
-        columns=[
-            "line_size",
-            "mbytes",
-            "refetch_mb",
-            "word_write_mb",
-            "write_fraction",
-            "paper_mbytes",
-        ],
-        rows=rows,
-        checks=checks,
-        notes=(
-            "note: growth direction matches the paper; magnitude is muted "
-            "because our traces record access bursts rather than individual "
-            "references (see EXPERIMENTS.md, T3)."
-        ),
-        extras={"mbytes": dict(zip(line_sizes, mbytes))},
+    notes = (
+        "note: growth direction matches the paper; magnitude is muted "
+        "because our traces record access bursts rather than individual "
+        "references (see EXPERIMENTS.md, T3)."
     )
+    return rows, checks, notes
 
 
-# ----------------------------------------------------------------------
-# Table 4 — locality in the message passing approach
-# ----------------------------------------------------------------------
-def run_table4(quick: bool = False) -> ExperimentResult:
+#: The four wire-assignment policies of Tables 4 and 5, in paper row order
+#: (each is a ``SimConfig.assigner`` label).
+LOCALITY_AXES = {
+    "circuit": ("bnrE", "MDC"),
+    "method": ("round robin", "TC=30", "TC=1000", "TC=inf"),
+}
+
+
+@experiment("T4", "Effect of locality, message passing (sender initiated 2/10)")
+def run_table4(quick: bool = False) -> Table:
     """Table 4: wire-assignment locality effects, message passing."""
-    rows: List[Dict[str, object]] = []
+    rows, _ = sweep(
+        LOCALITY_AXES,
+        lambda which, method: _sim(
+            "mp", quick, which=which, schedule=SENDER_2_10, assigner=method
+        ),
+        reference=ref.TABLE4_LOCALITY_MP,
+    )
     checks: Dict[str, bool] = {}
-    schedule = UpdateSchedule.sender_initiated(2, 10)
-
-    for which in ("bnrE", "MDC"):
-        circuit = quick_circuit(which, quick)
-        regions = RegionMap(circuit.n_channels, circuit.n_grids, 16)
-        per_method: Dict[str, Dict[str, object]] = {}
-        for method, assignment in _assigners(circuit, regions):
-            result = run_message_passing(
-                circuit, schedule, assignment=assignment, iterations=_iters(quick)
-            )
-            row = result.table_row()
-            per_method[method] = row
-            paper = ref.paper_row(ref.TABLE4_LOCALITY_MP, (which, method)) or {}
-            rows.append(
-                {
-                    "circuit": which,
-                    "method": method,
-                    "ckt_height": row["ckt_height"],
-                    "occupancy": row["occupancy"],
-                    "mbytes": row["mbytes"],
-                    "time_s": row["time_s"],
-                    "paper_height": paper.get("ckt_height"),
-                    "paper_mbytes": paper.get("mbytes"),
-                    "paper_time": paper.get("time_s"),
-                }
-            )
+    for which in LOCALITY_AXES["circuit"]:
+        per_method = {m: rows[which, m] for m in LOCALITY_AXES["method"]}
         local_methods = ["TC=30", "TC=1000", "TC=inf"]
         checks[f"{which}: locality improves quality over round robin"] = per_method[
             "round robin"
@@ -364,55 +341,22 @@ def run_table4(quick: bool = False) -> ExperimentResult:
         checks[f"{which}: moderate threshold gives best time"] = per_method["TC=30"][
             "time_s"
         ] == min(r["time_s"] for r in per_method.values())
-
-    return ExperimentResult(
-        exp_id="T4",
-        title="Effect of locality, message passing (sender initiated 2/10)",
-        columns=[
-            "circuit",
-            "method",
-            "ckt_height",
-            "occupancy",
-            "mbytes",
-            "time_s",
-            "paper_height",
-            "paper_mbytes",
-            "paper_time",
-        ],
-        rows=rows,
-        checks=checks,
-    )
+    return list(rows.values()), checks
 
 
-# ----------------------------------------------------------------------
-# Table 5 — locality in the shared memory approach
-# ----------------------------------------------------------------------
-def run_table5(quick: bool = False) -> ExperimentResult:
+@experiment("T5", "Effect of locality, shared memory (8-byte cache lines)")
+def run_table5(quick: bool = False) -> Table:
     """Table 5: wire-assignment locality effects, shared memory (8B lines)."""
-    rows: List[Dict[str, object]] = []
+    rows, _ = sweep(
+        LOCALITY_AXES,
+        lambda which, method: _sim("sm", quick, which=which, assigner=method),
+        cells=("ckt_height", "occupancy", "mbytes"),
+        reference=ref.TABLE5_LOCALITY_SM,
+        paper=("ckt_height", "mbytes"),
+    )
     checks: Dict[str, bool] = {}
-    for which in ("bnrE", "MDC"):
-        circuit = quick_circuit(which, quick)
-        regions = RegionMap(circuit.n_channels, circuit.n_grids, 16)
-        per_method: Dict[str, Dict[str, object]] = {}
-        for method, assignment in _assigners(circuit, regions):
-            result = run_shared_memory(
-                circuit, assignment=assignment, iterations=_iters(quick)
-            )
-            row = result.table_row()
-            per_method[method] = row
-            paper = ref.paper_row(ref.TABLE5_LOCALITY_SM, (which, method)) or {}
-            rows.append(
-                {
-                    "circuit": which,
-                    "method": method,
-                    "ckt_height": row["ckt_height"],
-                    "occupancy": row["occupancy"],
-                    "mbytes": row["mbytes"],
-                    "paper_height": paper.get("ckt_height"),
-                    "paper_mbytes": paper.get("mbytes"),
-                }
-            )
+    for which in LOCALITY_AXES["circuit"]:
+        per_method = {m: rows[which, m] for m in LOCALITY_AXES["method"]}
         checks[f"{which}: locality reduces bus traffic"] = (
             min(per_method[m]["mbytes"] for m in ("TC=1000", "TC=inf"))
             < per_method["round robin"]["mbytes"]
@@ -424,60 +368,18 @@ def run_table5(quick: bool = False) -> ExperimentResult:
             min(per_method[m]["ckt_height"] for m in ("TC=30", "TC=1000", "TC=inf"))
             <= per_method["round robin"]["ckt_height"] * slack
         )
-    return ExperimentResult(
-        exp_id="T5",
-        title="Effect of locality, shared memory (8-byte cache lines)",
-        columns=[
-            "circuit",
-            "method",
-            "ckt_height",
-            "occupancy",
-            "mbytes",
-            "paper_height",
-            "paper_mbytes",
-        ],
-        rows=rows,
-        checks=checks,
-    )
+    return list(rows.values()), checks
 
 
-# ----------------------------------------------------------------------
-# Table 6 — number of processors
-# ----------------------------------------------------------------------
-def run_table6(quick: bool = False) -> ExperimentResult:
+@experiment("T6", "Effect of the number of processors (bnrE-like, sender 2/10)")
+def run_table6(quick: bool = False) -> Table:
     """Table 6: scaling the processor count (sender initiated 2/10)."""
     procs = [2, 4, 9, 16]
-    rows = []
-    by_p: Dict[int, Dict[str, object]] = {}
-    results = run_sim_configs(
-        [
-            SimConfig(
-                kind="mp",
-                which="bnrE",
-                quick=quick,
-                schedule=UpdateSchedule.sender_initiated(2, 10),
-                n_procs=p,
-                iterations=_iters(quick),
-            )
-            for p in procs
-        ]
+    by_p, _ = sweep(
+        {"n_procs": procs},
+        lambda p: _sim("mp", quick, schedule=SENDER_2_10, n_procs=p),
+        reference=ref.TABLE6_SCALING,
     )
-    for p, result in zip(procs, results):
-        row = result.table_row()
-        by_p[p] = row
-        paper = ref.paper_row(ref.TABLE6_SCALING, p) or {}
-        rows.append(
-            {
-                "n_procs": p,
-                "ckt_height": row["ckt_height"],
-                "occupancy": row["occupancy"],
-                "mbytes": row["mbytes"],
-                "time_s": row["time_s"],
-                "paper_height": paper.get("ckt_height"),
-                "paper_mbytes": paper.get("mbytes"),
-                "paper_time": paper.get("time_s"),
-            }
-        )
     speedup = 2 * by_p[2]["time_s"] / by_p[16]["time_s"]
     checks = {
         # §5.4: quality degrades as processors are added.
@@ -494,58 +396,32 @@ def run_table6(quick: bool = False) -> ExperimentResult:
             [by_p[p]["mbytes"] for p in (4, 9, 16)], 0.02
         ),
     }
-    return ExperimentResult(
-        exp_id="T6",
-        title="Effect of the number of processors (bnrE-like, sender 2/10)",
-        columns=[
-            "n_procs",
-            "ckt_height",
-            "occupancy",
-            "mbytes",
-            "time_s",
-            "paper_height",
-            "paper_mbytes",
-            "paper_time",
-        ],
-        rows=rows,
-        checks=checks,
-        notes=f"speedup (2 x T2 / T16) = {speedup:.1f}  (paper: 12.0)",
-        extras={"speedup": speedup},
-    )
+    notes = f"speedup (2 x T2 / T16) = {speedup:.1f}  (paper: 12.0)"
+    return list(by_p.values()), checks, notes
 
 
-# ----------------------------------------------------------------------
-# X1 — blocking vs non-blocking receiver initiated (§5.1.3)
-# ----------------------------------------------------------------------
-def run_x1_blocking(quick: bool = False) -> ExperimentResult:
+@experiment("X1", "Blocking vs non-blocking receiver initiated (RLD=1, RRD=5)")
+def run_x1_blocking(quick: bool = False) -> Table:
     """§5.1.3: blocking requesters idle; quality is no better for it."""
-    circuit = quick_circuit("bnrE", quick)
-    rows = []
-    results = {}
-    for blocking in (False, True):
-        result = run_message_passing(
-            circuit,
-            UpdateSchedule.receiver_initiated(1, 5, blocking=blocking),
-            iterations=_iters(quick),
-        )
-        results[blocking] = result
-        row = result.table_row()
-        rows.append(
-            {
-                "mode": "blocking" if blocking else "non-blocking",
-                "ckt_height": row["ckt_height"],
-                "occupancy": row["occupancy"],
-                "mbytes": row["mbytes"],
-                "time_s": row["time_s"],
-                "max_blocked_s": round(
-                    max(s.blocked_time_s for s in result.node_summaries), 3
-                ),
-            }
-        )
-    t_block = results[True].exec_time_s
-    t_non = results[False].exec_time_s
-    q_block = results[True].quality.circuit_height
-    q_non = results[False].quality.circuit_height
+    rows, runs = sweep(
+        {"mode": ("non-blocking", "blocking")},
+        lambda mode: _sim(
+            "mp",
+            quick,
+            schedule=UpdateSchedule.receiver_initiated(
+                1, 5, blocking=mode == "blocking"
+            ),
+        ),
+        extra=lambda result, mode: {
+            "max_blocked_s": round(
+                max(s.blocked_time_s for s in result.node_summaries), 3
+            )
+        },
+    )
+    t_block = runs["blocking"].exec_time_s
+    t_non = runs["non-blocking"].exec_time_s
+    q_block = runs["blocking"].quality.circuit_height
+    q_non = runs["non-blocking"].quality.circuit_height
     checks = {
         # "blocking strategies have execution times as much as 75% larger".
         "blocking is slower than non-blocking": t_block > 1.05 * t_non,
@@ -553,34 +429,23 @@ def run_x1_blocking(quick: bool = False) -> ExperimentResult:
         # "quality using the non-blocking scheme is not worse than blocking".
         "non-blocking quality is not worse": q_non <= q_block * 1.05,
     }
-    return ExperimentResult(
-        exp_id="X1",
-        title="Blocking vs non-blocking receiver initiated (RLD=1, RRD=5)",
-        columns=["mode", "ckt_height", "occupancy", "mbytes", "time_s", "max_blocked_s"],
-        rows=rows,
-        checks=checks,
-        notes=f"blocking/non-blocking time ratio = {t_block / t_non:.2f} (paper: up to 1.75)",
-    )
+    notes = f"blocking/non-blocking time ratio = {t_block / t_non:.2f} (paper: up to 1.75)"
+    return list(rows.values()), checks, notes
 
 
-# ----------------------------------------------------------------------
-# X2 — the mixed schedule (§5.1.3)
-# ----------------------------------------------------------------------
-def run_x2_mixed(quick: bool = False) -> ExperimentResult:
+@experiment("X2", "Mixed update schedule (SLD=5 SRD=2 RLD=1 RRD=5) vs pure schemes")
+def run_x2_mixed(quick: bool = False) -> Table:
     """§5.1.3: a mixed sender+receiver schedule (SLD=5 SRD=2 RLD=1 RRD=5)."""
-    circuit = quick_circuit("bnrE", quick)
-    iters = _iters(quick)
-    mixed = run_message_passing(circuit, UpdateSchedule.mixed_example(), iterations=iters)
-    sender = run_message_passing(
-        circuit, UpdateSchedule.sender_initiated(2, 5), iterations=iters
+    schedules = {
+        "mixed": UpdateSchedule.mixed_example(),
+        "sender 2/5": UpdateSchedule.sender_initiated(2, 5),
+        "receiver 1/5": UpdateSchedule.receiver_initiated(1, 5),
+    }
+    rows, runs = sweep(
+        {"schedule": schedules},
+        lambda label: _sim("mp", quick, schedule=schedules[label]),
     )
-    receiver = run_message_passing(
-        circuit, UpdateSchedule.receiver_initiated(1, 5), iterations=iters
-    )
-    rows = []
-    for label, result in (("mixed", mixed), ("sender 2/5", sender), ("receiver 1/5", receiver)):
-        row = result.table_row()
-        rows.append({"schedule": label, **row})
+    mixed, sender = runs["mixed"], runs["sender 2/5"]
     checks = {
         # §5.1.3 compares the mixed scheme's occupancy against the pure
         # sender-initiated scheme it embeds.
@@ -590,44 +455,26 @@ def run_x2_mixed(quick: bool = False) -> ExperimentResult:
         "mixed traffic below its sender component": mixed.mbytes_transferred
         < sender.mbytes_transferred * 1.6,
     }
-    return ExperimentResult(
-        exp_id="X2",
-        title="Mixed update schedule (SLD=5 SRD=2 RLD=1 RRD=5) vs pure schemes",
-        columns=["schedule", "ckt_height", "occupancy", "mbytes", "time_s"],
-        rows=rows,
-        checks=checks,
-    )
+    return list(rows.values()), checks
 
 
-# ----------------------------------------------------------------------
-# X3 — shared memory vs message passing summary (§5.2, conclusions)
-# ----------------------------------------------------------------------
-def run_x3_summary(quick: bool = False) -> ExperimentResult:
+@experiment("X3", "Shared memory vs message passing (bnrE-like, 16 processors)")
+def run_x3_summary(quick: bool = False) -> Table:
     """§5.2: the headline comparison of the two paradigms."""
-    circuit = quick_circuit("bnrE", quick)
-    iters = _iters(quick)
-    sm = run_shared_memory(circuit, line_size=4, iterations=iters)
-    sender = run_message_passing(
-        circuit, UpdateSchedule.sender_initiated(2, 10), iterations=iters
+    versions = {
+        "shared memory (4B lines)": _sim("sm", quick, line_size=4),
+        "MP sender 2/10": _sim("mp", quick, schedule=SENDER_2_10),
+        "MP receiver 1/30": _sim(
+            "mp", quick, schedule=UpdateSchedule.receiver_initiated(1, 30)
+        ),
+    }
+    rows, runs = sweep(
+        {"version": versions},
+        versions.get,
+        cells=("ckt_height", "occupancy", "mbytes"),
+        extra=lambda result, label: {"time_s": round(result.exec_time_s, 3)},
     )
-    receiver = run_message_passing(
-        circuit, UpdateSchedule.receiver_initiated(1, 30), iterations=iters
-    )
-    rows = []
-    for label, result in (
-        ("shared memory (4B lines)", sm),
-        ("MP sender 2/10", sender),
-        ("MP receiver 1/30", receiver),
-    ):
-        rows.append(
-            {
-                "version": label,
-                "ckt_height": result.quality.circuit_height,
-                "occupancy": result.quality.occupancy_factor,
-                "mbytes": round(result.mbytes_transferred, 4),
-                "time_s": round(result.exec_time_s, 3),
-            }
-        )
+    sm, sender, receiver = runs.values()
     checks = {
         # §5.2: the shared memory version gives the best quality.
         "shared memory quality beats message passing": sm.quality.circuit_height
@@ -642,50 +489,38 @@ def run_x3_summary(quick: bool = False) -> ExperimentResult:
         "writes dominate SM bytes": sm.coherence.write_caused_fraction
         > (0.60 if quick else 0.80),
     }
-    return ExperimentResult(
-        exp_id="X3",
-        title="Shared memory vs message passing (bnrE-like, 16 processors)",
-        columns=["version", "ckt_height", "occupancy", "mbytes", "time_s"],
-        rows=rows,
-        checks=checks,
-        notes=(
-            f"traffic ratios: SM/sender = "
-            f"{sm.mbytes_transferred / sender.mbytes_transferred:.1f}x, "
-            f"sender/receiver = "
-            f"{sender.mbytes_transferred / max(receiver.mbytes_transferred, 1e-4):.1f}x "
-            "(paper: ~10x and ~10x)"
-        ),
+    notes = (
+        f"traffic ratios: SM/sender = "
+        f"{sm.mbytes_transferred / sender.mbytes_transferred:.1f}x, "
+        f"sender/receiver = "
+        f"{sender.mbytes_transferred / max(receiver.mbytes_transferred, 1e-4):.1f}x "
+        "(paper: ~10x and ~10x)"
     )
+    return list(rows.values()), checks, notes
 
 
-# ----------------------------------------------------------------------
-# X4 — the locality measure (§5.3.3)
-# ----------------------------------------------------------------------
-def run_x4_locality_measure(quick: bool = False) -> ExperimentResult:
+@experiment("X4", "Circuit locality measure under the most local assignment")
+def run_x4_locality_measure(quick: bool = False) -> Table:
     """§5.3.3: cell-weighted hops between routing processor and cell owner."""
-    rows = []
     hops: Dict[str, float] = {}
-    for which, paper_value in (("bnrE", ref.TEXT_RESULTS["locality_bnre"]),
-                               ("MDC", ref.TEXT_RESULTS["locality_mdc"])):
-        circuit = quick_circuit(which, quick)
-        regions = RegionMap(circuit.n_channels, circuit.n_grids, 16)
-        assignment = ThresholdCostAssigner(circuit, regions, math.inf).assign()
-        result = run_message_passing(
-            circuit,
-            UpdateSchedule.sender_initiated(2, 10),
-            assignment=assignment,
-            iterations=_iters(quick),
-        )
-        report = locality_measure(regions, result.paths, result.wire_router)
+
+    def cells(result: ParallelRunResult, which: str) -> Dict[str, object]:
+        report = _locality(result, which, quick)
         hops[which] = report.mean_hops
-        rows.append(
-            {
-                "circuit": which,
-                "mean_hops": round(report.mean_hops, 3),
-                "owned_fraction": round(report.owned_fraction, 3),
-                "paper_hops": paper_value,
-            }
-        )
+        return {
+            "mean_hops": round(report.mean_hops, 3),
+            "owned_fraction": round(report.owned_fraction, 3),
+            "paper_hops": ref.TEXT_RESULTS[f"locality_{which.lower()}"],
+        }
+
+    rows, _ = sweep(
+        {"circuit": ("bnrE", "MDC")},
+        lambda which: _sim(
+            "mp", quick, which=which, schedule=SENDER_2_10, assigner="TC=inf"
+        ),
+        cells=(),
+        extra=cells,
+    )
     checks = {
         # §5.3.3: MDC has better locality than bnrE.
         "MDC more local than bnrE": hops["MDC"] < hops["bnrE"],
@@ -693,48 +528,32 @@ def run_x4_locality_measure(quick: bool = False) -> ExperimentResult:
         "residual non-locality is unavoidable": all(h > 0.3 for h in hops.values()),
         "hops within a sane band": all(0.3 < h < 3.0 for h in hops.values()),
     }
-    return ExperimentResult(
-        exp_id="X4",
-        title="Circuit locality measure under the most local assignment",
-        columns=["circuit", "mean_hops", "owned_fraction", "paper_hops"],
-        rows=rows,
-        checks=checks,
-    )
+    return list(rows.values()), checks
 
 
-# ----------------------------------------------------------------------
-# X5 — speedup (§5.4)
-# ----------------------------------------------------------------------
-def run_x5_speedup(quick: bool = False) -> ExperimentResult:
+@experiment("X5", "Speedup at 16 processors (sender initiated, 2 x T2 / T16)")
+def run_x5_speedup(quick: bool = False) -> Table:
     """§5.4: speedup at 16 processors, normalised to the 2-processor run."""
+    circuits = ("bnrE", "MDC")
+    # Two runs per row: the 2- and the 16-processor time of each circuit.
+    _, runs = sweep(
+        {"circuit": circuits, "n_procs": (2, 16)},
+        lambda which, p: _sim(
+            "mp", quick, which=which, schedule=SENDER_2_10, n_procs=p
+        ),
+    )
     rows = []
     speedups: Dict[str, float] = {}
-    for which, paper_value in (("bnrE", ref.TEXT_RESULTS["speedup_bnre"]),
-                               ("MDC", ref.TEXT_RESULTS["speedup_mdc"])):
-        schedule = UpdateSchedule.sender_initiated(2, 10)
-        pair = run_sim_configs(
-            [
-                SimConfig(
-                    kind="mp",
-                    which=which,
-                    quick=quick,
-                    schedule=schedule,
-                    n_procs=p,
-                    iterations=_iters(quick),
-                )
-                for p in (2, 16)
-            ]
-        )
-        t2, t16 = (r.exec_time_s for r in pair)
-        speedup = 2 * t2 / t16
-        speedups[which] = speedup
+    for which in circuits:
+        t2, t16 = runs[which, 2].exec_time_s, runs[which, 16].exec_time_s
+        speedups[which] = 2 * t2 / t16
         rows.append(
             {
                 "circuit": which,
                 "time_2p_s": round(t2, 3),
                 "time_16p_s": round(t16, 3),
-                "speedup": round(speedup, 2),
-                "paper_speedup": paper_value,
+                "speedup": round(speedups[which], 2),
+                "paper_speedup": ref.TEXT_RESULTS[f"speedup_{which.lower()}"],
             }
         )
     checks = {
@@ -742,42 +561,30 @@ def run_x5_speedup(quick: bool = False) -> ExperimentResult:
             9.0 <= s <= 16.0 for s in speedups.values()
         ),
     }
-    return ExperimentResult(
-        exp_id="X5",
-        title="Speedup at 16 processors (sender initiated, 2 x T2 / T16)",
-        columns=["circuit", "time_2p_s", "time_16p_s", "speedup", "paper_speedup"],
-        rows=rows,
-        checks=checks,
-    )
+    return rows, checks
 
 
-
-
-# ----------------------------------------------------------------------
-# X6 — rip-up and reroute convergence (§3)
-# ----------------------------------------------------------------------
-def run_x6_iterations(quick: bool = False) -> ExperimentResult:
+@experiment("X6", "Rip-up and reroute convergence (height vs iteration count)")
+def run_x6_iterations(quick: bool = False) -> Table:
     """§3: "Performing several of these iterations ... improves the final
     solution quality" — height vs iteration count, both paradigms."""
-    from ..route import SequentialRouter
-
-    circuit = quick_circuit("bnrE", quick)
     max_iters = 4 if quick else 5
-    seq = SequentialRouter(circuit, iterations=max_iters).run()
-    rows: List[Dict[str, object]] = []
-    sm_heights: List[int] = []
-    for iters in range(1, max_iters + 1):
-        sm = run_shared_memory(
-            circuit, n_procs=16, iterations=iters, collect_trace=False
-        )
-        sm_heights.append(sm.quality.circuit_height)
-        rows.append(
-            {
-                "iterations": iters,
-                "sequential_height": seq.per_iteration_height[iters - 1],
-                "shared_memory_height": sm.quality.circuit_height,
-            }
-        )
+    seq = SequentialRouter(quick_circuit("bnrE", quick), iterations=max_iters).run()
+    sm_runs = run_sim_configs(
+        [
+            _sim("sm", quick, iterations=iters, collect_trace=False)
+            for iters in range(1, max_iters + 1)
+        ]
+    )
+    sm_heights = [sm.quality.circuit_height for sm in sm_runs]
+    rows = [
+        {
+            "iterations": iters + 1,
+            "sequential_height": seq.per_iteration_height[iters],
+            "shared_memory_height": sm_heights[iters],
+        }
+        for iters in range(max_iters)
+    ]
     checks = {
         # more iterations never meaningfully hurt the sequential solution
         # (the alternating tie-break lets late iterations oscillate by a
@@ -793,266 +600,11 @@ def run_x6_iterations(quick: bool = False) -> ExperimentResult:
         "shared memory improves with iterations": sm_heights[-1]
         <= sm_heights[0],
     }
-    return ExperimentResult(
-        exp_id="X6",
-        title="Rip-up and reroute convergence (height vs iteration count)",
-        columns=["iterations", "sequential_height", "shared_memory_height"],
-        rows=rows,
-        checks=checks,
-    )
+    return rows, checks
 
 
-# ----------------------------------------------------------------------
-# F1 — fault tolerance: drop rate vs routing quality
-# ----------------------------------------------------------------------
-def run_f1_fault_tolerance(quick: bool = False) -> ExperimentResult:
-    """F1: graceful degradation of a *blocking* run under packet loss.
-
-    The paper's loose-consistency argument (§4.1) is that LocusRoute
-    tolerates stale cost data — quality degrades smoothly rather than
-    correctness breaking.  Fault injection turns that claim into an
-    experiment: drop an increasing fraction of update packets from a
-    blocking receiver-initiated run (the schedule most exposed to loss —
-    without recovery it deadlocks on the first lost response) and watch
-    (a) every run still complete via the watchdog/retry/abandon path,
-    (b) the recovery effort grow with the drop rate, and (c) the final
-    quality stay in the same regime as the fault-free run.
-    """
-    drop_rates = [0.0, 0.1, 0.2, 0.4]
-    schedule = UpdateSchedule.receiver_initiated(1, 5, blocking=True)
-    results = run_sim_configs(
-        [
-            SimConfig(
-                kind="mp",
-                which="bnrE",
-                quick=quick,
-                schedule=schedule,
-                iterations=_iters(quick),
-                check_invariants=True,
-                faults=FaultPlan(seed=7, drop_prob=rate) if rate > 0 else None,
-            )
-            for rate in drop_rates
-        ]
-    )
-    rows: List[Dict[str, object]] = []
-    dropped: List[int] = []
-    recovery_effort: List[int] = []
-    occupancy: List[int] = []
-    verification_ok: List[bool] = []
-    for rate, result in zip(drop_rates, results):
-        row = result.table_row()
-        fmeta = result.meta.get("faults", {})
-        injected = fmeta.get("injected", {})
-        recovery = fmeta.get("recovery", {})
-        n_dropped = int(injected.get("dropped", 0))
-        effort = int(recovery.get("retries_sent", 0)) + int(
-            recovery.get("requests_abandoned", 0)
-        )
-        dropped.append(n_dropped)
-        recovery_effort.append(effort)
-        occupancy.append(row["occupancy"])
-        verification_ok.append(bool(result.meta["verification"]["ok"]))
-        rows.append(
-            {
-                "drop_prob": rate,
-                "ckt_height": row["ckt_height"],
-                "occupancy": row["occupancy"],
-                "mbytes": row["mbytes"],
-                "time_s": row["time_s"],
-                "dropped": n_dropped,
-                "retries": int(recovery.get("retries_sent", 0)),
-                "abandoned": int(recovery.get("requests_abandoned", 0)),
-                "verified": "ok" if verification_ok[-1] else "FAIL",
-            }
-        )
-    checks = {
-        # The headline result: no deadlock at any drop rate (the simulator
-        # raises on unfinished nodes, so completing with every wire routed
-        # is the strongest liveness statement available).
-        "blocking runs complete at every drop rate": all(
-            len(r.paths) == len(results[0].paths) for r in results
-        ),
-        "fault-free baseline reports zero faults": dropped[0] == 0
-        and recovery_effort[0] == 0,
-        # Reported loss and recovery effort must track the injected rate.
-        "reported drops increase with drop rate": all(
-            b > a for a, b in zip(dropped[1:], dropped[2:])
-        )
-        and dropped[1] > 0,
-        "recovery effort grows with drop rate": recovery_effort[-1]
-        >= recovery_effort[1] > 0,
-        # Graceful degradation: routing against stale views costs quality
-        # smoothly — the worst lossy run stays in the fault-free regime.
-        "quality degrades gracefully (within 25%)": max(occupancy)
-        <= 1.25 * occupancy[0],
-        # The verify layer stays green under injection: conservation holds
-        # on transmitted traffic and the replica check is waived visibly.
-        "invariants green under injection": all(verification_ok),
-    }
-    return ExperimentResult(
-        exp_id="F1",
-        title="Fault tolerance: drop rate vs quality (blocking receiver 1/5)",
-        columns=[
-            "drop_prob",
-            "ckt_height",
-            "occupancy",
-            "mbytes",
-            "time_s",
-            "dropped",
-            "retries",
-            "abandoned",
-            "verified",
-        ],
-        rows=rows,
-        checks=checks,
-        notes=(
-            "every packet kind is dropped with the given probability; "
-            "recovery = watchdog retries with exponential backoff, then "
-            "abandonment to the stale view (see docs/FAULTS.md)"
-        ),
-        extras={"dropped": dropped, "recovery_effort": recovery_effort},
-    )
-
-
-# ----------------------------------------------------------------------
-# F2 — crash recovery: crash count x crash time vs completion and quality
-# ----------------------------------------------------------------------
-def run_f2_crash_recovery(quick: bool = False) -> ExperimentResult:
-    """F2: fail-stop node crashes vs completion, recovery latency, quality.
-
-    The robustness counterpart to F1: instead of losing packets, whole
-    processors fail-stop mid-run.  Survivors must detect each death
-    (watchdog suspicion -> heartbeat probe -> gossiped death notice),
-    re-own the orphaned cost-array regions over the consistent-hash ring,
-    adopt the dead node's unfinished wires, and still route every wire.
-    The sweep crosses crash count (1, 2, 4 of 16) with crash time (early
-    vs late in the baseline's execution) and checks completion, bounded
-    recovery latency, graceful quality degradation, invariant health, and
-    bitwise determinism of a crashed run.
-    """
-    from .cache import jsonify, stable_hash
-
-    schedule = UpdateSchedule.receiver_initiated(1, 5, blocking=True)
-
-    def config(faults: Optional[FaultPlan]) -> SimConfig:
-        return SimConfig(
-            kind="mp",
-            which="bnrE",
-            quick=quick,
-            schedule=schedule,
-            iterations=_iters(quick),
-            check_invariants=True,
-            faults=faults,
-        )
-
-    from .simjobs import run_sim_config
-
-    baseline = run_sim_configs([config(None)])[0]
-    t_total = baseline.exec_time_s
-
-    sweep: List[Tuple[int, float]] = [
-        (count, frac) for count in (1, 2, 4) for frac in (0.25, 0.6)
-    ]
-    configs = [
-        config(
-            FaultPlan(
-                seed=11,
-                node_crashes=random_crashes(
-                    16, count, at_s=frac * t_total, seed=11
-                ),
-                recovery=RecoveryPolicy(),
-            )
-        )
-        for count, frac in sweep
-    ]
-    results = run_sim_configs(configs)
-
-    rows: List[Dict[str, object]] = []
-    all_routed: List[bool] = []
-    verification_ok: List[bool] = []
-    latencies: List[float] = []
-    occupancy: List[int] = []
-    for (count, frac), result in zip(sweep, results):
-        row = result.table_row()
-        crash_meta = result.meta["faults"]["crash"]
-        confirmed = len(crash_meta["confirmed"])
-        lats = [lat for _dead, lat in crash_meta["recovery_latency_s"]]
-        latencies.extend(lats)
-        all_routed.append(len(result.paths) == len(baseline.paths))
-        verification_ok.append(bool(result.meta["verification"]["ok"]))
-        occupancy.append(row["occupancy"])
-        rows.append(
-            {
-                "crashes": count,
-                "crash_at_frac": frac,
-                "confirmed": confirmed,
-                "regions_reassigned": crash_meta["regions_reassigned"],
-                "wires_adopted": crash_meta["wires_adopted"],
-                "max_recovery_s": round(max(lats), 4) if lats else 0.0,
-                "ckt_height": row["ckt_height"],
-                "occupancy": row["occupancy"],
-                "time_s": row["time_s"],
-                "verified": "ok" if verification_ok[-1] else "FAIL",
-            }
-        )
-
-    # Determinism spot check: the heaviest crash config, run twice from
-    # scratch (bypassing the row cache), must agree bit for bit.
-    heavy = configs[-1]
-    fp_a = stable_hash(jsonify(run_sim_config(heavy).summary_dict()))
-    fp_b = stable_hash(jsonify(run_sim_config(heavy).summary_dict()))
-
-    checks = {
-        # The headline result: up to a quarter of the machine fail-stops
-        # and the router still finishes every wire.
-        "every crashed run routes all wires": all(all_routed),
-        # A crash landing after completion legitimately goes unconfirmed,
-        # so confirmed <= planned; early crashes must all be confirmed.
-        "early crashes all confirmed": all(
-            r["confirmed"] == r["crashes"]
-            for r in rows
-            if r["crash_at_frac"] == 0.25
-        ),
-        # Detection plus re-ownership stays inside the probe/audit budget.
-        "recovery latency bounded (< 1 s)": all(l < 1.0 for l in latencies)
-        and latencies != [],
-        # Graceful degradation: losing replicas costs quality smoothly.
-        "quality degrades gracefully (within 50%)": max(occupancy)
-        <= 1.5 * baseline.table_row()["occupancy"],
-        # Ownership totality / conservation checkers stay green.
-        "invariants green under crashes": all(verification_ok),
-        "crashed run is deterministic": fp_a == fp_b,
-    }
-    return ExperimentResult(
-        exp_id="F2",
-        title="Crash recovery: crash count x time vs completion (blocking receiver 1/5)",
-        columns=[
-            "crashes",
-            "crash_at_frac",
-            "confirmed",
-            "regions_reassigned",
-            "wires_adopted",
-            "max_recovery_s",
-            "ckt_height",
-            "occupancy",
-            "time_s",
-            "verified",
-        ],
-        rows=rows,
-        checks=checks,
-        notes=(
-            "fail-stop crashes; detection = watchdog suspicion -> heartbeat "
-            "probe -> gossiped death notice; re-ownership = consistent-hash "
-            "ring over region bands (see docs/FAULTS.md)"
-        ),
-        extras={"baseline_time_s": t_total, "recovery_latencies_s": latencies},
-    )
-
-
-# ----------------------------------------------------------------------
-# X7 — live execution vs the event-driven simulators
-# ----------------------------------------------------------------------
-def run_x7_live_vs_sim(quick: bool = False) -> ExperimentResult:
+@experiment("X7", "Live execution vs event-driven simulation (real cores)")
+def run_x7_live_vs_sim(quick: bool = False) -> Table:
     """Real cores vs simulated processors, side by side (docs/PARALLEL.md).
 
     Runs both live routers next to their simulators on the same circuit
@@ -1065,10 +617,7 @@ def run_x7_live_vs_sim(quick: bool = False) -> ExperimentResult:
     demonstrate parallelism); the measured ratio is always reported in
     ``extras`` either way.
     """
-    import os
-
     from ..parallel.live import run_live_message_passing, run_live_shared_memory
-    from ..route import SequentialRouter
     from ..verify.live import LIVE_QUALITY_TOLERANCE
 
     circuit = quick_circuit("bnrE", quick)
@@ -1165,87 +714,209 @@ def run_x7_live_vs_sim(quick: bool = False) -> ExperimentResult:
     }
     if cores >= 4:
         checks[f"live SM speedup > 1.5x on {cores} cores"] = speedup > 1.5
-    return ExperimentResult(
-        exp_id="X7",
-        title="Live execution vs event-driven simulation (real cores)",
-        columns=[
-            "implementation",
-            "procs",
-            "ckt_height",
-            "occupancy",
-            "time_s",
-            "clock",
-            "messages",
-            "replay_ok",
-        ],
-        rows=rows,
-        checks=checks,
-        notes=(
-            "simulated rows report virtual time from the event kernels; live "
-            "rows report wall clock of the routing phase on real worker "
-            f"processes (host has {cores} cores; the speedup check arms at 4+)"
-        ),
-        extras={
-            "cores": cores,
-            "live_sm_speedup": round(speedup, 3),
-            "live_solo_wall_s": live_solo.routing_wall_s,
-            "live_sm_wall_s": live_sm.routing_wall_s,
-            "live_mp_wall_s": live_mp.routing_wall_s,
-            "live_mp_traffic": live_mp.meta["traffic"],
-            "sim_mp_messages": mp_sim.network.n_messages,
-        },
+    notes = (
+        "simulated rows report virtual time from the event kernels; live "
+        "rows report wall clock of the routing phase on real worker "
+        f"processes (host has {cores} cores; the speedup check arms at 4+)"
     )
+    extras = {
+        "cores": cores,
+        "live_sm_speedup": round(speedup, 3),
+        "live_solo_wall_s": live_solo.routing_wall_s,
+        "live_sm_wall_s": live_sm.routing_wall_s,
+        "live_mp_wall_s": live_mp.routing_wall_s,
+        "live_mp_traffic": live_mp.meta["traffic"],
+        "sim_mp_messages": mp_sim.network.n_messages,
+    }
+    return rows, checks, notes, extras
 
 
-#: Registry of every experiment driver, keyed by experiment id.  The
-#: A-series ablations register themselves on import (see
-#: :mod:`repro.harness.ablations`) to avoid a circular import.
-EXPERIMENTS: Dict[str, Callable[[bool], ExperimentResult]] = {
-    "T1": run_table1,
-    "T2": run_table2,
-    "T3": run_table3,
-    "T4": run_table4,
-    "T5": run_table5,
-    "T6": run_table6,
-    "X1": run_x1_blocking,
-    "X2": run_x2_mixed,
-    "X3": run_x3_summary,
-    "X4": run_x4_locality_measure,
-    "X5": run_x5_speedup,
-    "X6": run_x6_iterations,
-    "X7": run_x7_live_vs_sim,
-    "F1": run_f1_fault_tolerance,
-    "F2": run_f2_crash_recovery,
-}
+def _verified(result: ParallelRunResult) -> str:
+    """The ``verified`` cell: did the invariant checkers stay green?"""
+    return "ok" if result.meta["verification"]["ok"] else "FAIL"
 
 
-def _register_ablations() -> None:
-    """Populate the A/R-series entries (deferred import breaks the cycle)."""
-    from . import ablations, robustness
+@experiment("F1", "Fault tolerance: drop rate vs quality (blocking receiver 1/5)")
+def run_f1_fault_tolerance(quick: bool = False) -> Table:
+    """F1: graceful degradation of a *blocking* run under packet loss.
 
-    EXPERIMENTS.update({"R1": robustness.run_r1_robustness})
-    EXPERIMENTS.update(
-        {
-            "A1": ablations.run_a1_packet_structures,
-            "A2": ablations.run_a2_interrupts,
-            "A3": ablations.run_a3_dynamic_assignment,
-            "A4": ablations.run_a4_numa_locality,
-            "A5": ablations.run_a5_write_update,
-            "A6": ablations.run_a6_cache_size,
-            "A7": ablations.run_a7_staleness,
-            "A8": ablations.run_a8_centroid,
-            "A9": ablations.run_a9_trace_granularity,
+    The paper's loose-consistency argument (§4.1) is that LocusRoute
+    tolerates stale cost data — quality degrades smoothly rather than
+    correctness breaking.  Fault injection turns that claim into an
+    experiment: drop an increasing fraction of update packets from a
+    blocking receiver-initiated run (the schedule most exposed to loss —
+    without recovery it deadlocks on the first lost response) and watch
+    (a) every run still complete via the watchdog/retry/abandon path,
+    (b) the recovery effort grow with the drop rate, and (c) the final
+    quality stay in the same regime as the fault-free run.
+    """
+    drop_rates = [0.0, 0.1, 0.2, 0.4]
+    schedule = UpdateSchedule.receiver_initiated(1, 5, blocking=True)
+
+    def cells(result: ParallelRunResult, rate: float) -> Dict[str, object]:
+        fmeta = result.meta.get("faults", {})
+        recovery = fmeta.get("recovery", {})
+        return {
+            "dropped": int(fmeta.get("injected", {}).get("dropped", 0)),
+            "retries": int(recovery.get("retries_sent", 0)),
+            "abandoned": int(recovery.get("requests_abandoned", 0)),
+            "verified": _verified(result),
         }
+
+    by_rate, runs = sweep(
+        {"drop_prob": drop_rates},
+        lambda rate: _sim(
+            "mp",
+            quick,
+            schedule=schedule,
+            check_invariants=True,
+            faults=FaultPlan(seed=7, drop_prob=rate) if rate > 0 else None,
+        ),
+        extra=cells,
     )
+    rows = list(by_rate.values())
+    dropped = [row["dropped"] for row in rows]
+    recovery_effort = [row["retries"] + row["abandoned"] for row in rows]
+    occupancy = [row["occupancy"] for row in rows]
+    checks = {
+        # The headline result: no deadlock at any drop rate (the simulator
+        # raises on unfinished nodes, so completing with every wire routed
+        # is the strongest liveness statement available).
+        "blocking runs complete at every drop rate": all(
+            len(r.paths) == len(runs[0.0].paths) for r in runs.values()
+        ),
+        "fault-free baseline reports zero faults": dropped[0] == 0
+        and recovery_effort[0] == 0,
+        # Reported loss and recovery effort must track the injected rate.
+        "reported drops increase with drop rate": all(
+            b > a for a, b in zip(dropped[1:], dropped[2:])
+        )
+        and dropped[1] > 0,
+        "recovery effort grows with drop rate": recovery_effort[-1]
+        >= recovery_effort[1] > 0,
+        # Graceful degradation: routing against stale views costs quality
+        # smoothly — the worst lossy run stays in the fault-free regime.
+        "quality degrades gracefully (within 25%)": max(occupancy)
+        <= 1.25 * occupancy[0],
+        # The verify layer stays green under injection: conservation holds
+        # on transmitted traffic and the replica check is waived visibly.
+        "invariants green under injection": all(r["verified"] == "ok" for r in rows),
+    }
+    notes = (
+        "every packet kind is dropped with the given probability; "
+        "recovery = watchdog retries with exponential backoff, then "
+        "abandonment to the stale view (see docs/FAULTS.md)"
+    )
+    return rows, checks, notes
 
 
-_register_ablations()
+@experiment(
+    "F2",
+    "Crash recovery: crash count x time vs completion (blocking receiver 1/5)",
+)
+def run_f2_crash_recovery(quick: bool = False) -> Table:
+    """F2: fail-stop node crashes vs completion, recovery latency, quality.
+
+    The robustness counterpart to F1: instead of losing packets, whole
+    processors fail-stop mid-run.  Survivors must detect each death
+    (watchdog suspicion -> heartbeat probe -> gossiped death notice),
+    re-own the orphaned cost-array regions over the consistent-hash ring,
+    adopt the dead node's unfinished wires, and still route every wire.
+    The sweep crosses crash count (1, 2, 4 of 16) with crash time (early
+    vs late in the baseline's execution) and checks completion, bounded
+    recovery latency, graceful quality degradation, invariant health, and
+    bitwise determinism of a crashed run.
+    """
+    schedule = UpdateSchedule.receiver_initiated(1, 5, blocking=True)
+
+    def config(faults: Optional[FaultPlan]) -> SimConfig:
+        return _sim(
+            "mp", quick, schedule=schedule, check_invariants=True, faults=faults
+        )
+
+    (baseline,) = run_sim_configs([config(None)])
+    t_total = baseline.exec_time_s
+
+    def crashed(count: int, frac: float) -> SimConfig:
+        return config(
+            FaultPlan(
+                seed=11,
+                node_crashes=random_crashes(16, count, at_s=frac * t_total, seed=11),
+                recovery=RecoveryPolicy(),
+            )
+        )
+
+    def cells(result: ParallelRunResult, count: int, frac: float) -> Dict[str, object]:
+        crash_meta = result.meta["faults"]["crash"]
+        lats = [lat for _dead, lat in crash_meta["recovery_latency_s"]]
+        measured = result.table_row()
+        return {
+            "confirmed": len(crash_meta["confirmed"]),
+            "regions_reassigned": crash_meta["regions_reassigned"],
+            "wires_adopted": crash_meta["wires_adopted"],
+            "max_recovery_s": round(max(lats), 4) if lats else 0.0,
+            **{cell: measured[cell] for cell in ("ckt_height", "occupancy", "time_s")},
+            "verified": _verified(result),
+        }
+
+    by_point, runs = sweep(
+        {"crashes": (1, 2, 4), "crash_at_frac": (0.25, 0.6)},
+        crashed,
+        cells=(),
+        extra=cells,
+    )
+    rows = list(by_point.values())
+    latencies = [
+        lat
+        for result in runs.values()
+        for _dead, lat in result.meta["faults"]["crash"]["recovery_latency_s"]
+    ]
+
+    # Determinism spot check: the heaviest crash config, run twice from
+    # scratch (bypassing the row cache), must agree bit for bit.
+    heavy = crashed(4, 0.6)
+    fp_a = stable_hash(jsonify(run_sim_config(heavy).summary_dict()))
+    fp_b = stable_hash(jsonify(run_sim_config(heavy).summary_dict()))
+
+    checks = {
+        # The headline result: up to a quarter of the machine fail-stops
+        # and the router still finishes every wire.
+        "every crashed run routes all wires": all(
+            len(result.paths) == len(baseline.paths) for result in runs.values()
+        ),
+        # A crash landing after completion legitimately goes unconfirmed,
+        # so confirmed <= planned; early crashes must all be confirmed.
+        "early crashes all confirmed": all(
+            r["confirmed"] == r["crashes"]
+            for r in rows
+            if r["crash_at_frac"] == 0.25
+        ),
+        # Detection plus re-ownership stays inside the probe/audit budget.
+        "recovery latency bounded (< 1 s)": all(l < 1.0 for l in latencies)
+        and latencies != [],
+        # Graceful degradation: losing replicas costs quality smoothly.
+        "quality degrades gracefully (within 50%)": max(r["occupancy"] for r in rows)
+        <= 1.5 * baseline.table_row()["occupancy"],
+        # Ownership totality / conservation checkers stay green.
+        "invariants green under crashes": all(r["verified"] == "ok" for r in rows),
+        "crashed run is deterministic": fp_a == fp_b,
+    }
+    notes = (
+        "fail-stop crashes; detection = watchdog suspicion -> heartbeat "
+        "probe -> gossiped death notice; re-ownership = consistent-hash "
+        "ring over region bands (see docs/FAULTS.md)"
+    )
+    return rows, checks, notes
+
+
+# The R- and A-series build on this module's table builder, so they are
+# imported — and thereby registered, in this order — once it exists.
+from . import robustness  # noqa: E402,F401
+from . import ablations  # noqa: E402,F401
 
 
 def run_experiment(exp_id: str, quick: bool = False) -> ExperimentResult:
     """Run one experiment by id (raises for unknown ids)."""
-    from ..errors import ExperimentError
-
     try:
         driver = EXPERIMENTS[exp_id.upper()]
     except KeyError:

@@ -22,8 +22,7 @@ from ..assign import RoundRobinAssigner, ThresholdCostAssigner
 from ..circuits import bnre_like
 from ..grid import RegionMap
 from ..parallel import run_message_passing, run_shared_memory
-from ..updates import UpdateSchedule
-from .experiments import ExperimentResult, _iters
+from .experiments import SENDER_2_10, Table, _iters, experiment, quick_circuit
 
 __all__ = ["run_r1_robustness"]
 
@@ -33,9 +32,9 @@ ROBUSTNESS_SEEDS = (1, 77, 4242)
 
 def _seed_checks(seed: int, quick: bool) -> Dict[str, bool]:
     """Evaluate the core orderings on one perturbed circuit."""
-    circuit = bnre_like(seed=seed, n_wires=160 if quick else None)
+    circuit = bnre_like(seed=seed, n_wires=quick_circuit("bnrE", quick).n_wires)
     regions = RegionMap(circuit.n_channels, circuit.n_grids, 16)
-    schedule = UpdateSchedule.sender_initiated(2, 10)
+    schedule = SENDER_2_10
     iters = _iters(quick)
 
     rr_asg = RoundRobinAssigner(circuit, regions).assign()
@@ -69,7 +68,8 @@ def _seed_checks(seed: int, quick: bool) -> Dict[str, bool]:
     }
 
 
-def run_r1_robustness(quick: bool = False) -> ExperimentResult:
+@experiment("R1", "Robustness: core orderings across perturbed circuit seeds")
+def run_r1_robustness(quick: bool = False) -> Table:
     """R1: re-check the core orderings across perturbed circuit seeds."""
     seeds = ROBUSTNESS_SEEDS[: 2 if quick else len(ROBUSTNESS_SEEDS)]
     rows: List[Dict[str, object]] = []
@@ -85,18 +85,5 @@ def run_r1_robustness(quick: bool = False) -> ExperimentResult:
         for name, ok in outcomes.items():
             key = f"{name} (all seeds)"
             all_checks[key] = all_checks.get(key, True) and ok
-    columns = ["seed"] + [
-        "locality quality >= round robin",
-        "full locality minimises traffic",
-        "full locality costs time",
-        "SM traffic > MP traffic",
-        "speedup in band",
-    ]
-    return ExperimentResult(
-        exp_id="R1",
-        title="Robustness: core orderings across perturbed circuit seeds",
-        columns=columns,
-        rows=rows,
-        checks=all_checks,
-        notes=f"seeds tested: {list(seeds)} (canonical benchmark uses its own fixed seed)",
-    )
+    notes = f"seeds tested: {list(seeds)} (canonical benchmark uses its own fixed seed)"
+    return rows, all_checks, notes

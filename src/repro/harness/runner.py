@@ -36,13 +36,12 @@ from . import simjobs
 from .cache import (
     ResultCache,
     atomic_write_text,
-    circuit_fingerprint,
     code_fingerprint,
     cost_model_fingerprint,
     jsonify,
     stable_hash,
 )
-from .experiments import EXPERIMENTS, ExperimentResult, quick_circuit, run_experiment
+from .experiments import EXPERIMENTS, ExperimentResult, run_experiment
 
 __all__ = [
     "run_all",
@@ -121,7 +120,7 @@ def experiment_cache_key(exp_id: str, quick: bool) -> str:
             "exp_id": exp_id.upper(),
             "quick": quick,
             "circuits": {
-                which: circuit_fingerprint(quick_circuit(which, quick))
+                which: simjobs._named_circuit_fingerprint(which, quick, None)
                 for which in ("bnrE", "MDC")
             },
             "cost_model": cost_model_fingerprint(),
@@ -131,13 +130,18 @@ def experiment_cache_key(exp_id: str, quick: bool) -> str:
 
 
 def result_to_payload(result: ExperimentResult) -> dict:
-    """JSON-safe payload of an :class:`ExperimentResult` for the cache."""
+    """JSON-safe payload of an :class:`ExperimentResult` for the cache.
+
+    Column and check names are stored verbatim: :func:`jsonify`'s key
+    tagging exists to keep *fingerprints* collision-free, and a name that
+    happens to look like a tagged key must come back as it went in.
+    """
     return {
         "exp_id": result.exp_id,
         "title": result.title,
         "columns": list(result.columns),
-        "rows": jsonify(result.rows),
-        "checks": jsonify(result.checks),
+        "rows": [{k: jsonify(v) for k, v in row.items()} for row in result.rows],
+        "checks": {name: bool(ok) for name, ok in result.checks.items()},
         "notes": result.notes,
         "extras": jsonify(result.extras),
     }
@@ -146,8 +150,8 @@ def result_to_payload(result: ExperimentResult) -> dict:
 def payload_to_result(payload: dict) -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from a cached payload.
 
-    ``extras`` come back in their JSON form (tuple dict keys became
-    strings); rows, checks, and notes round-trip exactly.
+    ``extras`` come back in their JSON form (non-string dict keys became
+    tagged strings); rows, checks, and notes round-trip exactly.
     """
     return ExperimentResult(
         exp_id=payload["exp_id"],

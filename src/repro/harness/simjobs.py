@@ -1,10 +1,11 @@
 """Per-row simulation jobs: the harness's inner level of parallelism.
 
-The paper's sweep tables (Tables 1, 2, 6; the X5 speedup pair) are
+The paper's tables (T1-T6, the X/F series, ablations A1, A5 and A8) are
 embarrassingly parallel: every row is one independent
 ``run_message_passing`` / ``run_shared_memory`` call.  This module gives
 the experiment drivers a declarative way to say so — build a list of
-:class:`SimConfig` records and hand it to :func:`run_sim_configs` —
+:class:`SimConfig` records and hand it to :func:`run_sim_configs` (the
+table builder in :mod:`repro.harness.experiments` does exactly that) —
 which unlocks, transparently to the drivers:
 
 - **fan-out**: rows execute across a process pool when the harness has
@@ -13,7 +14,7 @@ which unlocks, transparently to the drivers:
   digest, schedule fields, processor/iteration counts, cost-model
   fields, code digest), so overlapping sweeps and warm re-runs skip
   rows that were already computed — e.g. the sender-initiated ``(2, 10)``
-  configuration appears in T1, T6, and X5 but simulates once.
+  configuration appears in T1, T6, X3 and X5 but simulates once.
 
 Results come back in config order either way, so driver code is
 identical under every execution strategy.  Configuration is process
@@ -23,13 +24,21 @@ defaults (serial, cache from their own setup), so pools never nest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
+from ..assign import (
+    Assignment,
+    CentroidAssigner,
+    RoundRobinAssigner,
+    ThresholdCostAssigner,
+)
 from ..circuits import Circuit, bnre_like, mdc_like
 from ..errors import ExperimentError
 from ..faults.plan import FaultPlan
+from ..grid import RegionMap
 from ..parallel import run_message_passing, run_shared_memory
 from ..parallel.results import ParallelRunResult
 from ..parallel.timing import DEFAULT_COST_MODEL
@@ -45,6 +54,7 @@ from .cache import (
 from .pool import pool_map
 
 __all__ = [
+    "ASSIGNERS",
     "SimConfig",
     "sim_fingerprint",
     "sim_key",
@@ -54,14 +64,24 @@ __all__ = [
 ]
 
 
+#: ``SimConfig.assigner`` labels: the Table 4/5 rows, plus A8's centroid policy.
+ASSIGNERS = {
+    "round robin": RoundRobinAssigner,
+    "TC=30": partial(ThresholdCostAssigner, threshold_cost=30),
+    "TC=1000": partial(ThresholdCostAssigner, threshold_cost=1000),
+    "TC=inf": partial(ThresholdCostAssigner, threshold_cost=math.inf),
+    "centroid TC=1000": partial(CentroidAssigner, threshold_cost=1000),
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One independent simulation row of a sweep (picklable).
 
     ``kind`` selects the paradigm: ``"mp"`` (requires ``schedule``) or
     ``"sm"``.  The circuit is named, not embedded, so configs stay tiny
-    on the wire: ``which`` is ``"bnrE"`` or ``"MDC"``, sized by ``quick``
-    exactly as :func:`~repro.harness.experiments.quick_circuit` does, or
+    on the wire: ``which`` is ``"bnrE"`` or ``"MDC"``, shrunk by ``quick``
+    (:func:`_named_circuit` is the one place that knows the sizes), or
     overridden to ``n_wires`` wires (tests and smoke benches).
     """
 
@@ -72,6 +92,9 @@ class SimConfig:
     schedule: Optional[UpdateSchedule] = None
     n_procs: int = 16
     iterations: int = 3
+    #: Static wire assignment, by its Table 4/5 row label (a key of
+    #: :data:`ASSIGNERS`); ``None`` keeps each simulator's default.
+    assigner: Optional[str] = None
     # shared memory only
     line_size: int = 8
     extra_line_sizes: Tuple[int, ...] = ()
@@ -87,6 +110,10 @@ class SimConfig:
             raise ExperimentError(f"unknown sim kind {self.kind!r}")
         if self.kind == "mp" and self.schedule is None:
             raise ExperimentError("message passing configs need a schedule")
+        if self.assigner is not None and self.assigner not in ASSIGNERS:
+            raise ExperimentError(
+                f"unknown assigner {self.assigner!r} (known: {', '.join(ASSIGNERS)})"
+            )
         if self.kind == "sm" and self.faults is not None:
             raise ExperimentError(
                 "fault injection targets the message passing network; "
@@ -96,7 +123,10 @@ class SimConfig:
 
 @lru_cache(maxsize=32)
 def _named_circuit(which: str, quick: bool, n_wires: Optional[int]) -> Circuit:
-    """Build (and memoise) the named benchmark circuit for a config."""
+    """Build (and memoise) the named benchmark circuit for a config.
+
+    The only place that knows how far ``quick`` shrinks each circuit.
+    """
     if which == "bnrE":
         base_quick_wires = 160
         maker = bnre_like
@@ -128,6 +158,7 @@ def sim_fingerprint(config: SimConfig) -> Dict[str, object]:
         "schedule": config.schedule,  # dataclass; jsonified by stable_hash
         "n_procs": config.n_procs,
         "iterations": config.iterations,
+        "assigner": config.assigner,
         "line_size": config.line_size,
         "extra_line_sizes": config.extra_line_sizes,
         "protocol": config.protocol,
@@ -158,13 +189,23 @@ def _run_sim_config_in_worker(
     return result, obs.snapshot()
 
 
+def _assignment(config: SimConfig, circuit: Circuit) -> Optional[Assignment]:
+    """Resolve ``config.assigner`` on *circuit* (``None``: simulator default)."""
+    if config.assigner is None:
+        return None
+    regions = RegionMap(circuit.n_channels, circuit.n_grids, config.n_procs)
+    return ASSIGNERS[config.assigner](circuit, regions).assign()
+
+
 def run_sim_config(config: SimConfig) -> ParallelRunResult:
     """Execute one simulation row (no caching; used by pool workers)."""
     circuit = _named_circuit(config.which, config.quick, config.n_wires)
+    assignment = _assignment(config, circuit)
     if config.kind == "mp":
         return run_message_passing(
             circuit,
             config.schedule,
+            assignment=assignment,
             n_procs=config.n_procs,
             iterations=config.iterations,
             check_invariants=config.check_invariants,
@@ -172,6 +213,7 @@ def run_sim_config(config: SimConfig) -> ParallelRunResult:
         )
     return run_shared_memory(
         circuit,
+        assignment=assignment,
         n_procs=config.n_procs,
         iterations=config.iterations,
         line_size=config.line_size,

@@ -13,8 +13,8 @@ passing mapping before settling on static assignment:
 
 This module implements both (our event kernel *can* model interrupts) so
 the latency claim is measurable: :func:`run_dynamic_assignment` returns
-the usual run result plus per-node task-wait statistics, and
-``benchmarks/bench_a3_dynamic_assignment.py`` compares polled servicing,
+the usual run result plus per-node task-wait statistics, and ablation A3
+(``benchmarks/bench_experiments.py -k A3``) compares polled servicing,
 interrupt servicing, and the paper's static assignment.
 
 Scope: dynamic distribution is simulated for a single routing iteration —

@@ -52,7 +52,7 @@ class UpdateSchedule:
     #: interrupt overhead), instead of waiting for the next between-wires
     #: poll.  CBS could not simulate this; this reproduction can, which is
     #: what lets the §5.1.3 prediction about blocking strategies be tested
-    #: (see benchmarks/bench_a2_interrupts.py).
+    #: (see experiment A2; benchmarks/bench_experiments.py -k A2).
     interrupt_reception: bool = False
 
     def __post_init__(self) -> None:

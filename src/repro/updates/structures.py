@@ -19,7 +19,7 @@ All three carry the *same information*; the simulators always apply
 updates through the bbox/values mechanism, and the structure choice
 changes the accounted wire bytes (and the assembly/disassembly work) —
 exactly the tradeoff the paper discusses.  The
-``benchmarks/bench_a1_packet_structures.py`` ablation regenerates that
+A1 ablation (``benchmarks/bench_experiments.py -k A1``) regenerates that
 comparison.
 """
 

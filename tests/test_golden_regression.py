@@ -1,11 +1,12 @@
 """Golden regression fixtures for the quick-mode harness tables.
 
-``tests/golden/`` holds the full quick-mode outputs (columns, rows,
-shape checks) of the three headline sweep experiments: Table 1
-(sender-initiated schedules), Table 2 (receiver-initiated schedules),
-and Table 6 (the processor-count sweep).  Everything the simulators
-produce is deterministic — fixed circuit seeds, virtual time — so any
-diff against these fixtures is a behaviour change, not noise.
+``tests/golden/`` holds the full quick-mode output (title, columns,
+rows, shape checks, notes) of every deterministic experiment — all of
+the registry except X7, whose rows are wall clock.  Everything the
+simulators produce is deterministic — fixed circuit seeds, virtual time
+— so any diff against these fixtures is a behaviour change, not noise.
+``columns`` pins each table's row-key order, which the drivers derive
+from their rows.
 
 After an *intentional* change, regenerate with::
 
@@ -18,15 +19,17 @@ then review the fixture diff like any other code change
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from repro.harness.cache import jsonify
-from repro.harness.experiments import run_experiment
+from repro.harness.experiments import EXPERIMENTS, ExperimentResult, run_experiment
+from repro.harness.report import HOST_DEPENDENT
+from repro.harness.runner import payload_to_result, result_to_payload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-EXP_IDS = ["T1", "T2", "T6"]
+EXP_IDS = sorted(set(EXPERIMENTS) - HOST_DEPENDENT)
 
 #: Relative tolerance for float comparisons.  Simulated times are exact
 #: in principle, but summing float work terms is sensitive to operation
@@ -38,15 +41,16 @@ def golden_path(exp_id: str) -> Path:
     return GOLDEN_DIR / f"{exp_id.lower()}.json"
 
 
+@lru_cache(maxsize=None)
+def quick_result(exp_id: str) -> ExperimentResult:
+    return run_experiment(exp_id, quick=True)
+
+
 def build_payload(exp_id: str) -> dict:
-    result = run_experiment(exp_id, quick=True)
-    return {
-        "exp_id": result.exp_id,
-        "title": result.title,
-        "columns": list(result.columns),
-        "rows": jsonify(result.rows),
-        "checks": jsonify(result.checks),
-    }
+    """The stored form of the table (what a cache or service hit returns)."""
+    payload = result_to_payload(quick_result(exp_id))
+    del payload["extras"]
+    return payload
 
 
 def assert_matches(actual, expected, where: str) -> None:
@@ -91,3 +95,15 @@ def test_quick_table_matches_golden(exp_id, regen_golden):
 def test_golden_fixtures_checked_in():
     present = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
     assert present == sorted(e.lower() for e in EXP_IDS)
+
+
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
+def test_stored_payload_round_trips(exp_id):
+    """result -> payload -> JSON -> result keeps every name and value."""
+    result = quick_result(exp_id)
+    back = payload_to_result(json.loads(json.dumps(result_to_payload(result))))
+    assert back.title == result.title and back.notes == result.notes
+    assert back.columns == result.columns
+    assert back.rows == result.rows
+    assert [list(row) for row in back.rows] == [list(row) for row in result.rows]
+    assert list(back.checks.items()) == list(result.checks.items())

@@ -9,7 +9,10 @@ import os
 import numpy as np
 import pytest
 
+from repro.assign import CentroidAssigner, RoundRobinAssigner, ThresholdCostAssigner
+from repro.circuits import bnre_like
 from repro.errors import ExperimentError
+from repro.grid import RegionMap
 from repro.harness.cache import (
     CACHE_SCHEMA,
     NO_FSYNC_ENV,
@@ -21,12 +24,16 @@ from repro.harness.cache import (
     stable_hash,
 )
 from repro.harness.simjobs import (
+    ASSIGNERS,
     SimConfig,
+    run_sim_config,
     run_sim_configs,
     sim_fingerprint,
     sim_key,
 )
 from repro.obs import telemetry as obs
+from repro.parallel import run_message_passing, run_shared_memory
+from repro.service.jobs import JobSpec
 from repro.updates import UpdateSchedule
 
 
@@ -74,6 +81,12 @@ class TestJsonify:
         # The string key "int:1" must not collide with the int key 1.
         assert jsonify({"int:1": "x"}) == {"str:int:1": "x"}
         assert jsonify({"int:1": "x"}) != jsonify({1: "x"})
+
+    def test_prose_keys_are_not_tag_shaped(self):
+        # A tag is "<type>:<repr>" and no repr starts with a space, so a
+        # check name like T4's survives any number of canonicalisations.
+        name = "bnrE: locality improves quality over round robin"
+        assert jsonify(jsonify({name: True})) == {name: True}
 
     def test_numpy_scalar_keys_match_python_spelling(self):
         assert jsonify({np.int64(3): "x"}) == {"int64:3": "x"}
@@ -135,6 +148,64 @@ class TestSimKey:
     def test_mp_without_schedule_rejected(self):
         with pytest.raises(ExperimentError):
             SimConfig(kind="mp", schedule=None)
+
+
+class TestAssigner:
+    """``SimConfig.assigner``: the Table 4/5 row label, resolved per run."""
+
+    LABELS = {
+        "round robin": lambda c, r: RoundRobinAssigner(c, r),
+        "TC=30": lambda c, r: ThresholdCostAssigner(c, r, 30),
+        "TC=1000": lambda c, r: ThresholdCostAssigner(c, r, 1000),
+        "TC=inf": lambda c, r: ThresholdCostAssigner(c, r, float("inf")),
+        "centroid TC=1000": lambda c, r: CentroidAssigner(c, r, 1000),
+    }
+
+    def test_every_label_is_covered(self):
+        assert set(self.LABELS) == set(ASSIGNERS)
+
+    @pytest.mark.parametrize("label", sorted(LABELS))
+    def test_label_matches_hand_built_assignment(self, label):
+        circuit = bnre_like(n_wires=24)
+        assignment = self.LABELS[label](
+            circuit, RegionMap(circuit.n_channels, circuit.n_grids, 4)
+        ).assign()
+        mp = tiny_mp_config(assigner=label)
+        by_hand = run_message_passing(
+            circuit, mp.schedule, assignment=assignment, n_procs=4, iterations=1
+        )
+        assert run_sim_config(mp).table_row() == by_hand.table_row()
+        sm = SimConfig(kind="sm", n_wires=24, n_procs=4, iterations=1, assigner=label)
+        by_hand = run_shared_memory(
+            circuit, assignment=assignment, n_procs=4, iterations=1
+        )
+        assert run_sim_config(sm).table_row() == by_hand.table_row()
+
+    def test_labels_never_share_a_key(self):
+        keys = [sim_key(tiny_mp_config(assigner=a)) for a in [None, *self.LABELS]]
+        assert len(set(keys)) == len(keys)
+        assert sim_fingerprint(tiny_mp_config(assigner="TC=30"))["assigner"] == "TC=30"
+
+    @pytest.mark.parametrize("label", ["TC=", "TC=31", "1000", "centroid", "rr"])
+    def test_unknown_label_rejected(self, label):
+        with pytest.raises(ExperimentError, match="unknown assigner"):
+            tiny_mp_config(assigner=label)
+
+    def test_no_assigner_is_the_simulators_default(self):
+        # The service's JobSpec.sim_config() path: no label, so the run is
+        # the plain simulator call, bit for bit.
+        spec = JobSpec.from_params(
+            "mp",
+            {"n_wires": 24, "n_procs": 4, "iterations": 1, "send_rmt": 2, "send_loc": 10},
+        )
+        config = spec.sim_config()
+        assert config.assigner is None and config == tiny_mp_config()
+        direct = run_message_passing(
+            bnre_like(n_wires=24), config.schedule, n_procs=4, iterations=1
+        )
+        assert stable_hash(jsonify(run_sim_config(config).summary_dict())) == (
+            stable_hash(jsonify(direct.summary_dict()))
+        )
 
 
 class TestResultCache:

@@ -132,23 +132,30 @@ class TestRunAllParallel:
             assert a.checks == b.checks
 
     def test_single_id_inner_fan_out_matches_serial(self):
-        serial = run_all(["T6"], quick=True, echo=False)
-        parallel = run_all(["T6"], quick=True, echo=False, jobs=2)
-        assert serial[0].rows == parallel[0].rows
+        # T4 (2 circuits x 4 assigners) used to call the simulator itself,
+        # so --jobs never reached its rows; every table is a sweep now.
+        for exp_id, n_rows in (("T6", 4), ("T4", 8)):
+            serial = run_all([exp_id], quick=True, echo=False)
+            before = obs.snapshot()["counters"].get("harness.sim_rows", 0)
+            parallel = run_all([exp_id], quick=True, echo=False, jobs=2)
+            after = obs.snapshot()["counters"].get("harness.sim_rows", 0)
+            assert after - before == n_rows
+            assert serial[0].rows == parallel[0].rows
+            assert serial[0].checks == parallel[0].checks
 
     def test_parallel_run_with_cache_warm_second_pass(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        cold = run_all(
-            ["X4", "T6"], quick=True, echo=False, jobs=2, cache_dir=cache_dir
-        )
+        # T5's check names ("bnrE: ...") are shaped like a type-tagged
+        # key; a cache hit used to hand them back as "str:bnrE: ...".
+        ids = ["X4", "T6", "T5"]
+        cold = run_all(ids, quick=True, echo=False, jobs=2, cache_dir=cache_dir)
         before = obs.snapshot()["counters"].get("cache.experiment.hits", 0)
-        warm = run_all(
-            ["X4", "T6"], quick=True, echo=False, jobs=1, cache_dir=cache_dir
-        )
+        warm = run_all(ids, quick=True, echo=False, jobs=1, cache_dir=cache_dir)
         hits = obs.snapshot()["counters"].get("cache.experiment.hits", 0) - before
-        assert hits == 2
+        assert hits == len(ids)
         for a, b in zip(cold, warm):
             assert a.rows == b.rows
+            assert a.checks == b.checks
 
     def test_bench_record_written(self, tmp_path):
         run_all(
