@@ -10,6 +10,10 @@ committed baseline).  Two modes:
     Run the suite and write a fresh results file (the default writes
     ``BENCH_perf.json`` next to the repo root).
 
+``--table PATH``
+    Print a results file as the Markdown table ``docs/PERFORMANCE.md``
+    carries (a test holds the document to it) and exit.
+
 ``--check PATH``
     Run the suite and compare against a committed baseline.  The gate is
     *ratio-based* so it is robust to machine speed: for every entry
@@ -184,40 +188,61 @@ def _synthetic_trace(n_records: int, n_procs: int, n_cells: int):
     return trace
 
 
-def bench_coherence_sweep(quick: bool, repeats: int) -> Dict[str, object]:
+def _bench_replay(entry_id, scalar_replay, columnar_replay, quick, repeats) -> Dict[str, object]:
+    """``scalar_replay(trace, n_procs, amap)`` vs ``columnar_replay(flat,
+    n_procs, amap)`` over a line-size sweep of one synthetic trace."""
     from repro.memsim.addressing import AddressMap
-    from repro.memsim.coherence import simulate_trace
-    from repro.memsim.columnar import ColumnarTrace, simulate_trace_columnar
+    from repro.memsim.columnar import ColumnarTrace
 
     n_records = 2_000 if quick else 20_000
     n_procs = 16
     n_channels, n_grids = 40, 200
     trace = _synthetic_trace(n_records, n_procs, n_channels * n_grids)
-    line_sizes = (4, 8, 16, 32)
+    maps = [AddressMap(n_channels, n_grids, ls) for ls in (4, 8, 16, 32)]
 
     def scalar() -> list:
-        return [
-            simulate_trace(trace, n_procs, AddressMap(n_channels, n_grids, ls))
-            for ls in line_sizes
-        ]
+        with use_kernels("reference"):
+            return [scalar_replay(trace, n_procs, amap) for amap in maps]
 
     def columnar() -> list:
-        ct = ColumnarTrace.from_trace(trace)
-        return [
-            simulate_trace_columnar(ct, n_procs, AddressMap(n_channels, n_grids, ls))
-            for ls in line_sizes
-        ]
+        flat = ColumnarTrace.from_trace(trace)
+        return [columnar_replay(flat, n_procs, amap) for amap in maps]
 
     times, outputs = interleaved_best(
         {"reference": scalar, "vectorized": columnar}, repeats
     )
     return entry(
-        "coherence_sweep",
+        entry_id,
         "kernel",
         times["reference"],
         times["vectorized"],
         outputs["reference"] == outputs["vectorized"],
-        f"{n_records} bursts x {len(line_sizes)} line sizes, {n_procs} procs",
+        f"{n_records} bursts x {len(maps)} line sizes, {n_procs} procs",
+    )
+
+
+def bench_coherence_sweep(quick: bool, repeats: int) -> Dict[str, object]:
+    """Scalar MSI replay vs the columnar replay."""
+    from repro.memsim.coherence import simulate_trace
+    from repro.memsim.columnar import ColumnarTrace
+
+    return _bench_replay(
+        "coherence_sweep", simulate_trace, ColumnarTrace.replay, quick, repeats
+    )
+
+
+def bench_write_update_replay(quick: bool, repeats: int) -> Dict[str, object]:
+    """Scalar ``WriteUpdate`` (the ``reference``-kernel path of
+    ``simulate_trace_write_update``) vs the columnar write-update replay."""
+    from repro.memsim.columnar import ColumnarTrace
+    from repro.memsim.update_protocol import simulate_trace_write_update
+
+    return _bench_replay(
+        "write_update_replay",
+        simulate_trace_write_update,
+        ColumnarTrace.replay_write_update,
+        quick,
+        repeats,
     )
 
 
@@ -494,6 +519,7 @@ BENCHES = {
     "t3_whole_run": lambda quick, repeats: bench_whole_run("T3", quick, repeats),
     "t6_whole_run": lambda quick, repeats: bench_whole_run("T6", quick, repeats),
     "coherence_sweep": bench_coherence_sweep,
+    "write_update_replay": bench_write_update_replay,
     "twobend_routing": bench_twobend_routing,
     "wavefront_routing": bench_wavefront_routing,
     "t6_event_kernel": bench_event_kernel,
@@ -526,6 +552,24 @@ def run_suite(quick: bool, repeats: int, only: Optional[List[str]] = None) -> Di
         "entries": entries,
         "seed_baseline": SEED_BASELINE,
     }
+
+
+def results_table(results: Dict) -> str:
+    """The results as the Markdown table ``docs/PERFORMANCE.md`` carries.
+
+    ``tests/test_docs_performance.py`` holds the committed document to
+    this rendering of the committed JSON, so the two cannot drift.
+    """
+    lines = [
+        "| entry | kind | reference | vectorized | speedup |",
+        "|---|---|---|---|---|",
+    ]
+    for e in results["entries"]:
+        lines.append(
+            f"| `{e['id']}` | {e['kind']} | {e['reference_s'] * 1e3:.1f} ms "
+            f"| {e['vectorized_s'] * 1e3:.1f} ms | {e['speedup']:.2f}× |"
+        )
+    return "\n".join(lines)
 
 
 def check_against(fresh: Dict, baseline_path: Path) -> int:
@@ -604,7 +648,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="BASELINE",
         help="compare against a committed results file; exit 1 on regression",
     )
+    parser.add_argument(
+        "--table",
+        type=Path,
+        metavar="RESULTS",
+        help="print a results file as the docs/PERFORMANCE.md table and exit",
+    )
     args = parser.parse_args(argv)
+    if args.table:
+        print(results_table(json.loads(args.table.read_text())))
+        return 0
 
     fresh = run_suite(args.quick, args.repeats, args.only)
     if args.out:

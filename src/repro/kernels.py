@@ -10,6 +10,7 @@ hot path           reference                            vectorized
 =================  ===================================  ===============================================
 coherence          ``memsim.coherence``                 ``memsim.columnar``
 sweep dispatch     per-line-size scalar replay          shared ``ColumnarTrace``
+write-update       ``memsim.update_protocol``           ``ColumnarTrace.replay_write_update``
 two-bend route     ``route.twobend.route_segment``      ``route.wavefront.route_wire_fused``
 routing iteration  per-wire loop in ``route.engine``    one fused step per wave (``route.wavefront``)
 event queue        ``events.queue.EventQueue``          ``events.columnar.ColumnarEventQueue``

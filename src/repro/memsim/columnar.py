@@ -1,4 +1,4 @@
-"""Columnar (vectorised) replay of Write-Back-with-Invalidate traces.
+"""Columnar (vectorised) replay of coherence traces.
 
 :func:`~repro.memsim.coherence.simulate_trace` walks the trace one access
 burst at a time — a Python-level loop whose per-record overhead dominates
@@ -8,29 +8,34 @@ loop at all, in the columnar style of :mod:`repro.memsim.reference_level`:
 
 1. the burst trace is flattened **once** into parallel arrays — the
    concatenated cell stream plus per-record ``(proc, is_write)`` columns
-   in global ``(time, append sequence)`` order (:class:`ColumnarTrace`);
+   in global ``(time, append sequence)`` order (:class:`ColumnarTrace`,
+   built from :meth:`ReferenceTrace.columns
+   <repro.memsim.trace.ReferenceTrace.columns>` with no per-burst objects);
 2. each replay maps cells to cache lines for its line size and dedupes to
    one *event* per ``(record, line)`` pair — exactly the burst-level
-   deduplication the scalar engine performs via
-   :meth:`~repro.memsim.addressing.AddressMap.cells_to_lines`;
-3. events are grouped by line (lines evolve independently under the
-   infinite-cache protocol) and every per-event outcome is derived from
-   order statistics over the group: the position of the previous write,
-   run-length-encoded same-processor runs (is the line still
-   exclusive-dirty?), the previous access by the same ``(line, proc)``
-   (miss / cold / refetch classification), and segmented prefix sums of
-   read misses (how many sharers does a word write invalidate?).
+   deduplication the scalar engines perform via
+   :meth:`~repro.memsim.addressing.AddressMap.cells_to_lines` — grouped by
+   line, with each event's predecessor by the same ``(line, proc)``
+   (:func:`_line_events`, the one event-extraction step every replay
+   here shares);
+3. lines evolve independently under the infinite-cache protocols, so
+   every per-event outcome is derived from order statistics over the
+   line's group: the position of the previous write, run-length-encoded
+   same-processor runs (is the line still exclusive-dirty?), the
+   previous access by the same ``(line, proc)`` (miss / cold / refetch
+   classification), and segmented prefix sums of read misses (how many
+   sharers does a word write invalidate?).
 
-The derivation mirrors the protocol's state machine exactly, so the
+The derivation mirrors the protocols' state machines exactly, so the
 returned :class:`~repro.memsim.stats.CoherenceStats` is **bit-identical**
-to the scalar engine's — the scalar engine stays as the differential
-oracle (``locusroute verify`` cross-checks the two on every run, and the
-hypothesis tests in ``tests/test_memsim_columnar.py`` fuzz the
-equivalence on random traces).
+to the scalar engines' — those stay as the differential oracles
+(``locusroute verify`` cross-checks them on every run, and the hypothesis
+tests in ``tests/test_memsim_columnar.py`` fuzz the equivalence on random
+traces).
 
-Key order statistics (per line group, events indexed ``0..k-1`` in global
-order; ``j`` is the position of the last write strictly before event
-``i``, or −1):
+Key order statistics for Write-Back-with-Invalidate (per line group,
+events indexed ``0..k-1`` in global order; ``j`` is the position of the
+last write strictly before event ``i``, or −1):
 
 - ``p ∈ sharers`` before ``i``  ⟺  p's previous event on the line is at
   position ≥ max(j, 0) — a write resets the sharer set to the writer,
@@ -41,24 +46,36 @@ order; ``j`` is the position of the last write strictly before event
   always a miss, and every miss on a dirty line flushes it);
 - ``|sharers|`` before ``i`` = ``1 + (read misses in (j, i))`` when
   ``j ≥ 0``, else the number of read misses since the group start.
+
+Write-update (:meth:`ColumnarTrace.replay_write_update`) never removes a
+copy, so it needs only two:
+
+- event ``i`` *misses*  ⟺  it is its processor's first touch of the line;
+- the line is *shared* at a write  ⟺  the number of first touches
+  strictly before ``i`` in the group, minus one if the writer's own is
+  among them, is positive; the write then broadcasts one word per cell
+  the burst wrote in that line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from ..errors import CoherenceError
 from ..obs import telemetry as obs
 from .addressing import WORD_BYTES, AddressMap
+from .coherence import WriteBackInvalidate
 from .stats import CoherenceStats
 from .trace import ReferenceTrace
 from .trace_io import DEFAULT_CHUNK_REFS, iter_trace_chunks
 
 __all__ = ["ColumnarTrace", "simulate_trace_columnar", "simulate_trace_streaming"]
+
+MAX_PROCS = WriteBackInvalidate.MAX_PROCS
 
 
 def _popcount64(values: np.ndarray) -> np.ndarray:
@@ -69,20 +86,176 @@ def _popcount64(values: np.ndarray) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1).sum(axis=1, dtype=np.int32)
 
 
+def _check_procs(n_procs: int, procs: np.ndarray) -> None:
+    if procs.size and (int(procs.min()) < 0 or int(procs.max()) >= n_procs):
+        raise CoherenceError("trace references a processor out of range")
+
+
+def _check_n_procs(n_procs: int) -> None:
+    if not (1 <= n_procs <= MAX_PROCS):
+        raise CoherenceError(f"n_procs must be in [1, {MAX_PROCS}]")
+
+
+def _cells_int32(cells: np.ndarray) -> np.ndarray:
+    """*cells* as the ``int32`` column every replay sorts and gathers."""
+    if cells.size and int(cells.max()) >= np.iinfo(np.int32).max:
+        raise CoherenceError("flat cell index overflows the int32 columns")
+    return cells.astype(np.int32)
+
+
+class _LineEvents(NamedTuple):
+    """One event per ``(record, line)``, grouped by line, global record
+    order within each group; all index columns ``int32``."""
+
+    line: np.ndarray  #: cache line of each event
+    proc: np.ndarray  #: referencing processor
+    write: np.ndarray  #: read/write flag
+    new_line: np.ndarray  #: does the event open its line's group?
+    seg_start: np.ndarray  #: index of the first event of the group
+    prev_lp: np.ndarray  #: previous event by the same (line, proc), or -1
+    n_cells: Optional[np.ndarray]  #: stream cells folded into the event
+
+
+def _line_events(
+    cells: np.ndarray,
+    rec_ids: np.ndarray,
+    procs: np.ndarray,
+    writes: np.ndarray,
+    words_per_line: int,
+    count_cells: bool = False,
+) -> _LineEvents:
+    """Extract the line events of a non-empty flattened cell stream.
+
+    *cells* / *rec_ids* are the per-reference ``int32`` columns
+    (``rec_ids`` non-decreasing), *procs* / *writes* the per-record ones.
+    ``n_cells`` (how many references each event stands for, repeats
+    included) is computed only when *count_cells* is set.
+
+    De-duplication runs twice.  A burst's cells that share a line mostly
+    sit next to each other in the stream (a row run, a path segment), so
+    a neighbour comparison *before* the sort drops them and the sort sees
+    events rather than references — a third fewer keys at 8-byte lines,
+    an eighth as many at 64.  That pass assumes nothing: cells of one
+    line that are *not* adjacent (an unsorted or repeating burst) survive
+    it and fall to the exact ``(line, record)`` mask after the sort.
+    """
+    lines = cells if words_per_line == 1 else cells // np.int32(words_per_line)
+    recs = rec_ids
+    n = lines.size
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=first[1:])
+    first[1:] |= recs[1:] != recs[:-1]
+    if count_cells:  # references per surviving cell: its run length
+        run = np.diff(np.flatnonzero(first), append=n).astype(np.int32)
+    if not first.all():
+        lines = lines[first]
+        recs = recs[first]
+
+    # A stable sort by line alone gives (line, record) order because
+    # rec_ids is non-decreasing in the stream; ties then break by stream
+    # position, which is record order.  NumPy radix-sorts keys of at most
+    # 16 bits in linear time, and the lines of a real grid fit.
+    narrow = int(lines.max()) < (1 << 16)
+    order = np.argsort(lines.astype(np.uint16) if narrow else lines, kind="stable")
+    ev_line = lines[order]
+    ev_rec = recs[order]
+    keep = np.empty(ev_line.size, dtype=bool)
+    keep[0] = True
+    np.logical_or(
+        ev_line[1:] != ev_line[:-1], ev_rec[1:] != ev_rec[:-1], out=keep[1:]
+    )
+    n_cells = run[order] if count_cells else None
+    if not keep.all():
+        # Skipped when the stream pass was already exact (the common
+        # case): two large boolean-index copies saved.
+        if count_cells:
+            n_cells = np.add.reduceat(n_cells, np.flatnonzero(keep))
+        ev_line = ev_line[keep]
+        ev_rec = ev_rec[keep]
+    ev_proc = procs[ev_rec]
+    ev_write = writes[ev_rec]
+    m = ev_line.size
+    idx = np.arange(m, dtype=np.int32)
+    obs.incr("sim.coherence.columnar_events", m)
+
+    new_line = np.empty(m, dtype=bool)
+    new_line[0] = True
+    np.not_equal(ev_line[1:], ev_line[:-1], out=new_line[1:])
+    seg_start = np.where(new_line, idx, np.int32(0))
+    np.maximum.accumulate(seg_start, out=seg_start)
+
+    # Previous event by the same (line, proc), or -1.  A stable sort by
+    # processor alone — one byte per key, so NumPy radix-sorts it in
+    # linear time — leaves each processor's events in line-group order,
+    # where its touches of one line are neighbours.
+    by_lp = np.argsort(ev_proc.astype(np.uint8), kind="stable")
+    lp_line = ev_line[by_lp]
+    lp_proc = ev_proc[by_lp]
+    prev_sorted = np.empty(m, dtype=np.int32)
+    prev_sorted[0] = -1
+    prev_sorted[1:] = by_lp[:-1]
+    same_lp = lp_line[1:] == lp_line[:-1]
+    same_lp &= lp_proc[1:] == lp_proc[:-1]
+    np.copyto(prev_sorted[1:], np.int32(-1), where=~same_lp)
+    prev_lp = np.empty(m, dtype=np.int32)
+    prev_lp[by_lp] = prev_sorted
+    return _LineEvents(ev_line, ev_proc, ev_write, new_line, seg_start, prev_lp, n_cells)
+
+
+def _last_write_before(ev: _LineEvents) -> np.ndarray:
+    """Position of the last write strictly before each event within its
+    line group (−1 if none).  A running max of write positions never
+    leaks across groups: earlier groups' indices fall below the group
+    start."""
+    m = ev.line.size
+    ff = np.where(ev.write, np.arange(m, dtype=np.int32), np.int32(-1))
+    np.maximum.accumulate(ff, out=ff)
+    j = np.empty(m, dtype=np.int32)
+    j[0] = -1
+    j[1:] = ff[:-1]
+    np.copyto(j, np.int32(-1), where=j < ev.seg_start)
+    return j
+
+
+def _proc_runs(ev: _LineEvents):
+    """``(run_start, run_start_prev, prev_proc)``: run-length encoding of
+    same-processor runs within line groups, and its one-event lag."""
+    m = ev.line.size
+    run_break = ev.new_line.copy()
+    run_break[1:] |= ev.proc[1:] != ev.proc[:-1]
+    run_start = np.where(run_break, np.arange(m, dtype=np.int32), np.int32(0))
+    np.maximum.accumulate(run_start, out=run_start)
+    run_start_prev = np.empty(m, dtype=np.int32)
+    run_start_prev[0] = 0
+    run_start_prev[1:] = run_start[:-1]
+    prev_proc = np.empty(m, dtype=np.int32)
+    prev_proc[0] = -1
+    prev_proc[1:] = ev.proc[:-1]
+    return run_start, run_start_prev, prev_proc
+
+
+def _exclusive_cumsum(flags: np.ndarray) -> np.ndarray:
+    as_int = flags.astype(np.int32)
+    cum = np.cumsum(as_int, dtype=np.int32)
+    cum -= as_int
+    return cum
+
+
 @dataclass(frozen=True)
 class ColumnarTrace:
     """A burst trace flattened into parallel arrays, in global order.
 
     Build once with :meth:`from_trace` and replay at any number of cache
-    line sizes with :meth:`replay` — the flattening (which walks the
-    Python-level record list) is paid a single time per trace, not once
-    per line size.
+    line sizes, through either protocol, with :meth:`replay` and
+    :meth:`replay_write_update` — the flattening is paid a single time
+    per trace, not once per line size.
     """
 
     #: Concatenated flat cell indices of every burst, global order.
     #: ``int32`` — a flat cell index fits easily (grid cells number in the
     #: thousands), and 4-byte columns halve the memory traffic of every
-    #: sort and gather in :meth:`replay`.
+    #: sort and gather in the replays.
     cells: np.ndarray
     #: Record id (position in global order) of each cell (``int32``).
     rec_ids: np.ndarray
@@ -97,26 +270,34 @@ class ColumnarTrace:
     @staticmethod
     def from_trace(trace: ReferenceTrace) -> "ColumnarTrace":
         """Flatten *trace* in global ``(time, append sequence)`` order."""
-        records = list(trace.sorted_records())
-        if not records:
-            empty = np.empty(0, dtype=np.int32)
-            return ColumnarTrace(empty, empty, empty, empty.astype(bool), 0, 0)
-        sizes = np.array([r.n_refs for r in records], dtype=np.int64)
-        cells64 = np.concatenate([r.flat_cells for r in records])
-        if cells64.size and int(cells64.max()) >= np.iinfo(np.int32).max:
-            raise CoherenceError("flat cell index overflows the int32 columns")
-        cells = cells64.astype(np.int32)
-        rec_ids = np.repeat(np.arange(len(records), dtype=np.int32), sizes)
-        rec_proc = np.array([r.proc for r in records], dtype=np.int32)
-        rec_is_write = np.array([r.is_write for r in records], dtype=bool)
-        n_write_refs = int(sizes[rec_is_write].sum())
+        cols = trace.columns()
+        sizes = np.diff(cols.offsets)
+        n_write_refs = int(sizes[cols.writes].sum())
         return ColumnarTrace(
-            cells=cells,
-            rec_ids=rec_ids,
-            rec_proc=rec_proc,
-            rec_is_write=rec_is_write,
-            n_read_refs=int(sizes.sum()) - n_write_refs,
+            cells=_cells_int32(cols.cells),
+            rec_ids=np.repeat(np.arange(sizes.size, dtype=np.int32), sizes),
+            rec_proc=cols.procs,
+            rec_is_write=cols.writes,
+            n_read_refs=int(cols.cells.size) - n_write_refs,
             n_write_refs=n_write_refs,
+        )
+
+    def _begin(self, n_procs: int, address_map: AddressMap) -> CoherenceStats:
+        _check_n_procs(n_procs)
+        _check_procs(n_procs, self.rec_proc)
+        stats = CoherenceStats(line_size=address_map.line_size)
+        stats.n_read_refs = self.n_read_refs
+        stats.n_write_refs = self.n_write_refs
+        return stats
+
+    def _events(self, address_map: AddressMap, count_cells: bool = False) -> _LineEvents:
+        return _line_events(
+            self.cells,
+            self.rec_ids,
+            self.rec_proc,
+            self.rec_is_write,
+            address_map.words_per_line,
+            count_cells,
         )
 
     # ------------------------------------------------------------------
@@ -127,131 +308,36 @@ class ColumnarTrace:
         :func:`repro.memsim.coherence.simulate_trace` on the trace this
         was built from (the scalar engine is the differential oracle).
         """
-        if not (1 <= n_procs <= 63):
-            raise CoherenceError("n_procs must be in [1, 63]")
-        stats = CoherenceStats(line_size=address_map.line_size)
+        stats = self._begin(n_procs, address_map)
         if self.cells.size == 0:
             return stats
-        if int(self.rec_proc.min()) < 0 or int(self.rec_proc.max()) >= n_procs:
-            raise CoherenceError("trace references a processor out of range")
-        stats.n_read_refs = self.n_read_refs
-        stats.n_write_refs = self.n_write_refs
-
-        lines_all = self.cells // address_map.words_per_line
-
-        # One event per (record, line): a stable sort by line alone gives
-        # (line, record) order because rec_ids is non-decreasing in the
-        # flattened stream; ties then break by stream position, which is
-        # record order.  Events come out grouped by line, in global record
-        # order within each group.
-        order = np.argsort(lines_all, kind="stable")
-        l_sorted = lines_all[order]
-        r_sorted = self.rec_ids[order]
-        keep = np.empty(l_sorted.size, dtype=bool)
-        keep[0] = True
-        np.logical_or(
-            l_sorted[1:] != l_sorted[:-1],
-            r_sorted[1:] != r_sorted[:-1],
-            out=keep[1:],
-        )
-        if keep.all():
-            # Common at small line sizes (each record's cells are already
-            # distinct lines): skip two large boolean-index copies.
-            ev_line, ev_rec = l_sorted, r_sorted
-        else:
-            ev_line = l_sorted[keep]
-            ev_rec = r_sorted[keep]
-        ev_proc = self.rec_proc[ev_rec]
-        ev_write = self.rec_is_write[ev_rec]
-        m = ev_line.size
-        idx = np.arange(m, dtype=np.int32)
-        obs.incr("sim.coherence.columnar_events", m)
-
-        new_line = np.empty(m, dtype=bool)
-        new_line[0] = True
-        np.not_equal(ev_line[1:], ev_line[:-1], out=new_line[1:])
-        seg_start = np.where(new_line, idx, np.int32(0))
-        np.maximum.accumulate(seg_start, out=seg_start)
-
-        # j: position of the last write strictly before each event within
-        # its line group (-1 if none).  A running max of write positions
-        # never leaks across groups: earlier groups' indices fall below
-        # the group start.
-        ff = np.where(ev_write, idx, np.int32(-1))
-        np.maximum.accumulate(ff, out=ff)
-        j = np.empty(m, dtype=np.int32)
-        j[0] = -1
-        j[1:] = ff[:-1]
-        np.copyto(j, np.int32(-1), where=j < seg_start)
-
-        # Previous event by the same (line, proc), or -1: classifies
-        # misses as cold vs refetch and decides sharer membership.
-        # MAX_PROCS is 63, so (line, proc) packs into ``line * 64 + proc``
-        # — one stable int sort instead of a two-key lexsort — whenever
-        # the packed key cannot overflow (it never does for real grids;
-        # the lexsort fallback keeps huge synthetic traces correct).
-        max_line = int(l_sorted[-1])
-        if max_line < (1 << 24):
-            key = ev_line << np.int32(6)
-            key |= ev_proc
-            by_lp = np.argsort(key, kind="stable")
-            lp_key = key[by_lp]
-            same_lp = np.empty(m, dtype=bool)
-            same_lp[0] = False
-            np.equal(lp_key[1:], lp_key[:-1], out=same_lp[1:])
-        else:
-            by_lp = np.lexsort((ev_proc, ev_line))
-            lp_line = ev_line[by_lp]
-            lp_proc = ev_proc[by_lp]
-            same_lp = np.empty(m, dtype=bool)
-            same_lp[0] = False
-            same_lp[1:] = (lp_line[1:] == lp_line[:-1]) & (
-                lp_proc[1:] == lp_proc[:-1]
-            )
-        prev_in_sorted = np.empty(m, dtype=np.int64)
-        prev_in_sorted[0] = -1
-        prev_in_sorted[1:] = by_lp[:-1]
-        prev_lp = np.empty(m, dtype=np.int32)
-        prev_lp[by_lp] = np.where(same_lp, prev_in_sorted, np.int64(-1)).astype(
-            np.int32
-        )
+        ev = self._events(address_map)
+        j = _last_write_before(ev)
 
         # Sharer membership: a write resets the sharer set to the writer;
         # reads since re-add their processor.  So p holds the line iff its
         # previous access is at or after the last write.
         jpos = j >= np.int32(0)
-        sharers_has_p = prev_lp >= np.maximum(j, np.int32(0))
+        sharers_has_p = ev.prev_lp >= np.maximum(j, np.int32(0))
         miss = ~sharers_has_p
 
-        # Dirty-line tracking via run-length encoding of same-processor
-        # runs: the line written at j is still dirty at i iff events
-        # j..i-1 are one run by the writer (the first foreign access
-        # after a write misses and flushes).
-        run_break = new_line.copy()
-        run_break[1:] |= ev_proc[1:] != ev_proc[:-1]
-        run_start = np.where(run_break, idx, np.int32(0))
-        np.maximum.accumulate(run_start, out=run_start)
-        run_start_prev = np.empty(m, dtype=np.int32)
-        run_start_prev[0] = 0
-        run_start_prev[1:] = run_start[:-1]
-        prev_proc = np.empty(m, dtype=np.int32)
-        prev_proc[0] = -1
-        prev_proc[1:] = ev_proc[:-1]
+        # Dirty-line tracking: the line written at j is still dirty at i
+        # iff events j..i-1 are one run by the writer (the first foreign
+        # access after a write misses and flushes).
+        _, run_start_prev, prev_proc = _proc_runs(ev)
         dirty_alive = jpos & (run_start_prev <= j)
-        dirty_by_me = dirty_alive & (ev_proc == prev_proc)
+        dirty_by_me = dirty_alive & (ev.proc == prev_proc)
 
-        read_miss = miss & ~ev_write
-        cold = read_miss & (prev_lp < 0)
+        read_miss = miss & ~ev.write
+        cold = read_miss & (ev.prev_lp < 0)
         writeback = miss & dirty_alive
-        word_write = ev_write & ~dirty_by_me
+        word_write = ev.write & ~dirty_by_me
 
         # Sharer counts before each event, from segmented prefix sums of
         # read misses (each read miss adds exactly one sharer; a write
         # resets the count to one).
-        rm = read_miss.astype(np.int32)
-        cum_excl = np.cumsum(rm, dtype=np.int32)
-        cum_excl -= rm
-        base = cum_excl[np.where(jpos, j, seg_start)]
+        cum_excl = _exclusive_cumsum(read_miss)
+        base = cum_excl[np.where(jpos, j, ev.seg_start)]
         n_sharers = jpos.astype(np.int32) + cum_excl - base
         others = n_sharers - sharers_has_p.astype(np.int32)
         inval = word_write & (others > 0)
@@ -261,11 +347,39 @@ class ColumnarTrace:
         n_read_miss = int(np.count_nonzero(read_miss))
         stats.cold_fetch_bytes = n_cold * ls
         stats.refetch_bytes = (n_read_miss - n_cold) * ls
-        stats.write_miss_fetch_bytes = int(np.count_nonzero(ev_write & miss)) * ls
+        stats.write_miss_fetch_bytes = int(np.count_nonzero(ev.write & miss)) * ls
         stats.writeback_bytes = int(np.count_nonzero(writeback)) * ls
         stats.word_write_bytes = int(np.count_nonzero(word_write)) * WORD_BYTES
         stats.n_invalidation_events = int(np.count_nonzero(inval))
         stats.n_copies_invalidated = int(others[inval].sum())
+        return stats
+
+    def replay_write_update(self, n_procs: int, address_map: AddressMap) -> CoherenceStats:
+        """Replay through the write-update protocol; return traffic totals.
+
+        Bit-identical to the scalar
+        :class:`~repro.memsim.update_protocol.WriteUpdate` (the
+        differential oracle) on the trace this was built from.
+        """
+        stats = self._begin(n_procs, address_map)
+        if self.cells.size == 0:
+            return stats
+        ev = self._events(address_map, count_cells=True)
+        # Copies are never dropped, so a processor misses exactly once per
+        # line, and the holders before an event are the first touches so
+        # far in its group.
+        first_touch = ev.prev_lp < 0
+        holders = _exclusive_cumsum(first_touch)
+        holders -= holders[ev.seg_start]
+        holders -= ~first_touch  # the writer's own copy does not make it shared
+        shared_write = ev.write & (holders > 0)
+
+        ls = address_map.line_size
+        n_first = int(np.count_nonzero(first_touch))
+        n_write_first = int(np.count_nonzero(first_touch & ev.write))
+        stats.cold_fetch_bytes = (n_first - n_write_first) * ls
+        stats.write_miss_fetch_bytes = n_write_first * ls
+        stats.word_write_bytes = int(ev.n_cells[shared_write].sum()) * WORD_BYTES
         return stats
 
 
@@ -307,9 +421,9 @@ def simulate_trace_streaming(
     independent of trace length.
 
     Within a chunk the replay runs the same order statistics as
-    :meth:`ColumnarTrace.replay`; chunk boundaries are bridged by three
-    carried per-line arrays that summarize everything earlier events
-    can influence:
+    :meth:`ColumnarTrace.replay`, on the same :func:`_line_events`; chunk
+    boundaries are bridged by three carried per-line arrays that
+    summarize everything earlier events can influence:
 
     - ``carry_mask`` — bitmask of current sharers (procs whose last
       access is at or after the line's last write);
@@ -324,8 +438,7 @@ def simulate_trace_streaming(
     hypothesis tests fuzz bit-identity against the scalar engine across
     random chunk sizes, including ``chunk_refs=1``.
     """
-    if not (1 <= n_procs <= 63):
-        raise CoherenceError("n_procs must be in [1, 63]")
+    _check_n_procs(n_procs)
     stats = CoherenceStats(line_size=address_map.line_size)
     ls = address_map.line_size
     n_lines = address_map.n_lines
@@ -336,72 +449,31 @@ def simulate_trace_streaming(
     for chunk in iter_trace_chunks(source, chunk_refs=chunk_refs):
         if chunk.cells.size == 0:
             continue
-        procs = chunk.procs
-        if int(procs.min()) < 0 or int(procs.max()) >= n_procs:
-            raise CoherenceError("trace references a processor out of range")
+        _check_procs(n_procs, chunk.procs)
         sizes = np.diff(chunk.offsets)
         n_write_refs = int(sizes[chunk.writes].sum())
         stats.n_write_refs += n_write_refs
         stats.n_read_refs += int(sizes.sum()) - n_write_refs
 
-        lines_all = chunk.cells // address_map.words_per_line
-        if int(lines_all.max()) >= n_lines or int(lines_all.min()) < 0:
+        if (
+            int(chunk.cells.min()) < 0
+            or int(chunk.cells.max()) // address_map.words_per_line >= n_lines
+        ):
             raise CoherenceError("trace cell outside the address map")
-
-        # Event extraction: one event per (record, line), grouped by
-        # line in global record order — identical to ColumnarTrace.
-        rec_ids = np.repeat(np.arange(procs.size, dtype=np.int32), sizes)
-        order = np.argsort(lines_all, kind="stable")
-        l_sorted = lines_all[order]
-        r_sorted = rec_ids[order]
-        keep = np.empty(l_sorted.size, dtype=bool)
-        keep[0] = True
-        np.logical_or(
-            l_sorted[1:] != l_sorted[:-1],
-            r_sorted[1:] != r_sorted[:-1],
-            out=keep[1:],
+        ev = _line_events(
+            _cells_int32(chunk.cells),
+            np.repeat(np.arange(sizes.size, dtype=np.int32), sizes),
+            chunk.procs,
+            chunk.writes,
+            address_map.words_per_line,
         )
-        if keep.all():
-            ev_line, ev_rec = l_sorted, r_sorted
-        else:
-            ev_line = l_sorted[keep]
-            ev_rec = r_sorted[keep]
-        ev_proc = procs[ev_rec]
-        ev_write = chunk.writes[ev_rec]
+        obs.incr("sim.coherence.stream_chunks")
+        ev_line, ev_proc, ev_write, new_line, seg_start, prev_lp, _ = ev
         m = ev_line.size
         idx = np.arange(m, dtype=np.int32)
-        obs.incr("sim.coherence.columnar_events", m)
-        obs.incr("sim.coherence.stream_chunks")
-
-        new_line = np.empty(m, dtype=bool)
-        new_line[0] = True
-        np.not_equal(ev_line[1:], ev_line[:-1], out=new_line[1:])
-        seg_start = np.where(new_line, idx, np.int32(0))
-        np.maximum.accumulate(seg_start, out=seg_start)
-
         # j: last write strictly before each event, within the chunk.
-        ff = np.where(ev_write, idx, np.int32(-1))
-        np.maximum.accumulate(ff, out=ff)
-        j = np.empty(m, dtype=np.int32)
-        j[0] = -1
-        j[1:] = ff[:-1]
-        np.copyto(j, np.int32(-1), where=j < seg_start)
+        j = _last_write_before(ev)
         jpos = j >= np.int32(0)
-
-        # Previous event by the same (line, proc) within the chunk.
-        key = (ev_line.astype(np.int64) << np.int64(6)) | ev_proc
-        by_lp = np.argsort(key, kind="stable")
-        lp_key = key[by_lp]
-        same_lp = np.empty(m, dtype=bool)
-        same_lp[0] = False
-        np.equal(lp_key[1:], lp_key[:-1], out=same_lp[1:])
-        prev_in_sorted = np.empty(m, dtype=np.int64)
-        prev_in_sorted[0] = -1
-        prev_in_sorted[1:] = by_lp[:-1]
-        prev_lp = np.empty(m, dtype=np.int32)
-        prev_lp[by_lp] = np.where(same_lp, prev_in_sorted, np.int64(-1)).astype(
-            np.int32
-        )
 
         # Carried state, gathered per event; consulted only where the
         # chunk has no earlier write on the line (~jpos).
@@ -414,16 +486,7 @@ def simulate_trace_streaming(
         sharers_has_p |= ~jpos & ((c_mask & pbit) != 0)
         miss = ~sharers_has_p
 
-        run_break = new_line.copy()
-        run_break[1:] |= ev_proc[1:] != ev_proc[:-1]
-        run_start = np.where(run_break, idx, np.int32(0))
-        np.maximum.accumulate(run_start, out=run_start)
-        run_start_prev = np.empty(m, dtype=np.int32)
-        run_start_prev[0] = 0
-        run_start_prev[1:] = run_start[:-1]
-        prev_proc = np.empty(m, dtype=np.int32)
-        prev_proc[0] = -1
-        prev_proc[1:] = ev_proc[:-1]
+        run_start, run_start_prev, prev_proc = _proc_runs(ev)
 
         # Dirty before event i: a within-chunk write followed by one
         # same-proc run, or a carried dirty line whose owner's run is
@@ -444,9 +507,7 @@ def simulate_trace_streaming(
 
         # Sharer counts: segmented prefix sums of read misses, seeded
         # with the carried sharer count where the chunk has no write.
-        rm = read_miss.astype(np.int32)
-        cum_excl = np.cumsum(rm, dtype=np.int32)
-        cum_excl -= rm
+        cum_excl = _exclusive_cumsum(read_miss)
         base = cum_excl[np.where(jpos, j, seg_start)]
         seed = np.where(jpos, np.int32(1), _popcount64(c_mask))
         n_sharers = seed + cum_excl - base

@@ -55,18 +55,13 @@ def expand_trace(trace: ReferenceTrace) -> Tuple[np.ndarray, np.ndarray, np.ndar
     become consecutive individual references, preserving the recorded
     intra-burst order.
     """
-    records = list(trace.sorted_records())
-    if not records:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.astype(np.int8), empty.astype(bool)
-    words = np.concatenate([r.flat_cells for r in records])
-    procs = np.concatenate(
-        [np.full(r.n_refs, r.proc, dtype=np.int16) for r in records]
+    cols = trace.columns()
+    sizes = np.diff(cols.offsets)
+    return (
+        cols.cells,
+        np.repeat(cols.procs.astype(np.int16), sizes),
+        np.repeat(cols.writes, sizes),
     )
-    writes = np.concatenate(
-        [np.full(r.n_refs, r.is_write, dtype=bool) for r in records]
-    )
-    return words, procs, writes
 
 
 def _group_exclusive_prefix(

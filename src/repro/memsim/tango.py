@@ -128,7 +128,7 @@ class TangoCollector:
         """
         if not self.enabled:
             return
-        footprints = [s.read_cells(self.layout.n_grids) for s in segments]
+        footprints = [s.footprint(self.layout.n_grids) for s in segments]
         if not footprints:
             return
         span = max(0.0, end_time - start_time)

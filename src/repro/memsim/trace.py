@@ -4,24 +4,31 @@
 during execution.  For each reference, the time, address, and referencing
 processor are recorded."
 
-References are recorded at *access-burst* granularity: one
-:class:`TraceRecord` carries all cells a processor touches in one logical
-operation (a segment evaluation's read rectangle, a path commit's write
-set) at one virtual time.  The coherence simulator only needs the per-line
-access order between processors, which this representation preserves while
-keeping traces compact enough to hold millions of references in memory.
+References are recorded at *access-burst* granularity: one burst carries
+all cells a processor touches in one logical operation (a segment
+evaluation's read rectangle, a path commit's write set) at one virtual
+time.  The coherence simulator only needs the per-line access order
+between processors, which this representation preserves while keeping
+traces compact enough to hold millions of references in memory.
+
+A :class:`ReferenceTrace` stores bursts as **columns** — parallel lists of
+times, processors and write flags plus the list of cell arrays — because
+the collector appends tens of thousands of bursts per run and the
+columnar replay (:mod:`repro.memsim.columnar`) wants arrays, not objects.
+:class:`TraceRecord` is the per-burst *view* of those columns, built on
+demand for the scalar oracles, :mod:`repro.memsim.trace_io` and tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, NamedTuple
 
 import numpy as np
 
 from ..errors import CoherenceError
 
-__all__ = ["TraceRecord", "ReferenceTrace"]
+__all__ = ["TraceRecord", "TraceColumns", "ReferenceTrace"]
 
 
 @dataclass(frozen=True)
@@ -39,52 +46,100 @@ class TraceRecord:
         return int(self.flat_cells.size)
 
 
-@dataclass
-class ReferenceTrace:
-    """An append-only trace of :class:`TraceRecord` bursts.
+class TraceColumns(NamedTuple):
+    """A whole trace flattened into arrays, in global replay order.
 
-    Records may be appended out of global time order (each virtual
-    processor appends in its own time order); :meth:`sorted_records`
-    produces the interleaved global order the coherence simulator
-    consumes, breaking time ties by append sequence for determinism.
+    Burst ``i`` owns ``cells[offsets[i]:offsets[i + 1]]``.
     """
 
-    records: List[TraceRecord] = field(default_factory=list)
-    # Cached global sort order (indices into ``records``); invalidated on
-    # append so repeated replays — the Table 3 line-size sweep replays the
-    # same trace once per line size — sort only once.
-    _sort_cache: List[int] = field(default=None, repr=False, compare=False)
+    times: np.ndarray  #: float64, per burst
+    procs: np.ndarray  #: int32, per burst
+    writes: np.ndarray  #: bool, per burst
+    offsets: np.ndarray  #: int64, per burst + 1
+    cells: np.ndarray  #: int64, concatenated burst cells
+
+
+class ReferenceTrace:
+    """An append-only trace of access bursts.
+
+    Bursts may be appended out of global time order (each virtual
+    processor appends in its own time order); :meth:`columns` and
+    :meth:`sorted_records` produce the interleaved global order the
+    coherence simulators consume, breaking time ties by append sequence
+    for determinism.
+    """
+
+    def __init__(self, records: Iterable[TraceRecord] = ()) -> None:
+        self._times: List[float] = []
+        self._procs: List[int] = []
+        self._writes: List[bool] = []
+        self._bursts: List[np.ndarray] = []
+        self._n_refs = 0
+        for r in records:
+            self.add(r.time, r.proc, r.is_write, r.flat_cells)
 
     def add(self, time: float, proc: int, is_write: bool, flat_cells: np.ndarray) -> None:
         """Append one burst (empty bursts are dropped)."""
-        if flat_cells.size == 0:
-            return
-        if time < 0:
+        if not time >= 0:
             raise CoherenceError(f"negative trace time {time}")
-        self.records.append(
-            TraceRecord(time, proc, is_write, np.asarray(flat_cells, dtype=np.int64))
-        )
-        self._sort_cache = None
+        size = flat_cells.size
+        if size == 0:
+            return
+        self._times.append(time)
+        self._procs.append(proc)
+        self._writes.append(is_write)
+        self._bursts.append(flat_cells)
+        self._n_refs += size
 
     @property
     def n_records(self) -> int:
         """Number of bursts."""
-        return len(self.records)
+        return len(self._times)
 
     @property
     def n_references(self) -> int:
-        """Total individual cell references."""
-        return sum(r.n_refs for r in self.records)
+        """Total individual cell references (a running count)."""
+        return self._n_refs
+
+    def _record(self, i: int) -> TraceRecord:
+        return TraceRecord(
+            self._times[i],
+            self._procs[i],
+            self._writes[i],
+            np.asarray(self._bursts[i], dtype=np.int64),
+        )
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The bursts in append order, as freshly built records."""
+        return [self._record(i) for i in range(len(self._times))]
+
+    def _sorted(self):
+        """``(times, order)``: the time column, and the append indices in
+        global ``(time, append sequence)`` order."""
+        times = np.array(self._times, dtype=np.float64)
+        return times, np.argsort(times, kind="stable")
 
     def sorted_records(self) -> Iterator[TraceRecord]:
-        """Records in global ``(time, append sequence)`` order.
+        """Records in global ``(time, append sequence)`` order."""
+        for i in self._sorted()[1].tolist():
+            yield self._record(i)
 
-        The sort order is cached between calls (appending invalidates it),
-        since replay sweeps consume the same trace many times.
+    def columns(self) -> TraceColumns:
+        """The whole trace as arrays in global replay order.
+
+        One stable ``argsort`` of the times, then NumPy's own walks over
+        the burst list; no per-burst objects.
         """
-        if self._sort_cache is None or len(self._sort_cache) != len(self.records):
-            self._sort_cache = sorted(
-                range(len(self.records)), key=lambda i: (self.records[i].time, i)
-            )
-        for i in self._sort_cache:
-            yield self.records[i]
+        times, order = self._sorted()
+        bursts = [self._bursts[i] for i in order.tolist()]
+        offsets = np.zeros(len(bursts) + 1, dtype=np.int64)
+        np.cumsum(np.array([b.size for b in bursts], dtype=np.int64), out=offsets[1:])
+        cells = np.concatenate(bursts) if bursts else np.empty(0)
+        return TraceColumns(
+            times=times[order],
+            procs=np.array(self._procs, dtype=np.int32)[order],
+            writes=np.array(self._writes, dtype=bool)[order],
+            offsets=offsets,
+            cells=cells.astype(np.int64, copy=False),
+        )

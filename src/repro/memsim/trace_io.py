@@ -154,24 +154,18 @@ def save_trace_stream(trace: ReferenceTrace, path: PathLike) -> int:
         offsets  int64[n + 1]   cumulative reference counts
         cells    int64[offsets[n]]
     """
-    records = list(trace.sorted_records())
-    n = len(records)
-    times = np.array([r.time for r in records], dtype="<f8")
-    procs = np.array([r.proc for r in records], dtype="<i4")
-    writes = np.array([r.is_write for r in records], dtype=np.uint8)
-    offsets = np.zeros(n + 1, dtype="<i8")
-    np.cumsum([r.n_refs for r in records], out=offsets[1:])
+    cols = trace.columns()
+    n = cols.procs.size
     with open(Path(path), "wb") as fh:
         fh.write(STREAM_MAGIC)
         fh.write(np.uint32(_STREAM_VERSION).tobytes())
         fh.write(np.int64(n).tobytes())
-        fh.write(np.int64(int(offsets[-1])).tobytes())
-        fh.write(times.tobytes())
-        fh.write(procs.tobytes())
-        fh.write(writes.tobytes())
-        fh.write(offsets.tobytes())
-        for r in records:
-            fh.write(r.flat_cells.astype("<i8").tobytes())
+        fh.write(np.int64(cols.cells.size).tobytes())
+        fh.write(cols.times.astype("<f8").tobytes())
+        fh.write(cols.procs.astype("<i4").tobytes())
+        fh.write(cols.writes.astype(np.uint8).tobytes())
+        fh.write(cols.offsets.astype("<i8").tobytes())
+        fh.write(cols.cells.astype("<i8").tobytes())
         return fh.tell()
 
 
@@ -246,40 +240,22 @@ def iter_trace_chunks(
         return
     if chunk_refs < 1:
         raise CoherenceError("chunk_refs must be positive")
-    times: list = []
-    procs: list = []
-    writes: list = []
-    bursts: list = []
-    refs = 0
-
-    def flush() -> TraceChunk:
-        offsets = np.zeros(len(bursts) + 1, dtype=np.int64)
-        np.cumsum([b.size for b in bursts], out=offsets[1:])
-        chunk = TraceChunk(
-            times=np.array(times, dtype=np.float64),
-            procs=np.array(procs, dtype=np.int32),
-            writes=np.array(writes, dtype=bool),
-            offsets=offsets,
-            cells=(
-                np.concatenate(bursts)
-                if bursts
-                else np.empty(0, dtype=np.int64)
-            ),
+    cols = source.columns()
+    n = cols.procs.size
+    pos = 0
+    while pos < n:
+        # The chunk closes with the first burst that fills it.
+        target = cols.offsets[pos] + chunk_refs
+        end = min(n, int(np.searchsorted(cols.offsets, target, side="left")))
+        lo, hi = cols.offsets[pos], cols.offsets[end]
+        yield TraceChunk(
+            times=cols.times[pos:end],
+            procs=cols.procs[pos:end],
+            writes=cols.writes[pos:end],
+            offsets=cols.offsets[pos : end + 1] - lo,
+            cells=cols.cells[lo:hi],
         )
-        times.clear(), procs.clear(), writes.clear(), bursts.clear()
-        return chunk
-
-    for record in source.sorted_records():
-        times.append(record.time)
-        procs.append(record.proc)
-        writes.append(record.is_write)
-        bursts.append(record.flat_cells.astype(np.int64))
-        refs += record.n_refs
-        if refs >= chunk_refs:
-            yield flush()
-            refs = 0
-    if times:
-        yield flush()
+        pos = end
 
 
 def load_trace_stream(path: PathLike) -> ReferenceTrace:

@@ -24,10 +24,14 @@ suits this workload.
 
 from __future__ import annotations
 
+from typing import Union
+
 import numpy as np
 
 from ..errors import CoherenceError
+from ..kernels import active_kernels
 from .addressing import WORD_BYTES, AddressMap
+from .columnar import ColumnarTrace
 from .stats import CoherenceStats
 from .trace import ReferenceTrace
 
@@ -79,9 +83,23 @@ class WriteUpdate:
 
 
 def simulate_trace_write_update(
-    trace: ReferenceTrace, n_procs: int, address_map: AddressMap
+    trace: Union[ReferenceTrace, ColumnarTrace],
+    n_procs: int,
+    address_map: AddressMap,
 ) -> CoherenceStats:
-    """Replay *trace* through the write-update protocol."""
+    """Replay *trace* through the write-update protocol.
+
+    Under the ``vectorized`` kernels — or whenever the trace arrives
+    already flattened — this is
+    :meth:`ColumnarTrace.replay_write_update
+    <repro.memsim.columnar.ColumnarTrace.replay_write_update>`; under
+    ``reference`` a :class:`~repro.memsim.trace.ReferenceTrace` walks the
+    scalar :class:`WriteUpdate`, the differential oracle.
+    """
+    if isinstance(trace, ColumnarTrace):
+        return trace.replay_write_update(n_procs, address_map)
+    if active_kernels() == "vectorized":
+        return ColumnarTrace.from_trace(trace).replay_write_update(n_procs, address_map)
     protocol = WriteUpdate(n_procs, address_map)
     for record in trace.sorted_records():
         protocol.access(record.proc, record.flat_cells, record.is_write)

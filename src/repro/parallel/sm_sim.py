@@ -41,7 +41,7 @@ from ..grid.cost_array import CostArray
 from ..grid.regions import RegionMap
 from ..memsim.addressing import AddressMap
 from ..kernels import active_kernels
-from ..memsim.coherence import simulate_trace
+from ..memsim.coherence import WriteBackInvalidate, simulate_trace
 from ..memsim.columnar import ColumnarTrace
 from ..memsim.update_protocol import simulate_trace_write_update
 from ..memsim.stats import CoherenceStats
@@ -128,6 +128,13 @@ def run_shared_memory(
         raise SimulationError(f"unknown coherence protocol {protocol!r}")
     if n_procs < 1:
         raise SimulationError("need at least one processor")
+    if collect_trace and n_procs > WriteBackInvalidate.MAX_PROCS:
+        # The coherence engines keep sharers in an int64 bitmask; say so
+        # before routing a single wire, not in the replay afterwards.
+        raise SimulationError(
+            f"tracing supports at most {WriteBackInvalidate.MAX_PROCS} processors "
+            f"(got {n_procs}); pass collect_trace=False for a quality-only run"
+        )
     if assignment is not None and (
         assignment.n_procs != n_procs or assignment.n_wires != circuit.n_wires
     ):
@@ -360,16 +367,14 @@ def run_shared_memory(
     coherence: Optional[CoherenceStats] = None
     by_line: Dict[int, CoherenceStats] = {}
     if collect_trace:
-        # The per-access invariant checker needs the scalar state machine;
-        # without it, the invalidate sweep runs on the columnar engine,
-        # flattening the trace once and replaying it per line size.
-        columnar = None
-        if (
-            protocol == "invalidate"
-            and report is None
-            and active_kernels() == "vectorized"
-        ):
-            columnar = ColumnarTrace.from_trace(tango.trace)
+        # Under the vectorized kernels the trace is flattened once and
+        # that one ColumnarTrace serves every line size of both protocols.
+        # Only the per-access MSI checker needs the scalar state machine
+        # (and with it the trace's records).
+        checked = report is not None and protocol == "invalidate"
+        trace = tango.trace
+        if active_kernels() == "vectorized" and not checked:
+            trace = ColumnarTrace.from_trace(trace)
         for ls in [line_size, *extra_line_sizes]:
             if ls in by_line:
                 continue
@@ -379,18 +384,17 @@ def run_shared_memory(
                 ls,
                 extra_words=layout.total_words - layout.array_words,
             )
-            if protocol == "invalidate":
-                if columnar is not None:
-                    by_line[ls] = columnar.replay(n_procs, amap)
-                    continue
+            if protocol == "update":
+                by_line[ls] = simulate_trace_write_update(trace, n_procs, amap)
+            elif isinstance(trace, ColumnarTrace):
+                by_line[ls] = trace.replay(n_procs, amap)
+            else:
                 checker = None
-                if report is not None:
+                if checked:
                     from ..verify.invariants import CoherenceInvariantChecker
 
                     checker = CoherenceInvariantChecker(report)
-                by_line[ls] = simulate_trace(tango.trace, n_procs, amap, checker=checker)
-            else:
-                by_line[ls] = simulate_trace_write_update(tango.trace, n_procs, amap)
+                by_line[ls] = simulate_trace(trace, n_procs, amap, checker=checker)
         coherence = by_line[line_size]
 
     summaries = [

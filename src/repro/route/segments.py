@@ -9,8 +9,8 @@ and ``wavefront`` the records without an import cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,13 @@ class SegmentRoute:
         The segment's pin coordinates (``x1 <= x2``).
     candidates:
         The candidate columns evaluated (empty for same-channel segments).
+    footprint_cache:
+        Where :meth:`footprint` keeps ``read_cells(n_grids)`` by grid
+        width.  A :class:`~repro.route.wavefront.WireGeometry` gives all
+        the routes of one of its segments the same dict — the footprint
+        depends on the pins and candidate columns only, never on ``xv``
+        or ``cost`` — so it is computed once per wire; ``None`` (the
+        per-segment reference evaluator) computes it on every call.
     """
 
     xv: int
@@ -74,6 +81,20 @@ class SegmentRoute:
     c2: int
     x2: int
     candidates: np.ndarray
+    footprint_cache: Optional[Dict[int, np.ndarray]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def footprint(self, n_grids: int) -> np.ndarray:
+        """:meth:`read_cells`, shared and read-only when there is a cache."""
+        cache = self.footprint_cache
+        if cache is None:
+            return self.read_cells(n_grids)
+        cells = cache.get(n_grids)
+        if cells is None:
+            cells = cache[n_grids] = self.read_cells(n_grids)
+            cells.flags.writeable = False
+        return cells
 
     def read_cells(self, n_grids: int) -> np.ndarray:
         """Flat indices of every cell the evaluation inspected.

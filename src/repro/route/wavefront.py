@@ -195,6 +195,9 @@ class WireGeometry:
                 "candidates": b_candidates[sum(seg_is_bend[:k])]
                 if seg_is_bend[k]
                 else _EMPTY,
+                # Static like the rest, but only a traced run wants it:
+                # filled by the first SegmentRoute.footprint call.
+                "footprint_cache": {},
             }
             for k in range(len(segs))
         ]

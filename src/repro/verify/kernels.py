@@ -28,17 +28,13 @@ __all__ = ["run_kernel_equivalence"]
 LINE_SIZES = (4, 8, 16, 32)
 
 
-def _coherence_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
-    """Scalar MSI replay vs columnar replay on a circuit-derived trace."""
-    from ..memsim.addressing import AddressMap
-    from ..memsim.coherence import simulate_trace
-    from ..memsim.columnar import ColumnarTrace, simulate_trace_columnar
+def _circuit_trace(circuit: Circuit, n_procs: int):
+    """A deterministic trace with real sharing: each wire's pin cells are
+    touched by a processor chosen from the wire index, alternating read
+    bursts with the occasional write burst (the cost-array update pattern
+    the shared memory router produces)."""
     from ..memsim.trace import ReferenceTrace
 
-    # A deterministic trace with real sharing: each wire's pin cells are
-    # touched by a processor chosen from the wire index, alternating
-    # read bursts with the occasional write burst (the cost-array update
-    # pattern the shared memory router produces).
     trace = ReferenceTrace()
     for idx in range(circuit.n_wires):
         wire = circuit.wire(idx)
@@ -49,14 +45,21 @@ def _coherence_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
         trace.add(float(2 * idx), idx % n_procs, False, cells)
         if idx % 3 == 0:
             trace.add(float(2 * idx + 1), (idx + 1) % n_procs, True, cells)
+    return trace
 
-    columnar = ColumnarTrace.from_trace(trace)
+
+def _replay_check(circuit: Circuit, n_procs: int, scalar, columnar) -> Dict[str, object]:
+    """``scalar(trace, n_procs, amap)`` vs ``columnar(flat, n_procs, amap)``
+    over the line-size sweep of one circuit-derived trace."""
+    from ..memsim.addressing import AddressMap
+    from ..memsim.columnar import ColumnarTrace
+
+    trace = _circuit_trace(circuit, n_procs)
+    flat = ColumnarTrace.from_trace(trace)
     diverged: List[int] = []
     for ls in LINE_SIZES:
         amap = AddressMap(circuit.n_channels, circuit.n_grids, ls)
-        if simulate_trace(trace, n_procs, amap) != simulate_trace_columnar(
-            columnar, n_procs, amap
-        ):
+        if scalar(trace, n_procs, amap) != columnar(flat, n_procs, amap):
             diverged.append(ls)
     detail = (
         f"{trace.n_records} bursts x line sizes {LINE_SIZES}"
@@ -64,6 +67,26 @@ def _coherence_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
         else f"stats diverged at line sizes {diverged}"
     )
     return {"identical": not diverged, "detail": detail}
+
+
+def _coherence_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
+    """Scalar MSI replay vs columnar replay on a circuit-derived trace."""
+    from ..memsim.coherence import simulate_trace
+    from ..memsim.columnar import ColumnarTrace
+
+    return _replay_check(circuit, n_procs, simulate_trace, ColumnarTrace.replay)
+
+
+def _write_update_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
+    """Scalar ``WriteUpdate`` vs the columnar write-update replay."""
+    from ..memsim.columnar import ColumnarTrace
+    from ..memsim.update_protocol import simulate_trace_write_update
+
+    def scalar(trace, n_procs, amap):
+        with use_kernels("reference"):
+            return simulate_trace_write_update(trace, n_procs, amap)
+
+    return _replay_check(circuit, n_procs, scalar, ColumnarTrace.replay_write_update)
 
 
 def _twobend_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
@@ -217,6 +240,7 @@ def run_kernel_equivalence(
     """Run every kernel equivalence check; label -> {identical, detail}."""
     return {
         "coherence": _coherence_check(circuit, n_procs),
+        "write_update": _write_update_check(circuit, n_procs),
         "twobend": _twobend_check(circuit, iterations),
         "wavefront": _wavefront_check(circuit, iterations),
         "event_queue": _event_queue_check(circuit),

@@ -77,6 +77,60 @@ class TestReferenceTrace:
         with pytest.raises(CoherenceError):
             trace.add(-1.0, 0, False, np.array([1]))
 
+    def test_negative_time_rejected_even_for_an_empty_burst(self):
+        # Validation comes before the empty-burst drop.
+        trace = ReferenceTrace()
+        with pytest.raises(CoherenceError):
+            trace.add(-1.0, 0, False, np.empty(0, dtype=np.int64))
+        with pytest.raises(CoherenceError):
+            trace.add(float("nan"), 0, False, np.array([1]))
+        assert trace.n_records == 0
+
+    def test_n_references_is_a_running_count(self):
+        trace = ReferenceTrace()
+        assert trace.n_references == 0
+        trace.add(0.0, 0, False, np.array([1, 2, 3]))
+        assert trace.n_references == 3
+        trace.add(0.0, 0, False, np.empty(0, dtype=np.int64))
+        trace.add(0.5, 1, True, np.array([4, 4]))
+        assert trace.n_references == 5 == sum(r.n_refs for r in trace.records)
+
+    def test_records_are_what_was_added(self):
+        added = [
+            (2.0, 0, False, [9, 3, 3]),
+            (1.0, 1, True, [2]),
+            (1.0, 2, False, [3, 1]),
+            (0.0, 1, True, [7, 7]),
+        ]
+        trace = ReferenceTrace()
+        for time, proc, is_write, cells in added:
+            trace.add(time, proc, is_write, np.array(cells, dtype=np.int32))
+
+        def plain(records):
+            return [(r.time, r.proc, r.is_write, r.flat_cells.tolist()) for r in records]
+
+        assert plain(trace.records) == added
+        assert all(r.flat_cells.dtype == np.int64 for r in trace.records)
+        # (time, append sequence) order: the two 1.0 bursts keep append order.
+        assert plain(trace.sorted_records()) == [added[3], added[1], added[2], added[0]]
+        assert plain(ReferenceTrace(records=trace.records).records) == added
+
+    def test_columns_are_the_sorted_records_flattened(self):
+        trace = ReferenceTrace()
+        trace.add(2.0, 0, False, np.array([9, 3, 3]))
+        trace.add(1.0, 1, True, np.array([2]))
+        trace.add(1.0, 2, False, np.array([3, 1]))
+        cols = trace.columns()
+        ordered = list(trace.sorted_records())
+        assert cols.times.tolist() == [r.time for r in ordered]
+        assert cols.procs.tolist() == [r.proc for r in ordered]
+        assert cols.writes.tolist() == [r.is_write for r in ordered]
+        assert cols.offsets.tolist() == [0, 1, 3, 6]
+        assert cols.cells.tolist() == [2, 3, 1, 9, 3, 3]
+        assert cols.cells.dtype == np.int64
+        empty = ReferenceTrace().columns()
+        assert empty.cells.size == 0 and empty.offsets.tolist() == [0]
+
     def test_sorted_records_interleaves_by_time(self):
         trace = ReferenceTrace()
         trace.add(2.0, 0, False, np.array([1]))

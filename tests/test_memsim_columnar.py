@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from repro.errors import CoherenceError
 from repro.memsim.addressing import AddressMap
 from repro.memsim.coherence import simulate_trace
-from repro.memsim.columnar import ColumnarTrace, simulate_trace_columnar
+from repro.memsim.columnar import ColumnarTrace, _line_events, simulate_trace_columnar
 from repro.memsim.trace import ReferenceTrace
+
+from . import memsim_strategies as messy
 
 N_CHANNELS = 6
 N_GRIDS = 32
@@ -69,6 +71,18 @@ class TestScalarColumnarEquivalence:
         bursts = [(proc % n_procs, w, cells) for proc, w, cells in bursts]
         assert_equivalent(build_trace(bursts), n_procs=n_procs)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 63).flatmap(lambda n: st.tuples(st.just(n), messy.messy_bursts(n))))
+    def test_unsorted_repeated_cells_and_time_ties(self, case):
+        # The in-stream de-duplication is not exact on these bursts; the
+        # (line, record) mask after the sort has to finish the job.
+        n_procs, bursts = case
+        trace = messy.build_trace(bursts)
+        columnar = ColumnarTrace.from_trace(trace)
+        for ls in messy.LINE_SIZES:
+            amap = messy.address_map(ls)
+            assert simulate_trace(trace, n_procs, amap) == columnar.replay(n_procs, amap), ls
+
     def test_empty_trace(self):
         assert_equivalent(build_trace([]), n_procs=4)
 
@@ -98,6 +112,45 @@ class TestScalarColumnarEquivalence:
         # Duplicate (record, line) events must collapse to one access.
         trace = build_trace([(0, False, [3, 3, 3, 4]), (1, True, [4, 4, 3])])
         assert_equivalent(trace, n_procs=2)
+
+
+class TestLineEvents:
+    """The event-extraction step all three replays share."""
+
+    def test_one_event_per_record_and_line_whatever_the_cell_order(self):
+        # Record 0 touches line 1 twice with line 4 in between (the stream
+        # pass cannot see that) and repeats a cell; record 1 is tidy.
+        cells = np.array([3, 9, 2, 2, 8, 2, 3], dtype=np.int32)
+        rec_ids = np.array([0, 0, 0, 0, 0, 1, 1], dtype=np.int32)
+        procs = np.array([5, 1], dtype=np.int32)
+        writes = np.array([True, False])
+        ev = _line_events(cells, rec_ids, procs, writes, 2, count_cells=True)
+        assert ev.line.tolist() == [1, 1, 4]
+        assert ev.proc.tolist() == [5, 1, 5]
+        assert ev.write.tolist() == [True, False, True]
+        assert ev.n_cells.tolist() == [3, 2, 2]
+        assert ev.new_line.tolist() == [True, False, True]
+        assert ev.seg_start.tolist() == [0, 0, 2]
+        assert ev.prev_lp.tolist() == [-1, -1, -1]
+        assert all(col.dtype == np.int32 for col in (ev.line, ev.proc, ev.seg_start, ev.prev_lp))
+
+    def test_previous_touch_by_the_same_processor(self):
+        cells = np.array([0, 0, 0, 7, 0], dtype=np.int32)
+        rec_ids = np.arange(5, dtype=np.int32)
+        procs = np.array([2, 3, 2, 2, 3], dtype=np.int32)
+        writes = np.zeros(5, dtype=bool)
+        ev = _line_events(cells, rec_ids, procs, writes, 1)
+        assert ev.line.tolist() == [0, 0, 0, 0, 7]
+        assert ev.prev_lp.tolist() == [-1, -1, 0, 1, -1]
+        assert ev.n_cells is None
+
+    def test_wide_address_spaces_take_the_general_sort(self):
+        cells = np.array([1 << 20, 5, 1 << 20], dtype=np.int32)
+        rec_ids = np.array([0, 1, 2], dtype=np.int32)
+        procs = np.array([0, 1, 0], dtype=np.int32)
+        ev = _line_events(cells, rec_ids, procs, np.zeros(3, dtype=bool), 1)
+        assert ev.line.tolist() == [5, 1 << 20, 1 << 20]
+        assert ev.prev_lp.tolist() == [-1, -1, 1]
 
 
 class TestColumnarTrace:

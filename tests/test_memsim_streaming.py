@@ -36,6 +36,8 @@ from repro.memsim import (
     simulate_trace_streaming,
 )
 
+from . import memsim_strategies as messy
+
 N_CHANNELS = 6
 N_GRIDS = 32
 LINE_SIZES = (4, 16)
@@ -85,6 +87,16 @@ class TestStreamingEquivalence:
             scalar = simulate_trace(trace, 8, amap)
             streamed = simulate_trace_streaming(trace, 8, amap, chunk_refs=chunk_refs)
             assert scalar == streamed, f"diverged at line size {ls}"
+
+    @settings(max_examples=80, deadline=None)
+    @given(messy.messy_bursts(8, max_size=40), st.integers(min_value=1, max_value=40))
+    def test_unsorted_repeated_cells_any_chunk_size(self, bursts, chunk_refs):
+        trace = messy.build_trace(bursts)
+        for ls in (4, 8, 64):
+            amap = messy.address_map(ls)
+            scalar = simulate_trace(trace, 8, amap)
+            for refs in (1, chunk_refs):
+                assert simulate_trace_streaming(trace, 8, amap, chunk_refs=refs) == scalar, (ls, refs)
 
     def test_chunk_refs_one_forces_carry_on_every_record(self):
         trace = synthetic_trace(300)
@@ -140,6 +152,33 @@ class TestStreamFile:
             (2.0, 2, False, [7, 8, 9]),
             (3.0, 1, True, [4, 5]),
         ]
+
+    def test_container_bytes_are_the_documented_layout(self, tmp_path):
+        """The file is a pure function of the trace: header, then the five
+        columns in replay order, little-endian."""
+        trace = ReferenceTrace()
+        trace.add(3.0, 1, True, np.array([4, 5], dtype=np.int32))
+        trace.add(1.0, 0, False, np.array([0], dtype=np.int64))
+        trace.add(1.0, 2, False, np.array([9, 7, 7], dtype=np.int64))
+        path = tmp_path / "t.lrts"
+        save_trace_stream(trace, path)
+        expected = b"".join(
+            [
+                b"LRTS",
+                np.array([1], dtype="<u4").tobytes(),
+                np.array([3, 6], dtype="<i8").tobytes(),
+                np.array([1.0, 1.0, 3.0], dtype="<f8").tobytes(),
+                np.array([0, 2, 1], dtype="<i4").tobytes(),
+                np.array([0, 0, 1], dtype=np.uint8).tobytes(),
+                np.array([0, 1, 4, 6], dtype="<i8").tobytes(),
+                np.array([0, 9, 7, 7, 4, 5], dtype="<i8").tobytes(),
+            ]
+        )
+        assert path.read_bytes() == expected
+        # Loading and saving again reproduces the file.
+        again = tmp_path / "again.lrts"
+        save_trace_stream(load_trace_stream(path), again)
+        assert again.read_bytes() == expected
 
     def test_chunks_respect_record_boundaries(self, tmp_path):
         trace = synthetic_trace(400)

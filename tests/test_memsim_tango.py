@@ -53,6 +53,40 @@ class TestCollector:
         times = sorted({r.time for r in tango.trace.records})
         assert times == [0.0, 1.0, 2.0]
 
+    def test_geometry_footprint_equals_read_cells(self):
+        """Segments from a WireGeometry (the vectorized kernels) share a
+        footprint cache; reference-kernel segments compute it per call.
+        Same arrays, same trace."""
+        from repro.circuits import bnre_like
+        from repro.kernels import use_kernels
+        from repro.route.twobend import route_wire
+
+        circuit = bnre_like(n_wires=40)
+        cost = CostArray(circuit.n_channels, circuit.n_grids)
+        layout = SharedLayout(circuit.n_channels, circuit.n_grids, circuit.n_wires)
+        traces = {}
+        for mode in ("vectorized", "reference"):
+            tango = TangoCollector(layout, chunks=2)
+            with use_kernels(mode):
+                for idx in range(circuit.n_wires):
+                    segments = route_wire(cost, circuit.wire(idx)).segments
+                    for s in segments:
+                        assert (s.footprint_cache is not None) == (mode == "vectorized")
+                        np.testing.assert_array_equal(
+                            s.footprint(circuit.n_grids), s.read_cells(circuit.n_grids)
+                        )
+                        np.testing.assert_array_equal(
+                            s.footprint(circuit.n_grids + 3), s.read_cells(circuit.n_grids + 3)
+                        )
+                        if mode == "vectorized":  # computed once per wire and grid width
+                            assert s.footprint(circuit.n_grids) is s.footprint(circuit.n_grids)
+                    tango.record_evaluation(float(idx), idx + 1.0, idx % 4, segments)
+            traces[mode] = [
+                (r.time, r.proc, r.is_write, r.flat_cells.tolist()) for r in tango.trace.records
+            ]
+        assert traces["vectorized"] == traces["reference"]
+        assert len(traces["vectorized"]) > 2 * circuit.n_wires
+
     def test_evaluation_reads_only(self, layout, segment):
         tango = TangoCollector(layout, chunks=2)
         tango.record_evaluation(0.0, 1.0, 0, [segment])

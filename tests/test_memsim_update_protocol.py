@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import tiny_test_circuit
 from repro.errors import CoherenceError, SimulationError
-from repro.memsim import AddressMap, ReferenceTrace, WriteUpdate, simulate_trace_write_update
+from repro.kernels import use_kernels
+from repro.memsim import (
+    AddressMap,
+    ColumnarTrace,
+    ReferenceTrace,
+    WriteUpdate,
+    simulate_trace_write_update,
+)
 from repro.parallel import run_shared_memory
+
+from .memsim_strategies import LINE_SIZES, address_map, build_trace, messy_bursts
 
 
 def protocol(line_size=4, n_procs=4):
@@ -86,7 +99,73 @@ class TestTraceReplay:
         assert stats.cold_fetch_bytes == 8
 
 
+def scalar_write_update(trace, n_procs, amap):
+    with use_kernels("reference"):
+        return simulate_trace_write_update(trace, n_procs, amap)
+
+
+class TestColumnarReplay:
+    """The columnar replay against the scalar ``WriteUpdate`` oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 63).flatmap(
+            lambda n: st.tuples(st.just(n), messy_bursts(n))
+        )
+    )
+    def test_equals_scalar_field_for_field(self, case):
+        n_procs, bursts = case
+        trace = build_trace(bursts)
+        columnar = ColumnarTrace.from_trace(trace)
+        for ls in LINE_SIZES:
+            amap = address_map(ls)
+            assert dataclasses.asdict(
+                columnar.replay_write_update(n_procs, amap)
+            ) == dataclasses.asdict(scalar_write_update(trace, n_procs, amap)), ls
+
+    def test_apart_and_repeated_cells_of_one_line(self):
+        # Cells 0 and 1 share an 8-byte line but sit apart in the burst,
+        # and cell 0 repeats: one miss, three word broadcasts.
+        trace = ReferenceTrace()
+        trace.add(0.0, 1, False, cells(0))
+        trace.add(1.0, 0, True, cells(0, 9, 1, 0))
+        amap = AddressMap(2, 16, 8)
+        stats = ColumnarTrace.from_trace(trace).replay_write_update(2, amap)
+        assert stats == scalar_write_update(trace, 2, amap)
+        assert stats.word_write_bytes == 3 * 4
+        assert stats.write_miss_fetch_bytes == 2 * 8
+
+    def test_dispatch_follows_the_kernel_mode_and_the_trace_type(self):
+        trace = build_trace([(0, 0, False, [0, 1]), (1, 1, True, [0, 0, 40])])
+        amap = AddressMap(2, 32, 8)
+        scalar = scalar_write_update(trace, 2, amap)
+        with use_kernels("vectorized"):
+            assert simulate_trace_write_update(trace, 2, amap) == scalar
+        # An already-flattened trace has no records to walk: columnar
+        # whatever the mode.
+        flat = ColumnarTrace.from_trace(trace)
+        assert scalar_write_update(flat, 2, amap) == scalar
+
+    def test_rejects_bad_processors(self):
+        flat = ColumnarTrace.from_trace(build_trace([(0, 5, True, [1])]))
+        amap = AddressMap(2, 32, 8)
+        with pytest.raises(CoherenceError):
+            flat.replay_write_update(2, amap)
+        for bad in (0, 64):
+            with pytest.raises(CoherenceError):
+                flat.replay_write_update(bad, amap)
+
+
 class TestSmIntegration:
+    def test_update_sweep_shares_one_flattened_trace(self):
+        circuit = tiny_test_circuit(n_wires=25)
+        kwargs = dict(n_procs=4, iterations=2, protocol="update", extra_line_sizes=(4, 32))
+        fast = run_shared_memory(circuit, **kwargs)
+        with use_kernels("reference"):
+            slow = run_shared_memory(circuit, **kwargs)
+        assert fast.meta["coherence_by_line_size"] == slow.meta["coherence_by_line_size"]
+        assert set(fast.meta["coherence_by_line_size"]) == {8, 4, 32}
+
     def test_protocol_switch(self):
         circuit = tiny_test_circuit(n_wires=25)
         inv = run_shared_memory(circuit, n_procs=4, iterations=2)

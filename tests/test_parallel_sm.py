@@ -88,6 +88,25 @@ class TestCoherenceIntegration:
         assert result.coherence.line_size == 8
         assert result.mbytes_transferred == by_line[8]["mbytes"]
 
+    def test_too_many_traced_processors_rejected_before_routing(self, circuit, monkeypatch):
+        """64 processors overflow the coherence engines' sharer bitmask; the
+        run must say so at entry, not after simulating everything."""
+        import repro.parallel.sm_sim as sm_sim
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the simulation started")
+
+        monkeypatch.setattr(sm_sim, "Simulator", must_not_run)
+        monkeypatch.setattr(sm_sim, "route_wire", must_not_run)
+        for protocol in ("invalidate", "update"):
+            with pytest.raises(SimulationError, match="at most 63 processors"):
+                run_shared_memory(circuit, n_procs=64, iterations=1, protocol=protocol)
+
+    def test_sixty_four_untraced_processors_still_run(self, circuit):
+        result = run_shared_memory(circuit, n_procs=64, iterations=1, collect_trace=False)
+        assert set(result.paths) == set(range(circuit.n_wires))
+        assert result.coherence is None
+
     def test_collect_trace_false_skips_coherence(self, circuit):
         result = run_shared_memory(circuit, n_procs=4, iterations=2, collect_trace=False)
         assert result.coherence is None
