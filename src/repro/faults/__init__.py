@@ -26,6 +26,7 @@ from .plan import (
     NodeStall,
     RecoveryPolicy,
     random_crashes,
+    validate_crashes,
 )
 
 __all__ = [
@@ -38,4 +39,5 @@ __all__ = [
     "NodeStall",
     "RecoveryPolicy",
     "random_crashes",
+    "validate_crashes",
 ]

@@ -82,10 +82,10 @@ class FaultInjector:
         kind = getattr(message.payload, "kind", None)
         kind_name = getattr(kind, "name", None) if kind is not None else None
         if kind is not None and is_control(kind):
-            # Liveness traffic (heartbeats, acks, death notices) rides a
-            # reliable acked control channel: exempt from the Bernoulli
-            # packet faults, or a dropped death notice would leave the
-            # survivors' ownership maps diverged forever.  Control packets
+            # Control traffic (heartbeats, acks, death notices, task grants)
+            # rides a reliable acked control channel: exempt from the
+            # Bernoulli packet faults, or a dropped death notice would leave
+            # the survivors' ownership maps diverged forever.  Control packets
             # draw nothing, so the data-packet fault stream is unchanged.
             return _NO_FAULT
         # Always four draws, in a fixed order, per data-packet attempt.

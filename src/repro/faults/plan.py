@@ -15,11 +15,11 @@ configured by the nested :class:`RecoveryPolicy` and executed by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import FaultPlanError
+from ..errors import FaultPlanError, SimulationError
 
 __all__ = [
     "FaultPlan",
@@ -29,6 +29,7 @@ __all__ = [
     "NodeStall",
     "RecoveryPolicy",
     "random_crashes",
+    "validate_crashes",
 ]
 
 
@@ -102,6 +103,21 @@ class NodeCrash:
             raise FaultPlanError(f"proc must be >= 0, got {self.proc}")
         if self.at_s < 0:
             raise FaultPlanError(f"crash time must be >= 0, got {self.at_s}")
+
+
+def validate_crashes(crashes: Sequence[NodeCrash], n_procs: int) -> None:
+    """Check a crash plan against the machine a simulator is about to run.
+
+    Every crash names an existing processor, no processor dies twice, and
+    at least one survives (somebody has to finish the wires).
+    """
+    bad = [c.proc for c in crashes if not (0 <= c.proc < n_procs)]
+    if bad:
+        raise SimulationError(f"crash plan names unknown processors {bad}")
+    if len({c.proc for c in crashes}) != len(crashes):
+        raise SimulationError("crash plan names a processor twice")
+    if len(crashes) >= n_procs:
+        raise SimulationError("at least one processor must survive the crash plan")
 
 
 def random_crashes(

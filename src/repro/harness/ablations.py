@@ -26,9 +26,9 @@ experiments:
 - **A9** — where the Table 3 magnitude gap comes from: replay granularity
   (lossless) against recorded-interleaving granularity.
 
-A1, A5 and A8 are plain sweeps and run as ``SimConfig`` rows; the others
-need a simulator keyword ``SimConfig`` does not carry (a cost model, the
-dynamic master, a kept trace, divergence tracking) and call it directly.
+A1, A3, A5 and A8 are plain sweeps and run as ``SimConfig`` rows; the
+others need a simulator keyword ``SimConfig`` does not carry (a cost
+model, a kept trace, divergence tracking) and call it directly.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from ..assign import RoundRobinAssigner, ThresholdCostAssigner
 from ..grid import RegionMap
 from ..memsim import AddressMap, simulate_trace, simulate_trace_finite
 from ..memsim.reference_level import simulate_trace_reference_level
-from ..parallel import CostModel, run_dynamic_assignment, run_message_passing, run_shared_memory
+from ..parallel import CostModel, run_message_passing, run_shared_memory
 from ..parallel.results import ParallelRunResult
 from ..route import LocalityReport
 from ..updates import PacketStructure, UpdateSchedule
@@ -169,25 +169,25 @@ def run_a2_interrupts(quick: bool = False) -> Table:
 @experiment("A3", "Ablation: §4.2 dynamic wire distribution (single iteration)")
 def run_a3_dynamic_assignment(quick: bool = False) -> Table:
     """A3: the §4.2 dynamic wire-distribution schemes vs static."""
-    circuit = quick_circuit("bnrE", quick)
-    static = run_message_passing(circuit, SENDER_2_10, iterations=1)
-    polled = run_dynamic_assignment(circuit, SENDER_2_10)
-    interrupt = run_dynamic_assignment(
-        circuit, replace(SENDER_2_10, interrupt_reception=True)
-    )
-    rows = []
-    for label, result in (
-        ("static (ThresholdCost=1000)", static),
-        ("dynamic, polled master", polled),
-        ("dynamic, interrupt master", interrupt),
-    ):
-        row = {"assignment": label, **result.table_row()}
-        row["mean_task_wait_ms"] = (
-            round(result.meta["mean_task_wait_s"] * 1e3, 2)
-            if "mean_task_wait_s" in result.meta
-            else None
-        )
-        rows.append(row)
+    #: row label -> (``SimConfig.assigner``, interrupt-driven reception)
+    schemes = {
+        "static (ThresholdCost=1000)": (None, False),
+        "dynamic, polled master": ("dynamic", False),
+        "dynamic, interrupt master": ("dynamic", True),
+    }
+
+    def config(label: str):
+        assigner, interrupts = schemes[label]
+        schedule = replace(SENDER_2_10, interrupt_reception=interrupts)
+        return _sim("mp", quick, schedule=schedule, iterations=1, assigner=assigner)
+
+    def wait_ms(result: ParallelRunResult, label: str) -> Dict[str, object]:
+        wait = result.meta.get("mean_task_wait_s")
+        return {"mean_task_wait_ms": None if wait is None else round(wait * 1e3, 2)}
+
+    rows, runs = sweep({"assignment": schemes}, config, extra=wait_ms)
+    _, polled, interrupt = runs.values()
+    n_wires = quick_circuit("bnrE", quick).n_wires
     checks = {
         # §4.2: "the time spent waiting for a requested task can be large"
         # when the master polls between wires ...
@@ -198,10 +198,10 @@ def run_a3_dynamic_assignment(quick: bool = False) -> Table:
         "interrupts speed up the dynamic run": interrupt.exec_time_s
         < polled.exec_time_s,
         "all schemes route every wire": all(
-            len(r.paths) == circuit.n_wires for r in (static, polled, interrupt)
+            len(r.paths) == n_wires for r in runs.values()
         ),
     }
-    return rows, checks
+    return list(rows.values()), checks
 
 
 @experiment("A4", "Ablation: §5.3.2 hierarchical shared memory (remote refs 10x)")

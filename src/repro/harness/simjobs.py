@@ -1,6 +1,6 @@
 """Per-row simulation jobs: the harness's inner level of parallelism.
 
-The paper's tables (T1-T6, the X/F series, ablations A1, A5 and A8) are
+The paper's tables (T1-T6, the X/F series, ablations A1, A3, A5 and A8) are
 embarrassingly parallel: every row is one independent
 ``run_message_passing`` / ``run_shared_memory`` call.  This module gives
 the experiment drivers a declarative way to say so — build a list of
@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..assign import (
     Assignment,
     CentroidAssigner,
+    DistributedLoop,
     RoundRobinAssigner,
     ThresholdCostAssigner,
 )
@@ -64,13 +65,20 @@ __all__ = [
 ]
 
 
-#: ``SimConfig.assigner`` labels: the Table 4/5 rows, plus A8's centroid policy.
+def _static(assigner, **fields):
+    return lambda circuit, regions: assigner(circuit, regions, **fields).assign()
+
+
+#: ``SimConfig.assigner`` labels, each a ``(circuit, regions)`` function: the
+#: Table 4/5 rows, A8's centroid policy, and A3's §4.2 dynamic distribution
+#: (message passing only: a loop the wire assignment processor hands out).
 ASSIGNERS = {
-    "round robin": RoundRobinAssigner,
-    "TC=30": partial(ThresholdCostAssigner, threshold_cost=30),
-    "TC=1000": partial(ThresholdCostAssigner, threshold_cost=1000),
-    "TC=inf": partial(ThresholdCostAssigner, threshold_cost=math.inf),
-    "centroid TC=1000": partial(CentroidAssigner, threshold_cost=1000),
+    "round robin": _static(RoundRobinAssigner),
+    "TC=30": _static(ThresholdCostAssigner, threshold_cost=30),
+    "TC=1000": _static(ThresholdCostAssigner, threshold_cost=1000),
+    "TC=inf": _static(ThresholdCostAssigner, threshold_cost=math.inf),
+    "centroid TC=1000": _static(CentroidAssigner, threshold_cost=1000),
+    "dynamic": lambda circuit, regions: DistributedLoop(range(circuit.n_wires)),
 }
 
 
@@ -113,6 +121,11 @@ class SimConfig:
         if self.assigner is not None and self.assigner not in ASSIGNERS:
             raise ExperimentError(
                 f"unknown assigner {self.assigner!r} (known: {', '.join(ASSIGNERS)})"
+            )
+        if self.kind == "sm" and self.assigner == "dynamic":
+            raise ExperimentError(
+                "shared memory already self-schedules from a distributed loop "
+                "by default; leave assigner unset"
             )
         if self.kind == "sm" and self.faults is not None:
             raise ExperimentError(
@@ -189,12 +202,14 @@ def _run_sim_config_in_worker(
     return result, obs.snapshot()
 
 
-def _assignment(config: SimConfig, circuit: Circuit) -> Optional[Assignment]:
+def _assignment(
+    config: SimConfig, circuit: Circuit
+) -> Union[Assignment, DistributedLoop, None]:
     """Resolve ``config.assigner`` on *circuit* (``None``: simulator default)."""
     if config.assigner is None:
         return None
     regions = RegionMap(circuit.n_channels, circuit.n_grids, config.n_procs)
-    return ASSIGNERS[config.assigner](circuit, regions).assign()
+    return ASSIGNERS[config.assigner](circuit, regions)
 
 
 def run_sim_config(config: SimConfig) -> ParallelRunResult:

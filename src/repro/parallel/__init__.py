@@ -7,14 +7,13 @@ simulation (one global cost array, virtual-time multiplexing, reference
 traces, cache coherence traffic).
 """
 
-from .dynamic import run_dynamic_assignment
 from .live import (
     KillPlanEntry,
     LiveRunResult,
     run_live_message_passing,
     run_live_shared_memory,
 )
-from .mp_sim import default_assignment, run_message_passing
+from .mp_sim import default_assignment, run_dynamic_assignment, run_message_passing
 from .node import MPNode, NodePhase, NodeServices
 from .results import NodeSummary, ParallelRunResult
 from .sm_sim import DEFAULT_LINE_SIZE, run_shared_memory

@@ -1,18 +1,15 @@
 """The complete message passing LocusRoute simulation (CBS methodology).
 
 :func:`run_message_passing` wires together every substrate: the static
-wire assignment, one :class:`~repro.parallel.node.MPNode` per processor,
-the contention-aware wormhole network, and a ground-truth cost array the
-simulator maintains from commit/rip-up events.
+wire assignment (or, given a :class:`~repro.assign.DistributedLoop`, the
+§4.2 dynamic distribution), one :class:`~repro.parallel.node.MPNode` per
+processor, the contention-aware wormhole network, and the ground-truth
+:class:`~repro.parallel.ledger.GroundTruthLedger` fed from commit/rip-up
+events.
 
-Ground truth vs local views
----------------------------
 Each node routes against its *local view*, which drifts between updates —
-that drift is the entire quality story of the paper.  The simulator
-separately maintains the true global cost array (the exact union of all
-committed paths, updated in event order).  Quality metrics come from the
-truth array: the final circuit height, and the occupancy factor as the sum
-over wires of the true path cost at each wire's *final* commit.
+that drift is the entire quality story of the paper.  Quality metrics come
+from the ledger's truth array, never from a view.
 
 Execution time is the makespan: the latest time any node finished its last
 assigned wire (including the update sends that wire triggered).
@@ -22,18 +19,18 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from ..assign.base import Assignment
+from ..assign.distributed_loop import DistributedLoop
 from ..assign.threshold import ThresholdCostAssigner
 from ..circuits.model import Circuit
-from ..errors import SimulationError
+from ..errors import ProtocolError, SimulationError
 from ..events.sim import Simulator
 from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan
-from ..grid.cost_array import CostArray
+from ..faults.plan import FaultPlan, validate_crashes
 from ..grid.ownership import OwnershipMap
 from ..grid.regions import RegionMap, proc_grid_shape
 from ..netsim.message import Delivery, Message
@@ -41,14 +38,14 @@ from ..netsim.topology import MeshTopology
 from ..obs import telemetry as obs
 from ..netsim.wormhole import WormholeNetwork
 from ..route.path import RoutePath
-from ..route.quality import QualityReport, circuit_height
 from ..updates.packets import UpdatePacket
 from ..updates.schedule import UpdateSchedule
-from .node import MPNode, NodeServices
+from .ledger import GroundTruthLedger
+from .node import TASK_MASTER, MPNode, NodeServices
 from .results import NodeSummary, ParallelRunResult
 from .timing import DEFAULT_COST_MODEL, CostModel
 
-__all__ = ["run_message_passing", "default_assignment"]
+__all__ = ["run_message_passing", "run_dynamic_assignment", "default_assignment"]
 
 #: The static assignment the update-strategy tables use (Table 1/2 runs
 #: share "the same static wire assignment"; ThresholdCost=1000 matches the
@@ -66,7 +63,7 @@ def run_message_passing(
     schedule: UpdateSchedule,
     n_procs: int = 16,
     iterations: int = 3,
-    assignment: Optional[Assignment] = None,
+    assignment: Union[Assignment, DistributedLoop, None] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     track_divergence: bool = False,
     check_invariants: bool = False,
@@ -87,6 +84,14 @@ def run_message_passing(
         Rip-up-and-reroute iterations.
     assignment:
         Static wire assignment; defaults to ThresholdCost=1000 locality.
+        A :class:`~repro.assign.DistributedLoop` over the circuit's wires
+        selects the §4.2 *dynamic* distribution instead (see
+        :mod:`repro.parallel.node`).  Dynamic runs are one iteration (a
+        wire's old path lives only on the node that routed it, which is
+        what pushed the paper to static assignment), sender-initiated
+        only (no lookahead through wires not yet granted) and crash-free;
+        ``meta["mean_task_wait_s"]`` is the mean time a non-master node
+        idled per task request.
     cost_model:
         Simulated per-operation times.
     track_divergence:
@@ -130,40 +135,48 @@ def run_message_passing(
     wall0, cpu0 = time.perf_counter(), time.process_time()
     shape = proc_grid_shape(n_procs)
     regions = RegionMap(circuit.n_channels, circuit.n_grids, n_procs, shape)
-    if assignment is None:
-        assignment = default_assignment(circuit, regions)
-    if assignment.n_procs != n_procs or assignment.n_wires != circuit.n_wires:
-        raise SimulationError("assignment does not match circuit / processor count")
-
     crash_plan = tuple(faults.node_crashes) if faults is not None else ()
+    task_loop = assignment if isinstance(assignment, DistributedLoop) else None
+    if task_loop is not None:
+        if task_loop.remaining != circuit.n_wires or iterations != 1:
+            raise SimulationError(
+                "dynamic distribution routes one iteration of a loop over "
+                "every wire of the circuit"
+            )
+        if schedule.has_receiver_initiated:
+            raise ProtocolError(
+                "dynamic assignment cannot look ahead: receiver-initiated "
+                "schedules are not supported"
+            )
+        if crash_plan:
+            raise SimulationError(
+                "dynamic distribution cannot recover from crashes: orphan "
+                "adoption presumes static wire responsibility"
+            )
+        per_proc: List[List[int]] = [[] for _ in range(n_procs)]
+        mode = "interrupt" if schedule.interrupt_reception else "polled"
+        method = f"dynamic ({mode})"
+    else:
+        if assignment is None:
+            assignment = default_assignment(circuit, regions)
+        if assignment.n_procs != n_procs or assignment.n_wires != circuit.n_wires:
+            raise SimulationError("assignment does not match circuit / processor count")
+        per_proc = assignment.per_proc_lists()
+        method = assignment.method
+
     if crash_plan:
         if faults.recovery is None:
             raise SimulationError(
                 "node crashes need a RecoveryPolicy (failure detection rides "
                 "on the staleness watchdog)"
             )
-        bad = [c.proc for c in crash_plan if not (0 <= c.proc < n_procs)]
-        if bad:
-            raise SimulationError(f"crash plan names unknown processors {bad}")
-        if len(crash_plan) >= n_procs:
-            raise SimulationError("at least one processor must survive the crash plan")
+        validate_crashes(crash_plan, n_procs)
 
     sim = Simulator()
     nodes: List[MPNode] = []
-
-    monitor = None
+    ledger = GroundTruthLedger(circuit, "message_passing", check_invariants)
+    truth, final_paths, report = ledger.truth, ledger.paths, ledger.report
     net_monitor = None
-    report = None
-    if check_invariants:
-        # Imported lazily: repro.verify's oracle imports this module.
-        from ..verify.invariants import (
-            PROBE_INTERVAL,
-            CostConservationMonitor,
-            NetworkInvariantMonitor,
-        )
-        from ..verify.violations import VerificationReport
-
-        report = VerificationReport()
 
     def on_deliver(delivery: Delivery) -> None:
         if net_monitor is not None:
@@ -190,13 +203,10 @@ def run_message_passing(
         faults=injector,
     )
 
-    # Ground truth state, maintained in event order.
-    truth = CostArray(circuit.n_channels, circuit.n_grids)
-    final_paths: Dict[int, RoutePath] = {}
-    wire_prices: Dict[int, int] = {}
-
     if report is not None:
-        monitor = CostConservationMonitor(report, truth, engine="message_passing")
+        # Imported lazily: repro.verify's oracle imports this module.
+        from ..verify.invariants import PROBE_INTERVAL, NetworkInvariantMonitor
+
         net_monitor = NetworkInvariantMonitor(report, network)
         sim.add_probe(net_monitor.probe, PROBE_INTERVAL)
 
@@ -215,29 +225,12 @@ def run_message_passing(
         )
         sim.at(inject_time, lambda m=message, t=inject_time: network.send(m, t))
 
-    #: wires ripped up but not yet recommitted — mid-flight at a crash,
-    #: these must be adopted even though final_paths still lists them.
-    ripped_pending: set = set()
-
-    def on_ripup(proc: int, wire_idx: int, path: RoutePath, time: float) -> None:
-        truth.remove_path(path.flat_cells, strict=True)
-        ripped_pending.add(wire_idx)
-        if monitor is not None:
-            monitor.on_ripup(wire_idx, path, time)
-
     divergence_sum = np.zeros(n_procs, dtype=np.float64)
     divergence_max = np.zeros(n_procs, dtype=np.float64)
     divergence_n = np.zeros(n_procs, dtype=np.int64)
 
     def on_commit(proc: int, wire_idx: int, path: RoutePath, time: float) -> None:
-        # Price the path against reality *before* adding the wire itself:
-        # "the cost of the wire's path at the time it was chosen" (§3).
-        wire_prices[wire_idx] = truth.path_cost(path.flat_cells)
-        truth.apply_path(path.flat_cells)
-        final_paths[wire_idx] = path
-        ripped_pending.discard(wire_idx)
-        if monitor is not None:
-            monitor.on_commit(wire_idx, path, time)
+        ledger.commit(proc, wire_idx, path, time)
         if track_divergence:
             # Decision-relevant staleness: the error of the node's view
             # over the cells of the route it just chose (both view and
@@ -275,7 +268,7 @@ def run_message_passing(
 
         Idempotent across multiple declarers.  Orphans are the wires the
         dead node was responsible for that are not durably routed: never
-        committed, or ripped up mid-flight (``ripped_pending``).  Each is
+        committed, or ripped up mid-flight (no standing path).  Each is
         deterministically assigned via the hash ring; a chosen adopter
         that is itself crashed-but-unconfirmed simply keeps the wires on
         its ledger until its own death re-orphans them.
@@ -290,8 +283,7 @@ def run_message_passing(
         orphans = [
             w
             for w in range(circuit.n_wires)
-            if responsible[w] == dead
-            and (w not in final_paths or w in ripped_pending)
+            if responsible[w] == dead and ledger.standing(w) is None
         ]
         by_adopter: Dict[int, List[int]] = {}
         for w in orphans:
@@ -324,8 +316,7 @@ def run_message_passing(
         # a crashed node may have removed a wire from the truth array
         # right before dying, leaving a stale final_paths entry that only
         # adoption can repair — keep auditing until it has been.
-        complete = len(final_paths) >= circuit.n_wires and not ripped_pending
-        if not unconfirmed or complete:
+        if not unconfirmed or ledger.complete:
             audit_active[0] = False
             return
         live = [
@@ -351,14 +342,13 @@ def run_message_passing(
     services = NodeServices(
         send_packet=send_packet,
         schedule=lambda t, action: sim.at(t, action),
-        on_ripup=on_ripup,
+        on_ripup=lambda proc, wire_idx, path, time: ledger.ripup(wire_idx, time),
         on_commit=on_commit,
         on_finished=on_finished,
         cancel=sim.cancel,
         on_node_dead=on_node_dead if crash_plan else (lambda r, d, t: None),
     )
 
-    per_proc = assignment.per_proc_lists()
     for proc in range(n_procs):
         node = MPNode(
             proc=proc,
@@ -372,6 +362,7 @@ def run_message_passing(
             recovery=faults.recovery if faults is not None else None,
             ownership=OwnershipMap(regions, seed=faults.seed) if crash_plan else None,
             fault_seed=faults.seed if faults is not None else 0,
+            task_loop=task_loop,
         )
         nodes.append(node)
     for node in nodes:
@@ -385,22 +376,14 @@ def run_message_passing(
             f"simulation drained with unfinished nodes {unfinished} "
             "(protocol deadlock — outstanding responses never arrived)"
         )
-    if len(final_paths) != circuit.n_wires:
-        raise SimulationError("not every wire was routed")
-    if ripped_pending:
-        raise SimulationError(
-            f"wires {sorted(ripped_pending)} were ripped up but never "
-            "rerouted (their rip-up survived a crash; adoption failed)"
-        )
-
     exec_time = max(
         (n.finish_time_s for n in nodes if not math.isnan(n.finish_time_s)),
         default=0.0,
     )
+    quality = ledger.close(exec_time)
     if report is not None:
         from ..verify.invariants import check_replica_convergence
 
-        monitor.at_end(final_paths, exec_time)
         net_monitor.at_end(sim.now)
         if injector is not None and (injector.stats.lossy or crash_plan):
             # Dropped / duplicated packets lose or double-count deltas —
@@ -418,11 +401,6 @@ def run_message_passing(
             check_ownership_totality(
                 report, nodes, regions, confirmed_dead, sim.now
             )
-    quality = QualityReport(
-        circuit_height=circuit_height(truth),
-        occupancy_factor=int(sum(wire_prices.values())),
-        total_wire_cells=truth.total_occupancy(),
-    )
     summaries = [
         NodeSummary(
             proc=n.proc,
@@ -440,11 +418,17 @@ def run_message_passing(
     ]
     meta = {
         "schedule": schedule.describe(),
-        "assignment": assignment.method,
+        "assignment": method,
         "n_procs": n_procs,
         "iterations": iterations,
         "circuit": circuit.name,
     }
+    if task_loop is not None:
+        # Every wire a non-master node routed cost it one request, plus the
+        # final one answered "none left"; the master asks itself instantly.
+        idle = [n for n in nodes if n.proc != TASK_MASTER]
+        waits = [n.blocked_time_s / (n.qi + 1) for n in idle]
+        meta["mean_task_wait_s"] = float(np.mean(waits)) if waits else 0.0
     if track_divergence and divergence_n.sum() > 0:
         per_proc = np.divide(
             divergence_sum,
@@ -488,12 +472,7 @@ def run_message_passing(
                 "regions_reassigned": sum(n.regions_adopted for n in nodes),
                 "wires_adopted": sum(n.wires_adopted for n in nodes),
             }
-    if report is not None:
-        from ..verify.violations import RunVerification
-
-        meta["verification"] = report.as_dict()
-        meta["verification_report"] = RunVerification(report, monitor.commit_times)
-        report.flush_telemetry()
+    meta.update(ledger.verification_meta())
     obs.record_span(
         "sim.mp", time.perf_counter() - wall0, time.process_time() - cpu0
     )
@@ -514,9 +493,22 @@ def run_message_passing(
         quality=quality,
         exec_time_s=exec_time,
         paths=final_paths,
-        wire_router=np.array(assignment.owner, copy=True),
+        wire_router=ledger.wire_router,
         node_summaries=summaries,
         truth=truth,
         network=network.stats,
         meta=meta,
+    )
+
+
+def run_dynamic_assignment(
+    circuit: Circuit,
+    schedule: Optional[UpdateSchedule] = None,
+    n_procs: int = 16,
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+) -> ParallelRunResult:
+    """One routing iteration under the §4.2 dynamic distribution (ablation A3)."""
+    loop = DistributedLoop(range(circuit.n_wires))
+    return run_message_passing(
+        circuit, schedule or UpdateSchedule(), n_procs, 1, loop, cost_model
     )

@@ -23,6 +23,15 @@ every routing iteration):
 Nodes remain responsive after finishing their own wires: an owner must
 keep answering ReqRmtData/ReqLocData for peers that are still routing.
 
+**Dynamic distribution** (§4.2, discussed and rejected by the paper) is a
+second *wire source* of the same node: given a ``task_loop`` the queue
+starts empty and a node out of wires sends the wire assignment processor
+:data:`TASK_MASTER` (which routes too, drawing its own wires from the loop
+without network traffic) a header-only TaskRequest, idling as blocked time
+until the TaskGrant queues one more wire or says none are left.  The
+master answers like any request packet: between wires, or at arrival
+under interrupt-driven reception.
+
 Timing: the node carries its own local clock, advanced by the
 :class:`~repro.parallel.timing.CostModel` for every operation; the event
 kernel fires the node's activations at those local times, so virtual time
@@ -38,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..assign.distributed_loop import DistributedLoop
 from ..circuits.model import Circuit
 from ..errors import ProtocolError
 from ..faults.plan import RecoveryPolicy
@@ -69,7 +79,10 @@ from ..updates.structures import PacketStructure, wire_based_bytes
 from ..updates.types import UpdateKind, is_request
 from .timing import CostModel
 
-__all__ = ["MPNode", "NodeServices", "NodePhase"]
+__all__ = ["MPNode", "NodeServices", "NodePhase", "TASK_MASTER"]
+
+#: The §4.2 wire assignment processor (it also routes, as in the paper).
+TASK_MASTER = 0
 
 
 class NodePhase:
@@ -77,7 +90,7 @@ class NodePhase:
 
     READY = "ready"  #: activation scheduled or running
     BUSY = "busy"  #: routing a wire; commit event pending
-    WAITING = "waiting"  #: blocked on outstanding responses
+    WAITING = "waiting"  #: blocked on outstanding responses or a task grant
     DONE = "done"  #: all assigned wires routed (still answers requests)
 
 
@@ -144,6 +157,7 @@ class MPNode:
         recovery: Optional[RecoveryPolicy] = None,
         ownership: Optional[OwnershipMap] = None,
         fault_seed: int = 0,
+        task_loop: Optional[DistributedLoop] = None,
     ) -> None:
         self.proc = proc
         self.circuit = circuit
@@ -159,15 +173,22 @@ class MPNode:
 
         #: assigned wires, repeated once per iteration in the same order
         self.queue: List[int] = [w for _ in range(iterations) for w in wires]
-        self._wires_per_iteration = max(1, len(wires))
+        self._wires_per_iteration = max(
+            1, len(wires) if task_loop is None else circuit.n_wires
+        )
         self.qi = 0
+        #: dynamic wire source: every node of the run holds the loop, only
+        #: TASK_MASTER draws from it; grants append to ``queue`` one wire at
+        #: a time until the master reports the loop empty.
+        self._task_loop = task_loop
+        self._tasks_open = task_loop is not None
+        self._awaiting_grant = False
         self._lookahead_pos = 0
 
         self.clock = 0.0
         self.phase = NodePhase.READY
         self.work = WorkCounter()
         self.paths: Dict[int, RoutePath] = {}
-        self.wire_prices: Dict[int, int] = {}
 
         self._inbox: List[Tuple[float, int, UpdatePacket]] = []
         self._inbox_seq = itertools.count()
@@ -240,6 +261,7 @@ class MPNode:
         self.messages_sent = 0
         self.messages_received = 0
         self.blocked_time_s = 0.0
+        self._block_start: Optional[float] = None
         self.finish_time_s = math.nan
         self._total_area = circuit.n_channels * circuit.n_grids
 
@@ -263,7 +285,7 @@ class MPNode:
         self.messages_received += 1
         if (
             self.schedule.interrupt_reception
-            and is_request(packet.kind)
+            and (is_request(packet.kind) or packet.kind is UpdateKind.TASK_REQUEST)
             and self.phase == NodePhase.BUSY
             and self._pending_wire is not None
         ):
@@ -294,7 +316,7 @@ class MPNode:
     @property
     def is_done(self) -> bool:
         """True once every assigned wire (every iteration) is routed."""
-        return self.qi >= len(self.queue)
+        return self.qi >= len(self.queue) and not self._tasks_open
 
     def crash(self, t: float) -> None:
         """Fail-stop at time *t*: no more routing, sends, or replies.
@@ -347,7 +369,6 @@ class MPNode:
         # An activation scheduled by a delivery may be later than the local
         # clock; the gap is idle time the node simply waits through.
         self.clock = max(self.clock, event_time)
-        was_waiting = self.phase == NodePhase.WAITING
         self.phase = NodePhase.READY
         self._drain_inbox()
 
@@ -358,17 +379,24 @@ class MPNode:
         self._issue_lookahead_requests()
 
         if self.schedule.blocking and self.outstanding_responses > 0:
-            # Idle until responses arrive; deliveries re-activate us.  Any
-            # time spent here counts as blocked time once we resume.
-            self.phase = NodePhase.WAITING
-            if not was_waiting:
-                self._block_start = self.clock
+            self._wait()
             return
-        if was_waiting and hasattr(self, "_block_start"):
-            self.blocked_time_s += max(0.0, self.clock - self._block_start)
-            del self._block_start
-
+        if self.qi >= len(self.queue) and not self._next_task():
+            return
+        self._resume()
         self._start_wire()
+
+    def _wait(self) -> None:
+        """Idle until a delivery (responses, a task grant) re-activates us;
+        the time spent here counts as blocked time once we resume."""
+        self.phase = NodePhase.WAITING
+        if self._block_start is None:
+            self._block_start = self.clock
+
+    def _resume(self) -> None:
+        if self._block_start is not None:
+            self.blocked_time_s += max(0.0, self.clock - self._block_start)
+            self._block_start = None
 
     def _drain_inbox(self) -> None:
         """Process every packet that has arrived by the local clock.
@@ -442,14 +470,52 @@ class MPNode:
         self._push_scheduled_updates()
 
         if self.is_done:
-            self.finish_time_s = self.clock
-            self.phase = NodePhase.DONE
-            self.services.on_finished(self.proc, self.clock)
+            self._finish()
             # One final drain keeps the inbox from sitting on requests that
             # arrived while we routed our last wire.
             self._drain_inbox()
             return
         self._schedule_activation(self.clock)
+
+    def _finish(self) -> None:
+        self.finish_time_s = self.clock
+        self.phase = NodePhase.DONE
+        self.services.on_finished(self.proc, self.clock)
+
+    # ------------------------------------------------------------------
+    # dynamic wire source (§4.2)
+    # ------------------------------------------------------------------
+    def _next_task(self) -> bool:
+        """Out of queued wires under a dynamic source: get the next one.
+
+        The master asks itself without network traffic; every other node
+        sends one TaskRequest and idles until the grant arrives.  Returns
+        True when a wire is queued and ready to route.
+        """
+        if self.proc == TASK_MASTER:
+            return self._take_grant(self._grant())
+        if not self._awaiting_grant:
+            self._awaiting_grant = True
+            request = build_control(
+                UpdateKind.TASK_REQUEST, self.proc, TASK_MASTER, self.proc
+            )
+            self._emit(request, payload_cells=0)
+        self._wait()
+        return False
+
+    def _grant(self) -> int:
+        """Master side: the loop's next wire, or -1 once it is empty."""
+        wire = self._task_loop.next_wire()
+        return -1 if wire is None else wire
+
+    def _take_grant(self, wire: int) -> bool:
+        """Queue a granted wire; ``-1`` closes the source and finishes us."""
+        if wire < 0:
+            self._tasks_open = False
+            self._finish()
+            return False
+        self.queue.append(wire)
+        return True
 
     # ------------------------------------------------------------------
     # receiver-initiated machinery
@@ -954,6 +1020,15 @@ class MPNode:
         elif kind is UpdateKind.DEATH_NOTICE:
             self.death_notices_received += 1
             self._handle_death(packet.region_owner, self.clock)
+        elif kind is UpdateKind.TASK_REQUEST:
+            grant = build_control(
+                UpdateKind.TASK_GRANT, self.proc, packet.src, self._grant()
+            )
+            self._emit(grant, payload_cells=0)
+        elif kind is UpdateKind.TASK_GRANT:
+            self._awaiting_grant = False
+            self._resume()
+            self._take_grant(packet.region_owner)
         else:  # pragma: no cover - exhaustive over UpdateKind
             raise ProtocolError(f"node cannot process packet kind {kind}")
 

@@ -30,14 +30,12 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from ..assign.base import Assignment
 from ..assign.distributed_loop import DistributedLoop
 from ..circuits.model import Circuit
 from ..errors import SimulationError
 from ..events.sim import Simulator
-from ..grid.cost_array import CostArray
+from ..faults.plan import validate_crashes
 from ..grid.regions import RegionMap
 from ..memsim.addressing import AddressMap
 from ..kernels import active_kernels
@@ -48,9 +46,9 @@ from ..memsim.stats import CoherenceStats
 from ..memsim.tango import SharedLayout, TangoCollector
 from ..obs import telemetry as obs
 from ..route.path import RoutePath
-from ..route.quality import QualityReport, circuit_height
 from ..route.twobend import route_wire
 from ..route.workmodel import COMMIT_CELL_UNITS, WorkCounter
+from .ledger import GroundTruthLedger
 from .results import NodeSummary, ParallelRunResult
 from .timing import DEFAULT_COST_MODEL, CostModel
 
@@ -146,13 +144,7 @@ def run_shared_memory(
                 "crash recovery needs the dynamic distributed loop; a static "
                 "assignment cannot re-schedule a dead processor's wires"
             )
-        bad = [c.proc for c in crashes if not (0 <= c.proc < n_procs)]
-        if bad:
-            raise SimulationError(f"crash plan names unknown processors {bad}")
-        if len({c.proc for c in crashes}) != len(crashes):
-            raise SimulationError("crash plan names a processor twice")
-        if len(crashes) >= n_procs:
-            raise SimulationError("at least one processor must survive the crash plan")
+        validate_crashes(crashes, n_procs)
 
     sim = Simulator()
     # Hierarchical (NUMA) timing: references outside a processor's own
@@ -166,20 +158,8 @@ def run_shared_memory(
     )
     layout = SharedLayout(circuit.n_channels, circuit.n_grids, circuit.n_wires)
     tango = TangoCollector(layout, enabled=collect_trace, chunks=trace_chunks)
-    truth = CostArray(circuit.n_channels, circuit.n_grids)
-    paths: Dict[int, RoutePath] = {}
-    wire_prices: Dict[int, int] = {}
-    wire_router = np.zeros(circuit.n_wires, dtype=np.int64)
-
-    monitor = None
-    report = None
-    if check_invariants:
-        # Imported lazily: repro.verify's oracle imports this module.
-        from ..verify.invariants import CostConservationMonitor
-        from ..verify.violations import VerificationReport
-
-        report = VerificationReport()
-        monitor = CostConservationMonitor(report, truth, engine="shared_memory")
+    ledger = GroundTruthLedger(circuit, "shared_memory", check_invariants)
+    truth, report, monitor = ledger.truth, ledger.report, ledger.monitor
 
     clocks = [0.0] * n_procs
     counters = [WorkCounter() for _ in range(n_procs)]
@@ -198,10 +178,6 @@ def run_shared_memory(
     #: flight; a crash between start and commit cancels the commit and
     #: pushes the wire back into the loop.
     inflight: Dict[int, tuple] = {}
-    #: wires ripped out of the truth array whose re-route died with its
-    #: processor — the adopting survivor must skip the (already done)
-    #: rip-up or it would remove the path twice.
-    ripped_pending: set = set()
 
     def live_procs() -> list:
         return [p for p in range(n_procs) if not crashed[p]]
@@ -233,18 +209,13 @@ def run_shared_memory(
         t0 = clocks[proc]
         wire = circuit.wire(wire_idx)
 
-        old = paths.get(wire_idx)
+        # No standing path on a later iteration means the wire's previous
+        # owner ripped it out of the shared array before dying: only the
+        # re-route remains (a second rip-up would remove the path twice).
         ripup_units = 0.0
-        if old is not None and wire_idx in ripped_pending:
-            # The wire's previous owner already ripped this path out of
-            # the shared array before dying; only the re-route remains.
-            old = None
-        if old is not None:
-            truth.remove_path(old.flat_cells, strict=True)
-            ripped_pending.add(wire_idx)
+        if ledger.standing(wire_idx) is not None:
+            old = ledger.ripup(wire_idx, t0)
             tango.record_ripup(t0, proc, wire_idx, old)
-            if monitor is not None:
-                monitor.on_ripup(wire_idx, old, t0)
             ripup_units = COMMIT_CELL_UNITS * old.n_cells
             counters[proc].add_commit(old.n_cells)
 
@@ -271,14 +242,8 @@ def run_shared_memory(
 
     def commit(proc: int, wire_idx: int, path: RoutePath, time: float) -> None:
         inflight.pop(proc, None)
-        wire_prices[wire_idx] = truth.path_cost(path.flat_cells)
-        truth.apply_path(path.flat_cells)
-        ripped_pending.discard(wire_idx)
+        ledger.commit(proc, wire_idx, path, time)
         tango.record_commit(time, proc, wire_idx, path)
-        if monitor is not None:
-            monitor.on_commit(wire_idx, path, time)
-        paths[wire_idx] = path
-        wire_router[wire_idx] = proc
         wires_routed[proc] += 1
         sim.at(time, lambda: proc_step(proc, time))
 
@@ -342,27 +307,13 @@ def run_shared_memory(
 
     if state["iteration"] != iterations:
         raise SimulationError("shared memory run ended before all iterations completed")
-    if len(paths) != circuit.n_wires:
-        raise SimulationError("not every wire was routed")
-    if ripped_pending:
-        raise SimulationError(
-            f"wires {sorted(ripped_pending)} were ripped up but never "
-            "rerouted after a crash"
-        )
     if sum(wires_routed) != circuit.n_wires * iterations:
         raise SimulationError(
             f"routed {sum(wires_routed)} wire instances, expected "
             f"{circuit.n_wires * iterations}"
         )
 
-    if monitor is not None:
-        monitor.at_end(paths, state["finish_time"])
-
-    quality = QualityReport(
-        circuit_height=circuit_height(truth),
-        occupancy_factor=int(sum(wire_prices.values())),
-        total_wire_cells=truth.total_occupancy(),
-    )
+    quality = ledger.close(state["finish_time"])
 
     coherence: Optional[CoherenceStats] = None
     by_line: Dict[int, CoherenceStats] = {}
@@ -433,12 +384,7 @@ def run_shared_memory(
     if keep_trace and collect_trace:
         meta["trace"] = tango.trace
         meta["layout"] = layout
-    if report is not None:
-        from ..verify.violations import RunVerification
-
-        meta["verification"] = report.as_dict()
-        meta["verification_report"] = RunVerification(report, monitor.commit_times)
-        report.flush_telemetry()
+    meta.update(ledger.verification_meta())
     obs.record_span(
         "sim.sm", time.perf_counter() - wall0, time.process_time() - cpu0
     )
@@ -448,8 +394,8 @@ def run_shared_memory(
         paradigm="shared_memory",
         quality=quality,
         exec_time_s=state["finish_time"],
-        paths=paths,
-        wire_router=wire_router,
+        paths=ledger.paths,
+        wire_router=ledger.wire_router,
         node_summaries=summaries,
         truth=truth,
         coherence=coherence,

@@ -58,7 +58,6 @@ __all__ = [
     "segment_cells",
     "route_wire",
     "route_wire_reference",
-    "route_wire_vectorized",
     "MAX_CANDIDATES",
 ]
 
@@ -177,10 +176,6 @@ def route_wire_reference(
         work_cells=work,
         segments=tuple(seg_routes),
     )
-
-
-#: The vectorised kernel under its pre-wave-front name.
-route_wire_vectorized = route_wire_fused
 
 
 def route_wire(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRoute:

@@ -187,12 +187,13 @@ def build_control(
     subject: int,
     req_id: Optional[int] = None,
 ) -> UpdatePacket:
-    """Build a header-only liveness packet (HEARTBEAT / ACK / DEATH_NOTICE).
+    """Build a header-only control packet (liveness or task distribution).
 
-    ``subject`` is the processor the packet is about — the prober for a
-    HEARTBEAT, the responder for an ACK, the confirmed-dead processor for
-    a DEATH_NOTICE — and rides in the header's ``region_owner`` field, so
-    control packets add no payload bytes.
+    ``subject`` is what the packet is about — the prober for a HEARTBEAT,
+    the responder for an ACK, the confirmed-dead processor for a
+    DEATH_NOTICE, the requester for a TASK_REQUEST, the granted wire (or
+    -1) for a TASK_GRANT — and rides in the header's ``region_owner``
+    field, so control packets add no payload bytes.
     """
     if not is_control(kind):
         raise ProtocolError(f"{kind} is not a control kind")

@@ -20,11 +20,20 @@ ReqLocData      receiver (owner)   a request for a remote's deltas in the
 Receiver-initiated requests additionally choose **blocking** (requester
 idles until the response arrives) or **non-blocking** semantics (§4.3.3).
 
-Beyond the paper's four transaction types, three header-only *control*
-kinds support failure detection under crash-fault plans: a suspected
-peer is probed with ``HEARTBEAT``, answers with ``HEARTBEAT_ACK``, and a
-confirmed death is gossiped to every survivor as ``DEATH_NOTICE`` (the
-dead processor id rides in the packet's ``region_owner`` field).
+Beyond the paper's four transaction types there are five header-only
+*control* kinds (the subject rides in the packet's ``region_owner`` field):
+
+==============  =============================================================
+Kind            Meaning
+==============  =============================================================
+Heartbeat       liveness probe to a suspected peer (crash-fault plans)
+HeartbeatAck    the probe's answer: the peer is alive
+DeathNotice     gossip to every survivor: the subject is confirmed dead
+TaskRequest     §4.2 dynamic distribution: an idle processor asks the wire
+                assignment processor for its next wire
+TaskGrant       the answer: the subject is the granted wire index, or -1
+                once every wire has been handed out
+==============  =============================================================
 """
 
 from __future__ import annotations
@@ -52,6 +61,8 @@ class UpdateKind(enum.Enum):
     HEARTBEAT = "Heartbeat"  #: liveness probe to a suspected peer
     HEARTBEAT_ACK = "HeartbeatAck"  #: probe answer (peer is alive)
     DEATH_NOTICE = "DeathNotice"  #: gossip: ``region_owner`` is confirmed dead
+    TASK_REQUEST = "TaskRequest"  #: dynamic distribution: "give me a wire"
+    TASK_GRANT = "TaskGrant"  #: ``region_owner`` is the granted wire, or -1
 
 
 def is_sender_initiated(kind: UpdateKind) -> bool:
@@ -75,9 +86,11 @@ def is_data(kind: UpdateKind) -> bool:
 
 
 def is_control(kind: UpdateKind) -> bool:
-    """True for the header-only liveness/membership packets."""
+    """True for the header-only liveness/membership/task packets."""
     return kind in (
         UpdateKind.HEARTBEAT,
         UpdateKind.HEARTBEAT_ACK,
         UpdateKind.DEATH_NOTICE,
+        UpdateKind.TASK_REQUEST,
+        UpdateKind.TASK_GRANT,
     )

@@ -32,6 +32,7 @@ from repro.faults import (
     NodeStall,
     RecoveryPolicy,
     random_crashes,
+    validate_crashes,
 )
 from repro.grid import HashRing, OwnershipMap, RegionMap
 from repro.harness.cache import jsonify, stable_hash
@@ -256,6 +257,30 @@ class TestMessagePassingCrashRecovery:
             crash_run(
                 FaultPlan(node_crashes=(NodeCrash(proc=99, at_s=0.2),))
             )
+
+    @pytest.mark.parametrize(
+        "procs, message",
+        [
+            ([4], "unknown processors"),
+            ([1, 1], "names a processor twice"),
+            ([0, 1, 2, 3], "at least one processor must survive"),
+        ],
+    )
+    def test_one_validation_for_both_simulators(self, procs, message):
+        crashes = [NodeCrash(proc=p, at_s=0.1) for p in procs]
+        with pytest.raises(SimulationError, match=message):
+            validate_crashes(crashes, 4)
+        with pytest.raises(SimulationError, match=message):
+            run_shared_memory(bnre_like(n_wires=20), n_procs=4, crashes=crashes)
+        if len(set(procs)) == len(procs):  # FaultPlan itself refuses duplicates
+            with pytest.raises(SimulationError, match=message):
+                run_message_passing(
+                    bnre_like(n_wires=20),
+                    UpdateSchedule(),
+                    n_procs=4,
+                    faults=FaultPlan(node_crashes=tuple(crashes)),
+                )
+        validate_crashes([NodeCrash(proc=0, at_s=0.1), NodeCrash(proc=3, at_s=0.1)], 4)
 
     def test_crash_after_completion_is_harmless(self):
         # A crash scheduled far past the finish time never gets confirmed

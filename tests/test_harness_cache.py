@@ -32,7 +32,11 @@ from repro.harness.simjobs import (
     sim_key,
 )
 from repro.obs import telemetry as obs
-from repro.parallel import run_message_passing, run_shared_memory
+from repro.parallel import (
+    run_dynamic_assignment,
+    run_message_passing,
+    run_shared_memory,
+)
 from repro.service.jobs import JobSpec
 from repro.updates import UpdateSchedule
 
@@ -162,7 +166,20 @@ class TestAssigner:
     }
 
     def test_every_label_is_covered(self):
-        assert set(self.LABELS) == set(ASSIGNERS)
+        assert set(self.LABELS) | {"dynamic"} == set(ASSIGNERS)
+
+    def test_dynamic_label_is_the_public_wrapper(self):
+        # A3's rows: the §4.2 dynamic distribution as a plain SimConfig.
+        mp = tiny_mp_config(assigner="dynamic")
+        by_hand = run_dynamic_assignment(
+            bnre_like(n_wires=24), mp.schedule, n_procs=4
+        )
+        swept = run_sim_config(mp)
+        assert swept.table_row() == by_hand.table_row()
+        assert swept.meta == by_hand.meta and "mean_task_wait_s" in swept.meta
+        assert list(swept.wire_router) == list(by_hand.wire_router)
+        with pytest.raises(ExperimentError, match="already self-schedules"):
+            SimConfig(kind="sm", n_wires=24, n_procs=4, assigner="dynamic")
 
     @pytest.mark.parametrize("label", sorted(LABELS))
     def test_label_matches_hand_built_assignment(self, label):

@@ -1,7 +1,7 @@
 """Equivalence tests for the prefix-cached two-bend routing kernel.
 
-Contract: :func:`route_wire_vectorized` (shared, write-invalidated
-prefix tables) is bit-identical to :func:`route_wire_reference` (the
+Contract: :func:`route_wire_fused` (the fused lone-wire evaluator the
+simulators route through) is bit-identical to :func:`route_wire_reference` (the
 per-segment oracle) — same chosen columns, same paths, same costs — for
 every wire, tie break, and any interleaving of cost-array mutations.
 The mutation sequences matter most: they exercise the cache
@@ -19,7 +19,8 @@ from repro.circuits import Pin, Wire
 from repro.grid import BBox, CostArray
 from repro.kernels import active_kernels, set_kernels, use_kernels
 from repro.route import route_wire
-from repro.route.twobend import route_wire_reference, route_wire_vectorized
+from repro.route.twobend import route_wire_reference
+from repro.route.wavefront import route_wire_fused
 
 N_CHANNELS = 8
 N_GRIDS = 24
@@ -62,7 +63,7 @@ class TestSingleWireEquivalence:
         ref = route_wire_reference(
             CostArray(N_CHANNELS, N_GRIDS, data=data.copy()), wire, tie_break
         )
-        vec = route_wire_vectorized(
+        vec = route_wire_fused(
             CostArray(N_CHANNELS, N_GRIDS, data=data.copy()), wire, tie_break
         )
         assert_same_route(ref, vec)
@@ -70,7 +71,7 @@ class TestSingleWireEquivalence:
     def test_routing_does_not_mutate_cost(self):
         cost = CostArray(N_CHANNELS, N_GRIDS)
         before = cost.data.copy()
-        route_wire_vectorized(cost, Wire("w", [Pin(2, 1), Pin(20, 6)]))
+        route_wire_fused(cost, Wire("w", [Pin(2, 1), Pin(20, 6)]))
         assert np.array_equal(cost.data, before)
 
 
@@ -92,7 +93,7 @@ class TestEquivalenceUnderMutation:
                     ref_cost.remove_path(ref_paths[i].flat_cells)
                     vec_cost.remove_path(vec_paths[i].flat_cells)
                 ref = route_wire_reference(ref_cost, wire, tie_break=iteration % 2)
-                vec = route_wire_vectorized(vec_cost, wire, tie_break=iteration % 2)
+                vec = route_wire_fused(vec_cost, wire, tie_break=iteration % 2)
                 assert_same_route(ref, vec)
                 ref_cost.apply_path(ref.path.flat_cells)
                 vec_cost.apply_path(vec.path.flat_cells)
@@ -111,7 +112,7 @@ class TestEquivalenceUnderMutation:
     def test_replace_invalidates_cached_rows(self):
         cost = CostArray(N_CHANNELS, N_GRIDS)
         wire = Wire("w", [Pin(1, 0), Pin(22, 7)])
-        route_wire_vectorized(cost, wire)  # warm the prefix cache
+        route_wire_fused(cost, wire)  # warm the prefix cache
         box = BBox(0, 0, N_CHANNELS - 1, N_GRIDS - 1)
         values = np.arange(N_CHANNELS * N_GRIDS, dtype=np.int64).reshape(
             N_CHANNELS, N_GRIDS
@@ -119,7 +120,7 @@ class TestEquivalenceUnderMutation:
         cost.replace(box, values)
         fresh = CostArray(N_CHANNELS, N_GRIDS, data=values.copy())
         assert_same_route(
-            route_wire_reference(fresh, wire), route_wire_vectorized(cost, wire)
+            route_wire_reference(fresh, wire), route_wire_fused(cost, wire)
         )
 
     def test_row_prefix_matches_recompute_after_mutations(self):
