@@ -48,7 +48,7 @@ class CostArray:
         Optional initial contents (copied); must match the dimensions.
     """
 
-    __slots__ = ("n_channels", "n_grids", "_data")
+    __slots__ = ("n_channels", "n_grids", "_data", "_flat")
 
     def __init__(
         self,
@@ -67,7 +67,10 @@ class CostArray:
                 raise GridError(
                     f"data shape {data.shape} != ({n_channels}, {n_grids})"
                 )
-            self._data = np.array(data, dtype=np.int32, copy=True)
+            self._data = np.array(data, dtype=np.int32, copy=True, order="C")
+        # The path operations index flat cells; the 1-D view of the
+        # (C-contiguous) backing array is taken once, not per call.
+        self._flat = self._data.reshape(-1)
 
     # ------------------------------------------------------------------
     # basic access
@@ -112,7 +115,19 @@ class CostArray:
         self.n_channels = n_channels
         self.n_grids = n_grids
         self._data = data
+        self._flat = data.reshape(-1)
         return self
+
+    def __getstate__(self) -> Tuple[np.ndarray]:
+        return (self._data,)
+
+    def __setstate__(self, state: Tuple[np.ndarray]) -> None:
+        # ``_flat`` must stay a view of ``_data``: pickling both slots
+        # would bring back two unrelated arrays.
+        (data,) = state
+        self.n_channels, self.n_grids = data.shape
+        self._data = data
+        self._flat = data.reshape(-1)
 
     def __getitem__(self, key):  # noqa: ANN001 - numpy fancy indexing passthrough
         return self._data[key]
@@ -138,8 +153,7 @@ class CostArray:
         """
         if flat_cells.size == 0:
             return
-        flat = self._data.reshape(-1)
-        flat[flat_cells] += delta
+        self._flat[flat_cells] += delta
 
     def remove_path(
         self, flat_cells: np.ndarray, delta: int = 1, strict: bool = True
@@ -154,8 +168,8 @@ class CostArray:
         """
         if flat_cells.size == 0:
             return
-        flat = self._data.reshape(-1)
-        if strict and np.any(flat[flat_cells] < delta):
+        flat = self._flat
+        if strict and (flat[flat_cells] < delta).any():
             raise GridError("rip-up would drive a cost array entry negative")
         flat[flat_cells] -= delta
 
@@ -163,7 +177,7 @@ class CostArray:
         """Sum of entries over a set of cells (the path's routing cost)."""
         if flat_cells.size == 0:
             return 0
-        return int(self._data.reshape(-1)[flat_cells].sum())
+        return int(self._flat[flat_cells].sum())
 
     # ------------------------------------------------------------------
     # candidate evaluation helpers (vectorised two-bend router)

@@ -29,11 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["DeltaArray"]
 
+_NO_CELLS = np.empty(0, dtype=np.int64)
+
 
 class DeltaArray:
     """Signed change counts with the same shape as the cost array."""
 
-    __slots__ = ("n_channels", "n_grids", "_data", "_touched")
+    __slots__ = ("n_channels", "n_grids", "_data", "_flat", "_touched", "_n_touched")
 
     def __init__(self, n_channels: int, n_grids: int) -> None:
         if n_channels < 1 or n_grids < 1:
@@ -41,11 +43,25 @@ class DeltaArray:
         self.n_channels = n_channels
         self.n_grids = n_grids
         self._data = np.zeros((n_channels, n_grids), dtype=np.int32)
+        self._flat = self._data.reshape(-1)
         # Flat indices of cells written since the last owner scan.  Every
         # nonzero cell is in here (writes append; clears only zero cells,
         # and zeroed entries are filtered out at scan time), which lets
         # :meth:`dirty_bboxes_by_owner` avoid a full-grid nonzero sweep.
+        # Schedules that never push never scan, so a log that outgrows
+        # the grid compacts itself (:meth:`_log`).
         self._touched: List[np.ndarray] = []
+        self._n_touched = 0
+
+    def __getstate__(self) -> Tuple[np.ndarray, List[np.ndarray]]:
+        return (self._data, self._touched)
+
+    def __setstate__(self, state: Tuple[np.ndarray, List[np.ndarray]]) -> None:
+        # ``_flat`` must stay a view of ``_data`` (see CostArray).
+        self._data, self._touched = state
+        self.n_channels, self.n_grids = self._data.shape
+        self._flat = self._data.reshape(-1)
+        self._n_touched = sum(cells.size for cells in self._touched)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -66,8 +82,36 @@ class DeltaArray:
         """
         if flat_cells.size == 0:
             return
-        self._data.reshape(-1)[flat_cells] += delta
+        self._flat[flat_cells] += delta
+        self._log(flat_cells)
+
+    def _log(self, flat_cells: np.ndarray) -> None:
+        """Append written cells to the log; compact it past twice the grid."""
         self._touched.append(flat_cells)
+        self._n_touched += flat_cells.size
+        if self._n_touched > 2 * self._flat.size:
+            self._live_cells()
+
+    def _live_cells(self) -> np.ndarray:
+        """The nonzero cells, ascending; they replace the write log."""
+        touched = self._touched
+        if not touched:
+            return _NO_CELLS
+        cand = touched[0] if len(touched) == 1 else np.concatenate(touched)
+        cand = np.sort(cand)
+        if cand.size > 1:
+            # Consecutive-duplicate mask: cheaper than np.unique and the
+            # input is a concatenation of already-sorted runs.
+            keep = np.empty(cand.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(cand[1:], cand[:-1], out=keep[1:])
+            cand = cand[keep]
+        live = cand[self._flat[cand] != 0]
+        # The live set is exactly the nonzero cells, so the tracking
+        # invariant holds for the next scan.
+        self._touched = [live] if live.size else []
+        self._n_touched = live.size
+        return live
 
     def region_dirty_bbox(self, region: BBox) -> Optional[BBox]:
         """Bounding box of nonzero deltas *inside* ``region``.
@@ -101,50 +145,41 @@ class DeltaArray:
         regions are clean.  Clean regions are simply absent from the
         returned dict.
         """
-        touched = self._touched
-        if not touched:
-            return {}
-        cand = touched[0] if len(touched) == 1 else np.concatenate(touched)
-        cand = np.sort(cand)
-        if cand.size > 1:
-            # Consecutive-duplicate mask: cheaper than np.unique and the
-            # input is a concatenation of already-sorted runs.
-            keep = np.empty(cand.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(cand[1:], cand[:-1], out=keep[1:])
-            cand = cand[keep]
-        live = cand[self._data.reshape(-1)[cand] != 0]
-        # The live set replaces the write log: it is exactly the nonzero
-        # cells, so the tracking invariant holds for the next scan.
-        self._touched = [live] if live.size else []
+        live = self._live_cells()
         if live.size == 0:
             return {}
-        # np.unique sorts ascending flat indices == row-major scan order,
-        # matching what np.nonzero over the full grid would yield.
-        cc, xx = np.divmod(live, self.n_grids)
-        owners = regions.owners_of_cells(cc, xx)
+        # Ascending flat indices == row-major scan order, matching what
+        # np.nonzero over the full grid would yield.
+        n_grids = self.n_grids
+        owners = regions.cell_owner[live]
+        xx = live % n_grids
         first = int(owners[0])
-        if owners[-1] == first and np.all(owners == first):
+        if owners[-1] == first and (owners == first).all():
             # Single dirty region — the common case for a locally routed
-            # wire; nonzero order is row-major, so channels are sorted.
+            # wire; row-major order, so the channels are sorted.
             return {
-                first: BBox(int(cc[0]), int(xx.min()), int(cc[-1]), int(xx.max()))
+                first: BBox(
+                    int(live[0]) // n_grids, int(xx.min()),
+                    int(live[-1]) // n_grids, int(xx.max()),
+                )
             }
         order = np.argsort(owners, kind="stable")
         owners_s = owners[order]
-        cc_s = cc[order]
+        starts = np.flatnonzero(owners_s[1:] != owners_s[:-1]) + 1
+        starts = np.concatenate(([0], starts))
+        # Row-major order survives the stable sort, so within each owner
+        # group the channels stay sorted; only x needs a group min/max.
+        live_s = live[order]
         xx_s = xx[order]
-        uniq, starts = np.unique(owners_s, return_index=True)
-        # np.nonzero walks row-major, so within each owner group the
-        # channel coordinates stay sorted; only x needs a group min/max.
-        x_lo = np.minimum.reduceat(xx_s, starts)
-        x_hi = np.maximum.reduceat(xx_s, starts)
-        ends = np.append(starts[1:], owners_s.size) - 1
+        c_lo = (live_s[starts] // n_grids).tolist()
+        c_hi = (live_s[np.append(starts[1:], live_s.size) - 1] // n_grids).tolist()
+        x_lo = np.minimum.reduceat(xx_s, starts).tolist()
+        x_hi = np.maximum.reduceat(xx_s, starts).tolist()
         return {
-            int(owner): BBox(
-                int(cc_s[s]), int(x_lo[k]), int(cc_s[e]), int(x_hi[k])
+            owner: BBox(a, b, c, d)
+            for owner, a, b, c, d in zip(
+                owners_s[starts].tolist(), c_lo, x_lo, c_hi, x_hi
             )
-            for k, (owner, s, e) in enumerate(zip(uniq, starts, ends))
         }
 
     def accumulate(self, box: BBox, deltas: np.ndarray) -> None:
@@ -166,7 +201,7 @@ class DeltaArray:
         self._data[rows, cols] += deltas
         dc, dx = np.nonzero(deltas)
         if dc.size:
-            self._touched.append((dc + box.c_lo) * self.n_grids + (dx + box.x_lo))
+            self._log((dc + box.c_lo) * self.n_grids + (dx + box.x_lo))
 
     def extract(self, box: BBox) -> np.ndarray:
         """Copy the delta values of a bbox (payload of SendRmtData)."""

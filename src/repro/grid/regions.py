@@ -18,7 +18,7 @@ owned region.  :class:`RegionMap` provides:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -115,10 +115,7 @@ class RegionMap:
             )
             for p in range(n_procs)
         ]
-        # regions_touched memo: wires keep the same bbox across rip-up /
-        # reroute iterations, so the MP nodes ask for the same few boxes
-        # over and over.  Bounded by the number of distinct wire bboxes.
-        self._touched_cache: dict = {}
+        self._cell_owner: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # processor <-> mesh coordinates
@@ -184,29 +181,41 @@ class RegionMap:
             self._channel_band[cells_c] * self.p_cols + self._grid_band[cells_x]
         ).astype(np.int64, copy=False)
 
-    def regions_touched(self, box: BBox) -> List[int]:
-        """All processors whose owned region intersects *box*.
+    @property
+    def cell_owner(self) -> np.ndarray:
+        """Owner of every cell, indexed by flat cell (``c * n_grids + x``).
+
+        ``cell_owner[flat]`` equals :meth:`owners_of_cells` of the decoded
+        coordinates in one gather; built on first use (only the message
+        passing update push reads it) and read-only.
+        """
+        table = self._cell_owner
+        if table is None:
+            table = np.add.outer(
+                self._channel_band * self.p_cols, self._grid_band
+            ).reshape(-1)
+            table.flags.writeable = False
+            self._cell_owner = table
+        return table
+
+    def regions_touched(self, box: BBox) -> Tuple[int, ...]:
+        """All processors whose owned region intersects *box*, ascending.
 
         ReqRmtData uses this: "for each wire, a processor determines which
         regions contain the wire" (§4.3.3) — the wire's bounding box is
         intersected with the region grid.
         """
-        cached = self._touched_cache.get(box)
-        if cached is not None:
-            return cached
         if box.c_hi >= self.n_channels or box.x_hi >= self.n_grids:
             raise GridError(f"bbox {box} exceeds grid")
         band_lo = int(self._channel_band[box.c_lo])
         band_hi = int(self._channel_band[box.c_hi])
         col_lo = int(self._grid_band[box.x_lo])
         col_hi = int(self._grid_band[box.x_hi])
-        touched = [
-            self.proc_at(r, c)
+        return tuple(
+            r * self.p_cols + c
             for r in range(band_lo, band_hi + 1)
             for c in range(col_lo, col_hi + 1)
-        ]
-        self._touched_cache[box] = touched
-        return touched
+        )
 
     def _check_proc(self, proc: int) -> None:
         if not (0 <= proc < self.n_procs):

@@ -8,7 +8,6 @@ semantics live entirely in :mod:`repro.updates` / :mod:`repro.parallel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ..errors import NetworkError
@@ -16,7 +15,6 @@ from ..errors import NetworkError
 __all__ = ["Message", "Delivery"]
 
 
-@dataclass(frozen=True)
 class Message:
     """A packet to be carried by the network.
 
@@ -27,19 +25,28 @@ class Message:
     Self-addressed messages (``src == dst``) are legal: retry and
     re-request paths can legitimately produce them, and the network
     loops them back locally (two ProcessTime copies, no link occupancy).
+
+    Built once per packet and never changed (treat it as immutable); a
+    plain ``__slots__`` class because one is made per simulated packet.
     """
 
-    src: int
-    dst: int
-    length_bytes: int
-    payload: Any
+    __slots__ = ("src", "dst", "length_bytes", "payload")
 
-    def __post_init__(self) -> None:
-        if self.length_bytes <= 0:
-            raise NetworkError(f"message length must be positive, got {self.length_bytes}")
+    def __init__(self, src: int, dst: int, length_bytes: int, payload: Any) -> None:
+        if length_bytes <= 0:
+            raise NetworkError(f"message length must be positive, got {length_bytes}")
+        self.src = src
+        self.dst = dst
+        self.length_bytes = length_bytes
+        self.payload = payload
+
+    def __repr__(self) -> str:
+        return (
+            f"Message({self.src}->{self.dst}, {self.length_bytes} bytes, "
+            f"payload={self.payload!r})"
+        )
 
 
-@dataclass(frozen=True)
 class Delivery:
     """A completed transfer: the message plus its timing.
 
@@ -48,12 +55,23 @@ class Delivery:
     ``hops`` is the dimension-order route length.
     """
 
-    message: Message
-    inject_time: float
-    arrive_time: float
-    hops: int
+    __slots__ = ("message", "inject_time", "arrive_time", "hops")
+
+    def __init__(
+        self, message: Message, inject_time: float, arrive_time: float, hops: int
+    ) -> None:
+        self.message = message
+        self.inject_time = inject_time
+        self.arrive_time = arrive_time
+        self.hops = hops
 
     @property
     def latency(self) -> float:
         """End-to-end network latency in seconds."""
         return self.arrive_time - self.inject_time
+
+    def __repr__(self) -> str:
+        return (
+            f"Delivery({self.message!r}, inject={self.inject_time}, "
+            f"arrive={self.arrive_time}, hops={self.hops})"
+        )

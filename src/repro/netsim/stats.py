@@ -44,7 +44,7 @@ class NetworkStats:
         self.max_latency_s = max(self.max_latency_s, delivery.latency)
         kind = getattr(msg.payload, "kind", None)
         if kind is not None:
-            key = getattr(kind, "name", str(kind))
+            key = getattr(kind, "name", None) or str(kind)
             self.bytes_by_kind[key] += msg.length_bytes
             self.messages_by_kind[key] += 1
 

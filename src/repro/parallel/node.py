@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +78,7 @@ from ..updates.schedule import UpdateSchedule
 from ..updates.structures import PacketStructure, wire_based_bytes
 from ..updates.types import UpdateKind, is_request
 from .timing import CostModel
+from .wire_regions import wire_region_table
 
 __all__ = ["MPNode", "NodeServices", "NodePhase", "TASK_MASTER"]
 
@@ -169,7 +170,8 @@ class MPNode:
         self.view = CostArray(circuit.n_channels, circuit.n_grids)
         self.delta = DeltaArray(circuit.n_channels, circuit.n_grids)
         self.own_region: BBox = regions.region(proc)
-        self.neighbors: List[int] = regions.neighbors(proc)
+        #: per-wire segment counts and region overlaps, shared by the run
+        self._wire_regions = wire_region_table(circuit, regions)
 
         #: assigned wires, repeated once per iteration in the same order
         self.queue: List[int] = [w for _ in range(iterations) for w in wires]
@@ -253,7 +255,8 @@ class MPNode:
         # change-count bookkeeping for the wire-based packet encoding
         # (§4.3.1): (changed wires, changed segments) since the last send,
         # tracked separately for the own region (SendLocData) and for each
-        # remote region (SendRmtData).
+        # remote region (SendRmtData).  Only that encoding reads them.
+        self._wire_based = schedule.packet_structure is PacketStructure.WIRE_BASED
         self._chg_loc = [0, 0]
         self._chg_rmt: Dict[int, List[int]] = {}
 
@@ -263,7 +266,7 @@ class MPNode:
         self.blocked_time_s = 0.0
         self._block_start: Optional[float] = None
         self.finish_time_s = math.nan
-        self._total_area = circuit.n_channels * circuit.n_grids
+        self._refresh_ownership()
 
     # ------------------------------------------------------------------
     # simulator interface
@@ -347,13 +350,31 @@ class MPNode:
             return region_idx
         return self.ownership.live_owner(region_idx)
 
-    def _owns_region(self, region_idx: int) -> bool:
-        return self._live_owner(region_idx) == self.proc
+    def _refresh_ownership(self) -> None:
+        """Derive what the update pushes need from the ownership replica.
 
-    def _owned_region_indices(self) -> List[int]:
+        Which regions this node owns, the area a SendRmtData scan covers
+        and where each owned region's SendLocData goes change only when a
+        death is applied, so they are computed here — at construction and
+        from :meth:`_handle_death` — not once per push.
+        """
         if self.ownership is None:
-            return [self.proc]
-        return self.ownership.regions_owned_by(self.proc)
+            owned = [self.proc]
+        else:
+            owned = self.ownership.regions_owned_by(self.proc)
+        self._owned = frozenset(owned)
+        self._rmt_scan_area = self.circuit.n_channels * self.circuit.n_grids - sum(
+            self.regions.region(r).area for r in owned
+        )
+        #: (region index, region, live owners of its N/S/E/W neighbour regions)
+        self._loc_pushes: List[Tuple[int, BBox, List[int]]] = []
+        for region_idx in owned:
+            dsts: List[int] = []
+            for neighbor in self.regions.neighbors(region_idx):
+                dst = self._live_owner(neighbor)
+                if dst != self.proc and dst not in dsts:
+                    dsts.append(dst)
+            self._loc_pushes.append((region_idx, self.regions.region(region_idx), dsts))
 
     # ------------------------------------------------------------------
     # activation: drain, look ahead, maybe block, start routing a wire
@@ -422,7 +443,8 @@ class MPNode:
             # in the simulator stays strict.
             self.view.remove_path(old.flat_cells, strict=False)
             self.delta.record_path(old.flat_cells, -1)
-            self._record_change_counts(old, wire.n_pins - 1)
+            if self._wire_based:
+                self._record_change_counts(wire_idx)
             self.work.add_commit(old.n_cells)
             self.clock += self.cost_model.work_time(COMMIT_CELL_UNITS * old.n_cells)
             self.services.on_ripup(self.proc, wire_idx, old, self.clock)
@@ -438,10 +460,10 @@ class MPNode:
         self._pending_wire = (wire_idx, result)
         self._commit_event = self.services.schedule(self.clock, self._finish_wire)
 
-    def _record_change_counts(self, path: RoutePath, n_segments: int) -> None:
+    def _record_change_counts(self, wire_idx: int) -> None:
         """Track per-region change counts for the wire-based encoding."""
-        box = path.bbox()
-        for owner in self.regions.regions_touched(box):
+        n_segments = self._wire_regions.n_segments[wire_idx]
+        for owner, _ in self._wire_regions.clips[wire_idx]:
             if owner == self.proc:
                 self._chg_loc[0] += 1
                 self._chg_loc[1] += n_segments
@@ -458,11 +480,13 @@ class MPNode:
         self._pending_wire = None
         self._commit_event = None
 
-        self.view.apply_path(result.path.flat_cells)
-        self.delta.record_path(result.path.flat_cells, +1)
-        self._record_change_counts(result.path, len(result.segments))
-        self.paths[wire_idx] = result.path
-        self.services.on_commit(self.proc, wire_idx, result.path, self.clock)
+        path = result.path
+        self.view.apply_path(path.flat_cells)
+        self.delta.record_path(path.flat_cells, +1)
+        if self._wire_based:
+            self._record_change_counts(wire_idx)
+        self.paths[wire_idx] = path
+        self.services.on_commit(self.proc, wire_idx, path, self.clock)
 
         self.qi += 1
         self._since_send_loc += 1
@@ -524,26 +548,20 @@ class MPNode:
         if self.schedule.req_rmt_every is None:
             return
         horizon = min(len(self.queue), self.qi + 1 + self.schedule.lookahead_wires)
+        clips = self._wire_regions.clips
+        touch_count = self._region_touch_count
         while self._lookahead_pos < horizon:
-            wire = self.circuit.wire(self.queue[self._lookahead_pos])
-            c_lo, x_lo, c_hi, x_hi = wire.bounding_box
-            wire_box = BBox(c_lo, x_lo, c_hi, x_hi)
-            for owner in self.regions.regions_touched(wire_box):
-                if self._owns_region(owner):
+            for owner, clipped in clips[self.queue[self._lookahead_pos]]:
+                if owner in self._owned:
                     continue
-                clipped = wire_box.intersect(self.regions.region(owner))
-                if clipped is None:
-                    continue
-                self._region_touch_count[owner] = (
-                    self._region_touch_count.get(owner, 0) + 1
-                )
+                count = touch_count[owner] = touch_count.get(owner, 0) + 1
                 # The request covers the footprint of the wire that tripped
                 # the counter — the area the processor is about to route in.
                 # (Accumulating a union over all counted wires inflates
                 # responses toward whole-region copies and erases the
                 # receiver-initiated traffic advantage the paper measures.)
                 self._region_req_bbox[owner] = clipped
-                if self._region_touch_count[owner] >= self.schedule.req_rmt_every:
+                if count >= self.schedule.req_rmt_every:
                     self._send_req_rmt(owner)
             self._lookahead_pos += 1
 
@@ -752,6 +770,7 @@ class MPNode:
         if self.ownership is None or not self.ownership.is_live(dead):
             return
         reassigned = self.ownership.mark_dead(dead)
+        self._refresh_ownership()
         for rid in [r for r, e in self._pending_probes.items() if e[0] == dead]:
             del self._pending_probes[rid]
         self._abandons_by_peer.pop(dead, None)
@@ -809,21 +828,14 @@ class MPNode:
             self._since_send_rmt = 0
             self._send_rmt_data()
 
-    def _encoding_override(self, kind: UpdateKind, region_owner: int) -> Optional[int]:
-        """Wire-byte override for the non-default §4.3.1 encodings.
+    def _wire_based_bytes(self, counts: Sequence[int]) -> Optional[int]:
+        """Wire-size override of the wire-based §4.3.1 encoding.
 
-        Returns ``None`` for the bounding-box structure (sizes follow the
-        bbox), the wire-based byte count for :attr:`PacketStructure.WIRE_BASED`,
-        and ``None`` for FULL_REGION (the caller widens the bbox instead).
+        ``None`` for the other two structures: bounding-box sizes follow
+        the bbox, and FULL_REGION widens the bbox instead.
         """
-        structure = self.schedule.packet_structure
-        if structure is not PacketStructure.WIRE_BASED:
+        if not self._wire_based:
             return None
-        counts = (
-            self._chg_loc
-            if region_owner == self.proc and kind is UpdateKind.SEND_LOC_DATA
-            else self._chg_rmt.get(region_owner, [0, 0])
-        )
         return HEADER_BYTES + wire_based_bytes(counts[0], counts[1])
 
     def _send_loc_data(self) -> None:
@@ -835,8 +847,8 @@ class MPNode:
         N/S/E/W neighbour set is the *region's* mesh neighbourhood, with
         each neighbour region resolved to its live owner.
         """
-        for region_idx in self._owned_region_indices():
-            region = self.regions.region(region_idx)
+        full_region = self.schedule.packet_structure is PacketStructure.FULL_REGION
+        for region_idx, region, dsts in self._loc_pushes:
             self.work.add_scan(region.area)
             self.clock += self.cost_model.work_time(SCAN_CELL_UNITS * region.area)
             template = build_loc_data(
@@ -845,30 +857,19 @@ class MPNode:
             if template is None:
                 continue
             bbox, values = template.bbox, template.values
-            if self.schedule.packet_structure is PacketStructure.FULL_REGION:
+            if full_region:
                 bbox = region
                 values = self.view.extract(region)
             override = (
-                self._encoding_override(UpdateKind.SEND_LOC_DATA, self.proc)
+                self._wire_based_bytes(self._chg_loc)
                 if region_idx == self.proc
                 else None
             )
-            sent_to = set()
-            for neighbor in self.regions.neighbors(region_idx):
-                dst = self._live_owner(neighbor)
-                if dst == self.proc or dst in sent_to:
-                    continue
-                sent_to.add(dst)
+            for dst in dsts:
                 packet = UpdatePacket(
-                    kind=template.kind,
-                    src=self.proc,
-                    dst=dst,
-                    bbox=bbox,
-                    values=values,
-                    region_owner=region_idx,
-                    wire_bytes=override,
+                    template.kind, self.proc, dst, bbox, values, region_idx, override
                 )
-                self._emit(packet, payload_cells=packet.payload_cells)
+                self._emit(packet, packet.payload_cells)
             self.delta.clear_region(region)
             if region_idx == self.proc:
                 self._chg_loc = [0, 0]
@@ -877,79 +878,56 @@ class MPNode:
         """Push accumulated deltas of every remote region to its owner.
 
         Under the vectorised kernels the per-region delta scans collapse
-        into one :meth:`DeltaArray.dirty_bboxes_by_owner` pass; packets,
-        ordering, and accounted scan work are identical either way (the
+        into one :meth:`DeltaArray.dirty_bboxes_by_owner` pass and only
+        the dirty regions are visited; packets, ordering (ascending
+        region), and accounted scan work are identical either way (the
         simulated scan cost models the original program's full sweep).
         """
-        owned = set(self._owned_region_indices())
-        scan_area = self._total_area - sum(
-            self.regions.region(r).area for r in owned
-        )
+        scan_area = self._rmt_scan_area
         self.work.add_scan(scan_area)
         self.clock += self.cost_model.work_time(SCAN_CELL_UNITS * scan_area)
         if active_kernels() == "vectorized":
-            dirty_by_owner = self.delta.dirty_bboxes_by_owner(self.regions)
+            dirty_regions = self.delta.dirty_bboxes_by_owner(self.regions).items()
         else:
-            dirty_by_owner = None
+            dirty_regions = self._scan_remote_regions()
+        full_region = self.schedule.packet_structure is PacketStructure.FULL_REGION
+        for owner, dirty in dirty_regions:
+            if owner in self._owned:
+                continue
+            # Everything about the packet is decided before it is built:
+            # the bbox (the whole region under FULL_REGION), the accounted
+            # size (the wire-based override), and the destination — the
+            # adopter when the region's original owner is dead (the region
+            # identity stays in ``region_owner`` so it can attribute it).
+            bbox = self.regions.region(owner) if full_region else dirty
+            packet = UpdatePacket(
+                UpdateKind.SEND_RMT_DATA,
+                self.proc,
+                self._live_owner(owner),
+                bbox,
+                self.delta.extract(bbox),
+                owner,
+                self._wire_based_bytes(self._chg_rmt.get(owner, (0, 0))),
+            )
+            self._emit(packet, packet.payload_cells)
+            self.delta.clear_region(dirty)
+            if self._wire_based:
+                self._chg_rmt[owner] = [0, 0]
+
+    def _scan_remote_regions(self) -> Iterator[Tuple[int, BBox]]:
+        """The reference scan: one :func:`build_rmt_data` per remote region.
+
+        Yields ``(region, dirty bbox)`` in ascending region order, as the
+        one-pass scan does.
+        """
         for owner in range(self.regions.n_procs):
-            if owner in owned:
+            if owner in self._owned:
                 continue
-            dst = self._live_owner(owner)
-            if dst == self.proc:  # pragma: no cover - owned covers this
-                continue
-            region = self.regions.region(owner)
-            if dirty_by_owner is None:
-                packet = build_rmt_data(self.proc, owner, self.delta, region)
-            else:
-                dirty = dirty_by_owner.get(owner)
-                packet = None
-                if dirty is not None:
-                    packet = UpdatePacket(
-                        kind=UpdateKind.SEND_RMT_DATA,
-                        src=self.proc,
-                        dst=owner,
-                        bbox=dirty,
-                        values=self.delta.extract(dirty),
-                        region_owner=owner,
-                    )
-            if packet is None:
-                continue
-            if dst != owner:
-                # The region's original owner is dead: redirect the delta
-                # push to the adopter (the region identity stays in
-                # ``region_owner`` so the adopter can attribute it).
-                packet = UpdatePacket(
-                    kind=packet.kind,
-                    src=packet.src,
-                    dst=dst,
-                    bbox=packet.bbox,
-                    values=packet.values,
-                    region_owner=owner,
-                )
-            if self.schedule.packet_structure is PacketStructure.FULL_REGION:
-                packet = UpdatePacket(
-                    kind=packet.kind,
-                    src=packet.src,
-                    dst=packet.dst,
-                    bbox=region,
-                    values=self.delta.extract(region),
-                    region_owner=owner,
-                )
-            else:
-                override = self._encoding_override(UpdateKind.SEND_RMT_DATA, owner)
-                if override is not None:
-                    packet = UpdatePacket(
-                        kind=packet.kind,
-                        src=packet.src,
-                        dst=packet.dst,
-                        bbox=packet.bbox,
-                        values=packet.values,
-                        region_owner=owner,
-                        wire_bytes=override,
-                    )
-            self._emit(packet, payload_cells=packet.payload_cells)
-            self.delta.clear_region(region)
-            self._chg_rmt[owner] = [0, 0]
+            scanned = build_rmt_data(
+                self.proc, owner, self.delta, self.regions.region(owner)
+            )
+            if scanned is not None:
+                yield owner, scanned.bbox
 
     # ------------------------------------------------------------------
     # packet processing
@@ -1059,7 +1037,7 @@ class MPNode:
         """
         if self.ownership is not None:
             region_idx = request.region_owner
-            if not self._owns_region(region_idx):
+            if region_idx not in self._owned:
                 self.misdirected_requests += 1
                 return
             serving = self.regions.region(region_idx)

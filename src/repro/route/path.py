@@ -79,16 +79,9 @@ class RoutePath:
         return channels, xs
 
     def bbox(self) -> BBox:
-        """Bounding box of the path's cells (computed once; paths are
-        immutable and the MP nodes ask per commit)."""
-        cached = getattr(self, "_bbox", None)
-        if cached is None:
-            channels, xs = self.coords()
-            cached = BBox(
-                int(channels[0]), int(xs.min()), int(channels[-1]), int(xs.max())
-            )
-            object.__setattr__(self, "_bbox", cached)
-        return cached
+        """Bounding box of the path's cells."""
+        channels, xs = self.coords()
+        return BBox(int(channels[0]), int(xs.min()), int(channels[-1]), int(xs.max()))
 
     def overlap_cells(self, other: "RoutePath") -> int:
         """Number of cells shared with *other* (sorted intersection)."""

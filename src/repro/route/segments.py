@@ -10,7 +10,7 @@ and ``wavefront`` the records without an import cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def candidate_columns(x1: int, x2: int) -> np.ndarray:
     return cols[keep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentRoute:
     """Outcome of routing one two-pin segment.
 
@@ -85,6 +85,18 @@ class SegmentRoute:
         default=None, compare=False, repr=False
     )
 
+    def __eq__(self, other: object) -> bool:
+        # Field by field (the generated one cannot compare the array).
+        if not isinstance(other, SegmentRoute):
+            return NotImplemented
+        return (
+            (self.xv, self.cost, self.work_cells, self.read_box)
+            == (other.xv, other.cost, other.work_cells, other.read_box)
+            and (self.c1, self.x1, self.c2, self.x2)
+            == (other.c1, other.x1, other.c2, other.x2)
+            and np.array_equal(self.candidates, other.candidates)
+        )
+
     def footprint(self, n_grids: int) -> np.ndarray:
         """:meth:`read_cells`, shared and read-only when there is a cache."""
         cache = self.footprint_cache
@@ -123,7 +135,6 @@ class SegmentRoute:
         return np.concatenate(parts)
 
 
-@dataclass(frozen=True)
 class WireRoute:
     """Outcome of routing a whole wire.
 
@@ -131,14 +142,54 @@ class WireRoute:
     (the wire's contribution to the occupancy factor when measured on the
     routing view); ``segments`` keeps per-segment detail for tracing and
     the locality measure.
+
+    *segments* is the tuple of :class:`SegmentRoute` records, or a
+    zero-argument callable that builds it on first read: the message
+    passing node never reads them, so the fused evaluator defers their
+    construction.  A deferred builder must not look at the cost array
+    (it has moved on by the time anyone asks); ``cost`` is priced by the
+    evaluator for the same reason.
     """
 
-    path: RoutePath
-    cost: int
-    work_cells: int
-    segments: Tuple[SegmentRoute, ...]
+    __slots__ = ("path", "cost", "work_cells", "_segments")
+
+    def __init__(
+        self,
+        path: RoutePath,
+        cost: int,
+        work_cells: int,
+        segments: Union[Tuple[SegmentRoute, ...], Callable[[], Tuple[SegmentRoute, ...]]],
+    ) -> None:
+        self.path = path
+        self.cost = cost
+        self.work_cells = work_cells
+        self._segments = segments
+
+    @property
+    def segments(self) -> Tuple[SegmentRoute, ...]:
+        """Per-segment records, left to right."""
+        segments = self._segments
+        if not isinstance(segments, tuple):
+            segments = self._segments = segments()
+        return segments
 
     @property
     def read_boxes(self) -> List[BBox]:
         """Rectangles read during evaluation, one per segment."""
         return [s.read_box for s in self.segments]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WireRoute):
+            return NotImplemented
+        return (
+            self.cost == other.cost
+            and self.work_cells == other.work_cells
+            and self.path == other.path
+            and self.segments == other.segments
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"WireRoute(path={self.path!r}, cost={self.cost}, "
+            f"work_cells={self.work_cells}, segments={self.segments!r})"
+        )

@@ -51,6 +51,7 @@ merely equivalent.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
@@ -124,7 +125,6 @@ class WireGeometry:
         "s_off",
         "seg_tmpl",
         "seg_proto",
-        "bbox_obj",
     )
 
     def __init__(self, wire: Wire, n_grids: int) -> None:
@@ -248,10 +248,6 @@ class WireGeometry:
         for other in read_boxes[1:]:
             box = box.union(other)
         self.bbox = box.as_tuple()
-        # Every segment's path spans its full x-range whatever bend column
-        # wins, so any realized path's bbox IS the geometry bbox; the path
-        # builder stamps this on trusted paths to skip the lazy recompute.
-        self.bbox_obj = box
 
         # One-wire fast-path layout: the evaluator builds both prefix
         # tables in a single flat buffer over exactly this wire's bbox,
@@ -325,8 +321,12 @@ def wire_geometry(wire: Wire, n_grids: int) -> WireGeometry:
 
 def _evaluate_single(
     cost: CostArray, g: WireGeometry, tie_break: int
-) -> List[Tuple[int, int]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Price one wire's segments against *cost* with a single fused step.
+
+    Returns the chosen column and the cost of every bend segment, then
+    the cost of every straight run, each in segment order and none a
+    view of the cost array.
 
     Both prefix tables are built in one flat buffer over exactly the
     wire's bounding box, and every prefix-sum term of every segment is
@@ -341,15 +341,16 @@ def _evaluate_single(
     block = cost.data[c_lo : c_hi + 1, x_lo : x_hi + 1]
     buf = np.zeros(g.buf_size, dtype=np.int64)
     rowp = buf[: g.rowp_size].reshape(g.tbl_rows, g.tbl_width + 1)
-    np.cumsum(block, axis=1, dtype=np.int64, out=rowp[:, 1:])
+    block.cumsum(axis=1, dtype=np.int64, out=rowp[:, 1:])
     if g.needs_col:
         colp = buf[g.rowp_size :].reshape(g.tbl_rows + 1, g.tbl_width)
-        np.cumsum(block, axis=0, dtype=np.int64, out=colp[1:, :])
+        block.cumsum(axis=0, dtype=np.int64, out=colp[1:, :])
 
     gathered = buf[g.f_all]
     diff = gathered[0] - gathered[1]
 
     nb = g.n_bend
+    b_xv = b_cost = _EMPTY
     if nb:
         W = g.b_cand.shape[1]
         nbW = nb * W
@@ -362,32 +363,36 @@ def _evaluate_single(
         if g.has_pad:
             totals[g.e_invalid] = _INF
         if tie_break == 0:
-            best = np.argmin(totals, axis=1)  # first minimum: smallest xv
+            best = totals.argmin(axis=1)  # first minimum: smallest xv
         else:
             # Last minimum: padded slots sit at _INF, so the reversed
             # argmin lands on the last *real* minimum, exactly the
             # reference's totals[::-1] scan.
-            best = W - 1 - np.argmin(totals[:, ::-1], axis=1)
+            best = W - 1 - totals[:, ::-1].argmin(axis=1)
         b_xv = g.b_cand[g.e_rows, best]
         b_cost = totals[g.e_rows, best]
 
-    s_cost = diff[g.s_off :]
+    return b_xv, b_cost, diff[g.s_off :]
 
-    out: List[Tuple[int, int]] = []
-    b_off = 0
-    s_off = 0
-    for is_bend in g.seg_is_bend:
-        if is_bend:
-            out.append((int(b_xv[b_off]), int(b_cost[b_off])))
-            b_off += 1
-        else:
-            out.append((int(g.s_x1[s_off]), int(s_cost[s_off])))
-            s_off += 1
-    return out
+
+def _segment_routes(
+    g: WireGeometry, b_xv: np.ndarray, b_cost: np.ndarray, s_cost: np.ndarray
+) -> Tuple[SegmentRoute, ...]:
+    """The :class:`SegmentRoute` records of one :func:`_evaluate_single`."""
+    bend = zip(b_xv.tolist(), b_cost.tolist())
+    straight = zip(g.s_x1.tolist(), s_cost.tolist())
+    segments: List[SegmentRoute] = []
+    for proto, is_bend in zip(g.seg_proto, g.seg_is_bend):
+        seg = object.__new__(SegmentRoute)
+        sd = seg.__dict__
+        sd.update(proto)
+        sd["xv"], sd["cost"] = next(bend if is_bend else straight)
+        segments.append(seg)
+    return tuple(segments)
 
 
 def _build_path(geom: WireGeometry, xvs: Sequence[int], n_grids: int) -> RoutePath:
-    """Assemble the wire's :class:`RoutePath` from chosen bend columns.
+    """Assemble the wire's :class:`RoutePath` from its bends' chosen columns.
 
     Segment cells come from slices of the geometry's precomputed run
     templates, emitted in ascending flat order (low channel run, interior
@@ -400,29 +405,24 @@ def _build_path(geom: WireGeometry, xvs: Sequence[int], n_grids: int) -> RoutePa
     if len(tmpl) == 1:
         t = tmpl[0]
         if len(t) == 1:  # single straight run: the template is the path
-            path = RoutePath._trusted(t[0], n_grids)
+            return RoutePath._trusted(t[0], n_grids)
+        lo_full, hi_full, int_rows, x1, c1_low = t
+        xv = xvs[0]
+        j = xv - x1
+        if c1_low:
+            cells = np.concatenate((lo_full[: j + 1], int_rows + xv, hi_full[j:]))
         else:
-            lo_full, hi_full, int_rows, x1, c1_low = t
-            xv = xvs[0]
-            j = xv - x1
-            if c1_low:
-                cells = np.concatenate(
-                    (lo_full[: j + 1], int_rows + xv, hi_full[j:])
-                )
-            else:
-                cells = np.concatenate(
-                    (lo_full[j:], int_rows + xv, hi_full[: j + 1])
-                )
-            path = RoutePath._trusted(cells, n_grids)
-        object.__setattr__(path, "_bbox", geom.bbox_obj)
-        return path
+            cells = np.concatenate((lo_full[j:], int_rows + xv, hi_full[: j + 1]))
+        return RoutePath._trusted(cells, n_grids)
 
     parts: List[np.ndarray] = []
-    for t, xv in zip(tmpl, xvs):
+    bend_xvs = iter(xvs)
+    for t in tmpl:
         if len(t) == 1:
             parts.append(t[0])
             continue
         lo_full, hi_full, int_rows, x1, c1_low = t
+        xv = next(bend_xvs)
         j = xv - x1
         if c1_low:
             parts.extend((lo_full[: j + 1], int_rows + xv, hi_full[j:]))
@@ -433,35 +433,27 @@ def _build_path(geom: WireGeometry, xvs: Sequence[int], n_grids: int) -> RoutePa
     keep = np.empty(cells.size, dtype=bool)
     keep[0] = True
     np.not_equal(cells[1:], cells[:-1], out=keep[1:])
-    path = RoutePath._trusted(cells[keep], n_grids)
-    object.__setattr__(path, "_bbox", geom.bbox_obj)
-    return path
+    return RoutePath._trusted(cells[keep], n_grids)
 
 
 def route_wire_fused(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRoute:
     """Fused single-wire evaluation — a one-wire wave.
 
     Bit-identical to :func:`repro.route.twobend.route_wire_reference`,
-    including the per-segment :class:`SegmentRoute` detail records.
+    including the per-segment :class:`SegmentRoute` detail records, which
+    are built when first read (the shared memory simulator's trace reads
+    them, the message passing node does not).
     """
     if tie_break not in (0, 1):
         raise RoutingError(f"tie_break must be 0 or 1, got {tie_break}")
     geom = wire_geometry(wire, cost.n_grids)
-    res = _evaluate_single(cost, geom, tie_break)
-    path = _build_path(geom, [xv for xv, _ in res], cost.n_grids)
-    segments: List[SegmentRoute] = []
-    for proto, (xv, seg_cost) in zip(geom.seg_proto, res):
-        seg = object.__new__(SegmentRoute)
-        sd = seg.__dict__
-        sd.update(proto)
-        sd["xv"] = xv
-        sd["cost"] = seg_cost
-        segments.append(seg)
+    b_xv, b_cost, s_cost = _evaluate_single(cost, geom, tie_break)
+    path = _build_path(geom, b_xv.tolist(), cost.n_grids)
     return WireRoute(
-        path=path,
-        cost=cost.path_cost(path.flat_cells),
-        work_cells=geom.work_cells,
-        segments=tuple(segments),
+        path,
+        cost.path_cost(path.flat_cells),
+        geom.work_cells,
+        partial(_segment_routes, geom, b_xv, b_cost, s_cost),
     )
 
 

@@ -23,7 +23,6 @@ payload bytes; change bboxes are typically much smaller).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,8 +50,10 @@ HEADER_BYTES = 12
 #: Bytes per transmitted cost/delta array entry (16-bit counts).
 ENTRY_BYTES = 2
 
+#: Every kind is a request, a control or a data kind; only data carries cells.
+_DATA_KINDS = tuple(kind for kind in UpdateKind if is_data(kind))
 
-@dataclass(frozen=True)
+
 class UpdatePacket:
     """One update transaction travelling as a network message payload.
 
@@ -61,48 +62,74 @@ class UpdatePacket:
     (SendLocData / RspRmtData) or signed deltas (SendRmtData / RspLocData).
     ``region_owner`` records which processor owns the region the bbox lies
     in (used by ReqLocData bookkeeping and assertions).
+
+    ``wire_bytes`` is the optional wire-size override of the alternative
+    §4.3.1 packet structures (wire-based encoding): the *information*
+    still travels as bbox + values, but the accounted bytes follow the
+    encoding.  ``req_id`` is the request correlation id: set on
+    ReqRmtData/ReqLocData by nodes that track recovery state, echoed back
+    on the matching response.  It fits in the header's sequence byte
+    conceptually, so it adds no wire bytes; ``None`` preserves the legacy
+    un-tracked protocol.
+
+    A packet is built once and never changed (treat it as immutable):
+    the constructor validates the payload against the kind and computes
+    ``length_bytes`` (the wire size; the encoding override wins if
+    present) and ``payload_cells`` (array cells carried, 0 for requests)
+    once.  A hand-written ``__slots__`` class, not a frozen dataclass,
+    whose generated ``__init__`` cost four times as much per packet.
     """
 
-    kind: UpdateKind
-    src: int
-    dst: int
-    bbox: BBox
-    values: Optional[np.ndarray]
-    region_owner: int
-    #: Optional wire-size override used by the alternative §4.3.1 packet
-    #: structures (wire-based encoding): the *information* still travels
-    #: as bbox + values, but the accounted bytes follow the encoding.
-    wire_bytes: Optional[int] = None
-    #: Request correlation id: set on ReqRmtData/ReqLocData by nodes that
-    #: track recovery state, echoed back on the matching response.  Fits
-    #: in the header's sequence byte conceptually, so it adds no wire
-    #: bytes.  ``None`` preserves the legacy un-tracked protocol.
-    req_id: Optional[int] = None
+    __slots__ = (
+        "kind", "src", "dst", "bbox", "values", "region_owner",
+        "wire_bytes", "req_id", "length_bytes", "payload_cells",
+    )
 
-    def __post_init__(self) -> None:
-        if is_request(self.kind) or is_control(self.kind):
-            if self.values is not None:
-                raise ProtocolError(f"{self.kind} packets carry no payload")
-        elif is_data(self.kind):
-            if self.values is None:
-                raise ProtocolError(f"{self.kind} packets need a payload")
-            if self.values.shape != (self.bbox.height, self.bbox.width):
+    def __init__(
+        self,
+        kind: UpdateKind,
+        src: int,
+        dst: int,
+        bbox: BBox,
+        values: Optional[np.ndarray],
+        region_owner: int,
+        wire_bytes: Optional[int] = None,
+        req_id: Optional[int] = None,
+    ) -> None:
+        if kind in _DATA_KINDS:
+            if values is None:
+                raise ProtocolError(f"{kind} packets need a payload")
+            if values.shape != (bbox.height, bbox.width):
                 raise ProtocolError(
-                    f"payload shape {self.values.shape} != bbox "
-                    f"{self.bbox.height}x{self.bbox.width}"
+                    f"payload shape {values.shape} != bbox "
+                    f"{bbox.height}x{bbox.width}"
                 )
+            self.payload_cells = values.size
+            self.length_bytes = (
+                HEADER_BYTES + ENTRY_BYTES * values.size
+                if wire_bytes is None
+                else wire_bytes
+            )
+        else:
+            if values is not None:
+                raise ProtocolError(f"{kind} packets carry no payload")
+            self.payload_cells = 0
+            self.length_bytes = HEADER_BYTES if wire_bytes is None else wire_bytes
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.bbox = bbox
+        self.values = values
+        self.region_owner = region_owner
+        self.wire_bytes = wire_bytes
+        self.req_id = req_id
 
-    @property
-    def length_bytes(self) -> int:
-        """Wire size of this packet (encoding override wins if present)."""
-        if self.wire_bytes is not None:
-            return self.wire_bytes
-        return packet_bytes(self.kind, self.bbox)
-
-    @property
-    def payload_cells(self) -> int:
-        """Number of array cells carried (0 for requests)."""
-        return 0 if self.values is None else int(self.values.size)
+    def __repr__(self) -> str:
+        return (
+            f"UpdatePacket({self.kind}, {self.src}->{self.dst}, {self.bbox}, "
+            f"region_owner={self.region_owner}, req_id={self.req_id}, "
+            f"{self.length_bytes} bytes)"
+        )
 
 
 def packet_bytes(kind: UpdateKind, bbox: BBox) -> int:

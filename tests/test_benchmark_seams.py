@@ -1,0 +1,83 @@
+"""The end-to-end benchmark's tracer seams, checked inside tier-1.
+
+``benchmarks/e2e/trace.py`` wraps layer functions from outside, at the
+*consumer binding* (``repro.parallel.node.route_wire``, not only
+``repro.route.twobend.route_wire``), looked up by name.  A rename, or a
+hot path that stops going through a binding, silently zeroes a layer's
+seconds and is caught only by ``benchmarks/e2e/selfcheck.py`` (two
+minutes, outside tier-1): a node that called the fused evaluator
+directly passed every test and failed there with "route records spans on
+mp_sweep (0)".  Skipped when the benchmark directory is absent.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.circuits import bnre_like
+from repro.parallel import node as node_module
+from repro.parallel import run_message_passing
+from repro.route import wavefront
+from repro.updates import UpdateSchedule
+
+E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
+
+pytestmark = pytest.mark.skipif(
+    not (E2E / "trace.py").exists(), reason="benchmarks/e2e is not in this checkout"
+)
+
+
+@pytest.fixture
+def e2e_trace(monkeypatch):
+    """``benchmarks/e2e/trace.py`` under a private name (``trace`` is also a
+    standard library module), with its directory importable for the seams
+    that live in the benchmark's own ``workloads`` module."""
+    monkeypatch.syspath_prepend(str(E2E))
+    spec = importlib.util.spec_from_file_location("e2e_trace", E2E / "trace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in ("workloads", "measure"):  # the benchmark's, not importable after this
+        sys.modules.pop(name, None)
+
+
+def test_every_seam_resolves_to_a_binding(e2e_trace):
+    missing = []
+    for _bucket, module_name, dotted, _counter in e2e_trace.SEAMS:
+        try:
+            owner, attr = e2e_trace.resolve(module_name, dotted)
+            binding = vars(owner)[attr]  # what Tracer.install reads and replaces
+        except (ImportError, AttributeError, KeyError) as exc:
+            missing.append(f"{module_name}.{dotted}: {exc!r}")
+            continue
+        target = binding.__func__ if isinstance(binding, staticmethod) else binding
+        if not callable(target):
+            missing.append(f"{module_name}.{dotted}: not callable")
+    assert not missing, "\n".join(missing)
+
+
+def test_node_routes_every_wire_through_its_seams(monkeypatch):
+    """One ``repro.parallel.node.route_wire`` call and one
+    ``repro.route.wavefront.wire_geometry`` call per routed wire."""
+    calls = {"route_wire": 0, "wire_geometry": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(node_module, "route_wire", counting("route_wire", node_module.route_wire))
+    monkeypatch.setattr(wavefront, "wire_geometry", counting("wire_geometry", wavefront.wire_geometry))
+    circuit = bnre_like(n_wires=60)
+    result = run_message_passing(
+        circuit, UpdateSchedule.mixed_example(), n_procs=4, iterations=2
+    )
+    routed = sum(s.wires_routed for s in result.node_summaries)
+    assert routed == circuit.n_wires * 2
+    assert calls == {"route_wire": routed, "wire_geometry": routed}

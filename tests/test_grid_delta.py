@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -124,6 +126,35 @@ class TestBatchedOwnerScan:
     def test_clean_array_yields_empty_dict(self):
         delta = DeltaArray(6, 12)
         assert delta.dirty_bboxes_by_owner(RegionMap(6, 12, 4)) == {}
+
+    @pytest.mark.parametrize("seed, n_procs", [(0, 1), (1, 4), (2, 6), (3, 4)])
+    def test_write_log_is_bounded_without_scans(self, seed, n_procs):
+        # Receiver-initiated schedules never call the scan that used to be
+        # the log's only compaction: rip-up / reroute / incorporate churn
+        # must not grow it past a small multiple of the grid, and the scan
+        # must still see exactly the nonzero cells afterwards.
+        rng = random.Random(seed)
+        delta = DeltaArray(6, 12)
+        n_cells = 6 * 12
+        for _ in range(400):
+            cells = flat({(rng.randrange(6), rng.randrange(12)) for _ in range(8)})
+            choice = rng.random()
+            if choice < 0.45:
+                delta.record_path(cells, +1)
+            elif choice < 0.9:
+                delta.record_path(cells, -1)
+            elif choice < 0.95:
+                box = BBox(1, 2, 3, 6)
+                delta.accumulate(box, np.full((box.height, box.width), 2, dtype=np.int32))
+            else:
+                delta.clear_region(BBox(0, 0, 5, rng.randrange(12)))
+            logged = sum(part.size for part in delta._touched)
+            assert logged == delta._n_touched <= 2 * n_cells + cells.size
+        regions = RegionMap(6, 12, n_procs)
+        batched = delta.dirty_bboxes_by_owner(regions)
+        for proc in range(n_procs):
+            assert batched.get(proc) == delta.region_dirty_bbox(regions.region(proc))
+        assert delta._n_touched == delta.nonzero_count()
 
     def test_negative_deltas_count_as_dirty(self):
         delta = DeltaArray(6, 12)

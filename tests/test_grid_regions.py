@@ -88,7 +88,17 @@ class TestMeshGeometry:
 class TestRegionsTouched:
     def test_single_region(self, regions_16):
         box = regions_16.region(5)
-        assert regions_16.regions_touched(box) == [5]
+        assert regions_16.regions_touched(box) == (5,)
+
+    def test_answer_cannot_be_mutated(self, regions_16):
+        # A memoised list handed out by reference let one caller's edit
+        # corrupt every later answer for the same box.
+        box = BBox(0, 0, 9, 340)
+        touched = regions_16.regions_touched(box)
+        assert isinstance(touched, tuple)
+        with pytest.raises((TypeError, AttributeError)):
+            touched.append(99)
+        assert regions_16.regions_touched(box) == tuple(range(16))
 
     def test_whole_grid_touches_everyone(self, regions_16):
         box = BBox(0, 0, 9, 340)
@@ -112,6 +122,21 @@ class TestRegionsTouched:
     def test_out_of_range_box(self, regions_16):
         with pytest.raises(GridError):
             regions_16.regions_touched(BBox(0, 0, 10, 5))
+
+
+class TestCellOwnerTable:
+    @pytest.mark.parametrize("n_procs", [1, 2, 6, 16])
+    def test_matches_owner_of_every_cell(self, n_procs):
+        regions = RegionMap(10, 341, n_procs)
+        channels, xs = np.divmod(np.arange(10 * 341), 341)
+        assert np.array_equal(regions.cell_owner, regions.owners_of_cells(channels, xs))
+        assert regions.cell_owner[3 * 341 + 200] == regions.owner_of(3, 200)
+
+    def test_is_read_only_and_built_once(self, regions_16):
+        table = regions_16.cell_owner
+        assert regions_16.cell_owner is table
+        with pytest.raises(ValueError):
+            table[0] = 7
 
 
 class TestSmallMeshes:

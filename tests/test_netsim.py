@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,9 +73,22 @@ class TestMessage:
         with pytest.raises(NetworkError):
             Message(0, 1, 0, None)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(NetworkError):
+            Message(0, 1, -4, None)
+
     def test_self_addressed_message_legal(self):
         msg = Message(1, 1, 10, None)
         assert msg.src == msg.dst == 1
+
+    def test_message_and_delivery_pickle_round_trip(self):
+        delivery = Delivery(Message(2, 7, 36, ("payload", 1)), 1.5e-3, 1.75e-3, 3)
+        back = pickle.loads(pickle.dumps(delivery))
+        assert (back.inject_time, back.arrive_time, back.hops) == (1.5e-3, 1.75e-3, 3)
+        assert back.latency == delivery.latency
+        message = back.message
+        assert (message.src, message.dst, message.length_bytes) == (2, 7, 36)
+        assert message.payload == ("payload", 1)
 
 
 def make_network(n=16):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.assign import RoundRobinAssigner, ThresholdCostAssigner
-from repro.circuits import tiny_test_circuit
+from repro.circuits import bnre_like, tiny_test_circuit
 from repro.errors import SimulationError
 from repro.grid import CostArray, RegionMap
-from repro.parallel import run_message_passing
+from repro.parallel import mp_sim, run_message_passing
+from repro.parallel.node import MPNode
 from repro.updates import UpdateSchedule
 
 
@@ -159,3 +160,33 @@ class TestNodeAccounting:
         result = run(circuit, UpdateSchedule.sender_initiated(1, 1))
         for s in result.node_summaries:
             assert 0.0 <= s.message_overhead_fraction < 0.9
+
+
+class TestDeltaWriteLog:
+    def test_receiver_initiated_run_keeps_the_log_bounded(self, monkeypatch):
+        """Regression: the delta array's write log was compacted only by
+        the SendRmtData scan, so a schedule that never pushes kept every
+        path array it had ever recorded (15 000+ logged cells per node on
+        this 3 410-cell grid)."""
+        nodes = []
+
+        class Recording(MPNode):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nodes.append(self)
+
+        monkeypatch.setattr(mp_sim, "MPNode", Recording)
+        circuit = bnre_like(n_wires=240)
+        run_message_passing(
+            circuit, UpdateSchedule.receiver_initiated(1, 5), n_procs=4, iterations=3
+        )
+        n_cells = circuit.n_channels * circuit.n_grids
+        assert len(nodes) == 4
+        for node in nodes:
+            logged = sum(cells.size for cells in node.delta._touched)
+            assert logged <= 3 * n_cells
+            scan = node.delta.dirty_bboxes_by_owner(node.regions)
+            for proc in range(4):
+                assert scan.get(proc) == node.delta.region_dirty_bbox(
+                    node.regions.region(proc)
+                )

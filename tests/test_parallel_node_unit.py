@@ -12,10 +12,13 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit, Pin, Wire
-from repro.grid import BBox, RegionMap
+from repro.circuits import Circuit, Pin, Wire, bnre_like
+from repro.errors import GridError
+from repro.faults import RecoveryPolicy
+from repro.grid import BBox, OwnershipMap, RegionMap
 from repro.parallel import DEFAULT_COST_MODEL
 from repro.parallel.node import MPNode, NodePhase, NodeServices
+from repro.parallel.wire_regions import wire_region_table
 from repro.updates import UpdateKind, UpdateSchedule, build_request
 from repro.updates.packets import UpdatePacket
 
@@ -80,7 +83,9 @@ def regions():
     return RegionMap(4, 40, 4)  # 2x2 mesh
 
 
-def make_node(circuit, regions, schedule, wires=(0, 1, 2), iterations=1, harness=None):
+def make_node(
+    circuit, regions, schedule, wires=(0, 1, 2), iterations=1, harness=None, **kwargs
+):
     harness = harness or Harness()
     node = MPNode(
         proc=0,
@@ -91,8 +96,74 @@ def make_node(circuit, regions, schedule, wires=(0, 1, 2), iterations=1, harness
         iterations=iterations,
         cost_model=DEFAULT_COST_MODEL,
         services=harness.services(),
+        **kwargs,
     )
     return node, harness
+
+
+class TestWireRegionTable:
+    """The run-level table equals what the node used to derive per wire."""
+
+    @pytest.mark.parametrize("n_procs", [1, 4, 16])
+    def test_columns_match_per_wire_geometry(self, n_procs):
+        circuit = bnre_like(n_wires=80)
+        regions = RegionMap(circuit.n_channels, circuit.n_grids, n_procs)
+        table = wire_region_table(circuit, regions)
+        for idx, wire in enumerate(circuit.wires):
+            box = BBox(*wire.bounding_box)
+            assert table.n_segments[idx] == wire.n_pins - 1
+            assert table.clips[idx] == tuple(
+                (owner, box.intersect(regions.region(owner)))
+                for owner in regions.regions_touched(box)
+            )
+
+    def test_cached_per_circuit_and_mesh_shape(self, circuit):
+        table = wire_region_table(circuit, RegionMap(4, 40, 4))
+        assert wire_region_table(circuit, RegionMap(4, 40, 4)) is table
+        assert wire_region_table(circuit, RegionMap(4, 40, 2)) is not table
+        other = Circuit("other", 4, 40, circuit.wires[:2])
+        assert wire_region_table(other, RegionMap(4, 40, 4)) is not table
+
+    def test_region_map_must_cover_the_circuit_grid(self, circuit):
+        with pytest.raises(GridError):
+            wire_region_table(circuit, RegionMap(4, 41, 4))
+
+
+class TestOwnershipCache:
+    """What the pushes read is derived once and refreshed by a death."""
+
+    def derived(self, node):
+        owned = node.ownership.regions_owned_by(node.proc)
+        area = node.view.n_channels * node.view.n_grids - sum(
+            node.regions.region(r).area for r in owned
+        )
+        pushes = []
+        for r in owned:
+            dsts = []
+            for neighbor in node.regions.neighbors(r):
+                dst = node.ownership.live_owner(neighbor)
+                if dst != node.proc and dst not in dsts:
+                    dsts.append(dst)
+            pushes.append((r, node.regions.region(r), dsts))
+        return frozenset(owned), area, pushes
+
+    def test_death_refreshes_owned_set_scan_area_and_destinations(self, circuit, regions):
+        adopted = 0
+        for dead in (1, 2, 3):
+            node, _ = make_node(
+                circuit,
+                regions,
+                UpdateSchedule.sender_initiated(1, 1),
+                ownership=OwnershipMap(regions, seed=3),
+                recovery=RecoveryPolicy(),
+            )
+            assert (node._owned, node._rmt_scan_area, node._loc_pushes) == self.derived(node)
+            assert node._owned == {0}
+            node._handle_death(dead, 0.0)
+            assert (node._owned, node._rmt_scan_area, node._loc_pushes) == self.derived(node)
+            assert all(dead not in dsts for _, _, dsts in node._loc_pushes)
+            adopted += len(node._owned) - 1
+        assert adopted, "no death handed node 0 a region: the adoption side is untested"
 
 
 class TestSenderInitiated:

@@ -68,6 +68,38 @@ class TestSingleWireEquivalence:
         )
         assert_same_route(ref, vec)
 
+    @settings(max_examples=150, deadline=None)
+    @given(cost_grid, wires(), st.integers(min_value=0, max_value=1))
+    def test_lazy_records_are_invisible(self, grid, wire, tie_break):
+        """The fused evaluator builds ``segments`` on first read; reading
+        them only *after* the array was committed to (the message passing
+        node's order, when it reads them at all) must give exactly the
+        reference's records, priced against the array as it was."""
+        data = np.array(grid, dtype=np.int64).reshape(N_CHANNELS, N_GRIDS)
+        ref = route_wire_reference(
+            CostArray(N_CHANNELS, N_GRIDS, data=data.copy()), wire, tie_break
+        )
+        cost = CostArray(N_CHANNELS, N_GRIDS, data=data.copy())
+        fused = route_wire_fused(cost, wire, tie_break)
+        cost.apply_path(fused.path.flat_cells)
+        whole = BBox(0, 0, N_CHANNELS - 1, N_GRIDS - 1)
+        cost.accumulate(whole, np.full((N_CHANNELS, N_GRIDS), 3, dtype=np.int64))
+        assert fused.cost == ref.cost
+        assert fused.read_boxes == ref.read_boxes
+        assert fused.segments == ref.segments
+        assert [s.cost for s in fused.segments] == [s.cost for s in ref.segments]
+        assert fused == ref and ref == fused
+        assert fused.segments is fused.segments  # built once
+
+    def test_route_equality_sees_every_field(self):
+        cost = CostArray(N_CHANNELS, N_GRIDS)
+        cost.apply_path(np.arange(3 * N_GRIDS + 4, 3 * N_GRIDS + 15))
+        wire = Wire("w", [Pin(2, 1), Pin(20, 6)])
+        first, last = route_wire_fused(cost, wire, 0), route_wire_fused(cost, wire, 1)
+        assert first == route_wire_fused(cost, wire, 0)
+        assert first.segments[0].xv != last.segments[0].xv and first != last
+        assert first != route_wire_fused(cost, Wire("v", [Pin(2, 1), Pin(20, 5)]), 0)
+
     def test_routing_does_not_mutate_cost(self):
         cost = CostArray(N_CHANNELS, N_GRIDS)
         before = cost.data.copy()

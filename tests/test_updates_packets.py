@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.updates import (
     HEADER_BYTES,
     UpdateKind,
     UpdatePacket,
+    build_control,
     build_loc_data,
     build_request,
     build_response,
@@ -162,3 +165,45 @@ class TestPacketValidation:
                 UpdateKind.SEND_LOC_DATA, 0, 1, BBox(0, 0, 1, 1),
                 np.zeros((3, 3), dtype=np.int32), 0,
             )
+
+    def test_control_with_payload_rejected(self):
+        with pytest.raises(ProtocolError):
+            UpdatePacket(
+                UpdateKind.HEARTBEAT, 0, 1, BBox(0, 0, 0, 0),
+                np.zeros((1, 1), dtype=np.int32), 0,
+            )
+
+
+class TestPacketRecord:
+    def test_sizes_are_fixed_at_construction(self):
+        box = BBox(1, 2, 2, 4)  # 2x3 = 6 cells
+        values = np.arange(6, dtype=np.int32).reshape(2, 3)
+        data = UpdatePacket(UpdateKind.SEND_RMT_DATA, 0, 1, box, values, 1)
+        assert (data.payload_cells, data.length_bytes) == (6, HEADER_BYTES + ENTRY_BYTES * 6)
+        assert data.length_bytes == packet_bytes(data.kind, data.bbox)
+        encoded = UpdatePacket(UpdateKind.SEND_RMT_DATA, 0, 1, box, values, 1, wire_bytes=40)
+        assert (encoded.payload_cells, encoded.length_bytes) == (6, 40)
+        request = build_request(UpdateKind.REQ_RMT_DATA, 2, 5, box, region_owner=5, req_id=9)
+        assert (request.payload_cells, request.length_bytes) == (0, HEADER_BYTES)
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        """Packets cross the live router's pipes pickled."""
+        box = BBox(1, 2, 2, 4)
+        values = np.arange(6, dtype=np.int32).reshape(2, 3)
+        packets = [
+            UpdatePacket(UpdateKind.RSP_RMT_DATA, 3, 1, box, values, 3, wire_bytes=40, req_id=7),
+            build_request(UpdateKind.REQ_LOC_DATA, 2, 5, box, region_owner=2, req_id=11),
+            build_control(UpdateKind.TASK_GRANT, 0, 4, -1),
+        ]
+        for packet in packets:
+            back = pickle.loads(pickle.dumps(packet, protocol))
+            for name in UpdatePacket.__slots__:
+                if name != "values":
+                    assert getattr(back, name) == getattr(packet, name), name
+            assert back.kind is packet.kind
+            if packet.values is None:
+                assert back.values is None
+            else:
+                assert np.array_equal(back.values, packet.values)
+                assert back.values.dtype == packet.values.dtype
