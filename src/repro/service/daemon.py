@@ -30,20 +30,31 @@ respawned and a twice-failed job becomes a *failed row*, never a dead
 daemon.  SQLite writes happen only on daemon threads — pool workers
 return payloads; the dispatcher persists them.
 
+Waiting
+-------
+A caller that wants a job's outcome is *notified*, it does not poll:
+``GET /jobs/<id>?wait=<seconds>`` is held on one condition variable that
+the dispatcher notifies once per finished execution, connections are
+persistent (``HTTP/1.1``) and every response leaves in one TCP write.
+
 Telemetry: ``service.jobs.submitted / dedup_hits / repo_hits /
 cache_read_through / executed / failed``, ``service.queue.enqueued /
-drained``, and a ``service.job`` span per execution (job latency).
+drained``, ``service.http.connections / requests`` (their ratio is the
+connection reuse), and a ``service.job`` span per execution (job latency).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import queue
+import socket
+import sys
 import threading
 import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from urllib.parse import urlparse
 
 from ..errors import ReproError, ServiceError
@@ -56,6 +67,13 @@ from .repository import Repository
 __all__ = ["RoutingService", "ServiceServer", "serve", "DEFAULT_PORT"]
 
 DEFAULT_PORT = 8642
+#: Longest hold one ``?wait=`` request is given; a longer wait asks again.
+MAX_WAIT_S = 30.0
+#: Largest ``POST /jobs`` body read; a longer one is refused unread (413).
+MAX_BODY_BYTES = 1 << 20
+#: Seconds a connection may sit between requests before its thread is freed.
+IDLE_TIMEOUT_S = 60.0
+_SQLITE_MAX_INT = 2**63 - 1  # a larger LIMIT is an OverflowError, not a bigger page
 
 
 class RoutingService:
@@ -99,8 +117,9 @@ class RoutingService:
         self._inflight: Dict[str, str] = {}  # fingerprint -> primary job id
         self._followers: Dict[str, List[str]] = {}  # fingerprint -> follower ids
         self._stop = threading.Event()
-        self._idle = threading.Event()
-        self._idle.set()
+        #: Notified after a finished execution's rows are written, and by
+        #: :meth:`stop`: what held :meth:`status` calls and :meth:`drain` wait on.
+        self._finished = threading.Condition()
         self._thread: Optional[threading.Thread] = None
         if not paused:
             self.start()
@@ -117,20 +136,27 @@ class RoutingService:
         self._thread.start()
 
     def stop(self, timeout_s: float = 10.0) -> None:
-        """Stop the dispatcher (current batch finishes first)."""
+        """Stop the dispatcher (current batch finishes first).
+
+        Held :meth:`status` calls return at once with the job's current
+        record, so tearing a server down never waits out a hold.
+        """
         self._stop.set()
+        with self._finished:
+            self._finished.notify_all()
         if self._thread is not None:
             self._thread.join(timeout=timeout_s)
             self._thread = None
 
     def drain(self, timeout_s: float = 60.0) -> bool:
-        """Block until the queue is empty and no batch is executing."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self._queue.empty() and self._idle.is_set() and not self._inflight:
-                return True
-            time.sleep(0.01)
-        return False
+        """Block until every accepted job has finished (or *timeout_s*).
+
+        A job's fingerprint is in flight from :meth:`submit` until its
+        rows are final, so "nothing in flight" also means the queue is
+        empty and no batch is executing.
+        """
+        with self._finished:
+            return self._finished.wait_for(lambda: not self._inflight, timeout_s)
 
     # -- submission ----------------------------------------------------
     def submit(
@@ -209,15 +235,36 @@ class RoutingService:
         return record
 
     # -- queries -------------------------------------------------------
-    def status(self, job_id: str) -> Optional[Dict[str, Any]]:
-        return self.repository.get_job(job_id)
+    def status(self, job_id: str, wait_s: float = 0.0) -> Optional[Dict[str, Any]]:
+        """The job's record (``None`` for an unknown id), held up to *wait_s*.
 
-    def result(self, job_id: str) -> Tuple[Optional[Dict[str, Any]], str]:
-        """(result row or None, state) for a job id.
+        A hold ends when the job is ``done``/``failed``, the id is
+        unknown, *wait_s* has passed or the service stops.  The row is
+        read under the condition :meth:`_finish` notifies, so a job that
+        finishes between the read and the wait still wakes the caller.
+        """
+        deadline = time.monotonic() + wait_s
+        with self._finished:
+            while True:
+                record = self.repository.get_job(job_id)
+                left = deadline - time.monotonic()
+                if (
+                    record is None
+                    or record["status"] in ("done", "failed")
+                    or left <= 0
+                    or self._stop.is_set()
+                ):
+                    return record
+                self._finished.wait(left)
+
+    def result(
+        self, job_id: str, wait_s: float = 0.0
+    ) -> Tuple[Optional[Dict[str, Any]], str]:
+        """(result row or None, state) for a job id, held like :meth:`status`.
 
         States: ``unknown``, ``pending``, ``failed``, ``done``.
         """
-        job = self.repository.get_job(job_id)
+        job = self.status(job_id, wait_s)
         if job is None:
             return None, "unknown"
         if job["status"] == "failed":
@@ -266,13 +313,8 @@ class RoutingService:
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
             batch = self._take_batch()
-            if not batch:
-                continue
-            self._idle.clear()
-            try:
+            if batch:
                 self._run_batch(batch)
-            finally:
-                self._idle.set()
 
     def _run_batch(self, batch: List[Tuple[str, JobSpec, str]]) -> None:
         obs.incr("service.queue.drained", len(batch))
@@ -319,6 +361,8 @@ class RoutingService:
             self._inflight.pop(fingerprint, None)
         for follower in followers:
             self.repository.set_status(follower, status, error=error)
+        with self._finished:
+            self._finished.notify_all()
 
 
 # ----------------------------------------------------------------------
@@ -333,14 +377,29 @@ class _Handler(BaseHTTPRequestHandler):
     GET       /health                  liveness probe
     GET       /stats                   queue depth, counters, repository counts
     GET       /jobs                    submission history (?status=, ?limit=)
-    GET       /jobs/<id>               one job's status record
-    GET       /jobs/<id>/result        payload (409 while pending, 500 failed)
+    GET       /jobs/<id>               one job's status record (?wait=)
+    GET       /jobs/<id>/result        payload (409 while pending, 500 failed;
+                                       ?wait=)
     POST      /jobs                    submit {"kind": ..., "params": {...}}
     ========  =======================  =======================================
+
+    ``?wait=<seconds>`` holds the request until the job is finished (or
+    the id unknown, the hold over, the service stopping) and then answers
+    exactly as without it; holds are clamped to ``MAX_WAIT_S``.  A number
+    that does not parse (``limit``, ``wait``, ``Content-Length``) is a
+    ``400``, a body over ``MAX_BODY_BYTES`` a ``413``.
+
+    Connections are persistent.  Headers and body leave in one write
+    (buffered ``wfile``, Nagle off): written apart, the body would sit
+    behind Nagle's algorithm until the client's delayed ACK of the header
+    segment, ~40 ms on every reused connection.
     """
 
     server_version = "locusroute-service/1"
     protocol_version = "HTTP/1.1"
+    wbufsize = -1  # handle_one_request flushes once per response
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S  # stdlib closes the connection on TimeoutError
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # the daemon's stdout belongs to the operator, not access logs
@@ -349,36 +408,91 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> RoutingService:
         return self.server.service  # type: ignore[attr-defined]
 
+    def setup(self) -> None:
+        super().setup()
+        obs.incr("service.http.connections")
+        self.server.connections.add(self.connection)  # type: ignore[attr-defined]
+
+    def finish(self) -> None:
+        self.server.connections.discard(self.connection)  # type: ignore[attr-defined]
+        super().finish()
+
+    def parse_request(self) -> bool:
+        """Count the request and note whether it carries a body."""
+        parsed = super().parse_request()
+        if parsed:
+            obs.incr("service.http.requests")
+            self._body_unread = (
+                self.headers.get("Content-Length", "0") != "0"
+                or "Transfer-Encoding" in self.headers
+            )
+        return parsed
+
     def _send(self, code: int, payload: Dict[str, Any]) -> None:
+        """Answer with *payload*, and close the connection after an answer
+        given without reading the request's body (a refused ``POST``, a
+        ``GET`` that sent one), so that the body is never parsed as the
+        connection's next request."""
         body = json.dumps(payload, indent=1).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self._body_unread:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
+
+    def _number(
+        self,
+        name: str,
+        text: str,
+        convert: Callable[[str], float],
+        ceiling: float = math.inf,
+    ) -> Optional[float]:
+        """*text* as a finite number >= 0, clamped to *ceiling*; ``None``
+        after answering 400 when it is not one."""
+        try:
+            value = convert(text)
+            if not 0 <= value < math.inf:
+                raise ValueError
+        except ValueError:
+            error = f"{name} must be a non-negative number, got {text!r}"
+            self._send(400, {"error": error})
+            return None
+        return min(value, ceiling)
 
     def do_GET(self) -> None:  # noqa: N802
         parsed = urlparse(self.path)
         parts = [p for p in parsed.path.split("/") if p]
+        params = dict(
+            pair.split("=", 1) for pair in parsed.query.split("&") if "=" in pair
+        )
         if parts == ["health"]:
             self._send(200, {"ok": True})
         elif parts == ["stats"]:
             self._send(200, self.service.stats())
         elif parts == ["jobs"]:
-            params = dict(
-                pair.split("=", 1) for pair in parsed.query.split("&") if "=" in pair
+            limit = self._number(
+                "limit", params.get("limit", "200"), int, _SQLITE_MAX_INT
             )
-            limit = int(params.get("limit", 200))
+            if limit is None:
+                return
             status = params.get("status")
             self._send(200, {"jobs": self.service.repository.jobs(status, limit)})
         elif len(parts) == 2 and parts[0] == "jobs":
-            record = self.service.status(parts[1])
+            wait_s = self._number("wait", params.get("wait", "0"), float, MAX_WAIT_S)
+            if wait_s is None:
+                return
+            record = self.service.status(parts[1], wait_s)
             if record is None:
                 self._send(404, {"error": f"unknown job {parts[1]!r}"})
             else:
                 self._send(200, record)
         elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-            stored, state = self.service.result(parts[1])
+            wait_s = self._number("wait", params.get("wait", "0"), float, MAX_WAIT_S)
+            if wait_s is None:
+                return
+            stored, state = self.service.result(parts[1], wait_s)
             if state == "unknown":
                 self._send(404, {"error": f"unknown job {parts[1]!r}"})
             elif state == "pending":
@@ -396,9 +510,19 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed.path.rstrip("/") != "/jobs":
             self._send(404, {"error": f"no such endpoint {parsed.path!r}"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        length = self._number("Content-Length", declared, int)
+        if length is None:
+            return
+        if length > MAX_BODY_BYTES:
+            error = f"request body of {length} bytes is over {MAX_BODY_BYTES}"
+            self._send(413, {"error": error})
+            return
+        raw = self.rfile.read(length)
+        # Read, unless it came chunked: that encoding is not decoded here.
+        self._body_unread = "Transfer-Encoding" in self.headers
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
+            body = json.loads(raw or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
         except ValueError as exc:
@@ -424,6 +548,23 @@ class ServiceServer(ThreadingHTTPServer):
     def __init__(self, address: Tuple[str, int], service: RoutingService) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        #: Accepted sockets whose handler thread is still serving them.
+        self.connections: Set[socket.socket] = set()
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        """A client that went away mid-connection is no traceback's worth."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        """Close the listening socket and every persistent connection, so a
+        closed server answers nobody (its handler threads see EOF and exit)."""
+        super().server_close()
+        for connection in list(self.connections):
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer closed it first
 
 
 def serve(

@@ -5,12 +5,25 @@ quick 24-wire circuits, so the whole module stays fast and
 deterministic.  The acceptance scenario from the issue — two identical
 submissions plus one distinct one yield exactly two executions and
 three persisted job rows — is ``test_dedup_three_submissions_two_executions``.
+
+The transport tests count instead of timing wherever they can: the
+daemon's ``service.http.connections`` / ``service.http.requests``
+counters say how many connections were accepted and how many requests
+served, so "one persistent connection" and "one held request, not a
+poll loop" are exact assertions.
 """
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
+import random
+import socket
+import struct
+import sys
 import threading
+import time
 
 import pytest
 
@@ -18,6 +31,7 @@ from repro.errors import ServiceError
 from repro.harness.cache import ResultCache
 from repro.harness.simjobs import SimConfig, run_sim_configs
 from repro.obs import telemetry as obs
+from repro.service import daemon as daemon_module
 from repro.service import (
     JobSpec,
     Repository,
@@ -51,8 +65,27 @@ def tiny_mp_params():
     }
 
 
+def counter(name):
+    return obs.snapshot()["counters"].get(name, 0)
+
+
 def executed_count():
-    return obs.snapshot()["counters"].get("service.jobs.executed", 0)
+    return counter("service.jobs.executed")
+
+
+def connections():
+    return counter("service.http.connections")
+
+
+def requests():
+    return counter("service.http.requests")
+
+
+def wait_until(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.002)
 
 
 @pytest.fixture
@@ -176,27 +209,49 @@ class TestDedup:
         assert again["status"] == "queued"  # no done-result to dedup against
 
 
-@pytest.fixture
-def server(tmp_path):
+@contextlib.contextmanager
+def running_server(tmp_path, port=0, paused=False):
+    """A daemon serving on a thread; torn down completely on exit."""
     srv = serve(
-        port=0,
+        port=port,
         db=str(tmp_path / "svc.sqlite"),
         cache_dir=str(tmp_path / "cache"),
         jobs=1,
+        paused=paused,
     )
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
     thread.start()
-    yield srv
-    srv.shutdown()
-    thread.join(timeout=10)
-    srv.service.stop()
-    srv.service.repository.close()
-    srv.server_close()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        thread.join(timeout=10)
+        srv.service.stop()
+        srv.service.repository.close()
+        srv.server_close()
+
+
+def client_of(srv, **kwargs):
+    return ServiceClient(f"http://127.0.0.1:{srv.server_address[1]}", **kwargs)
+
+
+@pytest.fixture
+def server(tmp_path):
+    with running_server(tmp_path) as srv:
+        yield srv
 
 
 @pytest.fixture
 def client(server):
-    return ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
+    return client_of(server)
+
+
+@pytest.fixture
+def paused_server(tmp_path):
+    with running_server(tmp_path, paused=True) as srv:
+        yield srv
 
 
 class TestHTTP:
@@ -248,6 +303,406 @@ class TestHTTP:
         bad = ServiceClient("http://127.0.0.1:9", timeout_s=0.5)
         with pytest.raises(ServiceError, match="cannot reach"):
             bad.health()
+
+
+class TestConnections:
+    """One persistent connection per client thread; one retry when a kept
+    connection turns out to be dead; one TCP write per response."""
+
+    def test_one_thread_uses_one_connection(self, client):
+        before = connections(), requests()
+        record = client.submit("route", quick_route_params())  # 1
+        client.wait(record["job_id"], timeout_s=60)  # 2
+        for _ in range(3):  # 3..14
+            client.health()
+            client.stats()
+            client.status(record["job_id"])
+            client.result(record["job_id"])
+        client.list_jobs()  # 15
+        client.list_jobs(status="failed", limit=5)  # 16
+        client.submit("route", quick_route_params())  # 17: a repository hit
+        with pytest.raises(ServiceError):  # 18: a 400 keeps the connection
+            client.submit("teleport", {})
+        with pytest.raises(ServiceError):  # 19: so does a 404
+            client.status("nope")
+        client.health()  # 20
+        assert connections() - before[0] == 1
+        assert requests() - before[1] == 20
+
+    def test_threads_sharing_a_client_get_their_own_connection(self, client):
+        before = connections()
+        problems = []
+        barrier = threading.Barrier(2)
+
+        def worker(iterations):
+            try:
+                barrier.wait(timeout=10)
+                mine = client.submit("route", quick_route_params(iterations=iterations))
+                client.wait(mine["job_id"], timeout_s=60)
+                for _ in range(40):
+                    assert client.status(mine["job_id"])["job_id"] == mine["job_id"]
+                    result = client.result(mine["job_id"])
+                    assert result["fingerprint"] == mine["fingerprint"]
+            except Exception as exc:  # reported on the main thread
+                problems.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert problems == []
+        assert connections() - before == 2
+
+    def test_responses_are_not_held_by_nagle(self, client):
+        """Headers and body written apart stall ~40 ms per request on a
+        kept connection (Nagle against the client's delayed ACK): 50
+        requests took 2.2 s on the stock handler, ~25 ms on this one."""
+        client.health()
+        before = connections()
+        start = time.monotonic()
+        for _ in range(50):
+            client.health()
+        assert time.monotonic() - start < 1.0
+        assert connections() == before
+
+    def test_restarted_daemon_is_reached_on_the_one_retry(self, tmp_path):
+        with running_server(tmp_path) as first:
+            port = first.server_address[1]
+            client = client_of(first)
+            assert client.health() == {"ok": True}
+        with running_server(tmp_path, port=port):
+            before = connections()
+            assert client.health() == {"ok": True}
+            assert connections() - before == 1
+        with running_server(tmp_path, port=port):
+            # A POST is retried too: a repeat would be deduplicated.
+            record = client.submit("route", quick_route_params())
+            assert client.wait(record["job_id"], timeout_s=60)["status"] == "done"
+
+    def test_unreachable_daemon_is_one_attempt(self, tmp_path, monkeypatch):
+        attempts = []
+        connect = http.client.HTTPConnection.connect
+
+        def counting_connect(self):
+            attempts.append(self.port)
+            connect(self)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+        with running_server(tmp_path) as srv:
+            client = client_of(srv, timeout_s=2.0)
+            client.health()
+        assert len(attempts) == 1
+        # The kept connection is dead: one retry, which is refused.
+        with pytest.raises(ServiceError, match="cannot reach"):
+            client.health()
+        assert len(attempts) == 2
+        # Nothing kept: one attempt, no retry.
+        with pytest.raises(ServiceError, match="cannot reach"):
+            client.health()
+        assert len(attempts) == 3
+
+    def test_idle_connection_is_closed_and_reopened(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(daemon_module._Handler, "timeout", 0.05)
+        with running_server(tmp_path) as srv:
+            client = client_of(srv)
+            before = connections()
+            client.health()
+            wait_until(lambda: not srv.connections)  # the handler thread let go
+            assert client.health() == {"ok": True}
+            assert connections() - before == 2
+
+    def test_vanished_client_is_not_a_traceback(self, paused_server, capsys):
+        client = client_of(paused_server)
+        record = client.submit("route", quick_route_params())
+        before = requests()
+        sock = socket.create_connection(("127.0.0.1", paused_server.server_address[1]))
+        sock.sendall(
+            b"GET /jobs/%s?wait=10 HTTP/1.1\r\nHost: x\r\n\r\n"
+            % record["job_id"].encode()
+        )
+        wait_until(lambda: requests() > before)
+        # Linger 0: close() sends a reset, as a killed client's kernel would.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        paused_server.service.stop()  # ends the hold; the reply has nowhere to go
+        wait_until(lambda: len(paused_server.connections) == 1)  # the client's own
+        assert capsys.readouterr().err == ""
+
+    def test_bad_url_is_refused_at_construction(self):
+        for url in ("127.0.0.1:8642", "ftp://127.0.0.1", "http://"):
+            with pytest.raises(ServiceError, match="service URL"):
+                ServiceClient(url)
+
+    def test_base_url_path_prefix_is_kept(self, server):
+        prefixed = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}/api/")
+        with pytest.raises(ServiceError, match="no such endpoint '/api/health'"):
+            prefixed.health()
+
+
+class TestHeldWait:
+    """``?wait=``: the daemon answers when the job finishes; nobody polls."""
+
+    def _wait_in_thread(self, client, job_id, **kwargs):
+        """Start ``client.wait`` on a thread; returns (thread, outcome list)
+        once the daemon has the held request."""
+        before = requests()
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(client.wait(job_id, **kwargs))
+            except ServiceError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        wait_until(lambda: requests() > before)
+        return thread, outcome
+
+    def _finished(self, thread, outcome):
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        return outcome[0]
+
+    def test_wait_is_one_request_answered_at_completion(self, paused_server):
+        client = client_of(paused_server)
+        before = requests()
+        record = client.submit("route", quick_route_params())
+        thread, outcome = self._wait_in_thread(client, record["job_id"], timeout_s=60)
+        assert outcome == []  # held: the job cannot finish while paused
+        paused_server.service.start()
+        assert self._finished(thread, outcome)["status"] == "done"
+        assert requests() - before == 2  # the submit and ONE status request
+
+    def test_follower_wakes_with_its_primary(self, paused_server):
+        client = client_of(paused_server)
+        primary = client.submit("route", quick_route_params())
+        follower = client.submit("route", quick_route_params())
+        assert follower["dedup_of"] == primary["job_id"]
+        before = requests()
+        thread, outcome = self._wait_in_thread(client, follower["job_id"], timeout_s=60)
+        paused_server.service.start()
+        finished = self._finished(thread, outcome)
+        assert finished["status"] == "done" and finished["source"] == "dedup"
+        assert requests() - before == 1
+
+    def test_failed_job_wakes_its_waiter_with_the_error(self, paused_server):
+        client = client_of(paused_server)
+        record = client.submit("route", quick_route_params(iterations=0))
+        before = requests()
+        thread, outcome = self._wait_in_thread(client, record["job_id"], timeout_s=60)
+        paused_server.service.start()
+        finished = self._finished(thread, outcome)
+        assert finished["status"] == "failed" and "iteration" in finished["error"]
+        assert requests() - before == 1
+
+    def test_wait_times_out_naming_the_last_status(self, paused_server):
+        client = client_of(paused_server)
+        record = client.submit("route", quick_route_params())
+        before = requests()
+        start = time.monotonic()
+        with pytest.raises(ServiceError, match="still queued after 0.3s"):
+            client.wait(record["job_id"], timeout_s=0.3)
+        assert 0.25 <= time.monotonic() - start < 1.5
+        assert requests() - before == 1  # held for the whole 0.3 s, not polled
+
+    def test_unknown_job_is_answered_at_once(self, paused_server):
+        client = client_of(paused_server)
+        start = time.monotonic()
+        with pytest.raises(ServiceError, match="unknown job"):
+            client.wait("nope", timeout_s=10)
+        with pytest.raises(ServiceError, match="unknown job"):
+            client._request("/jobs/nope/result?wait=10")
+        assert time.monotonic() - start < 1.0
+
+    def test_stop_releases_held_waits(self, paused_server):
+        client = client_of(paused_server)
+        record = client.submit("route", quick_route_params())
+        path = f"/jobs/{record['job_id']}?wait=10"
+        before = requests()
+        outcome = []
+        thread = threading.Thread(target=lambda: outcome.append(client._request(path)))
+        thread.start()
+        wait_until(lambda: requests() > before)
+        start = time.monotonic()
+        paused_server.service.stop()
+        thread.join(timeout=10)
+        assert time.monotonic() - start < 1.0
+        assert outcome[0]["status"] == "queued"  # the current record, not an error
+
+    def test_held_answers_equal_unheld_ones(self, client):
+        record = client.submit("route", quick_route_params())
+        job = f"/jobs/{record['job_id']}"
+        # The result route holds too: one request from queued to payload.
+        held = client._request(f"{job}/result?wait=30")
+        assert held == client.result(record["job_id"])
+        assert client._request(f"{job}?wait=5") == client.status(record["job_id"])
+
+    def test_pending_result_is_still_a_409_after_its_hold(self, paused_server):
+        client = client_of(paused_server)
+        record = client.submit("route", quick_route_params())
+        start = time.monotonic()
+        pending = client._request(
+            f"/jobs/{record['job_id']}/result?wait=0.2", ok_statuses=(409,)
+        )
+        assert pending == {"status": "pending"}
+        assert time.monotonic() - start >= 0.2
+
+    def test_hold_is_clamped_by_the_daemon(self, paused_server, monkeypatch):
+        monkeypatch.setattr(daemon_module, "MAX_WAIT_S", 0.1)
+        client = client_of(paused_server)
+        record = client.submit("route", quick_route_params())
+        start = time.monotonic()
+        assert client._request(f"/jobs/{record['job_id']}?wait=10")["status"] == "queued"
+        assert time.monotonic() - start < 1.0
+
+    def test_daemon_that_does_not_hold_is_polled_every_poll_s(
+        self, paused_server, monkeypatch
+    ):
+        monkeypatch.setattr(daemon_module, "MAX_WAIT_S", 0.0)  # as one without ?wait=
+        client = client_of(paused_server)
+        record = client.submit("route", quick_route_params())
+        before = requests()
+        with pytest.raises(ServiceError, match="still queued"):
+            client.wait(record["job_id"], timeout_s=0.3, poll_s=0.05)
+        assert 3 <= requests() - before <= 8
+
+    def test_status_hold_has_no_lost_wakeup(self, service):
+        """A job finished at a random instant around the waiter's row read
+        always wakes it: no hold runs to expiry on a finished job."""
+        rng = random.Random(18)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(250):
+                job_id, fingerprint = f"job{round_}", f"fp{round_}"
+                service.repository.add_job(job_id, fingerprint, "route", {})
+                delay = rng.uniform(0.0, 4e-4)
+
+                def finish():
+                    time.sleep(delay)
+                    service._finish(job_id, fingerprint, "done")
+
+                finisher = threading.Thread(target=finish)
+                start = time.monotonic()
+                finisher.start()
+                record = service.status(job_id, wait_s=10.0)
+                elapsed = time.monotonic() - start
+                finisher.join(timeout=10)
+                assert not finisher.is_alive()
+                assert record["status"] == "done", round_
+                assert elapsed < 5.0, (round_, delay, elapsed)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_drain_wakes_on_the_last_finish(self, service):
+        service.submit("route", quick_route_params())
+        assert not service.drain(timeout_s=0.05)  # paused: still in flight
+        service.start()
+        assert service.drain(timeout_s=60)
+        assert service.drain(timeout_s=0)  # nothing in flight: at once
+
+
+class TestMalformedInput:
+    """Bad numbers are 400s and oversized bodies 413s, never a traceback
+    and a dropped connection; an unread body closes the connection."""
+
+    def _exchange(self, connection, method, path, headers=None, body=None):
+        connection.putrequest(method, path)
+        for name, value in (headers or {}).items():
+            connection.putheader(name, value)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, response.getheader("Connection"), json.loads(response.read())
+
+    @pytest.fixture
+    def raw(self, server):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+        yield connection
+        connection.close()
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "/jobs?limit=abc",
+            "/jobs?limit=-1",
+            "/jobs?limit=1.5",
+            "/jobs/x?wait=soon",
+            "/jobs/x?wait=-1",
+            "/jobs/x?wait=nan",
+            "/jobs/x?wait=inf",
+            "/jobs/x/result?wait=",
+        ],
+    )
+    def test_bad_query_number_is_a_400(self, raw, path):
+        before = connections()
+        status, connection, payload = self._exchange(raw, "GET", path)
+        assert status == 400 and "must be a non-negative number" in payload["error"]
+        # Nothing was left unread, so the connection serves the next request.
+        assert connection is None
+        assert self._exchange(raw, "GET", "/health")[0] == 200
+        assert connections() - before == 1
+
+    def test_bad_query_number_through_the_client(self, client):
+        with pytest.raises(ServiceError, match="limit must be a non-negative number"):
+            client.list_jobs(limit="abc")
+        assert client.health() == {"ok": True}
+
+    def test_huge_limit_is_the_whole_history(self, raw):
+        status, _, payload = self._exchange(raw, "GET", "/jobs?limit=" + "9" * 30)
+        assert status == 200 and payload == {"jobs": []}
+
+    def test_bad_content_length_is_a_400_and_closes(self, raw):
+        status, connection, payload = self._exchange(
+            raw, "POST", "/jobs", {"Content-Length": "zz"}
+        )
+        assert status == 400 and "Content-Length" in payload["error"]
+        assert connection == "close"
+        assert self._exchange(raw, "GET", "/health")[0] == 200  # reconnects
+
+    def test_oversized_body_is_a_413_unread(self, raw):
+        declared = str(daemon_module.MAX_BODY_BYTES + 1)
+        start = time.monotonic()
+        status, connection, payload = self._exchange(
+            raw, "POST", "/jobs", {"Content-Length": declared}  # and no body sent
+        )
+        assert status == 413 and declared in payload["error"]
+        assert connection == "close"
+        assert time.monotonic() - start < 1.0  # answered without waiting for it
+        assert self._exchange(raw, "GET", "/health")[0] == 200
+
+    def test_oversized_submission_through_the_client(self, client):
+        with pytest.raises(ServiceError):
+            client.submit("route", {"which": "x" * (2 * daemon_module.MAX_BODY_BYTES)})
+        assert client.health() == {"ok": True}
+
+    SMUGGLED = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "head, answer",
+        [
+            (b"POST /nope HTTP/1.1\r\nContent-Length: %d" % len(SMUGGLED), b"404"),
+            (b"GET /health HTTP/1.1\r\nContent-Length: %d" % len(SMUGGLED), b"200"),
+            (b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked", b"400"),
+        ],
+    )
+    def test_unread_body_is_never_the_next_request(self, server, head, answer):
+        """A body the daemon did not read must not be served as a request
+        of its own: the reply says ``Connection: close`` and means it."""
+        address = ("127.0.0.1", server.server_address[1])
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(head + b"\r\nHost: x\r\n\r\n" + self.SMUGGLED)
+            received = b""
+            with contextlib.suppress(ConnectionResetError):
+                while chunk := sock.recv(65536):
+                    received += chunk
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert received.startswith(b"HTTP/1.1 " + answer)
+        assert b"Connection: close" in received and b"queue_depth" not in received
 
 
 class TestCLI:
