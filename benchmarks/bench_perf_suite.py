@@ -385,107 +385,6 @@ def bench_event_kernel(quick: bool, repeats: int) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Wormhole link occupancy updates
-
-
-def bench_wormhole_links(quick: bool, repeats: int) -> Dict[str, object]:
-    from repro.events.sim import Simulator
-    from repro.netsim.message import Message
-    from repro.netsim.topology import MeshTopology
-    from repro.netsim.wormhole import WormholeNetwork
-
-    # MAX_PROCS-sized mesh: route lengths span both sides of the
-    # BATCH_MIN_HOPS crossover, so the scalar and batched reservation
-    # updates are both exercised.  Traffic mirrors the message passing
-    # router: mostly master<->worker task/result pairs (heavily repeated
-    # routes, warming the route cache) plus some worker-to-worker noise.
-    n_procs = 63
-    n_messages = 1_000 if quick else 10_000
-
-    def run() -> Tuple[int, ...]:
-        sim = Simulator()
-        deliveries: List[object] = []
-        net = WormholeNetwork(sim, MeshTopology(n_procs), deliveries.append)
-        state = 0x9E3779B97F4A7C15
-        for i in range(n_messages):
-            state = (state * 6364136223846793005 + 1) & (2**64 - 1)
-            worker = 1 + (state >> 40) % (n_procs - 1)
-            if i % 4 == 0:
-                src, dst = (state >> 16) % n_procs, (state >> 32) % n_procs
-            elif i % 2 == 0:
-                src, dst = 0, worker
-            else:
-                src, dst = worker, 0
-            net.send(Message(src, dst, 8 + (state >> 4) % 56, payload=i))
-        sim.run()
-        return tuple(
-            (d.message.payload, round(d.arrive_time * 1e12)) for d in deliveries
-        )
-
-    times, outputs = compare_kernel_modes(run, repeats)
-    return entry(
-        "wormhole_links",
-        "kernel",
-        times["reference"],
-        times["vectorized"],
-        outputs["reference"] == outputs["vectorized"],
-        f"{n_messages} random messages on a {n_procs}-node mesh",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Event queue lazy cancellation + compaction
-
-
-def bench_event_queue(quick: bool, repeats: int) -> Dict[str, object]:
-    from repro.events.queue import EventQueue
-
-    class NoCompactQueue(EventQueue):
-        """The pre-compaction behaviour: dead entries linger in the heap."""
-
-        COMPACT_MIN = 1 << 60
-
-    n_events = 5_000 if quick else 50_000
-
-    def workload(queue_cls) -> Tuple[float, ...]:
-        q = queue_cls()
-        live = []
-        state = 0xC0FFEE
-        for i in range(n_events):
-            state = (state * 1103515245 + 12345) & (2**31 - 1)
-            live.append(q.push(state / 1e6, lambda: None))
-            # Retry/rendezvous pattern: most scheduled events get
-            # cancelled and replaced before they fire.
-            if len(live) >= 8:
-                for ev in live[:6]:
-                    q.cancel(ev)
-                del live[:6]
-        times = []
-        while True:
-            ev = q.pop()
-            if ev is None:
-                break
-            times.append(ev.time)
-        return tuple(times)
-
-    times, outputs = interleaved_best(
-        {
-            "reference": lambda: workload(NoCompactQueue),
-            "vectorized": lambda: workload(EventQueue),
-        },
-        repeats,
-    )
-    return entry(
-        "event_queue_cancel",
-        "kernel",
-        times["reference"],
-        times["vectorized"],
-        outputs["reference"] == outputs["vectorized"],
-        f"{n_events} pushes with 75% cancellation; compaction off vs on",
-    )
-
-
-# ---------------------------------------------------------------------------
 # Driver
 
 
@@ -523,8 +422,6 @@ BENCHES = {
     "twobend_routing": bench_twobend_routing,
     "wavefront_routing": bench_wavefront_routing,
     "t6_event_kernel": bench_event_kernel,
-    "wormhole_links": bench_wormhole_links,
-    "event_queue_cancel": bench_event_queue,
     "live_sm_speedup": bench_live_sm,
     "s1_plan_waves_10k": _s1_bench("s1_plan_waves_10k"),
     "s1_route_scaling_10k": _s1_bench("s1_route_scaling_10k"),

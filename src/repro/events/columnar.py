@@ -17,9 +17,7 @@ serves it at machine speed, instead of one Python object per row.
 - **callbacks** — a ``seq -> action`` dict, touched exactly twice per
   event (schedule, fire) instead of travelling through every comparison.
 - **liveness** — a set of cancelled ``seq`` values; cancellation is a set
-  insert, and dead entries are shed in *batch* by one filtered rebuild
-  (:meth:`_compact`) under the same dead-count heuristic as
-  :class:`EventQueue`, including from :meth:`peek_time`.
+  insert, and a dead key is skipped when it reaches the top of the heap.
 
 What deliberately did **not** land: batch-advancing a whole window of
 ready events in one vectorised step, the full order-statistics replay of
@@ -62,18 +60,12 @@ class ColumnarEventQueue:
     cancel-after-fire no-op).
     """
 
-    #: Compaction floor on the dead count — same heuristic and threshold
-    #: as :attr:`EventQueue.COMPACT_MIN`, so both queues rebuild at the
-    #: same points under the same cancellation load.
-    COMPACT_MIN = 64
-
     __slots__ = (
         "_heap",
         "_actions",
         "_cancelled",
         "_counter",
         "_last_popped",
-        "n_compactions",
     )
 
     def __init__(self) -> None:
@@ -82,7 +74,6 @@ class ColumnarEventQueue:
         self._cancelled: Set[int] = set()
         self._counter = itertools.count()
         self._last_popped = 0.0
-        self.n_compactions = 0
 
     def __len__(self) -> int:
         return len(self._actions)
@@ -103,28 +94,13 @@ class ColumnarEventQueue:
 
         Cancelling an event that already fired, or cancelling twice, is a
         no-op.  The callback column is released immediately; the dead key
-        stays in the heap until a batched :meth:`_compact` sheds it.
+        stays in the heap until it is popped.
         """
         seq = handle[1]
         if seq not in self._actions:
             return  # already fired or already cancelled
         del self._actions[seq]
         self._cancelled.add(seq)
-        dead = len(self._cancelled)
-        if dead >= self.COMPACT_MIN and dead * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Shed every dead key in one filtered rebuild + heapify.
-
-        Pop order is unaffected: keys are unique, so any heap over the
-        same live key set pops the same sequence.
-        """
-        cancelled = self._cancelled
-        self._heap = [key for key in self._heap if key[1] not in cancelled]
-        heapq.heapify(self._heap)
-        cancelled.clear()
-        self.n_compactions += 1
 
     def pop_next(self) -> Optional[Tuple[float, Callable[[], Any]]]:
         """Pop the earliest live event as ``(time, action)``, else ``None``."""
@@ -141,19 +117,9 @@ class ColumnarEventQueue:
         return None
 
     def peek_time(self) -> Optional[float]:
-        """Time of the earliest live event without popping it.
-
-        Dead heads are shed through the same batched compaction path as
-        :meth:`EventQueue.peek_time` once :data:`COMPACT_MIN` dead keys
-        have accumulated.
-        """
-        while True:
-            heap = self._heap  # _compact() rebinds the heap list
-            if not heap:
-                return None
-            if heap[0][1] not in self._cancelled:
-                return heap[0][0]
-            if len(self._cancelled) >= self.COMPACT_MIN:
-                self._compact()
-            else:
-                self._cancelled.discard(heapq.heappop(heap)[1])
+        """Time of the earliest live event without popping it."""
+        heap = self._heap
+        cancelled = self._cancelled
+        while heap and heap[0][1] in cancelled:
+            cancelled.discard(heapq.heappop(heap)[1])
+        return heap[0][0] if heap else None

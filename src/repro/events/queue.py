@@ -39,19 +39,11 @@ class Event:
 class EventQueue:
     """Min-heap of :class:`Event` with monotonic pop times."""
 
-    #: Compaction floor on the *dead count*: no compaction happens until at
-    #: least this many cancelled entries linger in the heap (filtering a
-    #: heap to shed a handful of dead entries costs more than skipping
-    #: them).  The heap size only enters through the majority condition in
-    #: :meth:`cancel` — dead entries must also outnumber the live ones.
-    COMPACT_MIN = 64
-
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._counter = itertools.count()
         self._last_popped = 0.0
         self._n_cancelled_in_heap = 0
-        self.n_compactions = 0
 
     def __len__(self) -> int:
         return len(self._heap) - self._n_cancelled_in_heap
@@ -78,25 +70,10 @@ class EventQueue:
         # A fired event was already removed by pop(); only events still in
         # the heap affect the live count.
         self._n_cancelled_in_heap += 1
-        # Lazy cancellation leaves dead entries in the heap; long
-        # fault-injection runs (heavy retry churn) can accumulate far more
-        # dead events than live ones, inflating every subsequent push/pop.
-        # Rebuild without them once they outnumber the live entries.
-        dead = self._n_cancelled_in_heap
-        if dead >= self.COMPACT_MIN and dead * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
-
-        Pop order is unaffected: events are totally ordered by their
-        unique ``(time, seq)`` keys, so any heap over the same live set
-        pops the same sequence.
-        """
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
-        self._n_cancelled_in_heap = 0
-        self.n_compactions += 1
+        # Lazy cancellation: the dead entry stays in the heap and is
+        # skipped when popped.  Only an interrupted commit and a crash
+        # cancel, and both are re-due within one wire, so no run holds
+        # more than a few dozen dead entries (docs/PERFORMANCE.md).
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest live event, or ``None`` if the queue is empty."""
@@ -123,19 +100,8 @@ class EventQueue:
         return event.time, event.action
 
     def peek_time(self) -> Optional[float]:
-        """Time of the earliest live event without popping it.
-
-        A cancelled head is removed through the same compaction heuristic
-        :meth:`cancel` uses: once :data:`COMPACT_MIN` dead entries have
-        accumulated, one :meth:`_compact` sheds them all.  Draining them
-        one heappop at a time would make a peek-heavy caller (the
-        simulator main loop peeks every step) pay O(dead log n) after
-        retry churn leaves a dead prefix at the top of the heap.
-        """
+        """Time of the earliest live event without popping it."""
         while self._heap and self._heap[0].cancelled:
-            if self._n_cancelled_in_heap >= self.COMPACT_MIN:
-                self._compact()
-                break
             heapq.heappop(self._heap)
             self._n_cancelled_in_heap -= 1
         return self._heap[0].time if self._heap else None

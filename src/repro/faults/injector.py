@@ -128,7 +128,7 @@ class FaultInjector:
         while moved:
             moved = False
             for link in links:
-                for window in self._windows_by_link.get(int(link), ()):
+                for window in self._windows_by_link.get(link, ()):
                     if window.slowdown is None and window.start_s <= released < window.end_s:
                         released = window.end_s
                         moved = True
@@ -149,7 +149,7 @@ class FaultInjector:
             return 0.0
         worst = 1.0
         for link in links:
-            for window in self._windows_by_link.get(int(link), ()):
+            for window in self._windows_by_link.get(link, ()):
                 if window.slowdown is not None and window.start_s <= t_start < window.end_s:
                     worst = max(worst, window.slowdown)
         if worst <= 1.0:

@@ -49,7 +49,12 @@ class DeltaArray:
         # and zeroed entries are filtered out at scan time), which lets
         # :meth:`dirty_bboxes_by_owner` avoid a full-grid nonzero sweep.
         # Schedules that never push never scan, so a log that outgrows
-        # the grid compacts itself (:meth:`_log`).
+        # the grid compacts itself (:meth:`_log`).  Measured and kept: one
+        # ``flatnonzero`` over the array is as fast on the 3-5k-cell grids
+        # of the paper's circuits but 4x slower per push on the
+        # 121 980-cell grid of a 15k-wire scaled circuit, which
+        # ``locusroute mp --name scaled`` reaches (docs/PERFORMANCE.md,
+        # "Measured and kept").
         self._touched: List[np.ndarray] = []
         self._n_touched = 0
 

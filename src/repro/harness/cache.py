@@ -22,9 +22,7 @@ All writes are atomic *and durable* (tmp file + fsync + ``os.replace``
 in the same directory, then a directory fsync), so a reader can never
 observe a half-written entry and a committed entry survives power loss;
 a corrupted or truncated entry is treated as a miss and overwritten on
-the next run.  Set :data:`NO_FSYNC_ENV` (``REPRO_NO_FSYNC=1``) to skip
-the fsyncs — tests and throwaway runs where durability is not worth the
-syscalls.  Hits and misses are counted in the global telemetry
+the next run.  Hits and misses are counted in the global telemetry
 (``cache.experiment.hits`` etc.) so ``BENCH_harness.json`` can report
 them.
 """
@@ -59,7 +57,6 @@ __all__ = [
     "code_fingerprint",
     "circuit_fingerprint",
     "cost_model_fingerprint",
-    "NO_FSYNC_ENV",
 ]
 
 PathLike = Union[str, Path]
@@ -69,10 +66,6 @@ PathLike = Union[str, Path]
 #: and its string spelling used to canonicalise identically, so two
 #: different fingerprints could share a cache key).
 CACHE_SCHEMA = 2
-
-#: Set to ``1`` to skip the fsyncs in :func:`atomic_write_bytes`
-#: (atomicity is kept; crash durability is given up).
-NO_FSYNC_ENV = "REPRO_NO_FSYNC"
 
 
 # ----------------------------------------------------------------------
@@ -183,13 +176,6 @@ def cost_model_fingerprint(cost_model: CostModel = DEFAULT_COST_MODEL) -> Dict[s
 # ----------------------------------------------------------------------
 # atomic writes (shared with runner.save_result)
 # ----------------------------------------------------------------------
-def _fsync_enabled() -> bool:
-    """Durable by default; :data:`NO_FSYNC_ENV` opts out (tests)."""
-    return os.environ.get(NO_FSYNC_ENV, "").strip().lower() not in (
-        "1", "true", "yes",
-    )
-
-
 def _fsync_dir(directory: Path) -> None:
     """fsync a directory so a just-renamed entry survives power loss.
 
@@ -217,23 +203,20 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> Path:
     durable before the name points at it, and the directory fsync makes
     the *name* durable — without it the commit-log entries and cache
     files "written atomically" could still vanish wholesale on power
-    loss.  :data:`NO_FSYNC_ENV` skips both fsyncs.
+    loss.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    durable = _fsync_enabled()
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
-        if durable:
-            _fsync_dir(path.parent)
+        _fsync_dir(path.parent)
     except BaseException:
         try:
             os.unlink(tmp)

@@ -23,7 +23,6 @@ sim rows serially.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -31,7 +30,7 @@ from ..obs import telemetry as obs
 from . import simjobs
 from .cache import ResultCache
 from .experiments import ExperimentResult
-from .pool import pool_map
+from .pool import in_pool_worker, pool_map
 from .runner import run_one_cached
 
 __all__ = ["run_parallel"]
@@ -43,7 +42,6 @@ def _run_experiment_task(
     exp_id: str,
     quick: bool,
     cache_dir: Optional[str],
-    parent_pid: int,
 ) -> _WorkerOut:
     """Pool-worker body: one experiment id, returning its telemetry.
 
@@ -51,15 +49,15 @@ def _run_experiment_task(
     workers inherit the parent's counters, which the parent already
     owns), so the returned snapshot is exactly this task's delta.  When
     :func:`repro.harness.pool.pool_map` retries a failed task serially
-    *in the parent* (detected via ``parent_pid``), the telemetry already
-    lands in the parent's live global, so an empty snapshot is returned
-    instead of a double-counting copy.
+    *in the parent* (:func:`repro.harness.pool.in_pool_worker` is false),
+    the telemetry already lands in the parent's live global, so an empty
+    snapshot is returned instead of a double-counting copy.
 
     Each worker opens its own handle on the shared cache directory —
     entries are content-addressed and written atomically, so concurrent
     writers are safe (last writer wins with identical bytes).
     """
-    in_worker = os.getpid() != parent_pid
+    in_worker = in_pool_worker()
     if in_worker:
         obs.reset()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
@@ -98,7 +96,6 @@ def run_parallel(
         _run_experiment_task,
         quick=quick,
         cache_dir=str(cache.directory) if cache is not None else None,
-        parent_pid=os.getpid(),
     )
     outs: List[_WorkerOut] = pool_map(
         worker, exp_ids, jobs=jobs, timeout_s=timeout_s, label="experiment"

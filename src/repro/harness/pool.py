@@ -13,8 +13,10 @@ A task that raises in its worker, or exceeds ``timeout_s``, is retried
 **once, serially, in the parent process** after the pool pass finishes.
 Serial retry sidesteps a potentially broken/saturated pool and makes the
 second attempt easy to debug (the traceback is the real one, not a
-pickled copy).  A task that fails twice raises :class:`ExperimentError`
-carrying the original failure.
+pickled copy).  A serial run (``jobs <= 1`` or one item) has the same
+two stages: every item once, then the failures once more.  A task that
+fails twice raises :class:`ExperimentError` carrying the retry's failure,
+after every other item has had its attempts.
 
 A pool whose worker *process* dies (OOM kill, segfault, a fault-injected
 crash experiment taking out its host) surfaces as
@@ -24,11 +26,11 @@ with exponential backoff — and resubmits only the uncollected items.
 If the respawn budget runs out, the survivors' results are kept and the
 stragglers fall through to the serial retry like any other failure.
 
-:func:`pool_map_salvage` is the non-raising variant: instead of raising
-on the first twice-failed task it returns a :class:`PoolReport` with
-``None`` holes for the casualties and a structured
-:class:`PoolFailure` record per loss, so sweep callers can salvage the
-partial results (a 47/48-cell sweep is still a sweep).
+:func:`pool_map_salvage` is the pass itself and never raises: it returns
+a :class:`PoolReport` with a ``None`` hole and a structured
+:class:`PoolFailure` record per twice-failed task, so sweep callers can
+salvage the partial results (a 47/48-cell sweep is still a sweep).
+:func:`pool_map` is that pass plus raising the first loss.
 
 Timeout semantics: ``timeout_s`` bounds how long the parent waits for
 each task *from the moment it starts waiting on it* (tasks are awaited
@@ -70,6 +72,7 @@ __all__ = [
     "START_METHOD_ENV",
     "PoolFailure",
     "PoolReport",
+    "in_pool_worker",
     "mp_context",
     "pool_map",
     "pool_map_salvage",
@@ -108,6 +111,10 @@ def mp_context(method: Optional[str] = None):
     return multiprocessing.get_context(method)
 
 
+#: Set once, by :func:`_pool_worker_init`, in each pool worker process.
+_IN_POOL_WORKER = False
+
+
 def _pool_worker_init(kernel_mode: str) -> None:
     """Pool-worker initializer: re-establish per-process global state.
 
@@ -117,6 +124,8 @@ def _pool_worker_init(kernel_mode: str) -> None:
     telemetry would start dirty.  Explicitly propagating the kernel mode
     keeps worker behaviour identical across start methods.
     """
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
     set_kernels(kernel_mode)
     from ..obs import telemetry
 
@@ -137,6 +146,7 @@ class PoolFailure:
     stage: str  #: where the first failure happened: worker/timeout/pool-broken/serial
     attempts: int  #: total execution attempts made
     error: str  #: repr of the final (serial-retry) exception
+    exception: Optional[BaseException] = field(default=None, repr=False, compare=False)
 
     def describe(self, label: str = "task") -> str:
         return (
@@ -177,21 +187,6 @@ class PoolReport:
         }
 
 
-def _run_with_retry(fn: Callable[[T], R], item: T, label: str, index: int) -> R:
-    """Serial execution with the same retry-once contract as the pool."""
-    try:
-        return fn(item)
-    except ExperimentError:
-        raise
-    except Exception:
-        try:
-            return fn(item)
-        except Exception as exc:
-            raise ExperimentError(
-                f"{label} {index} ({item!r}) failed twice: {exc}"
-            ) from exc
-
-
 def _failure_stage(exc: BaseException) -> str:
     if isinstance(exc, FutureTimeoutError):
         return "timeout"
@@ -209,9 +204,8 @@ def _pool_pass(
     """One pool stage over all items, respawning on ``BrokenProcessPool``.
 
     Returns ``(results, failures, respawns)`` where *failures* pairs each
-    uncollected index with the exception that sank its first attempt.
-    The caller decides what a failure means (retry-or-raise for
-    :func:`pool_map`, record-and-salvage for :func:`pool_map_salvage`).
+    uncollected index with the exception that sank its first attempt;
+    :func:`pool_map_salvage` retries those serially.
     """
     pending = list(range(len(items)))
     results: Dict[int, R] = {}
@@ -262,6 +256,64 @@ def _pool_pass(
     return results, failures, respawns
 
 
+def in_pool_worker() -> bool:
+    """True in a process that :func:`_pool_pass` started as a pool worker.
+
+    The worker wrappers reset the process-global telemetry and hand back
+    a snapshot for the parent to merge.  A task that runs in the parent
+    instead (``jobs=1``, a single item, the serial retry of a failed or
+    timed-out task) already increments the parent's live telemetry, so
+    there a reset would wipe the parent's counters and a returned
+    snapshot would double-count.
+    """
+    return _IN_POOL_WORKER
+
+
+def pool_map_salvage(
+    fn: Callable[[T], R],
+    items: Sequence[T],
+    jobs: int = 1,
+    timeout_s: Optional[float] = None,
+) -> PoolReport:
+    """Map *fn* over *items*, trying each at most twice, never raising.
+
+    ``jobs <= 1`` (or a single item) makes the first attempts serially in
+    this process; otherwise they are one :func:`_pool_pass`.  Each first
+    failure is then retried once, serially, in this process.  A task
+    that fails both times leaves a ``None`` hole in ``report.results``
+    and a :class:`PoolFailure` record; everything that completed is kept.
+    """
+    items = list(items)
+    results: Dict[int, R] = {}
+    first_failures: List[Tuple[int, str]] = []
+    respawns = 0
+    if jobs <= 1 or len(items) == 1:
+        for i, item in enumerate(items):
+            try:
+                results[i] = fn(item)
+            except Exception:
+                first_failures.append((i, "serial"))
+    else:
+        results, pool_failures, respawns = _pool_pass(fn, items, jobs, timeout_s)
+        first_failures = sorted((i, _failure_stage(exc)) for i, exc in pool_failures)
+    losses: List[PoolFailure] = []
+    for i, stage in first_failures:
+        try:
+            results[i] = fn(items[i])
+        except Exception as exc:
+            losses.append(
+                PoolFailure(
+                    index=i, item=items[i], stage=stage, attempts=2,
+                    error=repr(exc), exception=exc,
+                )
+            )
+    return PoolReport(
+        results=[results.get(i) for i in range(len(items))],
+        failures=losses,
+        respawns=respawns,
+    )
+
+
 def pool_map(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -271,79 +323,14 @@ def pool_map(
 ) -> List[R]:
     """Map *fn* over *items*, results in item order (see module docstring).
 
-    ``jobs <= 1`` (or a single item) runs serially in-process, still with
-    the retry-once contract, so callers need exactly one code path.
+    The :func:`pool_map_salvage` pass, with the first loss (in item
+    order) raised as :class:`ExperimentError` from the retry's exception.
     """
-    items = list(items)
-    if not items:
-        return []
-    if jobs <= 1 or len(items) == 1:
-        return [
-            _run_with_retry(fn, item, label, i) for i, item in enumerate(items)
-        ]
-
-    results, failures, _respawns = _pool_pass(fn, items, jobs, timeout_s)
-    for i, _first_exc in failures:
-        try:
-            results[i] = fn(items[i])
-        except Exception as exc:
-            raise ExperimentError(
-                f"{label} {i} ({items[i]!r}) failed twice "
-                f"(once in a worker, once on serial retry): {exc}"
-            ) from exc
-    return [results[i] for i in range(len(items))]
-
-
-def pool_map_salvage(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    jobs: int = 1,
-    timeout_s: Optional[float] = None,
-    label: str = "task",
-) -> PoolReport:
-    """Like :func:`pool_map`, but a twice-failed task never raises.
-
-    Each casualty leaves a ``None`` hole in ``report.results`` and a
-    :class:`PoolFailure` record; everything that did complete is kept.
-    ``label`` only flavours failure descriptions.
-    """
-    items = list(items)
-    if not items:
-        return PoolReport(results=[])
-    collected: Dict[int, R] = {}
-    losses: List[PoolFailure] = []
-    respawns = 0
-    if jobs <= 1 or len(items) == 1:
-        for i, item in enumerate(items):
-            try:
-                collected[i] = _run_with_retry(fn, item, label, i)
-            except Exception as exc:
-                losses.append(
-                    PoolFailure(
-                        index=i, item=item, stage="serial",
-                        attempts=2, error=repr(exc),
-                    )
-                )
-    else:
-        collected, pool_failures, respawns = _pool_pass(
-            fn, items, jobs, timeout_s
-        )
-        for i, first_exc in pool_failures:
-            try:
-                collected[i] = fn(items[i])
-            except Exception as exc:
-                losses.append(
-                    PoolFailure(
-                        index=i,
-                        item=items[i],
-                        stage=_failure_stage(first_exc),
-                        attempts=2,
-                        error=repr(exc),
-                    )
-                )
-    losses.sort(key=lambda f: f.index)
-    return PoolReport(
-        results=[collected.get(i) for i in range(len(items))],
-        failures=losses,
-        respawns=respawns,
-    )
+    report = pool_map_salvage(fn, items, jobs, timeout_s)
+    if report.failures:
+        loss = report.failures[0]
+        raise ExperimentError(
+            f"{label} {loss.index} ({loss.item!r}) failed twice "
+            f"(first: {loss.stage}): {loss.exception}"
+        ) from loss.exception
+    return report.results

@@ -52,7 +52,7 @@ from .cache import (
     cost_model_fingerprint,
     stable_hash,
 )
-from .pool import pool_map
+from .pool import in_pool_worker, pool_map
 
 __all__ = [
     "ASSIGNERS",
@@ -195,11 +195,15 @@ def _run_sim_config_in_worker(
 
     The worker's global telemetry is reset first (fork-started workers
     inherit the parent's counters, which the parent already owns), so
-    the returned snapshot is exactly this task's delta.
+    the returned snapshot is exactly this task's delta.  A serial retry
+    in the parent (see :func:`repro.harness.pool.in_pool_worker`) counts
+    straight into the live telemetry and returns an empty snapshot.
     """
-    obs.reset()
+    in_worker = in_pool_worker()
+    if in_worker:
+        obs.reset()
     result = run_sim_config(config)
-    return result, obs.snapshot()
+    return result, obs.snapshot() if in_worker else {}
 
 
 def _assignment(

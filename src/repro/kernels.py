@@ -5,18 +5,17 @@ Each hot path below has two interchangeable implementations — a scalar
 protocol/algorithm description directly) and a *vectorized* engine
 (columnar NumPy, bit-identical output):
 
-=================  ===================================  ===============================================
-hot path           reference                            vectorized
-=================  ===================================  ===============================================
-coherence          ``memsim.coherence``                 ``memsim.columnar``
-sweep dispatch     per-line-size scalar replay          shared ``ColumnarTrace``
-write-update       ``memsim.update_protocol``           ``ColumnarTrace.replay_write_update``
-two-bend route     ``route.twobend.route_segment``      ``route.wavefront.route_wire_fused``
-routing iteration  per-wire loop in ``route.engine``    one fused step per wave (``route.wavefront``)
-event queue        ``events.queue.EventQueue``          ``events.columnar.ColumnarEventQueue``
-link reservation   per-hop loop in ``netsim.wormhole``  cached routes, batched above ``BATCH_MIN_HOPS``
-MP update push     per-region dirty-box scan            ``DeltaArray.dirty_bboxes_by_owner``
-=================  ===================================  ===============================================
+=================  =================================  =====================================================
+hot path           reference                          vectorized
+=================  =================================  =====================================================
+coherence          ``memsim.coherence``               ``memsim.columnar``
+sweep dispatch     per-line-size scalar replay        shared ``ColumnarTrace``
+write-update       ``memsim.update_protocol``         ``memsim.columnar.ColumnarTrace.replay_write_update``
+two-bend route     ``route.twobend.route_segment``    ``route.wavefront.route_wire_fused``
+routing iteration  per-wire loop in ``route.engine``  one fused step per wave (``route.wavefront``)
+event queue        ``events.queue.EventQueue``        ``events.columnar.ColumnarEventQueue``
+MP update push     per-region dirty-box scan          ``grid.delta.DeltaArray.dirty_bboxes_by_owner``
+=================  =================================  =====================================================
 
 The vectorized engines are the default.  The reference engines remain
 load-bearing: ``locusroute verify`` replays both and reports any

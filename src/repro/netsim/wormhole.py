@@ -36,7 +36,6 @@ import numpy as np
 
 from ..errors import NetworkError
 from ..events.sim import Simulator
-from ..kernels import active_kernels
 from .message import Delivery, Message
 from .stats import NetworkStats
 from .topology import MeshTopology
@@ -98,16 +97,16 @@ class WormholeNetwork:
         self.hop_time_s = hop_time_s
         self.process_time_s = process_time_s
         self.faults = faults
-        self._link_free_at = np.zeros(topology.n_links, dtype=np.float64)
-        self._link_busy_s = np.zeros(topology.n_links, dtype=np.float64)
-        # Routes are deterministic per (src, dst); the vectorised kernel
-        # caches them as (tuple, int64 array) pairs so the Python route
-        # walk is paid once per pair, and keeps a lazily grown [1, 2, ...]
-        # hop-index ladder for the batched reservation update.  The tuple
-        # feeds the scalar update used below BATCH_MIN_HOPS, the array
-        # feeds the fancy-indexed batch update above it.
-        self._route_cache: Dict[Tuple[int, int], Tuple[Tuple[int, ...], np.ndarray]] = {}
-        self._hop_steps = np.arange(1, 9, dtype=np.float64)
+        # Plain lists, read and written hop by hop: a route is a handful
+        # of links (at most 6 on the paper's 4x4 mesh), and at that size
+        # NumPy scalar reads and fancy-indexed batches both cost more per
+        # send than the list loop at every mesh size measured (16 to 256
+        # nodes; docs/PERFORMANCE.md).
+        self._link_free_at: List[float] = [0.0] * topology.n_links
+        self._link_busy_s: List[float] = [0.0] * topology.n_links
+        # Routes are deterministic per (src, dst): the topology's Python
+        # route walk is paid once per pair.
+        self._route_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self.stats = NetworkStats()
         # Conservation counters (independent of ``stats`` so the
         # verification layer can cross-check the two accounts).
@@ -125,7 +124,7 @@ class WormholeNetwork:
         """
         if elapsed_s <= 0:
             raise NetworkError("elapsed time must be positive")
-        return self._link_busy_s / elapsed_s
+        return np.asarray(self._link_busy_s) / elapsed_s
 
     def uncontended_latency(self, src: int, dst: int, length_bytes: int) -> float:
         """The paper's closed-form latency: 2*ProcessTime + HopTime*(D+L).
@@ -175,23 +174,6 @@ class WormholeNetwork:
             delivery = self._transmit(message, t_inject, extra_delay_s)
         return delivery
 
-    #: Routes shorter than this use the scalar reservation update even in
-    #: vectorised mode: fancy indexing costs ~1.5 us of fixed overhead,
-    #: which only amortises past ~8 links (measured crossover).  Mesh
-    #: diameters at MAX_PROCS stay near this boundary, so both branches
-    #: are exercised by realistic topologies.
-    BATCH_MIN_HOPS = 8
-
-    def _cached_route(self, src: int, dst: int) -> Tuple[Tuple[int, ...], np.ndarray]:
-        """The deterministic route, cached as a (tuple, int64 array) pair."""
-        key = (src, dst)
-        cached = self._route_cache.get(key)
-        if cached is None:
-            route = self.topology.route(src, dst)
-            cached = (tuple(route), np.asarray(route, dtype=np.int64))
-            self._route_cache[key] = cached
-        return cached
-
     def _transmit(
         self, message: Message, t_inject: float, extra_delay_s: float
     ) -> Delivery:
@@ -203,51 +185,31 @@ class WormholeNetwork:
             hops = 0
             arrive = t_inject + 2 * self.process_time_s + extra_delay_s
         else:
-            vectorized = active_kernels() == "vectorized"
-            if vectorized:
-                links_seq, links = self._cached_route(message.src, message.dst)
-                hops = len(links_seq)
-            else:
-                links = self.topology.route(message.src, message.dst)
-                links_seq = links
-                hops = len(links)
-            batch = vectorized and hops >= self.BATCH_MIN_HOPS
+            key = (message.src, message.dst)
+            links = self._route_cache.get(key)
+            if links is None:
+                links = tuple(self.topology.route(message.src, message.dst))
+                self._route_cache[key] = links
+            hops = len(links)
             # The train may start once the source has copied the packet
             # out and every link on the route is free.
+            free = self._link_free_at
             earliest = t_inject + self.process_time_s
-            if batch or not vectorized:
-                earliest = max(earliest, float(self._link_free_at[links].max()))
-            else:
-                free = self._link_free_at
-                for link in links_seq:
-                    t = free[link]
-                    if t > earliest:
-                        earliest = t
-                earliest = float(earliest)
+            for link in links:
+                if free[link] > earliest:
+                    earliest = free[link]
             if self.faults is not None:
                 earliest = self.faults.outage_release(links, earliest)
             t_start = earliest
             # Link i is held until the tail byte has crossed it; the flit
             # train itself occupies each link for (L + 1) byte-times.
-            # Dimension-order routes never revisit a link, so the fancy
-            # indexed batch assignment touches each entry exactly once.
-            if batch:
-                while self._hop_steps.size < hops:
-                    self._hop_steps = np.arange(
-                        1, 2 * self._hop_steps.size + 1, dtype=np.float64
-                    )
-                steps = self._hop_steps[:hops]
-                self._link_free_at[links] = t_start + self.hop_time_s * (
-                    steps + length
-                )
-                self._link_busy_s[links] += self.hop_time_s * (length + 1)
-            else:
-                for i, link in enumerate(links_seq):
-                    self._link_free_at[link] = t_start + self.hop_time_s * (
-                        i + 1 + length
-                    )
-                    self._link_busy_s[link] += self.hop_time_s * (length + 1)
-            transfer_s = self.hop_time_s * (hops + length)
+            hop_time_s = self.hop_time_s
+            busy = self._link_busy_s
+            held_s = hop_time_s * (length + 1)
+            for i, link in enumerate(links):
+                free[link] = t_start + hop_time_s * (i + 1 + length)
+                busy[link] += held_s
+            transfer_s = hop_time_s * (hops + length)
             arrive = t_start + transfer_s + self.process_time_s + extra_delay_s
             if self.faults is not None:
                 arrive += self.faults.slowdown_delay(links, t_start, transfer_s)

@@ -315,6 +315,13 @@ def run_shared_memory(
 
     quality = ledger.close(state["finish_time"])
 
+    # The step closures reference each other and the collector: take the
+    # trace off the collector so its columns are freed on return (unless
+    # ``keep_trace`` hands them on), not whenever the cycle collector
+    # next runs a full collection.
+    recorded = tango.trace
+    del tango.trace
+
     coherence: Optional[CoherenceStats] = None
     by_line: Dict[int, CoherenceStats] = {}
     if collect_trace:
@@ -323,7 +330,7 @@ def run_shared_memory(
         # Only the per-access MSI checker needs the scalar state machine
         # (and with it the trace's records).
         checked = report is not None and protocol == "invalidate"
-        trace = tango.trace
+        trace = recorded
         if active_kernels() == "vectorized" and not checked:
             trace = ColumnarTrace.from_trace(trace)
         for ls in [line_size, *extra_line_sizes]:
@@ -370,8 +377,8 @@ def run_shared_memory(
         "circuit": circuit.name,
         "line_size": line_size,
         "protocol": protocol,
-        "trace_records": tango.trace.n_records,
-        "trace_references": tango.trace.n_references,
+        "trace_records": recorded.n_records,
+        "trace_references": recorded.n_references,
     }
     if crashes:
         meta["crash"] = {
@@ -382,14 +389,14 @@ def run_shared_memory(
     if by_line:
         meta["coherence_by_line_size"] = {ls: s.as_dict() for ls, s in by_line.items()}
     if keep_trace and collect_trace:
-        meta["trace"] = tango.trace
+        meta["trace"] = recorded
         meta["layout"] = layout
     meta.update(ledger.verification_meta())
     obs.record_span(
         "sim.sm", time.perf_counter() - wall0, time.process_time() - cpu0
     )
     obs.incr("sim.sm.runs")
-    obs.incr("sim.sm.trace_references", tango.trace.n_references)
+    obs.incr("sim.sm.trace_references", recorded.n_references)
     return ParallelRunResult(
         paradigm="shared_memory",
         quality=quality,

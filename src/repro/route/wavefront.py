@@ -50,7 +50,6 @@ merely equivalent.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import partial
 from itertools import chain
 from typing import Dict, List, Sequence, Tuple
@@ -506,20 +505,14 @@ def plan_waves_reference(
     return waves
 
 
-#: Most distinct wire orders whose wave decompositions are retained per
-#: circuit (least recently used evicted first).  Steady-state routing
-#: reuses one order across iterations, so a handful of slots keeps the
-#: hit rate while bounding memory on runs that keep permuting the order.
-WAVE_CACHE_MAX_ORDERS = 8
-
-#: Below this many wires the quadratic recurrence's tight numpy loop
-#: beats the grid index's setup cost; the dispatch is safe because
-#: both planners are bit-identical.
-_INDEX_MIN_WIRES = 96
-
 #: Coarse-layer bucket width (power of two for shift indexing): each
 #: coarse slot holds the max over 64 fine cells, so wide footprints
 #: query/update O(span/64) coarse slots plus two boundary fine slices.
+#: Measured and kept: a single-layer planner (fine rows only) yields the
+#: same waves but is 2.6x slower at 10k wires, 2.8x at the 15k wires of
+#: the ``route_scaled`` benchmark slot and 4.6x (+1.1 s) on the 100k-wire
+#: cold route, which is what the coarse/lazy layers and the unit-span
+#: cases below are for (docs/PERFORMANCE.md, "Measured and kept").
 _COARSE_SHIFT = 6
 _COARSE = 1 << _COARSE_SHIFT
 
@@ -560,10 +553,8 @@ def plan_waves(
     ``best`` reaches the global maximum wave.  Both leave ``best`` >=
     every cell under the rectangle, which is all overwrite needs.
     """
-    n = len(order)
-    if n < _INDEX_MIN_WIRES:
-        return plan_waves_reference(order, footprints)
-
+    if len(order) == 0:
+        return []
     boxes = [footprints[idx] for idx in order]
     clos, xlos, chis, xhis = zip(*boxes)
     cmin = min(clos)
@@ -882,8 +873,7 @@ def _pointers(counts: np.ndarray) -> np.ndarray:
 def _narrowest(bound: int) -> np.dtype:
     """The narrowest integer dtype that holds ``0..bound``.
 
-    The per-order tables dominate what a cached plan retains, and up to
-    :data:`WAVE_CACHE_MAX_ORDERS` plans stay alive per circuit.
+    The per-order tables dominate what the circuit's cached plan retains.
     """
     dtype = np.min_scalar_type(bound)
     return dtype if dtype.itemsize < 8 else np.dtype(np.int64)
@@ -1222,26 +1212,19 @@ def _wave_plan(circuit: Circuit, order: Sequence[int]) -> _WavePlan:
     """The :class:`_WavePlan` of *order*, cached on the circuit.
 
     The decomposition depends only on the visit order and the static
-    geometry boxes, so it is identical in every iteration.  The cache is
-    LRU-bounded: long rip-up/reroute runs that permute the order
-    (annealed schedules, per-iteration reorderings) would otherwise
-    retain one O(n) plan per distinct order for the circuit's lifetime.
+    geometry boxes, so it is identical in every iteration.  One slot: a
+    run reuses one order across its iterations, and a run that changes
+    the order replaces the plan rather than retaining an O(n) plan per
+    order for the circuit's lifetime.
     """
-    cache: "OrderedDict[Tuple[int, ...], _WavePlan]" = getattr(circuit, "_wf_waves", None)
-    if cache is None:
-        cache = OrderedDict()
-        object.__setattr__(circuit, "_wf_waves", cache)
     key = tuple(order)
-    plan = cache.get(key)
-    if plan is None:
-        geom = circuit_geometry(circuit)
-        waves = plan_waves(key, dict(enumerate(zip(*geom.bbox.T.tolist()))))
-        plan = _WavePlan(geom, waves, circuit.n_channels, circuit.n_grids)
-        cache[key] = plan
-        while len(cache) > WAVE_CACHE_MAX_ORDERS:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
+    cached = getattr(circuit, "_wf_waves", None)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    geom = circuit_geometry(circuit)
+    waves = plan_waves(key, dict(enumerate(zip(*geom.bbox.T.tolist()))))
+    plan = _WavePlan(geom, waves, circuit.n_channels, circuit.n_grids)
+    object.__setattr__(circuit, "_wf_waves", (key, plan))
     return plan
 
 

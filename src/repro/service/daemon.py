@@ -328,7 +328,6 @@ class RoutingService:
             [(spec, cache_dir) for _jid, spec, _fp in batch],
             jobs=self.jobs,
             timeout_s=self.timeout_s,
-            label="service job",
         )
         failures = {f.index: f for f in report.failures}
         for i, (job_id, spec, fingerprint) in enumerate(batch):

@@ -24,7 +24,6 @@ Cache layering (docs/SERVICE.md):
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
@@ -38,6 +37,7 @@ from ..harness.cache import (
     stable_hash,
 )
 from ..harness.experiments import EXPERIMENTS, run_experiment
+from ..harness.pool import in_pool_worker
 from ..harness.runner import (
     experiment_cache_key,
     payload_to_result,
@@ -282,7 +282,7 @@ def execute_job_in_worker(
     an empty snapshot is returned instead.
     """
     spec, cache_dir = item
-    in_worker = multiprocessing.parent_process() is not None
+    in_worker = in_pool_worker()
     if in_worker:
         obs.reset()
     cache = ResultCache(cache_dir) if cache_dir is not None else None

@@ -26,6 +26,7 @@ event-kernel probe fires every :data:`PROBE_INTERVAL` events.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -369,7 +370,7 @@ class NetworkInvariantMonitor:
         expected_busy = net.hop_time_s * (
             net.stats.total_hop_bytes + net.stats.total_hops
         )
-        actual_busy = float(net._link_busy_s.sum())
+        actual_busy = math.fsum(net._link_busy_s)
         self.report.check(
             "flit-conservation",
             abs(actual_busy - expected_busy) <= 1e-9 * max(1.0, expected_busy),

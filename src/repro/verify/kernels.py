@@ -1,7 +1,7 @@
 """Scalar-vs-vectorized kernel equivalence checks for ``locusroute verify``.
 
-The vectorised kernels (:mod:`repro.memsim.columnar`, the prefix-cached
-two-bend router, the batched wormhole reservation update) promise
+The vectorised kernels (:mod:`repro.memsim.columnar`, the fused two-bend
+router, the wave-front engine, the columnar event queue) promise
 *bit-identical* output to their scalar reference counterparts.  The
 hypothesis suites fuzz that promise; this module re-verifies it at
 ``locusroute verify`` time on workloads derived from the verify run's
@@ -197,43 +197,6 @@ def _event_queue_check(circuit: Circuit) -> Dict[str, object]:
     return {"identical": identical, "detail": detail}
 
 
-def _wormhole_check(n_procs: int) -> Dict[str, object]:
-    """Scalar vs batched link reservation over a deterministic burst."""
-    from ..events.sim import Simulator
-    from ..netsim.message import Message
-    from ..netsim.topology import MeshTopology
-    from ..netsim.wormhole import WormholeNetwork
-
-    n_messages = 200
-
-    def run() -> Tuple[Tuple[int, float, int], ...]:
-        sim = Simulator()
-        deliveries: List[object] = []
-        net = WormholeNetwork(sim, MeshTopology(n_procs), deliveries.append)
-        state = 0x9E3779B97F4A7C15
-        for i in range(n_messages):
-            state = (state * 6364136223846793005 + 1) & (2**64 - 1)
-            src = (state >> 40) % n_procs
-            dst = (state >> 20) % n_procs
-            net.send(Message(src, dst, 8 + (state >> 4) % 56, payload=i))
-        sim.run()
-        return tuple(
-            (d.message.payload, float(d.arrive_time), d.hops) for d in deliveries
-        )
-
-    with use_kernels("reference"):
-        ref = run()
-    with use_kernels("vectorized"):
-        vec = run()
-    identical = ref == vec
-    detail = (
-        f"{n_messages} messages on a {n_procs}-node mesh"
-        if identical
-        else "delivery times or hop counts diverged"
-    )
-    return {"identical": identical, "detail": detail}
-
-
 def run_kernel_equivalence(
     circuit: Circuit, n_procs: int, iterations: int = 2
 ) -> Dict[str, Dict[str, object]]:
@@ -244,5 +207,4 @@ def run_kernel_equivalence(
         "twobend": _twobend_check(circuit, iterations),
         "wavefront": _wavefront_check(circuit, iterations),
         "event_queue": _event_queue_check(circuit),
-        "wormhole": _wormhole_check(max(n_procs, 9)),
     }

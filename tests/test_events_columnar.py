@@ -4,8 +4,7 @@ The columnar queue stores sort keys and callbacks in separate columns but
 promises the exact pop order of the reference queue — both order by
 unique ``(time, seq)`` with sequence numbers assigned at schedule time.
 These tests drive both queues through the same schedules and demand
-identical observable behaviour, including under cancellation churn and
-compaction.
+identical observable behaviour, including under cancellation churn.
 """
 
 from __future__ import annotations
@@ -88,33 +87,6 @@ class TestQueueContract:
         q.push(2.0, lambda: None)
         q.cancel(doomed)
         assert q.peek_time() == 2.0
-
-
-class TestCompaction:
-    def test_majority_dead_triggers_compaction(self):
-        q = ColumnarEventQueue()
-        doomed = [q.push(float(i), lambda: None) for i in range(100)]
-        q.push(1000.0, lambda: None)
-        for h in doomed:
-            q.cancel(h)
-        assert q.n_compactions >= 1
-        assert len(q._heap) < 100
-        assert len(q) == 1
-
-    def test_peek_compacts_dead_prefix(self):
-        # Mirror of the EventQueue regression: a dead prefix below the
-        # cancel-side majority threshold must still be shed in one batch
-        # by a peek, not drained a heappop at a time.
-        q = ColumnarEventQueue()
-        doomed = [q.push(float(i), lambda: None) for i in range(100)]
-        for i in range(300):
-            q.push(1000.0 + i, lambda: None)
-        for h in doomed:
-            q.cancel(h)
-        assert q.n_compactions == 0
-        assert q.peek_time() == 1000.0
-        assert q.n_compactions == 1
-        assert not q._cancelled
 
 
 class TestDifferentialEquivalence:

@@ -1,9 +1,13 @@
-"""Tests for lazy-cancellation compaction in the event queue.
+"""Lazy cancellation in the reference ``EventQueue``, down to the handles.
 
-Compaction is purely an internal storage optimisation; the observable
-contract is that pop order and results are unchanged (events are totally
-ordered by unique ``(time, seq)`` keys, so any heap over the same live
-set pops the same sequence).
+The queue never rebuilds its heap: a cancelled event stays put and is
+skipped when it surfaces, so the observable contract is that pop order,
+the popped handles' ``(time, seq)`` keys and ``len`` are those of the
+live set alone.  ``tests/test_events_cancellation.py`` holds both queues
+to a sorted-list model through ``pop_next``; these tests add what only
+the reference queue exposes — the :class:`Event` handle itself.  (Class
+and test names date from when the comparison was against a
+heap-compacting queue; they are kept so the test ids stay stable.)
 """
 
 from __future__ import annotations
@@ -13,42 +17,19 @@ from hypothesis import strategies as st
 
 from repro.events.queue import EventQueue
 
-
-class LazyOnlyQueue(EventQueue):
-    """Pre-compaction behaviour for differential comparison."""
-
-    COMPACT_MIN = 1 << 60
+from .test_events_cancellation import SortedListModel
 
 
-def drain_times(queue):
-    times = []
+def drain_keys(queue):
+    keys = []
     while True:
         event = queue.pop()
         if event is None:
-            return times
-        times.append((event.time, event.seq))
+            return keys
+        keys.append((event.time, event.seq))
 
 
 class TestCompactionTrigger:
-    def test_small_heaps_never_compact(self):
-        q = EventQueue()
-        events = [q.push(float(i), lambda: None) for i in range(EventQueue.COMPACT_MIN - 1)]
-        for event in events:
-            q.cancel(event)
-        assert q.n_compactions == 0
-
-    def test_majority_dead_triggers_compaction(self):
-        q = EventQueue()
-        doomed = [q.push(float(i), lambda: None) for i in range(100)]
-        q.push(1000.0, lambda: None)
-        for event in doomed:
-            q.cancel(event)
-        assert q.n_compactions >= 1
-        # The physical heap shed the dead majority (later cancels may
-        # re-accumulate below the next trigger point).
-        assert len(q._heap) < 100
-        assert len(q) == 1
-
     def test_len_tracks_live_events_through_compaction(self):
         q = EventQueue()
         events = [q.push(float(i), lambda: None) for i in range(200)]
@@ -64,46 +45,6 @@ class TestCompactionTrigger:
         q.cancel(event)
         assert q._n_cancelled_in_heap == 0
 
-    def test_peek_compacts_dead_prefix(self):
-        # Regression: peek_time used to drain cancelled heads one heappop
-        # at a time without ever consulting the compaction heuristic.  Set
-        # up a dead prefix too small for cancel() to compact (dead entries
-        # are not the majority) but well past COMPACT_MIN, then assert a
-        # single peek sheds all of them through _compact().
-        q = EventQueue()
-        doomed = [q.push(float(i), lambda: None) for i in range(100)]
-        survivors = [q.push(1000.0 + i, lambda: None) for i in range(300)]
-        for event in doomed:
-            q.cancel(event)
-        assert q.n_compactions == 0  # cancel: 100 dead of 400 is no majority
-        assert q.peek_time() == 1000.0
-        assert q.n_compactions == 1
-        assert q._n_cancelled_in_heap == 0
-        assert len(q._heap) == len(survivors)
-
-    def test_peek_drains_small_dead_prefix_without_compacting(self):
-        q = EventQueue()
-        doomed = [q.push(float(i), lambda: None) for i in range(EventQueue.COMPACT_MIN - 1)]
-        q.push(500.0, lambda: None)
-        for event in doomed:
-            q.cancel(event)
-        assert q.peek_time() == 500.0
-        assert q.n_compactions == 0
-        assert q._n_cancelled_in_heap == 0
-
-    def test_compaction_preserves_pending_pop_order(self):
-        q, lazy = EventQueue(), LazyOnlyQueue()
-        handles_q, handles_l = [], []
-        for i in range(300):
-            t = float((i * 37) % 50)
-            handles_q.append(q.push(t, lambda: None))
-            handles_l.append(lazy.push(t, lambda: None))
-        for hq, hl in zip(handles_q[:220], handles_l[:220]):
-            q.cancel(hq)
-            lazy.cancel(hl)
-        assert q.n_compactions >= 1 and lazy.n_compactions == 0
-        assert drain_times(q) == drain_times(lazy)
-
 
 class TestCompactionEquivalence:
     @settings(max_examples=100, deadline=None)
@@ -118,34 +59,31 @@ class TestCompactionEquivalence:
         )
     )
     def test_pop_sequence_identical_with_and_without_compaction(self, ops):
-        q, lazy = EventQueue(), LazyOnlyQueue()
+        q, model = EventQueue(), SortedListModel()
         for time, doomed in ops:
-            eq = q.push(time, lambda: None)
-            el = lazy.push(time, lambda: None)
+            event = q.push(time, lambda: None)
+            key = model.push(time)
             if doomed:
-                q.cancel(eq)
-                lazy.cancel(el)
-        assert drain_times(q) == drain_times(lazy)
+                q.cancel(event)
+                model.cancel(key)
+        assert drain_keys(q) == model.live
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=400))
     def test_interleaved_pops_and_cancels(self, n):
-        q, lazy = EventQueue(), LazyOnlyQueue()
+        q, model = EventQueue(), SortedListModel()
         state = 12345
-        live_q, live_l = [], []
-        popped_q, popped_l = [], []
-        for i in range(n):
+        live = []
+        for _ in range(n):
             state = (state * 1103515245 + 12345) & (2**31 - 1)
             t = q._last_popped + (state % 1000) / 10.0
-            live_q.append(q.push(t, lambda: None))
-            live_l.append(lazy.push(t, lambda: None))
-            if state % 3 == 0 and live_q:
-                k = state % len(live_q)
-                q.cancel(live_q.pop(k))
-                lazy.cancel(live_l.pop(k))
+            live.append((q.push(t, lambda: None), model.push(t)))
+            if state % 3 == 0 and live:
+                event, key = live.pop(state % len(live))
+                q.cancel(event)
+                model.cancel(key)
             if state % 7 == 0:
-                eq, el = q.pop(), lazy.pop()
-                popped_q.append(None if eq is None else (eq.time, eq.seq))
-                popped_l.append(None if el is None else (el.time, el.seq))
-        assert popped_q == popped_l
-        assert drain_times(q) == drain_times(lazy)
+                event = q.pop()
+                popped = None if event is None else (event.time, event.seq)
+                assert popped == model.pop()
+        assert drain_keys(q) == model.live

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.circuits import bnre_like
@@ -107,7 +109,7 @@ class TestNetworkFaultHooks:
         assert deliveries == []
         assert net.messages_injected == 0
         assert net.in_flight == 0
-        assert float(net._link_busy_s.sum()) == 0.0
+        assert math.fsum(net._link_busy_s) == 0.0
 
     def test_duplicate_transmits_two_copies(self):
         sim, net, deliveries = self._net(FaultPlan(duplicate_prob=1.0))

@@ -15,7 +15,6 @@ from repro.errors import ExperimentError
 from repro.grid import RegionMap
 from repro.harness.cache import (
     CACHE_SCHEMA,
-    NO_FSYNC_ENV,
     ResultCache,
     atomic_write_bytes,
     atomic_write_text,
@@ -295,22 +294,12 @@ class TestDurableWrites:
     def test_atomic_write_fsyncs_file_and_directory(self, tmp_path, monkeypatch):
         # Regression: atomic_write_bytes never fsynced, so a "committed"
         # entry (or its name) could vanish on power loss.
-        monkeypatch.delenv(NO_FSYNC_ENV, raising=False)
         calls = self._fsync_calls(monkeypatch)
         atomic_write_bytes(tmp_path / "entry.bin", b"payload")
         assert len(calls) >= 2  # the temp file and its directory
         assert (tmp_path / "entry.bin").read_bytes() == b"payload"
 
-    def test_no_fsync_env_skips_fsyncs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(NO_FSYNC_ENV, "1")
-        calls = self._fsync_calls(monkeypatch)
-        atomic_write_bytes(tmp_path / "entry.bin", b"payload")
-        assert calls == []
-        assert (tmp_path / "entry.bin").read_bytes() == b"payload"
-
     def test_failed_write_cleans_up_temp_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(NO_FSYNC_ENV, raising=False)
-
         def boom(fd):
             raise OSError("disk on fire")
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.harness import ResultCache, run_all
-from repro.harness.pool import default_jobs, pool_map
+from repro.harness.pool import default_jobs, in_pool_worker, pool_map
 from repro.harness.runner import BENCH_FILENAME
 from repro.harness.simjobs import SimConfig, run_sim_configs
 from repro.obs import telemetry as obs
@@ -24,6 +24,10 @@ def _double(x):
     return 2 * x
 
 
+def _in_pool_worker(_x):
+    return in_pool_worker()
+
+
 def _fails_in_worker(x):
     """Raises in a forked pool worker, succeeds on the parent's retry."""
     if os.getpid() != _PARENT_PID:
@@ -33,6 +37,12 @@ def _fails_in_worker(x):
 
 def _always_fails(x):
     raise RuntimeError("injected permanent failure")
+
+
+def _fails_on_odd(x):
+    if x % 2:
+        raise RuntimeError(f"odd {x}")
+    return x
 
 
 def _slow_in_worker(x):
@@ -84,8 +94,15 @@ class TestPoolMap:
             pool_map(_always_fails, [1, 2], jobs=2)
 
     def test_serial_failure_also_wrapped(self):
-        with pytest.raises(ExperimentError, match="failed twice"):
+        with pytest.raises(ExperimentError, match="failed twice") as info:
             pool_map(_always_fails, [1], jobs=1)
+        assert isinstance(info.value.__cause__, RuntimeError)
+
+    def test_first_loss_in_item_order_is_the_one_raised(self):
+        for jobs in (1, 2):
+            with pytest.raises(ExperimentError, match=r"row 1 \(3\) failed twice") as info:
+                pool_map(_fails_on_odd, [2, 3, 4, 5], jobs=jobs, label="row")
+            assert str(info.value.__cause__) == "odd 3"
 
     def test_serial_retry_once(self):
         _SERIAL_CALLS.clear()
@@ -116,6 +133,28 @@ class TestSimRowFanOut:
         run_sim_configs([tiny_config(n_procs=p) for p in (2, 4)], jobs=2)
         after = obs.snapshot()["counters"].get("sim.events", 0)
         assert after > before  # worker deltas landed in the parent
+
+
+    def test_retry_in_the_parent_keeps_the_parents_telemetry(self):
+        # Regression: pool_map re-runs a failed or timed-out row in the
+        # parent, where the worker wrapper used to reset the live
+        # telemetry (wiping every counter of the run so far) and hand
+        # back a snapshot the caller then merged a second time.
+        from repro.harness.simjobs import _run_sim_config_in_worker
+
+        assert not in_pool_worker()
+        obs.incr("x")
+        x_before = obs.snapshot()["counters"]["x"]
+        events_before = obs.snapshot()["counters"].get("sim.events", 0)
+        result, snapshot = _run_sim_config_in_worker(tiny_config())
+        assert snapshot == {}
+        assert obs.snapshot()["counters"]["x"] == x_before
+        assert obs.snapshot()["counters"]["sim.events"] > events_before
+        assert result.exec_time_s > 0
+
+    def test_pool_workers_know_what_they_are(self):
+        assert pool_map(_in_pool_worker, [1, 2, 3], jobs=2) == [True] * 3
+        assert pool_map(_in_pool_worker, [1, 2, 3], jobs=1) == [False] * 3
 
 
 class TestRunAllParallel:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import pytest
@@ -204,7 +205,7 @@ class TestContention:
             2 * PROCESS_TIME_S
         )
         # the loop-back never touched the network fabric
-        assert float(net._link_busy_s.sum()) == 0.0
+        assert math.fsum(net._link_busy_s) == 0.0
 
     def test_self_delivery_does_not_queue_behind_links(self):
         """A busy mesh cannot delay a local loop-back."""

@@ -123,6 +123,46 @@ class TestCoherenceIntegration:
         assert big.meta["trace_references"] > small.meta["trace_references"]
 
 
+class TestTraceLifetime:
+    """The step closures and the collector form a cycle; the trace must
+    not wait for the cycle collector to be freed."""
+
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        import gc
+        import weakref
+
+        import repro.parallel.sm_sim as sm_sim
+
+        refs = []
+
+        class Watched(sm_sim.TangoCollector):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self.trace))
+
+        monkeypatch.setattr(sm_sim, "TangoCollector", Watched)
+        gc.collect()
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("protocol", ["invalidate", "update"])
+    def test_trace_is_freed_on_return(self, circuit, traces, protocol):
+        result = run_shared_memory(circuit, n_procs=4, iterations=2, protocol=protocol)
+        assert result.meta["trace_references"] > 0
+        (ref,) = traces
+        assert ref() is None
+
+    def test_keep_trace_hands_the_trace_on(self, circuit, traces):
+        result = run_shared_memory(circuit, n_procs=4, iterations=2, keep_trace=True)
+        (ref,) = traces
+        assert ref() is result.meta["trace"]
+        assert ref().n_references == result.meta["trace_references"]
+
+
 class TestStaticAssignment:
     def test_static_assignment_routes_everything(self, circuit):
         regions = RegionMap(circuit.n_channels, circuit.n_grids, 4)

@@ -18,16 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.route.wavefront import (
-    WAVE_CACHE_MAX_ORDERS,
-    _INDEX_MIN_WIRES,
-    plan_waves,
-    plan_waves_reference,
-)
+from repro.route.wavefront import plan_waves, plan_waves_reference
 
-# Everything here runs above the small-input cutoff so the indexed code
-# path (not the reference fallback) is what's exercised.
-N_WIRES = max(_INDEX_MIN_WIRES, 96) + 32
+N_WIRES = 128
 
 
 def footprint_strategy(allow_inverted: bool):
@@ -105,41 +98,73 @@ def test_giant_and_tiny_mixture():
     assert plan_waves(order, footprints) == plan_waves_reference(order, footprints)
 
 
-def test_small_inputs_fall_back_to_reference():
-    footprints = {i: (0, i, 0, i + 1) for i in range(4)}
-    assert plan_waves([0, 1, 2, 3], footprints) == plan_waves_reference(
-        [0, 1, 2, 3], footprints
-    )
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=0, max_value=95), allow_inverted=st.booleans())
+def test_small_circuits_match_recurrence(data, n, allow_inverted):
+    """Small orders (the service's ``route`` jobs submit 40-99 wires) go
+    through the index like every other size, the empty order included."""
+    footprints = {
+        i: data.draw(footprint_strategy(allow_inverted), label=f"fp{i}")
+        for i in range(n)
+    }
+    order = data.draw(st.permutations(list(range(n))))
+    assert plan_waves(order, footprints) == plan_waves_reference(order, footprints)
+
+
+@pytest.mark.parametrize("which", ["bnrE", "MDC"])
+@pytest.mark.parametrize("n_wires", [2, 40, 70, 95])
+def test_small_generated_circuits_match_recurrence(which, n_wires):
+    from repro.circuits import bnre_like, mdc_like
+    from repro.route.wavefront import circuit_geometry
+
+    circuit = (bnre_like if which == "bnrE" else mdc_like)(n_wires=n_wires)
+    geom = circuit_geometry(circuit)
+    footprints = dict(enumerate(zip(*geom.bbox.T.tolist())))
+    order = list(range(circuit.n_wires))
+    waves = plan_waves(order, footprints)
+    assert waves == plan_waves_reference(order, footprints)
+    assert sorted(idx for wave in waves for idx in wave) == order
 
 
 def test_wave_cache_is_bounded():
+    """One slot: a second order replaces the cached plan, and a repeat of
+    the first order re-plans and still routes bit-identically."""
     from repro.circuits import Circuit, Pin, Wire
-    from repro.route.wavefront import route_iteration_wavefront
     from repro.grid import CostArray
+    from repro.route.wavefront import route_iteration_wavefront
 
-    n = WAVE_CACHE_MAX_ORDERS + 8  # more wires than trials: rotations stay distinct
+    n = 16
     wires = [
         Wire(f"w{i}", {Pin(x=i, channel=0), Pin(x=i + 1, channel=1)})
         for i in range(n)
     ]
     circuit = Circuit("cache-test", 4, n + 2, wires)
-    cost = CostArray(circuit.n_channels, circuit.n_grids)
-    base = list(range(len(wires)))
-    orders = []
-    for k in range(WAVE_CACHE_MAX_ORDERS + 5):
-        order = base[k % len(base) :] + base[: k % len(base)]
-        orders.append(tuple(order))
-        route_iteration_wavefront(cost, circuit, order, {}, tie_break=0)
-    cache = getattr(circuit, "_wf_waves")
-    assert len(cache) <= WAVE_CACHE_MAX_ORDERS
-    # Most-recently-used orders survive; the oldest were evicted.
-    for order in orders[-WAVE_CACHE_MAX_ORDERS:]:
-        assert order in cache
-    assert orders[0] not in cache
-    # An entry holds the order's gather tables too, so what eviction
-    # bounds is tables, stored as narrow as this small grid allows.
+    forward = list(range(n))
+    backward = forward[::-1]
+
+    def route(order):
+        cost = CostArray(circuit.n_channels, circuit.n_grids)
+        paths = {}
+        totals = route_iteration_wavefront(cost, circuit, order, paths, tie_break=0)
+        cells = {idx: path.flat_cells.tolist() for idx, path in paths.items()}
+        return totals, cells, cost.data.tobytes()
+
+    first = route(forward)
+    key, plan = circuit._wf_waves
+    assert key == tuple(forward)
+    assert route(forward) == first
+    assert circuit._wf_waves[1] is plan  # same order: the plan is reused
+
+    route(backward)
+    key, replaced = circuit._wf_waves
+    assert key == tuple(backward) and replaced is not plan  # nothing else retained
+
+    assert route(forward) == first
+    assert circuit._wf_waves[0] == tuple(forward)
+    # The slot holds the order's gather tables, stored as narrow as this
+    # small grid allows.
+    plan = circuit._wf_waves[1]
     n_cells = circuit.n_channels * circuit.n_grids
-    for plan in cache.values():
-        assert plan.read_cells.size and plan.plus.size == plan.minus.size > 0
-        assert plan.read_cells.dtype == np.min_scalar_type(n_cells)
-        assert plan.plus.dtype == plan.minus.dtype == np.uint8
+    assert plan.read_cells.size and plan.plus.size == plan.minus.size > 0
+    assert plan.read_cells.dtype == np.min_scalar_type(n_cells)
+    assert plan.plus.dtype == plan.minus.dtype == np.uint8
