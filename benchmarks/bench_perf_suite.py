@@ -327,64 +327,6 @@ def bench_wavefront_routing(quick: bool, repeats: int) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Columnar event kernel on a T6-shaped schedule
-
-
-def bench_event_kernel(quick: bool, repeats: int) -> Dict[str, object]:
-    from repro.events.sim import Simulator
-
-    # T6-shaped event traffic: thousands of tiny events where fired
-    # actions schedule their own follow-ups (a node activation schedules
-    # its commit) and retry churn cancels pending events.  The Simulator
-    # picks its queue by kernel mode — the per-event dataclass heap under
-    # reference, the columnar (time, seq) heap under vectorized — so this
-    # measures exactly what the queue swap buys on a live schedule.
-    n_seed_events = 2_000 if quick else 20_000
-
-    def run() -> Tuple[Tuple[Tuple[int, int], ...], int]:
-        sim = Simulator()
-        fired: List[Tuple[int, int]] = []
-        pending: List[object] = []
-        state = [0x123456789ABCDEF0]
-
-        def make_action(tag: int, depth: int):
-            def action() -> None:
-                fired.append((round(sim.now * 1e9), tag))
-                s = (state[0] * 6364136223846793005 + 1442695040888963407) & (
-                    2**64 - 1
-                )
-                state[0] = s
-                # Retry/rendezvous churn: cancel-and-replace a pending
-                # event (cancelling one that already fired is a no-op in
-                # both queues, matching the routers' cancel semantics).
-                if pending and s % 3 == 0:
-                    sim.cancel(pending.pop())
-                if depth:
-                    dt = 1e-6 + ((s >> 40) % 100) * 1e-7
-                    pending.append(
-                        sim.after(dt, make_action(tag + 1_000_000, depth - 1))
-                    )
-
-            return action
-
-        for i in range(n_seed_events):
-            sim.at(i * 1e-6, make_action(i, 2))
-        sim.run()
-        return tuple(fired), sim.steps
-
-    times, outputs = compare_kernel_modes(run, repeats)
-    return entry(
-        "t6_event_kernel",
-        "kernel",
-        times["reference"],
-        times["vectorized"],
-        outputs["reference"] == outputs["vectorized"],
-        f"{n_seed_events} seed events, depth-2 follow-up chains with "
-        f"cancel churn; reference vs columnar queue",
-    )
-
-
-# ---------------------------------------------------------------------------
 # Driver
 
 
@@ -421,7 +363,6 @@ BENCHES = {
     "write_update_replay": bench_write_update_replay,
     "twobend_routing": bench_twobend_routing,
     "wavefront_routing": bench_wavefront_routing,
-    "t6_event_kernel": bench_event_kernel,
     "live_sm_speedup": bench_live_sm,
     "s1_plan_waves_10k": _s1_bench("s1_plan_waves_10k"),
     "s1_route_scaling_10k": _s1_bench("s1_route_scaling_10k"),

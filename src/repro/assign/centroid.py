@@ -18,7 +18,9 @@ what ablation A8 (``benchmarks/bench_experiments.py -k A8``) measures.
 
 from __future__ import annotations
 
-from .base import Assignment
+from typing import Tuple
+
+from ..circuits.model import Wire
 from .threshold import ThresholdCostAssigner
 
 __all__ = ["CentroidAssigner"]
@@ -31,36 +33,6 @@ class CentroidAssigner(ThresholdCostAssigner):
     def method_name(self) -> str:  # type: ignore[override]
         return f"Centroid/{super().method_name}"
 
-    def assign(self) -> Assignment:
-        """Assign local wires by footprint centre; LPT-balance the rest."""
-        import heapq
-
-        import numpy as np
-
-        n = self.circuit.n_wires
-        owner = np.full(n, -1, dtype=np.int64)
-        loads = [0.0] * self.regions.n_procs
-        held = []
-
-        for w in range(n):
-            wire = self.circuit.wire(w)
-            cost = self.wire_cost(w)
-            if cost < self.threshold_cost:
-                c_lo, x_lo, c_hi, x_hi = wire.bounding_box
-                proc = self.regions.owner_of((c_lo + c_hi) // 2, (x_lo + x_hi) // 2)
-                owner[w] = proc
-                loads[proc] += cost
-            else:
-                held.append((cost, w))
-
-        held.sort(key=lambda item: (-item[0], item[1]))
-        heap = [(loads[p], p) for p in range(self.regions.n_procs)]
-        heapq.heapify(heap)
-        for cost, w in held:
-            load, proc = heapq.heappop(heap)
-            owner[w] = proc
-            heapq.heappush(heap, (load + cost, proc))
-
-        return Assignment(
-            owner=owner, n_procs=self.regions.n_procs, method=self.method_name
-        )
+    def _anchor(self, wire: Wire) -> Tuple[int, int]:
+        c_lo, x_lo, c_hi, x_hi = wire.bounding_box
+        return (c_lo + c_hi) // 2, (x_lo + x_hi) // 2

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from ..circuits.model import Circuit
+from ..circuits.model import Circuit, Wire
 from ..errors import AssignmentError
 from ..grid.regions import RegionMap
 from .base import Assignment, WireAssigner
@@ -85,8 +85,14 @@ class ThresholdCostAssigner(WireAssigner):
         length = float(self.circuit.wire(wire_index).length_cost())
         return length + length * length / WORK_QUADRATIC_SCALE
 
+    def _anchor(self, wire: Wire) -> Tuple[int, int]:
+        """The ``(channel, x)`` cell whose owner gets a local *wire*: the
+        leftmost pin (subclasses anchor elsewhere)."""
+        pin = wire.leftmost_pin
+        return pin.channel, pin.x
+
     def assign(self) -> Assignment:
-        """Assign local wires by leftmost pin; LPT-balance the rest."""
+        """Assign local wires by their anchor's owner; LPT-balance the rest."""
         n = self.circuit.n_wires
         owner = np.full(n, -1, dtype=np.int64)
         loads = [0.0] * self.regions.n_procs
@@ -96,8 +102,7 @@ class ThresholdCostAssigner(WireAssigner):
             wire = self.circuit.wire(w)
             cost = self.wire_cost(w)
             if cost < self.threshold_cost:
-                pin = wire.leftmost_pin
-                proc = self.regions.owner_of(pin.channel, pin.x)
+                proc = self.regions.owner_of(*self._anchor(wire))
                 owner[w] = proc
                 loads[proc] += cost
             else:

@@ -60,7 +60,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .circuits import (
@@ -108,12 +108,70 @@ def _get_circuit(args: argparse.Namespace):
     raise SystemExit(f"unknown circuit name {args.name!r} (use bnrE, MDC, or scaled)")
 
 
+#: Every flag that describes a run, declared once: its ``add_argument``
+#: keywords, plus ``param`` where the service's job parameter
+#: (``repro.service.jobs.PARAM_SCHEMA``) goes by another name than the
+#: flag.  Sub-commands list the names they take (:func:`_run_flags`) with
+#: their own defaults, so a new simulator keyword is one row here.
+_RUN_FLAGS: Dict[str, Dict[str, Any]] = {
+    "name": dict(help="benchmark circuit (bnrE, MDC, or scaled)", param="which"),
+    "wires": dict(type=int, help="override wire count", param="n_wires"),
+    "procs": dict(type=int, help="processors", param="n_procs"),
+    "iterations": dict(type=int, help="routing iterations"),
+    "send_loc": dict(type=int, help="SendLocData interval (mp)"),
+    "send_rmt": dict(type=int, help="SendRmtData interval (mp)"),
+    "req_loc": dict(type=int, help="ReqLocData threshold (mp)"),
+    "req_rmt": dict(type=int, help="ReqRmtData threshold (mp)"),
+    "blocking": dict(action="store_true", help="blocking requests (mp)"),
+    "packet_structure": dict(
+        choices=[ps.value for ps in PacketStructure],
+        help="update packet encoding (paper §4.3.1)",
+    ),
+    "interrupts": dict(
+        action="store_true", help="interrupt-driven request reception (paper §4.2)"
+    ),
+    "check_invariants": dict(
+        action="store_true",
+        help="run the repro.verify invariant checkers alongside the simulation",
+    ),
+    "quick": dict(
+        action="store_true",
+        help="CI-scale run: shrunk circuits (mp / run: 160 wires, 2 iterations)",
+    ),
+    "protocol": dict(
+        choices=["invalidate", "update"],
+        help="coherence protocol for the traffic replay (sm)",
+    ),
+    "timeout": dict(type=float, metavar="SECONDS"),
+    "jobs": dict(type=int),
+    "cache_dir": dict(
+        help="content-addressed result cache directory; the service keeps it "
+        "as a read-through layer (default: %(default)s)"
+    ),
+    "no_cache": dict(
+        action="store_true", help="bypass the result cache (neither read nor write it)"
+    ),
+    "json": dict(action="store_true", help="print JSON instead of text"),
+}
+
+
+def _run_flags(parser: argparse.ArgumentParser, *names: str, **own: Any) -> None:
+    """Add the named :data:`_RUN_FLAGS` to *parser*.
+
+    ``own[name]`` is this sub-command's default for the flag — or a dict
+    of ``add_argument`` keywords (its default *and* its help) where the
+    flag means something of its own there.
+    """
+    for name in names:
+        spec = {k: v for k, v in _RUN_FLAGS[name].items() if k != "param"}
+        if name in own:
+            spec.update(own[name] if isinstance(own[name], dict) else {"default": own[name]})
+        parser.add_argument("--" + name.replace("_", "-"), **spec)
+
+
 def _add_circuit_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--name", default="bnrE", help="benchmark circuit (bnrE, MDC, or scaled)"
-    )
+    _run_flags(parser, "name", "wires", name="bnrE")
     parser.add_argument("--load", help="load a circuit JSON file instead")
-    parser.add_argument("--wires", type=int, default=None, help="override wire count")
     parser.add_argument(
         "--rent",
         type=float,
@@ -153,44 +211,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_route = sub.add_parser("route", help="sequential LocusRoute")
     _add_circuit_args(p_route)
-    p_route.add_argument("--iterations", type=int, default=3)
-    p_route.add_argument(
-        "--json",
-        action="store_true",
-        help="print the JSON payload (same shape as a service route job)",
+    _run_flags(
+        p_route,
+        "iterations",
+        "json",
+        iterations=3,
+        json=dict(help="print the JSON payload (same shape as a service route job)"),
     )
 
     p_mp = sub.add_parser("mp", help="message passing simulation")
     _add_circuit_args(p_mp)
-    p_mp.add_argument("--procs", type=int, default=16)
-    p_mp.add_argument("--iterations", type=int, default=3)
-    p_mp.add_argument("--send-loc", type=int, default=None, help="SendLocData interval")
-    p_mp.add_argument("--send-rmt", type=int, default=None, help="SendRmtData interval")
-    p_mp.add_argument("--req-loc", type=int, default=None, help="ReqLocData threshold")
-    p_mp.add_argument("--req-rmt", type=int, default=None, help="ReqRmtData threshold")
-    p_mp.add_argument("--blocking", action="store_true", help="blocking requests")
-    p_mp.add_argument(
-        "--packet-structure",
-        choices=[ps.value for ps in PacketStructure],
-        default=PacketStructure.BOUNDING_BOX.value,
-        help="update packet encoding (paper §4.3.1)",
-    )
-    p_mp.add_argument(
-        "--interrupts",
-        action="store_true",
-        help="interrupt-driven request reception (paper §4.2)",
-    )
-    p_mp.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help="run the repro.verify invariant checkers alongside the simulation",
-    )
-    p_mp.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-scale smoke run: 160-wire circuit, 2 iterations, and (when "
-        "no schedule flags are given) the blocking receiver-initiated 1/5 "
-        "schedule so fault flags exercise the recovery path",
+    _run_flags(
+        p_mp,
+        "procs", "iterations", "send_loc", "send_rmt", "req_loc", "req_rmt",
+        "blocking", "packet_structure", "interrupts", "check_invariants", "quick", "json",
+        procs=16,
+        iterations=3,
+        packet_structure=PacketStructure.BOUNDING_BOX.value,
+        quick=dict(
+            help="CI-scale smoke run: 160-wire circuit, 2 iterations, and (when "
+            "no schedule flags are given) the blocking receiver-initiated 1/5 "
+            "schedule so fault flags exercise the recovery path"
+        ),
     )
     p_mp.add_argument(
         "--fault-drop",
@@ -242,35 +284,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="PCG64 seed of the fault stream (same seed => identical faults)",
     )
-    p_mp.add_argument("--json", action="store_true", help="print a JSON summary")
 
     p_dyn = sub.add_parser("dynamic", help="dynamic wire assignment (§4.2)")
     _add_circuit_args(p_dyn)
-    p_dyn.add_argument("--procs", type=int, default=16)
-    p_dyn.add_argument("--send-loc", type=int, default=None)
-    p_dyn.add_argument("--send-rmt", type=int, default=None)
-    p_dyn.add_argument("--interrupts", action="store_true")
-    p_dyn.add_argument("--json", action="store_true", help="print a JSON summary")
+    _run_flags(p_dyn, "procs", "send_loc", "send_rmt", "interrupts", "json", procs=16)
 
     p_sm = sub.add_parser("sm", help="shared memory simulation")
     _add_circuit_args(p_sm)
-    p_sm.add_argument("--procs", type=int, default=16)
-    p_sm.add_argument("--iterations", type=int, default=3)
+    _run_flags(
+        p_sm,
+        "procs", "iterations", "protocol", "check_invariants", "json",
+        procs=16,
+        iterations=3,
+        protocol="invalidate",
+    )
     p_sm.add_argument(
         "--line-sizes", type=int, nargs="+", default=[8], help="cache line sizes (bytes)"
     )
-    p_sm.add_argument(
-        "--protocol",
-        choices=["invalidate", "update"],
-        default="invalidate",
-        help="coherence protocol for the traffic replay",
-    )
-    p_sm.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help="run the repro.verify invariant checkers alongside the simulation",
-    )
-    p_sm.add_argument("--json", action="store_true", help="print a JSON summary")
 
     p_run = sub.add_parser(
         "run", help="live parallel execution on real cores (docs/PARALLEL.md)"
@@ -282,8 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="which paradigm to run live: shared memory or message passing",
     )
-    p_run.add_argument("--procs", type=int, default=2, help="worker processes")
-    p_run.add_argument("--iterations", type=int, default=3)
+    _run_flags(
+        p_run,
+        "procs", "iterations", "send_loc", "send_rmt", "req_rmt", "blocking",
+        "timeout", "quick", "json",
+        procs=dict(default=2, help="worker processes"),
+        iterations=3,
+        timeout=dict(default=120.0, help="abort the live run after this much wall time"),
+    )
     p_run.add_argument(
         "--seed",
         type=int,
@@ -291,10 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wire-order shuffle seed for the shared-memory distributed loop "
         "(default: natural order)",
     )
-    p_run.add_argument("--send-loc", type=int, default=None, help="SendLocData interval (mp)")
-    p_run.add_argument("--send-rmt", type=int, default=None, help="SendRmtData interval (mp)")
-    p_run.add_argument("--req-rmt", type=int, default=None, help="ReqRmtData interval (mp)")
-    p_run.add_argument("--blocking", action="store_true", help="blocking requests (mp)")
     p_run.add_argument(
         "--start-method",
         choices=["fork", "spawn", "forkserver"],
@@ -302,48 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiprocessing start method (default: platform default, or "
         "the REPRO_MP_START_METHOD environment variable)",
     )
-    p_run.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        metavar="SECONDS",
-        help="abort the live run after this much wall time",
-    )
-    p_run.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-scale smoke run: 160-wire circuit, 2 iterations",
-    )
-    p_run.add_argument("--json", action="store_true", help="print a JSON summary")
 
     p_exp = sub.add_parser("experiment", help="run paper experiments")
     p_exp.add_argument("ids", nargs="+", help="experiment ids (T1..T6, X1..X5, or 'all')")
-    p_exp.add_argument("--quick", action="store_true", help="shrunk circuits, fast run")
     p_exp.add_argument("--out", help="directory for JSON results")
-    p_exp.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="process-pool width (0 = one per CPU); many ids fan out per "
-        "experiment, a single id fans out its sweep rows",
-    )
-    p_exp.add_argument(
-        "--cache-dir",
-        default=".locusroute_cache",
-        help="content-addressed result cache directory "
-        "(default: %(default)s)",
-    )
-    p_exp.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result cache (neither read nor write it)",
-    )
-    p_exp.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task timeout for parallel execution (retried once)",
+    _run_flags(
+        p_exp,
+        "quick", "jobs", "cache_dir", "no_cache", "timeout",
+        jobs=dict(
+            default=1,
+            help="process-pool width (0 = one per CPU); many ids fan out per "
+            "experiment, a single id fans out its sweep rows",
+        ),
+        cache_dir=".locusroute_cache",
+        timeout=dict(help="per-task timeout for parallel execution (retried once)"),
     )
     p_exp.add_argument(
         "--bench",
@@ -357,12 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="invariant checkers + three-way differential oracle",
     )
     _add_circuit_args(p_verify)
-    p_verify.add_argument(
-        "--quick", action="store_true", help="CI-scale circuit and processor count"
-    )
-    p_verify.add_argument("--procs", type=int, default=None)
-    p_verify.add_argument("--iterations", type=int, default=None)
-    p_verify.add_argument("--json", action="store_true", help="print a JSON report")
+    _run_flags(p_verify, "quick", "procs", "iterations", "json")
 
     p_profile = sub.add_parser(
         "profile",
@@ -371,9 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "ids", nargs="*", default=["T3"], help="experiment ids (default: T3)"
     )
-    p_profile.add_argument(
-        "--quick", action="store_true", help="shrunk circuits, fast run"
-    )
+    _run_flags(p_profile, "quick", "json")
     p_profile.add_argument(
         "--cprofile",
         action="store_true",
@@ -389,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "--top", type=int, default=20, help="cProfile rows to print"
     )
-    p_profile.add_argument("--json", action="store_true", help="print a JSON report")
 
     p_serve = sub.add_parser(
         "serve",
@@ -403,28 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=".locusroute_service.sqlite",
         help="SQLite repository file (default: %(default)s)",
     )
-    p_serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="salvage-pool width for job execution (0 = one per CPU)",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        default=".locusroute_cache",
-        help="file cache kept as a read-through layer (default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="run without the file-cache read-through layer",
-    )
-    p_serve.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job pool timeout (retried once, then the job fails)",
+    _run_flags(
+        p_serve,
+        "jobs", "cache_dir", "no_cache", "timeout",
+        jobs=dict(default=1, help="salvage-pool width for job execution (0 = one per CPU)"),
+        cache_dir=".locusroute_cache",
+        timeout=dict(help="per-job pool timeout (retried once, then the job fails)"),
     )
 
     p_jobs = sub.add_parser(
@@ -441,20 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     j_submit.add_argument(
         "kind", choices=["route", "mp", "sm", "experiment"], help="job kind"
     )
-    j_submit.add_argument("--name", default=None, help="circuit (bnrE or MDC)")
-    j_submit.add_argument("--wires", type=int, default=None)
-    j_submit.add_argument("--iterations", type=int, default=None)
-    j_submit.add_argument("--procs", type=int, default=None)
-    j_submit.add_argument("--quick", action="store_true")
-    j_submit.add_argument("--send-loc", type=int, default=None, help="mp only")
-    j_submit.add_argument("--send-rmt", type=int, default=None, help="mp only")
-    j_submit.add_argument("--req-loc", type=int, default=None, help="mp only")
-    j_submit.add_argument("--req-rmt", type=int, default=None, help="mp only")
-    j_submit.add_argument("--blocking", action="store_true", help="mp only")
-    j_submit.add_argument("--line-size", type=int, default=None, help="sm only")
-    j_submit.add_argument(
-        "--protocol", choices=["invalidate", "update"], default=None, help="sm only"
+    _run_flags(
+        j_submit,
+        "name", "wires", "iterations", "procs", "quick", "send_loc", "send_rmt",
+        "req_loc", "req_rmt", "blocking", "protocol", "timeout", "json",
+        name=dict(help="circuit (bnrE or MDC)"),
+        timeout=dict(default=600.0, help="--wait poll budget (seconds)"),
     )
+    j_submit.add_argument("--line-size", type=int, default=None, help="sm only")
     j_submit.add_argument("--exp-id", default=None, help="experiment id (T1..)")
     j_submit.add_argument(
         "--force", action="store_true", help="recompute even on a stored result"
@@ -462,14 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     j_submit.add_argument(
         "--wait", action="store_true", help="poll until done and print the result"
     )
-    j_submit.add_argument(
-        "--timeout", type=float, default=600.0, help="--wait poll budget (seconds)"
-    )
-    j_submit.add_argument("--json", action="store_true")
 
     j_status = jsub.add_parser("status", help="one job's status record")
     j_status.add_argument("job_id")
-    j_status.add_argument("--json", action="store_true")
+    _run_flags(j_status, "json")
 
     j_result = jsub.add_parser("result", help="a finished job's payload")
     j_result.add_argument("job_id")
@@ -482,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="render the latency/status timeline (repro.viz)",
     )
-    j_list.add_argument("--json", action="store_true")
+    _run_flags(j_list, "json")
 
     jsub.add_parser("stats", help="queue depth, counters, repository counts")
 
@@ -574,28 +544,27 @@ def _build_fault_plan(args: argparse.Namespace):
     )
 
 
-def _cmd_mp(args: argparse.Namespace) -> int:
-    no_schedule_flags = all(
-        v is None for v in (args.send_loc, args.send_rmt, args.req_loc, args.req_rmt)
-    )
+def _get_quick_circuit(args: argparse.Namespace):
+    """The circuit of an ``mp`` / ``run`` invocation, at ``--quick`` scale
+    (160 wires, 2 iterations) where that flag is given and nothing more
+    specific overrides it."""
     if args.quick:
         if args.wires is None and args.load is None:
             args.wires = 160
         if args.iterations == 3:  # the argparse default
             args.iterations = 2
-    circuit = _get_circuit(args)
+    return _get_circuit(args)
+
+
+def _cmd_mp(args: argparse.Namespace) -> int:
+    no_schedule_flags = all(
+        v is None for v in (args.send_loc, args.send_rmt, args.req_loc, args.req_rmt)
+    )
+    circuit = _get_quick_circuit(args)
     if args.quick and no_schedule_flags:
         schedule = UpdateSchedule.receiver_initiated(1, 5, blocking=True)
     else:
-        schedule = UpdateSchedule(
-            send_loc_every=args.send_loc,
-            send_rmt_every=args.send_rmt,
-            req_loc_every=args.req_loc,
-            req_rmt_every=args.req_rmt,
-            blocking=args.blocking,
-            packet_structure=PacketStructure(args.packet_structure),
-            interrupt_reception=args.interrupts,
-        )
+        schedule = UpdateSchedule.from_flags(vars(args))
     faults = _build_fault_plan(args)
     result = run_message_passing(
         circuit,
@@ -674,12 +643,7 @@ def _cmd_sm(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.quick:
-        if args.wires is None and args.load is None:
-            args.wires = 160
-        if args.iterations == 3:  # the argparse default
-            args.iterations = 2
-    circuit = _get_circuit(args)
+    circuit = _get_quick_circuit(args)
     if args.live == "sm":
         result = run_live_shared_memory(
             circuit,
@@ -693,12 +657,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if all(v is None for v in (args.send_loc, args.send_rmt, args.req_rmt)):
             schedule = None  # library default: the SRD=1 SLD=1 push schedule
         else:
-            schedule = UpdateSchedule(
-                send_loc_every=args.send_loc,
-                send_rmt_every=args.send_rmt,
-                req_rmt_every=args.req_rmt,
-                blocking=args.blocking,
-            )
+            schedule = UpdateSchedule.from_flags(vars(args))
         result = run_live_message_passing(
             circuit,
             schedule,
@@ -742,11 +701,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
     circuit = _get_circuit(args)
-    schedule = UpdateSchedule(
-        send_loc_every=args.send_loc,
-        send_rmt_every=args.send_rmt,
-        interrupt_reception=args.interrupts,
-    )
+    schedule = UpdateSchedule.from_flags(vars(args))
     result = run_dynamic_assignment(circuit, schedule, n_procs=args.procs)
     if args.json:
         print(json.dumps(result.summary_dict(), indent=1))
@@ -874,38 +829,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _jobs_submit_params(args: argparse.Namespace) -> dict:
     """The params dict implied by the ``jobs submit`` flags (sparse: only
-    flags the user set are sent; the service fills canonical defaults)."""
+    flags the user set are sent; the service fills canonical defaults).
+
+    A loop over the parameter names the service lists for the kind; a
+    flag the kind does not take is not sent.
+    """
+    from .service.jobs import PARAM_SCHEMA
+
+    flag_of = {spec["param"]: name for name, spec in _RUN_FLAGS.items() if "param" in spec}
     params = {}
-    if args.kind == "experiment":
-        if args.exp_id is not None:
-            params["exp_id"] = args.exp_id
-        if args.quick:
-            params["quick"] = True
-        return params
-    for flag, name in (
-        ("name", "which"),
-        ("wires", "n_wires"),
-        ("iterations", "iterations"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
+    for name in PARAM_SCHEMA[args.kind]:
+        value = getattr(args, flag_of.get(name, name))
+        if value is not None and value is not False:
             params[name] = value
-    if args.quick:
-        params["quick"] = True
-    if args.kind in ("mp", "sm") and args.procs is not None:
-        params["n_procs"] = args.procs
-    if args.kind == "mp":
-        for flag in ("send_loc", "send_rmt", "req_loc", "req_rmt"):
-            value = getattr(args, flag)
-            if value is not None:
-                params[flag] = value
-        if args.blocking:
-            params["blocking"] = True
-    if args.kind == "sm":
-        if args.line_size is not None:
-            params["line_size"] = args.line_size
-        if args.protocol is not None:
-            params["protocol"] = args.protocol
     return params
 
 

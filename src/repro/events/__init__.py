@@ -1,7 +1,6 @@
 """Deterministic discrete-event kernel shared by both architecture simulators."""
 
-from .columnar import ColumnarEventQueue
-from .queue import Event, EventQueue
+from .queue import EventQueue
 from .sim import Simulator
 
-__all__ = ["ColumnarEventQueue", "Event", "EventQueue", "Simulator"]
+__all__ = ["EventQueue", "Simulator"]

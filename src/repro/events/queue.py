@@ -1,107 +1,111 @@
 """Deterministic event queue for the discrete-event kernel.
 
-A thin wrapper over :mod:`heapq` that totally orders events by
-``(time, sequence)``.  The sequence number is assigned at scheduling time,
-so simultaneous events fire in the order they were scheduled — this is
-what makes every simulation in this package bit-for-bit reproducible.
+A :mod:`heapq` of ``(time, seq)`` keys.  The sequence number is assigned
+at scheduling time, so simultaneous events fire in the order they were
+scheduled — this is what makes every simulation in this package
+bit-for-bit reproducible.
+
+Each *column* of the event table lives in the structure that serves it
+at machine speed, instead of one Python object per event:
+
+- **sort keys** — plain ``(time, seq)`` tuples of scalars.  CPython
+  compares these without entering a Python frame, so every heap sift runs
+  at C speed.
+- **callbacks** — a ``seq -> action`` dict, touched exactly twice per
+  event (schedule, fire) instead of travelling through every comparison.
+- **liveness** — a set of cancelled ``seq`` values; cancellation is a set
+  insert, and a dead key is skipped when it reaches the top of the heap.
+  Only an interrupted commit and a crash cancel, and both are re-due
+  within one wire, so no run holds more than a few dozen dead keys and
+  the heap is never rebuilt (docs/PERFORMANCE.md).
+
+What deliberately did **not** land: batch-advancing a whole window of
+ready events in one vectorised step.  A fired action may schedule *into*
+the window being advanced (a node activation schedules its own commit at
+``now + dt``), so the ready set is not known until each callback has run.
+
+The oracle is ``SortedListModel`` in
+``tests/test_events_cancellation.py``: a sorted list of live keys with no
+heap and no laziness.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import SimulationError
 
-__all__ = ["Event", "EventQueue"]
+__all__ = ["EventQueue"]
 
-
-@dataclass(frozen=True, order=True)
-class Event:
-    """A scheduled callback.
-
-    Ordering compares ``(time, seq)`` only; the callback and the
-    cancellation flag are excluded via ``field(compare=False)``.  The
-    flag lives on the event itself (mutated through
-    ``object.__setattr__``) so cancelling an event that already fired is
-    a harmless no-op rather than corrupting the queue's bookkeeping.
-    """
-
-    time: float
-    seq: int
-    action: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    fired: bool = field(default=False, compare=False)
+#: Opaque cancellable handle: the event's ``(time, seq)`` sort key.
+Handle = Tuple[float, int]
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` with monotonic pop times."""
+    """Min-heap of ``(time, seq)`` scalar keys with monotonic pop times."""
+
+    __slots__ = (
+        "_heap",
+        "_actions",
+        "_cancelled",
+        "_counter",
+        "_last_popped",
+    )
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Handle] = []
+        self._actions: Dict[int, Callable[[], Any]] = {}
+        self._cancelled: Set[int] = set()
         self._counter = itertools.count()
         self._last_popped = 0.0
-        self._n_cancelled_in_heap = 0
 
     def __len__(self) -> int:
-        return len(self._heap) - self._n_cancelled_in_heap
+        return len(self._actions)
 
-    def push(self, time: float, action: Callable[[], Any]) -> Event:
+    def push(self, time: float, action: Callable[[], Any]) -> Handle:
         """Schedule *action* at absolute *time*; returns a cancellable handle."""
         if time < self._last_popped:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._last_popped}"
             )
-        event = Event(time, next(self._counter), action)
-        heapq.heappush(self._heap, event)
-        return event
+        seq = next(self._counter)
+        heapq.heappush(self._heap, (time, seq))
+        self._actions[seq] = action
+        return (time, seq)
 
-    def cancel(self, event: Event) -> None:
-        """Mark *event* as cancelled (skipped on pop).
+    def cancel(self, handle: Handle) -> None:
+        """Mark *handle* cancelled (skipped on pop).
 
-        Cancelling an event that has already fired, or cancelling twice,
-        is a no-op.
+        Cancelling an event that already fired, or cancelling twice, is a
+        no-op.  The callback column is released immediately; the dead key
+        stays in the heap until it is popped.
         """
-        if event.cancelled or event.fired:
-            return
-        object.__setattr__(event, "cancelled", True)
-        # A fired event was already removed by pop(); only events still in
-        # the heap affect the live count.
-        self._n_cancelled_in_heap += 1
-        # Lazy cancellation: the dead entry stays in the heap and is
-        # skipped when popped.  Only an interrupted commit and a crash
-        # cancel, and both are re-due within one wire, so no run holds
-        # more than a few dozen dead entries (docs/PERFORMANCE.md).
-
-    def pop(self) -> Optional[Event]:
-        """Pop the earliest live event, or ``None`` if the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._n_cancelled_in_heap -= 1
-                continue
-            self._last_popped = event.time
-            object.__setattr__(event, "fired", True)
-            return event
-        return None
+        seq = handle[1]
+        if seq not in self._actions:
+            return  # already fired or already cancelled
+        del self._actions[seq]
+        self._cancelled.add(seq)
 
     def pop_next(self) -> Optional[Tuple[float, Callable[[], Any]]]:
-        """Pop the earliest live event as a ``(time, action)`` pair.
-
-        The queue-protocol form of :meth:`pop` shared with
-        :class:`~repro.events.columnar.ColumnarEventQueue`: the simulator
-        loop only needs the fire time and the callback, not the handle.
-        """
-        event = self.pop()
-        if event is None:
-            return None
-        return event.time, event.action
+        """Pop the earliest live event as ``(time, action)``, else ``None``."""
+        heap = self._heap
+        cancelled = self._cancelled
+        while heap:
+            time, seq = heapq.heappop(heap)
+            if cancelled:
+                if seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+            self._last_popped = time
+            return time, self._actions.pop(seq)
+        return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event without popping it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-            self._n_cancelled_in_heap -= 1
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        cancelled = self._cancelled
+        while heap and heap[0][1] in cancelled:
+            cancelled.discard(heapq.heappop(heap)[1])
+        return heap[0][0] if heap else None

@@ -11,9 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
-from ..kernels import active_kernels
 from ..obs import telemetry as obs
-from .columnar import ColumnarEventQueue
 from .queue import EventQueue
 
 __all__ = ["Simulator"]
@@ -23,20 +21,10 @@ class Simulator:
     """Event loop with a virtual clock.
 
     The clock starts at 0.0 and only moves forward, driven by event pops.
-
-    The queue implementation is chosen by the kernel mode at construction
-    time: :class:`ColumnarEventQueue` (scalar sort keys, C-speed heap
-    comparisons) under ``vectorized``, :class:`EventQueue` (the per-event
-    dataclass reference) under ``reference``.  Both pop in the same
-    ``(time, seq)`` order, so the choice never changes simulation results
-    — ``locusroute verify`` and the bench suite replay both to prove it.
     """
 
     def __init__(self) -> None:
-        if active_kernels() == "vectorized":
-            self._queue = ColumnarEventQueue()
-        else:
-            self._queue = EventQueue()
+        self._queue = EventQueue()
         self._now = 0.0
         self._steps = 0
         self._probes: list = []
@@ -54,9 +42,8 @@ class Simulator:
     def at(self, time: float, action: Callable[[], Any]) -> object:
         """Schedule *action* at absolute virtual *time*.
 
-        Returns an opaque cancellable handle (an :class:`Event` under the
-        reference queue, a key tuple under the columnar queue); pass it
-        back to :meth:`cancel`, do not inspect it.
+        Returns an opaque cancellable handle; pass it back to
+        :meth:`cancel`, do not inspect it.
         """
         return self._queue.push(time, action)
 

@@ -32,6 +32,18 @@ a :class:`PoolReport` with a ``None`` hole and a structured
 salvage the partial results (a 47/48-cell sweep is still a sweep).
 :func:`pool_map` is that pass plus raising the first loss.
 
+Telemetry
+---------
+This module owns what crosses the process boundary.  Every pool task is
+submitted through :func:`_run_in_worker`, which zeroes the worker's
+telemetry (a forked worker inherits the parent's counters, which the
+parent already owns) and returns the task's result with a snapshot that
+is exactly its delta; the parent merges the snapshot as it collects the
+future.  A task that runs in the parent (``jobs <= 1``, a single item,
+the serial retry) counts straight into the live telemetry.  Either way
+the caller's counters are complete when the map returns, and task
+functions neither reset nor snapshot anything.
+
 Timeout semantics: ``timeout_s`` bounds how long the parent waits for
 each task *from the moment it starts waiting on it* (tasks are awaited
 in submission order, so time spent waiting on earlier tasks also counts
@@ -65,6 +77,7 @@ from typing import (
 
 from ..errors import ExperimentError
 from ..kernels import active_kernels, set_kernels
+from ..obs import telemetry as obs
 
 __all__ = [
     "MAX_POOL_RESPAWNS",
@@ -72,7 +85,6 @@ __all__ = [
     "START_METHOD_ENV",
     "PoolFailure",
     "PoolReport",
-    "in_pool_worker",
     "mp_context",
     "pool_map",
     "pool_map_salvage",
@@ -111,25 +123,27 @@ def mp_context(method: Optional[str] = None):
     return multiprocessing.get_context(method)
 
 
-#: Set once, by :func:`_pool_worker_init`, in each pool worker process.
-_IN_POOL_WORKER = False
-
-
 def _pool_worker_init(kernel_mode: str) -> None:
     """Pool-worker initializer: re-establish per-process global state.
 
     Under ``fork`` workers inherit the parent's globals, but under
     ``spawn``/``forkserver`` they start from a fresh interpreter — the
-    :mod:`repro.kernels` mode would silently revert to its default and
-    telemetry would start dirty.  Explicitly propagating the kernel mode
-    keeps worker behaviour identical across start methods.
+    :mod:`repro.kernels` mode would silently revert to its default.
+    Explicitly propagating the kernel mode keeps worker behaviour
+    identical across start methods.
     """
-    global _IN_POOL_WORKER
-    _IN_POOL_WORKER = True
     set_kernels(kernel_mode)
-    from ..obs import telemetry
 
-    telemetry.reset()
+
+def _run_in_worker(fn: Callable[[T], R], item: T) -> Tuple[R, Dict[str, Any]]:
+    """Worker-side half of every pool task: ``fn(item)`` plus its telemetry.
+
+    The worker's telemetry is zeroed first, so the snapshot is exactly
+    this task's delta for the parent to merge.
+    """
+    obs.reset()
+    result = fn(item)
+    return result, obs.snapshot()
 
 
 def default_jobs() -> int:
@@ -162,6 +176,10 @@ class PoolReport:
     results: List[Optional[Any]]  #: item-order results, ``None`` per failure
     failures: List[PoolFailure] = field(default_factory=list)
     respawns: int = 0  #: broken-pool rebuilds performed
+    #: item-order telemetry snapshots of the tasks a pool worker ran
+    #: (already merged into this process's telemetry); ``{}`` for an item
+    #: that ran in this process, where the counts went in directly
+    telemetry: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -200,15 +218,20 @@ def _pool_pass(
     items: Sequence[T],
     jobs: int,
     timeout_s: Optional[float],
-) -> Tuple[Dict[int, R], List[Tuple[int, BaseException]], int]:
+) -> Tuple[
+    Dict[int, R], Dict[int, Dict[str, Any]], List[Tuple[int, BaseException]], int
+]:
     """One pool stage over all items, respawning on ``BrokenProcessPool``.
 
-    Returns ``(results, failures, respawns)`` where *failures* pairs each
-    uncollected index with the exception that sank its first attempt;
-    :func:`pool_map_salvage` retries those serially.
+    Returns ``(results, telemetry, failures, respawns)`` where *telemetry*
+    holds each collected task's snapshot (merged here, as it is
+    collected) and *failures* pairs each uncollected index with the
+    exception that sank its first attempt; :func:`pool_map_salvage`
+    retries those serially.
     """
     pending = list(range(len(items)))
     results: Dict[int, R] = {}
+    telemetry: Dict[int, Dict[str, Any]] = {}
     failures: List[Tuple[int, BaseException]] = []
     respawns = 0
     while pending:
@@ -221,7 +244,9 @@ def _pool_pass(
         broken: Optional[BaseException] = None
         resubmit: List[int] = []
         try:
-            futures = [(i, executor.submit(fn, items[i])) for i in pending]
+            futures = [
+                (i, executor.submit(_run_in_worker, fn, items[i])) for i in pending
+            ]
         except BrokenProcessPool as exc:
             broken = exc
             futures = []
@@ -233,7 +258,7 @@ def _pool_pass(
                 resubmit.append(i)
                 continue
             try:
-                results[i] = future.result(timeout=timeout_s)
+                results[i], telemetry[i] = future.result(timeout=timeout_s)
             except FutureTimeoutError as exc:
                 future.cancel()
                 failures.append((i, exc))
@@ -242,6 +267,8 @@ def _pool_pass(
                 resubmit.append(i)
             except Exception as exc:
                 failures.append((i, exc))
+            else:
+                obs.get_telemetry().merge(telemetry[i])
         # Don't block on a timed-out or dead worker; pending tasks were
         # collected, recorded as failures, or queued for resubmission.
         executor.shutdown(wait=broken is None and not failures, cancel_futures=True)
@@ -253,20 +280,7 @@ def _pool_pass(
             break
         time.sleep(RESPAWN_BACKOFF_S * 2 ** (respawns - 1))
         pending = resubmit
-    return results, failures, respawns
-
-
-def in_pool_worker() -> bool:
-    """True in a process that :func:`_pool_pass` started as a pool worker.
-
-    The worker wrappers reset the process-global telemetry and hand back
-    a snapshot for the parent to merge.  A task that runs in the parent
-    instead (``jobs=1``, a single item, the serial retry of a failed or
-    timed-out task) already increments the parent's live telemetry, so
-    there a reset would wipe the parent's counters and a returned
-    snapshot would double-count.
-    """
-    return _IN_POOL_WORKER
+    return results, telemetry, failures, respawns
 
 
 def pool_map_salvage(
@@ -285,6 +299,7 @@ def pool_map_salvage(
     """
     items = list(items)
     results: Dict[int, R] = {}
+    telemetry: Dict[int, Dict[str, Any]] = {}
     first_failures: List[Tuple[int, str]] = []
     respawns = 0
     if jobs <= 1 or len(items) == 1:
@@ -294,7 +309,9 @@ def pool_map_salvage(
             except Exception:
                 first_failures.append((i, "serial"))
     else:
-        results, pool_failures, respawns = _pool_pass(fn, items, jobs, timeout_s)
+        results, telemetry, pool_failures, respawns = _pool_pass(
+            fn, items, jobs, timeout_s
+        )
         first_failures = sorted((i, _failure_stage(exc)) for i, exc in pool_failures)
     losses: List[PoolFailure] = []
     for i, stage in first_failures:
@@ -311,6 +328,7 @@ def pool_map_salvage(
         results=[results.get(i) for i in range(len(items))],
         failures=losses,
         respawns=respawns,
+        telemetry=[telemetry.get(i, {}) for i in range(len(items))],
     )
 
 

@@ -16,7 +16,9 @@ Three orthogonal capabilities wrap the plain drivers:
   simulation rows are content-addressed
   (:mod:`repro.harness.cache`) so warm re-runs and overlapping sweeps
   skip already-computed work.  Pass ``use_cache=False`` (CLI
-  ``--no-cache``) to bypass reads *and* writes.
+  ``--no-cache``) to bypass reads *and* writes.  :func:`run_one_cached`
+  is the one "look up, else run and store" of an experiment (the serial
+  loop, the pool task and the routing service all call it).
 - **Telemetry**: per-experiment wall/CPU time, events processed and
   events/second land in a ``BENCH_harness.json`` record next to the
   results (or at an explicit ``bench_path``).
@@ -49,6 +51,8 @@ __all__ = [
     "load_result",
     "resolve_ids",
     "experiment_cache_key",
+    "cached_experiment",
+    "run_one_cached",
     "write_bench_record",
     "BENCH_FILENAME",
 ]
@@ -164,6 +168,16 @@ def payload_to_result(payload: dict) -> ExperimentResult:
     )
 
 
+def cached_experiment(
+    exp_id: str, quick: bool, cache: Optional[ResultCache]
+) -> Optional[ExperimentResult]:
+    """The stored result of one experiment run, or ``None`` on a miss."""
+    if cache is None:
+        return None
+    payload = cache.get_experiment(experiment_cache_key(exp_id, quick))
+    return None if payload is None else payload_to_result(payload)
+
+
 def run_one_cached(
     exp_id: str, quick: bool, cache: Optional[ResultCache]
 ) -> Tuple[ExperimentResult, Dict[str, object]]:
@@ -179,17 +193,14 @@ def run_one_cached(
     messages0 = tel.count("sim.mp.messages_sent")
     wall0, cpu0 = time.perf_counter(), time.process_time()
 
-    result: Optional[ExperimentResult] = None
-    key = experiment_cache_key(exp_id, quick) if cache is not None else None
-    if cache is not None:
-        payload = cache.get_experiment(key)
-        if payload is not None:
-            result = payload_to_result(payload)
+    result = cached_experiment(exp_id, quick, cache)
     cache_hit = result is not None
     if result is None:
         result = run_experiment(exp_id, quick=quick)
         if cache is not None:
-            cache.put_experiment(key, result_to_payload(result))
+            cache.put_experiment(
+                experiment_cache_key(exp_id, quick), result_to_payload(result)
+            )
 
     wall = time.perf_counter() - wall0
     cpu = time.process_time() - cpu0
@@ -309,29 +320,29 @@ def run_all(
     telemetry_before = obs.snapshot()
     wall0 = time.perf_counter()
 
-    if jobs > 1:
+    def show(result: ExperimentResult, record: Dict[str, object]) -> None:
+        if echo:
+            print(result.render())
+            print(f"({record['wall_s']:.1f}s wall)\n")
+
+    if jobs > 1 and len(ids) > 1:
         from .parallel_runner import run_parallel
 
         results, records = run_parallel(
             ids, quick=quick, jobs=jobs, cache=cache, timeout_s=timeout_s
         )
-        if echo:
-            for result, record in zip(results, records):
-                print(result.render())
-                print(f"({record['wall_s']:.1f}s wall)\n")
+        for result, record in zip(results, records):
+            show(result, record)
     else:
-        simjobs.configure(reset=True, cache=cache, timeout_s=timeout_s)
+        # One id (or one worker): the ids run here, one after another,
+        # and a lone id fans its sim rows out over the workers instead.
         results, records = [], []
-        try:
+        with simjobs.strategy(jobs=jobs, cache=cache, timeout_s=timeout_s):
             for exp_id in ids:
                 result, record = run_one_cached(exp_id, quick, cache)
                 results.append(result)
                 records.append(record)
-                if echo:
-                    print(result.render())
-                    print(f"({record['wall_s']:.1f}s wall)\n")
-        finally:
-            simjobs.configure(reset=True)
+                show(result, record)
 
     wall = time.perf_counter() - wall0
     if out_dir is not None:

@@ -9,7 +9,7 @@ table builder in :mod:`repro.harness.experiments` does exactly that) —
 which unlocks, transparently to the drivers:
 
 - **fan-out**: rows execute across a process pool when the harness has
-  configured inner jobs (:func:`configure`), serially otherwise;
+  installed inner jobs (:func:`strategy`), serially otherwise;
 - **row caching**: each config is content-addressed (circuit netlist
   digest, schedule fields, processor/iteration counts, cost-model
   fields, code digest), so overlapping sweeps and warm re-runs skip
@@ -17,17 +17,20 @@ which unlocks, transparently to the drivers:
   configuration appears in T1, T6, X3 and X5 but simulates once.
 
 Results come back in config order either way, so driver code is
-identical under every execution strategy.  Configuration is process
-local; worker processes of the *outer* experiment pool inherit the
-defaults (serial, cache from their own setup), so pools never nest.
+identical under every execution strategy, and worker telemetry is the
+pool's business (:mod:`repro.harness.pool`), not this module's.  The
+strategy is process local and scoped (``with strategy(...)``); a worker
+of the *outer* experiment pool installs its own (serial, its own cache
+handle), so pools never nest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..assign import (
     Assignment,
@@ -52,7 +55,7 @@ from .cache import (
     cost_model_fingerprint,
     stable_hash,
 )
-from .pool import in_pool_worker, pool_map
+from .pool import pool_map
 
 __all__ = [
     "ASSIGNERS",
@@ -61,7 +64,7 @@ __all__ = [
     "sim_key",
     "run_sim_config",
     "run_sim_configs",
-    "configure",
+    "strategy",
 ]
 
 
@@ -161,49 +164,30 @@ def _named_circuit_fingerprint(
 
 
 def sim_fingerprint(config: SimConfig) -> Dict[str, object]:
-    """Everything that determines this row's result, as a plain dict."""
-    return {
-        "unit": "sim",
-        "kind": config.kind,
-        "circuit": _named_circuit_fingerprint(
-            config.which, config.quick, config.n_wires
-        ),
-        "schedule": config.schedule,  # dataclass; jsonified by stable_hash
-        "n_procs": config.n_procs,
-        "iterations": config.iterations,
-        "assigner": config.assigner,
-        "line_size": config.line_size,
-        "extra_line_sizes": config.extra_line_sizes,
-        "protocol": config.protocol,
-        "collect_trace": config.collect_trace,
-        "check_invariants": config.check_invariants,
-        "faults": config.faults,  # dataclass (or None); jsonified by stable_hash
-        "cost_model": cost_model_fingerprint(DEFAULT_COST_MODEL),
-        "code": code_fingerprint(),
+    """Everything that determines this row's result, as a plain dict.
+
+    Every :class:`SimConfig` field, read off the dataclass so a field
+    added there cannot be forgotten here (``schedule`` and ``faults`` are
+    dataclasses themselves; ``stable_hash`` jsonifies them), with the
+    three fields that name the circuit replaced by its netlist digest.
+    """
+    fingerprint = {
+        f.name: getattr(config, f.name)
+        for f in fields(SimConfig)
+        if f.name not in ("which", "quick", "n_wires")
     }
+    fingerprint.update(
+        unit="sim",
+        circuit=_named_circuit_fingerprint(config.which, config.quick, config.n_wires),
+        cost_model=cost_model_fingerprint(DEFAULT_COST_MODEL),
+        code=code_fingerprint(),
+    )
+    return fingerprint
 
 
 def sim_key(config: SimConfig) -> str:
     """The content-addressed cache key of one simulation config."""
     return stable_hash(sim_fingerprint(config))
-
-
-def _run_sim_config_in_worker(
-    config: SimConfig,
-) -> Tuple[ParallelRunResult, Dict[str, object]]:
-    """Pool-worker wrapper: run one config and report its telemetry.
-
-    The worker's global telemetry is reset first (fork-started workers
-    inherit the parent's counters, which the parent already owns), so
-    the returned snapshot is exactly this task's delta.  A serial retry
-    in the parent (see :func:`repro.harness.pool.in_pool_worker`) counts
-    straight into the live telemetry and returns an empty snapshot.
-    """
-    in_worker = in_pool_worker()
-    if in_worker:
-        obs.reset()
-    result = run_sim_config(config)
-    return result, obs.snapshot() if in_worker else {}
 
 
 def _assignment(
@@ -246,7 +230,7 @@ def run_sim_config(config: SimConfig) -> ParallelRunResult:
 # ----------------------------------------------------------------------
 # harness-installed execution strategy (process local)
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class _Strategy:
     jobs: int = 1
     cache: Optional[ResultCache] = None
@@ -256,27 +240,26 @@ class _Strategy:
 _STRATEGY = _Strategy()
 
 
-def configure(
-    jobs: Optional[int] = None,
+@contextmanager
+def strategy(
+    jobs: int = 1,
     cache: Optional[ResultCache] = None,
     timeout_s: Optional[float] = None,
-    reset: bool = False,
-) -> None:
+) -> Iterator[None]:
     """Install the execution strategy the harness wants for sim rows.
 
-    ``reset=True`` restores the defaults (serial, uncached) first; other
-    arguments then override individual fields.  Drivers never call this —
-    only the runner / parallel runner and tests do.
+    Scoped: whatever was installed before is restored on exit, so a run
+    that ends (or a pool task retried in the parent) cannot leave its
+    cache handle behind for the next caller in the process.  Drivers
+    never use this — only the runner, its pool task and tests do.
     """
     global _STRATEGY
-    if reset:
-        _STRATEGY = _Strategy()
-    if jobs is not None:
-        _STRATEGY.jobs = jobs
-    if cache is not None:
-        _STRATEGY.cache = cache
-    if timeout_s is not None:
-        _STRATEGY.timeout_s = timeout_s
+    previous = _STRATEGY
+    _STRATEGY = _Strategy(jobs=jobs, cache=cache, timeout_s=timeout_s)
+    try:
+        yield
+    finally:
+        _STRATEGY = previous
 
 
 def run_sim_configs(
@@ -287,7 +270,7 @@ def run_sim_configs(
 ) -> List[ParallelRunResult]:
     """Execute every config, in config order, with caching and fan-out.
 
-    Explicit arguments override the :func:`configure`-installed strategy;
+    Explicit arguments override the :func:`strategy`-installed one;
     the default (no configuration, no arguments) is serial and uncached —
     identical to calling the simulators directly.
     """
@@ -310,28 +293,13 @@ def run_sim_configs(
         missing = list(range(len(configs)))
 
     if missing:
-        if jobs > 1 and len(missing) > 1:
-            # Pool workers carry their own telemetry globals; each task
-            # returns a snapshot so the parent's counters stay complete.
-            outs = pool_map(
-                _run_sim_config_in_worker,
-                [configs[i] for i in missing],
-                jobs=jobs,
-                timeout_s=timeout_s,
-                label="sim config",
-            )
-            computed = []
-            for result, tel_snapshot in outs:
-                obs.get_telemetry().merge(tel_snapshot)
-                computed.append(result)
-        else:
-            computed = pool_map(
-                run_sim_config,
-                [configs[i] for i in missing],
-                jobs=1,
-                timeout_s=timeout_s,
-                label="sim config",
-            )
+        computed = pool_map(
+            run_sim_config,
+            [configs[i] for i in missing],
+            jobs=jobs,
+            timeout_s=timeout_s,
+            label="sim config",
+        )
         for i, result in zip(missing, computed):
             results[i] = result
             if cache is not None:

@@ -2,20 +2,22 @@
 
 Each hot path below has two interchangeable implementations — a scalar
 *reference* engine (the differential oracle, written to mirror the
-protocol/algorithm description directly) and a *vectorized* engine
-(columnar NumPy, bit-identical output):
+protocol/algorithm description directly: a different algorithm, not the
+same one in another container) and a *vectorized* engine (columnar
+NumPy, bit-identical output).  "Selected in" names the one module that
+compares :func:`active_kernels` with a mode for that row; a module that
+does so without a row here fails ``tests/test_kernels_table.py``:
 
-=================  =================================  =====================================================
-hot path           reference                          vectorized
-=================  =================================  =====================================================
-coherence          ``memsim.coherence``               ``memsim.columnar``
-sweep dispatch     per-line-size scalar replay        shared ``ColumnarTrace``
-write-update       ``memsim.update_protocol``         ``memsim.columnar.ColumnarTrace.replay_write_update``
-two-bend route     ``route.twobend.route_segment``    ``route.wavefront.route_wire_fused``
-routing iteration  per-wire loop in ``route.engine``  one fused step per wave (``route.wavefront``)
-event queue        ``events.queue.EventQueue``        ``events.columnar.ColumnarEventQueue``
-MP update push     per-region dirty-box scan          ``grid.delta.DeltaArray.dirty_bboxes_by_owner``
-=================  =================================  =====================================================
+=================  ==========================  =================================  =====================================================  ================
+hot path           selected in                 reference                          vectorized                                             verify check
+=================  ==========================  =================================  =====================================================  ================
+coherence          ``parallel.sm_sim``         ``memsim.coherence``               ``memsim.columnar``                                    ``coherence``
+sweep dispatch     ``parallel.sm_sim``         per-line-size scalar replay        shared ``ColumnarTrace``                               (tests)
+write-update       ``memsim.update_protocol``  ``memsim.update_protocol``         ``memsim.columnar.ColumnarTrace.replay_write_update``  ``write_update``
+two-bend route     ``route.twobend``           ``route.twobend.route_segment``    ``route.wavefront.route_wire_fused``                   ``twobend``
+routing iteration  ``route.engine``            per-wire loop in ``route.engine``  one fused step per wave (``route.wavefront``)          ``wavefront``
+MP update push     ``parallel.node``           per-region dirty-box scan          ``grid.delta.DeltaArray.dirty_bboxes_by_owner``        (tests)
+=================  ==========================  =================================  =====================================================  ================
 
 The vectorized engines are the default.  The reference engines remain
 load-bearing: ``locusroute verify`` replays both and reports any

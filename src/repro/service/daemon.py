@@ -337,8 +337,8 @@ class RoutingService:
                 obs.incr("service.jobs.failed")
                 self._finish(job_id, fingerprint, "failed", error=error)
                 continue
-            payload, telemetry, wall = outcome
-            obs.get_telemetry().merge(telemetry)
+            payload, wall = outcome
+            telemetry = report.telemetry[i]  # a worker's, merged by the pool
             obs.incr("service.jobs.executed")
             obs.record_span("service.job", wall, 0.0)
             self.repository.record_result(

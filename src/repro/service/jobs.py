@@ -20,12 +20,19 @@ Cache layering (docs/SERVICE.md):
 3. a miss in both executes (:func:`execute_job`), which itself runs
    through the file cache for ``mp``/``sm``/``experiment`` kinds so the
    two stores warm each other.
+
+Execution is the harness's own: ``mp``/``sm`` jobs are
+:func:`~repro.harness.simjobs.run_sim_configs` rows, experiment jobs are
+:func:`~repro.harness.runner.run_one_cached`, and
+:func:`execute_job_in_worker` is a plain pool task (worker telemetry is
+:mod:`repro.harness.pool`'s business).  :data:`PARAM_SCHEMA` is the one
+list of what each kind accepts; ``jobs submit`` is a loop over it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ServiceError
@@ -36,20 +43,20 @@ from ..harness.cache import (
     jsonify,
     stable_hash,
 )
-from ..harness.experiments import EXPERIMENTS, run_experiment
-from ..harness.pool import in_pool_worker
+from ..harness.experiments import EXPERIMENTS, ExperimentResult
 from ..harness.runner import (
+    cached_experiment,
     experiment_cache_key,
-    payload_to_result,
     result_to_payload,
+    run_one_cached,
 )
 from ..harness.simjobs import SimConfig, sim_fingerprint, sim_key
-from ..obs import telemetry as obs
 from ..route import SequentialRouter
 from ..updates import UpdateSchedule
 
 __all__ = [
     "JOB_KINDS",
+    "PARAM_SCHEMA",
     "JobSpec",
     "job_fingerprint",
     "job_key",
@@ -63,7 +70,7 @@ JOB_KINDS = ("route", "mp", "sm", "experiment")
 
 #: Per-kind parameter schema: name -> default.  ``...`` marks required.
 _COMMON: Dict[str, Any] = {"which": "bnrE", "n_wires": None, "quick": False}
-_PARAM_SCHEMA: Dict[str, Dict[str, Any]] = {
+PARAM_SCHEMA: Dict[str, Dict[str, Any]] = {
     "route": {**_COMMON, "iterations": 3},
     "mp": {
         **_COMMON,
@@ -84,6 +91,7 @@ _PARAM_SCHEMA: Dict[str, Dict[str, Any]] = {
     },
     "experiment": {"exp_id": ..., "quick": False},
 }
+_SIM_FIELDS = frozenset(f.name for f in fields(SimConfig))
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ class JobSpec:
             raise ServiceError(
                 f"unknown job kind {kind!r} (valid: {', '.join(JOB_KINDS)})"
             )
-        schema = _PARAM_SCHEMA[kind]
+        schema = PARAM_SCHEMA[kind]
         params = dict(params or {})
         unknown = sorted(set(params) - set(schema))
         if unknown:
@@ -149,40 +157,24 @@ class JobSpec:
         """The mp job's update schedule (None for other kinds)."""
         if self.kind != "mp":
             return None
-        p = self.params
-        return UpdateSchedule(
-            send_loc_every=p["send_loc"],
-            send_rmt_every=p["send_rmt"],
-            req_loc_every=p["req_loc"],
-            req_rmt_every=p["req_rmt"],
-            blocking=bool(p["blocking"]),
-        )
+        return UpdateSchedule.from_flags(self.params)
 
     def sim_config(self) -> SimConfig:
-        """The equivalent simulation row (mp/sm kinds only)."""
+        """The equivalent simulation row (mp/sm kinds only).
+
+        Every parameter that is a :class:`SimConfig` field by name goes
+        through (as an ``int`` / ``bool`` where the schema's default is
+        one), so a new simulator keyword is one schema entry.
+        """
         if self.kind not in ("mp", "sm"):
             raise ServiceError(f"{self.kind} jobs have no SimConfig form")
-        p = self.params
-        if self.kind == "mp":
-            return SimConfig(
-                kind="mp",
-                which=p["which"],
-                quick=bool(p["quick"]),
-                n_wires=p["n_wires"],
-                schedule=self.schedule(),
-                n_procs=int(p["n_procs"]),
-                iterations=int(p["iterations"]),
-            )
-        return SimConfig(
-            kind="sm",
-            which=p["which"],
-            quick=bool(p["quick"]),
-            n_wires=p["n_wires"],
-            n_procs=int(p["n_procs"]),
-            iterations=int(p["iterations"]),
-            line_size=int(p["line_size"]),
-            protocol=p["protocol"],
-        )
+        schema = PARAM_SCHEMA[self.kind]
+        row = {
+            name: type(schema[name])(value) if isinstance(schema[name], int) else value
+            for name, value in self.params.items()
+            if name in _SIM_FIELDS
+        }
+        return SimConfig(kind=self.kind, schedule=self.schedule(), **row)
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +224,12 @@ def route_payload(result) -> Dict[str, Any]:
     }
 
 
+def _experiment_payload(result: ExperimentResult) -> Dict[str, Any]:
+    return jsonify(
+        {"kind": "experiment", **result_to_payload(result), "passed": result.passed}
+    )
+
+
 def execute_job(spec: JobSpec, cache: Optional[ResultCache] = None) -> Dict[str, Any]:
     """Run one job to completion and return its JSON-safe payload.
 
@@ -250,46 +248,21 @@ def execute_job(spec: JobSpec, cache: Optional[ResultCache] = None) -> Dict[str,
     if spec.kind in ("mp", "sm"):
         run = simjobs.run_sim_configs([spec.sim_config()], jobs=1, cache=cache)[0]
         return jsonify({"kind": spec.kind, **run.summary_dict()})
-    # experiment
-    exp_id, quick = spec.params["exp_id"], bool(spec.params["quick"])
-    result = None
-    if cache is not None:
-        cached = cache.get_experiment(experiment_cache_key(exp_id, quick))
-        if cached is not None:
-            result = payload_to_result(cached)
-    if result is None:
-        result = run_experiment(exp_id, quick=quick)
-        if cache is not None:
-            cache.put_experiment(
-                experiment_cache_key(exp_id, quick), result_to_payload(result)
-            )
-    return jsonify(
-        {"kind": "experiment", **result_to_payload(result), "passed": result.passed}
+    result, _record = run_one_cached(
+        spec.params["exp_id"], bool(spec.params["quick"]), cache
     )
+    return _experiment_payload(result)
 
 
 def execute_job_in_worker(
     item: Tuple[JobSpec, Optional[str]],
-) -> Tuple[Dict[str, Any], Dict[str, Any], float]:
-    """Pool-worker entry: run one job, report payload + telemetry + wall.
-
-    In a real pool worker the process-global telemetry is reset first
-    (as in the harness pools) so the returned snapshot is exactly this
-    job's delta for the daemon to merge.  When the salvage pool degrades
-    to in-process execution (``jobs=1``, single item, serial retry) the
-    increments land directly in the daemon's own telemetry, so resetting
-    would wipe the daemon's counters and merging would double-count —
-    an empty snapshot is returned instead.
-    """
+) -> Tuple[Dict[str, Any], float]:
+    """Pool task: run one ``(spec, cache_dir)`` job; ``(payload, wall_s)``."""
     spec, cache_dir = item
-    in_worker = in_pool_worker()
-    if in_worker:
-        obs.reset()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     wall0 = time.perf_counter()
     payload = execute_job(spec, cache)
-    wall = time.perf_counter() - wall0
-    return payload, obs.snapshot() if in_worker else {}, wall
+    return payload, time.perf_counter() - wall0
 
 
 # ----------------------------------------------------------------------
@@ -311,13 +284,8 @@ def read_through(spec: JobSpec, cache: Optional[ResultCache]) -> Optional[Dict[s
             return None
         return jsonify({"kind": spec.kind, **hit.summary_dict()})
     if spec.kind == "experiment":
-        cached = cache.get_experiment(
-            experiment_cache_key(spec.params["exp_id"], bool(spec.params["quick"]))
+        result = cached_experiment(
+            spec.params["exp_id"], bool(spec.params["quick"]), cache
         )
-        if cached is None:
-            return None
-        result = payload_to_result(cached)
-        return jsonify(
-            {"kind": "experiment", **result_to_payload(result), "passed": result.passed}
-        )
+        return None if result is None else _experiment_payload(result)
     return None

@@ -24,7 +24,7 @@ from the results section are provided as constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Any, Mapping, Optional
 
 from ..errors import ProtocolError
 from .structures import PacketStructure
@@ -114,6 +114,28 @@ class UpdateSchedule:
         """The §5.1.3 mixed schedule: SLD=5, SRD=2, RLD=1, RRD=5."""
         return UpdateSchedule(
             send_loc_every=5, send_rmt_every=2, req_loc_every=1, req_rmt_every=5
+        )
+
+    @staticmethod
+    def from_flags(flags: Mapping[str, Any]) -> "UpdateSchedule":
+        """The schedule a flat set of run flags describes.
+
+        *flags* uses the names the command line (``--send-loc`` is
+        ``send_loc``) and the service's job parameters share; other keys
+        are ignored and an absent name keeps its field's default, so each
+        caller passes whatever namespace it has and only the names it
+        accepts take effect.
+        """
+        return UpdateSchedule(
+            send_loc_every=flags.get("send_loc"),
+            send_rmt_every=flags.get("send_rmt"),
+            req_loc_every=flags.get("req_loc"),
+            req_rmt_every=flags.get("req_rmt"),
+            blocking=bool(flags.get("blocking", False)),
+            packet_structure=PacketStructure(
+                flags.get("packet_structure", PacketStructure.BOUNDING_BOX)
+            ),
+            interrupt_reception=bool(flags.get("interrupts", False)),
         )
 
     def with_blocking(self, blocking: bool) -> "UpdateSchedule":

@@ -1,8 +1,8 @@
 """Scalar-vs-vectorized kernel equivalence checks for ``locusroute verify``.
 
 The vectorised kernels (:mod:`repro.memsim.columnar`, the fused two-bend
-router, the wave-front engine, the columnar event queue) promise
-*bit-identical* output to their scalar reference counterparts.  The
+router, the wave-front engine) promise *bit-identical* output to their
+scalar reference counterparts.  The
 hypothesis suites fuzz that promise; this module re-verifies it at
 ``locusroute verify`` time on workloads derived from the verify run's
 own circuit, so a verification sweep also certifies the kernel pair the
@@ -156,47 +156,6 @@ def _wavefront_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
     return {"identical": identical, "detail": detail}
 
 
-def _event_queue_check(circuit: Circuit) -> Dict[str, object]:
-    """Columnar event queue vs the reference heap on a live schedule.
-
-    Drives both queues through the same circuit-derived schedule —
-    nested reschedules, cancellations, simultaneous events — and
-    compares the fired sequence exactly.
-    """
-    from ..events.sim import Simulator
-
-    def run() -> Tuple:
-        sim = Simulator()
-        fired: List[Tuple[float, int]] = []
-        handles: List[object] = []
-
-        def fire(tag: int) -> None:
-            fired.append((sim.now, tag))
-            if tag < 1000 and tag % 4 == 0:
-                handles.append(sim.after(0.5, lambda t=tag: fire(t + 1000)))
-            if tag % 5 == 0 and handles:
-                sim.cancel(handles.pop(0))
-
-        for idx in range(circuit.n_wires):
-            wire = circuit.wire(idx)
-            t = float(wire.leftmost_pin.x + wire.length_cost() % 7)
-            sim.at(t, lambda tag=idx: fire(tag))
-        sim.run()
-        return tuple(fired)
-
-    with use_kernels("reference"):
-        ref = run()
-    with use_kernels("vectorized"):
-        vec = run()
-    identical = ref == vec
-    detail = (
-        f"{len(ref)} events fired in identical order"
-        if identical
-        else "event firing order diverged between queue kernels"
-    )
-    return {"identical": identical, "detail": detail}
-
-
 def run_kernel_equivalence(
     circuit: Circuit, n_procs: int, iterations: int = 2
 ) -> Dict[str, Dict[str, object]]:
@@ -206,5 +165,4 @@ def run_kernel_equivalence(
         "write_update": _write_update_check(circuit, n_procs),
         "twobend": _twobend_check(circuit, iterations),
         "wavefront": _wavefront_check(circuit, iterations),
-        "event_queue": _event_queue_check(circuit),
     }

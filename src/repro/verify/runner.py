@@ -9,10 +9,10 @@ blocking receiver-initiated schedule (request/response plus the WAITING
 node state).  Every invariant checker in :mod:`repro.verify.invariants`
 fires on at least one of these runs.
 
-Finally the five scalar-vs-vectorized kernel equivalence checks
+Finally the four scalar-vs-vectorized kernel equivalence checks
 (:mod:`repro.verify.kernels`: coherence, write-update, two-bend routing,
-wave-front routing, event queue) replay each kernel pair in both modes
-and fail the verdict on any divergence.
+wave-front routing) replay each kernel pair in both modes and fail the
+verdict on any divergence.
 """
 
 from __future__ import annotations

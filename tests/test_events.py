@@ -1,4 +1,9 @@
-"""Tests for the discrete-event kernel."""
+"""Tests for the discrete-event kernel: the queue's contract and the simulator.
+
+``tests/test_events_cancellation.py`` holds the queue to a sorted-list
+model under heavy cancellation; its ``SortedListModel`` is also the
+oracle for the simulator's firing order here.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,13 @@ import pytest
 from repro.errors import SimulationError
 from repro.events import EventQueue, Simulator
 
+from .test_events_cancellation import SortedListModel
+
+
+def fire_all(queue: EventQueue) -> None:
+    while (nxt := queue.pop_next()) is not None:
+        nxt[1]()
+
 
 class TestEventQueue:
     def test_pops_in_time_order(self):
@@ -14,8 +26,7 @@ class TestEventQueue:
         fired = []
         q.push(2.0, lambda: fired.append("b"))
         q.push(1.0, lambda: fired.append("a"))
-        while (e := q.pop()) is not None:
-            e.action()
+        fire_all(q)
         assert fired == ["a", "b"]
 
     def test_ties_break_by_schedule_order(self):
@@ -23,8 +34,7 @@ class TestEventQueue:
         fired = []
         q.push(1.0, lambda: fired.append("first"))
         q.push(1.0, lambda: fired.append("second"))
-        while (e := q.pop()) is not None:
-            e.action()
+        fire_all(q)
         assert fired == ["first", "second"]
 
     def test_cancel_skips_event(self):
@@ -33,8 +43,7 @@ class TestEventQueue:
         handle = q.push(1.0, lambda: fired.append("x"))
         q.push(2.0, lambda: fired.append("y"))
         q.cancel(handle)
-        while (e := q.pop()) is not None:
-            e.action()
+        fire_all(q)
         assert fired == ["y"]
 
     def test_len_accounts_for_cancelled(self):
@@ -54,7 +63,7 @@ class TestEventQueue:
     def test_scheduling_in_the_past_rejected(self):
         q = EventQueue()
         q.push(5.0, lambda: None)
-        q.pop()
+        q.pop_next()
         with pytest.raises(SimulationError):
             q.push(4.0, lambda: None)
 
@@ -126,22 +135,48 @@ class TestSimulator:
         sim.run()
         assert fired == []
 
+    def test_nested_reschedules_and_cancels_fire_in_model_order(self):
+        """Actions that schedule and cancel from inside the loop: every
+        fire is the model's next live key, at that key's time."""
+        sim, model = Simulator(), SortedListModel()
+        fired = []
+
+        def schedule(time: float, depth):
+            key = model.push(time)
+            return sim.at(time, lambda: spawn(key, depth)), key
+
+        def spawn(key, depth):
+            assert model.pop() == key
+            assert sim.now == key[0]
+            fired.append(depth)
+            if depth < 5:
+                schedule(sim.now + 0.5, depth + 1)
+                handle, doomed = schedule(sim.now + 0.25, "never")
+                sim.cancel(handle)
+                model.cancel(doomed)
+
+        schedule(1.0, 0)
+        schedule(1.0, 10)
+        assert sim.run() == 3.5
+        assert fired == [0, 10, 1, 2, 3, 4, 5]
+        assert model.live == []
+
 
 class TestCancelEdgeCases:
     def test_cancel_after_fire_is_noop(self):
         q = EventQueue()
-        e = q.push(1.0, lambda: None)
+        handle = q.push(1.0, lambda: None)
         q.push(2.0, lambda: None)
-        q.pop()
-        q.cancel(e)  # already fired: must not corrupt the live count
+        q.pop_next()
+        q.cancel(handle)  # already fired: must not corrupt the live count
         assert len(q) == 1
-        assert q.pop() is not None
+        assert q.pop_next() is not None
         assert len(q) == 0
 
     def test_double_cancel_counted_once(self):
         q = EventQueue()
-        e = q.push(1.0, lambda: None)
-        q.cancel(e)
-        q.cancel(e)
+        handle = q.push(1.0, lambda: None)
+        q.cancel(handle)
+        q.cancel(handle)
         assert len(q) == 0
-        assert q.pop() is None
+        assert q.pop_next() is None

@@ -94,7 +94,8 @@ def test_quick_table_matches_golden(exp_id, regen_golden):
 
 def test_golden_fixtures_checked_in():
     present = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
-    assert present == sorted(e.lower() for e in EXP_IDS)
+    # one table per experiment, plus tests/test_cli_surface.py's fixture
+    assert present == sorted([e.lower() for e in EXP_IDS] + ["cli_surface"])
 
 
 @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))

@@ -36,7 +36,8 @@ from repro.parallel import (
     run_message_passing,
     run_shared_memory,
 )
-from repro.service.jobs import JobSpec
+from repro.faults import FaultPlan
+from repro.service.jobs import JobSpec, job_key
 from repro.updates import UpdateSchedule
 
 
@@ -151,6 +152,55 @@ class TestSimKey:
     def test_mp_without_schedule_rejected(self):
         with pytest.raises(ExperimentError):
             SimConfig(kind="mp", schedule=None)
+
+
+class TestPinnedKeys:
+    """Keys recorded before ``sim_fingerprint`` was built from
+    ``dataclasses.fields(SimConfig)``: the same key set, so the same keys
+    (the code digest is patched out; everything else is content)."""
+
+    SIM = {
+        "190c7bb9007ab688800fd2ad2b59b0c8e934ca537bf05a303813d4fa46dc71af": dict(),
+        "9fd3bc2e5dee2dd08bc4a59a52ce757b0649be46610203c8a1dcca7be0458329": dict(
+            schedule=UpdateSchedule.receiver_initiated(1, 5, blocking=True)
+        ),
+        "0565d45c29acc7723c28b9f33bf3432e53a99a1e18dc308ebd23fef953b8c3a4": dict(
+            faults=FaultPlan(seed=7, drop_prob=0.05, duplicate_prob=0.02)
+        ),
+        "e8bbaddf3107b77e8cb2c670bee381fa7f6681ae1742f970ce3a94a683adf050": dict(
+            assigner="TC=30"
+        ),
+        "d98b73334539ec5fe4b268498cf9b4a190b398b5c3755e2f23c61f0610a5102d": dict(
+            kind="sm", schedule=None, extra_line_sizes=(4, 32)
+        ),
+        "dbb009275e8c4a4e9612f17fb192b7c9b550848a744135bb046e94e9cedfcfac": dict(
+            kind="sm", schedule=None, protocol="update", which="MDC"
+        ),
+    }
+    JOBS = {
+        "098ef2487e0196557bb6b254cee3c82e50a04ee03642185c32a8c9927c75e25a": (
+            "route", {"n_wires": 24, "iterations": 2}
+        ),
+        "c8d37eac215420ab779b052d4edb24bc59451231411ff490189407604ad81fb3": (
+            "experiment", {"exp_id": "t6", "quick": True}
+        ),
+        "e09dcb249c088698e2f94622ea900e5d7193868016bb6c93502f8890927f81a5": (
+            "mp", {"n_wires": 24, "n_procs": 4, "send_rmt": 2, "send_loc": 10}
+        ),
+    }
+
+    @pytest.fixture(autouse=True)
+    def constant_code_digest(self, monkeypatch):
+        for module in ("harness.simjobs", "harness.runner", "service.jobs"):
+            monkeypatch.setattr(f"repro.{module}.code_fingerprint", lambda: "code")
+
+    def test_sim_keys_unchanged(self):
+        for key, overrides in self.SIM.items():
+            assert sim_key(tiny_mp_config(**overrides)) == key, overrides
+
+    def test_job_keys_unchanged(self):
+        for key, (kind, params) in self.JOBS.items():
+            assert job_key(JobSpec.from_params(kind, params)) == key, kind
 
 
 class TestAssigner:

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.harness import ResultCache, run_all
-from repro.harness.pool import default_jobs, in_pool_worker, pool_map
+from repro.harness import ResultCache, run_all, simjobs
+from repro.harness.pool import default_jobs, pool_map, pool_map_salvage
 from repro.harness.runner import BENCH_FILENAME
 from repro.harness.simjobs import SimConfig, run_sim_configs
 from repro.obs import telemetry as obs
@@ -24,15 +25,30 @@ def _double(x):
     return 2 * x
 
 
-def _in_pool_worker(_x):
-    return in_pool_worker()
-
-
 def _fails_in_worker(x):
     """Raises in a forked pool worker, succeeds on the parent's retry."""
     if os.getpid() != _PARENT_PID:
         raise RuntimeError("injected worker failure")
     return -x
+
+
+def _counts(x):
+    """Two counters per task.  A negative item dies in a pool worker (of
+    either start method) *after* counting — counts that must not reach
+    the parent — and succeeds on the parent's retry."""
+    obs.incr("parity.tasks")
+    obs.incr("parity.units", abs(x))
+    if x < 0 and multiprocessing.parent_process() is not None:
+        raise RuntimeError("injected worker failure")
+    return abs(x)
+
+
+def _experiment_that_fails_in_workers(exp_id, quick=False):
+    from repro.harness.experiments import run_experiment
+
+    if os.getpid() != _PARENT_PID:
+        raise RuntimeError("injected worker failure")
+    return run_experiment(exp_id, quick=quick)
 
 
 def _always_fails(x):
@@ -135,26 +151,38 @@ class TestSimRowFanOut:
         assert after > before  # worker deltas landed in the parent
 
 
-    def test_retry_in_the_parent_keeps_the_parents_telemetry(self):
-        # Regression: pool_map re-runs a failed or timed-out row in the
-        # parent, where the worker wrapper used to reset the live
-        # telemetry (wiping every counter of the run so far) and hand
-        # back a snapshot the caller then merged a second time.
-        from repro.harness.simjobs import _run_sim_config_in_worker
+class TestWorkerTelemetry:
+    """``harness/pool.py`` owns what crosses the process boundary: a task
+    function only counts, and the parent's counters come out the same
+    wherever the task ran."""
 
-        assert not in_pool_worker()
-        obs.incr("x")
-        x_before = obs.snapshot()["counters"]["x"]
-        events_before = obs.snapshot()["counters"].get("sim.events", 0)
-        result, snapshot = _run_sim_config_in_worker(tiny_config())
-        assert snapshot == {}
-        assert obs.snapshot()["counters"]["x"] == x_before
-        assert obs.snapshot()["counters"]["sim.events"] > events_before
-        assert result.exec_time_s > 0
+    @staticmethod
+    def deltas(items, jobs):
+        names = ("parity.tasks", "parity.units", "parity.unrelated")
+        before = [obs.get_telemetry().count(name) for name in names]
+        report = pool_map_salvage(_counts, items, jobs=jobs)
+        after = [obs.get_telemetry().count(name) for name in names]
+        return report, [b - a for a, b in zip(before, after)]
 
-    def test_pool_workers_know_what_they_are(self):
-        assert pool_map(_in_pool_worker, [1, 2, 3], jobs=2) == [True] * 3
-        assert pool_map(_in_pool_worker, [1, 2, 3], jobs=1) == [False] * 3
+    def test_parent_counters_do_not_depend_on_where_a_task_ran(self):
+        obs.incr("parity.unrelated", 7)
+        serial, serial_delta = self.deltas([1, 2, 3], jobs=1)
+        pooled, pooled_delta = self.deltas([1, 2, 3], jobs=2)
+        assert serial.results == pooled.results == [1, 2, 3]
+        assert serial_delta == pooled_delta == [3, 6, 0]
+        # In the parent the counts went in directly; a worker hands back
+        # exactly its task's delta (telemetry it forked with is not in it).
+        assert serial.telemetry == [{}, {}, {}]
+        for x, snapshot in zip([1, 2, 3], pooled.telemetry):
+            assert snapshot["counters"] == {"parity.tasks": 1, "parity.units": x}
+
+    def test_a_parent_retry_counts_once_and_keeps_the_parents_telemetry(self):
+        obs.incr("parity.unrelated", 7)
+        report, delta = self.deltas([-1, 2, -3], jobs=2)
+        assert report.results == [1, 2, 3] and report.ok
+        assert delta == [3, 6, 0]
+        assert report.telemetry[0] == report.telemetry[2] == {}
+        assert report.telemetry[1]["counters"]["parity.units"] == 2
 
 
 class TestRunAllParallel:
@@ -212,6 +240,23 @@ class TestRunAllParallel:
         assert bench["experiments"][0]["exp_id"] == "X4"
         assert bench["experiments"][0]["events_processed"] > 0
         assert bench["totals"]["cache"]["experiment.misses"] == 1
+
+    def test_parent_retry_does_not_leak_the_runs_strategy(self, tmp_path, monkeypatch):
+        # Regression: the pool task installed the run's cache handle
+        # process-wide and nothing restored it, so after one retry in the
+        # parent every later un-argumented run_sim_configs in the process
+        # read and wrote the finished run's cache directory.  (The patch
+        # reaches forked workers only; under spawn nothing is retried.)
+        monkeypatch.setattr(
+            "repro.harness.runner.run_experiment", _experiment_that_fails_in_workers
+        )
+        before = simjobs._STRATEGY
+        results = run_all(
+            ["X4", "T6"], quick=True, echo=False, jobs=2, cache_dir=tmp_path / "cache"
+        )
+        assert [r.exp_id for r in results] == ["X4", "T6"]
+        assert simjobs._STRATEGY == before
+        assert simjobs._STRATEGY.cache is None
 
     def test_no_cache_bypasses_reads_and_writes(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -209,6 +209,66 @@ class TestDedup:
         assert again["status"] == "queued"  # no done-result to dedup against
 
 
+class TestJobParameters:
+    """What each job kind accepts, with its defaults: the service's own
+    schema, which the ``jobs submit`` command line is a loop over."""
+
+    ACCEPTED = {
+        "route": {"which": "bnrE", "n_wires": None, "quick": False, "iterations": 3},
+        "mp": {
+            "which": "bnrE", "n_wires": None, "quick": False, "iterations": 3,
+            "n_procs": 16, "send_loc": None, "send_rmt": None, "req_loc": None,
+            "req_rmt": None, "blocking": False,
+        },
+        "sm": {
+            "which": "bnrE", "n_wires": None, "quick": False, "iterations": 3,
+            "n_procs": 16, "line_size": 8, "protocol": "invalidate",
+        },
+        "experiment": {"exp_id": "T6", "quick": False},
+    }
+    #: names the command line knows that no job kind takes
+    NEVER = (
+        "name", "wires", "procs", "packet_structure", "interrupts",
+        "check_invariants", "line_sizes", "timeout", "jobs", "cache_dir",
+    )
+
+    @pytest.mark.parametrize("kind", sorted(ACCEPTED))
+    def test_defaults_are_filled_for_exactly_the_accepted_names(self, kind):
+        required = {"exp_id": "t6"} if kind == "experiment" else {}
+        assert JobSpec.from_params(kind, required).params == self.ACCEPTED[kind]
+
+    @pytest.mark.parametrize("kind", sorted(ACCEPTED))
+    def test_every_other_name_is_rejected(self, kind):
+        required = {"exp_id": "t6"} if kind == "experiment" else {}
+        others = {n for names in self.ACCEPTED.values() for n in names} | set(self.NEVER)
+        for name in sorted(others - set(self.ACCEPTED[kind])):
+            with pytest.raises(ServiceError, match="unknown parameter"):
+                JobSpec.from_params(kind, {**required, name: 1})
+
+    def test_cli_flags_reach_the_parameter_they_name(self):
+        from repro.cli import _jobs_submit_params, build_parser
+
+        def params(*argv):
+            return _jobs_submit_params(build_parser().parse_args(["jobs", "submit", *argv]))
+
+        assert params("route") == {}
+        assert params(
+            "mp", "--name", "MDC", "--wires", "24", "--procs", "4", "--iterations", "2",
+            "--quick", "--send-loc", "5", "--send-rmt", "2", "--req-loc", "1",
+            "--req-rmt", "3", "--blocking", "--line-size", "16", "--exp-id", "T1",
+        ) == {
+            "which": "MDC", "n_wires": 24, "n_procs": 4, "iterations": 2, "quick": True,
+            "send_loc": 5, "send_rmt": 2, "req_loc": 1, "req_rmt": 3, "blocking": True,
+        }
+        assert params("sm", "--procs", "4", "--line-size", "16", "--protocol", "update") == {
+            "n_procs": 4, "line_size": 16, "protocol": "update",
+        }
+        assert params("route", "--procs", "4", "--wires", "24") == {"n_wires": 24}
+        assert params("experiment", "--exp-id", "T1", "--quick", "--wires", "9") == {
+            "exp_id": "T1", "quick": True,
+        }
+
+
 @contextlib.contextmanager
 def running_server(tmp_path, port=0, paused=False):
     """A daemon serving on a thread; torn down completely on exit."""
