@@ -70,12 +70,9 @@ def _interleaved_best(fns, repeats):
 
 def _footprints(circuit):
     """Wire bounding boxes keyed by wire index (the planner's input)."""
-    footprints = {}
-    for i, wire in enumerate(circuit.wires):
-        channels = [p.channel for p in wire.pins]
-        xs = [p.x for p in wire.pins]
-        footprints[i] = (min(channels), min(xs), max(channels), max(xs))
-    return footprints
+    from repro.route.wavefront import circuit_geometry
+
+    return dict(enumerate(zip(*circuit_geometry(circuit).bbox.T.tolist())))
 
 
 def bench_s1_plan_waves(quick: bool, repeats: int) -> Dict[str, object]:

@@ -56,9 +56,7 @@ def load_report(circuit: Circuit, assignment: Assignment) -> LoadReport:
     actual :attr:`~repro.route.twobend.SegmentRoute.work_cells` closely
     while staying independent of the cost array state.
     """
-    costs = np.array(
-        [w.length_cost() for w in circuit.wires], dtype=np.float64
-    )
+    costs = circuit.length_costs().astype(np.float64)
     work = costs**2 / 100.0 + costs
     wires_per_proc = assignment.load_counts()
     work_per_proc = np.zeros(assignment.n_procs, dtype=np.float64)

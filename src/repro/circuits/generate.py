@@ -32,7 +32,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..errors import CircuitError
-from .model import Circuit, Pin, Wire
+from .model import Circuit, Pin, Wire, chain_lengths
 
 __all__ = [
     "SyntheticCircuitConfig",
@@ -143,7 +143,7 @@ def _sample_wire(
 
     def _channel_near(base: int) -> int:
         jitter = int(rng.integers(-cfg.channel_spread, cfg.channel_spread + 1))
-        return int(np.clip(base + jitter, 0, cfg.n_channels - 1))
+        return min(max(base + jitter, 0), cfg.n_channels - 1)
 
     if is_local:
         c0, c1 = _channel_near(seed_channel), _channel_near(seed_channel)
@@ -177,7 +177,7 @@ def generate(cfg: SyntheticCircuitConfig) -> Circuit:
     rng = np.random.default_rng(cfg.seed)
     wires: List[Wire] = [_sample_wire(rng, cfg, i) for i in range(cfg.n_wires)]
     wires.sort(key=lambda w: (-w.length_cost(), w.name))
-    wires = [Wire(f"w{i:04d}", w.pins) for i, w in enumerate(wires)]
+    wires = [Wire._trusted(f"w{i:04d}", w.pins) for i, w in enumerate(wires)]
     return Circuit(cfg.name, cfg.n_channels, cfg.n_grids, wires)
 
 
@@ -262,12 +262,13 @@ def generate_scaled(
 ) -> Circuit:
     """Generate an S-series circuit (deterministic in the seed).
 
-    Sampling is fully vectorised — one :class:`numpy.random.Generator`
-    stream, no per-wire draws — so million-wire circuits build in
-    seconds and the result is bit-for-bit reproducible for a given
-    ``(n_wires, rent_exponent, seed, dims)``.  Wires are emitted in
-    descending length order and renamed positionally, the same netlist
-    convention as :func:`generate`.
+    Sampling and construction are array operations end to end — one
+    :class:`numpy.random.Generator` stream, no per-wire draw, no
+    :class:`Pin` or :class:`Wire` built — and the result, a circuit over
+    its pin table (:meth:`Circuit.from_columns`), is bit-for-bit
+    reproducible for a given ``(n_wires, rent_exponent, seed, dims)``.
+    Wires are emitted in descending length order and named positionally,
+    the same netlist convention as :func:`generate`.
 
     Pass ``config`` to control every knob; the keyword arguments cover
     the common cases and must then be left at their defaults.
@@ -328,27 +329,30 @@ def generate_scaled(
     ex = x0[owner] + (ex_frac * (spans[owner] + 1)).astype(np.int64)
     ec = c0[owner] + (ec_frac * (extents[owner] + 1)).astype(np.int64)
 
-    x0l = x0.tolist()
-    x1l = x1.tolist()
-    c0l = c0.tolist()
-    c1l = c1.tolist()
-    flipl = flip.tolist()
-    exl = ex.tolist()
-    ecl = ec.tolist()
-    bounds = np.concatenate(([0], np.cumsum(n_extra))).tolist()
+    # One key per pin, (wire, x, channel) packed: sorted, each wire's pins
+    # are contiguous in (x, channel) order and its duplicates adjacent.
+    wire = np.arange(n)
+    key = np.sort(
+        (
+            np.concatenate((wire, wire, owner)) * n_grids
+            + np.concatenate((x0, x1, ex))
+        )
+        * n_channels
+        + np.concatenate((np.where(flip, c1, c0), np.where(flip, c0, c1), ec))
+    )
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    pin_wire, cell = np.divmod(key, n_grids * n_channels)
+    pin_x, pin_channel = np.divmod(cell, n_channels)
+    n_pins = np.bincount(pin_wire, minlength=n)
+    pin_ptr = np.concatenate(([0], np.cumsum(n_pins)))
 
-    wires: List[Wire] = []
-    for i in range(n):
-        if flipl[i]:
-            pins = {Pin(x0l[i], c1l[i]), Pin(x1l[i], c0l[i])}
-        else:
-            pins = {Pin(x0l[i], c0l[i]), Pin(x1l[i], c1l[i])}
-        for j in range(bounds[i], bounds[i + 1]):
-            pins.add(Pin(exl[j], ecl[j]))
-        wires.append(Wire(f"w{i:06d}", pins))
-    wires.sort(key=lambda w: (-w.length_cost(), w.name))
-    wires = [Wire(f"w{i:06d}", w.pins) for i, w in enumerate(wires)]
-    return Circuit(config.name, n_channels, n_grids, wires)
+    # Descending length; ties keep sample order, which is name order.
+    order = np.argsort(-chain_lengths(pin_x, pin_channel, pin_ptr), kind="stable")
+    sorted_ptr = np.concatenate(([0], np.cumsum(n_pins[order])))
+    pins = np.repeat(pin_ptr[order] - sorted_ptr[:-1], n_pins[order]) + np.arange(key.size)
+    return Circuit.from_columns(
+        config.name, n_channels, n_grids, pin_x[pins], pin_channel[pins], sorted_ptr
+    )
 
 
 def bnre_like(seed: Optional[int] = None, n_wires: Optional[int] = None) -> Circuit:

@@ -100,7 +100,7 @@ def save_text(circuit: Circuit, path: PathLike) -> None:
 
 def load_text(path: PathLike) -> Circuit:
     """Parse the line-oriented text format back into a :class:`Circuit`."""
-    name = ""
+    name = None
     n_channels = n_grids = -1
     wires: List[Wire] = []
     current_name = None
@@ -126,6 +126,8 @@ def load_text(path: PathLike) -> Circuit:
         keyword = fields[0].upper()
         try:
             if keyword == "CIRCUIT":
+                if name is not None:
+                    raise CircuitError(f"line {lineno}: second CIRCUIT header")
                 name = fields[1]
                 n_channels, n_grids = int(fields[2]), int(fields[3])
             elif keyword == "WIRE":
@@ -133,12 +135,14 @@ def load_text(path: PathLike) -> Circuit:
                 current_name = fields[1]
                 expected_pins = int(fields[2])
             elif keyword == "PIN":
+                if current_name is None:
+                    raise CircuitError(f"line {lineno}: PIN before the first WIRE")
                 pending_pins.append(Pin(int(fields[1]), int(fields[2])))
             else:
                 raise CircuitError(f"line {lineno}: unknown keyword {keyword!r}")
         except (IndexError, ValueError) as exc:
             raise CircuitError(f"line {lineno}: malformed line {raw!r}") from exc
     _flush()
-    if n_channels < 0:
+    if name is None:
         raise CircuitError("missing CIRCUIT header line")
     return Circuit(name, n_channels, n_grids, wires)

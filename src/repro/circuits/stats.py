@@ -14,6 +14,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from ..errors import CircuitError
 from .model import Circuit
 
 __all__ = ["CircuitStats", "compute_stats", "span_histogram"]
@@ -55,11 +56,18 @@ class CircuitStats:
         }
 
 
+def _x_spans(circuit: Circuit) -> np.ndarray:
+    """Every wire's horizontal span: its last pin's ``x`` less its first's."""
+    return circuit.pin_x[circuit.pin_ptr[1:] - 1] - circuit.pin_x[circuit.pin_ptr[:-1]]
+
+
 def compute_stats(circuit: Circuit) -> CircuitStats:
-    """Compute :class:`CircuitStats` for *circuit*."""
-    spans = np.array([w.x_span for w in circuit.wires], dtype=np.int64)
-    pins = np.array([w.n_pins for w in circuit.wires], dtype=np.int64)
-    costs = np.array([w.length_cost() for w in circuit.wires], dtype=np.int64)
+    """Compute :class:`CircuitStats` for *circuit* (which must have wires)."""
+    if circuit.n_wires == 0:
+        raise CircuitError("circuit has no wires")
+    spans = _x_spans(circuit)
+    pins = np.diff(circuit.pin_ptr)
+    costs = circuit.length_costs()
     long_cut = 0.25 * circuit.n_grids
     return CircuitStats(
         n_wires=circuit.n_wires,
@@ -78,5 +86,4 @@ def compute_stats(circuit: Circuit) -> CircuitStats:
 
 def span_histogram(circuit: Circuit, n_bins: int = 10) -> Tuple[np.ndarray, np.ndarray]:
     """Histogram of horizontal wire spans, ``(counts, bin_edges)``."""
-    spans = np.array([w.x_span for w in circuit.wires], dtype=np.int64)
-    return np.histogram(spans, bins=n_bins, range=(0, circuit.n_grids))
+    return np.histogram(_x_spans(circuit), bins=n_bins, range=(0, circuit.n_grids))

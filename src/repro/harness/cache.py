@@ -161,10 +161,10 @@ def circuit_fingerprint(circuit) -> str:
         f"{circuit.name}|{circuit.n_channels}|{circuit.n_grids}|"
         f"{circuit.n_wires}".encode()
     )
-    for wire in circuit.wires:
-        digest.update(wire.name.encode())
-        for pin in wire.pins:
-            digest.update(f"{pin.x},{pin.channel};".encode())
+    pins = [f"{x},{c};" for x, c in zip(circuit.pin_x.tolist(), circuit.pin_channel.tolist())]
+    ptr = circuit.pin_ptr.tolist()
+    for name, lo, hi in zip(circuit.wire_names(), ptr, ptr[1:]):
+        digest.update((name + "".join(pins[lo:hi])).encode())
     return digest.hexdigest()
 
 

@@ -45,8 +45,9 @@ __all__ = [
     "record_peak_memory",
 ]
 
-#: Counter names (prefixes) the kernels maintain on their hot paths.
-HOT_COUNTER_PREFIXES = ("sim.", "net.", "route.", "coherence.", "events.", "mem.")
+#: Counter names (prefixes) the kernels maintain on their hot paths, plus
+#: ``circuits.`` — how many ``Wire`` objects were derived from pin tables.
+HOT_COUNTER_PREFIXES = ("sim.", "net.", "route.", "coherence.", "events.", "mem.", "circuits.")
 
 
 def memory_snapshot() -> Dict[str, int]:

@@ -915,8 +915,7 @@ class CircuitGeometry:
     ``cand[cand_ptr[s]:cand_ptr[s + 1]]``; a straight run has none.
     ``work_cells[w]`` and the rows ``(c_lo, x_lo, c_hi, x_hi)`` of
     ``bbox`` equal the per-wire :class:`WireGeometry` fields of the same
-    names.  One walk over the :class:`~repro.circuits.model.Pin` objects
-    fills the pin columns; everything else is array arithmetic.
+    names.  Everything is array arithmetic over the circuit's pin table.
     """
 
     __slots__ = (
@@ -924,11 +923,7 @@ class CircuitGeometry:
     )
 
     def __init__(self, circuit: Circuit) -> None:
-        wires = circuit.wires
-        pins = [p for w in wires for p in w.pins]
-        px = np.array([p.x for p in pins], dtype=np.int64)
-        pc = np.array([p.channel for p in pins], dtype=np.int64)
-        pin_ptr = _pointers(np.array([len(w.pins) for w in wires], dtype=np.int64))
+        px, pc, pin_ptr = circuit.pin_x, circuit.pin_channel, circuit.pin_ptr
 
         # A k-pin wire chains k - 1 segments: every pin but the wire's
         # last one starts a segment that ends at the next pin.

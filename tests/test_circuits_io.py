@@ -89,3 +89,17 @@ class TestTextRoundTrip:
         path.write_text("CIRCUIT demo 2\n")
         with pytest.raises(CircuitError):
             load_text(path)
+
+    def test_pin_before_first_wire_raises(self, tmp_path):
+        # Used to load as "1 wires, 2 pins": the stray pins were dropped.
+        path = tmp_path / "c.txt"
+        path.write_text("CIRCUIT t 4 10\nPIN 1 1\nPIN 2 2\nWIRE a 2\nPIN 0 0\nPIN 3 1\n")
+        with pytest.raises(CircuitError, match="line 2"):
+            load_text(path)
+
+    def test_second_header_raises(self, tmp_path):
+        # Used to overwrite the dimensions of the wires already read.
+        path = tmp_path / "c.txt"
+        path.write_text("CIRCUIT t 4 10\nWIRE a 2\nPIN 0 0\nPIN 3 1\nCIRCUIT u 9 99\n")
+        with pytest.raises(CircuitError, match="line 5"):
+            load_text(path)

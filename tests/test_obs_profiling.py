@@ -60,9 +60,12 @@ class TestHotCounters:
         obs.reset()
         obs.incr("sim.events", 5)
         obs.incr("route.wires", 2)
+        obs.incr("circuits.wires_materialised", 4)
         obs.incr("unrelated.thing", 9)
         counters = hot_counters()
-        assert counters == {"route.wires": 2, "sim.events": 5}
+        assert counters == {
+            "circuits.wires_materialised": 4, "route.wires": 2, "sim.events": 5,
+        }
 
     def test_real_run_populates_counters(self):
         from repro.harness import run_experiment

@@ -321,6 +321,10 @@ class TestHTTP:
         assert stats["pool_jobs"] == 1
         assert "queue_depth" in stats and "repository" in stats
 
+    def test_stats_count_materialised_wires(self, client):
+        obs.incr("circuits.wires_materialised", 3)
+        assert client.stats()["counters"]["circuits.wires_materialised"] >= 3
+
     def test_submit_wait_result_round_trip(self, client):
         record = client.submit("route", quick_route_params())
         finished = client.wait(record["job_id"], timeout_s=60)
