@@ -41,6 +41,7 @@ two pins, which lets every downstream component assume well-formed input.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -82,6 +83,13 @@ class Wire:
     The pin tuple is stored sorted by ``(x, channel)`` so that the two-bend
     router can walk pins left to right without re-sorting, and so that two
     wires with the same pin set always compare equal.
+
+    Beside its two fields a wire has three slots for what others derive
+    from it, set at construction so that filling them later grows no
+    instance: ``_home`` and ``_index``, a weak reference to the circuit
+    that last handed the wire out and its index there, and ``_rows``,
+    stamped by the router (the wire's rows of a geometry table).  None of
+    them compares, hashes or pickles.
     """
 
     name: str
@@ -93,16 +101,27 @@ class Wire:
             raise CircuitError(f"wire {name!r} needs >= 2 pins, got {len(pin_tuple)}")
         if len(set(pin_tuple)) != len(pin_tuple):
             raise CircuitError(f"wire {name!r} has duplicate pins")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "pins", pin_tuple)
+        self._fill(name, pin_tuple)
 
     @classmethod
-    def _trusted(cls, name: str, pins: Tuple[Pin, ...]) -> "Wire":
+    def _trusted(
+        cls, name: str, pins: Tuple[Pin, ...], home: Optional[weakref.ref] = None, index: int = 0
+    ) -> "Wire":
         """A wire over *pins* already sorted, duplicate-free and >= 2 long."""
         wire = object.__new__(cls)
-        object.__setattr__(wire, "name", name)
-        object.__setattr__(wire, "pins", pins)
+        wire._fill(name, pins, home, index)
         return wire
+
+    def _fill(self, name, pins, home=None, index=0) -> None:
+        fill = object.__setattr__  # frozen: the dataclass's own refuses
+        fill(self, "name", name)
+        fill(self, "pins", pins)
+        fill(self, "_home", home)
+        fill(self, "_index", index)
+        fill(self, "_rows", None)
+
+    def __reduce__(self):
+        return Wire._trusted, (self.name, self.pins)
 
     @property
     def n_pins(self) -> int:
@@ -202,6 +221,10 @@ class Circuit:
             [p.x for p in pins], [p.channel for p in pins], pin_ptr,
             tuple(w.name for w in wire_tuple),
         )
+        home = weakref.ref(self)
+        for index, wire in enumerate(wire_tuple):
+            object.__setattr__(wire, "_home", home)
+            object.__setattr__(wire, "_index", index)
         object.__setattr__(self, "wires", wire_tuple)
 
     @classmethod
@@ -312,9 +335,19 @@ class Circuit:
         pins = list(map(Pin, self.pin_x.tolist(), self.pin_channel.tolist()))
         ptr = self.pin_ptr.tolist()
         obs.incr("circuits.wires_materialised", self.n_wires)
+        home = weakref.ref(self)
         return tuple(
-            Wire._trusted(name, tuple(pins[lo:hi]))
-            for name, lo, hi in zip(self.wire_names(), ptr, ptr[1:])
+            Wire._trusted(name, tuple(pins[lo:hi]), home, index)
+            for index, (name, lo, hi) in enumerate(zip(self.wire_names(), ptr, ptr[1:]))
+        )
+
+    def __reduce__(self):
+        # The pin table is the circuit: the wires and whatever routing hung
+        # on the instance (geometry tables, wave plan, region clips) are
+        # derived from it again by whoever unpickles.
+        return Circuit.from_columns, (
+            self.name, self.n_channels, self.n_grids,
+            self.pin_x, self.pin_channel, self.pin_ptr, self._names,
         )
 
     @property

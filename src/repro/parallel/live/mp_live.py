@@ -45,6 +45,7 @@ from ...kernels import active_kernels, set_kernels
 from ...obs import telemetry as obs
 from ...route.path import RoutePath
 from ...route.quality import QualityReport, circuit_height
+from ...route.twobend import route_wire
 from ...updates.schedule import UpdateSchedule
 from ...updates.types import is_request
 from ..mp_sim import default_assignment
@@ -164,6 +165,13 @@ def _mp_node(
         )
         control.send(("bye", worker, dict(traffic), node.view.data))
 
+    if wires:
+        # Prepared before "go", like everything else that is not the race:
+        # pricing one wire (the view is not touched) builds the circuit's
+        # wire tables and warms the evaluator in this process, which under
+        # spawn starts with neither — milliseconds of skew between nodes
+        # whose whole quick run is a few milliseconds of routing.
+        route_wire(node.view, node.circuit.wire(wires[0]))
     control.send(("ready",))
     control.recv()  # "go"
     threading.Thread(target=reader, daemon=True).start()

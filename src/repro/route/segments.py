@@ -10,7 +10,7 @@ and ``wavefront`` the records without an import cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,31 +57,28 @@ class SegmentRoute:
         Sum of cost-array entries along the chosen path (pre-increment).
     work_cells:
         Simulated candidate-cell inspections performed by the evaluation.
-    read_box:
-        The bounding rectangle of everything the evaluation inspected.
     c1, x1, c2, x2:
         The segment's pin coordinates (``x1 <= x2``).
     candidates:
         The candidate columns evaluated (empty for same-channel segments).
-    footprint_cache:
-        Where :meth:`footprint` keeps ``read_cells(n_grids)`` by grid
-        width.  A :class:`~repro.route.wavefront.WireGeometry` gives all
-        the routes of one of its segments the same dict — the footprint
-        depends on the pins and candidate columns only, never on ``xv``
-        or ``cost`` — so it is computed once per wire; ``None`` (the
-        per-segment reference evaluator) computes it on every call.
+    table_segment:
+        ``(tables, s)`` when the route was priced from segment ``s`` of a
+        circuit's :class:`~repro.route.wavefront.WireTables`: what the
+        evaluation read depends on the pins and candidate columns only,
+        never on ``xv`` or ``cost``, so :meth:`footprint` takes it from
+        the tables; ``None`` (the per-segment reference evaluator)
+        computes it on every call.
     """
 
     xv: int
     cost: int
     work_cells: int
-    read_box: BBox
     c1: int
     x1: int
     c2: int
     x2: int
     candidates: np.ndarray
-    footprint_cache: Optional[Dict[int, np.ndarray]] = field(
+    table_segment: Optional[Tuple[object, int]] = field(
         default=None, compare=False, repr=False
     )
 
@@ -90,23 +87,24 @@ class SegmentRoute:
         if not isinstance(other, SegmentRoute):
             return NotImplemented
         return (
-            (self.xv, self.cost, self.work_cells, self.read_box)
-            == (other.xv, other.cost, other.work_cells, other.read_box)
+            (self.xv, self.cost, self.work_cells)
+            == (other.xv, other.cost, other.work_cells)
             and (self.c1, self.x1, self.c2, self.x2)
             == (other.c1, other.x1, other.c2, other.x2)
             and np.array_equal(self.candidates, other.candidates)
         )
 
+    @property
+    def read_box(self) -> BBox:
+        """The bounding rectangle of everything the evaluation inspected."""
+        return BBox(min(self.c1, self.c2), self.x1, max(self.c1, self.c2), self.x2)
+
     def footprint(self, n_grids: int) -> np.ndarray:
-        """:meth:`read_cells`, shared and read-only when there is a cache."""
-        cache = self.footprint_cache
-        if cache is None:
+        """:meth:`read_cells`, shared and read-only when a table holds it."""
+        held = self.table_segment
+        if held is None or held[0].n_grids != n_grids:
             return self.read_cells(n_grids)
-        cells = cache.get(n_grids)
-        if cells is None:
-            cells = cache[n_grids] = self.read_cells(n_grids)
-            cells.flags.writeable = False
-        return cells
+        return held[0].read_cells(held[1])
 
     def read_cells(self, n_grids: int) -> np.ndarray:
         """Flat indices of every cell the evaluation inspected.

@@ -44,7 +44,6 @@ import numpy as np
 
 from ..circuits.model import Pin, Wire
 from ..errors import RoutingError
-from ..grid.bbox import BBox
 from ..grid.cost_array import CostArray
 from ..kernels import active_kernels
 from .path import RoutePath
@@ -94,7 +93,6 @@ def route_segment(
             xv=x1,
             cost=run_cost,
             work_cells=span + 1,
-            read_box=BBox(c1, x1, c1, x2),
             c1=c1,
             x1=x1,
             c2=c2,
@@ -120,7 +118,6 @@ def route_segment(
         xv=int(xv_all[best]),
         cost=int(totals[best]),
         work_cells=int(xv_all.size) * (span + 2 + n_interior),
-        read_box=BBox(c_lo, x1, c_hi, x2),
         c1=c1,
         x1=x1,
         c2=c2,

@@ -39,8 +39,9 @@ sequential result — :func:`repro.route.twobend.route_wire_reference`
 stays the differential oracle and ``locusroute verify`` replays both.
 
 The simulators route one wire at a time against a private view, so they
-use the *lone-wire* evaluator :func:`route_wire_fused` (a per-wire
-:class:`WireGeometry`, one prefix buffer over the wire's own box).
+use the *lone-wire* evaluator :func:`route_wire_fused`: one prefix buffer
+over the wire's own box, priced through the wire's rows of per-circuit
+tables (:class:`WireTables`) that the circuit's first lone wire builds.
 
 Everything is integer arithmetic over the same ``int64`` sums in the same
 per-element association order as the reference evaluator, so the chosen
@@ -52,19 +53,19 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.model import Circuit, Wire
 from ..errors import RoutingError
-from ..grid.bbox import BBox
 from ..grid.cost_array import CostArray
+from ..obs import telemetry as obs
 from .path import RoutePath
-from .segments import MAX_CANDIDATES, SegmentRoute, WireRoute, candidate_columns
+from .segments import MAX_CANDIDATES, SegmentRoute, WireRoute
 
 __all__ = [
-    "WireGeometry",
+    "WireTables",
     "wire_geometry",
     "route_wire_fused",
     "CircuitGeometry",
@@ -74,386 +75,7 @@ __all__ = [
     "route_iteration_wavefront",
 ]
 
-#: Sentinel total for padded candidate slots — never selected by argmin
-#: because every real candidate's cost is a small sum of occupancies.
-_INF = np.iinfo(np.int64).max
-
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-class WireGeometry:
-    """Routing-invariant geometry of one wire, precomputed once.
-
-    Everything here depends only on the wire's pins and the grid width —
-    candidate columns, read boxes, work accounting — so it is computed
-    once per ``(wire, n_grids)`` and cached on the wire object.  The cost
-    array never enters; evaluation against a concrete array is
-    :func:`_evaluate_single`.
-    """
-
-    __slots__ = (
-        "seg_is_bend",
-        "segs",
-        "seg_work",
-        "read_boxes",
-        "n_bend",
-        "b_c1",
-        "b_x1",
-        "b_c2",
-        "b_x2",
-        "b_clo",
-        "b_chi",
-        "b_cand",
-        "b_valid",
-        "b_candidates",
-        "s_c",
-        "s_x1",
-        "s_x2",
-        "work_cells",
-        "bbox",
-        "needs_col",
-        "has_pad",
-        "e_invalid",
-        "e_rows",
-        "tbl_rows",
-        "tbl_width",
-        "rowp_size",
-        "buf_size",
-        "f_all",
-        "const_off",
-        "s_off",
-        "seg_tmpl",
-        "seg_proto",
-    )
-
-    def __init__(self, wire: Wire, n_grids: int) -> None:
-        seg_is_bend: List[bool] = []
-        segs: List[Tuple[int, int, int, int]] = []
-        seg_work: List[int] = []
-        read_boxes: List[BBox] = []
-        bend_rows: List[Tuple[int, int, int, int, int, int]] = []
-        b_candidates: List[np.ndarray] = []
-        s_c: List[int] = []
-        s_x1: List[int] = []
-        s_x2: List[int] = []
-        work = 0
-
-        seg_tmpl: List[Tuple] = []
-        for a, b in wire.segments():
-            x1, c1 = a.x, a.channel
-            x2, c2 = b.x, b.channel
-            span = x2 - x1
-            xs = np.arange(x1, x2 + 1, dtype=np.int64)
-            if c1 == c2:
-                seg_is_bend.append(False)
-                s_c.append(c1)
-                s_x1.append(x1)
-                s_x2.append(x2)
-                w = span + 1
-                box = BBox(c1, x1, c1, x2)
-                # A straight run's cells never depend on the cost array.
-                seg_tmpl.append((c1 * n_grids + xs,))
-            else:
-                c_lo, c_hi = (c1, c2) if c1 <= c2 else (c2, c1)
-                cand = candidate_columns(x1, x2)
-                n_interior = max(0, c_hi - c_lo - 1)
-                seg_is_bend.append(True)
-                bend_rows.append((c1, x1, c2, x2, c_lo, c_hi))
-                b_candidates.append(cand)
-                w = int(cand.size) * (span + 2 + n_interior)
-                box = BBox(c_lo, x1, c_hi, x2)
-                # Path builder slices these at the chosen bend column:
-                # low-channel run, interior column cells, high-channel run.
-                seg_tmpl.append(
-                    (
-                        c_lo * n_grids + xs,
-                        c_hi * n_grids + xs,
-                        np.arange(c_lo + 1, c_hi, dtype=np.int64) * n_grids,
-                        x1,
-                        c1 <= c2,
-                    )
-                )
-            segs.append((c1, x1, c2, x2))
-            seg_work.append(w)
-            read_boxes.append(box)
-            work += w
-        self.seg_tmpl = seg_tmpl
-        # SegmentRoute prototypes: everything but xv/cost is static, so
-        # route_wire_fused fills instances from these dicts instead of
-        # paying the dataclass constructor per segment per reroute.
-        self.seg_proto = [
-            {
-                "xv": 0,
-                "cost": 0,
-                "work_cells": seg_work[k],
-                "read_box": read_boxes[k],
-                "c1": segs[k][0],
-                "x1": segs[k][1],
-                "c2": segs[k][2],
-                "x2": segs[k][3],
-                "candidates": b_candidates[sum(seg_is_bend[:k])]
-                if seg_is_bend[k]
-                else _EMPTY,
-                # Static like the rest, but only a traced run wants it:
-                # filled by the first SegmentRoute.footprint call.
-                "footprint_cache": {},
-            }
-            for k in range(len(segs))
-        ]
-
-        self.seg_is_bend = seg_is_bend
-        self.segs = segs
-        self.seg_work = seg_work
-        self.read_boxes = read_boxes
-        self.b_candidates = b_candidates
-        self.work_cells = work
-
-        n_bend = len(bend_rows)
-        self.n_bend = n_bend
-        if n_bend:
-            arr = np.array(bend_rows, dtype=np.int64)
-            self.b_c1 = arr[:, 0]
-            self.b_x1 = arr[:, 1]
-            self.b_c2 = arr[:, 2]
-            self.b_x2 = arr[:, 3]
-            self.b_clo = arr[:, 4]
-            self.b_chi = arr[:, 5]
-            # Pad only to this wire's widest candidate row, not the global
-            # MAX_CANDIDATES — short segments price narrow rows.
-            width = max(cand.size for cand in b_candidates)
-            cand_tab = np.empty((n_bend, width), dtype=np.int64)
-            valid = np.zeros((n_bend, width), dtype=bool)
-            for i, cand in enumerate(b_candidates):
-                k = cand.size
-                cand_tab[i, :k] = cand
-                cand_tab[i, k:] = cand[0]  # padding never wins (cost forced to _INF)
-                valid[i, :k] = True
-            self.b_cand = cand_tab
-            self.b_valid = valid
-        else:
-            self.b_c1 = self.b_x1 = self.b_c2 = self.b_x2 = _EMPTY
-            self.b_clo = self.b_chi = _EMPTY
-            self.b_cand = np.empty((0, 1), dtype=np.int64)
-            self.b_valid = np.zeros((0, 1), dtype=bool)
-
-        if s_c:
-            self.s_c = np.array(s_c, dtype=np.int64)
-            self.s_x1 = np.array(s_x1, dtype=np.int64)
-            self.s_x2 = np.array(s_x2, dtype=np.int64)
-        else:
-            self.s_c = self.s_x1 = self.s_x2 = _EMPTY
-
-        box = read_boxes[0]
-        for other in read_boxes[1:]:
-            box = box.union(other)
-        self.bbox = box.as_tuple()
-
-        # One-wire fast-path layout: the evaluator builds both prefix
-        # tables in a single flat buffer over exactly this wire's bbox,
-        # then prices everything with ONE precomputed (2, K) flat gather
-        # — row 0 holds every "+" prefix term, row 1 every "-" term, so
-        # ``diff = gather[0] - gather[1]`` yields, in order, the H1-H2
-        # candidate matrix, the interior (V) matrix, the per-bend
-        # constant (H2 left end minus H1 left end), and the straight-run
-        # costs.  Exact integer sums: regrouping the reference's
-        # (H1 + H2 + V) into (matrix + const) is bit-identical.
-        band_lo, x_lo = self.bbox[0], self.bbox[1]
-        self.needs_col = bool(n_bend) and bool(np.any(self.b_chi - self.b_clo > 1))
-        self.has_pad = bool(n_bend and not valid.all())
-        self.e_invalid = ~self.b_valid if self.has_pad else None
-        self.e_rows = np.arange(n_bend)
-        rows = self.bbox[2] - band_lo + 1
-        width = self.bbox[3] - x_lo + 1
-        stride = width + 1
-        self.tbl_rows = rows
-        self.tbl_width = width
-        self.rowp_size = rows * stride
-        self.buf_size = self.rowp_size + ((rows + 1) * width if self.needs_col else 0)
-
-        plus_parts: List[np.ndarray] = []
-        minus_parts: List[np.ndarray] = []
-        if n_bend:
-            r1 = self.b_c1 - band_lo
-            r2 = self.b_c2 - band_lo
-            cand_rel = self.b_cand - x_lo
-            plus_parts.append((r1[:, None] * stride + cand_rel + 1).ravel())
-            minus_parts.append((r2[:, None] * stride + cand_rel).ravel())
-            if self.needs_col:
-                chi = (self.b_chi - band_lo)[:, None]
-                clo = (self.b_clo + 1 - band_lo)[:, None]
-                plus_parts.append((self.rowp_size + chi * width + cand_rel).ravel())
-                minus_parts.append((self.rowp_size + clo * width + cand_rel).ravel())
-            plus_parts.append(r2 * stride + self.b_x2 + 1 - x_lo)
-            minus_parts.append(r1 * stride + self.b_x1 - x_lo)
-        if s_c:
-            sr = self.s_c - band_lo
-            plus_parts.append(sr * stride + self.s_x2 + 1 - x_lo)
-            minus_parts.append(sr * stride + self.s_x1 - x_lo)
-        nbW = n_bend * self.b_cand.shape[1] if n_bend else 0
-        self.const_off = (2 * nbW if self.needs_col else nbW)
-        self.s_off = self.const_off + n_bend
-        if plus_parts:
-            self.f_all = np.stack(
-                (np.concatenate(plus_parts), np.concatenate(minus_parts))
-            )
-        else:
-            self.f_all = np.empty((2, 0), dtype=np.int64)
-
-
-def wire_geometry(wire: Wire, n_grids: int) -> WireGeometry:
-    """The wire's :class:`WireGeometry`, cached on the wire object.
-
-    ``Wire`` is frozen but carries a ``__dict__``; the cache is attached
-    through ``object.__setattr__`` and keyed by grid width, so a wire
-    shared across engines with different grids stays correct.
-    """
-    cache = getattr(wire, "_wf_geom", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(wire, "_wf_geom", cache)
-    geom = cache.get(n_grids)
-    if geom is None:
-        geom = WireGeometry(wire, n_grids)
-        cache[n_grids] = geom
-    return geom
-
-
-def _evaluate_single(
-    cost: CostArray, g: WireGeometry, tie_break: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Price one wire's segments against *cost* with a single fused step.
-
-    Returns the chosen column and the cost of every bend segment, then
-    the cost of every straight run, each in segment order and none a
-    view of the cost array.
-
-    Both prefix tables are built in one flat buffer over exactly the
-    wire's bounding box, and every prefix-sum term of every segment is
-    fetched by the geometry's single precomputed ``(2, K)`` flat gather;
-    ``diff = gathered[0] - gathered[1]`` then holds the H1-H2 candidate
-    matrix, the interior (V) matrix, the per-bend constants, and the
-    straight-run costs back to back.  Bit-identical to per-segment
-    :func:`repro.route.twobend.route_segment` — exact integer sums are
-    association-free, and ties are broken on identical totals.
-    """
-    c_lo, x_lo, c_hi, x_hi = g.bbox
-    block = cost.data[c_lo : c_hi + 1, x_lo : x_hi + 1]
-    buf = np.zeros(g.buf_size, dtype=np.int64)
-    rowp = buf[: g.rowp_size].reshape(g.tbl_rows, g.tbl_width + 1)
-    block.cumsum(axis=1, dtype=np.int64, out=rowp[:, 1:])
-    if g.needs_col:
-        colp = buf[g.rowp_size :].reshape(g.tbl_rows + 1, g.tbl_width)
-        block.cumsum(axis=0, dtype=np.int64, out=colp[1:, :])
-
-    gathered = buf[g.f_all]
-    diff = gathered[0] - gathered[1]
-
-    nb = g.n_bend
-    b_xv = b_cost = _EMPTY
-    if nb:
-        W = g.b_cand.shape[1]
-        nbW = nb * W
-        totals = diff[:nbW].reshape(nb, W)
-        if g.needs_col:
-            # V: strictly interior channels c_lo+1..c_hi-1 at column xv
-            # (zero for adjacent-channel bends, same as the reference).
-            totals += diff[nbW : 2 * nbW].reshape(nb, W)
-        totals += diff[g.const_off : g.const_off + nb][:, None]
-        if g.has_pad:
-            totals[g.e_invalid] = _INF
-        if tie_break == 0:
-            best = totals.argmin(axis=1)  # first minimum: smallest xv
-        else:
-            # Last minimum: padded slots sit at _INF, so the reversed
-            # argmin lands on the last *real* minimum, exactly the
-            # reference's totals[::-1] scan.
-            best = W - 1 - totals[:, ::-1].argmin(axis=1)
-        b_xv = g.b_cand[g.e_rows, best]
-        b_cost = totals[g.e_rows, best]
-
-    return b_xv, b_cost, diff[g.s_off :]
-
-
-def _segment_routes(
-    g: WireGeometry, b_xv: np.ndarray, b_cost: np.ndarray, s_cost: np.ndarray
-) -> Tuple[SegmentRoute, ...]:
-    """The :class:`SegmentRoute` records of one :func:`_evaluate_single`."""
-    bend = zip(b_xv.tolist(), b_cost.tolist())
-    straight = zip(g.s_x1.tolist(), s_cost.tolist())
-    segments: List[SegmentRoute] = []
-    for proto, is_bend in zip(g.seg_proto, g.seg_is_bend):
-        seg = object.__new__(SegmentRoute)
-        sd = seg.__dict__
-        sd.update(proto)
-        sd["xv"], sd["cost"] = next(bend if is_bend else straight)
-        segments.append(seg)
-    return tuple(segments)
-
-
-def _build_path(geom: WireGeometry, xvs: Sequence[int], n_grids: int) -> RoutePath:
-    """Assemble the wire's :class:`RoutePath` from its bends' chosen columns.
-
-    Segment cells come from slices of the geometry's precomputed run
-    templates, emitted in ascending flat order (low channel run, interior
-    column, high channel run), so the one-segment common case skips the
-    ``np.unique`` sort entirely and constructs the path without
-    re-validation; multi-segment wires union through ``np.unique``
-    exactly like the reference.
-    """
-    tmpl = geom.seg_tmpl
-    if len(tmpl) == 1:
-        t = tmpl[0]
-        if len(t) == 1:  # single straight run: the template is the path
-            return RoutePath._trusted(t[0], n_grids)
-        lo_full, hi_full, int_rows, x1, c1_low = t
-        xv = xvs[0]
-        j = xv - x1
-        if c1_low:
-            cells = np.concatenate((lo_full[: j + 1], int_rows + xv, hi_full[j:]))
-        else:
-            cells = np.concatenate((lo_full[j:], int_rows + xv, hi_full[: j + 1]))
-        return RoutePath._trusted(cells, n_grids)
-
-    parts: List[np.ndarray] = []
-    bend_xvs = iter(xvs)
-    for t in tmpl:
-        if len(t) == 1:
-            parts.append(t[0])
-            continue
-        lo_full, hi_full, int_rows, x1, c1_low = t
-        xv = next(bend_xvs)
-        j = xv - x1
-        if c1_low:
-            parts.extend((lo_full[: j + 1], int_rows + xv, hi_full[j:]))
-        else:
-            parts.extend((lo_full[j:], int_rows + xv, hi_full[: j + 1]))
-    cells = np.sort(np.concatenate(parts))
-    # Sort + consecutive-duplicate mask == np.unique, minus its overhead.
-    keep = np.empty(cells.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(cells[1:], cells[:-1], out=keep[1:])
-    return RoutePath._trusted(cells[keep], n_grids)
-
-
-def route_wire_fused(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRoute:
-    """Fused single-wire evaluation — a one-wire wave.
-
-    Bit-identical to :func:`repro.route.twobend.route_wire_reference`,
-    including the per-segment :class:`SegmentRoute` detail records, which
-    are built when first read (the shared memory simulator's trace reads
-    them, the message passing node does not).
-    """
-    if tie_break not in (0, 1):
-        raise RoutingError(f"tie_break must be 0 or 1, got {tie_break}")
-    geom = wire_geometry(wire, cost.n_grids)
-    b_xv, b_cost, s_cost = _evaluate_single(cost, geom, tie_break)
-    path = _build_path(geom, b_xv.tolist(), cost.n_grids)
-    return WireRoute(
-        path,
-        cost.path_cost(path.flat_cells),
-        geom.work_cells,
-        partial(_segment_routes, geom, b_xv, b_cost, s_cost),
-    )
 
 
 def plan_waves_reference(
@@ -913,17 +535,20 @@ class CircuitGeometry:
     segment ``s`` runs from pin ``(x1[s], c1[s])`` to ``(x2[s], c2[s])``.
     A bend segment (``c1 != c2``) prices the candidate columns
     ``cand[cand_ptr[s]:cand_ptr[s + 1]]``; a straight run has none.
-    ``work_cells[w]`` and the rows ``(c_lo, x_lo, c_hi, x_hi)`` of
-    ``bbox`` equal the per-wire :class:`WireGeometry` fields of the same
-    names.  Everything is array arithmetic over the circuit's pin table.
+    ``seg_work[s]`` is the segment's simulated work, ``work_cells[w]`` the
+    wire's, and row ``w`` of ``bbox`` its box ``(c_lo, x_lo, c_hi, x_hi)``.
+    Everything is array arithmetic over the circuit's pin table; what the
+    lone-wire evaluator reads beside it hangs off ``tables``.
     """
 
     __slots__ = (
-        "seg_ptr", "x1", "c1", "x2", "c2", "cand_ptr", "cand", "work_cells", "bbox"
+        "seg_ptr", "x1", "c1", "x2", "c2", "cand_ptr", "cand", "seg_work", "work_cells", "bbox",
+        "tables",
     )
 
     def __init__(self, circuit: Circuit) -> None:
         px, pc, pin_ptr = circuit.pin_x, circuit.pin_channel, circuit.pin_ptr
+        self.tables: Optional[WireTables] = None  # built when a lone wire first asks
 
         # A k-pin wire chains k - 1 segments: every pin but the wire's
         # last one starts a segment that ends at the next pin.
@@ -959,7 +584,7 @@ class CircuitGeometry:
         c_hi = np.maximum(c1, c2)
         # Every candidate's path has span + 2 + interior cells (the naive
         # evaluation inspects them all); a straight run has span + 1.
-        seg_work = np.where(bend, n_cand * (span + 1 + c_hi - c_lo), span + 1)
+        self.seg_work = seg_work = np.where(bend, n_cand * (span + 1 + c_hi - c_lo), span + 1)
         first = seg_ptr[:-1]  # every wire has >= 2 pins, so no empty group
         self.work_cells = np.add.reduceat(seg_work, first)
         self.bbox = np.stack(
@@ -980,6 +605,311 @@ def circuit_geometry(circuit: Circuit) -> CircuitGeometry:
         geom = CircuitGeometry(circuit)
         object.__setattr__(circuit, "_wf_geom", geom)
     return geom
+
+
+#: What a padded candidate slot gathers in place of a prefix sum: above
+#: every real total, and far enough below the ``int64`` ceiling that the
+#: terms added to it cannot wrap.
+_PAD = 1 << 62
+
+
+class WireTables:
+    """What the lone-wire evaluator reads, for every wire of a circuit.
+
+    A wire is priced from one flat buffer over its own bounding box: the
+    box's row prefix sums (each row led by a zero), then — only for a
+    wire with a bend across interior channels — its column prefix sums
+    (led by a zero row), then one slot holding ``_PAD``.  Everything else
+    is a row of these tables, built for all wires at once by array
+    arithmetic over the circuit's :class:`CircuitGeometry`:
+
+    - ``layout[w]``: ``(c_lo, c_hi + 1, x_lo, x_hi + 1)`` of the box, the
+      sizes of the row prefix block and of the whole buffer, whether it
+      has column sums, the wire's bend count ``nb`` and widest candidate
+      row ``W``, where its rows of ``gather`` (``g0``, ``K``),
+      ``cand_at`` and ``segs`` start, its segment count and work cells;
+    - ``gather[g0 : g0 + 2 * K]``: ``K`` buffer offsets of "+" prefix
+      terms, then of the ``K`` matching "-" terms.  Their difference is,
+      back to back: the ``nb x W`` matrix of ``H1(xv) + H2(xv)`` less a
+      per-bend constant; for a buffer with column sums the ``nb x W``
+      matrix ``V(xv)``; the ``nb`` constants (channel ``c2`` up to ``x2``
+      less ``c1`` before ``x1``); and the straight runs' costs.  A bend
+      with fewer than ``W`` candidates pads its row with ``_PAD - 0``,
+      which no arg-min selects;
+    - ``cand_at[b0 : b0 + nb]``: where each bend's candidate columns
+      start in ``cand`` (the geometry's column);
+    - ``segs[s]``: ``(c1, x1, c2, x2)`` of segment ``s`` and its slice of
+      ``cand``, numbered like the geometry's segments;
+    - ``cells``: the identity vector over the grid — a path's runs are
+      slices of it;
+    - the cells each segment's evaluation reads (what the Tango collector
+      records), built for the whole circuit when first asked for.
+    """
+
+    __slots__ = ("n_grids", "layout", "gather", "cand", "cand_at", "segs", "cells", "_read")
+
+    def __init__(self, geom: CircuitGeometry, n_channels: int, n_grids: int) -> None:
+        self.n_grids, self._read = n_grids, None
+        self.cand = geom.cand
+        self.cells = np.arange(n_channels * n_grids, dtype=np.int64)
+        self.cells.setflags(write=False)
+        c1, x1, c2, x2, cand_ptr = geom.c1, geom.x1, geom.c2, geom.x2, geom.cand_ptr
+        segs = np.stack((c1, x1, c2, x2, cand_ptr[:-1], cand_ptr[1:], geom.seg_work), axis=1)
+        self.segs = _narrow(segs, int(segs.max()))  # read a wire at a time, as lists
+
+        # Per wire.
+        first = geom.seg_ptr[:-1]
+        n_seg = np.diff(geom.seg_ptr)
+        c_lo, x_lo, c_hi, x_hi = geom.bbox.T
+        n_rows, width = c_hi - c_lo + 1, x_hi - x_lo + 1
+        stride = width + 1
+        rowp_size = n_rows * stride
+        bend = c1 != c2
+        n_cand = np.diff(cand_ptr)
+        nb = np.add.reduceat(bend.astype(np.int64), first)
+        W = np.maximum.reduceat(n_cand, first)
+        needs_col = np.maximum.reduceat(np.abs(c2 - c1), first) > 1
+        pad_at = rowp_size + needs_col * (n_rows + 1) * width  # the buffer's last slot
+        tail_at = nb * W * (1 + needs_col)  # the constants and straight runs, in K
+        K = tail_at + n_seg
+        g_ptr = _pointers(2 * K)
+        b_ptr = _pointers(nb)
+        layout = np.stack(
+            (c_lo, c_hi + 1, x_lo, x_hi + 1, rowp_size, pad_at + 1, needs_col, nb, W,
+             g_ptr[:-1], K, b_ptr[:-1], first, n_seg, geom.work_cells),
+            axis=1,
+        )
+        self.layout = _narrow(layout, int(layout.max()))
+        self.gather = gather = np.empty(int(g_ptr[-1]), dtype=np.int64)
+
+        def put(at: np.ndarray, wire: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> None:
+            gather[at] = plus
+            gather[at + K[wire]] = minus
+
+        # Per segment, a wire's bends before its straight runs: through
+        # (c2, x2) less before (c1, x1), as offsets into the row prefix block.
+        wire = np.repeat(np.arange(n_seg.size), n_seg)
+        row1 = (c1 - c_lo[wire]) * stride[wire] - x_lo[wire]
+        row2 = (c2 - c_lo[wire]) * stride[wire] - x_lo[wire]
+        bends_before = np.cumsum(bend) - bend - b_ptr[wire]
+        straight_before = np.arange(bend.size) - first[wire] - bends_before
+        rank = np.where(bend, bends_before, nb[wire] + straight_before)
+        put(g_ptr[wire] + tail_at[wire] + rank, wire, row2 + x2 + 1, row1 + x1)
+
+        # Per slot of every bend's W-wide candidate row.
+        b = np.flatnonzero(bend)
+        self.cand_at = cand_ptr[b]
+        wire = wire[b]
+        at = _ranges(g_ptr[wire] + bends_before[b] * W[wire], W[wire])
+        slot = _ranges(np.zeros(b.size, dtype=np.int64), W[wire])
+        b = np.repeat(b, W[wire])
+        wire = np.repeat(wire, W[wire])
+        real = slot < n_cand[b]
+        xv = self.cand[np.where(real, cand_ptr[b] + slot, 0)]
+        put(
+            at, wire,
+            np.where(real, row1[b] + xv + 1, pad_at[wire]),
+            np.where(real, row2[b] + xv, 0),
+        )
+        # V, where the buffer has column sums: through the last interior
+        # channel less through the lower pin's channel (equal, so zero, for
+        # a bend between adjacent channels).
+        v = np.flatnonzero(needs_col[wire])
+        b, wire, real = b[v], wire[v], real[v]
+        col = (rowp_size - x_lo)[wire] + xv[v]
+        below = (np.minimum(c1, c2)[b] - c_lo[wire] + 1) * width[wire]
+        above = (np.maximum(c1, c2)[b] - c_lo[wire]) * width[wire]
+        put(
+            at[v] + (nb * W)[wire], wire,
+            np.where(real, col + above, 0), np.where(real, col + below, 0),
+        )
+        obs.incr("route.geometry_builds")
+        obs.incr("route.geometry_wires", n_seg.size)
+
+    def read_cells(self, s: int) -> np.ndarray:
+        """What pricing segment *s* reads: its ``SegmentRoute.read_cells``."""
+        if self._read is None:
+            c1, x1, c2, x2, k0, k1, _ = self.segs.T.astype(np.int64)
+            n, n_cand = self.n_grids, k1 - k0
+            # Channel c1 then (for a bend) channel c2 over x1..x2 ...
+            n_run = np.stack((x2 - x1 + 1, (x2 - x1 + 1) * (c1 != c2)), axis=1)
+            runs = _ranges((np.stack((c1, c2), axis=1) * n + x1[:, None]).ravel(), n_run.ravel())
+            # ... then every interior channel at the candidate columns.
+            n_int = np.maximum(np.abs(c2 - c1) - 1, 0)
+            seg = np.repeat(np.arange(n_int.size), n_int)
+            channel = _ranges(np.minimum(c1, c2) + 1, n_int)
+            inner = self.cand[_ranges(k0[seg], n_cand[seg])] + np.repeat(channel * n, n_cand[seg])
+            n_run, n_inner = n_run.sum(axis=1), n_int * n_cand
+            ptr = _pointers(n_run + n_inner)
+            cells = np.empty(int(ptr[-1]), dtype=np.int64)
+            cells[_ranges(ptr[:-1], n_run)] = runs
+            cells[_ranges(ptr[:-1] + n_run, n_inner)] = inner
+            cells.setflags(write=False)
+            self._read = cells, ptr.tolist()
+        cells, ptr = self._read
+        return cells[ptr[s] : ptr[s + 1]]
+
+
+def wire_geometry(wire: Wire, n_grids: int) -> Tuple[WireTables, int]:
+    """The tables that hold *wire*'s geometry, and its row in them.
+
+    A wire handed out by a circuit (``Wire._home``, ``_index``) reads that circuit's
+    tables, which the first of its wires to ask builds for all of them; a
+    wire that belongs to none — or whose circuit is gone, or has another
+    grid width — is a one-wire circuit through the same builder.  The
+    answer is stamped on the wire: a row depends on the pins and the grid
+    width only, so it stays right whichever circuit adopts the wire next.
+    """
+    rows = wire._rows
+    if rows is None or rows[0].n_grids != n_grids:
+        circuit = wire._home and wire._home()
+        if circuit is not None and circuit.n_grids == n_grids:
+            index = wire._index
+        else:
+            pins, index = wire.pins, 0
+            circuit = Circuit.from_columns(
+                wire.name, max(p.channel for p in pins) + 1, n_grids,
+                [p.x for p in pins], [p.channel for p in pins], (0, len(pins)),
+            )
+        geom = circuit_geometry(circuit)
+        if geom.tables is None:
+            geom.tables = WireTables(geom, *circuit.shape)
+        rows = geom.tables, index
+        object.__setattr__(wire, "_rows", rows)
+    return rows
+
+
+def _evaluate_single(
+    cost: CostArray, tables: WireTables, row: Sequence[int], tie_break: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Price one wire's segments against *cost* with a single fused step.
+
+    *row* is the wire's ``layout`` row.  Returns the chosen column and
+    the cost of every bend segment, then the cost of every straight run,
+    each in segment order and none a view of the cost array.
+
+    Both prefix tables are built in one flat buffer over exactly the
+    wire's bounding box and every prefix-sum term of every segment is
+    fetched by the wire's one precomputed gather (see
+    :class:`WireTables`).  Bit-identical to per-segment
+    :func:`repro.route.twobend.route_segment` — exact integer sums are
+    association-free, so regrouping the reference's ``H1 + H2 + V`` into
+    matrix plus constant changes nothing, and ties are broken on
+    identical totals.
+    """
+    c_lo, c_hi, x_lo, x_hi, rowp_size, buf_size, needs_col, nb, W, g0, K, b0 = row[:12]
+    block = cost.data[c_lo:c_hi, x_lo:x_hi]
+    buf = np.zeros(buf_size, dtype=np.int64)
+    buf[-1] = _PAD
+    # (ufunc.accumulate is ndarray.cumsum without a microsecond of wrapper.)
+    np.add.accumulate(block, 1, np.int64, buf[:rowp_size].reshape(c_hi - c_lo, -1)[:, 1:])
+    if needs_col:
+        np.add.accumulate(block, 0, np.int64, buf[rowp_size:-1].reshape(c_hi - c_lo + 1, -1)[1:])
+
+    gathered = buf[tables.gather[g0 : g0 + 2 * K]]
+    diff = gathered[:K] - gathered[K:]
+    if not nb:
+        return _EMPTY, _EMPTY, diff
+    nbW = nb * W
+    totals = diff[:nbW].reshape(nb, W)
+    tail = nbW
+    if needs_col:
+        # V: strictly interior channels c_lo+1..c_hi-1 at column xv
+        # (zero for adjacent-channel bends, same as the reference).
+        tail += nbW
+        totals += diff[nbW:tail].reshape(nb, W)
+    totals += diff[tail : tail + nb, None]
+    if tie_break == 0:
+        best = totals.argmin(axis=1)  # first minimum: smallest xv
+    else:
+        # Last minimum: padded slots sit near _PAD, so the reversed
+        # arg-min lands on the last *real* minimum, exactly the
+        # reference's totals[::-1] scan.
+        best = W - 1 - totals[:, ::-1].argmin(axis=1)
+    return tables.cand[tables.cand_at[b0 : b0 + nb] + best], totals.min(axis=1), diff[tail + nb :]
+
+
+def _segment_routes(
+    tables: WireTables, first: int, segs: List[List[int]],
+    b_xv: np.ndarray, b_cost: np.ndarray, s_cost: np.ndarray,
+) -> Tuple[SegmentRoute, ...]:
+    """The :class:`SegmentRoute` records of one :func:`_evaluate_single`."""
+    bends = zip(b_xv.tolist(), b_cost.tolist())
+    straight = iter(s_cost.tolist())
+    cand = tables.cand
+    routes: List[SegmentRoute] = []
+    for s, (c1, x1, c2, x2, k0, k1, work) in enumerate(segs, first):
+        xv, cost = (x1, next(straight)) if c1 == c2 else next(bends)
+        # Everything but xv and cost is static: filling the instance dict
+        # skips the frozen dataclass's per-field constructor.
+        route = object.__new__(SegmentRoute)
+        route.__dict__.update(
+            xv=xv, cost=cost, work_cells=work, c1=c1, x1=x1, c2=c2, x2=x2,
+            candidates=cand[k0:k1], table_segment=(tables, s),
+        )
+        routes.append(route)
+    return tuple(routes)
+
+
+def _build_path(tables: WireTables, segs: List[List[int]], xvs: List[int]) -> RoutePath:
+    """Assemble the wire's :class:`RoutePath` from its bends' chosen columns.
+
+    Every run of a two-bend path is a slice of the identity vector, and a
+    segment's runs are emitted in ascending flat order (low channel run,
+    interior column, high channel run), so the one-segment common case
+    skips the sort and constructs the path without re-validation;
+    multi-segment wires union through a sort and a duplicate mask exactly
+    like the reference's ``np.unique``.
+    """
+    cells, n = tables.cells, tables.n_grids
+    parts: List[np.ndarray] = []
+    bend_xvs = iter(xvs)
+    for c1, x1, c2, x2, _, _, _ in segs:
+        a, b = c1 * n, c2 * n
+        if a == b:  # a straight run's cells never depend on the cost array
+            parts.append(cells[a + x1 : a + x2 + 1])
+            continue
+        xv = next(bend_xvs)
+        run1, run2 = cells[a + x1 : a + xv + 1], cells[b + xv : b + x2 + 1]
+        if a < b:
+            parts += (run1, cells[a + n + xv : b + xv : n], run2)
+        else:
+            parts += (run2, cells[b + n + xv : a + xv : n], run1)
+    if len(parts) == 1:  # single straight run: the slice is the path
+        return RoutePath._trusted(parts[0], n)
+    path = np.concatenate(parts)
+    if len(segs) > 1:
+        path.sort()
+        # Sort + consecutive-duplicate mask == np.unique, minus its overhead.
+        keep = np.empty(path.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(path[1:], path[:-1], out=keep[1:])
+        path = path[keep]
+    return RoutePath._trusted(path, n)
+
+
+def route_wire_fused(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRoute:
+    """Fused single-wire evaluation — a one-wire wave.
+
+    Bit-identical to :func:`repro.route.twobend.route_wire_reference`,
+    including the per-segment :class:`SegmentRoute` detail records, which
+    are built when first read (the shared memory simulator's trace reads
+    them, the message passing node does not).
+    """
+    if tie_break not in (0, 1):
+        raise RoutingError(f"tie_break must be 0 or 1, got {tie_break}")
+    tables, w = wire_geometry(wire, cost.n_grids)
+    row = tables.layout[w].tolist()
+    first, n_seg, work_cells = row[12:]
+    segs = tables.segs[first : first + n_seg].tolist()
+    b_xv, b_cost, s_cost = _evaluate_single(cost, tables, row, tie_break)
+    path = _build_path(tables, segs, b_xv.tolist())
+    return WireRoute(
+        path,
+        cost.path_cost(path.flat_cells),
+        work_cells,
+        partial(_segment_routes, tables, first, segs, b_xv, b_cost, s_cost),
+    )
 
 
 class _WavePlan:

@@ -281,7 +281,7 @@ class RoutingService:
         counters = {
             name: value
             for name, value in dict(obs.get_telemetry().counters).items()
-            if name.startswith(("service.", "circuits."))
+            if name.startswith(("service.", "circuits.", "route.geometry_"))
         }
         with self._lock:
             inflight = len(self._inflight)

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.circuits import bnre_like
+from repro.obs import telemetry as obs
 from repro.parallel import node as node_module
 from repro.parallel import run_message_passing
 from repro.route import wavefront
@@ -61,8 +62,10 @@ def test_every_seam_resolves_to_a_binding(e2e_trace):
 
 
 def test_node_routes_every_wire_through_its_seams(monkeypatch):
-    """One ``repro.parallel.node.route_wire`` call and one
-    ``repro.route.wavefront.wire_geometry`` call per routed wire."""
+    """One ``repro.parallel.node.route_wire`` call per routed wire, every
+    evaluation reaching its geometry through the
+    ``repro.route.wavefront.wire_geometry`` binding — and under it, one
+    table build for the run's one circuit, covering all its wires."""
     calls = {"route_wire": 0, "wire_geometry": 0}
 
     def counting(name, original):
@@ -75,9 +78,15 @@ def test_node_routes_every_wire_through_its_seams(monkeypatch):
     monkeypatch.setattr(node_module, "route_wire", counting("route_wire", node_module.route_wire))
     monkeypatch.setattr(wavefront, "wire_geometry", counting("wire_geometry", wavefront.wire_geometry))
     circuit = bnre_like(n_wires=60)
+    before = obs.snapshot()["counters"]
     result = run_message_passing(
         circuit, UpdateSchedule.mixed_example(), n_procs=4, iterations=2
     )
     routed = sum(s.wires_routed for s in result.node_summaries)
     assert routed == circuit.n_wires * 2
     assert calls == {"route_wire": routed, "wire_geometry": routed}
+    built = {
+        name: obs.get_telemetry().count(name) - before.get(name, 0)
+        for name in ("route.geometry_builds", "route.geometry_wires")
+    }
+    assert built == {"route.geometry_builds": 1, "route.geometry_wires": circuit.n_wires}

@@ -294,3 +294,57 @@ class TestRoutingIgnoresProvenance:
         # The wave-front route is whole-circuit code; the scalar loop asks
         # for every wire.
         assert ("wires" in vars(columnar)) == (kernels == "reference")
+
+
+# ----------------------------------------------------------------------
+# pickling
+# ----------------------------------------------------------------------
+class TestPicklesDeclaredStateOnly:
+    """What routing derives from a circuit (geometry tables, wave plan,
+    region clips, the rows stamped on its wires) never rides in a pickle:
+    the live drivers ship the circuit to every worker they spawn."""
+
+    @pytest.mark.parametrize("kernels", ["vectorized", "reference"])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: bnre_like(n_wires=100), lambda: generate_scaled(300)],
+        ids=["objects", "columns"],
+    )
+    def test_same_bytes_before_and_after_routing(self, kernels, build):
+        from repro.parallel import run_message_passing, run_shared_memory
+        from repro.route.wavefront import circuit_geometry
+        from repro.updates import UpdateSchedule
+
+        circuit = build()
+        before = pickle.dumps(circuit)
+        wire_before = pickle.dumps(circuit.wire(0))
+        assert pickle.dumps(circuit) == before  # building the wires changed nothing
+        schedule = UpdateSchedule.mixed_example()
+        runs = {}
+        with use_kernels(kernels):
+            for name, run in (
+                ("mp", lambda c: run_message_passing(c, schedule, n_procs=4, iterations=2)),
+                ("sm", lambda c: run_shared_memory(c, n_procs=4, iterations=2)),
+                ("seq", lambda c: SequentialRouter(c, 2).run()),
+            ):
+                runs[name] = run(circuit)
+                assert pickle.dumps(circuit) == before, name
+                assert pickle.dumps(circuit.wire(0)) == wire_before, name
+            if kernels == "vectorized":
+                assert circuit_geometry(circuit).tables is not None
+
+            shipped = pickle.loads(before)
+            assert shipped == circuit and shipped.wire(0) is not circuit.wire(0)
+            assert not any(name.startswith(("_wf", "_mp")) for name in vars(shipped))
+            assert not shipped.pin_x.flags.writeable
+            builds = obs.get_telemetry().count("route.geometry_builds")
+            again = run_shared_memory(shipped, n_procs=4, iterations=2)
+            # The round-tripped circuit rebuilt its own tables, once.
+            assert obs.get_telemetry().count("route.geometry_builds") - builds == (
+                kernels == "vectorized"
+            )
+        assert again.quality == runs["sm"].quality
+        assert all(
+            np.array_equal(again.paths[i].flat_cells, runs["sm"].paths[i].flat_cells)
+            for i in range(circuit.n_wires)
+        )

@@ -54,12 +54,14 @@ class TestCollector:
         assert times == [0.0, 1.0, 2.0]
 
     def test_geometry_footprint_equals_read_cells(self):
-        """Segments from a WireGeometry (the vectorized kernels) share a
-        footprint cache; reference-kernel segments compute it per call.
-        Same arrays, same trace."""
+        """Segments priced from a circuit's tables (the vectorized kernels)
+        take their footprint from the tables' read-cell column;
+        reference-kernel segments compute it per call.  Same arrays, and
+        ``record_evaluation`` records the bursts of the reference route's
+        ``read_cells``."""
         from repro.circuits import bnre_like
         from repro.kernels import use_kernels
-        from repro.route.twobend import route_wire
+        from repro.route.twobend import route_wire, route_wire_reference
 
         circuit = bnre_like(n_wires=40)
         cost = CostArray(circuit.n_channels, circuit.n_grids)
@@ -67,23 +69,34 @@ class TestCollector:
         traces = {}
         for mode in ("vectorized", "reference"):
             tango = TangoCollector(layout, chunks=2)
+            expected = []
             with use_kernels(mode):
                 for idx in range(circuit.n_wires):
                     segments = route_wire(cost, circuit.wire(idx)).segments
                     for s in segments:
-                        assert (s.footprint_cache is not None) == (mode == "vectorized")
+                        assert (s.table_segment is not None) == (mode == "vectorized")
                         np.testing.assert_array_equal(
                             s.footprint(circuit.n_grids), s.read_cells(circuit.n_grids)
                         )
                         np.testing.assert_array_equal(
                             s.footprint(circuit.n_grids + 3), s.read_cells(circuit.n_grids + 3)
                         )
-                        if mode == "vectorized":  # computed once per wire and grid width
-                            assert s.footprint(circuit.n_grids) is s.footprint(circuit.n_grids)
+                        if mode == "vectorized":  # a slice of the circuit's one column
+                            cells = s.footprint(circuit.n_grids)
+                            column = segments[0].footprint(circuit.n_grids).base
+                            assert not cells.flags.writeable
+                            assert np.shares_memory(cells, column)
                     tango.record_evaluation(float(idx), idx + 1.0, idx % 4, segments)
+                    oracle = route_wire_reference(cost, circuit.wire(idx)).segments
+                    for k in range(2):
+                        expected += [
+                            (idx + k / 2, idx % 4, False, s.read_cells(circuit.n_grids).tolist())
+                            for s in oracle
+                        ]
             traces[mode] = [
                 (r.time, r.proc, r.is_write, r.flat_cells.tolist()) for r in tango.trace.records
             ]
+            assert traces[mode] == expected
         assert traces["vectorized"] == traces["reference"]
         assert len(traces["vectorized"]) > 2 * circuit.n_wires
 

@@ -11,6 +11,8 @@ reproduce the sequential result exactly.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from repro.circuits import Circuit, Pin, Wire, bnre_like, generate_scaled
 from repro.grid import CostArray
 from repro.kernels import use_kernels
 from repro.route import SequentialRouter
-from repro.route.twobend import MAX_CANDIDATES, route_wire_reference
+from repro.route.segments import candidate_columns
+from repro.route.twobend import MAX_CANDIDATES, route_segment, route_wire, route_wire_reference
 from repro.route.wavefront import (
     circuit_geometry,
     plan_waves,
@@ -161,13 +164,24 @@ class TestGeometry:
         assert g1 is g2
         g3 = wire_geometry(wire, N_GRIDS * 2)
         assert g3 is not g1
+        assert (g1[0].n_grids, g3[0].n_grids) == (N_GRIDS, N_GRIDS * 2)
+        # One table per circuit, one row per wire, built by the first wire
+        # that asks; a wire no circuit holds is a one-wire table.
+        assert g1[1] == 0 and g1[0].layout.shape[0] == 1
+        circuit = bnre_like(n_wires=30)
+        rows = [wire_geometry(w, circuit.n_grids) for w in circuit.wires]
+        assert all(tables is rows[0][0] for tables, _ in rows)
+        assert [row for _, row in rows] == list(range(30))
+        assert rows[0][0] is circuit_geometry(circuit).tables
 
     def test_footprint_covers_old_and_new_paths(self):
         # The partition invariant: any routed path of a wire lies inside
         # its static geometry bbox.
         wire = Wire("w", [Pin(2, 1), Pin(10, 4), Pin(20, 6)])
-        geom = wire_geometry(wire, N_GRIDS)
-        c_lo, x_lo, c_hi, x_hi = geom.bbox
+        circuit = Circuit("one", N_CHANNELS, N_GRIDS, [wire])
+        assert wire.bounding_box == (1, 2, 6, 20)
+        c_lo, x_lo, c_hi, x_hi = circuit_geometry(circuit).bbox[0]
+        assert (c_lo, x_lo, c_hi, x_hi) == wire.bounding_box
         rng = np.random.default_rng(7)
         for _ in range(20):
             data = rng.integers(0, 9, size=(N_CHANNELS, N_GRIDS))
@@ -180,7 +194,7 @@ class TestGeometry:
 
 
 class TestColumnarGeometry:
-    """Circuit-level columns == the per-wire ``WireGeometry`` objects."""
+    """Circuit-level columns == the scalar per-segment definitions."""
 
     @pytest.mark.parametrize(
         "build", [lambda: generate_scaled(3000, seed=5), bnre_like], ids=["scaled", "bnrE"]
@@ -189,19 +203,25 @@ class TestColumnarGeometry:
         circuit = build()
         geom = circuit_geometry(circuit)
         assert circuit_geometry(circuit) is geom
+        cost = CostArray(circuit.n_channels, circuit.n_grids)
         n_sampled = 0
         for w, wire in enumerate(circuit.wires):
-            ref = wire_geometry(wire, circuit.n_grids)
-            assert tuple(geom.bbox[w]) == ref.bbox
-            assert geom.work_cells[w] == ref.work_cells
+            assert tuple(geom.bbox[w]) == wire.bounding_box
             segs = range(geom.seg_ptr[w], geom.seg_ptr[w + 1])
-            assert len(segs) == len(ref.segs)
-            candidates = iter(ref.b_candidates)
-            for s, is_bend in zip(segs, ref.seg_is_bend):
+            assert len(segs) == wire.n_pins - 1
+            work = 0
+            for s, (a, b) in zip(segs, wire.segments()):
+                assert (geom.x1[s], geom.c1[s], geom.x2[s], geom.c2[s]) == (
+                    a.x, a.channel, b.x, b.channel
+                )
                 cols = geom.cand[geom.cand_ptr[s] : geom.cand_ptr[s + 1]]
-                expected = next(candidates) if is_bend else []
+                is_bend = a.channel != b.channel
+                expected = candidate_columns(a.x, b.x) if is_bend else []
                 assert np.array_equal(cols, expected)
-                n_sampled += geom.x2[s] - geom.x1[s] >= MAX_CANDIDATES and is_bend
+                assert geom.seg_work[s] == route_segment(cost, a, b).work_cells
+                work += geom.seg_work[s]
+                n_sampled += b.x - a.x >= MAX_CANDIDATES and is_bend
+            assert geom.work_cells[w] == work
         assert n_sampled  # the strided-sampling branch was compared too
 
     def test_empty_circuit(self):
@@ -237,6 +257,91 @@ class TestFusedSingleWire:
                 CostArray(N_CHANNELS, n_grids, data=data.copy()), wire, tie
             )
             assert_same_route(ref, fused)
+
+
+@st.composite
+def table_circuits(draw):
+    """Circuits that reach every corner of the per-circuit tables: 2-12 pin
+    wires, straight runs and adjacent-channel bends (two-channel wires),
+    spans past ``MAX_CANDIDATES`` and wires that cross the whole grid."""
+    wide_x = st.one_of(
+        st.integers(0, N_GRIDS_WIDE - 1), st.sampled_from([0, N_GRIDS_WIDE - 1])
+    )
+    wire_list = []
+    for i in range(draw(st.integers(1, 6))):
+        channel = st.integers(3, 4) if draw(st.booleans()) else st.integers(0, N_CHANNELS - 1)
+        pin = st.builds(Pin, x=wide_x, channel=channel)
+        pins = draw(st.lists(pin, min_size=2, max_size=12, unique=True))
+        wire_list.append(Wire(f"w{i}", pins))
+    return Circuit("tables", N_CHANNELS, N_GRIDS_WIDE, wire_list)
+
+
+def random_cost(seed, n_grids):
+    data = np.random.default_rng(seed).integers(0, 9, size=(N_CHANNELS, n_grids))
+    return CostArray(N_CHANNELS, n_grids, data=data)
+
+
+def assert_route_is_reference(cost, wire):
+    """``route_wire`` == the per-segment oracle, field by field, both tie-breaks."""
+    for tie in (0, 1):
+        ref = route_wire_reference(cost, wire, tie)
+        vec = route_wire(cost, wire, tie)
+        assert np.array_equal(ref.path.flat_cells, vec.path.flat_cells)
+        assert vec.path.flat_cells.dtype == np.int64
+        assert (ref.cost, ref.work_cells) == (vec.cost, vec.work_cells)
+        assert ref.segments == vec.segments  # xv, cost, work_cells, pins, candidates
+        assert ref.read_boxes == vec.read_boxes
+        for a, b in zip(ref.segments, vec.segments):
+            assert np.array_equal(a.read_cells(cost.n_grids), b.footprint(cost.n_grids))
+
+
+@pytest.mark.parametrize("mode", ["vectorized", "reference"])
+class TestTableEvaluator:
+    """The lone-wire evaluator reads rows of per-circuit tables; the wire
+    object is only the way to find them.  Every way of reaching a wire must
+    price it exactly like ``route_wire_reference``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(table_circuits(), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    def test_wires_of_a_circuit_in_any_order(self, mode, circuit, seed, rng):
+        cost = random_cost(seed, N_GRIDS_WIDE)
+        shuffled = list(circuit.wires)
+        rng.shuffle(shuffled)
+        with use_kernels(mode):
+            for wire in circuit.wires + tuple(shuffled):
+                assert_route_is_reference(cost, wire)
+
+    @settings(max_examples=40, deadline=None)
+    @given(table_circuits(), st.integers(0, 2**32 - 1), st.data())
+    def test_wires_shared_between_circuits(self, mode, circuit, seed, data):
+        # The same Wire objects adopted by a prefix circuit and by a
+        # circuit twice as wide: each call must read rows that match the
+        # cost array it was handed, whichever circuit asked last.
+        cost = random_cost(seed, N_GRIDS_WIDE)
+        wide_cost = random_cost(seed + 1, 2 * N_GRIDS_WIDE)
+        keep = data.draw(st.integers(1, circuit.n_wires))
+        with use_kernels(mode):
+            assert_route_is_reference(cost, circuit.wire(0))
+            prefix = circuit.with_wires(circuit.wires[:keep])
+            wide = Circuit("wide", N_CHANNELS, 2 * N_GRIDS_WIDE, circuit.wires)
+            for i in range(circuit.n_wires):
+                assert wide.wire(i) is circuit.wire(i)
+                assert_route_is_reference(wide_cost, wide.wire(i))
+                assert_route_is_reference(cost, circuit.wire(i))
+                if i < keep:
+                    assert_route_is_reference(cost, prefix.wire(i))
+
+    @settings(max_examples=40, deadline=None)
+    @given(table_circuits(), st.integers(0, 2**32 - 1))
+    def test_free_standing_and_pickled(self, mode, circuit, seed):
+        cost = random_cost(seed, N_GRIDS_WIDE)
+        with use_kernels(mode):
+            for wire in circuit.wires:
+                assert_route_is_reference(cost, Wire(wire.name, wire.pins))
+                assert_route_is_reference(cost, wire)
+            for wire in pickle.loads(pickle.dumps(circuit)).wires:
+                assert_route_is_reference(cost, wire)
+            assert_route_is_reference(cost, pickle.loads(pickle.dumps(circuit.wire(0))))
 
 
 class TestIterationEquivalence:
@@ -380,10 +485,7 @@ class TestIterationEquivalence:
             for i in range(6)
         ]
         circuit = Circuit("serial", N_CHANNELS, N_GRIDS, overlapping)
-        footprints = {
-            i: wire_geometry(circuit.wire(i), N_GRIDS).bbox
-            for i in range(circuit.n_wires)
-        }
+        footprints = {i: circuit.wire(i).bounding_box for i in range(circuit.n_wires)}
         waves = plan_waves_reference(list(range(circuit.n_wires)), footprints)
         assert [len(wave) for wave in waves] == [1] * circuit.n_wires
         with use_kernels("reference"):

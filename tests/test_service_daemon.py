@@ -325,6 +325,20 @@ class TestHTTP:
         obs.incr("circuits.wires_materialised", 3)
         assert client.stats()["counters"]["circuits.wires_materialised"] >= 3
 
+    def test_stats_count_geometry_preparation(self, client):
+        # One table build per prepared circuit, covering all its wires —
+        # never one per wire.  (27 wires: a circuit no other test has made,
+        # since the harness memoises named circuits and their tables.)
+        before = client.stats()["counters"]
+        record = client.submit("mp", dict(tiny_mp_params(), n_wires=27))
+        assert client.wait(record["job_id"], timeout_s=60)["status"] == "done"
+        after = client.stats()["counters"]
+        moved = {
+            name: after.get(name, 0) - before.get(name, 0)
+            for name in ("route.geometry_builds", "route.geometry_wires")
+        }
+        assert moved == {"route.geometry_builds": 1, "route.geometry_wires": 27}
+
     def test_submit_wait_result_round_trip(self, client):
         record = client.submit("route", quick_route_params())
         finished = client.wait(record["job_id"], timeout_s=60)
