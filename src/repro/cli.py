@@ -145,8 +145,8 @@ _RUN_FLAGS: Dict[str, Dict[str, Any]] = {
     "timeout": dict(type=float, metavar="SECONDS"),
     "jobs": dict(type=int),
     "cache_dir": dict(
-        help="content-addressed result cache directory; the service keeps it "
-        "as a read-through layer (default: %(default)s)"
+        help="content-addressed result cache directory; the service's "
+        "executions run through it (default: %(default)s)"
     ),
     "no_cache": dict(
         action="store_true", help="bypass the result cache (neither read nor write it)"
@@ -815,7 +815,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"routing service listening on http://{host}:{port}")
     print(f"repository: {server.service.repository.path}")
     cache = server.service.cache
-    print(f"read-through file cache: {cache.directory if cache else 'disabled'}")
+    print(f"execution file cache: {cache.directory if cache else 'disabled'}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

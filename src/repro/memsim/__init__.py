@@ -12,14 +12,11 @@ from .trace_io import (
     TraceChunk,
     export_dinero,
     iter_trace_chunks,
-    load_trace,
     load_trace_stream,
     open_trace_stream,
-    save_trace,
     save_trace_stream,
 )
 from .finite_cache import FiniteWriteBackInvalidate, simulate_trace_finite
-from .reference_level import analyze_references, expand_trace, simulate_trace_reference_level
 from .update_protocol import WriteUpdate, simulate_trace_write_update
 
 __all__ = [
@@ -37,8 +34,6 @@ __all__ = [
     "simulate_trace_write_update",
     "FiniteWriteBackInvalidate",
     "simulate_trace_finite",
-    "save_trace",
-    "load_trace",
     "save_trace_stream",
     "load_trace_stream",
     "open_trace_stream",
@@ -46,7 +41,4 @@ __all__ = [
     "TraceChunk",
     "simulate_trace_streaming",
     "export_dinero",
-    "expand_trace",
-    "analyze_references",
-    "simulate_trace_reference_level",
 ]

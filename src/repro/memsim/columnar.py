@@ -4,7 +4,7 @@
 burst at a time — a Python-level loop whose per-record overhead dominates
 the Table 3 cache-line sweep, which replays the *same* trace once per line
 size.  This module computes the identical statistics with no per-record
-loop at all, in the columnar style of :mod:`repro.memsim.reference_level`:
+loop at all, from sorts, gathers and segmented prefix sums:
 
 1. the burst trace is flattened **once** into parallel arrays — the
    concatenated cell stream plus per-record ``(proc, is_write)`` columns
@@ -17,7 +17,8 @@ loop at all, in the columnar style of :mod:`repro.memsim.reference_level`:
    :meth:`~repro.memsim.addressing.AddressMap.cells_to_lines` — grouped by
    line, with each event's predecessor by the same ``(line, proc)``
    (:func:`_line_events`, the one event-extraction step every replay
-   here shares);
+   here shares — at Tango's per-reference granularity too, through
+   :meth:`ColumnarTrace.per_reference`);
 3. lines evolve independently under the infinite-cache protocols, so
    every per-event outcome is derived from order statistics over the
    line's group: the position of the previous write, run-length-encoded
@@ -280,6 +281,22 @@ class ColumnarTrace:
             rec_is_write=cols.writes,
             n_read_refs=int(cols.cells.size) - n_write_refs,
             n_write_refs=n_write_refs,
+        )
+
+    def per_reference(self) -> "ColumnarTrace":
+        """The same references, each its own record (Tango's granularity).
+
+        Record order is the cell stream's, so a burst's cells become
+        consecutive references in their recorded order; :meth:`replay` of
+        the view is the per-reference protocol outcome.
+        """
+        return ColumnarTrace(
+            cells=self.cells,
+            rec_ids=np.arange(self.cells.size, dtype=np.int32),
+            rec_proc=self.rec_proc[self.rec_ids],
+            rec_is_write=self.rec_is_write[self.rec_ids],
+            n_read_refs=self.n_read_refs,
+            n_write_refs=self.n_write_refs,
         )
 
     def _begin(self, n_procs: int, address_map: AddressMap) -> CoherenceStats:

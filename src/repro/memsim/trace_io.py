@@ -4,22 +4,19 @@ Tango-era memory traces were files consumed by downstream cache
 simulators (dinero and friends).  This module gives the in-memory
 :class:`~repro.memsim.trace.ReferenceTrace` the same workflow:
 
-- :func:`save_trace` / :func:`load_trace` — a compact ``.npz`` container
-  holding the burst table (time, proc, write flag, burst offsets) and the
-  concatenated cell indices; lossless and fast;
-- :func:`save_trace_stream` / :func:`open_trace_stream` /
-  :func:`iter_trace_chunks` — a flat binary container laid out for
-  *streaming*: records are pre-sorted into global replay order at save
-  time and each column lives at a fixed file offset, so a reader seeks
-  and loads any record-aligned window without materializing the rest.
-  :func:`iter_trace_chunks` also accepts an in-memory
-  :class:`~repro.memsim.trace.ReferenceTrace`, chunking it the same way,
-  so replay code is source-agnostic;
+- :func:`save_trace_stream` / :func:`load_trace_stream` /
+  :func:`open_trace_stream` / :func:`iter_trace_chunks` — the one on-disk
+  format, a flat binary container laid out for *streaming*: records are
+  pre-sorted into global replay order at save time and each column lives
+  at a fixed file offset, so a reader seeks and loads any record-aligned
+  window without materializing the rest.  :func:`iter_trace_chunks` also
+  accepts an in-memory :class:`~repro.memsim.trace.ReferenceTrace`,
+  chunking it the same way, so replay code is source-agnostic;
 - :func:`export_dinero` — a classic three-column text trace (``label
   address`` per reference, label 0 = read, 1 = write), one line per
   *individual* cell reference, for feeding external cache simulators.
 
-The ``.npz`` round trip preserves burst structure exactly (the coherence
+The stream round trip preserves burst structure exactly (the coherence
 simulators depend on burst-level deduplication); the dinero export
 flattens bursts into per-reference records and is one-way.  Chunk
 boundaries always fall on record boundaries — the coherence engines
@@ -44,16 +41,12 @@ __all__ = [
     "TraceChunk",
     "export_dinero",
     "iter_trace_chunks",
-    "load_trace",
     "load_trace_stream",
     "open_trace_stream",
-    "save_trace",
     "save_trace_stream",
 ]
 
 PathLike = Union[str, Path]
-
-_FORMAT_VERSION = 1
 
 #: Stream container magic ("LocusRoute Trace Stream").
 STREAM_MAGIC = b"LRTS"
@@ -93,51 +86,6 @@ class TraceChunk:
     @property
     def n_references(self) -> int:
         return int(self.cells.size)
-
-
-def save_trace(trace: ReferenceTrace, path: PathLike) -> None:
-    """Write *trace* to an ``.npz`` file (lossless)."""
-    records = trace.records
-    times = np.array([r.time for r in records], dtype=np.float64)
-    procs = np.array([r.proc for r in records], dtype=np.int32)
-    writes = np.array([r.is_write for r in records], dtype=bool)
-    lengths = np.array([r.n_refs for r in records], dtype=np.int64)
-    offsets = np.zeros(len(records) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    cells = (
-        np.concatenate([r.flat_cells for r in records])
-        if records
-        else np.empty(0, dtype=np.int64)
-    )
-    np.savez_compressed(
-        Path(path),
-        version=np.int64(_FORMAT_VERSION),
-        times=times,
-        procs=procs,
-        writes=writes,
-        offsets=offsets,
-        cells=cells,
-    )
-
-
-def load_trace(path: PathLike) -> ReferenceTrace:
-    """Read a trace previously written by :func:`save_trace`."""
-    with np.load(Path(path)) as data:
-        if int(data["version"]) != _FORMAT_VERSION:
-            raise CoherenceError(
-                f"unsupported trace format version {int(data['version'])}"
-            )
-        trace = ReferenceTrace()
-        offsets = data["offsets"]
-        cells = data["cells"]
-        for i in range(len(data["times"])):
-            trace.add(
-                float(data["times"][i]),
-                int(data["procs"][i]),
-                bool(data["writes"][i]),
-                cells[offsets[i] : offsets[i + 1]].copy(),
-            )
-        return trace
 
 
 def save_trace_stream(trace: ReferenceTrace, path: PathLike) -> int:

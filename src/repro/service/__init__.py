@@ -6,8 +6,7 @@ simulation / experiment jobs over JSON/HTTP, deduplicates identical
 work by content-addressed fingerprint, executes on the harness's
 salvage process pool, and persists every run into a queryable SQLite
 repository that supersedes the file cache as the canonical store
-(the file cache stays on as a read-through layer).  See
-docs/SERVICE.md.
+(executions still run through the file cache).  See docs/SERVICE.md.
 """
 
 from .client import ServiceClient

@@ -12,9 +12,10 @@ Dedup semantics (docs/SERVICE.md)
 Every submission gets its own job row (audit trail), but identical work
 executes once:
 
-- a fingerprint already **done** in the repository (or the read-through
-  file cache) is answered immediately — job row with status ``done``,
-  zero executions;
+- a fingerprint already **done** in the repository is answered
+  immediately — job row with status ``done``, zero executions; any other
+  is queued, and its execution runs through the file cache, so a warm
+  ``mp`` / ``sm`` / ``experiment`` entry is answered without simulating;
 - a fingerprint already **queued or running** gains a follower job
   (``dedup_of`` = the primary's id) that completes when the shared
   execution does — counted in ``service.jobs.dedup_hits``;
@@ -38,7 +39,7 @@ the dispatcher notifies once per finished execution, connections are
 persistent (``HTTP/1.1``) and every response leaves in one TCP write.
 
 Telemetry: ``service.jobs.submitted / dedup_hits / repo_hits /
-cache_read_through / executed / failed``, ``service.queue.enqueued /
+executed / failed``, ``service.queue.enqueued /
 drained``, ``service.http.connections / requests`` (their ratio is the
 connection reuse), and a ``service.job`` span per execution (job latency).
 """
@@ -61,7 +62,7 @@ from ..errors import ReproError, ServiceError
 from ..harness.cache import ResultCache, jsonify
 from ..harness.pool import pool_map_salvage
 from ..obs import telemetry as obs
-from .jobs import JobSpec, execute_job_in_worker, job_key, read_through
+from .jobs import JobSpec, execute_job_in_worker, job_key
 from .repository import Repository
 
 __all__ = ["RoutingService", "ServiceServer", "serve", "DEFAULT_PORT"]
@@ -84,8 +85,8 @@ class RoutingService:
     repository:
         The canonical store (shared with the HTTP layer and reports).
     cache:
-        Optional file cache used as a read-through layer and warmed by
-        executions.
+        Optional file cache that executions run through: warm entries
+        answer without simulating, fresh ones warm it.
     jobs:
         Salvage-pool width per batch (``1`` executes in-process, which
         tests use for speed and determinism).
@@ -182,17 +183,6 @@ class RoutingService:
                 self.repository.add_job(
                     job_id, fingerprint, spec.kind, spec.params,
                     status="done", source="repository",
-                )
-                return self._submission(job_id, fingerprint, spec, "done")
-            payload = read_through(spec, self.cache)
-            if payload is not None:
-                obs.incr("service.jobs.cache_read_through")
-                self.repository.record_result(
-                    fingerprint, spec.kind, spec.params, payload
-                )
-                self.repository.add_job(
-                    job_id, fingerprint, spec.kind, spec.params,
-                    status="done", source="file-cache",
                 )
                 return self._submission(job_id, fingerprint, spec, "done")
 

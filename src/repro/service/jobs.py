@@ -13,13 +13,11 @@ job" means.
 Cache layering (docs/SERVICE.md):
 
 1. the SQLite repository is canonical — a hit there never re-executes;
-2. the file cache (:class:`~repro.harness.cache.ResultCache`) stays as a
-   read-through layer: a repository miss that hits the file cache is
-   converted to a payload, persisted into the repository, and served
-   (:func:`read_through`);
-3. a miss in both executes (:func:`execute_job`), which itself runs
-   through the file cache for ``mp``/``sm``/``experiment`` kinds so the
-   two stores warm each other.
+2. a repository miss is queued and executed (:func:`execute_job`), which
+   runs through the file cache (:class:`~repro.harness.cache.ResultCache`)
+   for ``mp``/``sm``/``experiment`` kinds: a warm entry is answered
+   without simulating, a cold one is computed and warms the cache, and
+   the payload is the same either way.
 
 Execution is the harness's own: ``mp``/``sm`` jobs are
 :func:`~repro.harness.simjobs.run_sim_configs` rows, experiment jobs are
@@ -43,14 +41,15 @@ from ..harness.cache import (
     jsonify,
     stable_hash,
 )
-from ..harness.experiments import EXPERIMENTS, ExperimentResult
-from ..harness.runner import (
-    cached_experiment,
-    experiment_cache_key,
-    result_to_payload,
-    run_one_cached,
-)
-from ..harness.simjobs import SimConfig, sim_fingerprint, sim_key
+from ..harness.experiments import EXPERIMENTS
+from ..harness.runner import experiment_cache_key, result_to_payload, run_one_cached
+from ..harness.simjobs import SimConfig, sim_fingerprint
+
+# Not called here: the end-to-end benchmark's tracer wraps
+# ``repro.service.jobs.sim_key`` as a ``harness.fingerprint`` seam, and
+# tests/test_benchmark_seams.py::test_every_seam_resolves_to_a_binding
+# fails without this binding.
+from ..harness.simjobs import sim_key  # noqa: F401
 from ..route import SequentialRouter
 from ..updates import UpdateSchedule
 
@@ -62,7 +61,6 @@ __all__ = [
     "job_key",
     "execute_job",
     "execute_job_in_worker",
-    "read_through",
     "route_payload",
 ]
 
@@ -114,7 +112,9 @@ class JobSpec:
                 f"unknown job kind {kind!r} (valid: {', '.join(JOB_KINDS)})"
             )
         schema = PARAM_SCHEMA[kind]
-        params = dict(params or {})
+        params = params or {}
+        if not isinstance(params, dict):
+            raise ServiceError(f"{kind} job parameters must be a JSON object")
         unknown = sorted(set(params) - set(schema))
         if unknown:
             raise ServiceError(
@@ -124,7 +124,7 @@ class JobSpec:
         canonical: Dict[str, Any] = {}
         for name, default in schema.items():
             if name in params:
-                canonical[name] = params[name]
+                canonical[name] = _typed(kind, name, default, params[name])
             elif default is ...:
                 raise ServiceError(f"{kind} jobs require the {name!r} parameter")
             else:
@@ -135,7 +135,7 @@ class JobSpec:
 
     def _validate(self) -> None:
         if self.kind == "experiment":
-            exp_id = str(self.params["exp_id"]).upper()
+            exp_id = self.params["exp_id"].upper()
             if exp_id not in EXPERIMENTS:
                 raise ServiceError(
                     f"unknown experiment id {self.params['exp_id']!r} "
@@ -163,18 +163,32 @@ class JobSpec:
         """The equivalent simulation row (mp/sm kinds only).
 
         Every parameter that is a :class:`SimConfig` field by name goes
-        through (as an ``int`` / ``bool`` where the schema's default is
-        one), so a new simulator keyword is one schema entry.
+        through, so a new simulator keyword is one schema entry.
         """
         if self.kind not in ("mp", "sm"):
             raise ServiceError(f"{self.kind} jobs have no SimConfig form")
-        schema = PARAM_SCHEMA[self.kind]
-        row = {
-            name: type(schema[name])(value) if isinstance(schema[name], int) else value
-            for name, value in self.params.items()
-            if name in _SIM_FIELDS
-        }
+        row = {name: value for name, value in self.params.items() if name in _SIM_FIELDS}
         return SimConfig(kind=self.kind, schedule=self.schedule(), **row)
+
+
+def _typed(kind: str, name: str, default: Any, value: Any) -> Any:
+    """*value* if it has the JSON type of the parameter's schema default:
+    a boolean for a boolean, an integer (not a boolean) for an integer,
+    an integer or ``null`` for a ``None`` default, a string otherwise."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok, wanted = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, wanted = is_int, "an integer"
+    elif default is None:
+        ok, wanted = is_int or value is None, "an integer or null"
+    else:
+        ok, wanted = isinstance(value, str), "a string"
+    if not ok:
+        raise ServiceError(
+            f"parameter {name!r} of {kind} jobs must be {wanted}, got {value!r}"
+        )
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -224,12 +238,6 @@ def route_payload(result) -> Dict[str, Any]:
     }
 
 
-def _experiment_payload(result: ExperimentResult) -> Dict[str, Any]:
-    return jsonify(
-        {"kind": "experiment", **result_to_payload(result), "passed": result.passed}
-    )
-
-
 def execute_job(spec: JobSpec, cache: Optional[ResultCache] = None) -> Dict[str, Any]:
     """Run one job to completion and return its JSON-safe payload.
 
@@ -251,7 +259,9 @@ def execute_job(spec: JobSpec, cache: Optional[ResultCache] = None) -> Dict[str,
     result, _record = run_one_cached(
         spec.params["exp_id"], bool(spec.params["quick"]), cache
     )
-    return _experiment_payload(result)
+    return jsonify(
+        {"kind": "experiment", **result_to_payload(result), "passed": result.passed}
+    )
 
 
 def execute_job_in_worker(
@@ -264,28 +274,3 @@ def execute_job_in_worker(
     payload = execute_job(spec, cache)
     return payload, time.perf_counter() - wall0
 
-
-# ----------------------------------------------------------------------
-# file-cache read-through
-# ----------------------------------------------------------------------
-def read_through(spec: JobSpec, cache: Optional[ResultCache]) -> Optional[Dict[str, Any]]:
-    """Serve a job from the file cache without executing, if possible.
-
-    Returns the payload on a hit, ``None`` on a miss (or for ``route``
-    jobs, which have no file-cache namespace).  The caller persists hits
-    into the repository, promoting legacy cache entries into the
-    canonical store as they are touched.
-    """
-    if cache is None:
-        return None
-    if spec.kind in ("mp", "sm"):
-        hit = cache.get_sim(sim_key(spec.sim_config()))
-        if hit is None:
-            return None
-        return jsonify({"kind": spec.kind, **hit.summary_dict()})
-    if spec.kind == "experiment":
-        result = cached_experiment(
-            spec.params["exp_id"], bool(spec.params["quick"]), cache
-        )
-        return None if result is None else _experiment_payload(result)
-    return None

@@ -29,7 +29,7 @@ CREATE TABLE IF NOT EXISTS jobs (
     config         TEXT NOT NULL,
     status         TEXT NOT NULL,      -- queued | running | done | failed
     source         TEXT NOT NULL DEFAULT 'executed',
-                                       -- executed | repository | file-cache | dedup
+                                       -- executed | repository | dedup
     error          TEXT,               -- final error of a failed job
     dedup_of       TEXT,               -- job_id whose execution this shares
     submitted_unix REAL NOT NULL,

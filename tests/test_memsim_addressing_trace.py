@@ -153,37 +153,40 @@ class TestTraceIO:
         return trace
 
     def test_npz_round_trip(self, tmp_path):
-        from repro.memsim import load_trace, save_trace
+        """The stream container (the one on-disk format) keeps every
+        record; they come back in global replay order."""
+        from repro.memsim import load_trace_stream, save_trace_stream
 
         trace = self._sample_trace()
-        path = tmp_path / "t.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
+        path = tmp_path / "t.lrts"
+        save_trace_stream(trace, path)
+        loaded = load_trace_stream(path)
         assert loaded.n_records == trace.n_records
         assert loaded.n_references == trace.n_references
-        for a, b in zip(trace.records, loaded.records):
+        for a, b in zip(trace.sorted_records(), loaded.records):
             assert a.time == b.time and a.proc == b.proc
             assert a.is_write == b.is_write
             assert list(a.flat_cells) == list(b.flat_cells)
 
     def test_round_trip_preserves_coherence_results(self, tmp_path):
-        from repro.memsim import load_trace, save_trace, simulate_trace
+        from repro.memsim import load_trace_stream, save_trace_stream, simulate_trace
 
         trace = self._sample_trace()
-        path = tmp_path / "t.npz"
-        save_trace(trace, path)
+        path = tmp_path / "t.lrts"
+        save_trace_stream(trace, path)
         amap = AddressMap(2, 16, 8)
         assert (
             simulate_trace(trace, 4, amap).as_dict()
-            == simulate_trace(load_trace(path), 4, amap).as_dict()
+            == simulate_trace(load_trace_stream(path), 4, amap).as_dict()
         )
 
     def test_empty_trace_round_trip(self, tmp_path):
-        from repro.memsim import load_trace, save_trace
+        from repro.memsim import load_trace_stream, save_trace_stream
 
-        path = tmp_path / "empty.npz"
-        save_trace(ReferenceTrace(), path)
-        assert load_trace(path).n_records == 0
+        path = tmp_path / "empty.lrts"
+        save_trace_stream(ReferenceTrace(), path)
+        loaded = load_trace_stream(path)
+        assert loaded.n_records == 0 and loaded.n_references == 0
 
     def test_dinero_export(self, tmp_path):
         from repro.memsim import export_dinero

@@ -1,8 +1,11 @@
-"""Tests for the analytic per-reference coherence analysis.
+"""Tests for per-reference (Tango-granularity) coherence replay.
 
-The centrepiece is a hypothesis-driven cross-validation: the closed-form
-order-statistic analysis must match a brute-force per-reference protocol
-state machine on arbitrary access sequences.
+A per-reference replay is the columnar Write-Back-with-Invalidate replay
+of :meth:`ColumnarTrace.per_reference`, the view in which every reference
+is its own record.  The centrepiece is a hypothesis-driven differential:
+that replay must equal the scalar state machine
+(:func:`~repro.memsim.coherence.simulate_trace`) run on the same
+references cut one per record, on every statistic, writebacks included.
 """
 
 from __future__ import annotations
@@ -14,115 +17,92 @@ from hypothesis import strategies as st
 
 from repro.circuits import tiny_test_circuit
 from repro.errors import CoherenceError
-from repro.memsim import (
-    AddressMap,
-    ReferenceTrace,
-    analyze_references,
-    expand_trace,
-    simulate_trace,
-    simulate_trace_reference_level,
-)
+from repro.memsim import AddressMap, ColumnarTrace, ReferenceTrace, simulate_trace
 from repro.memsim.addressing import WORD_BYTES
 from repro.parallel import run_shared_memory
 
-
-def brute_force(words, procs, writes, amap):
-    """Slow per-reference write-back-invalidate state machine."""
-    wpl = amap.words_per_line
-    sharers, dirty, ever = {}, {}, {}
-    cold = refetch = word_w = 0
-    for word, p, wr in zip(words, procs, writes):
-        line = word // wpl
-        s = sharers.setdefault(line, set())
-        e = ever.setdefault(line, set())
-        if p not in s:
-            if p in e:
-                refetch += 1
-            else:
-                cold += 1
-        if wr:
-            if dirty.get(line) != p:
-                word_w += 1
-            sharers[line] = {p}
-            dirty[line] = p
-        else:
-            s.add(p)
-            if dirty.get(line) not in (None, p):
-                dirty[line] = None  # foreign read cleans the line
-        e.add(p)
-    return (
-        cold * amap.line_size,
-        refetch * amap.line_size,
-        word_w * WORD_BYTES,
-    )
+from . import memsim_strategies as messy
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    refs=st.lists(
-        st.tuples(st.integers(0, 23), st.integers(0, 3), st.booleans()),
-        min_size=1,
-        max_size=80,
-    ),
-    line_size=st.sampled_from([4, 8, 16]),
-)
-def test_analytic_matches_brute_force(refs, line_size):
-    words = np.array([r[0] for r in refs], dtype=np.int64)
-    procs = np.array([r[1] for r in refs], dtype=np.int16)
-    writes = np.array([r[2] for r in refs], dtype=bool)
-    amap = AddressMap(2, 16, line_size)
-    stats = analyze_references(words, procs, writes, amap)
-    cold, refetch, word_w = brute_force(words, procs, writes, amap)
-    assert stats.cold_fetch_bytes == cold
-    assert stats.refetch_bytes == refetch
-    assert stats.word_write_bytes == word_w
+def one_record_per_reference(trace: ReferenceTrace) -> ReferenceTrace:
+    """*trace*'s references in global order, each its own record at its
+    burst's time (appended in order, so time ties keep that order)."""
+    cols = trace.columns()
+    cut = ReferenceTrace()
+    for b in range(cols.procs.size):
+        for cell in cols.cells[cols.offsets[b] : cols.offsets[b + 1]]:
+            cut.add(
+                float(cols.times[b]), int(cols.procs[b]), bool(cols.writes[b]),
+                np.array([cell], dtype=np.int64),
+            )
+    return cut
+
+
+def per_reference(trace: ReferenceTrace) -> ColumnarTrace:
+    return ColumnarTrace.from_trace(trace).per_reference()
+
+
+def single_refs(refs) -> ReferenceTrace:
+    """refs: ``(proc, is_write, cell)`` in order, one record each."""
+    trace = ReferenceTrace()
+    for t, (proc, is_write, cell) in enumerate(refs):
+        trace.add(float(t), proc, is_write, np.array([cell], dtype=np.int64))
+    return trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), messy.messy_bursts(n))))
+def test_analytic_matches_brute_force(case):
+    """Unsorted and repeated cells, time ties, 1–8 processors, 4–64 B
+    lines: the columnar per-reference replay is the scalar state machine
+    on the cut trace, field for field."""
+    n_procs, bursts = case
+    trace = messy.build_trace(bursts)
+    view = per_reference(trace)
+    cut = one_record_per_reference(trace)
+    for ls in messy.LINE_SIZES:
+        amap = messy.address_map(ls)
+        assert view.replay(n_procs, amap) == simulate_trace(cut, n_procs, amap), ls
 
 
 class TestBasics:
     def test_empty_trace(self):
-        stats = simulate_trace_reference_level(
-            ReferenceTrace(), 4, AddressMap(2, 16, 8)
-        )
+        stats = per_reference(ReferenceTrace()).replay(4, AddressMap(2, 16, 8))
         assert stats.total_bytes == 0
 
     def test_expand_preserves_counts_and_order(self):
         trace = ReferenceTrace()
         trace.add(1.0, 0, False, np.array([5, 6]))
         trace.add(0.5, 1, True, np.array([9]))
-        words, procs, writes = expand_trace(trace)
-        assert list(words) == [9, 5, 6]  # time-sorted, bursts flattened
-        assert list(procs) == [1, 0, 0]
-        assert list(writes) == [True, False, False]
-
-    def test_mismatched_lengths_rejected(self):
-        amap = AddressMap(2, 16, 8)
-        with pytest.raises(CoherenceError):
-            analyze_references(
-                np.array([1, 2]), np.array([0], dtype=np.int16),
-                np.array([False, True]), amap,
-            )
+        trace.add(1.0, 2, True, np.array([6, 5, 6]))
+        view = per_reference(trace)
+        assert view.cells.tolist() == [9, 5, 6, 6, 5, 6]  # time-sorted, flattened
+        assert view.rec_ids.tolist() == list(range(6))
+        assert view.rec_proc.tolist() == [1, 0, 0, 2, 2, 2]
+        assert view.rec_is_write.tolist() == [True, False, False, True, True, True]
+        # ... which is exactly the flattening of a one-reference-per-record trace.
+        direct = ColumnarTrace.from_trace(one_record_per_reference(trace))
+        for name in ("cells", "rec_ids", "rec_proc", "rec_is_write"):
+            got, want = getattr(view, name), getattr(direct, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert (view.n_read_refs, view.n_write_refs) == (direct.n_read_refs, direct.n_write_refs)
+        assert (view.n_read_refs, view.n_write_refs) == (2, 4)
 
     def test_proc_out_of_range_rejected(self):
         trace = ReferenceTrace()
         trace.add(0.0, 7, False, np.array([1]))
         with pytest.raises(CoherenceError):
-            simulate_trace_reference_level(trace, 4, AddressMap(2, 16, 8))
+            per_reference(trace).replay(4, AddressMap(2, 16, 8))
 
     def test_own_read_keeps_line_dirty(self):
         """write, own read, write again: the second write is silent."""
-        amap = AddressMap(2, 16, 4)
-        words = np.array([0, 0, 0], dtype=np.int64)
-        procs = np.array([0, 0, 0], dtype=np.int16)
-        writes = np.array([True, False, True])
-        stats = analyze_references(words, procs, writes, amap)
+        trace = single_refs([(0, True, 0), (0, False, 0), (0, True, 0)])
+        stats = per_reference(trace).replay(4, AddressMap(2, 16, 4))
         assert stats.word_write_bytes == WORD_BYTES  # only the first write
 
     def test_foreign_read_breaks_exclusivity(self):
-        amap = AddressMap(2, 16, 4)
-        words = np.array([0, 0, 0], dtype=np.int64)
-        procs = np.array([0, 1, 0], dtype=np.int16)
-        writes = np.array([True, False, True])
-        stats = analyze_references(words, procs, writes, amap)
+        trace = single_refs([(0, True, 0), (1, False, 0), (0, True, 0)])
+        stats = per_reference(trace).replay(4, AddressMap(2, 16, 4))
         assert stats.word_write_bytes == 2 * WORD_BYTES
 
 
@@ -136,8 +116,12 @@ class TestBurstEquivalence:
         )
         trace, layout = result.meta["trace"], result.meta["layout"]
         extra = layout.total_words - layout.array_words
+        view = per_reference(trace)
         for ls in (4, 16):
             amap = AddressMap(circuit.n_channels, circuit.n_grids, ls, extra_words=extra)
             burst = simulate_trace(trace, 4, amap)
-            ref = simulate_trace_reference_level(trace, 4, amap)
-            assert ref.total_bytes == burst.total_bytes - burst.writeback_bytes
+            ref = view.replay(4, amap)
+            assert (
+                ref.total_bytes - ref.writeback_bytes
+                == burst.total_bytes - burst.writeback_bytes
+            )

@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.errors import ServiceError
-from repro.harness.cache import ResultCache
+from repro.harness.cache import ResultCache, jsonify
 from repro.harness.simjobs import SimConfig, run_sim_configs
 from repro.obs import telemetry as obs
 from repro.service import daemon as daemon_module
@@ -162,8 +162,8 @@ class TestDedup:
         assert executed_count() - before == 1
 
     def test_file_cache_read_through(self, service):
-        """A warm file cache answers mp jobs without executing and the
-        payload is promoted into the repository."""
+        """A repository miss is executed, and the execution reads through a
+        warm file cache: no simulation, the warm row's payload."""
         config = SimConfig(
             kind="mp",
             which="bnrE",
@@ -172,14 +172,17 @@ class TestDedup:
             n_procs=4,
             iterations=1,
         )
-        run_sim_configs([config], cache=service.cache)  # warm the file cache
-        before = executed_count()
+        warm = run_sim_configs([config], cache=service.cache)[0]  # warm the file cache
+        runs = counter("sim.mp.runs")
         record = service.submit("mp", tiny_mp_params())
-        assert record["status"] == "done"
-        assert executed_count() == before
-        assert service.status(record["job_id"])["source"] == "file-cache"
-        stored = service.repository.get_result(record["fingerprint"])
-        assert stored["payload"]["kind"] == "mp"
+        assert record["status"] == "queued"
+        service.start()
+        assert service.drain(timeout_s=60)
+        assert counter("sim.mp.runs") == runs
+        assert service.status(record["job_id"])["source"] == "executed"
+        stored, state = service.result(record["job_id"])
+        assert state == "done"
+        assert stored["payload"] == jsonify({"kind": "mp", **warm.summary_dict()})
 
     def test_unknown_kind_rejected(self, service):
         with pytest.raises(ServiceError, match="unknown job kind"):
@@ -244,6 +247,24 @@ class TestJobParameters:
         for name in sorted(others - set(self.ACCEPTED[kind])):
             with pytest.raises(ServiceError, match="unknown parameter"):
                 JobSpec.from_params(kind, {**required, name: 1})
+
+    @pytest.mark.parametrize(
+        "kind, name, value",
+        [
+            ("sm", "line_size", "x"),
+            ("sm", "n_procs", True),
+            ("sm", "protocol", 1),
+            ("mp", "send_loc", "10"),
+            ("mp", "blocking", "no"),
+            ("route", "n_wires", 24.0),
+            ("route", "quick", 1),
+            ("experiment", "exp_id", 1),
+        ],
+    )
+    def test_a_value_of_the_wrong_json_type_is_refused_by_name(self, kind, name, value):
+        required = {"exp_id": "t6"} if kind == "experiment" else {}
+        with pytest.raises(ServiceError, match=f"parameter '{name}' of {kind} jobs must be"):
+            JobSpec.from_params(kind, {**required, name: value})
 
     def test_cli_flags_reach_the_parameter_they_name(self):
         from repro.cli import _jobs_submit_params, build_parser
@@ -729,6 +750,25 @@ class TestMalformedInput:
         with pytest.raises(ServiceError, match="limit must be a non-negative number"):
             client.list_jobs(limit="abc")
         assert client.health() == {"ok": True}
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            ({"kind": "sm", "params": {"line_size": "x"}}, "line_size"),
+            ({"kind": "mp", "params": {"send_loc": "10"}}, "send_loc"),
+            ({"kind": "mp", "params": {"blocking": "no", "req_rmt": 5}}, "blocking"),
+            ({"kind": "route", "params": [24]}, "parameters"),
+        ],
+    )
+    def test_wrong_typed_job_is_a_400_on_a_live_connection(self, raw, capsys, body, named):
+        status, connection, payload = self._exchange(
+            raw, "POST", "/jobs", {"Content-Length": str(len(json.dumps(body)))},
+            json.dumps(body).encode(),
+        )
+        assert status == 400 and named in payload["error"]
+        assert connection is None  # the body was read: the connection stays
+        assert self._exchange(raw, "GET", "/health")[0] == 200
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_huge_limit_is_the_whole_history(self, raw):
         status, _, payload = self._exchange(raw, "GET", "/jobs?limit=" + "9" * 30)
