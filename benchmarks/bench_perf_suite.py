@@ -366,7 +366,6 @@ BENCHES = {
     "live_sm_speedup": bench_live_sm,
     "s1_plan_waves_10k": _s1_bench("s1_plan_waves_10k"),
     "s1_route_scaling_10k": _s1_bench("s1_route_scaling_10k"),
-    "s1_stream_replay": _s1_bench("s1_stream_replay"),
 }
 
 

@@ -20,13 +20,6 @@ work that makes big inputs practical (see docs/PERFORMANCE.md):
     than ``PARITY_SLOWDOWN`` above linear scaling — a superlinear
     regression.  Peak RSS per point rides along in ``extra``.
 
-``s1_stream_replay``
-    Bounded-memory streaming coherence replay
-    (``memsim.columnar.simulate_trace_streaming`` from a
-    ``save_trace_stream`` file) against the in-memory columnar engine on
-    the same trace (~1.1M references full, ~270k quick).  Gated on
-    bit-identity with the in-memory path.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_s1_scaling.py --quick
@@ -38,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -160,71 +152,9 @@ def bench_s1_route_scaling(quick: bool, repeats: int) -> Dict[str, object]:
     return result
 
 
-def _synthetic_stream_trace(n_records: int, seed: int):
-    """Deterministic burst trace sized for the streaming entry."""
-    import numpy as np
-
-    from repro.memsim import ReferenceTrace
-
-    rng = np.random.default_rng(seed)
-    n_cells = 16 * 600
-    procs = rng.integers(0, 12, n_records)
-    writes = rng.random(n_records) < 0.35
-    sizes = rng.integers(2, 8, n_records)
-    bases = rng.integers(0, n_cells, n_records)
-    trace = ReferenceTrace()
-    t = 0.0
-    for i in range(n_records):
-        t += 1.0
-        cells = (bases[i] + np.arange(sizes[i], dtype=np.int64)) % n_cells
-        trace.add(t, int(procs[i]), bool(writes[i]), cells)
-    return trace
-
-
-def bench_s1_stream_replay(quick: bool, repeats: int) -> Dict[str, object]:
-    """Streaming replay from disk vs the in-memory columnar engine."""
-    from repro.memsim import (
-        AddressMap,
-        save_trace_stream,
-        simulate_trace_columnar,
-        simulate_trace_streaming,
-    )
-
-    n_records = 60_000 if quick else 250_000
-    trace = _synthetic_stream_trace(n_records, seed=19890816)
-    n_refs = trace.n_references
-    amap = AddressMap(16, 600, 16)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "s1_trace.lrts"
-        save_trace_stream(trace, path)
-        times, outputs = _interleaved_best(
-            {
-                "reference": lambda: simulate_trace_columnar(
-                    trace, 12, amap
-                ).as_dict(),
-                "vectorized": lambda: simulate_trace_streaming(
-                    path, 12, amap
-                ).as_dict(),
-            },
-            repeats,
-        )
-    return _entry(
-        "s1_stream_replay",
-        "kernel",
-        times["reference"],
-        times["vectorized"],
-        outputs["reference"] == outputs["vectorized"],
-        f"{n_refs} references, 12 procs: in-memory columnar replay vs "
-        f"chunked streaming replay from a trace-stream file "
-        f"(bounded peak memory); identical stats required",
-    )
-
-
 S1_BENCHES = {
     "s1_plan_waves_10k": bench_s1_plan_waves,
     "s1_route_scaling_10k": bench_s1_route_scaling,
-    "s1_stream_replay": bench_s1_stream_replay,
 }
 
 

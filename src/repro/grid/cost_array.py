@@ -136,10 +136,6 @@ class CostArray:
         """Sum of all entries (total wire-cells routed)."""
         return int(self._data.sum())
 
-    def flatten_index(self, cells_c: np.ndarray, cells_x: np.ndarray) -> np.ndarray:
-        """Map ``(c, x)`` coordinate vectors to flat indices."""
-        return cells_c.astype(np.int64) * self.n_grids + cells_x.astype(np.int64)
-
     # ------------------------------------------------------------------
     # path application
     # ------------------------------------------------------------------

@@ -163,10 +163,6 @@ class RegionMap:
         self._check_proc(proc)
         return self._regions[proc]
 
-    def all_regions(self) -> List[BBox]:
-        """Owned regions indexed by processor id."""
-        return list(self._regions)
-
     def owner_of(self, channel: int, x: int) -> int:
         """Owner processor of cell ``(channel, x)``."""
         if not (0 <= channel < self.n_channels and 0 <= x < self.n_grids):

@@ -46,28 +46,7 @@ class AddressMap:
         total_words = n_channels * n_grids + extra_words
         self.n_lines = -(-(total_words * WORD_BYTES) // line_size)
 
-    def cell_address(self, flat_cells: np.ndarray) -> np.ndarray:
-        """Byte addresses of flat cell indices."""
-        return flat_cells.astype(np.int64) * WORD_BYTES
-
     def cells_to_lines(self, flat_cells: np.ndarray) -> np.ndarray:
         """Unique cache line numbers touched by *flat_cells*."""
         lines = flat_cells.astype(np.int64) // self.words_per_line
         return np.unique(lines)
-
-    def rect_to_lines(
-        self, c_lo: int, x_lo: int, c_hi: int, x_hi: int
-    ) -> np.ndarray:
-        """Unique lines covering an inclusive cell rectangle.
-
-        A row's columns ``x_lo..x_hi`` occupy a contiguous word range, so
-        each row contributes a contiguous line range; rows are unioned.
-        """
-        if c_lo > c_hi or x_lo > x_hi:
-            raise CoherenceError("degenerate rectangle")
-        parts = []
-        for c in range(c_lo, c_hi + 1):
-            first = (c * self.n_grids + x_lo) // self.words_per_line
-            last = (c * self.n_grids + x_hi) // self.words_per_line
-            parts.append(np.arange(first, last + 1, dtype=np.int64))
-        return np.unique(np.concatenate(parts))

@@ -61,8 +61,7 @@ copy, so it needs only two:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -72,29 +71,10 @@ from .addressing import WORD_BYTES, AddressMap
 from .coherence import WriteBackInvalidate
 from .stats import CoherenceStats
 from .trace import ReferenceTrace
-from .trace_io import DEFAULT_CHUNK_REFS, iter_trace_chunks
 
-__all__ = ["ColumnarTrace", "simulate_trace_columnar", "simulate_trace_streaming"]
+__all__ = ["ColumnarTrace"]
 
 MAX_PROCS = WriteBackInvalidate.MAX_PROCS
-
-
-def _popcount64(values: np.ndarray) -> np.ndarray:
-    """Per-element population count of non-negative int64 values."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(values).astype(np.int32)
-    as_bytes = values.astype("<i8").view(np.uint8).reshape(values.size, 8)
-    return np.unpackbits(as_bytes, axis=1).sum(axis=1, dtype=np.int32)
-
-
-def _check_procs(n_procs: int, procs: np.ndarray) -> None:
-    if procs.size and (int(procs.min()) < 0 or int(procs.max()) >= n_procs):
-        raise CoherenceError("trace references a processor out of range")
-
-
-def _check_n_procs(n_procs: int) -> None:
-    if not (1 <= n_procs <= MAX_PROCS):
-        raise CoherenceError(f"n_procs must be in [1, {MAX_PROCS}]")
 
 
 def _cells_int32(cells: np.ndarray) -> np.ndarray:
@@ -220,8 +200,9 @@ def _last_write_before(ev: _LineEvents) -> np.ndarray:
 
 
 def _proc_runs(ev: _LineEvents):
-    """``(run_start, run_start_prev, prev_proc)``: run-length encoding of
-    same-processor runs within line groups, and its one-event lag."""
+    """``(run_start_prev, prev_proc)``: the start of the same-processor
+    run (within its line group) that the previous event belongs to, and
+    the previous event's processor."""
     m = ev.line.size
     run_break = ev.new_line.copy()
     run_break[1:] |= ev.proc[1:] != ev.proc[:-1]
@@ -233,7 +214,7 @@ def _proc_runs(ev: _LineEvents):
     prev_proc = np.empty(m, dtype=np.int32)
     prev_proc[0] = -1
     prev_proc[1:] = ev.proc[:-1]
-    return run_start, run_start_prev, prev_proc
+    return run_start_prev, prev_proc
 
 
 def _exclusive_cumsum(flags: np.ndarray) -> np.ndarray:
@@ -300,8 +281,11 @@ class ColumnarTrace:
         )
 
     def _begin(self, n_procs: int, address_map: AddressMap) -> CoherenceStats:
-        _check_n_procs(n_procs)
-        _check_procs(n_procs, self.rec_proc)
+        if not (1 <= n_procs <= MAX_PROCS):
+            raise CoherenceError(f"n_procs must be in [1, {MAX_PROCS}]")
+        procs = self.rec_proc
+        if procs.size and (int(procs.min()) < 0 or int(procs.max()) >= n_procs):
+            raise CoherenceError("trace references a processor out of range")
         stats = CoherenceStats(line_size=address_map.line_size)
         stats.n_read_refs = self.n_read_refs
         stats.n_write_refs = self.n_write_refs
@@ -341,7 +325,7 @@ class ColumnarTrace:
         # Dirty-line tracking: the line written at j is still dirty at i
         # iff events j..i-1 are one run by the writer (the first foreign
         # access after a write misses and flushes).
-        _, run_start_prev, prev_proc = _proc_runs(ev)
+        run_start_prev, prev_proc = _proc_runs(ev)
         dirty_alive = jpos & (run_start_prev <= j)
         dirty_by_me = dirty_alive & (ev.proc == prev_proc)
 
@@ -398,177 +382,3 @@ class ColumnarTrace:
         stats.write_miss_fetch_bytes = n_write_first * ls
         stats.word_write_bytes = int(ev.n_cells[shared_write].sum()) * WORD_BYTES
         return stats
-
-
-def simulate_trace_columnar(
-    trace: Union[ReferenceTrace, ColumnarTrace],
-    n_procs: int,
-    address_map: AddressMap,
-) -> CoherenceStats:
-    """Vectorised drop-in for :func:`repro.memsim.coherence.simulate_trace`.
-
-    Accepts either a :class:`~repro.memsim.trace.ReferenceTrace` or an
-    already-flattened :class:`ColumnarTrace` (pass the latter when
-    replaying the same trace at several line sizes — the Table 3 sweep —
-    so the flattening is paid once).
-    """
-    columnar = (
-        trace
-        if isinstance(trace, ColumnarTrace)
-        else ColumnarTrace.from_trace(trace)
-    )
-    return columnar.replay(n_procs, address_map)
-
-
-def simulate_trace_streaming(
-    source: Union[ReferenceTrace, str, Path],
-    n_procs: int,
-    address_map: AddressMap,
-    *,
-    chunk_refs: int = DEFAULT_CHUNK_REFS,
-) -> CoherenceStats:
-    """Replay a trace in bounded memory; bit-identical to the in-memory
-    engines.
-
-    *source* is an in-memory :class:`~repro.memsim.trace.ReferenceTrace`
-    or the path of a :func:`~repro.memsim.trace_io.save_trace_stream`
-    file.  The trace is consumed in record-aligned chunks of about
-    *chunk_refs* references (:func:`~repro.memsim.trace_io.iter_trace_chunks`),
-    so peak memory is ``O(chunk_refs + address_map.n_lines)`` —
-    independent of trace length.
-
-    Within a chunk the replay runs the same order statistics as
-    :meth:`ColumnarTrace.replay`, on the same :func:`_line_events`; chunk
-    boundaries are bridged by three carried per-line arrays that
-    summarize everything earlier events can influence:
-
-    - ``carry_mask`` — bitmask of current sharers (procs whose last
-      access is at or after the line's last write);
-    - ``carry_dirty`` — owning proc while the line is exclusive-dirty,
-      else −1 (alive exactly while the events since the last write form
-      one same-processor run by the writer);
-    - ``carry_ever`` — bitmask of procs that ever touched the line
-      (cold-miss vs refetch classification).
-
-    Per-event outcomes fall back to the carried values only where the
-    within-chunk statistics see no prior write (``j < 0``); the
-    hypothesis tests fuzz bit-identity against the scalar engine across
-    random chunk sizes, including ``chunk_refs=1``.
-    """
-    _check_n_procs(n_procs)
-    stats = CoherenceStats(line_size=address_map.line_size)
-    ls = address_map.line_size
-    n_lines = address_map.n_lines
-    carry_mask = np.zeros(n_lines, dtype=np.int64)
-    carry_dirty = np.full(n_lines, -1, dtype=np.int32)
-    carry_ever = np.zeros(n_lines, dtype=np.int64)
-
-    for chunk in iter_trace_chunks(source, chunk_refs=chunk_refs):
-        if chunk.cells.size == 0:
-            continue
-        _check_procs(n_procs, chunk.procs)
-        sizes = np.diff(chunk.offsets)
-        n_write_refs = int(sizes[chunk.writes].sum())
-        stats.n_write_refs += n_write_refs
-        stats.n_read_refs += int(sizes.sum()) - n_write_refs
-
-        if (
-            int(chunk.cells.min()) < 0
-            or int(chunk.cells.max()) // address_map.words_per_line >= n_lines
-        ):
-            raise CoherenceError("trace cell outside the address map")
-        ev = _line_events(
-            _cells_int32(chunk.cells),
-            np.repeat(np.arange(sizes.size, dtype=np.int32), sizes),
-            chunk.procs,
-            chunk.writes,
-            address_map.words_per_line,
-        )
-        obs.incr("sim.coherence.stream_chunks")
-        ev_line, ev_proc, ev_write, new_line, seg_start, prev_lp, _ = ev
-        m = ev_line.size
-        idx = np.arange(m, dtype=np.int32)
-        # j: last write strictly before each event, within the chunk.
-        j = _last_write_before(ev)
-        jpos = j >= np.int32(0)
-
-        # Carried state, gathered per event; consulted only where the
-        # chunk has no earlier write on the line (~jpos).
-        c_mask = carry_mask[ev_line]
-        c_dirty = carry_dirty[ev_line]
-        c_ever = carry_ever[ev_line]
-        pbit = np.int64(1) << ev_proc.astype(np.int64)
-
-        sharers_has_p = prev_lp >= np.maximum(j, np.int32(0))
-        sharers_has_p |= ~jpos & ((c_mask & pbit) != 0)
-        miss = ~sharers_has_p
-
-        run_start, run_start_prev, prev_proc = _proc_runs(ev)
-
-        # Dirty before event i: a within-chunk write followed by one
-        # same-proc run, or a carried dirty line whose owner's run is
-        # unbroken through the chunk boundary up to i.
-        at_start = idx == seg_start
-        dirty_alive = jpos & (run_start_prev <= j)
-        dirty_alive |= (
-            ~jpos
-            & (c_dirty >= 0)
-            & (at_start | ((run_start_prev <= seg_start) & (prev_proc == c_dirty)))
-        )
-        dirty_by_me = dirty_alive & (ev_proc == np.where(at_start, c_dirty, prev_proc))
-
-        read_miss = miss & ~ev_write
-        cold = read_miss & (prev_lp < 0) & ((c_ever & pbit) == 0)
-        writeback = miss & dirty_alive
-        word_write = ev_write & ~dirty_by_me
-
-        # Sharer counts: segmented prefix sums of read misses, seeded
-        # with the carried sharer count where the chunk has no write.
-        cum_excl = _exclusive_cumsum(read_miss)
-        base = cum_excl[np.where(jpos, j, seg_start)]
-        seed = np.where(jpos, np.int32(1), _popcount64(c_mask))
-        n_sharers = seed + cum_excl - base
-        others = n_sharers - sharers_has_p.astype(np.int32)
-        inval = word_write & (others > 0)
-
-        n_cold = int(np.count_nonzero(cold))
-        n_read_miss = int(np.count_nonzero(read_miss))
-        stats.cold_fetch_bytes += n_cold * ls
-        stats.refetch_bytes += (n_read_miss - n_cold) * ls
-        stats.write_miss_fetch_bytes += int(np.count_nonzero(ev_write & miss)) * ls
-        stats.writeback_bytes += int(np.count_nonzero(writeback)) * ls
-        stats.word_write_bytes += int(np.count_nonzero(word_write)) * WORD_BYTES
-        stats.n_invalidation_events += int(np.count_nonzero(inval))
-        stats.n_copies_invalidated += int(others[inval].sum())
-
-        # Roll the carried state forward over this chunk's line groups.
-        starts = np.flatnonzero(new_line)
-        glines = ev_line[starts]
-        group_id = np.cumsum(new_line) - 1
-        jl = np.maximum.reduceat(np.where(ev_write, idx, np.int32(-1)), starts)
-        after_lw = idx > jl[group_id]
-        or_after = np.bitwise_or.reduceat(np.where(after_lw, pbit, np.int64(0)), starts)
-        or_all = np.bitwise_or.reduceat(pbit, starts)
-        ends = np.empty(starts.size, dtype=np.int64)
-        ends[:-1] = starts[1:] - 1
-        ends[-1] = m - 1
-        rs_last = run_start[ends]
-        rp_last = ev_proc[ends]
-        jlpos = jl >= 0
-        writer = ev_proc[np.maximum(jl, 0)]
-        writer_bit = np.int64(1) << writer.astype(np.int64)
-        cd_group = carry_dirty[glines]
-        carry_mask[glines] = np.where(
-            jlpos, writer_bit | or_after, carry_mask[glines] | or_after
-        )
-        carry_ever[glines] |= or_all
-        carry_dirty[glines] = np.where(
-            jlpos,
-            np.where(rs_last <= jl, rp_last, np.int32(-1)),
-            np.where(
-                (cd_group >= 0) & (rs_last == starts) & (rp_last == cd_group),
-                cd_group,
-                np.int32(-1),
-            ),
-        )
-    return stats

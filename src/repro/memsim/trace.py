@@ -16,7 +16,9 @@ times, processors and write flags plus the list of cell arrays — because
 the collector appends tens of thousands of bursts per run and the
 columnar replay (:mod:`repro.memsim.columnar`) wants arrays, not objects.
 :class:`TraceRecord` is the per-burst *view* of those columns, built on
-demand for the scalar oracles, :mod:`repro.memsim.trace_io` and tests.
+demand for the scalar oracles and tests.  A trace lives only in memory:
+its one producer, :class:`~repro.memsim.tango.TangoCollector`, holds the
+whole trace, and nothing writes one to disk.
 """
 
 from __future__ import annotations

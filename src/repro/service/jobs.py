@@ -50,6 +50,7 @@ from ..harness.simjobs import SimConfig, sim_fingerprint
 # tests/test_benchmark_seams.py::test_every_seam_resolves_to_a_binding
 # fails without this binding.
 from ..harness.simjobs import sim_key  # noqa: F401
+from ..memsim import WORD_BYTES, WriteBackInvalidate
 from ..route import SequentialRouter
 from ..updates import UpdateSchedule
 
@@ -90,6 +91,18 @@ PARAM_SCHEMA: Dict[str, Dict[str, Any]] = {
     "experiment": {"exp_id": ..., "quick": False},
 }
 _SIM_FIELDS = frozenset(f.name for f in fields(SimConfig))
+
+#: Inclusive bounds of the integer parameters, checked at submission so
+#: a pool worker is never handed a job it cannot run or one that
+#: allocates without limit: the largest circuit CI routes, the coherence
+#: engines' processor limit, and a handful of rip-up iterations.
+MAX_WIRES = 100_000
+MAX_ITERATIONS = 10
+_BOUNDS = {
+    "n_wires": (1, MAX_WIRES),
+    "n_procs": (1, WriteBackInvalidate.MAX_PROCS),
+    "iterations": (1, MAX_ITERATIONS),
+}
 
 
 @dataclass(frozen=True)
@@ -134,6 +147,19 @@ class JobSpec:
         return spec
 
     def _validate(self) -> None:
+        for name, (lo, hi) in _BOUNDS.items():
+            value = self.params.get(name)
+            if value is not None and not lo <= value <= hi:
+                raise ServiceError(
+                    f"parameter {name!r} of {self.kind} jobs must be in "
+                    f"[{lo}, {hi}], got {value}"
+                )
+        line_size = self.params.get("line_size")
+        if line_size is not None and (line_size < WORD_BYTES or line_size & (line_size - 1)):
+            raise ServiceError(
+                f"parameter 'line_size' of {self.kind} jobs must be a power of "
+                f"two >= {WORD_BYTES}, got {line_size}"
+            )
         if self.kind == "experiment":
             exp_id = self.params["exp_id"].upper()
             if exp_id not in EXPERIMENTS:

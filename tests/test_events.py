@@ -2,7 +2,9 @@
 
 ``tests/test_events_cancellation.py`` holds the queue to a sorted-list
 model under heavy cancellation; its ``SortedListModel`` is also the
-oracle for the simulator's firing order here.
+oracle for the simulator's firing order here.  A few cases look at the
+queue's storage directly (callbacks live in a column apart from the sort
+keys, released on cancel), which a black-box model cannot see.
 """
 
 from __future__ import annotations
@@ -59,6 +61,22 @@ class TestEventQueue:
         q.push(2.0, lambda: None)
         q.cancel(handle)
         assert q.peek_time() == 2.0
+
+    def test_pop_next_returns_time_and_action(self):
+        q = EventQueue()
+        fired = []
+        q.push(2.0, lambda: fired.append("late"))
+        q.push(1.0, lambda: fired.append("early"))
+        time, action = q.pop_next()
+        assert time == 1.0
+        action()
+        assert fired == ["early"]
+
+    def test_cancel_releases_callback_immediately(self):
+        q = EventQueue()
+        handle = q.push(1.0, lambda: None)
+        q.cancel(handle)
+        assert len(q._actions) == 0
 
     def test_scheduling_in_the_past_rejected(self):
         q = EventQueue()
@@ -117,6 +135,16 @@ class TestSimulator:
         assert fired == [1]
         assert sim.now == 5.0
 
+    def test_bounded_run_returns_until_and_resumes(self):
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, lambda: fired.append(1.0))
+        sim.at(3.0, lambda: fired.append(3.0))
+        assert sim.run(until=2.0) == 2.0
+        assert fired == [1.0]
+        assert sim.run() == 3.0
+        assert fired == [1.0, 3.0]
+
     def test_runaway_guard(self):
         sim = Simulator()
 
@@ -172,6 +200,15 @@ class TestCancelEdgeCases:
         assert len(q) == 1
         assert q.pop_next() is not None
         assert len(q) == 0
+
+    def test_cancel_after_fire_marks_nothing(self):
+        q = EventQueue()
+        handle = q.push(1.0, lambda: None)
+        assert q.pop_next() is not None
+        q.cancel(handle)
+        q.cancel(handle)
+        assert len(q) == 0
+        assert not q._cancelled  # a fired event is never marked for skipping
 
     def test_double_cancel_counted_once(self):
         q = EventQueue()

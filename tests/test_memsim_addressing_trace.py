@@ -43,21 +43,6 @@ class TestAddressMap:
         cells = np.array([0, 7, 19], dtype=np.int64)
         assert list(amap.cells_to_lines(cells)) == [0, 7, 19]
 
-    def test_cell_address(self):
-        amap = AddressMap(4, 40, 8)
-        assert list(amap.cell_address(np.array([0, 3]))) == [0, 12]
-
-    def test_rect_to_lines(self):
-        amap = AddressMap(4, 40, 8)  # 2 words/line; rows are 20 lines wide
-        lines = amap.rect_to_lines(0, 0, 1, 3)
-        # row 0 cols 0-3 -> lines 0,1 ; row 1 cols 0-3 -> words 40-43 -> lines 20,21
-        assert list(lines) == [0, 1, 20, 21]
-
-    def test_rect_degenerate_rejected(self):
-        amap = AddressMap(4, 40, 8)
-        with pytest.raises(CoherenceError):
-            amap.rect_to_lines(2, 0, 1, 3)
-
 
 class TestReferenceTrace:
     def test_add_and_counts(self):
@@ -141,61 +126,3 @@ class TestReferenceTrace:
         # ties keep append order
         assert [r.proc for r in ordered] == [1, 2, 0]
 
-
-class TestTraceIO:
-    """Round-trip and export tests for trace files."""
-
-    def _sample_trace(self):
-        trace = ReferenceTrace()
-        trace.add(0.5, 0, False, np.array([1, 2, 3]))
-        trace.add(0.1, 2, True, np.array([7]))
-        trace.add(0.9, 1, False, np.array([4, 5]))
-        return trace
-
-    def test_npz_round_trip(self, tmp_path):
-        """The stream container (the one on-disk format) keeps every
-        record; they come back in global replay order."""
-        from repro.memsim import load_trace_stream, save_trace_stream
-
-        trace = self._sample_trace()
-        path = tmp_path / "t.lrts"
-        save_trace_stream(trace, path)
-        loaded = load_trace_stream(path)
-        assert loaded.n_records == trace.n_records
-        assert loaded.n_references == trace.n_references
-        for a, b in zip(trace.sorted_records(), loaded.records):
-            assert a.time == b.time and a.proc == b.proc
-            assert a.is_write == b.is_write
-            assert list(a.flat_cells) == list(b.flat_cells)
-
-    def test_round_trip_preserves_coherence_results(self, tmp_path):
-        from repro.memsim import load_trace_stream, save_trace_stream, simulate_trace
-
-        trace = self._sample_trace()
-        path = tmp_path / "t.lrts"
-        save_trace_stream(trace, path)
-        amap = AddressMap(2, 16, 8)
-        assert (
-            simulate_trace(trace, 4, amap).as_dict()
-            == simulate_trace(load_trace_stream(path), 4, amap).as_dict()
-        )
-
-    def test_empty_trace_round_trip(self, tmp_path):
-        from repro.memsim import load_trace_stream, save_trace_stream
-
-        path = tmp_path / "empty.lrts"
-        save_trace_stream(ReferenceTrace(), path)
-        loaded = load_trace_stream(path)
-        assert loaded.n_records == 0 and loaded.n_references == 0
-
-    def test_dinero_export(self, tmp_path):
-        from repro.memsim import export_dinero
-
-        trace = self._sample_trace()
-        path = tmp_path / "t.din"
-        n = export_dinero(trace, path)
-        lines = path.read_text().splitlines()
-        assert n == len(lines) == trace.n_references
-        # time-ordered: the write at t=0.1 comes first
-        assert lines[0] == "1 1c"  # cell 7 * 4 bytes = 0x1c
-        assert all(line.split()[0] in ("0", "1") for line in lines)

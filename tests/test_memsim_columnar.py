@@ -1,6 +1,6 @@
 """Equivalence and unit tests for the columnar coherence engine.
 
-The contract under test: :func:`repro.memsim.columnar.simulate_trace_columnar`
+The contract under test: :meth:`repro.memsim.columnar.ColumnarTrace.replay`
 is *bit-identical* to the scalar :func:`repro.memsim.coherence.simulate_trace`
 for every trace and line size.  The scalar engine is the oracle (it
 mirrors the protocol description record by record); hypothesis fuzzes
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import CoherenceError
 from repro.memsim.addressing import AddressMap
 from repro.memsim.coherence import simulate_trace
-from repro.memsim.columnar import ColumnarTrace, _line_events, simulate_trace_columnar
+from repro.memsim.columnar import ColumnarTrace, _line_events
 from repro.memsim.trace import ReferenceTrace
 
 from . import memsim_strategies as messy
@@ -41,7 +41,7 @@ def assert_equivalent(trace: ReferenceTrace, n_procs: int) -> None:
     for ls in LINE_SIZES:
         amap = AddressMap(N_CHANNELS, N_GRIDS, ls)
         scalar = simulate_trace(trace, n_procs, amap)
-        vector = simulate_trace_columnar(columnar, n_procs, amap)
+        vector = columnar.replay(n_procs, amap)
         assert scalar == vector, f"diverged at line size {ls}"
 
 
@@ -88,7 +88,7 @@ class TestScalarColumnarEquivalence:
 
     def test_single_processor_never_invalidates(self):
         trace = build_trace([(0, False, [0, 1]), (0, True, [0]), (0, False, [1])])
-        stats = simulate_trace_columnar(trace, 1, AddressMap(N_CHANNELS, N_GRIDS, 8))
+        stats = ColumnarTrace.from_trace(trace).replay(1, AddressMap(N_CHANNELS, N_GRIDS, 8))
         assert stats.n_invalidation_events == 0
         assert_equivalent(trace, n_procs=1)
 
@@ -98,7 +98,7 @@ class TestScalarColumnarEquivalence:
         trace = build_trace([(0, True, [5]), (1, False, [5])])
         amap = AddressMap(N_CHANNELS, N_GRIDS, 8)
         scalar = simulate_trace(trace, 2, amap)
-        vector = simulate_trace_columnar(trace, 2, amap)
+        vector = ColumnarTrace.from_trace(trace).replay(2, amap)
         assert scalar == vector
         assert vector.writeback_bytes == 8
 
@@ -115,7 +115,7 @@ class TestScalarColumnarEquivalence:
 
 
 class TestLineEvents:
-    """The event-extraction step all three replays share."""
+    """The event-extraction step both replays share."""
 
     def test_one_event_per_record_and_line_whatever_the_cell_order(self):
         # Record 0 touches line 1 twice with line 4 in between (the stream
@@ -161,7 +161,7 @@ class TestColumnarTrace:
         shared = ColumnarTrace.from_trace(trace)
         for ls in LINE_SIZES:
             amap = AddressMap(N_CHANNELS, N_GRIDS, ls)
-            assert shared.replay(4, amap) == simulate_trace_columnar(trace, 4, amap)
+            assert shared.replay(4, amap) == ColumnarTrace.from_trace(trace).replay(4, amap)
 
     def test_rejects_bad_processor_count(self):
         trace = build_trace([(0, False, [1])])
@@ -175,7 +175,7 @@ class TestColumnarTrace:
     def test_rejects_out_of_range_processor(self):
         trace = build_trace([(5, False, [1])])
         with pytest.raises(CoherenceError):
-            simulate_trace_columnar(trace, 2, AddressMap(N_CHANNELS, N_GRIDS, 8))
+            ColumnarTrace.from_trace(trace).replay(2, AddressMap(N_CHANNELS, N_GRIDS, 8))
 
     def test_int32_overflow_guard(self):
         trace = ReferenceTrace()
@@ -183,9 +183,3 @@ class TestColumnarTrace:
         with pytest.raises(CoherenceError):
             ColumnarTrace.from_trace(trace)
 
-    def test_accepts_reference_trace_directly(self):
-        trace = build_trace([(0, True, [2]), (1, False, [2])])
-        amap = AddressMap(N_CHANNELS, N_GRIDS, 4)
-        assert simulate_trace_columnar(trace, 2, amap) == simulate_trace(
-            trace, 2, amap
-        )

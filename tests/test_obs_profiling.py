@@ -113,10 +113,13 @@ class TestMemorySnapshot:
         finally:
             tracemalloc.stop()
 
-    def test_record_peak_memory_feeds_telemetry(self):
-        from repro.obs import record_peak_memory
+    def test_record_peak_memory_feeds_telemetry(self, monkeypatch):
+        from repro.obs import profiling, record_peak_memory
         from repro.obs.telemetry import get_telemetry
 
+        # The process-wide high-water mark already published by earlier
+        # tests would leave nothing new to report unless the peak grew.
+        monkeypatch.setattr(profiling, "_reported_peak", 0)
         snap = record_peak_memory()
         assert snap["peak_rss_bytes"] > 0
         assert get_telemetry().counters.get("mem.peak_rss_bytes", 0) > 0

@@ -27,7 +27,7 @@ import time
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import RoutingError, ServiceError
 from repro.harness.cache import ResultCache, jsonify
 from repro.harness.simjobs import SimConfig, run_sim_configs
 from repro.obs import telemetry as obs
@@ -86,6 +86,22 @@ def wait_until(predicate, timeout_s=10.0):
     while not predicate():
         assert time.monotonic() < deadline, "condition not reached in time"
         time.sleep(0.002)
+
+
+@pytest.fixture
+def failing_router(monkeypatch):
+    """Route jobs fail inside the worker.  Submission bounds leave no
+    in-range parameter the router itself rejects, so the failure is
+    injected: the pool runs width-1 jobs in this process."""
+
+    class FailingRouter:
+        def __init__(self, circuit, iterations):
+            pass
+
+        def run(self):
+            raise RoutingError("router failed in iteration 1")
+
+    monkeypatch.setattr("repro.service.jobs.SequentialRouter", FailingRouter)
 
 
 @pytest.fixture
@@ -192,10 +208,8 @@ class TestDedup:
         with pytest.raises(ServiceError, match="unknown parameter"):
             service.submit("route", {"wires": 24})
 
-    def test_runtime_failure_becomes_failed_row(self, service):
-        # iterations=0 passes submission validation but the router
-        # rejects it at execution time.
-        record = service.submit("route", quick_route_params(iterations=0))
+    def test_runtime_failure_becomes_failed_row(self, service, failing_router):
+        record = service.submit("route", quick_route_params())
         service.start()
         assert service.drain(timeout_s=60)
         stored, state = service.result(record["job_id"])
@@ -204,11 +218,11 @@ class TestDedup:
         assert job["status"] == "failed"
         assert "iteration" in job["error"]
 
-    def test_failed_fingerprint_is_not_cached(self, service):
+    def test_failed_fingerprint_is_not_cached(self, service, failing_router):
         service.start()
-        bad = service.submit("route", quick_route_params(iterations=0))
+        service.submit("route", quick_route_params())
         assert service.drain(timeout_s=60)
-        again = service.submit("route", quick_route_params(iterations=0))
+        again = service.submit("route", quick_route_params())
         assert again["status"] == "queued"  # no done-result to dedup against
 
 
@@ -265,6 +279,26 @@ class TestJobParameters:
         required = {"exp_id": "t6"} if kind == "experiment" else {}
         with pytest.raises(ServiceError, match=f"parameter '{name}' of {kind} jobs must be"):
             JobSpec.from_params(kind, {**required, name: value})
+
+    @pytest.mark.parametrize(
+        "kind, name, value",
+        [
+            ("route", "n_wires", 10**9),
+            ("route", "n_wires", -5),
+            ("mp", "n_procs", 0),
+            ("sm", "n_procs", 200),
+            ("route", "iterations", 0),
+            ("sm", "line_size", 3),
+        ],
+    )
+    def test_an_out_of_range_integer_is_refused_by_name(self, kind, name, value):
+        with pytest.raises(ServiceError, match=f"parameter '{name}' of {kind} jobs must be"):
+            JobSpec.from_params(kind, {name: value})
+
+    def test_the_bounds_admit_their_edges(self):
+        assert JobSpec.from_params("route", {"n_wires": 100_000, "iterations": 10})
+        assert JobSpec.from_params("sm", {"n_wires": 1, "n_procs": 63, "line_size": 4})
+        assert JobSpec.from_params("mp", {"n_procs": 1, "iterations": 1})
 
     def test_cli_flags_reach_the_parameter_they_name(self):
         from repro.cli import _jobs_submit_params, build_parser
@@ -587,9 +621,9 @@ class TestHeldWait:
         assert finished["status"] == "done" and finished["source"] == "dedup"
         assert requests() - before == 1
 
-    def test_failed_job_wakes_its_waiter_with_the_error(self, paused_server):
+    def test_failed_job_wakes_its_waiter_with_the_error(self, paused_server, failing_router):
         client = client_of(paused_server)
-        record = client.submit("route", quick_route_params(iterations=0))
+        record = client.submit("route", quick_route_params())
         before = requests()
         thread, outcome = self._wait_in_thread(client, record["job_id"], timeout_s=60)
         paused_server.service.start()
