@@ -24,9 +24,8 @@ ready events in one vectorised step.  A fired action may schedule *into*
 the window being advanced (a node activation schedules its own commit at
 ``now + dt``), so the ready set is not known until each callback has run.
 
-The oracle is ``SortedListModel`` in
-``tests/test_events_cancellation.py``: a sorted list of live keys with no
-heap and no laziness.
+The oracle is ``SortedListModel`` in ``tests/test_events.py``: a sorted
+list of live keys with no heap and no laziness.
 """
 
 from __future__ import annotations

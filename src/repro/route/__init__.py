@@ -3,7 +3,7 @@ quality metrics, the locality measure, and work accounting."""
 
 from .engine import DEFAULT_ITERATIONS, SequentialResult, SequentialRouter
 from .locality import LocalityReport, locality_measure
-from .path import RoutePath
+from .path import PathTable, RoutePath
 from .quality import QualityReport, circuit_height, track_profile
 from .twobend import SegmentRoute, WireRoute, route_segment, route_wire, segment_cells
 from .workmodel import (
@@ -15,6 +15,7 @@ from .workmodel import (
 
 __all__ = [
     "RoutePath",
+    "PathTable",
     "SegmentRoute",
     "WireRoute",
     "route_segment",

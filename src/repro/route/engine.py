@@ -23,7 +23,7 @@ from ..circuits.model import Circuit
 from ..errors import RoutingError
 from ..grid.cost_array import CostArray
 from ..kernels import active_kernels
-from .path import RoutePath
+from .path import PathTable, RoutePath
 from .quality import QualityReport, circuit_height
 from .segments import WireRoute
 from .twobend import route_wire
@@ -41,14 +41,16 @@ DEFAULT_ITERATIONS = 3
 class SequentialResult:
     """Outcome of a sequential routing run.
 
-    ``paths`` maps wire index to its final :class:`RoutePath`; ``quality``
-    summarises the final array; ``work_cells`` is total candidate-cell
-    inspections (the calibration oracle); ``per_iteration_height`` shows
-    the quality trajectory across iterations.
+    ``paths`` maps wire index to its final :class:`RoutePath`, as a
+    :class:`PathTable` that builds each path when it is looked up;
+    ``quality`` summarises the final array; ``work_cells`` is total
+    candidate-cell inspections (the calibration oracle);
+    ``per_iteration_height`` shows the quality trajectory across
+    iterations.
     """
 
     quality: QualityReport
-    paths: Dict[int, RoutePath]
+    paths: PathTable
     work_cells: int
     per_iteration_height: List[int]
     cost: CostArray
@@ -84,6 +86,7 @@ class SequentialRouter:
             raise RoutingError("wire_order must be a permutation of all wire indices")
 
         cost = CostArray(circuit.n_channels, circuit.n_grids)
+        table: Optional[PathTable] = None
         paths: Dict[int, RoutePath] = {}
         total_work = 0
         heights: List[int] = []
@@ -96,8 +99,8 @@ class SequentialRouter:
                 # wires into independence waves and routes each wave in
                 # one fused NumPy step.  Bit-identical to the scalar loop
                 # below (locusroute verify replays both).
-                occupancy, work = route_iteration_wavefront(
-                    cost, circuit, order, paths, tie_break=iteration % 2
+                occupancy, work, table = route_iteration_wavefront(
+                    cost, circuit, order, table, tie_break=iteration % 2
                 )
                 total_work += work
             else:
@@ -114,6 +117,8 @@ class SequentialRouter:
                     cost.apply_path(result.path.flat_cells)
                     paths[wire_idx] = result.path
             heights.append(circuit_height(cost))
+        if table is None:
+            table = PathTable.from_paths(paths, circuit.n_grids)
 
         quality = QualityReport(
             circuit_height=heights[-1],
@@ -122,7 +127,7 @@ class SequentialRouter:
         )
         return SequentialResult(
             quality=quality,
-            paths=paths,
+            paths=table,
             work_cells=total_work,
             per_iteration_height=heights,
             cost=cost,

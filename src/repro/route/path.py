@@ -8,12 +8,14 @@ vector of flat cell indices gives three things cheaply:
   (:meth:`~repro.grid.cost_array.CostArray.apply_path`), and the increment/
   decrement symmetry needed by rip-up-and-reroute is exact by construction;
 - pricing a path is a single gather-sum;
-- set operations (overlap between old and new routes — the delta-array
-  cancellation effect of §5.2) are sorted-array intersections.
+- a path is a slice of any longer cell column, so a whole routing
+  iteration's paths are one column (:class:`PathTable`) and a
+  :class:`RoutePath` is a view into it, built only for whoever asks.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -21,8 +23,9 @@ import numpy as np
 
 from ..errors import RoutingError
 from ..grid.bbox import BBox
+from ..obs import telemetry as obs
 
-__all__ = ["RoutePath"]
+__all__ = ["RoutePath", "PathTable"]
 
 
 @dataclass(frozen=True)
@@ -83,12 +86,6 @@ class RoutePath:
         channels, xs = self.coords()
         return BBox(int(channels[0]), int(xs.min()), int(channels[-1]), int(xs.max()))
 
-    def overlap_cells(self, other: "RoutePath") -> int:
-        """Number of cells shared with *other* (sorted intersection)."""
-        return int(
-            np.intersect1d(self.flat_cells, other.flat_cells, assume_unique=True).size
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoutePath):
             return NotImplemented
@@ -101,3 +98,95 @@ class RoutePath:
 
     def __repr__(self) -> str:
         return f"RoutePath({self.n_cells} cells, bbox={self.bbox().as_tuple()})"
+
+
+class PathTable(Mapping[int, RoutePath]):
+    """A routing iteration's paths as one cell column, read as a mapping.
+
+    Row ``r`` is wire ``wires[r]``, whose sorted unique cells are
+    ``cells[ptr[r]:ptr[r + 1]]``; ``rows[w]`` is wire ``w``'s row, or
+    ``-1`` when the table does not hold ``w``.  Rows are in the order the
+    wires were routed (wave order under the wave-front kernels), and so
+    are the mapping's keys.  Whole-run code reads the columns; looking a
+    wire up builds its :class:`RoutePath`, a view into ``cells``, and
+    counts it in ``route.paths_materialised``.
+    """
+
+    __slots__ = ("cells", "ptr", "wires", "rows", "n_grids")
+
+    def __init__(
+        self, cells: np.ndarray, ptr: np.ndarray, wires: np.ndarray, n_grids: int
+    ) -> None:
+        rows = np.full(int(wires.max()) + 1 if wires.size else 0, -1, dtype=np.int64)
+        rows[wires] = np.arange(wires.size)
+        self.cells, self.ptr, self.wires, self.rows = cells, ptr, wires, rows
+        self.n_grids = n_grids
+
+    @staticmethod
+    def from_paths(paths: Mapping[int, RoutePath], n_grids: int) -> "PathTable":
+        """The table of *paths*, one row per entry in the mapping's order."""
+        parts = [path.flat_cells for path in paths.values()]
+        ptr = np.zeros(len(parts) + 1, dtype=np.int64)
+        ptr[1:] = np.cumsum([part.size for part in parts])
+        cells = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        return PathTable(cells, ptr, np.fromiter(paths, np.int64, len(parts)), n_grids)
+
+    def _row(self, wire: object) -> int:
+        if isinstance(wire, (int, np.integer)) and 0 <= wire < self.rows.size:
+            return int(self.rows[wire])
+        return -1
+
+    def __contains__(self, wire: object) -> bool:
+        return self._row(wire) >= 0
+
+    def __getitem__(self, wire: int) -> RoutePath:
+        row = self._row(wire)
+        if row < 0:
+            raise KeyError(wire)
+        obs.incr("route.paths_materialised")
+        return RoutePath._trusted(self.cells[self.ptr[row] : self.ptr[row + 1]], self.n_grids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.wires.tolist())
+
+    def __len__(self) -> int:
+        return self.wires.size
+
+    def _paths(self) -> Iterator[RoutePath]:
+        """Every row's path in row order: one pointer walk, one count.
+
+        What ``values()`` and ``items()`` iterate; the default views
+        would look every key up, which takes about twice as long over a
+        15 000-wire table.
+        """
+        cells, n_grids, ptr = self.cells, self.n_grids, self.ptr.tolist()
+        built = 0
+        try:
+            for lo, hi in zip(ptr, ptr[1:]):
+                built += 1
+                yield RoutePath._trusted(cells[lo:hi], n_grids)
+        finally:
+            obs.incr("route.paths_materialised", built)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __repr__(self) -> str:
+        return f"PathTable({len(self)} wires, {self.cells.size} cells)"
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[RoutePath]:
+        return self._mapping._paths()
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Tuple[int, RoutePath]]:
+        return zip(self._mapping, self._mapping._paths())

@@ -15,7 +15,9 @@ iteration greedily partitions the pending wires, in visit order, into
 **waves** of pairwise-disjoint footprints, and the wave, not the wire, is
 the unit of work (:func:`route_iteration_wavefront`):
 
-1. rip up every wave member's old path in one grouped ``remove_path``;
+1. rip up every wave member's old path in one grouped ``remove_path`` —
+   a slice of the previous iteration's :class:`~repro.route.path.PathTable`,
+   whose rows are in the same wave order;
 2. gather the cells the wave's evaluation reads into one vector, take
    one running sum over it, and fetch every prefix term of *every
    candidate of every bend segment of every wire* with one gather per
@@ -24,7 +26,9 @@ the unit of work (:func:`route_iteration_wavefront`):
    ``minimum.reduceat``;
 3. expand the chosen routes into the wave's path cells, de-duplicate
    them per wire with one sort, price them with one ``path_cost`` and
-   commit them with one grouped ``apply_path``.
+   commit them with one grouped ``apply_path``.  The wave's cell column
+   and row bounds are kept as they are; the iteration's paths are their
+   concatenation, and no per-wire object is built.
 
 All geometry that does not depend on the cost array — segment endpoints,
 candidate columns, work accounting, footprints — is built once per
@@ -61,7 +65,7 @@ from ..circuits.model import Circuit, Wire
 from ..errors import RoutingError
 from ..grid.cost_array import CostArray
 from ..obs import telemetry as obs
-from .path import RoutePath
+from .path import PathTable, RoutePath
 from .segments import MAX_CANDIDATES, SegmentRoute, WireRoute
 
 __all__ = [
@@ -937,10 +941,13 @@ class _WavePlan:
       ``rank * n_cells + cell`` (``rank`` = the wire's position in its
       wave): straight runs whole, interior column cells up to the chosen
       column, and the base keys of the two row runs of every bend.
+
+    The rows of the :class:`PathTable` it routes are its wires in wave
+    order (``wire_seq``); wave ``w`` owns rows ``wave_rows[w]:wave_rows[w + 1]``.
     """
 
     __slots__ = (
-        "waves", "work_cells", "n_cells", "n_grids", "steps",
+        "wire_seq", "wave_rows", "work_cells", "n_cells", "n_grids", "steps",
         "read_cells", "plus", "minus", "cand", "cand_j", "cand_start",
         "x1m1", "x2p1", "a_base", "c_base",
         "s_keys", "v_keys", "v_seg", "rank_base",
@@ -949,13 +956,15 @@ class _WavePlan:
     def __init__(
         self, geom: CircuitGeometry, waves: List[List[int]], n_channels: int, n_grids: int
     ) -> None:
-        self.waves = waves
         self.n_grids = n_grids
         self.n_cells = n_cells = n_channels * n_grids
         n_waves = len(waves)
 
         sizes = np.fromiter(map(len, waves), np.int64, n_waves)
-        wire_seq = np.fromiter(chain.from_iterable(waves), np.int64, int(sizes.sum()))
+        self.wire_seq = wire_seq = np.fromiter(
+            chain.from_iterable(waves), np.int64, int(sizes.sum())
+        )
+        self.wave_rows = _pointers(sizes)
         self.work_cells = int(geom.work_cells[wire_seq].sum())
         max_size = int(sizes.max()) if n_waves else 0
         self.rank_base = np.arange(max_size + 1, dtype=np.int64) * n_cells
@@ -1061,25 +1070,48 @@ class _WavePlan:
             return zip(ptr[:-1].tolist(), ptr[1:].tolist())
 
         self.steps = list(
-            zip(slices(r_ptr), slices(t_ptr), slices(k_ptr), slices(b_ptr),
-                slices(s_ptr), slices(v_ptr))
+            zip(slices(self.wave_rows), slices(r_ptr), slices(t_ptr), slices(k_ptr),
+                slices(b_ptr), slices(s_ptr), slices(v_ptr))
         )
 
-    def route(self, cost: CostArray, paths: Dict[int, RoutePath], tie_break: int) -> int:
-        """Route every wave against *cost*; returns the occupancy sum."""
-        n_grids, n_cells = self.n_grids, self.n_cells
-        flat = cost.data.reshape(-1)
-        trusted = RoutePath._trusted
-        occupancy = 0
+    def _previous(self, prev: Optional[PathTable]) -> Tuple[np.ndarray, List[int]]:
+        """*prev*'s cells in this plan's row order, and each wave's bounds in them.
 
-        for wave, ((r0, r1), (t0, t1), (k0, k1), (b0, b1), (s0, s1), (v0, v1)) in zip(
-            self.waves, self.steps
-        ):
-            if paths:
-                old = [p.flat_cells for p in map(paths.get, wave) if p is not None]
-                if old:
-                    # Disjoint footprints: one grouped rip-up == per-wire rip-ups.
-                    cost.remove_path(np.concatenate(old))
+        A table this plan routed is already in that order, so each wave's
+        old cells are a slice of it; any other table is gathered once.
+        """
+        if prev is None or not len(prev):
+            return _EMPTY, [0] * (len(self.steps) + 1)
+        if np.array_equal(prev.wires, self.wire_seq):
+            cells, ptr = prev.cells, prev.ptr
+        else:
+            wires = self.wire_seq
+            rows = np.full(wires.size, -1, dtype=np.int64)
+            held = wires < prev.rows.size
+            rows[held] = prev.rows[wires[held]]
+            lens = np.where(rows >= 0, prev.ptr[rows + 1] - prev.ptr[rows], 0)
+            cells, ptr = prev.cells[_ranges(prev.ptr[rows], lens)], _pointers(lens)
+        return cells, ptr[self.wave_rows].tolist()
+
+    def route(
+        self, cost: CostArray, prev: Optional[PathTable], tie_break: int
+    ) -> Tuple[int, PathTable]:
+        """Route every wave against *cost*, ripping up *prev*'s paths first.
+
+        Returns the occupancy sum and the new paths, rows in wave order.
+        """
+        n_cells = self.n_cells
+        flat = cost.data.reshape(-1)
+        old, old_at = self._previous(prev)
+        occupancy = 0
+        cell_parts: List[np.ndarray] = []
+        row_parts: List[np.ndarray] = []
+
+        for step, o0, o1 in zip(self.steps, old_at, old_at[1:]):
+            (w0, w1), (r0, r1), (t0, t1), (k0, k1), (b0, b1), (s0, s1), (v0, v1) = step
+            if o1 > o0:
+                # Disjoint footprints: one grouped rip-up == per-wire rip-ups.
+                cost.remove_path(old[o0:o1])
 
             key_parts = [self.s_keys[s0:s1]]
             if b1 > b0:
@@ -1120,7 +1152,6 @@ class _WavePlan:
             keep[0] = True
             np.not_equal(keys[1:], keys[:-1], out=keep[1:])
             keys = keys[keep]
-            bounds = np.searchsorted(keys, self.rank_base[: len(wave) + 1]).tolist()
             cells = keys % n_cells
 
             # Price before the grouped commit: no other wave member's
@@ -1128,9 +1159,16 @@ class _WavePlan:
             # sequential prices taken right after each wire's own rip-up.
             occupancy += cost.path_cost(cells)
             cost.apply_path(cells)
-            for idx, lo, hi in zip(wave, bounds, bounds[1:]):
-                paths[idx] = trusted(cells[lo:hi], n_grids)
-        return occupancy
+            cell_parts.append(cells)
+            row_parts.append(np.searchsorted(keys, self.rank_base[: w1 - w0]))
+
+        # Wave-local row starts, shifted by where each wave's cells begin.
+        wave_cells = _pointers(np.fromiter(map(len, cell_parts), np.int64, len(cell_parts)))
+        row_at = np.concatenate([_EMPTY, *row_parts])
+        row_at += np.repeat(wave_cells[:-1], np.diff(self.wave_rows))
+        cells = np.concatenate([_EMPTY, *cell_parts])
+        table = PathTable(cells, np.append(row_at, cells.size), self.wire_seq, self.n_grids)
+        return occupancy, table
 
 
 def _wave_plan(circuit: Circuit, order: Sequence[int]) -> _WavePlan:
@@ -1157,13 +1195,16 @@ def route_iteration_wavefront(
     cost: CostArray,
     circuit: Circuit,
     order: Sequence[int],
-    paths: Dict[int, RoutePath],
+    prev: Optional[PathTable],
     tie_break: int,
-) -> Tuple[int, int]:
+) -> Tuple[int, int, PathTable]:
     """One full rip-up-and-reroute iteration, routed in waves.
 
-    Mutates *cost* and *paths* exactly as the sequential per-wire loop
-    would and returns ``(occupancy, work_cells)`` for the iteration.
+    Rips up *prev*'s path of every wire of *order* (``None`` before the
+    first iteration) and routes the wires, mutating *cost* exactly as the
+    sequential per-wire loop would.  Returns ``(occupancy, work_cells,
+    table)``: the iteration's occupancy sum and work, and the
+    :class:`PathTable` of *order*'s wires, rows in wave order.
     Footprints are the wires' static geometry boxes — both the old and
     the new path of a wire always lie inside its own geometry box, so
     the partition never needs to look at current paths.
@@ -1175,4 +1216,5 @@ def route_iteration_wavefront(
             f"cost array {cost.shape} does not match circuit grid {circuit.shape}"
         )
     plan = _wave_plan(circuit, order)
-    return plan.route(cost, paths, tie_break), plan.work_cells
+    occupancy, table = plan.route(cost, prev, tie_break)
+    return occupancy, plan.work_cells, table

@@ -27,7 +27,7 @@ event-kernel probe fires every :data:`PROBE_INTERVAL` events.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def first_differing_cell(
 
 def earliest_wire_covering(
     flat_cell: int,
-    paths: Dict[int, RoutePath],
+    paths: Mapping[int, RoutePath],
     commit_times: Optional[Dict[int, float]] = None,
 ) -> Tuple[Optional[int], Optional[float]]:
     """The earliest-committed wire whose final path covers *flat_cell*.
@@ -96,7 +96,7 @@ def earliest_wire_covering(
 def check_truth_is_path_union(
     report: VerificationReport,
     truth: CostArray,
-    paths: Dict[int, RoutePath],
+    paths: Mapping[int, RoutePath],
     commit_times: Optional[Dict[int, float]] = None,
     engine: str = "",
     event_time_s: Optional[float] = None,

@@ -40,13 +40,6 @@ class TestGeometry:
         path = RoutePath.from_cells(np.array([3, 11, 25]), n_grids=10)
         assert path.bbox() == BBox(0, 1, 2, 5)
 
-    def test_overlap_cells(self):
-        a = RoutePath.from_cells(np.array([1, 2, 3]), 10)
-        b = RoutePath.from_cells(np.array([3, 4]), 10)
-        c = RoutePath.from_cells(np.array([7]), 10)
-        assert a.overlap_cells(b) == 1
-        assert a.overlap_cells(c) == 0
-
 
 class TestEqualityHashing:
     def test_equal_paths(self):

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.circuits import Circuit, Pin, Wire, bnre_like, generate_scaled
 from repro.grid import CostArray
 from repro.kernels import use_kernels
-from repro.route import SequentialRouter
+from repro.obs import telemetry as obs
+from repro.route import PathTable, RoutePath, SequentialRouter
 from repro.route.segments import candidate_columns
 from repro.route.twobend import MAX_CANDIDATES, route_segment, route_wire, route_wire_reference
 from repro.route.wavefront import (
@@ -38,6 +39,16 @@ N_GRIDS = 24
 #: Wide enough that random pin pairs often span more than MAX_CANDIDATES
 #: columns (the strided ``linspace`` candidates).
 N_GRIDS_WIDE = 3 * MAX_CANDIDATES
+
+
+def assert_table_is(table, ref_paths):
+    """*table* holds exactly the reference loop's wires, cell for cell."""
+    assert len(table) == len(ref_paths)
+    assert set(table) == set(ref_paths)
+    for i, path in ref_paths.items():
+        cells = table[i].flat_cells
+        assert cells.dtype == np.int64
+        assert np.array_equal(cells, path.flat_cells)
 
 
 def assert_same_route(ref, vec):
@@ -352,7 +363,7 @@ class TestIterationEquivalence:
     def test_iteration_matches_scalar_loop(self, circuit, tie_break):
         ref_cost = CostArray(N_CHANNELS, N_GRIDS)
         vec_cost = CostArray(N_CHANNELS, N_GRIDS)
-        ref_paths, vec_paths = {}, {}
+        ref_paths, table = {}, None
         order = list(range(circuit.n_wires))
         for iteration in range(2):
             tie = (tie_break + iteration) % 2
@@ -367,16 +378,13 @@ class TestIterationEquivalence:
                 ref_work += res.work_cells
                 ref_cost.apply_path(res.path.flat_cells)
                 ref_paths[i] = res.path
-            vec_occ, vec_work = route_iteration_wavefront(
-                vec_cost, circuit, order, vec_paths, tie_break=tie
+            vec_occ, vec_work, table = route_iteration_wavefront(
+                vec_cost, circuit, order, table, tie_break=tie
             )
             assert vec_occ == ref_occ
             assert vec_work == ref_work
             assert ref_cost == vec_cost
-            for i in order:
-                assert np.array_equal(
-                    ref_paths[i].flat_cells, vec_paths[i].flat_cells
-                )
+            assert_table_is(table, ref_paths)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -385,7 +393,10 @@ class TestIterationEquivalence:
         # multi-pin wires (per-wire de-duplication), segments longer than
         # MAX_CANDIDATES (sampled candidates), both tie-breaks, a permuted
         # visit order, and — when every wire shares one cell — size-one
-        # waves.
+        # waves.  The rip-up reads the previous iteration's table, which
+        # may come from another visit order, hold only the first
+        # iteration's subset of the wires, or be the reference loop's
+        # paths in visit order: then its rows are gathered, not sliced.
         pin = st.builds(
             Pin,
             x=st.integers(0, N_GRIDS_WIDE - 1),
@@ -407,16 +418,23 @@ class TestIterationEquivalence:
             N_GRIDS_WIDE,
             [Wire(f"w{i}", pins) for i, pins in enumerate(pin_lists)],
         )
-        order = data.draw(st.permutations(list(range(circuit.n_wires))))
+        wires = list(range(circuit.n_wires))
+        order = data.draw(st.permutations(wires))
+        first = order[: data.draw(st.integers(1, len(wires)))]
         first_tie = data.draw(st.integers(0, 1))
 
         ref_cost = CostArray(N_CHANNELS, N_GRIDS_WIDE)
         vec_cost = CostArray(N_CHANNELS, N_GRIDS_WIDE)
-        ref_paths, vec_paths = {}, {}
+        ref_paths, table = {}, None
         for iteration in range(3):
             tie = (first_tie + iteration) % 2
+            if iteration and data.draw(st.booleans()):
+                order = data.draw(st.permutations(wires))
+            if iteration and data.draw(st.booleans()):
+                table = PathTable.from_paths(ref_paths, N_GRIDS_WIDE)
+            visit = order if iteration else first
             ref_occ = ref_work = 0
-            for i in order:
+            for i in visit:
                 if i in ref_paths:
                     ref_cost.remove_path(ref_paths[i].flat_cells)
                 res = route_wire_reference(ref_cost, circuit.wire(i), tie_break=tie)
@@ -424,13 +442,13 @@ class TestIterationEquivalence:
                 ref_work += res.work_cells
                 ref_cost.apply_path(res.path.flat_cells)
                 ref_paths[i] = res.path
-            vec_occ, vec_work = route_iteration_wavefront(
-                vec_cost, circuit, order, vec_paths, tie_break=tie
+            vec_occ, vec_work, table = route_iteration_wavefront(
+                vec_cost, circuit, visit, table, tie_break=tie
             )
             assert (vec_occ, vec_work) == (ref_occ, ref_work)
             assert ref_cost == vec_cost
-            assert vec_paths == ref_paths
-            assert all(p.flat_cells.dtype == np.int64 for p in vec_paths.values())
+            assert_table_is(table, ref_paths)
+            assert table == ref_paths
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -539,8 +557,101 @@ class TestEngineDispatch:
             route_wire_fused(cost, wire, tie_break=2)
         circuit = Circuit("one", N_CHANNELS, N_GRIDS, [wire])
         with pytest.raises(RoutingError):
-            route_iteration_wavefront(cost, circuit, [0], {}, tie_break=2)
+            route_iteration_wavefront(cost, circuit, [0], None, tie_break=2)
         with pytest.raises(RoutingError):
             route_iteration_wavefront(
-                CostArray(N_CHANNELS, N_GRIDS + 1), circuit, [0], {}, tie_break=0
+                CostArray(N_CHANNELS, N_GRIDS + 1), circuit, [0], None, tie_break=0
             )
+
+
+def reference_paths(circuit, order, iterations):
+    """The per-wire rip-up-and-reroute loop's final paths, keyed in *order*."""
+    cost = CostArray(circuit.n_channels, circuit.n_grids)
+    paths = {}
+    for iteration in range(iterations):
+        for i in order:
+            if i in paths:
+                cost.remove_path(paths[i].flat_cells)
+            res = route_wire_reference(cost, circuit.wire(i), tie_break=iteration % 2)
+            cost.apply_path(res.path.flat_cells)
+            paths[i] = res.path
+    return paths
+
+
+def materialised():
+    return obs.get_telemetry().count("route.paths_materialised")
+
+
+class TestPathTable:
+    """``SequentialResult.paths`` reads like the dict the router used to
+    fill — same keys in the same order, same paths — and builds a
+    :class:`RoutePath` only for whoever looks one up."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        circuit = bnre_like(n_wires=40)
+        order = list(range(circuit.n_wires))[::-1]
+        runs = {}
+        for mode in ("reference", "vectorized"):
+            with use_kernels(mode):
+                runs[mode] = SequentialRouter(circuit, iterations=2).run(wire_order=order)
+        return circuit, order, runs
+
+    def test_keys_paths_and_order_match_the_dict(self, runs):
+        circuit, order, results = runs
+        expected = reference_paths(circuit, order, 2)
+        geom = circuit_geometry(circuit)
+        waves = plan_waves(order, dict(enumerate(zip(*geom.bbox.T.tolist()))))
+        assert list(results["reference"].paths) == order
+        assert list(results["vectorized"].paths) == [w for wave in waves for w in wave]
+        for table in (results["reference"].paths, results["vectorized"].paths):
+            assert isinstance(table, PathTable)
+            assert len(table) == circuit.n_wires
+            assert table == expected and expected == table
+            assert dict(table.items()) == expected
+            assert_table_is(table, expected)
+
+    def test_only_lookups_build_paths(self, runs):
+        circuit, order, results = runs
+        table, n = results["vectorized"].paths, circuit.n_wires
+        before = materialised()
+        assert len(table) == n and sorted(table) == list(range(n))
+        assert all(w in table for w in range(n))
+        assert n not in table and -1 not in table and "w0" not in table
+        assert materialised() == before
+
+        assert table.get(n) is None and table.get(-1, "absent") == "absent"
+        with pytest.raises(KeyError):
+            table[n]
+        assert table.get(3) == table[3]
+        assert materialised() == before + 2
+        values = iter(table.values())
+        next(values), next(values)
+        del values
+        assert materialised() == before + 4
+        assert sum(path.n_cells for path in table.values()) == table.cells.size
+        assert materialised() == before + 4 + n
+
+    def test_wave_router_builds_no_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the wave router built a RoutePath")
+
+        circuit = generate_scaled(2000, seed=3)
+        before = materialised()
+        monkeypatch.setattr(RoutePath, "_trusted", staticmethod(refuse))
+        with use_kernels("vectorized"):
+            result = SequentialRouter(circuit, iterations=2).run()
+        assert len(result.paths) == circuit.n_wires and materialised() == before
+
+    def test_result_pickles(self, runs):
+        for result in runs[2].values():
+            again = pickle.loads(pickle.dumps(result))
+            assert again.quality == result.quality and again.cost == result.cost
+            assert list(again.paths) == list(result.paths)
+            assert again.paths == result.paths
+
+    @pytest.mark.parametrize("mode", ["vectorized", "reference"])
+    def test_empty_circuit(self, mode):
+        with use_kernels(mode):
+            result = SequentialRouter(Circuit("empty", N_CHANNELS, N_GRIDS, []), 2).run()
+        assert len(result.paths) == 0 and list(result.paths) == [] and 0 not in result.paths

@@ -144,10 +144,9 @@ def test_wave_cache_is_bounded():
 
     def route(order):
         cost = CostArray(circuit.n_channels, circuit.n_grids)
-        paths = {}
-        totals = route_iteration_wavefront(cost, circuit, order, paths, tie_break=0)
+        occupancy, work, paths = route_iteration_wavefront(cost, circuit, order, None, tie_break=0)
         cells = {idx: path.flat_cells.tolist() for idx, path in paths.items()}
-        return totals, cells, cost.data.tobytes()
+        return (occupancy, work), cells, cost.data.tobytes()
 
     first = route(forward)
     key, plan = circuit._wf_waves

@@ -870,6 +870,23 @@ class TestCLI:
         direct = execute_job(JobSpec.from_params("route", quick_route_params()))
         assert printed == direct
 
+    def test_route_reads_no_path(self, capsys):
+        # A route job reports the quality, the heights and the work, so
+        # neither it nor `route --json` builds a RoutePath, and the printed
+        # bytes are the ones the CLI printed when the router kept a dict.
+        from repro.cli import main
+
+        before = counter("route.paths_materialised")
+        assert main(["route", "--wires", "60", "--iterations", "2", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n "kind": "route",\n "per_iteration_height": [\n  31,\n  30\n ],\n'
+            ' "quality": {\n  "circuit_height": 30,\n  "occupancy_factor": 1803,\n'
+            '  "total_wire_cells": 3107\n },\n "work_cells": 226894\n}\n'
+        )
+        payload = execute_job(JobSpec.from_params("route", quick_route_params(iterations=2)))
+        assert payload["work_cells"] > 0
+        assert counter("route.paths_materialised") == before
+
     def test_jobs_submit_wait_and_result(self, server, capsys):
         from repro.cli import main
 
