@@ -4,7 +4,7 @@
 burst at a time — a Python-level loop whose per-record overhead dominates
 the Table 3 cache-line sweep, which replays the *same* trace once per line
 size.  This module computes the identical statistics with no per-record
-loop at all, from sorts, gathers and segmented prefix sums:
+loop at all, from one sort, gathers and per-epoch bit masks:
 
 1. the burst trace is flattened **once** into parallel arrays — the
    concatenated cell stream plus per-record ``(proc, is_write)`` columns
@@ -15,17 +15,13 @@ loop at all, from sorts, gathers and segmented prefix sums:
    one *event* per ``(record, line)`` pair — exactly the burst-level
    deduplication the scalar engines perform via
    :meth:`~repro.memsim.addressing.AddressMap.cells_to_lines` — grouped by
-   line, with each event's predecessor by the same ``(line, proc)``
-   (:func:`_line_events`, the one event-extraction step every replay
-   here shares — at Tango's per-reference granularity too, through
-   :meth:`ColumnarTrace.per_reference`);
-3. lines evolve independently under the infinite-cache protocols, so
-   every per-event outcome is derived from order statistics over the
-   line's group: the position of the previous write, run-length-encoded
-   same-processor runs (is the line still exclusive-dirty?), the
-   previous access by the same ``(line, proc)`` (miss / cold / refetch
-   classification), and segmented prefix sums of read misses (how many
-   sharers does a word write invalidate?).
+   line in record order (:func:`_line_events`, the one event-extraction
+   step every replay here shares — at Tango's per-reference granularity
+   too, through :meth:`ColumnarTrace.per_reference`);
+3. lines evolve independently under the infinite-cache protocols, and with
+   at most 63 processors the set of processors that touched a line
+   between two of its writes is one machine word (:func:`_epochs`), so
+   every statistic is a popcount or a comparison over those words.
 
 The derivation mirrors the protocols' state machines exactly, so the
 returned :class:`~repro.memsim.stats.CoherenceStats` is **bit-identical**
@@ -34,28 +30,33 @@ to the scalar engines' — those stay as the differential oracles
 tests in ``tests/test_memsim_columnar.py`` fuzz the equivalence on random
 traces).
 
-Key order statistics for Write-Back-with-Invalidate (per line group,
-events indexed ``0..k-1`` in global order; ``j`` is the position of the
-last write strictly before event ``i``, or −1):
+Key order statistics.  An *epoch* is the run of a line's events from one
+write, or from the line's first event, up to the line's next write; its
+mask ``M`` is the OR of ``1 << proc`` over its events, ``W`` the writer's
+bit (0 for a first epoch that opens with a read), ``C`` the mask of the
+epoch it closes (0 if it opens the line) and ``S`` the OR of the line's
+earlier masks.  For Write-Back-with-Invalidate:
 
-- ``p ∈ sharers`` before ``i``  ⟺  p's previous event on the line is at
-  position ≥ max(j, 0) — a write resets the sharer set to the writer,
-  and every read since (each necessarily a miss on first touch) re-adds
-  its processor;
-- the line is *dirty* before ``i``  ⟺  ``j ≥ 0`` and events ``j..i-1``
-  form one same-processor run (the first foreign access after a write is
-  always a miss, and every miss on a dirty line flushes it);
-- ``|sharers|`` before ``i`` = ``1 + (read misses in (j, i))`` when
-  ``j ≥ 0``, else the number of read misses since the group start.
+- a write resets the sharer set to the writer and every read since adds
+  its processor, so ``M`` *is* the sharer set at the epoch's end and each
+  reader outside ``W`` misses exactly once: read misses are
+  Σ popcount(M & ~W), and cold misses the part of it outside ``S``;
+- a write misses iff its bit is not in ``C``, and invalidates the
+  popcount(C & ~W) other copies;
+- a write is silent iff the line is still dirty-by-p — the epoch it
+  closes was opened by p's write and touched by p alone (``C == W`` and
+  that epoch's writer is ``W``) — so the word writes are the writes less
+  the silent ones, one per same-processor run that writes;
+- the next processor to touch a dirty line misses and flushes it, so
+  every such run costs one writeback unless it ends its line: the line's
+  last epoch is a write touched by its writer alone (``M == W``).
 
 Write-update (:meth:`ColumnarTrace.replay_write_update`) never removes a
-copy, so it needs only two:
-
-- event ``i`` *misses*  ⟺  it is its processor's first touch of the line;
-- the line is *shared* at a write  ⟺  the number of first touches
-  strictly before ``i`` in the group, minus one if the writer's own is
-  among them, is positive; the write then broadcasts one word per cell
-  the burst wrote in that line.
+copy: a processor misses once per line (Σ popcount(M & ~S) first touches,
+of which the writes are those with ``W`` outside ``S``), and a write finds
+the line shared — broadcasting one word per cell the burst wrote in it —
+iff another processor touched the line first, i.e. iff the write is not
+in the line's first same-processor run.
 """
 
 from __future__ import annotations
@@ -76,6 +77,25 @@ __all__ = ["ColumnarTrace"]
 
 MAX_PROCS = WriteBackInvalidate.MAX_PROCS
 
+#: An event's one-byte code is ``proc | write << 7``.
+_WRITE = np.uint8(1 << 7)
+#: ``1 << proc`` for every code (``MAX_PROCS`` keeps proc below 63).
+_CODE_BIT = np.left_shift(np.uint64(1), np.arange(256, dtype=np.uint64) & np.uint64(63))
+_ZERO = np.uint64(0)
+_M1, _M2, _M4, _H01 = (
+    np.uint64(c)
+    for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each element of a ``uint64`` array (SWAR, so any NumPy
+    the package supports; ``np.bitwise_count`` needs 2.0)."""
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return (x * _H01) >> np.uint64(56)
+
 
 def _cells_int32(cells: np.ndarray) -> np.ndarray:
     """*cells* as the ``int32`` column every replay sorts and gathers."""
@@ -86,15 +106,16 @@ def _cells_int32(cells: np.ndarray) -> np.ndarray:
 
 class _LineEvents(NamedTuple):
     """One event per ``(record, line)``, grouped by line, global record
-    order within each group; all index columns ``int32``."""
+    order within each group."""
 
     line: np.ndarray  #: cache line of each event
-    proc: np.ndarray  #: referencing processor
-    write: np.ndarray  #: read/write flag
+    code: np.ndarray  #: ``proc | write << 7`` of the event's record (``uint8``)
     new_line: np.ndarray  #: does the event open its line's group?
-    seg_start: np.ndarray  #: index of the first event of the group
-    prev_lp: np.ndarray  #: previous event by the same (line, proc), or -1
     n_cells: Optional[np.ndarray]  #: stream cells folded into the event
+
+    @property
+    def write(self) -> np.ndarray:
+        return self.code >= _WRITE
 
 
 def _line_events(
@@ -107,121 +128,103 @@ def _line_events(
 ) -> _LineEvents:
     """Extract the line events of a non-empty flattened cell stream.
 
-    *cells* / *rec_ids* are the per-reference ``int32`` columns
-    (``rec_ids`` non-decreasing), *procs* / *writes* the per-record ones.
-    ``n_cells`` (how many references each event stands for, repeats
-    included) is computed only when *count_cells* is set.
+    *cells* / *rec_ids* are the per-reference ``int32`` columns, *procs*
+    / *writes* the per-record ones.  ``n_cells`` (how many references each
+    event stands for, repeats included) is computed only when
+    *count_cells* is set.
 
-    De-duplication runs twice.  A burst's cells that share a line mostly
-    sit next to each other in the stream (a row run, a path segment), so
-    a neighbour comparison *before* the sort drops them and the sort sees
-    events rather than references — a third fewer keys at 8-byte lines,
-    an eighth as many at 64.  That pass assumes nothing: cells of one
-    line that are *not* adjacent (an unsorted or repeating burst) survive
-    it and fall to the exact ``(line, record)`` mask after the sort.
+    One sort of a packed ``line << rec_bits | record`` key puts the
+    references in ``(line, record)`` order, so equal neighbours are the
+    cells of one event whatever their order in the stream.  The key is
+    ``uint32`` when it fits — NumPy's vectorised sort is twice as fast on
+    it — and ``uint64`` otherwise.
     """
-    lines = cells if words_per_line == 1 else cells // np.int32(words_per_line)
-    recs = rec_ids
-    n = lines.size
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=first[1:])
-    first[1:] |= recs[1:] != recs[:-1]
-    if count_cells:  # references per surviving cell: its run length
-        run = np.diff(np.flatnonzero(first), append=n).astype(np.int32)
-    if not first.all():
-        lines = lines[first]
-        recs = recs[first]
+    lines = cells >> np.int32(words_per_line.bit_length() - 1)  # a power of two
+    rec_bits = int(procs.size - 1).bit_length()
+    key_t = np.uint32 if (int(lines.max()) + 1) << rec_bits <= 1 << 32 else np.uint64
+    keys = lines.astype(key_t)
+    keys <<= key_t(rec_bits)
+    keys |= rec_ids.astype(key_t)
+    if not count_cells:
+        # A burst's cells of one line mostly sit next to each other in the
+        # stream (a row run, a path segment): dropping those repeats first
+        # leaves the sort an eighth as many keys at 64-byte lines.
+        first = _first_of_runs(keys)
+        if not first.all():
+            keys = keys[first]
+    keys.sort()
 
-    # A stable sort by line alone gives (line, record) order because
-    # rec_ids is non-decreasing in the stream; ties then break by stream
-    # position, which is record order.  NumPy radix-sorts keys of at most
-    # 16 bits in linear time, and the lines of a real grid fit.
-    narrow = int(lines.max()) < (1 << 16)
-    order = np.argsort(lines.astype(np.uint16) if narrow else lines, kind="stable")
-    ev_line = lines[order]
-    ev_rec = recs[order]
-    keep = np.empty(ev_line.size, dtype=bool)
-    keep[0] = True
-    np.logical_or(
-        ev_line[1:] != ev_line[:-1], ev_rec[1:] != ev_rec[:-1], out=keep[1:]
-    )
-    n_cells = run[order] if count_cells else None
-    if not keep.all():
-        # Skipped when the stream pass was already exact (the common
-        # case): two large boolean-index copies saved.
-        if count_cells:
-            n_cells = np.add.reduceat(n_cells, np.flatnonzero(keep))
-        ev_line = ev_line[keep]
-        ev_rec = ev_rec[keep]
-    ev_proc = procs[ev_rec]
-    ev_write = writes[ev_rec]
-    m = ev_line.size
-    idx = np.arange(m, dtype=np.int32)
+    first = _first_of_runs(keys)
+    n_cells = None
+    if count_cells:
+        n_cells = np.diff(np.flatnonzero(first), append=keys.size)
+    if not first.all():
+        keys = keys[first]
+    m = keys.size
     obs.incr("sim.coherence.columnar_events", m)
 
-    new_line = np.empty(m, dtype=bool)
-    new_line[0] = True
-    np.not_equal(ev_line[1:], ev_line[:-1], out=new_line[1:])
-    seg_start = np.where(new_line, idx, np.int32(0))
-    np.maximum.accumulate(seg_start, out=seg_start)
-
-    # Previous event by the same (line, proc), or -1.  A stable sort by
-    # processor alone — one byte per key, so NumPy radix-sorts it in
-    # linear time — leaves each processor's events in line-group order,
-    # where its touches of one line are neighbours.
-    by_lp = np.argsort(ev_proc.astype(np.uint8), kind="stable")
-    lp_line = ev_line[by_lp]
-    lp_proc = ev_proc[by_lp]
-    prev_sorted = np.empty(m, dtype=np.int32)
-    prev_sorted[0] = -1
-    prev_sorted[1:] = by_lp[:-1]
-    same_lp = lp_line[1:] == lp_line[:-1]
-    same_lp &= lp_proc[1:] == lp_proc[:-1]
-    np.copyto(prev_sorted[1:], np.int32(-1), where=~same_lp)
-    prev_lp = np.empty(m, dtype=np.int32)
-    prev_lp[by_lp] = prev_sorted
-    return _LineEvents(ev_line, ev_proc, ev_write, new_line, seg_start, prev_lp, n_cells)
+    codes = procs.astype(np.uint8)
+    codes[writes] |= _WRITE
+    code = np.take(codes, keys & key_t((1 << rec_bits) - 1))
+    line = keys >> key_t(rec_bits)
+    return _LineEvents(line, code, _first_of_runs(line), n_cells)
 
 
-def _last_write_before(ev: _LineEvents) -> np.ndarray:
-    """Position of the last write strictly before each event within its
-    line group (−1 if none).  A running max of write positions never
-    leaks across groups: earlier groups' indices fall below the group
-    start."""
-    m = ev.line.size
-    ff = np.where(ev.write, np.arange(m, dtype=np.int32), np.int32(-1))
-    np.maximum.accumulate(ff, out=ff)
-    j = np.empty(m, dtype=np.int32)
-    j[0] = -1
-    j[1:] = ff[:-1]
-    np.copyto(j, np.int32(-1), where=j < ev.seg_start)
-    return j
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Flags the elements that differ from their predecessor."""
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
 
 
-def _proc_runs(ev: _LineEvents):
-    """``(run_start_prev, prev_proc)``: the start of the same-processor
-    run (within its line group) that the previous event belongs to, and
-    the previous event's processor."""
-    m = ev.line.size
-    run_break = ev.new_line.copy()
-    run_break[1:] |= ev.proc[1:] != ev.proc[:-1]
-    run_start = np.where(run_break, np.arange(m, dtype=np.int32), np.int32(0))
-    np.maximum.accumulate(run_start, out=run_start)
-    run_start_prev = np.empty(m, dtype=np.int32)
-    run_start_prev[0] = 0
-    run_start_prev[1:] = run_start[:-1]
-    prev_proc = np.empty(m, dtype=np.int32)
-    prev_proc[0] = -1
-    prev_proc[1:] = ev.proc[:-1]
-    return run_start_prev, prev_proc
+def _shift_in(x: np.ndarray, opens: np.ndarray) -> np.ndarray:
+    """Each element's predecessor within its segment; 0 where *opens*."""
+    out = np.empty_like(x)
+    out[1:] = x[:-1]
+    out[opens] = 0
+    return out
 
 
-def _exclusive_cumsum(flags: np.ndarray) -> np.ndarray:
-    as_int = flags.astype(np.int32)
-    cum = np.cumsum(as_int, dtype=np.int32)
-    cum -= as_int
-    return cum
+def _prefix_or(x: np.ndarray, opens: np.ndarray) -> np.ndarray:
+    """Inclusive prefix-OR of *x* within the segments *opens* starts.
+
+    Log-step doubling: step ``d`` ORs in the value ``d`` places back
+    wherever that is still in the segment, so a segment of length ``L``
+    is done after ``ceil(log2 L)`` whole-array steps.
+    """
+    idx = np.arange(x.size, dtype=np.int32)
+    depth = np.where(opens, idx, np.int32(0))
+    np.maximum.accumulate(depth, out=depth)
+    np.subtract(idx, depth, out=depth)  # position within the segment
+    out = x.copy()
+    step, longest = 1, int(depth.max()) + 1
+    while step < longest:
+        np.bitwise_or(out[step:], out[:-step], out=out[step:], where=depth[step:] >= step)
+        step *= 2
+    return out
+
+
+class _Epochs(NamedTuple):
+    """A line's events cut at its writes (see the module docstring)."""
+
+    start: np.ndarray  #: first event of the epoch
+    opens: np.ndarray  #: does the epoch open its line?
+    mask: np.ndarray  #: OR of ``1 << proc`` over the epoch (``M``)
+    writer: np.ndarray  #: the opening write's bit, or 0 (``W``)
+    closed: np.ndarray  #: mask of the epoch before on the line, or 0 (``C``)
+    seen: np.ndarray  #: OR of the line's earlier masks (``S``)
+
+
+def _epochs(ev: _LineEvents) -> _Epochs:
+    bit = np.take(_CODE_BIT, ev.code)
+    write = ev.write
+    start = np.flatnonzero(ev.new_line | write)
+    mask = np.bitwise_or.reduceat(bit, start)
+    opens = ev.new_line[start]
+    writer = np.where(write[start], bit[start], _ZERO)
+    closed = _shift_in(mask, opens)
+    return _Epochs(start, opens, mask, writer, closed, _prefix_or(closed, opens))
 
 
 @dataclass(frozen=True)
@@ -312,47 +315,32 @@ class ColumnarTrace:
         stats = self._begin(n_procs, address_map)
         if self.cells.size == 0:
             return stats
-        ev = self._events(address_map)
-        j = _last_write_before(ev)
-
-        # Sharer membership: a write resets the sharer set to the writer;
-        # reads since re-add their processor.  So p holds the line iff its
-        # previous access is at or after the last write.
-        jpos = j >= np.int32(0)
-        sharers_has_p = ev.prev_lp >= np.maximum(j, np.int32(0))
-        miss = ~sharers_has_p
-
-        # Dirty-line tracking: the line written at j is still dirty at i
-        # iff events j..i-1 are one run by the writer (the first foreign
-        # access after a write misses and flushes).
-        run_start_prev, prev_proc = _proc_runs(ev)
-        dirty_alive = jpos & (run_start_prev <= j)
-        dirty_by_me = dirty_alive & (ev.proc == prev_proc)
-
-        read_miss = miss & ~ev.write
-        cold = read_miss & (ev.prev_lp < 0)
-        writeback = miss & dirty_alive
-        word_write = ev.write & ~dirty_by_me
-
-        # Sharer counts before each event, from segmented prefix sums of
-        # read misses (each read miss adds exactly one sharer; a write
-        # resets the count to one).
-        cum_excl = _exclusive_cumsum(read_miss)
-        base = cum_excl[np.where(jpos, j, ev.seg_start)]
-        n_sharers = jpos.astype(np.int32) + cum_excl - base
-        others = n_sharers - sharers_has_p.astype(np.int32)
-        inval = word_write & (others > 0)
+        ep = _epochs(self._events(address_map))
+        readers = ep.mask & ~ep.writer
+        wrote = ep.writer != _ZERO
+        wbit = ep.writer[wrote]
+        closed = ep.closed[wrote]
+        others = closed & ~wbit
+        # A write is silent while the line is still dirty-by-p: the epoch
+        # it closes was opened by p's write and touched by p alone.
+        silent = (closed == wbit) & (_shift_in(ep.writer, ep.opens)[wrote] == wbit)
+        n_word_writes = wbit.size - int(np.count_nonzero(silent))
+        # Every run of dirty-by-p epochs is flushed by the next processor
+        # to touch the line, unless it is the line's last (M == W: its
+        # writer alone touched it).
+        last = np.append(ep.opens[1:], True)
+        n_never_flushed = int(np.count_nonzero(last & (ep.mask == ep.writer)))
 
         ls = address_map.line_size
-        n_cold = int(np.count_nonzero(cold))
-        n_read_miss = int(np.count_nonzero(read_miss))
+        n_read_miss = int(_popcount(readers).sum())
+        n_cold = int(_popcount(readers & ~ep.seen).sum())
         stats.cold_fetch_bytes = n_cold * ls
         stats.refetch_bytes = (n_read_miss - n_cold) * ls
-        stats.write_miss_fetch_bytes = int(np.count_nonzero(ev.write & miss)) * ls
-        stats.writeback_bytes = int(np.count_nonzero(writeback)) * ls
-        stats.word_write_bytes = int(np.count_nonzero(word_write)) * WORD_BYTES
-        stats.n_invalidation_events = int(np.count_nonzero(inval))
-        stats.n_copies_invalidated = int(others[inval].sum())
+        stats.write_miss_fetch_bytes = int(np.count_nonzero((closed & wbit) == _ZERO)) * ls
+        stats.writeback_bytes = (n_word_writes - n_never_flushed) * ls
+        stats.word_write_bytes = n_word_writes * WORD_BYTES
+        stats.n_invalidation_events = int(np.count_nonzero(others))
+        stats.n_copies_invalidated = int(_popcount(others).sum())
         return stats
 
     def replay_write_update(self, n_procs: int, address_map: AddressMap) -> CoherenceStats:
@@ -366,19 +354,16 @@ class ColumnarTrace:
         if self.cells.size == 0:
             return stats
         ev = self._events(address_map, count_cells=True)
-        # Copies are never dropped, so a processor misses exactly once per
-        # line, and the holders before an event are the first touches so
-        # far in its group.
-        first_touch = ev.prev_lp < 0
-        holders = _exclusive_cumsum(first_touch)
-        holders -= holders[ev.seg_start]
-        holders -= ~first_touch  # the writer's own copy does not make it shared
-        shared_write = ev.write & (holders > 0)
+        ep = _epochs(ev)
+        new = ep.mask & ~ep.seen
+        # Shared iff another processor touched the line before the write
+        # (only a line's first epoch opens without one, and it sees nothing).
+        shared = (ep.seen & ~ep.writer) != _ZERO
 
         ls = address_map.line_size
-        n_first = int(np.count_nonzero(first_touch))
-        n_write_first = int(np.count_nonzero(first_touch & ev.write))
+        n_first = int(_popcount(new).sum())
+        n_write_first = int(np.count_nonzero(ep.writer & new))
         stats.cold_fetch_bytes = (n_first - n_write_first) * ls
         stats.write_miss_fetch_bytes = n_write_first * ls
-        stats.word_write_bytes = int(ev.n_cells[shared_write].sum()) * WORD_BYTES
+        stats.word_write_bytes = int(ev.n_cells[ep.start[shared]].sum()) * WORD_BYTES
         return stats

@@ -16,10 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CoherenceError
-from repro.memsim.addressing import AddressMap
+from repro.kernels import use_kernels
+from repro.memsim.addressing import WORD_BYTES, AddressMap
 from repro.memsim.coherence import simulate_trace
-from repro.memsim.columnar import ColumnarTrace, _line_events
+from repro.memsim.columnar import (
+    ColumnarTrace,
+    _epochs,
+    _line_events,
+    _popcount,
+    _prefix_or,
+)
 from repro.memsim.trace import ReferenceTrace
+from repro.memsim.update_protocol import simulate_trace_write_update
+from repro.obs import telemetry as obs
 
 from . import memsim_strategies as messy
 
@@ -124,33 +133,135 @@ class TestLineEvents:
         rec_ids = np.array([0, 0, 0, 0, 0, 1, 1], dtype=np.int32)
         procs = np.array([5, 1], dtype=np.int32)
         writes = np.array([True, False])
-        ev = _line_events(cells, rec_ids, procs, writes, 2, count_cells=True)
-        assert ev.line.tolist() == [1, 1, 4]
-        assert ev.proc.tolist() == [5, 1, 5]
-        assert ev.write.tolist() == [True, False, True]
-        assert ev.n_cells.tolist() == [3, 2, 2]
-        assert ev.new_line.tolist() == [True, False, True]
-        assert ev.seg_start.tolist() == [0, 0, 2]
-        assert ev.prev_lp.tolist() == [-1, -1, -1]
-        assert all(col.dtype == np.int32 for col in (ev.line, ev.proc, ev.seg_start, ev.prev_lp))
+        for count_cells in (True, False):
+            ev = _line_events(cells, rec_ids, procs, writes, 2, count_cells=count_cells)
+            assert ev.line.tolist() == [1, 1, 4]
+            assert ev.code.dtype == np.uint8
+            assert ev.code.tolist() == [5 | 128, 1, 5 | 128]  # proc | write << 7
+            assert ev.write.tolist() == [True, False, True]
+            assert ev.new_line.tolist() == [True, False, True]
+        counted = _line_events(cells, rec_ids, procs, writes, 2, count_cells=True)
+        assert counted.n_cells.tolist() == [3, 2, 2]
 
     def test_previous_touch_by_the_same_processor(self):
+        # Each line's events in record order: a processor's previous touch
+        # of a line is the nearest earlier event of its group with its
+        # processor, which is what the epoch masks fold together.
         cells = np.array([0, 0, 0, 7, 0], dtype=np.int32)
         rec_ids = np.arange(5, dtype=np.int32)
         procs = np.array([2, 3, 2, 2, 3], dtype=np.int32)
-        writes = np.zeros(5, dtype=bool)
+        writes = np.array([False, False, True, False, False])
         ev = _line_events(cells, rec_ids, procs, writes, 1)
         assert ev.line.tolist() == [0, 0, 0, 0, 7]
-        assert ev.prev_lp.tolist() == [-1, -1, 0, 1, -1]
+        assert ev.code.tolist() == [2, 3, 2 | 128, 3, 2]
+        assert ev.new_line.tolist() == [True, False, False, False, True]
         assert ev.n_cells is None
+        ep = _epochs(ev)
+        assert ep.start.tolist() == [0, 2, 4]
+        assert ep.mask.tolist() == [0b1100, 0b1100, 0b100]
+        assert ep.writer.tolist() == [0, 0b100, 0]
+        assert ep.closed.tolist() == [0, 0b1100, 0]
+        assert ep.seen.tolist() == [0, 0b1100, 0]
 
     def test_wide_address_spaces_take_the_general_sort(self):
-        cells = np.array([1 << 20, 5, 1 << 20], dtype=np.int32)
+        # (2**30 + 1) lines times 4 records overflow a 32-bit key.
+        cells = np.array([1 << 30, 5, 1 << 30], dtype=np.int32)
         rec_ids = np.array([0, 1, 2], dtype=np.int32)
         procs = np.array([0, 1, 0], dtype=np.int32)
         ev = _line_events(cells, rec_ids, procs, np.zeros(3, dtype=bool), 1)
-        assert ev.line.tolist() == [5, 1 << 20, 1 << 20]
-        assert ev.prev_lp.tolist() == [-1, -1, 1]
+        assert ev.line.dtype == np.uint64
+        assert ev.line.tolist() == [5, 1 << 30, 1 << 30]
+        assert ev.code.tolist() == [1, 0, 0]
+
+
+class TestEpochs:
+    """Per-epoch sharer masks and the counts read off them."""
+
+    def test_popcount(self):
+        words = [0, 1, 1 << 62, (1 << 63) - 1, 0x5555555555555555, 0xF0F0F0F0F0F0F0F]
+        got = _popcount(np.array(words, dtype=np.uint64))
+        assert got.tolist() == [bin(x).count("1") for x in words]
+
+    def test_segmented_prefix_or_past_the_fuzzed_lengths(self):
+        # Segments far longer than a fuzzed trace's, so every doubling
+        # step runs; the loop is the reference.
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 1 << 62, 700, dtype=np.int64).astype(np.uint64)
+        x &= rng.integers(0, 1 << 62, 700, dtype=np.int64).astype(np.uint64)
+        opens = rng.random(700) < 0.01
+        opens[[0, 300]] = True
+        acc, want = 0, []
+        for v, o in zip(x.tolist(), opens):
+            acc = v if o else acc | v
+            want.append(acc)
+        assert _prefix_or(x, opens).tolist() == want
+
+    def test_hand_computed_epochs(self):
+        # Line 0: two readers, then p0 writes twice (the second write hits
+        # its own dirty line and costs nothing), p2 and p1 read between
+        # the two writers, p1 writes, p0 reads back.  Line 1 is opened by a
+        # write that nobody ever flushes.
+        trace = build_trace(
+            [
+                (0, False, [0]),  # cold
+                (1, False, [0]),  # cold
+                (0, True, [0]),  # word write, invalidates p1
+                (0, True, [0]),  # silent
+                (2, False, [0]),  # cold, flushes p0's line
+                (1, False, [0]),  # refetch
+                (1, True, [0, 0]),  # word write, invalidates p0 and p2
+                (3, True, [1]),  # write miss opening line 1, word write
+                (0, False, [0]),  # refetch, flushes p1's line
+            ]
+        )
+        amap = AddressMap(N_CHANNELS, N_GRIDS, 4)
+        flat = ColumnarTrace.from_trace(trace)
+        stats = flat.replay(4, amap)
+        assert stats == simulate_trace(trace, 4, amap)
+        assert (stats.cold_fetch_bytes, stats.refetch_bytes) == (3 * 4, 2 * 4)
+        assert (stats.write_miss_fetch_bytes, stats.writeback_bytes) == (1 * 4, 2 * 4)
+        assert stats.word_write_bytes == 3 * WORD_BYTES
+        assert (stats.n_invalidation_events, stats.n_copies_invalidated) == (2, 3)
+        # Write-update: four first touches, one of them p3's write; every
+        # write but p3's finds another copy and broadcasts each cell.
+        update = flat.replay_write_update(4, amap)
+        with use_kernels("reference"):
+            assert update == simulate_trace_write_update(trace, 4, amap)
+        assert (update.cold_fetch_bytes, update.write_miss_fetch_bytes) == (3 * 4, 1 * 4)
+        assert update.word_write_bytes == 4 * WORD_BYTES
+
+    def test_keys_wider_than_32_bits_match_both_scalar_engines(self):
+        # 2**21 lines and 3000 records need a 33-bit (line, record) key.
+        n_grids = 1 << 21
+        rng = np.random.default_rng(11)
+        trace = ReferenceTrace()
+        for t in range(3000):
+            base = int(rng.choice([rng.integers(0, 64), rng.integers(n_grids - 64, n_grids - 4)]))
+            cells = base + rng.integers(0, 4, size=int(rng.integers(1, 5)))
+            trace.add(float(t), int(rng.integers(0, 5)), bool(rng.random() < 0.4), cells)
+        flat = ColumnarTrace.from_trace(trace)
+        ev = _line_events(flat.cells, flat.rec_ids, flat.rec_proc, flat.rec_is_write, 1)
+        assert ev.line.dtype == np.uint64
+        for ls in (4, 16):
+            amap = AddressMap(1, n_grids, ls)
+            assert flat.replay(5, amap) == simulate_trace(trace, 5, amap), ls
+            with use_kernels("reference"):
+                oracle = simulate_trace_write_update(trace, 5, amap)
+            assert flat.replay_write_update(5, amap) == oracle, ls
+
+    def test_event_count_is_pinned(self):
+        trace = ReferenceTrace()
+        for i in range(50):
+            cells = np.array([i, i + 1, (i * 7) % 100, i + 1], dtype=np.int64)
+            trace.add(float(i), i % 4, i % 3 == 0, cells)
+        flat = ColumnarTrace.from_trace(trace)
+        for ls, events in ((4, 149), (8, 123), (16, 110), (32, 102)):
+            amap = AddressMap(N_CHANNELS, N_GRIDS, ls)
+            for replay in (flat.replay, flat.replay_write_update):
+                before = obs.get_telemetry().count("sim.coherence.columnar_events")
+                replay(4, amap)
+                after = obs.get_telemetry().count("sim.coherence.columnar_events")
+                assert after - before == events, (ls, replay.__name__)
 
 
 class TestColumnarTrace:
