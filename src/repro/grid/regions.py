@@ -213,6 +213,36 @@ class RegionMap:
             for c in range(col_lo, col_hi + 1)
         )
 
+    def clip_boxes(self, boxes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`regions_touched` and the overlaps, for many boxes at once.
+
+        *boxes* has one ``(c_lo, x_lo, c_hi, x_hi)`` row per box.  Returns
+        ``(counts, owners, clips)``: box ``i`` touches ``counts[i]``
+        regions, and its ``(region, box ∩ region)`` pairs, regions
+        ascending, are the next ``counts[i]`` entries of ``owners`` and
+        rows of ``clips``.
+        """
+        c_lo, x_lo, c_hi, x_hi = np.asarray(boxes, dtype=np.int64).reshape(-1, 4).T
+        if c_hi.size and (c_hi.max() >= self.n_channels or x_hi.max() >= self.n_grids):
+            raise GridError(f"a box exceeds the {self.n_channels}x{self.n_grids} grid")
+        band, col = self._channel_band[c_lo], self._grid_band[x_lo]
+        n_cols = self._grid_band[x_hi] - col + 1
+        counts = (self._channel_band[c_hi] - band + 1) * n_cols
+        box = np.repeat(np.arange(counts.size), counts)
+        k = np.arange(box.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = band[box] + k // n_cols[box]  # band-major: owners ascend
+        cols = col[box] + k % n_cols[box]
+        clips = np.stack(
+            (
+                np.maximum(c_lo[box], self._row_edges[rows]),
+                np.maximum(x_lo[box], self._col_edges[cols]),
+                np.minimum(c_hi[box], self._row_edges[rows + 1] - 1),
+                np.minimum(x_hi[box], self._col_edges[cols + 1] - 1),
+            ),
+            axis=1,
+        )
+        return counts, rows * self.p_cols + cols, clips
+
     def _check_proc(self, proc: int) -> None:
         if not (0 <= proc < self.n_procs):
             raise GridError(f"processor {proc} out of range [0, {self.n_procs})")

@@ -12,23 +12,26 @@ between processors, which this representation preserves while keeping
 traces compact enough to hold millions of references in memory.
 
 A :class:`ReferenceTrace` stores bursts as **columns** — parallel lists of
-times, processors and write flags plus the list of cell arrays — because
-the collector appends tens of thousands of bursts per run and the
-columnar replay (:mod:`repro.memsim.columnar`) wants arrays, not objects.
-:class:`TraceRecord` is the per-burst *view* of those columns, built on
-demand for the scalar oracles and tests.  A trace lives only in memory:
-its one producer, :class:`~repro.memsim.tango.TangoCollector`, holds the
-whole trace, and nothing writes one to disk.
+times, processors and write flags plus the list of cell arrays — and
+every reader goes through one burst table in append order (each burst a
+slice of one cell pool) and one stable sort of its times, so the
+columnar replay (:mod:`repro.memsim.columnar`) gets arrays, not objects.
+:class:`TraceRecord` is the per-burst *view* of that table, built on
+demand for the scalar oracles and tests.  The simulator's trace is the
+:class:`~repro.memsim.tango.TangoCollector`'s, which keeps one row per
+router operation instead and expands the same table from them.  A trace
+lives only in memory; nothing writes one to disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, NamedTuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import CoherenceError
+from ..route.wavefront import _pointers, _ranges
 
 __all__ = ["TraceRecord", "TraceColumns", "ReferenceTrace"]
 
@@ -61,6 +64,20 @@ class TraceColumns(NamedTuple):
     cells: np.ndarray  #: int64, concatenated burst cells
 
 
+class BurstTable(NamedTuple):
+    """A trace's bursts in append order, each a slice of one cell pool.
+
+    Burst ``i`` owns ``pool[starts[i]:starts[i] + counts[i]]``.
+    """
+
+    times: np.ndarray  #: float64
+    procs: np.ndarray  #: int32
+    writes: np.ndarray  #: bool
+    starts: np.ndarray  #: int64
+    counts: np.ndarray  #: int64
+    pool: np.ndarray  #: int64
+
+
 class ReferenceTrace:
     """An append-only trace of access bursts.
 
@@ -76,6 +93,7 @@ class ReferenceTrace:
         self._procs: List[int] = []
         self._writes: List[bool] = []
         self._bursts: List[np.ndarray] = []
+        self._n_bursts = 0
         self._n_refs = 0
         for r in records:
             self.add(r.time, r.proc, r.is_write, r.flat_cells)
@@ -91,57 +109,70 @@ class ReferenceTrace:
         self._procs.append(proc)
         self._writes.append(is_write)
         self._bursts.append(flat_cells)
+        self._n_bursts += 1
         self._n_refs += size
 
     @property
     def n_records(self) -> int:
-        """Number of bursts."""
-        return len(self._times)
+        """Number of bursts (a running count)."""
+        return self._n_bursts
 
     @property
     def n_references(self) -> int:
         """Total individual cell references (a running count)."""
         return self._n_refs
 
-    def _record(self, i: int) -> TraceRecord:
-        return TraceRecord(
-            self._times[i],
-            self._procs[i],
-            self._writes[i],
-            np.asarray(self._bursts[i], dtype=np.int64),
+    def _table(self) -> BurstTable:
+        """The bursts in append order; how a trace stores them is its own."""
+        counts = np.array([b.size for b in self._bursts], dtype=np.int64)
+        pool = np.concatenate(self._bursts) if self._bursts else np.empty(0)
+        return BurstTable(
+            times=np.array(self._times, dtype=np.float64),
+            procs=np.array(self._procs, dtype=np.int32),
+            writes=np.array(self._writes, dtype=bool),
+            starts=_pointers(counts)[:-1],
+            counts=counts,
+            pool=pool.astype(np.int64, copy=False),
         )
+
+    def _ordered(self) -> Tuple[BurstTable, np.ndarray]:
+        """The burst table, and its rows in global ``(time, append
+        sequence)`` order: the one stable sort every reader shares."""
+        table = self._table()
+        return table, np.argsort(table.times, kind="stable")
 
     @property
     def records(self) -> List[TraceRecord]:
         """The bursts in append order, as freshly built records."""
-        return [self._record(i) for i in range(len(self._times))]
-
-    def _sorted(self):
-        """``(times, order)``: the time column, and the append indices in
-        global ``(time, append sequence)`` order."""
-        times = np.array(self._times, dtype=np.float64)
-        return times, np.argsort(times, kind="stable")
+        table = self._table()
+        return list(_records(table, range(table.times.size)))
 
     def sorted_records(self) -> Iterator[TraceRecord]:
         """Records in global ``(time, append sequence)`` order."""
-        for i in self._sorted()[1].tolist():
-            yield self._record(i)
+        table, order = self._ordered()
+        return _records(table, order.tolist())
 
     def columns(self) -> TraceColumns:
         """The whole trace as arrays in global replay order.
 
-        One stable ``argsort`` of the times, then NumPy's own walks over
-        the burst list; no per-burst objects.
+        One stable ``argsort`` of the times, then one gather of the
+        ordered bursts' slices of the pool; no per-burst objects.
         """
-        times, order = self._sorted()
-        bursts = [self._bursts[i] for i in order.tolist()]
-        offsets = np.zeros(len(bursts) + 1, dtype=np.int64)
-        np.cumsum(np.array([b.size for b in bursts], dtype=np.int64), out=offsets[1:])
-        cells = np.concatenate(bursts) if bursts else np.empty(0)
+        table, order = self._ordered()
+        counts = table.counts[order]
         return TraceColumns(
-            times=times[order],
-            procs=np.array(self._procs, dtype=np.int32)[order],
-            writes=np.array(self._writes, dtype=bool)[order],
-            offsets=offsets,
-            cells=cells.astype(np.int64, copy=False),
+            times=table.times[order],
+            procs=table.procs[order],
+            writes=table.writes[order],
+            offsets=_pointers(counts),
+            cells=table.pool[_ranges(table.starts[order], counts)],
         )
+
+
+def _records(table: BurstTable, rows: Sequence[int]) -> Iterator[TraceRecord]:
+    """*table*'s bursts *rows* as records (cells are views of the pool)."""
+    times, procs, writes = table.times.tolist(), table.procs.tolist(), table.writes.tolist()
+    starts, ends = table.starts.tolist(), (table.starts + table.counts).tolist()
+    pool = table.pool
+    for i in rows:
+        yield TraceRecord(times[i], procs[i], writes[i], pool[starts[i] : ends[i]])

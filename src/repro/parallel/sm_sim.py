@@ -146,6 +146,20 @@ def run_shared_memory(
             )
         validate_crashes(crashes, n_procs)
 
+    layout = SharedLayout(circuit.n_channels, circuit.n_grids, circuit.n_wires)
+    # One address map per line size, built (and so validated) before
+    # routing a single wire.
+    amaps: Dict[int, AddressMap] = {}
+    if collect_trace:
+        for ls in [line_size, *extra_line_sizes]:
+            if ls not in amaps:
+                amaps[ls] = AddressMap(
+                    circuit.n_channels,
+                    circuit.n_grids,
+                    ls,
+                    extra_words=layout.total_words - layout.array_words,
+                )
+
     sim = Simulator()
     # Hierarchical (NUMA) timing: references outside a processor's own
     # region cost ``numa_remote_factor`` times a local one (§5.3.2).  The
@@ -156,7 +170,6 @@ def run_shared_memory(
         if numa != 1.0 and n_procs > 1
         else None
     )
-    layout = SharedLayout(circuit.n_channels, circuit.n_grids, circuit.n_wires)
     tango = TangoCollector(layout, enabled=collect_trace, chunks=trace_chunks)
     ledger = GroundTruthLedger(circuit, "shared_memory", check_invariants)
     truth, report, monitor = ledger.truth, ledger.report, ledger.monitor
@@ -234,7 +247,7 @@ def run_shared_memory(
         clocks[proc] = t0 + work_time(total_units)
 
         t_commit = clocks[proc]
-        tango.record_evaluation(t0, t_commit, proc, result.segments)
+        tango.record_evaluation(t0, t_commit, proc, wire)
         handle = sim.at(
             t_commit, lambda: commit(proc, wire_idx, result.path, t_commit)
         )
@@ -333,15 +346,7 @@ def run_shared_memory(
         trace = recorded
         if active_kernels() == "vectorized" and not checked:
             trace = ColumnarTrace.from_trace(trace)
-        for ls in [line_size, *extra_line_sizes]:
-            if ls in by_line:
-                continue
-            amap = AddressMap(
-                circuit.n_channels,
-                circuit.n_grids,
-                ls,
-                extra_words=layout.total_words - layout.array_words,
-            )
+        for ls, amap in amaps.items():
             if protocol == "update":
                 by_line[ls] = simulate_trace_write_update(trace, n_procs, amap)
             elif isinstance(trace, ColumnarTrace):

@@ -42,15 +42,12 @@ class WireRegionTable:
     def __init__(self, circuit: Circuit, regions: RegionMap) -> None:
         geom = circuit_geometry(circuit)
         self.n_segments: List[int] = np.diff(geom.seg_ptr).tolist()
-        self.clips: List[Tuple[Tuple[int, BBox], ...]] = []
-        for row in geom.bbox.tolist():
-            box = BBox(*row)
-            self.clips.append(
-                tuple(
-                    (owner, box.intersect(regions.region(owner)))
-                    for owner in regions.regions_touched(box)
-                )
-            )
+        counts, owners, clips = regions.clip_boxes(geom.bbox)
+        pairs = list(zip(owners.tolist(), [BBox(*row) for row in clips.tolist()]))
+        ends = np.cumsum(counts).tolist()
+        self.clips: List[Tuple[Tuple[int, BBox], ...]] = [
+            tuple(pairs[end - n : end]) for n, end in zip(counts.tolist(), ends)
+        ]
 
 
 def wire_region_table(circuit: Circuit, regions: RegionMap) -> WireRegionTable:

@@ -15,6 +15,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from ..grid.bbox import BBox
+from ..obs import telemetry as obs
 from .path import RoutePath
 
 __all__ = ["MAX_CANDIDATES", "candidate_columns", "SegmentRoute", "WireRoute"]
@@ -142,11 +143,11 @@ class WireRoute:
     the locality measure.
 
     *segments* is the tuple of :class:`SegmentRoute` records, or a
-    zero-argument callable that builds it on first read: the message
-    passing node never reads them, so the fused evaluator defers their
-    construction.  A deferred builder must not look at the cost array
-    (it has moved on by the time anyone asks); ``cost`` is priced by the
-    evaluator for the same reason.
+    zero-argument callable that builds it on first read, counting the
+    records in ``route.segments_materialised``: neither simulator reads
+    them, so the fused evaluator defers their construction.  A deferred
+    builder must not look at the cost array (it has moved on by the time
+    anyone asks); ``cost`` is priced by the evaluator for the same reason.
     """
 
     __slots__ = ("path", "cost", "work_cells", "_segments")
@@ -169,6 +170,7 @@ class WireRoute:
         segments = self._segments
         if not isinstance(segments, tuple):
             segments = self._segments = segments()
+            obs.incr("route.segments_materialised", len(segments))
         return segments
 
     @property

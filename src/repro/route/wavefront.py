@@ -646,15 +646,20 @@ class WireTables:
       ``cand``, numbered like the geometry's segments;
     - ``cells``: the identity vector over the grid — a path's runs are
       slices of it;
+    - ``seg_ptr``: wire ``w`` owns segments ``seg_ptr[w]:seg_ptr[w + 1]``
+      (the geometry's column);
     - the cells each segment's evaluation reads (what the Tango collector
-      records), built for the whole circuit when first asked for.
+      records), built for the whole circuit when first asked for
+      (:meth:`read_column`).
     """
 
-    __slots__ = ("n_grids", "layout", "gather", "cand", "cand_at", "segs", "cells", "_read")
+    __slots__ = (
+        "n_grids", "layout", "gather", "cand", "cand_at", "segs", "cells", "seg_ptr", "_read",
+    )
 
     def __init__(self, geom: CircuitGeometry, n_channels: int, n_grids: int) -> None:
         self.n_grids, self._read = n_grids, None
-        self.cand = geom.cand
+        self.cand, self.seg_ptr = geom.cand, geom.seg_ptr
         self.cells = np.arange(n_channels * n_grids, dtype=np.int64)
         self.cells.setflags(write=False)
         c1, x1, c2, x2, cand_ptr = geom.c1, geom.x1, geom.c2, geom.x2, geom.cand_ptr
@@ -730,8 +735,9 @@ class WireTables:
         obs.incr("route.geometry_builds")
         obs.incr("route.geometry_wires", n_seg.size)
 
-    def read_cells(self, s: int) -> np.ndarray:
-        """What pricing segment *s* reads: its ``SegmentRoute.read_cells``."""
+    def read_column(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cells, ptr)``: pricing segment ``s`` reads ``cells[ptr[s]:ptr[s + 1]]``,
+        its ``SegmentRoute.read_cells``.  Both read-only."""
         if self._read is None:
             c1, x1, c2, x2, k0, k1, _ = self.segs.T.astype(np.int64)
             n, n_cand = self.n_grids, k1 - k0
@@ -749,8 +755,13 @@ class WireTables:
             cells[_ranges(ptr[:-1], n_run)] = runs
             cells[_ranges(ptr[:-1] + n_run, n_inner)] = inner
             cells.setflags(write=False)
-            self._read = cells, ptr.tolist()
-        cells, ptr = self._read
+            ptr.setflags(write=False)
+            self._read = cells, ptr
+        return self._read
+
+    def read_cells(self, s: int) -> np.ndarray:
+        """What pricing segment *s* reads: a slice of :meth:`read_column`."""
+        cells, ptr = self.read_column()
         return cells[ptr[s] : ptr[s + 1]]
 
 
@@ -897,8 +908,8 @@ def route_wire_fused(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRou
 
     Bit-identical to :func:`repro.route.twobend.route_wire_reference`,
     including the per-segment :class:`SegmentRoute` detail records, which
-    are built when first read (the shared memory simulator's trace reads
-    them, the message passing node does not).
+    are built when first read (neither simulator reads them:
+    ``route.segments_materialised`` counts the builds).
     """
     if tie_break not in (0, 1):
         raise RoutingError(f"tie_break must be 0 or 1, got {tie_break}")

@@ -19,9 +19,11 @@ from pathlib import Path
 import pytest
 
 from repro.circuits import bnre_like
+from repro.memsim.columnar import ColumnarTrace
+from repro.memsim.tango import TangoCollector
 from repro.obs import telemetry as obs
 from repro.parallel import node as node_module
-from repro.parallel import run_message_passing
+from repro.parallel import run_message_passing, run_shared_memory, sm_sim
 from repro.route import wavefront
 from repro.updates import UpdateSchedule
 
@@ -61,22 +63,29 @@ def test_every_seam_resolves_to_a_binding(e2e_trace):
     assert not missing, "\n".join(missing)
 
 
+def counting(calls, name, original):
+    """*original*, counting its calls in ``calls[name]``."""
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
 def test_node_routes_every_wire_through_its_seams(monkeypatch):
     """One ``repro.parallel.node.route_wire`` call per routed wire, every
     evaluation reaching its geometry through the
     ``repro.route.wavefront.wire_geometry`` binding — and under it, one
     table build for the run's one circuit, covering all its wires."""
-    calls = {"route_wire": 0, "wire_geometry": 0}
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(node_module, "route_wire", counting("route_wire", node_module.route_wire))
-    monkeypatch.setattr(wavefront, "wire_geometry", counting("wire_geometry", wavefront.wire_geometry))
+    calls = {}
+    monkeypatch.setattr(
+        node_module, "route_wire", counting(calls, "route_wire", node_module.route_wire)
+    )
+    monkeypatch.setattr(
+        wavefront, "wire_geometry", counting(calls, "wire_geometry", wavefront.wire_geometry)
+    )
     circuit = bnre_like(n_wires=60)
     before = obs.snapshot()["counters"]
     result = run_message_passing(
@@ -90,3 +99,30 @@ def test_node_routes_every_wire_through_its_seams(monkeypatch):
         for name in ("route.geometry_builds", "route.geometry_wires")
     }
     assert built == {"route.geometry_builds": 1, "route.geometry_wires": circuit.n_wires}
+
+
+@pytest.mark.parametrize("protocol", ["invalidate", "update"])
+def test_shared_memory_run_records_every_wire_through_its_seams(monkeypatch, protocol):
+    """The shared memory twin: one ``repro.parallel.sm_sim.route_wire``
+    and one ``TangoCollector.record_evaluation`` call per routed wire
+    instance, one ``ColumnarTrace.from_trace`` per traced run, and no
+    ``SegmentRoute`` record built on the way."""
+    calls = {}
+    monkeypatch.setattr(sm_sim, "route_wire", counting(calls, "route_wire", sm_sim.route_wire))
+    monkeypatch.setattr(
+        TangoCollector,
+        "record_evaluation",
+        counting(calls, "record_evaluation", TangoCollector.record_evaluation),
+    )
+    monkeypatch.setattr(
+        ColumnarTrace,
+        "from_trace",
+        staticmethod(counting(calls, "from_trace", ColumnarTrace.from_trace)),
+    )
+    circuit = bnre_like(n_wires=60)
+    before = obs.get_telemetry().count("route.segments_materialised")
+    result = run_shared_memory(circuit, n_procs=4, iterations=2, protocol=protocol)
+    routed = sum(s.wires_routed for s in result.node_summaries)
+    assert routed == circuit.n_wires * 2
+    assert calls == {"route_wire": routed, "record_evaluation": routed, "from_trace": 1}
+    assert obs.get_telemetry().count("route.segments_materialised") == before

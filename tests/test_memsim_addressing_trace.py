@@ -126,3 +126,14 @@ class TestReferenceTrace:
         # ties keep append order
         assert [r.proc for r in ordered] == [1, 2, 0]
 
+    def test_many_ties_keep_append_order(self):
+        """Thousands of bursts over a handful of times: the replay order
+        is Python's stable sort of the append order, in every reader."""
+        times = np.random.default_rng(5).integers(0, 7, size=4000).astype(float)
+        trace = ReferenceTrace()
+        for i, t in enumerate(times.tolist()):
+            trace.add(t, i % 16, bool(i % 3), np.array([i]))
+        expected = sorted(range(times.size), key=times.__getitem__)
+        assert trace.columns().cells.tolist() == expected
+        assert [int(r.flat_cells[0]) for r in trace.sorted_records()] == expected
+

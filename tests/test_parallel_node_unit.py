@@ -11,8 +11,11 @@ from typing import List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import Circuit, Pin, Wire, bnre_like
+from repro.circuits.generate import generate_scaled
 from repro.errors import GridError
 from repro.faults import RecoveryPolicy
 from repro.grid import BBox, OwnershipMap, RegionMap
@@ -101,6 +104,20 @@ def make_node(
     return node, harness
 
 
+def _per_wire_clips(circuit, regions):
+    """Every wire's ``(region, box ∩ region)`` pairs, one box at a time."""
+    clips = []
+    for wire in circuit.wires:
+        box = BBox(*wire.bounding_box)
+        clips.append(
+            tuple(
+                (owner, box.intersect(regions.region(owner)))
+                for owner in regions.regions_touched(box)
+            )
+        )
+    return clips
+
+
 class TestWireRegionTable:
     """The run-level table equals what the node used to derive per wire."""
 
@@ -116,6 +133,31 @@ class TestWireRegionTable:
                 (owner, box.intersect(regions.region(owner)))
                 for owner in regions.regions_touched(box)
             )
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_array_clips_equal_per_wire_intersections(self, data):
+        """The clips computed as arrays from the geometry boxes and the band
+        edges are ``regions_touched`` + ``intersect`` of every wire's box,
+        on random circuits, on 1x1 and 8x8 meshes and on random ones."""
+        n_channels = data.draw(st.integers(8, 14))
+        n_grids = data.draw(st.integers(8, 60))
+        pin = st.builds(Pin, st.integers(0, n_grids - 1), st.integers(0, n_channels - 1))
+        pins = st.lists(pin, min_size=2, max_size=5, unique=True)
+        wires = [
+            Wire(f"w{i}", p) for i, p in enumerate(data.draw(st.lists(pins, min_size=1, max_size=12)))
+        ]
+        circuit = Circuit("hyp", n_channels, n_grids, wires)
+        drawn = (data.draw(st.integers(1, n_channels)), data.draw(st.integers(1, n_grids)))
+        for shape in ((1, 1), (8, 8), drawn):
+            regions = RegionMap(n_channels, n_grids, shape[0] * shape[1], shape=shape)
+            assert wire_region_table(circuit, regions).clips == _per_wire_clips(circuit, regions)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (8, 8)])
+    def test_array_clips_on_a_scaled_circuit(self, shape):
+        circuit = generate_scaled(1500, seed=3)
+        regions = RegionMap(circuit.n_channels, circuit.n_grids, shape[0] * shape[1], shape=shape)
+        assert wire_region_table(circuit, regions).clips == _per_wire_clips(circuit, regions)
 
     def test_cached_per_circuit_and_mesh_shape(self, circuit):
         table = wire_region_table(circuit, RegionMap(4, 40, 4))

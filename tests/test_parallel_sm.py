@@ -102,6 +102,22 @@ class TestCoherenceIntegration:
             with pytest.raises(SimulationError, match="at most 63 processors"):
                 run_shared_memory(circuit, n_procs=64, iterations=1, protocol=protocol)
 
+    @pytest.mark.parametrize("sizes", [{"line_size": 3}, {"extra_line_sizes": (16, 12)}])
+    def test_bad_line_size_rejected_before_routing(self, monkeypatch, sizes):
+        """A line size the address map refuses fails at entry, with the
+        replay's own error, before a single wire is routed."""
+        import repro.parallel.sm_sim as sm_sim
+        from repro.circuits import bnre_like
+        from repro.errors import CoherenceError
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a wire was routed")
+
+        monkeypatch.setattr(sm_sim, "route_wire", must_not_run)
+        bad = sizes.get("line_size", 12)
+        with pytest.raises(CoherenceError, match=f"power of two >= 4, got {bad}$"):
+            run_shared_memory(bnre_like(5, n_wires=40), n_procs=4, **sizes)
+
     def test_sixty_four_untraced_processors_still_run(self, circuit):
         result = run_shared_memory(circuit, n_procs=64, iterations=1, collect_trace=False)
         assert set(result.paths) == set(range(circuit.n_wires))
