@@ -60,27 +60,22 @@ def _interleaved_best(fns, repeats):
     return interleaved_best(fns, repeats)
 
 
-def _footprints(circuit):
-    """Wire bounding boxes keyed by wire index (the planner's input)."""
-    from repro.route.wavefront import circuit_geometry
-
-    return dict(enumerate(zip(*circuit_geometry(circuit).bbox.T.tolist())))
-
-
 def bench_s1_plan_waves(quick: bool, repeats: int) -> Dict[str, object]:
     """Grid-paint planner vs the quadratic recurrence, 10k wires."""
+    import numpy as np
+
     from repro.circuits import generate_scaled
-    from repro.route.wavefront import plan_waves, plan_waves_reference
+    from repro.route.wavefront import circuit_geometry, plan_waves, plan_waves_reference
 
     n_wires = 10_000  # the acceptance point; quick only trims repeats
     circuit = generate_scaled(n_wires)
-    footprints = _footprints(circuit)
-    order = list(range(n_wires))
+    boxes = circuit_geometry(circuit).bbox  # the planners' input: one row per wire
+    order = np.arange(n_wires)
 
     times, outputs = _interleaved_best(
         {
-            "reference": lambda: plan_waves_reference(order, footprints),
-            "vectorized": lambda: plan_waves(order, footprints),
+            "reference": lambda: plan_waves_reference(order, boxes),
+            "vectorized": lambda: plan_waves(order, boxes),
         },
         max(repeats, 3 if quick else 5),
     )
@@ -89,7 +84,7 @@ def bench_s1_plan_waves(quick: bool, repeats: int) -> Dict[str, object]:
         "kernel",
         times["reference"],
         times["vectorized"],
-        outputs["reference"] == outputs["vectorized"],
+        bool(np.array_equal(outputs["reference"], outputs["vectorized"])),
         f"wave decomposition of {n_wires} wires (generate_scaled, Rent 0.6); "
         f"grid-paint skyline vs O(n^2) recurrence, identical waves required",
     )

@@ -77,13 +77,7 @@ from .errors import ReproError
 from .harness.pool import default_jobs
 from .harness.runner import BENCH_FILENAME, run_all
 from .kernels import KERNEL_MODES, set_kernels
-from .parallel import (
-    run_dynamic_assignment,
-    run_live_message_passing,
-    run_live_shared_memory,
-    run_message_passing,
-    run_shared_memory,
-)
+from .parallel import run_dynamic_assignment, run_message_passing, run_shared_memory
 from .route import SequentialRouter
 from .updates import PacketStructure, UpdateSchedule
 
@@ -643,6 +637,9 @@ def _cmd_sm(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # The live twins pull in multiprocessing.shared_memory: only `run --live` pays for them.
+    from .parallel.live import run_live_message_passing, run_live_shared_memory
+
     circuit = _get_quick_circuit(args)
     if args.live == "sm":
         result = run_live_shared_memory(

@@ -4,15 +4,10 @@
 (per-processor views, delta arrays, explicit update strategies, wormhole
 network).  :func:`run_shared_memory` — the Tango-style shared memory
 simulation (one global cost array, virtual-time multiplexing, reference
-traces, cache coherence traffic).
+traces, cache coherence traffic).  Their real-core twins live in
+:mod:`repro.parallel.live`, imported only by whoever runs one.
 """
 
-from .live import (
-    KillPlanEntry,
-    LiveRunResult,
-    run_live_message_passing,
-    run_live_shared_memory,
-)
 from .mp_sim import default_assignment, run_dynamic_assignment, run_message_passing
 from .node import MPNode, NodePhase, NodeServices
 from .results import NodeSummary, ParallelRunResult
@@ -32,8 +27,4 @@ __all__ = [
     "MPNode",
     "NodeServices",
     "NodePhase",
-    "run_live_shared_memory",
-    "run_live_message_passing",
-    "LiveRunResult",
-    "KillPlanEntry",
 ]

@@ -16,7 +16,6 @@ vector of flat cell indices gives three things cheaply:
 from __future__ import annotations
 
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -28,29 +27,36 @@ from ..obs import telemetry as obs
 __all__ = ["RoutePath", "PathTable"]
 
 
-@dataclass(frozen=True)
 class RoutePath:
     """An immutable routed path over an ``n_channels x n_grids`` grid.
 
     Attributes
     ----------
     flat_cells:
-        Sorted unique flat cell indices (``channel * n_grids + x``).
+        Sorted unique flat cell indices (``channel * n_grids + x``), ``int64``.
     n_grids:
         Grid width used for the flat encoding (needed to decode).
+
+    A hand-written ``__slots__`` class, not a frozen dataclass: a path
+    table builds one per lookup, and a view then costs one allocation
+    and two slot stores (:meth:`_trusted`).
     """
 
-    flat_cells: np.ndarray
-    n_grids: int
+    __slots__ = ("flat_cells", "n_grids")
 
-    def __post_init__(self) -> None:
-        cells = self.flat_cells
-        if cells.ndim != 1:
+    def __init__(self, flat_cells: np.ndarray, n_grids: int) -> None:
+        if flat_cells.ndim != 1:
             raise RoutingError("flat_cells must be one-dimensional")
-        if cells.size == 0:
+        if flat_cells.size == 0:
             raise RoutingError("a routed path cannot be empty")
+        if not np.issubdtype(flat_cells.dtype, np.integer):
+            raise RoutingError(f"flat_cells must be integers, got {flat_cells.dtype}")
+        # One dtype, so equal paths hash alike.
+        cells = flat_cells.astype(np.int64, copy=False)
         if cells.size > 1 and np.any(np.diff(cells) <= 0):
             raise RoutingError("flat_cells must be sorted and unique")
+        _store_cells(self, cells)
+        _store_width(self, n_grids)
 
     @staticmethod
     def from_cells(flat_cells: np.ndarray, n_grids: int) -> "RoutePath":
@@ -61,15 +67,26 @@ class RoutePath:
     def _trusted(flat_cells: np.ndarray, n_grids: int) -> "RoutePath":
         """Construct without validation.
 
-        For callers that produce sorted unique int64 cells by construction
-        (the wave-front path builder assembles segment runs in ascending
-        flat order); skips the ``__post_init__`` scan on the per-wire
-        hot path.
+        For callers that produce sorted unique ``int64`` cells by
+        construction (the wave-front path builder assembles segment runs
+        in ascending flat order, a path table slices its cell column);
+        skips the constructor's checks on the per-wire hot path.
         """
-        path = object.__new__(RoutePath)
-        object.__setattr__(path, "flat_cells", flat_cells)
-        object.__setattr__(path, "n_grids", n_grids)
+        path = _new(RoutePath)
+        _store_cells(path, flat_cells)
+        _store_width(path, n_grids)
         return path
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RoutePath is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"RoutePath is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # A pickled path was valid when built: loading skips the checks, as
+        # a cached simulator result holds one path per wire.
+        return RoutePath._trusted, (self.flat_cells, self.n_grids)
 
     @property
     def n_cells(self) -> int:
@@ -98,6 +115,12 @@ class RoutePath:
 
     def __repr__(self) -> str:
         return f"RoutePath({self.n_cells} cells, bbox={self.bbox().as_tuple()})"
+
+
+# The slot stores behind the immutable ``__setattr__``.
+_new = object.__new__
+_store_cells = RoutePath.flat_cells.__set__
+_store_width = RoutePath.n_grids.__set__
 
 
 class PathTable(Mapping[int, RoutePath]):

@@ -56,8 +56,7 @@ merely equivalent.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,23 +81,28 @@ __all__ = [
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def plan_waves_reference(
-    order: Sequence[int],
-    footprints: Dict[int, Tuple[int, int, int, int]],
-) -> List[List[int]]:
-    """The full wave decomposition of *order*, by the O(n^2) recurrence.
+def _ordered_boxes(order: Sequence[int], boxes: np.ndarray) -> np.ndarray:
+    """The columns ``c_lo, x_lo, c_hi, x_hi`` of *order*'s rows of *boxes*, each contiguous."""
+    rows = np.asarray(boxes, dtype=np.int64)[np.asarray(order, dtype=np.int64)]
+    return np.ascontiguousarray(rows.T)
 
-    Wave ``w`` is what the ``w``-th round of the greedy in-order split
-    yields — a pending wire joins the round's wave only if its footprint
-    is disjoint from *every* earlier pending wire's, wave members and
-    deferred ones alike — with members in visit order.  Computed by the
-    layering recurrence: a wire with no earlier overlapping wire joins
-    wave 0, otherwise wave ``1 + max(wave of earlier overlapping
-    wires)`` — an earlier overlapping wire in wave ``w`` is still
-    pending in every round ``<= w``, blocking this wire exactly until
-    round ``w + 1``.  One vectorised overlap test per wire replaces the
-    per-round rescan of every deferred wire, and the result depends
-    only on (*order*, *footprints*), so callers can cache it across
+
+def plan_waves_reference(order: Sequence[int], boxes: np.ndarray) -> np.ndarray:
+    """The wave of every position of *order*, by the O(n^2) recurrence.
+
+    Row ``i`` of *boxes* is wire ``i``'s footprint ``(c_lo, x_lo, c_hi,
+    x_hi)`` (the geometry's ``bbox``); entry ``k`` of the result is the
+    wave of wire ``order[k]``.  Wave ``w`` is what the ``w``-th round of
+    the greedy in-order split yields — a pending wire joins the round's
+    wave only if its footprint is disjoint from *every* earlier pending
+    wire's, wave members and deferred ones alike — with members in visit
+    order.  Computed by the layering recurrence: a wire with no earlier
+    overlapping wire joins wave 0, otherwise wave ``1 + max(wave of
+    earlier overlapping wires)`` — an earlier overlapping wire in wave
+    ``w`` is still pending in every round ``<= w``, blocking this wire
+    exactly until round ``w + 1``.  One vectorised overlap test per wire
+    replaces the per-round rescan of every deferred wire, and the result
+    depends only on (*order*, *boxes*), so callers can cache it across
     iterations.
 
     This is the differential oracle for :func:`plan_waves` — it tests
@@ -107,15 +111,10 @@ def plan_waves_reference(
     bit-for-bit on any input.
     """
     n = len(order)
-    if not n:
-        return []
-    clo = np.empty(n, dtype=np.int64)
-    xlo = np.empty(n, dtype=np.int64)
-    chi = np.empty(n, dtype=np.int64)
-    xhi = np.empty(n, dtype=np.int64)
-    for k, idx in enumerate(order):
-        clo[k], xlo[k], chi[k], xhi[k] = footprints[idx]
     wave_no = np.zeros(n, dtype=np.int64)
+    if not n:
+        return wave_no
+    clo, xlo, chi, xhi = _ordered_boxes(order, boxes)
     for k in range(1, n):
         overlap = (
             (clo[:k] <= chi[k])
@@ -125,10 +124,7 @@ def plan_waves_reference(
         )
         if overlap.any():
             wave_no[k] = wave_no[:k][overlap].max() + 1
-    waves: List[List[int]] = [[] for _ in range(int(wave_no.max()) + 1)]
-    for idx, w in zip(order, wave_no):
-        waves[w].append(idx)
-    return waves
+    return wave_no
 
 
 #: Coarse-layer bucket width (power of two for shift indexing): each
@@ -153,11 +149,8 @@ _NARROW = 3 * _COARSE
 _MAX_GRID_CELLS = 1 << 25
 
 
-def plan_waves(
-    order: Sequence[int],
-    footprints: Dict[int, Tuple[int, int, int, int]],
-) -> List[List[int]]:
-    """The full wave decomposition of *order*, via a grid-paint index.
+def plan_waves(order: Sequence[int], boxes: np.ndarray) -> np.ndarray:
+    """The wave of every position of *order*, via a grid-paint index.
 
     Same contract and bit-identical output as
     :func:`plan_waves_reference`, but sub-quadratic in practice: one
@@ -180,23 +173,21 @@ def plan_waves(
     every cell under the rectangle, which is all overwrite needs.
     """
     if len(order) == 0:
-        return []
-    boxes = [footprints[idx] for idx in order]
-    clos, xlos, chis, xhis = zip(*boxes)
-    cmin = min(clos)
-    n_rows = max(chis) - cmin + 1
-    xmin = min(xlos)
-    span = max(xhis) - xmin + 1
+        return np.zeros(0, dtype=np.int64)
+    clo, xlo, chi, xhi = _ordered_boxes(order, boxes)
+    cmin, xmin = int(clo.min()), int(xlo.min())
+    n_rows = int(chi.max()) - cmin + 1
+    span = int(xhi.max()) - xmin + 1
     if (
         n_rows * span > _MAX_GRID_CELLS
         # Inverted boxes have no grid-cell representation but still
         # overlap things under the recurrence's interval tests; keep
         # bit-identity by handing them to the oracle.  Likewise
         # pathological coordinates (memory guard above).
-        or any(a > b for a, b in zip(clos, chis))
-        or any(a > b for a, b in zip(xlos, xhis))
+        or (clo > chi).any()
+        or (xlo > xhi).any()
     ):
-        return plan_waves_reference(order, footprints)
+        return plan_waves_reference(order, boxes)
 
     # Three layers per channel row, all plain lists so slice reads and
     # writes run at C speed:
@@ -208,20 +199,19 @@ def plan_waves(
     fine = [[-1] * span for _ in range(n_rows)]
     lazy = [[-1] * n_coarse for _ in range(n_rows)]
     coarse = [[-1] * n_coarse for _ in range(n_rows)]
-    # Waves are built in place: ``w = best + 1`` can exceed the
-    # current maximum by at most one, so a new wave is always a plain
-    # append.  This replaces a second grouping pass over all wires.
-    waves: List[List[int]] = []
-    max_wave = -1  # always len(waves) - 1
     shift = _COARSE_SHIFT
+    # Each footprint relative to the index, one column per coordinate:
+    # rows cl..ch0, cells xl..xh2 - 1 (xh2 exclusive), coarse slots b0..b1.
+    x_start = xlo - xmin
+    x_stop = xhi - (xmin - 1)
+    columns = zip(
+        (clo - cmin).tolist(), x_start.tolist(), (chi - cmin).tolist(), x_stop.tolist(),
+        (x_start >> shift).tolist(), ((x_stop - 1) >> shift).tolist(),
+    )
+    wave: List[int] = []  # entry k: the wave of order[k]
+    max_wave = -1
 
-    for idx, (c0, l, c1, h) in zip(order, boxes):
-        cl = c0 - cmin
-        xl = l - xmin
-        ch0 = c1 - cmin
-        xh2 = h - xmin + 1  # exclusive
-        b0 = xl >> shift
-        b1 = (xh2 - 1) >> shift  # last touched slot
+    for cl, xl, ch0, xh2, b0, b1 in columns:
         if b1 == b0:
             # Fast path: the whole footprint lies in one coarse slot
             # (the overwhelmingly common case for local wires).
@@ -248,9 +238,7 @@ def plan_waves(
                         w = m + 1
                     if w > max_wave:
                         max_wave = w
-                        waves.append([idx])
-                    else:
-                        waves[w].append(idx)
+                    wave.append(w)
                     row[xl] = w
                     row[xr] = w
                     if w > cb:
@@ -264,9 +252,7 @@ def plan_waves(
                     w = (m2 if m2 > m else m) + 1
                 if w > max_wave:
                     max_wave = w
-                    waves.append([idx])
-                else:
-                    waves[w].append(idx)
+                wave.append(w)
                 row[xl:xh2] = [w] * (xh2 - xl)
                 if w > cb:
                     crow[b0] = w
@@ -304,9 +290,7 @@ def plan_waves(
                     w = best + 1
                     if w > max_wave:
                         max_wave = w
-                        waves.append([idx])
-                    else:
-                        waves[w].append(idx)
+                    wave.append(w)
                     row[xl] = w
                     row[xr] = w
                     row2 = fine[ch2]
@@ -333,9 +317,7 @@ def plan_waves(
                 w = best + 1
                 if w > max_wave:
                     max_wave = w
-                    waves.append([idx])
-                else:
-                    waves[w].append(idx)
+                wave.append(w)
                 seg = [w] * (xh2 - xl)
                 fine[cl][xl:xh2] = seg
                 fine[ch2][xl:xh2] = seg
@@ -367,9 +349,7 @@ def plan_waves(
                 w = best + 1
                 if w > max_wave:
                     max_wave = w
-                    waves.append([idx])
-                else:
-                    waves[w].append(idx)
+                wave.append(w)
                 for c in range(cl, ch):
                     row = fine[c]
                     row[xl] = w
@@ -395,9 +375,7 @@ def plan_waves(
             w = best + 1
             if w > max_wave:
                 max_wave = w
-                waves.append([idx])
-            else:
-                waves[w].append(idx)
+            wave.append(w)
             seg = [w] * (xh2 - xl)
             for c in range(cl, ch):
                 fine[c][xl:xh2] = seg
@@ -447,9 +425,7 @@ def plan_waves(
         w = best + 1
         if w > max_wave:
             max_wave = w
-            waves.append([idx])
-        else:
-            waves[w].append(idx)
+        wave.append(w)
         # Commit: w exceeds every cell under the rectangle, so all
         # writes are plain overwrites (see docstring).
         if wide:
@@ -478,7 +454,7 @@ def plan_waves(
                     if w > crow[b]:
                         crow[b] = w
 
-    return waves
+    return np.array(wave, dtype=np.int64)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
@@ -965,16 +941,17 @@ class _WavePlan:
     )
 
     def __init__(
-        self, geom: CircuitGeometry, waves: List[List[int]], n_channels: int, n_grids: int
+        self, geom: CircuitGeometry, order: np.ndarray, waves: np.ndarray,
+        n_channels: int, n_grids: int,
     ) -> None:
         self.n_grids = n_grids
         self.n_cells = n_cells = n_channels * n_grids
-        n_waves = len(waves)
 
-        sizes = np.fromiter(map(len, waves), np.int64, n_waves)
-        self.wire_seq = wire_seq = np.fromiter(
-            chain.from_iterable(waves), np.int64, int(sizes.sum())
-        )
+        # *waves* is :func:`plan_waves`' column: a stable sort by wave keeps
+        # each wave's members in visit order.
+        self.wire_seq = wire_seq = order[np.argsort(waves, kind="stable")]
+        sizes = np.bincount(waves)
+        n_waves = sizes.size
         self.wave_rows = _pointers(sizes)
         self.work_cells = int(geom.work_cells[wire_seq].sum())
         max_size = int(sizes.max()) if n_waves else 0
@@ -1196,8 +1173,9 @@ def _wave_plan(circuit: Circuit, order: Sequence[int]) -> _WavePlan:
     if cached is not None and cached[0] == key:
         return cached[1]
     geom = circuit_geometry(circuit)
-    waves = plan_waves(key, dict(enumerate(zip(*geom.bbox.T.tolist()))))
-    plan = _WavePlan(geom, waves, circuit.n_channels, circuit.n_grids)
+    wires = np.array(key, dtype=np.int64)
+    waves = plan_waves(wires, geom.bbox)
+    plan = _WavePlan(geom, wires, waves, circuit.n_channels, circuit.n_grids)
     object.__setattr__(circuit, "_wf_waves", (key, plan))
     return plan
 

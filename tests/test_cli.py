@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -129,6 +135,22 @@ class TestRunCommand:
     def test_requires_live_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
+
+    def test_only_run_loads_the_live_twins(self):
+        # `import repro` and the CLI module leave the live routers (and the
+        # multiprocessing.shared_memory they pull in) unloaded; a fresh
+        # interpreter is the only clean sys.modules.
+        probe = (
+            "import sys, repro, repro.cli; "
+            "print([m for m in ('repro.parallel.live', 'multiprocessing.shared_memory') "
+            "if m in sys.modules])"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestExperimentCommand:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,41 @@ class TestConstruction:
     def test_wrong_ndim_rejected(self):
         with pytest.raises(RoutingError):
             RoutePath(np.zeros((2, 2), dtype=np.int64), 10)
+
+    def test_cells_stored_as_int64(self):
+        # Regression: an int32 path equalled its int64 twin but hashed
+        # differently, so a set held both.
+        narrow = RoutePath(np.array([1, 5, 9], dtype=np.int32), 10)
+        wide = RoutePath(np.array([1, 5, 9]), 10)
+        assert narrow.flat_cells.dtype == np.int64
+        assert narrow == wide and hash(narrow) == hash(wide)
+        assert len({narrow, wide}) == 1
+        assert RoutePath(np.array([3, 4], dtype=np.uint16), 10) == RoutePath.from_cells([4, 3], 10)
+
+    @pytest.mark.parametrize("cells", [np.array([1.0, 5.0]), np.array([True, False])])
+    def test_non_integer_cells_rejected(self, cells):
+        with pytest.raises(RoutingError, match="integers"):
+            RoutePath(cells, 10)
+
+    def test_immutable(self):
+        path = RoutePath.from_cells(np.array([1, 2]), 10)
+        with pytest.raises(AttributeError):
+            path.n_grids = 11
+        with pytest.raises(AttributeError):
+            del path.flat_cells
+        with pytest.raises(AttributeError):
+            path.extra = 1
+        assert path.n_grids == 10
+
+
+class TestPickle:
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_path_round_trip(self, protocol):
+        path = RoutePath.from_cells(np.array([7, 3, 12]), 10)
+        again = pickle.loads(pickle.dumps(path, protocol=protocol))
+        assert type(again) is RoutePath
+        assert again == path and hash(again) == hash(path)
+        assert again.flat_cells.dtype == np.int64 and again.n_grids == 10
 
 
 class TestGeometry:

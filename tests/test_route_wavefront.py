@@ -114,31 +114,43 @@ def greedy_round(pending, footprints):
     return wave, deferred
 
 
+def planned(order, boxes):
+    """Both planners' wave column for *order*, checked equal, as a list."""
+    boxes = np.asarray(boxes).reshape(-1, 4)
+    waves = plan_waves_reference(order, boxes)
+    assert np.array_equal(plan_waves(order, boxes), waves)
+    return waves.tolist()
+
+
 class TestWavePartition:
     def test_disjoint_wires_share_a_wave(self):
-        footprints = {0: (0, 0, 1, 5), 1: (3, 0, 4, 5), 2: (6, 10, 7, 20)}
-        assert plan_waves_reference([0, 1, 2], footprints) == [[0, 1, 2]]
+        boxes = [(0, 0, 1, 5), (3, 0, 4, 5), (6, 10, 7, 20)]
+        assert planned([0, 1, 2], boxes) == [0, 0, 0]
 
     def test_overlapping_wires_serialize(self):
         # All three share cell (0, 0): every wave has exactly one wire,
         # in the original order.
-        footprints = {i: (0, 0, 2, 10) for i in range(3)}
-        assert plan_waves_reference([0, 1, 2], footprints) == [[0], [1], [2]]
+        assert planned([0, 1, 2], [(0, 0, 2, 10)] * 3) == [0, 1, 2]
+        assert planned([2, 0, 1], [(0, 0, 2, 10)] * 3) == [0, 1, 2]
 
     def test_deferred_wire_blocks_later_overlaps(self):
         # B overlaps A, C overlaps only B.  C must not jump the queue
         # into A's wave: routing C before B would invert the order.
-        footprints = {
-            0: (0, 0, 1, 5),  # A
-            1: (1, 4, 3, 10),  # B: overlaps A
-            2: (3, 8, 5, 15),  # C: overlaps B, disjoint from A
-        }
-        assert plan_waves_reference([0, 1, 2], footprints) == [[0], [1], [2]]
+        boxes = [
+            (0, 0, 1, 5),  # A
+            (1, 4, 3, 10),  # B: overlaps A
+            (3, 8, 5, 15),  # C: overlaps B, disjoint from A
+        ]
+        assert planned([0, 1, 2], boxes) == [0, 1, 2]
 
     def test_touching_edges_count_as_overlap(self):
         # Inclusive boxes sharing a boundary row conflict.
-        footprints = {0: (0, 0, 2, 5), 1: (2, 5, 4, 9)}
-        assert plan_waves_reference([0, 1], footprints) == [[0], [1]]
+        assert planned([0, 1], [(0, 0, 2, 5), (2, 5, 4, 9)]) == [0, 1]
+
+    def test_positions_follow_the_order_not_the_rows(self):
+        # Entry k is the wave of order[k]; rows the order skips are unread.
+        boxes = [(0, 0, 0, 3), (9, 9, 9, 9), (0, 2, 1, 4), (5, 0, 5, 1)]
+        assert planned([2, 3, 0], boxes) == [0, 0, 1]
 
     @given(st.data())
     @settings(deadline=None, max_examples=100)
@@ -158,13 +170,15 @@ class TestWavePartition:
                 data.draw(st.integers(x_lo, 24)),
             )
         order = data.draw(st.permutations(list(range(n))))
-        rounds = []
+        round_of = {}
         pending = list(order)
+        rounds = 0
         while pending:
             wave, pending = greedy_round(pending, footprints)
-            rounds.append(wave)
-        assert plan_waves_reference(order, footprints) == rounds
-        assert plan_waves(order, footprints) == rounds
+            round_of.update(dict.fromkeys(wave, rounds))
+            rounds += 1
+        boxes = [footprints[i] for i in range(n)]
+        assert planned(order, boxes) == [round_of[idx] for idx in order]
 
 
 class TestGeometry:
@@ -503,9 +517,8 @@ class TestIterationEquivalence:
             for i in range(6)
         ]
         circuit = Circuit("serial", N_CHANNELS, N_GRIDS, overlapping)
-        footprints = {i: circuit.wire(i).bounding_box for i in range(circuit.n_wires)}
-        waves = plan_waves_reference(list(range(circuit.n_wires)), footprints)
-        assert [len(wave) for wave in waves] == [1] * circuit.n_wires
+        boxes = [circuit.wire(i).bounding_box for i in range(circuit.n_wires)]
+        assert planned(list(range(circuit.n_wires)), boxes) == list(range(circuit.n_wires))
         with use_kernels("reference"):
             ref = SequentialRouter(circuit, iterations=3).run()
         with use_kernels("vectorized"):
@@ -600,10 +613,10 @@ class TestPathTable:
     def test_keys_paths_and_order_match_the_dict(self, runs):
         circuit, order, results = runs
         expected = reference_paths(circuit, order, 2)
-        geom = circuit_geometry(circuit)
-        waves = plan_waves(order, dict(enumerate(zip(*geom.bbox.T.tolist()))))
+        waves = plan_waves(order, circuit_geometry(circuit).bbox)
         assert list(results["reference"].paths) == order
-        assert list(results["vectorized"].paths) == [w for wave in waves for w in wave]
+        wave_order = np.asarray(order)[np.argsort(waves, kind="stable")]
+        assert list(results["vectorized"].paths) == wave_order.tolist()
         for table in (results["reference"].paths, results["vectorized"].paths):
             assert isinstance(table, PathTable)
             assert len(table) == circuit.n_wires
@@ -632,6 +645,13 @@ class TestPathTable:
         assert sum(path.n_cells for path in table.values()) == table.cells.size
         assert materialised() == before + 4 + n
 
+    def test_views_match_lookups(self, runs):
+        for result in runs[2].values():
+            table = result.paths
+            assert list(table.values()) == [table[w] for w in table]
+            assert list(table.items()) == [(w, table[w]) for w in table]
+            assert all(path.flat_cells.dtype == np.int64 for path in table.values())
+
     def test_wave_router_builds_no_path(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the wave router built a RoutePath")
@@ -649,6 +669,8 @@ class TestPathTable:
             assert again.quality == result.quality and again.cost == result.cost
             assert list(again.paths) == list(result.paths)
             assert again.paths == result.paths
+            view = result.paths[3]  # a slice of the table's cell column
+            assert pickle.loads(pickle.dumps(view)) == view
 
     @pytest.mark.parametrize("mode", ["vectorized", "reference"])
     def test_empty_circuit(self, mode):

@@ -2,23 +2,27 @@
 
 ``plan_waves`` replaced the per-wire vectorized overlap test against all
 earlier wires with a grid-paint skyline index; ``plan_waves_reference``
-keeps the original recurrence as the differential oracle.  Contract:
-identical wave decompositions for *every* order and footprint set —
-including degenerate all-overlapping stacks (everything serializes into
-size-1 waves), all-disjoint layouts (one wave), inverted boxes (defined
-only by the recurrence's interval tests; the index must defer), and
-giant footprints spanning the whole grid (exercising the lazy/coarse
-slot layers).
+keeps the original recurrence as the differential oracle.  Both take the
+geometry's ``(n_wires, 4)`` box array and return one column, the wave of
+each position of the order.  Contract: identical columns for *every*
+order and box set — including degenerate all-overlapping stacks
+(everything serializes into size-1 waves), all-disjoint layouts (one
+wave), inverted boxes (defined only by the recurrence's interval tests;
+the index must defer), and giant footprints spanning the whole grid
+(exercising the lazy/coarse slot layers).
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.route.wavefront import plan_waves, plan_waves_reference
+from repro.circuits import generate_scaled
+from repro.route.wavefront import circuit_geometry, plan_waves, plan_waves_reference
 
 N_WIRES = 128
 
@@ -41,24 +45,30 @@ def footprint_strategy(allow_inverted: bool):
     )
 
 
+def draw_boxes(data, n: int, allow_inverted: bool) -> np.ndarray:
+    rows = [data.draw(footprint_strategy(allow_inverted), label=f"fp{i}") for i in range(n)]
+    return np.array(rows, dtype=np.int64).reshape(n, 4)
+
+
+def assert_planners_agree(order, boxes) -> np.ndarray:
+    waves = plan_waves(order, boxes)
+    assert waves.dtype == np.int64 and waves.shape == (len(order),)
+    assert np.array_equal(waves, plan_waves_reference(order, boxes))
+    return waves
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), allow_inverted=st.booleans())
 def test_index_matches_recurrence(data, allow_inverted):
-    footprints = {
-        i: data.draw(footprint_strategy(allow_inverted), label=f"fp{i}")
-        for i in range(N_WIRES)
-    }
+    boxes = draw_boxes(data, N_WIRES, allow_inverted)
     order = data.draw(st.permutations(list(range(N_WIRES))))
-    assert plan_waves(order, footprints) == plan_waves_reference(order, footprints)
+    assert_planners_agree(order, boxes)
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_index_matches_recurrence_partial_orders(data):
-    footprints = {
-        i: data.draw(footprint_strategy(False), label=f"fp{i}")
-        for i in range(N_WIRES * 2)
-    }
+    boxes = draw_boxes(data, N_WIRES * 2, False)
     subset = data.draw(
         st.lists(
             st.sampled_from(list(range(N_WIRES * 2))),
@@ -67,35 +77,31 @@ def test_index_matches_recurrence_partial_orders(data):
             unique=True,
         )
     )
-    assert plan_waves(subset, footprints) == plan_waves_reference(subset, footprints)
+    assert_planners_agree(subset, boxes)
 
 
 def test_degenerate_all_overlapping():
-    footprints = {i: (0, 0, 40, 3000) for i in range(N_WIRES)}
-    order = list(range(N_WIRES))
-    waves = plan_waves(order, footprints)
-    assert waves == plan_waves_reference(order, footprints)
-    assert waves == [[i] for i in order]  # full serialization
+    boxes = np.tile([0, 0, 40, 3000], (N_WIRES, 1))
+    waves = assert_planners_agree(list(range(N_WIRES)), boxes)
+    assert waves.tolist() == list(range(N_WIRES))  # full serialization
 
 
 def test_degenerate_all_disjoint():
-    footprints = {i: (i % 30, (i // 30) * 9, i % 30, (i // 30) * 9 + 7) for i in range(N_WIRES)}
-    order = list(range(N_WIRES))
-    waves = plan_waves(order, footprints)
-    assert waves == plan_waves_reference(order, footprints)
-    assert waves == [order]  # one wave: nothing overlaps
+    i = np.arange(N_WIRES)
+    boxes = np.stack((i % 30, (i // 30) * 9, i % 30, (i // 30) * 9 + 7), axis=1)
+    waves = assert_planners_agree(list(range(N_WIRES)), boxes)
+    assert waves.tolist() == [0] * N_WIRES  # one wave: nothing overlaps
 
 
 def test_giant_and_tiny_mixture():
-    footprints = {}
+    boxes = []
     for i in range(N_WIRES):
         if i % 17 == 0:
-            footprints[i] = (0, 0, 25, 2900)  # spans many coarse slots
+            boxes.append((0, 0, 25, 2900))  # spans many coarse slots
         else:
             c, x = (i * 7) % 26, (i * 131) % 2800
-            footprints[i] = (c, x, c + 1, x + 12)
-    order = list(range(N_WIRES))
-    assert plan_waves(order, footprints) == plan_waves_reference(order, footprints)
+            boxes.append((c, x, c + 1, x + 12))
+    assert_planners_agree(list(range(N_WIRES)), np.array(boxes))
 
 
 @settings(max_examples=80, deadline=None)
@@ -103,27 +109,38 @@ def test_giant_and_tiny_mixture():
 def test_small_circuits_match_recurrence(data, n, allow_inverted):
     """Small orders (the service's ``route`` jobs submit 40-99 wires) go
     through the index like every other size, the empty order included."""
-    footprints = {
-        i: data.draw(footprint_strategy(allow_inverted), label=f"fp{i}")
-        for i in range(n)
-    }
+    boxes = draw_boxes(data, n, allow_inverted)
     order = data.draw(st.permutations(list(range(n))))
-    assert plan_waves(order, footprints) == plan_waves_reference(order, footprints)
+    assert_planners_agree(order, boxes)
 
 
 @pytest.mark.parametrize("which", ["bnrE", "MDC"])
 @pytest.mark.parametrize("n_wires", [2, 40, 70, 95])
 def test_small_generated_circuits_match_recurrence(which, n_wires):
     from repro.circuits import bnre_like, mdc_like
-    from repro.route.wavefront import circuit_geometry
 
     circuit = (bnre_like if which == "bnrE" else mdc_like)(n_wires=n_wires)
-    geom = circuit_geometry(circuit)
-    footprints = dict(enumerate(zip(*geom.bbox.T.tolist())))
-    order = list(range(circuit.n_wires))
-    waves = plan_waves(order, footprints)
-    assert waves == plan_waves_reference(order, footprints)
-    assert sorted(idx for wave in waves for idx in wave) == order
+    waves = assert_planners_agree(np.arange(circuit.n_wires), circuit_geometry(circuit).bbox)
+    assert (np.bincount(waves) > 0).all()  # waves 0..max, none empty
+
+
+#: sha256 of the wires in wave order, then the wave sizes (both ``int64``),
+#: of the default-order plan of ``generate_scaled(n)``, recorded from the
+#: planner that took a box dict and returned a list of waves.
+PINNED_PLANS = {
+    10_000: "50dbec9c5cd61161c679020dcd66d88c7f77e0d8066d97874882c03329039bcd",
+    15_000: "84e5611a53068913500f6892d603054e0155ee96605f407a8b92a432723bcb56",
+}
+
+
+@pytest.mark.parametrize("n_wires", sorted(PINNED_PLANS))
+def test_scaled_plans_are_pinned(n_wires):
+    circuit = generate_scaled(n_wires)
+    order = np.arange(circuit.n_wires, dtype=np.int64)
+    waves = plan_waves(order, circuit_geometry(circuit).bbox)
+    digest = hashlib.sha256(order[np.argsort(waves, kind="stable")].tobytes())
+    digest.update(np.bincount(waves).astype(np.int64).tobytes())
+    assert digest.hexdigest() == PINNED_PLANS[n_wires]
 
 
 def test_wave_cache_is_bounded():
