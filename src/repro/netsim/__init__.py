@@ -7,7 +7,6 @@ wormhole routing, link contention, and the paper's timing constants
 the original CBS simulator.
 """
 
-from .kary_ncube import KaryNCubeTopology
 from .message import Delivery, Message
 from .stats import NetworkStats
 from .topology import MeshTopology
@@ -18,7 +17,6 @@ __all__ = [
     "Delivery",
     "NetworkStats",
     "MeshTopology",
-    "KaryNCubeTopology",
     "WormholeNetwork",
     "HOP_TIME_S",
     "PROCESS_TIME_S",

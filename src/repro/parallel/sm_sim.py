@@ -238,8 +238,8 @@ def run_shared_memory(
         counters[proc].add_commit(result.path.n_cells)
         total_units = ripup_units + result.work_cells + commit_units
         if numa_regions is not None:
-            # Scale this wire's time by the remote fraction of its
-            # evaluation footprint under the hierarchical memory model.
+            # Scale this wire's time by the remote fraction of the cells
+            # of its committed path under the hierarchical memory model.
             channels, xs = result.path.coords()
             owners = numa_regions.owners_of_cells(channels, xs)
             remote_frac = float((owners != proc).mean())

@@ -260,3 +260,32 @@ class TestStats:
         _, net, _ = make_network()
         with pytest.raises(ValueError):
             net.stats.rates(0.0)
+
+
+class TestLinkUtilization:
+    def test_busy_fraction_bounded(self):
+        sim = Simulator()
+        net = WormholeNetwork(sim, MeshTopology(4), lambda d: None)
+        net.send(Message(0, 1, 100, None))
+        end = sim.run()
+        util = net.link_utilization(end)
+        assert util.shape == (8,)
+        assert 0.0 <= util.max() <= 1.0
+        assert util.sum() > 0
+
+    def test_requires_positive_elapsed(self):
+        sim = Simulator()
+        net = WormholeNetwork(sim, MeshTopology(4), lambda d: None)
+        with pytest.raises(NetworkError):
+            net.link_utilization(0.0)
+
+    def test_hot_link_shows_up(self):
+        sim = Simulator()
+        net = WormholeNetwork(sim, MeshTopology(4), lambda d: None)
+        for _ in range(10):
+            net.send(Message(0, 1, 200, None))
+        end = sim.run()
+        util = net.link_utilization(end)
+        hot = net.topology.link_id(0, MeshTopology.X_DIM)
+        assert util[hot] == util.max()
+        assert util[hot] > 0.5

@@ -83,6 +83,18 @@ def test_strict_ripup_raises_on_double_removal(circuit):
     assert (ledger.truth.data == before).all()
 
 
+def test_close_checks_the_truth_against_the_paths(circuit):
+    # Every commit balanced, then a write no path accounts for: only the
+    # end-of-run reconstruction can see it.
+    ledger = GroundTruthLedger(circuit, "test", check_invariants=True)
+    for wire in range(3):
+        ledger.commit(0, wire, routed(circuit, ledger, wire), float(wire))
+    assert ledger.report.ok
+    ledger.truth.data[0, 0] += 1
+    ledger.close(3.0)
+    assert not ledger.report.ok
+
+
 def test_close_needs_every_wire(circuit):
     ledger = GroundTruthLedger(circuit, "test")
     ledger.commit(0, 0, routed(circuit, ledger, 0), 0.0)

@@ -143,6 +143,32 @@ def test_scaled_plans_are_pinned(n_wires):
     assert digest.hexdigest() == PINNED_PLANS[n_wires]
 
 
+def test_memory_guard_falls_back_to_the_oracle(monkeypatch):
+    """Past the grid-cell guard the index is never built: the quadratic
+    oracle answers, with the index's own column; at the guard the index
+    still runs."""
+    from repro.route import wavefront
+
+    boxes = circuit_geometry(generate_scaled(2000)).bbox
+    order = np.arange(len(boxes), dtype=np.int64)
+    expected = plan_waves(order, boxes)
+    oracle, calls = wavefront.plan_waves_reference, []
+
+    def counted(o, b):
+        calls.append(len(o))
+        return oracle(o, b)
+
+    monkeypatch.setattr(wavefront, "plan_waves_reference", counted)
+    cells = int(boxes[:, 2].max() - boxes[:, 0].min() + 1) * int(
+        boxes[:, 3].max() - boxes[:, 1].min() + 1
+    )
+    monkeypatch.setattr(wavefront, "_MAX_GRID_CELLS", cells)
+    assert np.array_equal(plan_waves(order, boxes), expected) and calls == []
+    monkeypatch.setattr(wavefront, "_MAX_GRID_CELLS", cells - 1)
+    assert np.array_equal(plan_waves(order, boxes), expected)
+    assert calls == [len(order)]
+
+
 def test_wave_cache_is_bounded():
     """One slot: a second order replaces the cached plan, and a repeat of
     the first order re-plans and still routes bit-identically."""

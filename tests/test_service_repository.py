@@ -7,6 +7,7 @@ import sqlite3
 
 import pytest
 
+from repro.obs import telemetry as obs
 from repro.service.repository import REPOSITORY_SCHEMA, Repository
 
 
@@ -136,6 +137,32 @@ class TestCorruptionRecovery:
             assert repo.get_result("fp2")["payload"] == {"v": 2}
         finally:
             repo.close()
+
+    def test_repeat_recovery_takes_the_next_free_name(self, tmp_path):
+        db = tmp_path / "svc.sqlite"
+        before = obs.get_telemetry().count("service.repository.recovered")
+        garbage = [b"\x00 first garbage " * 10, b"\x00 second garbage " * 10]
+        for data in garbage:
+            db.write_bytes(data)
+            repo = Repository(db)
+            try:
+                repo.record_result("fp1", "route", {}, {"v": 1})
+            finally:
+                repo.close()
+        assert (tmp_path / "svc.sqlite.corrupt.0").read_bytes() == garbage[0]
+        assert (tmp_path / "svc.sqlite.corrupt.1").read_bytes() == garbage[1]
+        assert obs.get_telemetry().count("service.repository.recovered") - before == 2
+
+    def test_undecodable_row_is_a_counted_miss(self, repo):
+        repo.record_result("fp1", "route", {}, {"v": 1})
+        with repo._lock:
+            repo._conn.execute("UPDATE results SET payload = ?", ("{not json",))
+            repo._conn.commit()
+        counters = ("service.repository.corrupt_rows", "service.repository.misses")
+        before = [obs.get_telemetry().count(name) for name in counters]
+        assert repo.get_result("fp1") is None
+        after = [obs.get_telemetry().count(name) for name in counters]
+        assert [a - b for a, b in zip(after, before)] == [1, 1]
 
     def test_memory_database_never_recovers_silently(self):
         repo = Repository(":memory:")
