@@ -37,6 +37,11 @@ def _default_procs() -> int:
     return max(2, min(4, os.cpu_count() or 1))
 
 
+def _replayed(live) -> bool:
+    """The commit-log replay verdict of a live run."""
+    return live.meta["verification"]["ok"]
+
+
 def bench_live_sm_speedup(quick: bool, repeats: int) -> Dict[str, object]:
     """The perf-suite entry: live SM wall at 1 process vs N processes."""
     from repro.harness.experiments import quick_circuit
@@ -52,10 +57,10 @@ def bench_live_sm_speedup(quick: bool, repeats: int) -> Dict[str, object]:
         many = run_live_shared_memory(
             circuit, n_procs=n_procs, iterations=iterations
         )
-        replay_ok = replay_ok and solo.replay_ok and many.replay_ok
+        replay_ok = replay_ok and _replayed(solo) and _replayed(many)
         if rep:
-            solo_s = min(solo_s, solo.routing_wall_s)
-            parallel_s = min(parallel_s, many.routing_wall_s)
+            solo_s = min(solo_s, solo.exec_time_s)
+            parallel_s = min(parallel_s, many.exec_time_s)
     return {
         "id": "live_sm_speedup",
         "kind": "live",
@@ -105,8 +110,8 @@ def run_comparison(
             circuit, n_procs=procs, iterations=iterations
         )
         add(
-            "sm live", procs, live.quality, live.routing_wall_s, "wall",
-            replay=live.replay_ok,
+            "sm live", procs, live.quality, live.exec_time_s, "wall",
+            replay=_replayed(live),
         )
 
     mp_sim = run_message_passing(
@@ -120,9 +125,9 @@ def run_comparison(
         circuit, schedule, n_procs=n_procs, iterations=iterations
     )
     add(
-        "mp live", n_procs, live_mp.quality, live_mp.routing_wall_s, "wall",
+        "mp live", n_procs, live_mp.quality, live_mp.exec_time_s, "wall",
         messages=live_mp.meta["traffic"]["messages_sent"],
-        replay=live_mp.replay_ok,
+        replay=_replayed(live_mp),
     )
     return rows
 

@@ -78,6 +78,7 @@ from .harness.pool import default_jobs
 from .harness.runner import BENCH_FILENAME, run_all
 from .kernels import KERNEL_MODES, set_kernels
 from .parallel import run_dynamic_assignment, run_message_passing, run_shared_memory
+from .parallel.sm_sim import PROTOCOLS
 from .route import SequentialRouter
 from .updates import PacketStructure, UpdateSchedule
 
@@ -133,7 +134,7 @@ _RUN_FLAGS: Dict[str, Dict[str, Any]] = {
         help="CI-scale run: shrunk circuits (mp / run: 160 wires, 2 iterations)",
     ),
     "protocol": dict(
-        choices=["invalidate", "update"],
+        choices=list(PROTOCOLS),
         help="coherence protocol for the traffic replay (sm)",
     ),
     "timeout": dict(type=float, metavar="SECONDS"),
@@ -487,14 +488,15 @@ def _cmd_route(args: argparse.Namespace) -> int:
 def _verification_exit(result, args: argparse.Namespace) -> int:
     """Exit status for a run that may carry a verification report.
 
-    Without ``--check-invariants`` (or when every check passed) the run
-    exits 0; violations print to stderr (unless ``--json`` already
-    carried them) and exit 1.
+    A simulator run carries one under ``--check-invariants``, a live run
+    always.  Without one (or when every check passed) the run exits 0;
+    violations print to stderr (unless ``--json`` already carried them)
+    and exit 1.
     """
-    if not getattr(args, "check_invariants", False):
+    verification = result.meta.get("verification")
+    if verification is None:
         return 0
-    verification = result.meta.get("verification", {})
-    if verification.get("ok", True):
+    if verification["ok"]:
         if not args.json:
             print(f"invariants: {verification.get('total_checks', 0)} checks, 0 violations")
         return 0
@@ -665,7 +667,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.json:
         print(json.dumps(result.summary_dict(), indent=1))
-        return 0 if result.replay_ok else 1
+        return _verification_exit(result, args)
     print(f"{circuit.describe()}")
     print(
         f"live {result.paradigm}: {args.procs} processes "
@@ -673,7 +675,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     for key, value in result.table_row().items():
         print(f"  {key}: {value}")
-    print(f"  total wall: {result.wall_s:.3f}s (routing {result.routing_wall_s:.3f}s)")
+    print(f"  total wall: {result.meta['wall_s']:.3f}s (routing {result.exec_time_s:.3f}s)")
     if args.live == "mp":
         traffic = result.meta["traffic"]
         print(
@@ -690,10 +692,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"  crashes: {len(crash['confirmed'])} confirmed, "
                 f"{crash['requeued_wires']} wires requeued"
             )
-    if not result.replay_ok:
-        print("REPLAY VERIFICATION FAILED", file=sys.stderr)
-        return 1
-    return 0
+    return _verification_exit(result, args)
 
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:

@@ -639,6 +639,9 @@ def run_x7_live_vs_sim(quick: bool = False) -> Table:
         circuit, mp_schedule, n_procs=n_live, iterations=iters
     )
 
+    def replayed(live: ParallelRunResult) -> bool:
+        return live.meta["verification"]["ok"]
+
     def row(impl, procs, quality, time_s, clock, messages="-", replay="-"):
         return {
             "implementation": impl,
@@ -658,12 +661,12 @@ def run_x7_live_vs_sim(quick: bool = False) -> Table:
             "sm live",
             n_live,
             live_sm.quality,
-            live_sm.routing_wall_s,
+            live_sm.exec_time_s,
             "wall",
-            replay=live_sm.replay_ok,
+            replay=replayed(live_sm),
         ),
-        row("sm live", 1, live_solo.quality, live_solo.routing_wall_s, "wall",
-            replay=live_solo.replay_ok),
+        row("sm live", 1, live_solo.quality, live_solo.exec_time_s, "wall",
+            replay=replayed(live_solo)),
         row(
             "mp simulated",
             n_live,
@@ -676,10 +679,10 @@ def run_x7_live_vs_sim(quick: bool = False) -> Table:
             "mp live",
             n_live,
             live_mp.quality,
-            live_mp.routing_wall_s,
+            live_mp.exec_time_s,
             "wall",
             messages=live_mp.meta["traffic"]["messages_sent"],
-            replay=live_mp.replay_ok,
+            replay=replayed(live_mp),
         ),
     ]
 
@@ -693,14 +696,14 @@ def run_x7_live_vs_sim(quick: bool = False) -> Table:
         return True
 
     speedup = (
-        live_solo.routing_wall_s / live_sm.routing_wall_s
-        if live_sm.routing_wall_s > 0
+        live_solo.exec_time_s / live_sm.exec_time_s
+        if live_sm.exec_time_s > 0
         else 0.0
     )
     checks = {
-        "live SM commit-log replay bit-exact": live_sm.replay_ok
-        and live_solo.replay_ok,
-        "live MP log replay is the committed-path union": live_mp.replay_ok,
+        "live SM commit-log replay bit-exact": replayed(live_sm)
+        and replayed(live_solo),
+        "live MP log replay is the committed-path union": replayed(live_mp),
         "live SM quality within tolerance of the SM simulator": within(
             live_sm.quality, sm_sim.quality
         ),
@@ -722,9 +725,9 @@ def run_x7_live_vs_sim(quick: bool = False) -> Table:
     extras = {
         "cores": cores,
         "live_sm_speedup": round(speedup, 3),
-        "live_solo_wall_s": live_solo.routing_wall_s,
-        "live_sm_wall_s": live_sm.routing_wall_s,
-        "live_mp_wall_s": live_mp.routing_wall_s,
+        "live_solo_wall_s": live_solo.exec_time_s,
+        "live_sm_wall_s": live_sm.exec_time_s,
+        "live_mp_wall_s": live_mp.exec_time_s,
         "live_mp_traffic": live_mp.meta["traffic"],
         "sim_mp_messages": mp_sim.network.n_messages,
     }

@@ -44,6 +44,7 @@ from ..errors import ExperimentError
 from ..faults.plan import FaultPlan
 from ..grid import RegionMap
 from ..parallel import run_message_passing, run_shared_memory
+from ..parallel.sm_sim import PROTOCOLS
 from ..parallel.results import ParallelRunResult
 from ..parallel.timing import DEFAULT_COST_MODEL
 from ..obs import telemetry as obs
@@ -121,6 +122,11 @@ class SimConfig:
             raise ExperimentError(f"unknown sim kind {self.kind!r}")
         if self.kind == "mp" and self.schedule is None:
             raise ExperimentError("message passing configs need a schedule")
+        if self.protocol not in PROTOCOLS:
+            raise ExperimentError(
+                f"unknown coherence protocol {self.protocol!r} "
+                f"(known: {', '.join(PROTOCOLS)})"
+            )
         if self.assigner is not None and self.assigner not in ASSIGNERS:
             raise ExperimentError(
                 f"unknown assigner {self.assigner!r} (known: {', '.join(ASSIGNERS)})"

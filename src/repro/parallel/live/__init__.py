@@ -6,7 +6,9 @@ package actually runs them: real worker processes on real cores, a real
 ``multiprocessing.shared_memory`` cost array for the shared-memory
 router, and real pickled update packets over pipes for the
 message-passing router.  Durable per-worker commit logs make every run
-replay-verifiable (:mod:`repro.parallel.live.commitlog`).
+replay-verifiable: the logs replay into the ground-truth ledger the
+simulators use (:mod:`repro.parallel.live.commitlog`), and both routers
+return :class:`~repro.parallel.results.ParallelRunResult`.
 """
 
 from .commitlog import (
@@ -14,13 +16,11 @@ from .commitlog import (
     RIPUP,
     CommitLogWriter,
     CommitRecord,
-    ReplayResult,
     read_log,
     read_logs,
     replay_records,
 )
 from .mp_live import DEFAULT_LIVE_POLICY, run_live_message_passing
-from .results import LiveRunResult, LiveWorkerStats
 from .sm_live import KILL_POINTS, KillPlanEntry, run_live_shared_memory
 
 __all__ = [
@@ -29,11 +29,8 @@ __all__ = [
     "DEFAULT_LIVE_POLICY",
     "KillPlanEntry",
     "KILL_POINTS",
-    "LiveRunResult",
-    "LiveWorkerStats",
     "CommitRecord",
     "CommitLogWriter",
-    "ReplayResult",
     "read_log",
     "read_logs",
     "replay_records",

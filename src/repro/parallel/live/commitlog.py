@@ -1,4 +1,4 @@
-"""Durable per-worker commit logs and their replay verifier.
+"""Durable per-worker commit logs and their replay into the ground-truth ledger.
 
 The live shared-memory router (:mod:`repro.parallel.live.sm_live`) reads
 the cost array without locks — stale reads are the paper's §3 semantics —
@@ -20,6 +20,12 @@ The live message-passing router reuses the same format with
 Linux), where the replayed array is the run's canonical ground truth
 rather than a mirror of one shared buffer.
 
+Replay feeds the records into the :class:`~repro.parallel.ledger.GroundTruthLedger`
+both simulators drive, so one ledger judges all four engines: a live run
+takes its truth array, paths, prices, routers and quality from it, and
+its verdict sits in ``meta["verification"]`` as a ``--check-invariants``
+simulator run's does.
+
 Record wire format (little-endian, after an 8-byte file magic)::
 
     kind:u8  worker:i32  iteration:i32  wire:i32  seq:i64  price:i64
@@ -27,21 +33,24 @@ Record wire format (little-endian, after an 8-byte file magic)::
 
 ``price`` is the path cost the worker measured against the live array at
 commit time (``-1`` when not measured); replay recomputes it and any
-mismatch is a verification failure — a cheap end-to-end probe that the
-critical sections really did serialise the writes.
+mismatch is a violation.
 """
 
 from __future__ import annotations
 
+import collections
 import os
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
+from ...circuits.model import Circuit
 from ...errors import SimulationError
-from ...grid.cost_array import CostArray
+from ...route.path import RoutePath
+from ..ledger import GroundTruthLedger
+from ..results import NodeSummary, ParallelRunResult
 
 __all__ = [
     "RIPUP",
@@ -52,7 +61,7 @@ __all__ = [
     "read_log",
     "read_logs",
     "replay_records",
-    "ReplayResult",
+    "live_result",
 ]
 
 #: Record kinds.
@@ -165,67 +174,124 @@ def read_logs(paths: Iterable[str]) -> List[CommitRecord]:
     return records
 
 
-@dataclass
-class ReplayResult:
-    """Outcome of :func:`replay_records`."""
-
-    truth: CostArray  #: array rebuilt by replaying every record in order
-    paths: Dict[int, np.ndarray]  #: wire -> final committed cells
-    prices: Dict[int, int]  #: wire -> replay-computed cost of the final commit
-    commits: int = 0  #: commit records replayed
-    ripups: int = 0  #: rip-up records replayed
-    price_mismatches: List[Tuple[int, int]] = field(default_factory=list)
-    #: (wire, seq) of commits whose logged price != replay price
-
-    @property
-    def occupancy_factor(self) -> int:
-        """Sum of final-commit prices — the occupancy quality metric."""
-        return int(sum(self.prices[w] for w in self.paths))
-
-    @property
-    def ok(self) -> bool:
-        """True when every measured price was reproduced by the replay."""
-        return not self.price_mismatches
-
-
 def replay_records(
-    records: Sequence[CommitRecord], n_channels: int, n_grids: int
-) -> ReplayResult:
-    """Replay *records* in global sequence order through a fresh array.
+    records: Sequence[CommitRecord], circuit: Circuit, iterations: int
+) -> GroundTruthLedger:
+    """Feed *records* into a checked ledger in global ticket order.
 
-    Semantics (the lock-free invariant the property test pins down):
+    The simulators' :class:`~repro.parallel.ledger.GroundTruthLedger`
+    rebuilds the truth array, the standing paths, each wire's commit-time
+    price and router, and its cost-conservation monitor checks every
+    commit; a record's position in ticket order stands in for event time.
+    A :data:`RIPUP` takes the wire's standing path out; a :data:`COMMIT`
+    on a wire that still stands rips that path first (logs without
+    explicit rip-up records, such as the property test's interleavings).
 
-    - a :data:`RIPUP` removes the recorded cells and clears the wire's
-      live path;
-    - a :data:`COMMIT` first removes the wire's previously committed path
-      if it is still live (covers logs without explicit rip-up records,
-      e.g. arbitrary interleavings generated by the hypothesis strategy),
-      prices the new cells against the current array, then applies them.
+    The replay's own checks land in the same report:
 
-    The final array therefore equals the union (sum of indicators) of the
-    still-live committed paths; ``remove_path(strict=True)`` makes any
-    bookkeeping violation (double rip-up, rip-up of an uncommitted path)
-    raise instead of silently corrupting the replay.
+    - ``replay-ripup``: a rip-up record's cells are the standing path;
+    - ``replay-price``: a logged price (``>= 0``) equals the replayed one,
+      a cheap end-to-end probe that the critical sections serialised;
+    - ``replay-commits``: all ``n_wires * iterations`` commits are present;
+    - ``replay-standing``: every wire stands at the end.
     """
+    ledger = GroundTruthLedger(circuit, "live", check_invariants=True)
+    report = ledger.report
     ordered = sorted(records, key=lambda r: (r.seq, r.worker, r.kind))
-    truth = CostArray(n_channels, n_grids)
-    live: Dict[int, np.ndarray] = {}
-    prices: Dict[int, int] = {}
-    result = ReplayResult(truth=truth, paths=live, prices=prices)
-    for rec in ordered:
+    for tick, rec in enumerate(ordered):
+        where = dict(wire=rec.wire, proc=rec.worker, event_time_s=float(tick))
+        standing = ledger.standing(rec.wire)
         if rec.kind == RIPUP:
-            truth.remove_path(rec.cells, strict=True)
-            live.pop(rec.wire, None)
-            result.ripups += 1
-        else:
-            prev = live.get(rec.wire)
-            if prev is not None:
-                truth.remove_path(prev, strict=True)
-            price = truth.path_cost(rec.cells)
-            if rec.price >= 0 and rec.price != price:
-                result.price_mismatches.append((rec.wire, rec.seq))
-            truth.apply_path(rec.cells)
-            live[rec.wire] = rec.cells
-            prices[rec.wire] = price
-            result.commits += 1
-    return result
+            report.check(
+                "replay-ripup",
+                standing is not None and np.array_equal(standing.flat_cells, rec.cells),
+                "a rip-up record's cells are not the wire's standing path",
+                **where,
+            )
+        if standing is not None:
+            ledger.ripup(rec.wire, tick)
+        if rec.kind == COMMIT:
+            path = RoutePath.from_cells(rec.cells, circuit.n_grids)
+            ledger.commit(rec.worker, rec.wire, path, tick)
+            if rec.price >= 0:
+                report.check(
+                    "replay-price",
+                    rec.price == ledger.prices[rec.wire],
+                    "the logged commit price differs from the replayed price",
+                    expected=rec.price,
+                    actual=ledger.prices[rec.wire],
+                    **where,
+                )
+    commits = sum(rec.kind == COMMIT for rec in records)
+    expected = circuit.n_wires * iterations
+    report.check(
+        "replay-commits",
+        commits == expected,
+        f"{commits} commits logged, {expected} expected",
+        expected=expected,
+        actual=commits,
+    )
+    report.check(
+        "replay-standing", ledger.complete, "not every wire stands at the end of the replay"
+    )
+    return ledger
+
+
+def live_result(
+    paradigm: str,
+    ledger: GroundTruthLedger,
+    records: Sequence[CommitRecord],
+    routing_wall_s: float,
+    slots: Sequence[Dict[str, float]],
+    meta: Dict[str, object],
+) -> ParallelRunResult:
+    """A live run's result, with quality and verdict from its replay ledger.
+
+    *slots* holds one dict per worker slot: ``incarnations`` and
+    ``grabs``, plus ``messages_sent``, ``messages_received``,
+    ``bytes_sent`` and ``blocked_time_s`` where the driver measures them
+    (0 otherwise).  Commits, rip-ups and cells written are counted from
+    the records.  ``NodeSummary`` takes what it has fields for; the rest
+    goes to ``meta["workers"]``.
+    """
+    quality = ledger.close(len(records))
+    written = [collections.Counter() for _ in slots]
+    for rec in records:
+        written[rec.worker][rec.kind] += 1
+        written[rec.worker]["cells"] += rec.cells.size
+    summaries = [
+        NodeSummary(
+            proc=slot,
+            wires_routed=counts[COMMIT],
+            finish_time_s=0.0,
+            route_units=0.0,
+            commit_units=0.0,
+            assemble_units=0.0,
+            incorporate_units=0.0,
+            messages_sent=stats.get("messages_sent", 0),
+            messages_received=stats.get("messages_received", 0),
+            blocked_time_s=stats.get("blocked_time_s", 0.0),
+        )
+        for slot, (stats, counts) in enumerate(zip(slots, written))
+    ]
+    meta["workers"] = [
+        {
+            "incarnations": stats["incarnations"],
+            "grabs": stats["grabs"],
+            "ripups": counts[RIPUP],
+            "cells_written": counts["cells"],
+            "bytes_sent": stats.get("bytes_sent", 0),
+        }
+        for stats, counts in zip(slots, written)
+    ]
+    meta.update(ledger.verification_meta())
+    return ParallelRunResult(
+        paradigm=paradigm,
+        quality=quality,
+        exec_time_s=routing_wall_s,
+        paths=ledger.paths,
+        wire_router=ledger.wire_router,
+        node_summaries=summaries,
+        truth=ledger.truth,
+        meta=meta,
+    )

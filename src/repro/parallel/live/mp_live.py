@@ -16,9 +16,11 @@ and every ``deliver``, so the node's clock *is* the wall clock.
 
 There is no per-iteration barrier: a node walks its whole queue (its
 wires, once per iteration) at its own pace, as in the simulator.  Node
-views legitimately diverge; replaying all commit logs in timestamp order
-rebuilds the canonical final array (the simulator's event-ordered truth),
-which must equal the union of the final committed paths exactly.
+views legitimately diverge.  Replaying all commit logs in timestamp order
+through the ground-truth ledger the simulators use rebuilds the canonical
+final array (the simulator's event-ordered truth); one ledger judges all
+four engines, and its cost-conservation monitor holds that array to the
+union of the final committed paths.
 """
 
 from __future__ import annotations
@@ -39,20 +41,25 @@ from ...circuits.model import Circuit
 from ...errors import SimulationError
 from ...events.queue import EventQueue
 from ...faults.plan import RecoveryPolicy
-from ...grid.cost_array import CostArray
 from ...grid.regions import RegionMap
 from ...kernels import active_kernels, set_kernels
 from ...obs import telemetry as obs
 from ...route.path import RoutePath
-from ...route.quality import QualityReport, circuit_height
 from ...route.twobend import route_wire
 from ...updates.schedule import UpdateSchedule
 from ...updates.types import is_request
 from ..mp_sim import default_assignment
 from ..node import MPNode, NodeServices
+from ..results import ParallelRunResult
 from ..timing import CostModel
-from .commitlog import COMMIT, RIPUP, CommitLogWriter, read_logs, replay_records
-from .results import LiveRunResult, LiveWorkerStats
+from .commitlog import (
+    COMMIT,
+    RIPUP,
+    CommitLogWriter,
+    live_result,
+    read_logs,
+    replay_records,
+)
 
 __all__ = ["run_live_message_passing", "DEFAULT_LIVE_POLICY"]
 
@@ -85,7 +92,6 @@ def _mp_node(
     traffic = collections.Counter(
         messages_sent=0, bytes_sent=0, requests_sent=0, requests_serviced=0
     )
-    written = collections.Counter()  # ripups, commits, cells
     #: ``(src, packet)`` from a peer, ``(None, message)`` from the parent
     inbox: "queue.SimpleQueue" = queue.SimpleQueue()
     timers = EventQueue()
@@ -103,8 +109,6 @@ def _mp_node(
     def log_write(kind: int, wire_idx: int, path: RoutePath) -> None:
         iteration = node.qi // max(1, len(wires))
         log.append(kind, iteration, wire_idx, time.monotonic_ns(), path.flat_cells)
-        written[kind] += 1
-        written["cells"] += path.n_cells
 
     node = MPNode(
         proc=me,
@@ -151,19 +155,15 @@ def _mp_node(
         traffic["retries_sent"] = node.retries_sent
         traffic["requests_abandoned"] = node.requests_abandoned
         traffic["duplicate_responses_ignored"] = node.duplicate_responses_ignored
-        worker = LiveWorkerStats(
-            slot=me,
-            incarnations=1,
-            wires_committed=written[COMMIT],
-            grabs=node.qi,
-            ripups=written[RIPUP],
-            cells_written=written["cells"],
-            messages_sent=traffic["messages_sent"],
-            messages_received=node.messages_received,
-            bytes_sent=traffic["bytes_sent"],
-            blocked_time_s=node.blocked_time_s,
-        )
-        control.send(("bye", worker, dict(traffic), node.view.data))
+        slot = {
+            "incarnations": 1,
+            "grabs": node.qi,
+            "messages_sent": traffic["messages_sent"],
+            "messages_received": node.messages_received,
+            "bytes_sent": traffic["bytes_sent"],
+            "blocked_time_s": node.blocked_time_s,
+        }
+        control.send(("bye", slot, dict(traffic), node.view.data))
 
     if wires:
         # Prepared before "go", like everything else that is not the race:
@@ -215,7 +215,7 @@ def run_live_message_passing(
     start_method: Optional[str] = None,
     timeout_s: float = 120.0,
     keep_logs_dir: Optional[str] = None,
-) -> LiveRunResult:
+) -> ParallelRunResult:
     """Route *circuit* with one real process per message-passing node.
 
     Parameters mirror the simulator where they overlap; ``schedule``
@@ -230,7 +230,7 @@ def run_live_message_passing(
     if n_procs < 1:
         raise SimulationError("need at least one node process")
     if iterations < 1:
-        raise SimulationError("need at least one iteration")
+        raise SimulationError(f"iterations must be >= 1, got {iterations}")
     if schedule is None:
         schedule = UpdateSchedule.sender_initiated(1, 1)
     kernel_mode = kernel_mode or active_kernels()
@@ -323,7 +323,7 @@ def run_live_message_passing(
         while True:
             tell(("stop",))
             byes = gather("bye")
-            previous, sent = sent, sum(w.messages_sent for _, w, _, _ in byes)
+            previous, sent = sent, sum(w["messages_sent"] for _, w, _, _ in byes)
             if sent == previous:
                 break
         tell(("exit",))
@@ -343,16 +343,7 @@ def run_live_message_passing(
     records = read_logs(log_paths)
     if tmpdir is not None:
         tmpdir.cleanup()
-    replay = replay_records(records, circuit.n_channels, circuit.n_grids)
-    union = CostArray(circuit.n_channels, circuit.n_grids)
-    for cells in replay.paths.values():
-        union.apply_path(cells)
-    replay_ok = (
-        replay.ok
-        and replay.commits == circuit.n_wires * iterations
-        and len(replay.paths) == circuit.n_wires
-        and union == replay.truth
-    )
+    ledger = replay_records(records, circuit, iterations)
 
     traffic = collections.Counter()
     for _, _, node_traffic, _ in byes:
@@ -367,41 +358,24 @@ def run_live_message_passing(
         "kernel_mode": kernel_mode,
         "traffic": dict(traffic),
         "view_divergence_max": max(
-            int(np.abs(view - replay.truth.data).max()) for _, _, _, view in byes
+            int(np.abs(view - ledger.truth.data).max()) for _, _, _, view in byes
         ),
-        "replay": {
-            "commits": replay.commits,
-            "ripups": replay.ripups,
-            "records": len(records),
-        },
     }
+    result = live_result(
+        "message_passing_live",
+        ledger,
+        records,
+        routing_wall,
+        [slot for _, slot, _, _ in byes],
+        meta,
+    )
 
     wall = time.perf_counter() - wall0
+    meta["wall_s"] = wall
     obs.record_span("live.mp", wall, time.process_time() - cpu0)
     obs.incr("live.mp.runs")
     obs.incr("live.mp.messages", traffic["messages_sent"])
     obs.incr("live.mp.bytes", traffic["bytes_sent"])
-    if not replay_ok:
+    if not meta["verification"]["ok"]:
         obs.incr("live.mp.replay_failures")
-
-    return LiveRunResult(
-        paradigm="message_passing_live",
-        quality=QualityReport(
-            circuit_height=circuit_height(replay.truth),
-            occupancy_factor=replay.occupancy_factor,
-            total_wire_cells=replay.truth.total_occupancy(),
-        ),
-        n_procs=n_procs,
-        iterations=iterations,
-        wall_s=wall,
-        routing_wall_s=routing_wall,
-        replay_ok=replay_ok,
-        paths={
-            w: RoutePath.from_cells(c, circuit.n_grids)
-            for w, c in replay.paths.items()
-        },
-        truth=replay.truth,
-        wire_router=np.asarray(assignment.owner, dtype=np.int64).copy(),
-        worker_stats=[worker for _, worker, _, _ in byes],
-        meta=meta,
-    )
+    return result

@@ -35,6 +35,12 @@ critical section, a SIGKILLed worker's completed commits are never lost
 and never half-applied (kills happen at safe points between critical
 sections; a worker dying *inside* a lock would hang the run, which the
 parent converts into an error via ``timeout_s``).
+
+After the run the logs replay into the ground-truth ledger the simulators
+use (:func:`~repro.parallel.live.commitlog.replay_records`), so one ledger
+judges all four engines: the :class:`~repro.parallel.results.ParallelRunResult`
+takes truth, paths and quality from it, and the replayed array must equal
+the shared segment bit for bit (``replay-shared-segment``).
 """
 
 from __future__ import annotations
@@ -55,17 +61,16 @@ from ...errors import SimulationError
 from ...grid.cost_array import CostArray
 from ...kernels import active_kernels, set_kernels
 from ...obs import telemetry as obs
-from ...route.path import RoutePath
-from ...route.quality import QualityReport, circuit_height
 from ...route.twobend import route_wire
+from ..results import ParallelRunResult
 from .commitlog import (
     COMMIT,
     RIPUP,
     CommitLogWriter,
+    live_result,
     read_logs,
     replay_records,
 )
-from .results import LiveRunResult, LiveWorkerStats
 
 __all__ = ["run_live_shared_memory", "KillPlanEntry", "KILL_POINTS"]
 
@@ -302,7 +307,7 @@ def run_live_shared_memory(
     respawn: bool = True,
     timeout_s: float = 120.0,
     keep_logs_dir: Optional[str] = None,
-) -> LiveRunResult:
+) -> ParallelRunResult:
     """Route *circuit* on real cores with the shared-memory design.
 
     Parameters
@@ -339,7 +344,7 @@ def run_live_shared_memory(
     if n_procs < 1:
         raise SimulationError("need at least one worker process")
     if iterations < 1:
-        raise SimulationError("need at least one iteration")
+        raise SimulationError(f"iterations must be >= 1, got {iterations}")
     kill_plan = tuple(kill_plan)
     bad = [k.slot for k in kill_plan if not (0 <= k.slot < n_procs)]
     if bad:
@@ -606,62 +611,26 @@ def run_live_shared_memory(
         shm.close()
         shm.unlink()
 
-    # ------------------------------------------------------------------
-    # replay verification + result assembly
-    # ------------------------------------------------------------------
     records = read_logs(all_log_paths)
-    replay = replay_records(records, circuit.n_channels, circuit.n_grids)
-    replay_ok = (
-        bool(np.array_equal(replay.truth.data, final_data))
-        and replay.ok
-        and replay.commits == n_wires * iterations
-        and len(replay.paths) == n_wires
-    )
-
-    final = CostArray(circuit.n_channels, circuit.n_grids, final_data)
-    quality = QualityReport(
-        circuit_height=circuit_height(final),
-        occupancy_factor=replay.occupancy_factor,
-        total_wire_cells=final.total_occupancy(),
-    )
-    paths = {
-        w: RoutePath.from_cells(c, circuit.n_grids) for w, c in replay.paths.items()
-    }
-    wire_router = np.zeros(n_wires, dtype=np.int64)
-    for rec in records:
-        if rec.kind == COMMIT and rec.iteration == iterations - 1:
-            wire_router[rec.wire] = rec.worker
-
-    per_slot: Dict[int, Dict[str, int]] = {
-        s: {"commits": 0, "ripups": 0, "cells": 0, "incarnations": 0, "grabs": 0}
-        for s in range(n_procs)
-    }
-    for rec in records:
-        agg = per_slot[rec.worker]
-        if rec.kind == COMMIT:
-            agg["commits"] += 1
-        else:
-            agg["ripups"] += 1
-        agg["cells"] += int(rec.cells.size)
-    seen_incarnations: Dict[int, set] = {s: set() for s in range(n_procs)}
-    for h in handles:
-        seen_incarnations[h.slot].add(h.incarnation)
-        per_slot[h.slot]["grabs"] += int(h.last_stats.get("grabs", 0))
-    worker_stats = [
-        LiveWorkerStats(
-            slot=s,
-            incarnations=len(seen_incarnations[s]),
-            wires_committed=per_slot[s]["commits"],
-            grabs=per_slot[s]["grabs"],
-            ripups=per_slot[s]["ripups"],
-            cells_written=per_slot[s]["cells"],
-        )
-        for s in range(n_procs)
-    ]
-
     if tmpdir is not None:
         tmpdir.cleanup()
+    ledger = replay_records(records, circuit, iterations)
+    # Imported here: every worker process imports this module, none needs it.
+    from ...verify.invariants import first_differing_cell
 
+    diff = first_differing_cell(final_data, ledger.truth.data)
+    where = {} if diff is None else dict(cell=diff[:2], expected=diff[2], actual=diff[3])
+    ledger.report.check(
+        "replay-shared-segment",
+        diff is None,
+        "the replayed truth differs from the final shared segment",
+        **where,
+    )
+    commits = sum(rec.kind == COMMIT for rec in records)
+    slots = [{"incarnations": 0, "grabs": 0} for _ in range(n_procs)]
+    for h in handles:
+        slots[h.slot]["incarnations"] += 1
+        slots[h.slot]["grabs"] += int(h.last_stats.get("grabs", 0))
     meta: Dict[str, object] = {
         "circuit": circuit.name,
         "n_procs": n_procs,
@@ -669,42 +638,25 @@ def run_live_shared_memory(
         "start_method": ctx.get_start_method(),
         "kernel_mode": kernel_mode,
         "order_seed": seed,
-        "replay": {
-            "commits": replay.commits,
-            "ripups": replay.ripups,
-            "price_mismatches": len(replay.price_mismatches),
-            "records": len(records),
-        },
         # Nothing a dead worker committed is ever dropped (durable logs),
         # so the only crash casualties are in-flight routes, which are
         # re-run via the requeue.  Asserted by the stress tests.
         "crash": dict(
             crash_meta,
-            crash_dropped_commits=n_wires * iterations - replay.commits,
+            crash_dropped_commits=n_wires * iterations - commits,
             crash_dropped_inflight=crash_meta["requeued_wires"],
         ),
     }
-
-    wall = time.perf_counter() - wall0
-    obs.record_span("live.sm", wall, time.process_time() - cpu0)
-    obs.incr("live.sm.runs")
-    obs.incr("live.sm.commits", replay.commits)
-    obs.incr("live.sm.requeued_wires", crash_meta["requeued_wires"])
-    if not replay_ok:
-        obs.incr("live.sm.replay_failures")
-
-    return LiveRunResult(
-        paradigm="shared_memory_live",
-        quality=quality,
-        n_procs=n_procs,
-        iterations=iterations,
-        wall_s=wall,
-        routing_wall_s=routing_wall,
-        replay_ok=replay_ok,
-        paths=paths,
-        truth=final,
-        wire_router=wire_router,
-        worker_stats=worker_stats,
-        meta=meta,
+    result = live_result(
+        "shared_memory_live", ledger, records, routing_wall, slots, meta
     )
 
+    wall = time.perf_counter() - wall0
+    meta["wall_s"] = wall
+    obs.record_span("live.sm", wall, time.process_time() - cpu0)
+    obs.incr("live.sm.runs")
+    obs.incr("live.sm.commits", commits)
+    obs.incr("live.sm.requeued_wires", crash_meta["requeued_wires"])
+    if not meta["verification"]["ok"]:
+        obs.incr("live.sm.replay_failures")
+    return result

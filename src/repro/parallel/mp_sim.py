@@ -133,6 +133,8 @@ def run_message_passing(
         verified for totality and agreement.
     """
     wall0, cpu0 = time.perf_counter(), time.process_time()
+    if iterations < 1:
+        raise SimulationError(f"iterations must be >= 1, got {iterations}")
     shape = proc_grid_shape(n_procs)
     regions = RegionMap(circuit.n_channels, circuit.n_grids, n_procs, shape)
     crash_plan = tuple(faults.node_crashes) if faults is not None else ()

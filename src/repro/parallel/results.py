@@ -1,10 +1,14 @@
 """Result records for parallel routing runs.
 
-Both simulators produce a :class:`ParallelRunResult`: the final solution
-(quality metrics plus the ground-truth cost array), the simulated
-execution time, the communication traffic (network bytes for message
-passing, coherence bus bytes for shared memory), and enough detail for
-the locality and load-balance analyses.
+All four parallel engines — both simulators and their live twins —
+produce a :class:`ParallelRunResult`: the final solution (quality
+metrics plus the ground-truth cost array), the execution time, the
+communication traffic (network bytes for message passing, coherence bus
+bytes for shared memory; none for a live run), and enough detail for
+the locality and load-balance analyses.  One ledger judges all four:
+truth, paths, prices and quality come from
+:class:`~repro.parallel.ledger.GroundTruthLedger`, fed by the simulators'
+events or by the live runs' commit-log replay.
 """
 
 from __future__ import annotations
@@ -64,12 +68,14 @@ class ParallelRunResult:
     Attributes
     ----------
     paradigm:
-        ``"message_passing"`` or ``"shared_memory"``.
+        ``"message_passing"`` or ``"shared_memory"``, with ``"_live"``
+        appended for a real-core run.
     quality:
         Final-solution quality (circuit height, occupancy factor).
     exec_time_s:
         Simulated makespan: when the last processor finished its last
-        wire (including its update sends).
+        wire (including its update sends).  A live run reports the wall
+        time of its routing phase (the whole run is ``meta["wall_s"]``).
     network:
         Network traffic stats (message passing runs; ``None`` otherwise).
     coherence:
@@ -79,11 +85,14 @@ class ParallelRunResult:
     wire_router:
         Which processor routed each wire in the *final* iteration.
     node_summaries:
-        Per-processor accounting.
+        Per-processor accounting (one per worker slot in a live run;
+        what a live driver does not measure is 0).
     truth:
         The ground-truth final cost array.
     meta:
         Run configuration echoes (schedule, assignment method, ...).
+        A checked simulator run and every live run carry the ledger's
+        verdict in ``meta["verification"]``.
     """
 
     paradigm: str

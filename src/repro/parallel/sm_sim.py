@@ -52,10 +52,13 @@ from .ledger import GroundTruthLedger
 from .results import NodeSummary, ParallelRunResult
 from .timing import DEFAULT_COST_MODEL, CostModel
 
-__all__ = ["run_shared_memory", "DEFAULT_LINE_SIZE", "LOOP_GRAB_UNITS"]
+__all__ = ["run_shared_memory", "DEFAULT_LINE_SIZE", "LOOP_GRAB_UNITS", "PROTOCOLS"]
 
 #: Cache line size used when none is specified (Table 5 uses 8-byte lines).
 DEFAULT_LINE_SIZE = 8
+#: Coherence protocols the traffic replay knows: the paper's
+#: Write-Back-with-Invalidate and the write-update ablation (A5).
+PROTOCOLS = ("invalidate", "update")
 #: Work units to grab a wire subscript from the distributed loop (the
 #: shared counter fetch-and-add plus loop bookkeeping).
 LOOP_GRAB_UNITS = 4.0
@@ -122,10 +125,12 @@ def run_shared_memory(
         no mechanism for survivors to absorb a dead processor's list).
     """
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    if protocol not in ("invalidate", "update"):
+    if protocol not in PROTOCOLS:
         raise SimulationError(f"unknown coherence protocol {protocol!r}")
     if n_procs < 1:
         raise SimulationError("need at least one processor")
+    if iterations < 1:
+        raise SimulationError(f"iterations must be >= 1, got {iterations}")
     if collect_trace and n_procs > WriteBackInvalidate.MAX_PROCS:
         # The coherence engines keep sharers in an int64 bitmask; say so
         # before routing a single wire, not in the replay afterwards.

@@ -3,10 +3,11 @@
 Four properties tie the live executions back to the rest of the
 verification story (docs/PARALLEL.md):
 
-- **replay**: replaying the durable commit logs must reproduce the final
-  cost array bit-exactly (shared memory) or rebuild a canonical truth
-  array that equals the union of the final committed paths (message
-  passing) — :mod:`repro.parallel.live.commitlog`;
+- **replay**: the durable commit logs replay into the simulators'
+  ground-truth ledger, whose verdict (``meta["verification"]``) must be
+  clean: the replayed array equals the final shared array bit-exactly
+  (shared memory) and the union of the final committed paths (both) —
+  :mod:`repro.parallel.live.commitlog`;
 - **quality**: live runs race real cores, so their solutions legitimately
   differ from the sequential reference run to run — but staleness only
   perturbs routing, it does not break it, so quality must stay within
@@ -15,8 +16,9 @@ verification story (docs/PARALLEL.md):
   :class:`~repro.parallel.node.MPNode`, so under the *same* schedule its
   quality must land within the much tighter :data:`LIVE_MP_AGREEMENT` of
   :func:`~repro.parallel.mp_sim.run_message_passing`;
-- **determinism**: with one worker process there is no race, so repeated
-  runs must be bit-identical.
+- **exactness**: with one worker process there is no race, so a solo
+  run of either paradigm must equal the sequential router exactly —
+  quality, truth array and every path.
 
 These checks are scheduling-sensitive (real parallelism!), so they live
 behind the same ``repro verify`` umbrella as the simulators' oracles but
@@ -26,6 +28,8 @@ assert only schedule-independent properties.
 from __future__ import annotations
 
 from typing import Dict, Optional
+
+import numpy as np
 
 from ..circuits.model import Circuit
 from ..route.quality import QualityReport
@@ -97,10 +101,11 @@ def run_live_checks(
     sm = run_live_shared_memory(
         circuit, n_procs=n_procs, iterations=iterations, start_method=start_method
     )
+    sm_ok = sm.meta["verification"]["ok"]
     checks["live-sm-replay"] = {
-        "ok": sm.replay_ok,
+        "ok": sm_ok,
         "detail": f"{n_procs} procs, commit-log replay "
-        + ("bit-exact" if sm.replay_ok else "MISMATCH"),
+        + ("bit-exact" if sm_ok else "MISMATCH"),
     }
     checks["live-sm-quality"] = {
         "ok": _within_tolerance(sm.quality, reference.quality),
@@ -119,10 +124,11 @@ def run_live_checks(
     mp_sim = run_message_passing(
         circuit, schedule, n_procs=n_procs, iterations=iterations
     )
+    mp_ok = mp.meta["verification"]["ok"]
     checks["live-mp-replay"] = {
-        "ok": mp.replay_ok,
+        "ok": mp_ok,
         "detail": f"{n_procs} procs, log replay is the committed-path union "
-        + ("exactly" if mp.replay_ok else "MISMATCH"),
+        + ("exactly" if mp_ok else "MISMATCH"),
     }
     checks["live-mp-quality"] = {
         "ok": _within_tolerance(mp.quality, reference.quality),
@@ -135,22 +141,30 @@ def run_live_checks(
         f"{schedule.describe()} (band {LIVE_MP_AGREEMENT:.0%})",
     }
 
-    solo_a = run_live_shared_memory(
-        circuit, n_procs=1, iterations=iterations, start_method=start_method
-    )
-    solo_b = run_live_shared_memory(
-        circuit, n_procs=1, iterations=iterations, start_method=start_method
-    )
-    identical = (
-        solo_a.quality == solo_b.quality
-        and solo_a.truth == solo_b.truth
-        and solo_a.replay_ok
-        and solo_b.replay_ok
-    )
-    checks["live-sm-determinism"] = {
-        "ok": identical,
-        "detail": "1-proc runs bit-identical"
-        if identical
-        else f"1-proc runs DIVERGED ({solo_a.quality} vs {solo_b.quality})",
+    solos = {
+        "sm": run_live_shared_memory(
+            circuit, n_procs=1, iterations=iterations, start_method=start_method
+        ),
+        "mp": run_live_message_passing(
+            circuit, schedule, n_procs=1, iterations=iterations,
+            start_method=start_method,
+        ),
     }
+    for name, solo in solos.items():
+        exact = (
+            solo.meta["verification"]["ok"]
+            and solo.quality == reference.quality
+            and solo.truth == reference.cost
+            and all(
+                np.array_equal(solo.paths[w].flat_cells, path.flat_cells)
+                for w, path in reference.paths.items()
+            )
+        )
+        checks[f"live-{name}-solo-exact"] = {
+            "ok": exact,
+            "detail": "1-process run equals the sequential router"
+            if exact
+            else f"1-process run DIVERGED ({solo.quality} vs sequential "
+            f"{reference.quality})",
+        }
     return checks

@@ -103,7 +103,7 @@ class TestRunCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "shared_memory_live" in out
-        assert "replay_ok: True" in out
+        assert "checks, 0 violations" in out
 
     def test_live_mp_with_schedule(self, capsys):
         code = main(
@@ -125,8 +125,26 @@ class TestRunCommand:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["paradigm"] == "shared_memory_live"
-        assert data["replay_ok"] is True
+        assert data["meta"]["verification"]["ok"] is True
         assert data["n_wires"] == 24
+
+    def test_failed_replay_exits_1(self, capsys, monkeypatch):
+        from repro.parallel.live import sm_live
+
+        real = sm_live.replay_records
+
+        def corrupted(records, circuit, iterations):
+            ledger = real(records, circuit, iterations)
+            ledger.truth.data[0, 0] += 1
+            return ledger
+
+        monkeypatch.setattr(sm_live, "replay_records", corrupted)
+        code = main(
+            ["run", "--live", "sm", "--wires", "24", "--procs", "1",
+             "--iterations", "2"]
+        )
+        assert code == 1
+        assert "VIOLATION [replay-shared-segment]" in capsys.readouterr().err
 
     def test_quick_defaults(self):
         args = build_parser().parse_args(["run", "--live", "sm", "--quick"])

@@ -7,9 +7,11 @@ properties that must hold regardless of interleaving:
 - **differential**: live quality stays within the documented tolerance of
   the matching simulator and of the sequential reference, and the 1-proc
   live run *equals* the sequential run (no race, same algorithm);
-- **replay**: commit-log replay reproduces the final array bit-exactly,
-  and (hypothesis) replaying *any* valid interleaving of commit records
-  yields exactly the union of the still-committed paths;
+- **replay**: commit-log replay through the ground-truth ledger
+  reproduces the final array bit-exactly (a clean
+  ``meta["verification"]``), and (hypothesis) replaying *any* valid
+  interleaving of commit records yields exactly the union of the
+  still-committed paths;
 - **crash stress**: a SIGKILLed worker mid-iteration never loses a
   committed wire — the run completes via salvage/respawn with correct
   ``crash_dropped_*`` accounting.
@@ -27,8 +29,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import bnre_like, mdc_like, tiny_test_circuit
-from repro.errors import SimulationError
+from repro.circuits import Circuit, Pin, Wire, bnre_like, mdc_like, tiny_test_circuit
+from repro.errors import ReproError, SimulationError
 from repro.grid import CostArray
 from repro.parallel import run_message_passing, run_shared_memory
 from repro.parallel.live import (
@@ -71,6 +73,12 @@ def assert_within_tolerance(live, ref, tolerance=LIVE_QUALITY_TOLERANCE):
         )
 
 
+def assert_replayed(result):
+    """The commit-log replay's ledger verdict is clean."""
+    verification = result.meta["verification"]
+    assert verification["ok"], verification["violations"]
+
+
 def assert_complete(result, circuit):
     """Every wire routed, truth is exactly the union of the final paths."""
     assert set(result.paths) == set(range(circuit.n_wires))
@@ -88,7 +96,7 @@ class TestLiveSharedMemory:
         live = run_live_shared_memory(
             circuit, n_procs=2, iterations=ITERATIONS, start_method=start_method
         )
-        assert live.replay_ok, live.meta["replay"]
+        assert_replayed(live)
         assert_complete(live, circuit)
         assert_within_tolerance(live.quality, sequential.quality)
         sim = run_shared_memory(
@@ -99,7 +107,7 @@ class TestLiveSharedMemory:
     def test_single_proc_equals_sequential(self, circuit, sequential):
         """One worker, natural order: the sequential algorithm exactly."""
         live = run_live_shared_memory(circuit, n_procs=1, iterations=ITERATIONS)
-        assert live.replay_ok
+        assert_replayed(live)
         assert live.quality == sequential.quality
         assert live.truth == sequential.cost
         for w, path in sequential.paths.items():
@@ -123,7 +131,7 @@ class TestLiveSharedMemory:
         live = run_live_shared_memory(
             circuit, n_procs=2, iterations=ITERATIONS, seed=99
         )
-        assert live.replay_ok
+        assert_replayed(live)
         assert_complete(live, circuit)
 
 
@@ -140,7 +148,7 @@ class TestLiveMessagePassing:
             iterations=ITERATIONS,
             start_method=start_method,
         )
-        assert live.replay_ok, live.meta["replay"]
+        assert_replayed(live)
         assert_complete(live, circuit)
         assert_within_tolerance(live.quality, sequential.quality)
         sim = run_message_passing(
@@ -159,7 +167,7 @@ class TestLiveMessagePassing:
     def test_single_proc_equals_sequential(self, circuit, sequential):
         """One node, no peers, no packets: the sequential algorithm exactly."""
         live = run_live_message_passing(circuit, n_procs=1, iterations=ITERATIONS)
-        assert live.replay_ok
+        assert_replayed(live)
         assert live.quality == sequential.quality
         assert live.truth == sequential.cost
         for w, path in sequential.paths.items():
@@ -171,7 +179,7 @@ class TestLiveMessagePassing:
         live = run_live_message_passing(
             circuit, schedule, n_procs=2, iterations=ITERATIONS
         )
-        assert live.replay_ok
+        assert_replayed(live)
         traffic = live.meta["traffic"]
         assert traffic["requests_sent"] > 0
         # every request is eventually serviced or abandoned, never lost
@@ -187,7 +195,7 @@ class TestLiveMessagePassing:
         live = run_live_message_passing(
             circuit, UpdateSchedule.mixed_example(), n_procs=2, iterations=ITERATIONS
         )
-        assert live.replay_ok, live.meta["replay"]
+        assert_replayed(live)
         assert_complete(live, circuit)
         traffic = live.meta["traffic"]
         for kind in ("SendLocData", "SendRmtData", "ReqRmtData", "ReqLocData"):
@@ -212,9 +220,9 @@ class TestLiveMessagePassing:
             assignment=everything_on_node_0,
             timeout_s=30.0,
         )
-        assert live.replay_ok
+        assert_replayed(live)
         assert_complete(live, circuit)
-        assert live.worker_stats[1].wires_committed == 0
+        assert live.node_summaries[1].wires_routed == 0
 
 
 @pytest.mark.timeout(180)
@@ -238,7 +246,7 @@ class TestLiveMessagePassingFullSize:
             start_method=start_method,
             timeout_s=90.0,
         )
-        assert live.replay_ok, live.meta["replay"]
+        assert_replayed(live)
         assert_complete(live, circuit)
         sim = run_message_passing(
             circuit, schedule, n_procs=n_procs, iterations=self.ITERATIONS
@@ -311,6 +319,19 @@ def record_interleavings(draw):
     return ordered
 
 
+def grid_circuit(n_wires):
+    """A circuit whose cost array is the property test's grid.
+
+    Replay never routes, so the pins only give the wires their count.
+    """
+    return Circuit(
+        "replay-grid",
+        N_CHANNELS,
+        N_GRIDS,
+        [Wire(f"w{w}", [Pin(0, 0), Pin(1, 0)]) for w in range(n_wires)],
+    )
+
+
 @settings(
     max_examples=50,
     deadline=None,
@@ -331,7 +352,8 @@ def test_replay_is_union_of_committed_paths(interleaving):
         )
         for seq, (wire, kind, cells) in enumerate(interleaving)
     ]
-    replay = replay_records(records, N_CHANNELS, N_GRIDS)
+    n_wires = 1 + max(wire for wire, _k, _c in interleaving)
+    ledger = replay_records(records, grid_circuit(n_wires), iterations=1)
     # final committed path per wire = its last commit, unless ripped after
     expected_live = {}
     for wire, kind, cells in interleaving:
@@ -339,13 +361,43 @@ def test_replay_is_union_of_committed_paths(interleaving):
             expected_live[wire] = cells
         else:
             expected_live.pop(wire, None)
-    assert set(replay.paths) == set(expected_live)
+    standing = {w for w in range(n_wires) if ledger.standing(w) is not None}
+    assert standing == set(expected_live)
     union = CostArray(N_CHANNELS, N_GRIDS)
     for cells in expected_live.values():
         union.apply_path(cells)
-    assert union == replay.truth
-    assert replay.ok
-    assert replay.commits == sum(1 for _, k, _c in interleaving if k == COMMIT)
+    assert union == ledger.truth
+    # Every rip-up took out the standing path and every commit conserved
+    # the cell count: the only failures are the two end-of-log checks,
+    # and each fails exactly when the interleaving says it must.
+    commits = sum(1 for _, k, _c in interleaving if k == COMMIT)
+    violations = ledger.report.violations
+    assert {v.invariant for v in violations} <= {"replay-commits", "replay-standing"}
+    assert [v.actual for v in violations if v.invariant == "replay-commits"] == (
+        [] if commits == n_wires else [commits]
+    )
+    assert any(v.invariant == "replay-standing" for v in violations) == (
+        len(expected_live) < n_wires
+    )
+
+
+@pytest.mark.parametrize("ripped", [[1, 5, 9], [1, 5, 10]])
+def test_ripup_record_must_name_the_standing_path(ripped):
+    """A rip-up whose cells are not the wire's standing path fails the verdict."""
+    cells = [np.array(c, dtype=np.int64) for c in ([1, 5, 9], ripped, [2, 6])]
+    records = [
+        CommitRecord(kind, 0, i // 2, 0, i, -1, c)
+        for i, (kind, c) in enumerate(zip((COMMIT, RIPUP, COMMIT), cells))
+    ]
+    ledger = replay_records(records, grid_circuit(1), iterations=2)
+    ledger.close(len(records))
+    # the standing path is what leaves the array, whatever the record says
+    expected = CostArray(N_CHANNELS, N_GRIDS)
+    expected.apply_path(cells[2])
+    assert ledger.truth == expected
+    verification = ledger.verification_meta()["verification"]
+    assert verification["ok"] == (ripped == [1, 5, 9])
+    assert {v["invariant"] for v in verification["violations"]} <= {"replay-ripup"}
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +447,7 @@ class TestCrashStress:
             kill_plan=plan,
             respawn=True,
         )
-        assert result.replay_ok, result.meta["replay"]
+        assert_replayed(result)
         assert_complete(result, circuit)
         crash = result.meta["crash"]
         assert crash["planned"] == 1
@@ -404,8 +456,7 @@ class TestCrashStress:
         # durable logs: a completed commit can never be lost to a crash
         assert crash["crash_dropped_commits"] == 0
         assert crash["crash_dropped_inflight"] == crash["requeued_wires"]
-        slot1 = result.worker_stats[1]
-        assert slot1.incarnations == 2
+        assert result.meta["workers"][1]["incarnations"] == 2
 
     @pytest.mark.timeout(120)
     def test_kill_fires_even_when_scheduler_would_starve_the_victim(self, circuit):
@@ -424,7 +475,7 @@ class TestCrashStress:
             kill_plan=plan,
             respawn=True,
         )
-        assert result.replay_ok
+        assert_replayed(result)
         assert_complete(result, circuit)
         crash = result.meta["crash"]
         assert any(slot == 1 for slot, _inc in crash["confirmed"])
@@ -441,7 +492,7 @@ class TestCrashStress:
             kill_plan=plan,
             respawn=False,
         )
-        assert result.replay_ok
+        assert_replayed(result)
         assert_complete(result, circuit)
         crash = result.meta["crash"]
         assert crash["crash_dropped_commits"] == 0
@@ -459,8 +510,29 @@ class TestCrashStress:
             kill_plan=(KillPlanEntry(slot=1, after_commits=4),),
             respawn=True,
         )
-        assert crashed.replay_ok
+        assert_replayed(crashed)
         assert_within_tolerance(crashed.quality, clean.quality)
+
+
+# ---------------------------------------------------------------------------
+# every engine refuses zero iterations before it routes anything
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda c: SequentialRouter(c, iterations=0).run(),
+        lambda c: run_shared_memory(c, n_procs=2, iterations=0),
+        lambda c: run_message_passing(
+            c, UpdateSchedule.sender_initiated(1, 1), n_procs=2, iterations=0
+        ),
+        lambda c: run_live_shared_memory(c, n_procs=1, iterations=0),
+        lambda c: run_live_message_passing(c, n_procs=1, iterations=0),
+    ],
+    ids=["sequential", "sm", "mp", "sm_live", "mp_live"],
+)
+def test_zero_iterations_rejected_up_front(circuit, engine):
+    with pytest.raises(ReproError, match=r">= 1\b.*got 0"):
+        engine(circuit)
 
 
 # ---------------------------------------------------------------------------

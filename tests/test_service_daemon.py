@@ -792,6 +792,7 @@ class TestMalformedInput:
             ({"kind": "mp", "params": {"send_loc": "10"}}, "send_loc"),
             ({"kind": "mp", "params": {"blocking": "no", "req_rmt": 5}}, "blocking"),
             ({"kind": "route", "params": [24]}, "parameters"),
+            ({"kind": "sm", "params": {"protocol": "bogus"}}, "protocol"),
         ],
     )
     def test_wrong_typed_job_is_a_400_on_a_live_connection(self, raw, capsys, body, named):
