@@ -493,22 +493,16 @@ def _verification_exit(result, args: argparse.Namespace) -> int:
     violations print to stderr (unless ``--json`` already carried them)
     and exit 1.
     """
-    verification = result.meta.get("verification")
-    if verification is None:
+    report = result.meta.get("verification_report")
+    if report is None:
         return 0
-    if verification["ok"]:
+    if report.ok:
         if not args.json:
-            print(f"invariants: {verification.get('total_checks', 0)} checks, 0 violations")
+            print(f"invariants: {report.total_checks} checks, 0 violations")
         return 0
     if not args.json:
-        for v in verification.get("violations", []):
-            parts = [f"VIOLATION [{v['invariant']}] {v['message']}"]
-            if "cell" in v:
-                parts.append(f"cell=(c={v['cell'][0]}, x={v['cell'][1]})")
-            for key in ("wire", "proc", "event_time_s"):
-                if key in v:
-                    parts.append(f"{key}={v[key]}")
-            print("  ".join(parts), file=sys.stderr)
+        for violation in report.violations:
+            print(f"VIOLATION {violation.describe()}", file=sys.stderr)
     return 1
 
 

@@ -618,7 +618,7 @@ def run_x7_live_vs_sim(quick: bool = False) -> Table:
     ``extras`` either way.
     """
     from ..parallel.live import run_live_message_passing, run_live_shared_memory
-    from ..verify.live import LIVE_QUALITY_TOLERANCE
+    from ..verify.live import within_tolerance
 
     circuit = quick_circuit("bnrE", quick)
     iters = _iters(quick)
@@ -686,15 +686,6 @@ def run_x7_live_vs_sim(quick: bool = False) -> Table:
         ),
     ]
 
-    def within(live_q, sim_q) -> bool:
-        for attr in ("circuit_height", "occupancy_factor"):
-            sim_v = getattr(sim_q, attr)
-            if sim_v and abs(getattr(live_q, attr) - sim_v) / sim_v > (
-                LIVE_QUALITY_TOLERANCE
-            ):
-                return False
-        return True
-
     speedup = (
         live_solo.exec_time_s / live_sm.exec_time_s
         if live_sm.exec_time_s > 0
@@ -704,16 +695,16 @@ def run_x7_live_vs_sim(quick: bool = False) -> Table:
         "live SM commit-log replay bit-exact": replayed(live_sm)
         and replayed(live_solo),
         "live MP log replay is the committed-path union": replayed(live_mp),
-        "live SM quality within tolerance of the SM simulator": within(
+        "live SM quality within tolerance of the SM simulator": within_tolerance(
             live_sm.quality, sm_sim.quality
         ),
-        "live MP quality within tolerance of the MP simulator": within(
+        "live MP quality within tolerance of the MP simulator": within_tolerance(
             live_mp.quality, mp_sim.quality
         ),
-        "live quality within tolerance of sequential": within(
+        "live quality within tolerance of sequential": within_tolerance(
             live_sm.quality, seq.quality
         )
-        and within(live_mp.quality, seq.quality),
+        and within_tolerance(live_mp.quality, seq.quality),
     }
     if cores >= 4:
         checks[f"live SM speedup > 1.5x on {cores} cores"] = speedup > 1.5

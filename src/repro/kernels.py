@@ -8,16 +8,16 @@ NumPy, bit-identical output).  "Selected in" names the one module that
 compares :func:`active_kernels` with a mode for that row; a module that
 does so without a row here fails ``tests/test_kernels_table.py``:
 
-=================  ==========================  =================================  =====================================================  ================
+=================  ==========================  =================================  =====================================================  =======================
 hot path           selected in                 reference                          vectorized                                             verify check
-=================  ==========================  =================================  =====================================================  ================
-coherence          ``parallel.sm_sim``         ``memsim.coherence``               ``memsim.columnar``                                    ``coherence``
+=================  ==========================  =================================  =====================================================  =======================
+coherence          ``parallel.sm_sim``         ``memsim.coherence``               ``memsim.columnar``                                    ``kernel-coherence``
 sweep dispatch     ``parallel.sm_sim``         per-line-size scalar replay        shared ``ColumnarTrace``                               (tests)
-write-update       ``memsim.update_protocol``  ``memsim.update_protocol``         ``memsim.columnar.ColumnarTrace.replay_write_update``  ``write_update``
-two-bend route     ``route.twobend``           ``route.twobend.route_segment``    ``route.wavefront.route_wire_fused``                   ``twobend``
-routing iteration  ``route.engine``            per-wire loop in ``route.engine``  one fused step per wave (``route.wavefront``)          ``wavefront``
+write-update       ``memsim.update_protocol``  ``memsim.update_protocol``         ``memsim.columnar.ColumnarTrace.replay_write_update``  ``kernel-write_update``
+two-bend route     ``route.twobend``           ``route.twobend.route_segment``    ``route.wavefront.route_wire_fused``                   ``kernel-twobend``
+routing iteration  ``route.engine``            per-wire loop in ``route.engine``  one fused step per wave (``route.wavefront``)          ``kernel-wavefront``
 MP update push     ``parallel.node``           per-region dirty-box scan          ``grid.delta.DeltaArray.dirty_bboxes_by_owner``        (tests)
-=================  ==========================  =================================  =====================================================  ================
+=================  ==========================  =================================  =====================================================  =======================
 
 The vectorized engines are the default.  The reference engines remain
 load-bearing: ``locusroute verify`` replays both and reports any

@@ -111,10 +111,8 @@ class GroundTruthLedger:
         """The ``meta`` entries of a checked run (none when unchecked)."""
         if self.report is None:
             return {}
-        from ..verify.violations import RunVerification
-
         self.report.flush_telemetry()
         return {
             "verification": self.report.as_dict(),
-            "verification_report": RunVerification(self.report, self.monitor.commit_times),
+            "verification_report": self.report,
         }

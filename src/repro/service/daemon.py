@@ -29,7 +29,11 @@ One dispatcher thread drains the queue in batches and hands each batch
 to :func:`pool_map_salvage` (``jobs`` workers), so a crashed worker is
 respawned and a twice-failed job becomes a *failed row*, never a dead
 daemon.  SQLite writes happen only on daemon threads — pool workers
-return payloads; the dispatcher persists them.
+return payloads; the dispatcher persists them.  A daemon holds an
+exclusive lock on ``<db>.lock`` from construction to :meth:`stop`, so
+a second daemon on the same file is refused; one started on the file
+of a daemon killed mid-run re-adopts its ``queued`` and ``running``
+rows under their own job ids.
 
 Waiting
 -------
@@ -46,6 +50,7 @@ connection reuse), and a ``service.job`` span per execution (job latency).
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import queue
@@ -55,7 +60,7 @@ import threading
 import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import IO, Any, Callable, Dict, List, Optional, Set, Tuple
 from urllib.parse import urlparse
 
 from ..errors import ReproError, ServiceError
@@ -75,6 +80,25 @@ MAX_BODY_BYTES = 1 << 20
 #: Seconds a connection may sit between requests before its thread is freed.
 IDLE_TIMEOUT_S = 60.0
 _SQLITE_MAX_INT = 2**63 - 1  # a larger LIMIT is an OverflowError, not a bigger page
+
+
+def _claim(db_path: str) -> Optional[IO[str]]:
+    """Hold an exclusive lock on ``<db_path>.lock`` (``None`` in memory).
+
+    The lock lives as long as the returned handle is open; a daemon that
+    is killed loses it with its process.
+    """
+    if db_path == ":memory:":
+        return None
+    handle = open(db_path + ".lock", "a")
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        handle.close()
+        raise ServiceError(
+            f"another daemon is serving {db_path} (it holds {db_path}.lock)"
+        ) from None
+    return handle
 
 
 class RoutingService:
@@ -122,8 +146,39 @@ class RoutingService:
         #: :meth:`stop`: what held :meth:`status` calls and :meth:`drain` wait on.
         self._finished = threading.Condition()
         self._thread: Optional[threading.Thread] = None
+        self._claimed = _claim(repository.path)
+        self._readopt()
         if not paused:
             self.start()
+
+    def _readopt(self) -> None:
+        """Queue again the jobs a killed daemon left ``queued`` or ``running``.
+
+        Each row keeps its job id.  Per fingerprint the oldest row is the
+        primary and the rest follow it, as if just submitted.  A row whose
+        result is already stored is ``done``; one whose stored parameters
+        no longer give its fingerprint fails: the code changed since it
+        was submitted.
+        """
+        unfinished = self.repository.jobs(("queued", "running"), _SQLITE_MAX_INT)
+        for job in reversed(unfinished):  # oldest first
+            job_id, fingerprint = job["job_id"], job["fingerprint"]
+            try:
+                spec = JobSpec.from_params(job["kind"], job["config"])
+                changed = job_key(spec) != fingerprint
+            except ReproError:
+                changed = True
+            if changed:
+                self.repository.set_status(
+                    job_id, "failed",
+                    error="the code changed since submission: its parameters "
+                    "no longer give the stored fingerprint",
+                )
+            elif self.repository.get_result(fingerprint) is not None:
+                self.repository.set_status(job_id, "done")
+            else:
+                self.repository.set_status(job_id, "queued")
+                self._enqueue(job_id, spec, fingerprint)
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -137,7 +192,8 @@ class RoutingService:
         self._thread.start()
 
     def stop(self, timeout_s: float = 10.0) -> None:
-        """Stop the dispatcher (current batch finishes first).
+        """Stop the dispatcher (current batch finishes first) and release
+        the database's lock to the next daemon.
 
         Held :meth:`status` calls return at once with the job's current
         record, so tearing a server down never waits out a hold.
@@ -148,6 +204,9 @@ class RoutingService:
         if self._thread is not None:
             self._thread.join(timeout=timeout_s)
             self._thread = None
+        if self._claimed is not None:
+            self._claimed.close()
+            self._claimed = None
 
     def drain(self, timeout_s: float = 60.0) -> bool:
         """Block until every accepted job has finished (or *timeout_s*).
@@ -186,25 +245,43 @@ class RoutingService:
                 )
                 return self._submission(job_id, fingerprint, spec, "done")
 
+        def add_row(primary: Optional[str]) -> None:
+            self.repository.add_job(
+                job_id, fingerprint, spec.kind, spec.params, status="queued",
+                source="executed" if primary is None else "dedup", dedup_of=primary,
+            )
+
+        primary = self._enqueue(job_id, spec, fingerprint, add_row)
+        if primary is None:
+            return self._submission(job_id, fingerprint, spec, "queued")
+        obs.incr("service.jobs.dedup_hits")
+        return self._submission(job_id, fingerprint, spec, "queued", dedup_of=primary)
+
+    def _enqueue(
+        self,
+        job_id: str,
+        spec: JobSpec,
+        fingerprint: str,
+        add_row: Callable[[Optional[str]], None] = lambda primary: None,
+    ) -> Optional[str]:
+        """Put a job in flight: the primary of its fingerprint, queued for
+        execution, or a follower of the primary already in flight (returned).
+
+        ``add_row(primary)`` writes the job's row before anything can
+        finish it: a follower's under the lock :meth:`_finish` takes, a
+        primary's before it is queued.
+        """
         with self._lock:
             primary = self._inflight.get(fingerprint)
             if primary is not None:
-                obs.incr("service.jobs.dedup_hits")
                 self._followers.setdefault(fingerprint, []).append(job_id)
-                self.repository.add_job(
-                    job_id, fingerprint, spec.kind, spec.params,
-                    status="queued", source="dedup", dedup_of=primary,
-                )
-                return self._submission(
-                    job_id, fingerprint, spec, "queued", dedup_of=primary
-                )
+                add_row(primary)
+                return primary
             self._inflight[fingerprint] = job_id
-        self.repository.add_job(
-            job_id, fingerprint, spec.kind, spec.params, status="queued"
-        )
+        add_row(None)
         self._queue.put((job_id, spec, fingerprint))
         obs.incr("service.queue.enqueued")
-        return self._submission(job_id, fingerprint, spec, "queued")
+        return None
 
     @staticmethod
     def _submission(
@@ -535,10 +612,10 @@ class ServiceServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address: Tuple[str, int], service: RoutingService) -> None:
-        super().__init__(address, _Handler)
         self.service = service
         #: Accepted sockets whose handler thread is still serving them.
         self.connections: Set[socket.socket] = set()
+        super().__init__(address, _Handler)  # a failed bind calls server_close
 
     def handle_error(self, request: Any, client_address: Any) -> None:
         """A client that went away mid-connection is no traceback's worth."""
@@ -573,7 +650,16 @@ def serve(
     """
     repository = Repository(db)
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    service = RoutingService(
-        repository, cache=cache, jobs=jobs, timeout_s=timeout_s, paused=paused
-    )
-    return ServiceServer((host, port), service)
+    try:
+        service = RoutingService(
+            repository, cache=cache, jobs=jobs, timeout_s=timeout_s, paused=paused
+        )
+    except BaseException:
+        repository.close()
+        raise
+    try:
+        return ServiceServer((host, port), service)
+    except OSError as exc:  # the port is taken: give the database back
+        service.stop()
+        repository.close()
+        raise ServiceError(f"cannot listen on {host}:{port}: {exc.strerror}") from exc

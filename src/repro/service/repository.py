@@ -13,8 +13,9 @@ Concurrency and corruption policy
 One :class:`Repository` serialises its own statements behind a lock and
 opens SQLite in WAL mode with a busy timeout, so the daemon's HTTP
 threads and dispatcher thread share one instance safely, and *separate
-processes* (a daemon plus a CLI report, or two daemons pointed at the
-same file by mistake) contend through SQLite's own file locking.
+processes* (a daemon plus a CLI report) contend through SQLite's own
+file locking.  A second daemon on the same file is refused: the
+:class:`~repro.service.daemon.RoutingService` holds ``<name>.lock``.
 Result writes are idempotent ``INSERT OR REPLACE`` keyed by
 fingerprint — two processes racing to record the same configuration
 both succeed and agree.
@@ -34,7 +35,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..obs import telemetry as obs
 
@@ -171,14 +172,15 @@ class Repository:
         return self._job_dict(row) if row is not None else None
 
     def jobs(
-        self, status: Optional[str] = None, limit: int = 200
+        self, status: Union[None, str, Sequence[str]] = None, limit: int = 200
     ) -> List[Dict[str, Any]]:
-        """Submission history, newest first (optionally one status)."""
+        """Submission history, newest first (optionally of one or more statuses)."""
         query = "SELECT * FROM jobs"
         params: List[Any] = []
         if status is not None:
-            query += " WHERE status = ?"
-            params.append(status)
+            statuses = [status] if isinstance(status, str) else list(status)
+            query += f" WHERE status IN ({', '.join('?' * len(statuses))})"
+            params.extend(statuses)
         query += " ORDER BY submitted_unix DESC, job_id DESC LIMIT ?"
         params.append(limit)
         try:

@@ -10,7 +10,9 @@ comparison rests on.  Three layers:
   the sequential reference, the shared memory simulation, and the
   message passing simulation;
 - :mod:`repro.verify.runner` — the ``repro verify`` sweep combining
-  both across the update schedules that exercise every code path.
+  both across the update schedules that exercise every code path, plus
+  the kernel-pair and live-router checks, into one
+  :class:`VerificationReport`.
 
 See ``docs/VERIFICATION.md`` for the invariant-to-paper-section map.
 """
@@ -26,9 +28,9 @@ from .invariants import (
     first_differing_cell,
 )
 from .live import LIVE_MP_AGREEMENT, LIVE_QUALITY_TOLERANCE, run_live_checks
-from .oracle import Divergence, OracleReport, run_differential_oracle
-from .runner import VerifyRun, run_verification
-from .violations import InvariantViolation, RunVerification, VerificationReport
+from .oracle import VerifyRun, run_differential_oracle
+from .runner import run_verification
+from .violations import InvariantViolation, VerificationReport
 
 __all__ = [
     "PROBE_INTERVAL",
@@ -42,12 +44,9 @@ __all__ = [
     "LIVE_MP_AGREEMENT",
     "LIVE_QUALITY_TOLERANCE",
     "run_live_checks",
-    "Divergence",
-    "OracleReport",
     "run_differential_oracle",
     "VerifyRun",
     "run_verification",
     "InvariantViolation",
-    "RunVerification",
     "VerificationReport",
 ]

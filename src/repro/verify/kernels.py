@@ -8,19 +8,22 @@ hypothesis suites fuzz that promise; this module re-verifies it at
 own circuit, so a verification sweep also certifies the kernel pair the
 simulators are about to dispatch to.
 
-Each check returns ``{"identical": bool, "detail": str}``; any
-non-identical check fails the overall verify verdict.
+Each pair is one ``kernel-<label>`` check of a
+:class:`~repro.verify.violations.VerificationReport`: its ``_*_check``
+returns what diverged (the violation's message) or ``None``, and any
+violation fails the overall verify verdict.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..circuits.model import Circuit
 from ..grid.cost_array import CostArray
 from ..kernels import use_kernels
+from .violations import VerificationReport
 
 __all__ = ["run_kernel_equivalence"]
 
@@ -48,7 +51,7 @@ def _circuit_trace(circuit: Circuit, n_procs: int):
     return trace
 
 
-def _replay_check(circuit: Circuit, n_procs: int, scalar, columnar) -> Dict[str, object]:
+def _replay_check(circuit: Circuit, n_procs: int, scalar, columnar) -> Optional[str]:
     """``scalar(trace, n_procs, amap)`` vs ``columnar(flat, n_procs, amap)``
     over the line-size sweep of one circuit-derived trace."""
     from ..memsim.addressing import AddressMap
@@ -61,15 +64,12 @@ def _replay_check(circuit: Circuit, n_procs: int, scalar, columnar) -> Dict[str,
         amap = AddressMap(circuit.n_channels, circuit.n_grids, ls)
         if scalar(trace, n_procs, amap) != columnar(flat, n_procs, amap):
             diverged.append(ls)
-    detail = (
-        f"{trace.n_records} bursts x line sizes {LINE_SIZES}"
-        if not diverged
-        else f"stats diverged at line sizes {diverged}"
-    )
-    return {"identical": not diverged, "detail": detail}
+    if diverged:
+        return f"stats diverged at line sizes {diverged}"
+    return None
 
 
-def _coherence_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
+def _coherence_check(circuit: Circuit, n_procs: int) -> Optional[str]:
     """Scalar MSI replay vs columnar replay on a circuit-derived trace."""
     from ..memsim.coherence import simulate_trace
     from ..memsim.columnar import ColumnarTrace
@@ -77,7 +77,7 @@ def _coherence_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
     return _replay_check(circuit, n_procs, simulate_trace, ColumnarTrace.replay)
 
 
-def _write_update_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
+def _write_update_check(circuit: Circuit, n_procs: int) -> Optional[str]:
     """Scalar ``WriteUpdate`` vs the columnar write-update replay."""
     from ..memsim.columnar import ColumnarTrace
     from ..memsim.update_protocol import simulate_trace_write_update
@@ -89,7 +89,7 @@ def _write_update_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
     return _replay_check(circuit, n_procs, scalar, ColumnarTrace.replay_write_update)
 
 
-def _twobend_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
+def _twobend_check(circuit: Circuit, iterations: int) -> Optional[str]:
     """Reference vs fused lone-wire router through rip-up/reroute churn."""
     from ..route.twobend import route_wire_reference
     from ..route.wavefront import route_wire_fused
@@ -108,18 +108,12 @@ def _twobend_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
                 cells.append(tuple(result.path.flat_cells.tolist()))
         return cost.data.tobytes(), tuple(cells)
 
-    ref = churn(route_wire_reference)
-    vec = churn(route_wire_fused)
-    identical = ref == vec
-    detail = (
-        f"{circuit.n_wires} wires x {iterations} rip-up/reroute iterations"
-        if identical
-        else "paths or final cost array diverged"
-    )
-    return {"identical": identical, "detail": detail}
+    if churn(route_wire_reference) != churn(route_wire_fused):
+        return "paths or final cost array diverged"
+    return None
 
 
-def _wavefront_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
+def _wavefront_check(circuit: Circuit, iterations: int) -> Optional[str]:
     """Wave-front batched engine vs the scalar sequential loop.
 
     Runs the full :class:`SequentialRouter` under both kernel modes —
@@ -147,22 +141,22 @@ def _wavefront_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
         ref = run()
     with use_kernels("vectorized"):
         vec = run()
-    identical = ref == vec
-    detail = (
-        f"{circuit.n_wires} wires x {max(iterations, 2)} batched iterations"
-        if identical
-        else "wave-front routing diverged from the sequential loop"
-    )
-    return {"identical": identical, "detail": detail}
+    if ref != vec:
+        return "wave-front routing diverged from the sequential loop"
+    return None
 
 
 def run_kernel_equivalence(
     circuit: Circuit, n_procs: int, iterations: int = 2
-) -> Dict[str, Dict[str, object]]:
-    """Run every kernel equivalence check; label -> {identical, detail}."""
-    return {
+) -> VerificationReport:
+    """Run every kernel equivalence check: one ``kernel-<label>`` check each."""
+    report = VerificationReport()
+    failures = {
         "coherence": _coherence_check(circuit, n_procs),
         "write_update": _write_update_check(circuit, n_procs),
         "twobend": _twobend_check(circuit, iterations),
         "wavefront": _wavefront_check(circuit, iterations),
     }
+    for label, failure in failures.items():
+        report.check(f"kernel-{label}", failure is None, failure or "")
+    return report

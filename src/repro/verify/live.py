@@ -4,9 +4,10 @@ Four properties tie the live executions back to the rest of the
 verification story (docs/PARALLEL.md):
 
 - **replay**: the durable commit logs replay into the simulators'
-  ground-truth ledger, whose verdict (``meta["verification"]``) must be
-  clean: the replayed array equals the final shared array bit-exactly
-  (shared memory) and the union of the final committed paths (both) —
+  ground-truth ledger, whose report (the ``replay-*`` and
+  ``cost-conservation`` checks) merges into the verdict: the replayed
+  array equals the final shared array bit-exactly (shared memory) and
+  the union of the final committed paths (both) —
   :mod:`repro.parallel.live.commitlog`;
 - **quality**: live runs race real cores, so their solutions legitimately
   differ from the sequential reference run to run — but staleness only
@@ -27,15 +28,21 @@ assert only schedule-independent properties.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..circuits.model import Circuit
 from ..route.quality import QualityReport
 from ..route.engine import SequentialRouter
+from .violations import VerificationReport
 
-__all__ = ["LIVE_QUALITY_TOLERANCE", "LIVE_MP_AGREEMENT", "run_live_checks"]
+__all__ = [
+    "LIVE_QUALITY_TOLERANCE",
+    "LIVE_MP_AGREEMENT",
+    "run_live_checks",
+    "within_tolerance",
+]
 
 #: Maximum relative deviation of a live run's quality (circuit height and
 #: occupancy factor) from the sequential reference.  The paper reports
@@ -68,9 +75,10 @@ LIVE_QUALITY_TOLERANCE = 0.35
 LIVE_MP_AGREEMENT = 0.20
 
 
-def _within_tolerance(
+def within_tolerance(
     live: QualityReport, ref: QualityReport, tolerance: float = LIVE_QUALITY_TOLERANCE
 ) -> bool:
+    """Both quality measures of *live* lie within *tolerance* of *ref*'s."""
     for attr in ("circuit_height", "occupancy_factor"):
         ref_v = getattr(ref, attr)
         live_v = getattr(live, attr)
@@ -84,34 +92,30 @@ def run_live_checks(
     n_procs: int = 2,
     iterations: int = 2,
     start_method: Optional[str] = None,
-) -> Dict[str, Dict[str, object]]:
-    """Run both live routers and return per-check verdicts.
+) -> VerificationReport:
+    """Run both live routers and return one report of every check.
 
-    Result shape matches the kernel-equivalence checks: ``label -> {"ok",
-    "detail"}``, so the verify runner and its renderers treat all checked
-    subsystems uniformly.
+    Each live run's ledger report (its ``replay-*`` and conservation
+    checks) merges in beside the ``live-*`` quality, agreement and
+    solo-exact checks.
     """
     from ..parallel.live import run_live_message_passing, run_live_shared_memory
     from ..parallel.mp_sim import run_message_passing
     from ..updates.schedule import UpdateSchedule
 
     reference = SequentialRouter(circuit, iterations=iterations).run()
-    checks: Dict[str, Dict[str, object]] = {}
+    report = VerificationReport()
 
     sm = run_live_shared_memory(
         circuit, n_procs=n_procs, iterations=iterations, start_method=start_method
     )
-    sm_ok = sm.meta["verification"]["ok"]
-    checks["live-sm-replay"] = {
-        "ok": sm_ok,
-        "detail": f"{n_procs} procs, commit-log replay "
-        + ("bit-exact" if sm_ok else "MISMATCH"),
-    }
-    checks["live-sm-quality"] = {
-        "ok": _within_tolerance(sm.quality, reference.quality),
-        "detail": f"live {sm.quality} vs sequential {reference.quality} "
+    report.merge(sm.meta["verification_report"])
+    report.check(
+        "live-sm-quality",
+        within_tolerance(sm.quality, reference.quality),
+        f"live {sm.quality} vs sequential {reference.quality} "
         f"(tolerance {LIVE_QUALITY_TOLERANCE:.0%})",
-    }
+    )
 
     schedule = UpdateSchedule.sender_initiated(1, 1)
     mp = run_live_message_passing(
@@ -124,22 +128,19 @@ def run_live_checks(
     mp_sim = run_message_passing(
         circuit, schedule, n_procs=n_procs, iterations=iterations
     )
-    mp_ok = mp.meta["verification"]["ok"]
-    checks["live-mp-replay"] = {
-        "ok": mp_ok,
-        "detail": f"{n_procs} procs, log replay is the committed-path union "
-        + ("exactly" if mp_ok else "MISMATCH"),
-    }
-    checks["live-mp-quality"] = {
-        "ok": _within_tolerance(mp.quality, reference.quality),
-        "detail": f"live {mp.quality} vs sequential {reference.quality} "
+    report.merge(mp.meta["verification_report"])
+    report.check(
+        "live-mp-quality",
+        within_tolerance(mp.quality, reference.quality),
+        f"live {mp.quality} vs sequential {reference.quality} "
         f"(tolerance {LIVE_QUALITY_TOLERANCE:.0%})",
-    }
-    checks["live-mp-agreement"] = {
-        "ok": _within_tolerance(mp.quality, mp_sim.quality, LIVE_MP_AGREEMENT),
-        "detail": f"live {mp.quality} vs simulated {mp_sim.quality} under "
+    )
+    report.check(
+        "live-mp-agreement",
+        within_tolerance(mp.quality, mp_sim.quality, LIVE_MP_AGREEMENT),
+        f"live {mp.quality} vs simulated {mp_sim.quality} under "
         f"{schedule.describe()} (band {LIVE_MP_AGREEMENT:.0%})",
-    }
+    )
 
     solos = {
         "sm": run_live_shared_memory(
@@ -151,20 +152,16 @@ def run_live_checks(
         ),
     }
     for name, solo in solos.items():
-        exact = (
-            solo.meta["verification"]["ok"]
-            and solo.quality == reference.quality
+        report.merge(solo.meta["verification_report"])
+        report.check(
+            f"live-{name}-solo-exact",
+            solo.quality == reference.quality
             and solo.truth == reference.cost
             and all(
                 np.array_equal(solo.paths[w].flat_cells, path.flat_cells)
                 for w, path in reference.paths.items()
-            )
+            ),
+            f"1-process run diverged from the sequential router "
+            f"({solo.quality} vs {reference.quality})",
         )
-        checks[f"live-{name}-solo-exact"] = {
-            "ok": exact,
-            "detail": "1-process run equals the sequential router"
-            if exact
-            else f"1-process run DIVERGED ({solo.quality} vs sequential "
-            f"{reference.quality})",
-        }
-    return checks
+    return report

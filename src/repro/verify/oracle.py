@@ -11,21 +11,24 @@ finding:
 - every engine routes exactly the same set of wires;
 - every routed path covers all of its wire's pins;
 - every engine's final cost array is exactly the union of its final
-  paths (conservation — checked per engine, with the first differing
-  cell, the earliest wire covering it, and that wire's commit
-  timestamp reported on failure);
+  paths (conservation — the parallel engines' ledgers check it at their
+  end of run, the oracle checks the sequential router's; a failure
+  names the first differing cell, the earliest wire covering it, and
+  that wire's commit timestamp);
 - the per-engine invariant checkers (coherence legality, flit
   conservation, replica convergence) all pass.
 
-Quality metrics (circuit height, occupancy) legitimately differ between
-engines — that divergence is the paper's result, so the oracle reports
-them side by side but never fails on them.
+Every check lands in one :class:`VerificationReport`, carried by the
+returned :class:`VerifyRun`; ``repro verify`` adds its further runs and
+checks to the same report.  Quality metrics (circuit height, occupancy)
+legitimately differ between engines — that divergence is the paper's
+result, so the oracle reports them side by side but never fails on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..circuits.model import Circuit
 from ..parallel.mp_sim import run_message_passing
@@ -33,83 +36,50 @@ from ..parallel.sm_sim import run_shared_memory
 from ..route.engine import SequentialRouter
 from ..updates.schedule import UpdateSchedule
 from .invariants import check_truth_is_path_union
-from .violations import RunVerification, VerificationReport
+from .violations import VerificationReport
 
-__all__ = ["Divergence", "OracleReport", "run_differential_oracle"]
-
-
-@dataclass(frozen=True)
-class Divergence:
-    """One structured cross-engine divergence (never a bare assert)."""
-
-    kind: str  #: "wire-set", "pin-coverage", "conservation", "invariant"
-    engines: Tuple[str, ...]  #: the engine(s) exhibiting the divergence
-    message: str
-    cell: Optional[Tuple[int, int]] = None
-    wire: Optional[int] = None
-    event_time_s: Optional[float] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "kind": self.kind,
-            "engines": list(self.engines),
-            "message": self.message,
-        }
-        for name in ("cell", "wire", "event_time_s"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    def describe(self) -> str:
-        parts = [f"[{self.kind}] {'/'.join(self.engines)}: {self.message}"]
-        if self.cell is not None:
-            parts.append(f"first differing cell=(c={self.cell[0]}, x={self.cell[1]})")
-        if self.wire is not None:
-            parts.append(f"wire={self.wire}")
-        if self.event_time_s is not None:
-            parts.append(f"t={self.event_time_s:.6g}s")
-        return "  ".join(parts)
+__all__ = ["VerifyRun", "run_differential_oracle"]
 
 
 @dataclass
-class OracleReport:
-    """Outcome of one three-way differential run."""
+class VerifyRun:
+    """One verdict: the engines' quality side by side and every check's report."""
 
+    circuit: str
+    n_procs: int
+    iterations: int
+    #: engine -> quality row (reported, never failed on).
     quality: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    divergences: List[Divergence] = field(default_factory=list)
-    verification: VerificationReport = field(default_factory=VerificationReport)
+    report: VerificationReport = field(default_factory=VerificationReport)
 
     @property
     def ok(self) -> bool:
-        """True when no divergence was found and all invariants held."""
-        return not self.divergences and self.verification.ok
+        return self.report.ok
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "ok": self.ok,
+            "circuit": self.circuit,
+            "n_procs": self.n_procs,
+            "iterations": self.iterations,
             "quality": self.quality,
-            "divergences": [d.as_dict() for d in self.divergences],
-            "verification": self.verification.as_dict(),
+            **self.report.as_dict(),
         }
 
     def render(self) -> str:
-        lines = ["differential oracle: " + ("OK" if self.ok else "DIVERGED")]
+        lines = [
+            f"repro verify: circuit={self.circuit} n_procs={self.n_procs} "
+            f"iterations={self.iterations}"
+        ]
         for engine, row in self.quality.items():
             cells = "  ".join(f"{k}={v}" for k, v in row.items())
             lines.append(f"  {engine:16s} {cells}")
-        for divergence in self.divergences:
-            lines.append(f"  DIVERGENCE {divergence.describe()}")
-        lines.append(self.verification.render())
+        lines.append(self.report.render())
+        lines.append(
+            "verdict: " + ("PASS" if self.ok else "FAIL")
+            + f" ({self.report.total_checks} checks, "
+            f"{self.report.total_violations} violations)"
+        )
         return "\n".join(lines)
-
-
-#: Which Divergence.kind a violated invariant maps to.
-_KIND_BY_INVARIANT = {
-    "wire-set": "wire-set",
-    "pin-coverage": "pin-coverage",
-    "cost-conservation": "conservation",
-}
 
 
 def run_differential_oracle(
@@ -118,17 +88,16 @@ def run_differential_oracle(
     n_procs: int = 4,
     iterations: int = 2,
     line_size: int = 8,
-) -> OracleReport:
+) -> VerifyRun:
     """Run the three engines on *circuit* and cross-check them.
 
     ``schedule`` defaults to the paper's sender-initiated (2, 10)
     configuration.  Both parallel runs execute with their invariant
-    checkers enabled; their violations land in the returned report's
-    ``verification`` and make ``ok`` false.
+    checkers enabled; their ledgers' reports merge into the returned
+    run's ``report`` beside the oracle's own cross-engine checks.
     """
     if schedule is None:
         schedule = UpdateSchedule.sender_initiated(2, 10)
-    report = OracleReport()
 
     seq = SequentialRouter(circuit, iterations=iterations).run()
     sm = run_shared_memory(
@@ -146,12 +115,7 @@ def run_differential_oracle(
         check_invariants=True,
     )
 
-    engines = {
-        "sequential": (seq.paths, seq.cost),
-        "shared_memory": (sm.paths, sm.truth),
-        "message_passing": (mp.paths, mp.truth),
-    }
-    report.quality = {
+    quality = {
         "sequential": {
             "ckt_height": seq.quality.circuit_height,
             "occupancy": seq.quality.occupancy_factor,
@@ -167,40 +131,26 @@ def run_differential_oracle(
             "time_s": round(mp.exec_time_s, 6),
         },
     }
+    run = VerifyRun(circuit.name, n_procs, iterations, quality=quality)
 
-    # Fold the parallel runs' invariant reports in (per-commit
-    # conservation, coherence legality, flit conservation, replica
-    # convergence); each checked-run violation becomes a divergence.
-    commit_times_by_engine: Dict[str, Dict[int, float]] = {}
-    for engine, result in (("shared_memory", sm), ("message_passing", mp)):
-        run_ver = result.meta.get("verification_report")
-        if not isinstance(run_ver, RunVerification):
-            continue
-        commit_times_by_engine[engine] = run_ver.commit_times
-        report.verification.merge(run_ver.report)
-        for violation in run_ver.report.violations:
-            message = violation.message
-            if message.startswith(f"{engine}: "):
-                message = message[len(engine) + 2 :]
-            report.divergences.append(
-                Divergence(
-                    kind=_KIND_BY_INVARIANT.get(violation.invariant, "invariant"),
-                    engines=(engine,),
-                    message=message,
-                    cell=violation.cell,
-                    wire=violation.wire,
-                    event_time_s=violation.event_time_s,
-                )
-            )
+    # The parallel runs' ledgers checked per-commit and end-of-run
+    # conservation (truth == union of final paths), coherence legality,
+    # flit conservation and replica convergence.
+    run.report.merge(sm.meta["verification_report"])
+    run.report.merge(mp.meta["verification_report"])
 
-    # The oracle's own cross-engine checks accumulate here; violations
-    # are mirrored as divergences below.  (The simulators flush their
+    # The oracle's own cross-engine checks.  (The simulators flush their
     # run reports' telemetry themselves; this one is flushed here.)
     own = VerificationReport()
+    engines = {
+        "sequential": seq.paths,
+        "shared_memory": sm.paths,
+        "message_passing": mp.paths,
+    }
 
     # 1. identical wire sets everywhere
     expected_wires = set(range(circuit.n_wires))
-    for engine, (paths, _) in engines.items():
+    for engine, paths in engines.items():
         missing = expected_wires - set(paths)
         extra = set(paths) - expected_wires
         own.check(
@@ -212,7 +162,7 @@ def run_differential_oracle(
         )
 
     # 2. every path covers its wire's pins
-    for engine, (paths, _) in engines.items():
+    for engine, paths in engines.items():
         for wire_idx in sorted(paths):
             cells = set(paths[wire_idx].flat_cells.tolist())
             bad_pin = next(
@@ -232,29 +182,10 @@ def run_differential_oracle(
                 wire=wire_idx,
             )
 
-    # 3. per-engine conservation: truth == union of final paths
-    for engine, (paths, truth) in engines.items():
-        check_truth_is_path_union(
-            own,
-            truth,
-            paths,
-            commit_times=commit_times_by_engine.get(engine),
-            engine=engine,
-        )
+    # 3. sequential conservation: cost == union of final paths (the
+    # parallel engines' ledgers made this check at their end of run)
+    check_truth_is_path_union(own, seq.cost, seq.paths, engine="sequential")
 
-    for violation in own.violations:
-        # The engine name is the message prefix by construction.
-        engine, _, message = violation.message.partition(": ")
-        report.divergences.append(
-            Divergence(
-                kind=_KIND_BY_INVARIANT.get(violation.invariant, "invariant"),
-                engines=(engine,),
-                message=message,
-                cell=violation.cell,
-                wire=violation.wire,
-                event_time_s=violation.event_time_s,
-            )
-        )
     own.flush_telemetry()
-    report.verification.merge(own)
-    return report
+    run.report.merge(own)
+    return run

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import telemetry as obs
 
-__all__ = ["InvariantViolation", "VerificationReport", "RunVerification"]
+__all__ = ["InvariantViolation", "VerificationReport"]
 
 #: Detailed violations kept per invariant; the rest are counted but not
 #: stored, so a systematically corrupted run cannot flood memory/output.
@@ -98,7 +98,9 @@ class VerificationReport:
     ``checks_run`` counts checks per invariant name (passed and failed
     alike); ``violations`` holds every failure in detection order.  The
     report is additive: :meth:`merge` folds another report in, so the
-    ``verify`` runner can combine per-engine reports.
+    ``verify`` runner can combine per-engine reports.  A checked run
+    carries its report under ``meta["verification_report"]`` (and its
+    JSON summary, :meth:`as_dict`, under ``meta["verification"]``).
     """
 
     checks_run: Dict[str, int] = field(default_factory=dict)
@@ -186,17 +188,3 @@ class VerificationReport:
             lines.append(f"  ... and {n} more {name} violations (suppressed)")
         return "\n".join(lines)
 
-
-@dataclass
-class RunVerification:
-    """What a checked simulator run attaches to ``meta``.
-
-    Stored under ``meta["verification_report"]`` as a live object (the
-    JSON summaries carry ``meta["verification"]`` =
-    ``report.as_dict()`` instead): the full report plus the final
-    commit timestamp of every wire, which the differential oracle uses
-    to date divergences.
-    """
-
-    report: VerificationReport
-    commit_times: Dict[int, float] = field(default_factory=dict)

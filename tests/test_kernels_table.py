@@ -3,7 +3,8 @@
 The module docstring's table is the one place that says which hot paths
 have a reference engine beside a vectorized one.  A row whose module or
 attribute has been renamed or deleted fails here, ``locusroute verify``'s
-kernel equivalence is held to the checks the table names, and a module
+kernel equivalence is held to the checks the table names (and a diverging
+fused router fails its check), and a module
 that forks on the kernel mode without a row — a new "kernel" nobody
 declared an oracle for — fails too.
 """
@@ -11,11 +12,15 @@ declared an oracle for — fails too.
 from __future__ import annotations
 
 import importlib
+import json
 import re
 from pathlib import Path
 
 import repro.kernels
 from repro.circuits import tiny_test_circuit
+from repro.cli import main
+from repro.route import wavefront
+from repro.route.segments import WireRoute
 from repro.verify.kernels import run_kernel_equivalence
 
 TABLE_RULE = re.compile(r"^=+(  =+)+$", flags=re.MULTILINE)
@@ -64,9 +69,36 @@ def test_every_dotted_name_in_the_table_imports():
 def test_verify_runs_one_check_per_replayable_pair():
     named = [cell.strip("`") for cell in table_column("verify check") if "`" in cell]
     assert 0 < len(named) <= len(table_rows())
-    checks = run_kernel_equivalence(tiny_test_circuit(n_wires=24), n_procs=4)
-    assert sorted(checks) == sorted(named)
-    assert all(check["identical"] for check in checks.values()), checks
+    report = run_kernel_equivalence(tiny_test_circuit(n_wires=24), n_procs=4)
+    assert report.checks_run == {name: 1 for name in named}
+    assert report.ok, report.render()
+
+
+def test_a_moved_bend_column_fails_verify(monkeypatch, capsys):
+    """The fused router moving one bend column is a ``kernel-twobend`` violation."""
+    moved = []
+
+    def fused_with_one_bend_moved(cost, wire, tie_break=0):
+        tables, w = wavefront.wire_geometry(wire, cost.n_grids)
+        row = tables.layout[w].tolist()
+        first, n_seg, work_cells = row[12:]
+        segs = tables.segs[first : first + n_seg].tolist()
+        xvs = wavefront._evaluate_single(cost, tables, row, tie_break)[0].tolist()
+        bends = [(x1, x2) for c1, x1, c2, x2, *_ in segs if c1 != c2]
+        if not moved and bends and bends[0][0] < bends[0][1]:
+            x1, x2 = bends[0]
+            xvs[0] = x2 if xvs[0] == x1 else x1
+            moved.append(wire)
+        path = wavefront._build_path(tables, segs, xvs)
+        return WireRoute(path, cost.path_cost(path.flat_cells), work_cells, ())
+
+    monkeypatch.setattr(wavefront, "route_wire_fused", fused_with_one_bend_moved)
+    assert main(["verify", "--quick", "--json"]) == 1
+    assert moved
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    failed = {v["invariant"] for v in payload["violations"]}
+    assert failed == {"kernel-twobend"}, payload["violations"]
 
 
 def test_every_fork_on_the_kernel_mode_has_a_row():

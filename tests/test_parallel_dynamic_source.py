@@ -66,7 +66,7 @@ def test_invariants_green(interrupts):
     result, _ = dynamic_run(
         bnre_like(n_wires=60), schedule, n_procs=4, check_invariants=True
     )
-    report = result.meta["verification_report"].report
+    report = result.meta["verification_report"]
     assert report.ok, report.render()
     for check in ("cost-conservation", "flit-conservation", "replica-convergence"):
         assert report.checks_run.get(check, 0) > 0, check

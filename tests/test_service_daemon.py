@@ -226,6 +226,107 @@ class TestDedup:
         assert again["status"] == "queued"  # no done-result to dedup against
 
 
+def leave_rows_of_a_killed_daemon(db, spec):
+    """A ``running`` primary and its ``queued`` follower, as a daemon
+    killed mid-run leaves them, plus a row the current code fingerprints
+    differently."""
+    fingerprint = job_key(spec)
+    killed = Repository(db)
+    killed.add_job("primary", fingerprint, "route", spec.params)
+    killed.set_status("primary", "running")
+    killed.add_job(
+        "follower", fingerprint, "route", spec.params,
+        source="dedup", dedup_of="primary",
+    )
+    killed.add_job("stale", "0" * len(fingerprint), "route", spec.params)
+    killed.close()
+
+
+class TestRestart:
+    def test_a_killed_daemons_rows_are_readopted(self, tmp_path):
+        """The primary and its follower finish under a new daemon on the
+        same file with one execution; the stale row fails, saying why."""
+        db = tmp_path / "svc.sqlite"
+        spec = JobSpec.from_params("route", quick_route_params())
+        leave_rows_of_a_killed_daemon(db, spec)
+
+        before = executed_count()
+        svc = RoutingService(Repository(db), jobs=1)
+        try:
+            assert svc.drain(timeout_s=60)
+            assert executed_count() - before == 1
+            direct = execute_job(spec)
+            for job_id in ("primary", "follower"):
+                stored, state = svc.result(job_id)
+                assert state == "done" and stored["payload"] == direct, job_id
+            stale = svc.status("stale")
+            assert stale["status"] == "failed"
+            assert "code changed since submission" in stale["error"]
+        finally:
+            svc.stop()
+            svc.repository.close()
+
+    def test_a_stored_result_finishes_a_readopted_row_unexecuted(self, tmp_path):
+        """Killed between recording the result and finishing the rows: the
+        rows are ``done`` at once and nothing runs again."""
+        db = tmp_path / "svc.sqlite"
+        spec = JobSpec.from_params("route", quick_route_params())
+        leave_rows_of_a_killed_daemon(db, spec)
+        repo = Repository(db)
+        repo.record_result(
+            job_key(spec), "route", spec.params, jsonify(execute_job(spec))
+        )
+
+        before = executed_count()
+        svc = RoutingService(repo, jobs=1, paused=True)
+        try:
+            assert svc.stats()["queue_depth"] == 0
+            for job_id in ("primary", "follower"):
+                assert svc.result(job_id)[1] == "done", job_id
+            assert executed_count() == before
+        finally:
+            svc.stop()
+            repo.close()
+
+    def test_a_second_daemon_on_the_file_is_refused(self, tmp_path):
+        """The second daemon neither starts nor takes over the running
+        daemon's ``running`` row; once the first stops, the file is free."""
+        db = tmp_path / "svc.sqlite"
+        first = RoutingService(Repository(db), jobs=1, paused=True)
+        second_repo = Repository(db)
+        try:
+            record = first.submit("route", quick_route_params())
+            first.repository.set_status(record["job_id"], "running")
+            with pytest.raises(ServiceError, match="another daemon"):
+                RoutingService(second_repo, jobs=1, paused=True)
+            assert second_repo.get_job(record["job_id"])["status"] == "running"
+            assert first.stats()["inflight"] == 1
+        finally:
+            first.stop()
+            first.repository.close()
+        third = RoutingService(second_repo, jobs=1, paused=True)
+        third.stop()
+        second_repo.close()
+
+    def test_serve_refuses_a_served_file(self, tmp_path):
+        db = str(tmp_path / "svc.sqlite")
+        with running_server(tmp_path, paused=True):
+            with pytest.raises(ServiceError, match="another daemon"):
+                daemon_module.serve(port=0, db=db, cache_dir=None)
+
+    def test_a_taken_port_gives_the_file_back(self, tmp_path):
+        """A daemon that cannot listen is a one-line error and releases
+        its database, so the next one on the file starts."""
+        db = str(tmp_path / "other.sqlite")
+        with running_server(tmp_path, paused=True) as srv:
+            port = srv.server_address[1]
+            with pytest.raises(ServiceError, match=f"cannot listen on 127.0.0.1:{port}"):
+                daemon_module.serve(port=port, db=db, cache_dir=None)
+        repo = Repository(db)
+        RoutingService(repo, paused=True).stop()
+        repo.close()
+
+
 class TestJobParameters:
     """What each job kind accepts, with its defaults: the service's own
     schema, which the ``jobs submit`` command line is a loop over."""
