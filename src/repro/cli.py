@@ -712,8 +712,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         quick=args.quick,
         out_dir=args.out,
         jobs=jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        cache_dir=None if args.no_cache else args.cache_dir,
         timeout_s=args.timeout,
         bench_path=args.bench,
     )

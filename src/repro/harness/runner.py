@@ -15,8 +15,8 @@ Three orthogonal capabilities wrap the plain drivers:
 - **Result caching** (``cache_dir``): experiments and individual
   simulation rows are content-addressed
   (:mod:`repro.harness.cache`) so warm re-runs and overlapping sweeps
-  skip already-computed work.  Pass ``use_cache=False`` (CLI
-  ``--no-cache``) to bypass reads *and* writes.  :func:`run_one_cached`
+  skip already-computed work; ``cache_dir=None`` (CLI ``--no-cache``)
+  bypasses reads *and* writes.  :func:`run_one_cached`
   is the one "look up, else run and store" of an experiment (the serial
   loop, the pool task and the routing service all call it).
 - **Telemetry**: per-experiment wall/CPU time, events processed and
@@ -284,7 +284,6 @@ def run_all(
     echo: bool = True,
     jobs: int = 1,
     cache_dir: Optional[PathLike] = None,
-    use_cache: bool = True,
     timeout_s: Optional[float] = None,
     bench_path: Optional[PathLike] = None,
 ) -> List[ExperimentResult]:
@@ -303,8 +302,6 @@ def run_all(
         Enable the content-addressed result cache rooted here.  ``None``
         (default) disables caching entirely, preserving the historical
         behaviour.
-    use_cache:
-        Set ``False`` to ignore ``cache_dir`` (the CLI's ``--no-cache``).
     timeout_s:
         Per-task timeout for pool execution (see
         :func:`repro.harness.pool.pool_map` for the exact semantics).
@@ -314,9 +311,7 @@ def run_all(
         given; with neither, no record is written.
     """
     ids = resolve_ids(exp_ids)
-    cache = (
-        ResultCache(cache_dir) if (cache_dir is not None and use_cache) else None
-    )
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
     telemetry_before = obs.snapshot()
     wall0 = time.perf_counter()
 

@@ -20,13 +20,13 @@ from .commitlog import (
     read_logs,
     replay_records,
 )
-from .mp_live import DEFAULT_LIVE_POLICY, run_live_message_passing
+from .mp_live import LIVE_POLICY, run_live_message_passing
 from .sm_live import KILL_POINTS, KillPlanEntry, run_live_shared_memory
 
 __all__ = [
     "run_live_shared_memory",
     "run_live_message_passing",
-    "DEFAULT_LIVE_POLICY",
+    "LIVE_POLICY",
     "KillPlanEntry",
     "KILL_POINTS",
     "CommitRecord",

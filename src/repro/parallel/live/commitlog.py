@@ -38,11 +38,10 @@ mismatch is a violation.
 
 from __future__ import annotations
 
-import collections
 import os
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from ...circuits.model import Circuit
 from ...errors import SimulationError
 from ...route.path import RoutePath
 from ..ledger import GroundTruthLedger
-from ..results import NodeSummary, ParallelRunResult
 
 __all__ = [
     "RIPUP",
@@ -61,7 +59,6 @@ __all__ = [
     "read_log",
     "read_logs",
     "replay_records",
-    "live_result",
 ]
 
 #: Record kinds.
@@ -236,62 +233,3 @@ def replay_records(
     )
     return ledger
 
-
-def live_result(
-    paradigm: str,
-    ledger: GroundTruthLedger,
-    records: Sequence[CommitRecord],
-    routing_wall_s: float,
-    slots: Sequence[Dict[str, float]],
-    meta: Dict[str, object],
-) -> ParallelRunResult:
-    """A live run's result, with quality and verdict from its replay ledger.
-
-    *slots* holds one dict per worker slot: ``incarnations`` and
-    ``grabs``, plus ``messages_sent``, ``messages_received``,
-    ``bytes_sent`` and ``blocked_time_s`` where the driver measures them
-    (0 otherwise).  Commits, rip-ups and cells written are counted from
-    the records.  ``NodeSummary`` takes what it has fields for; the rest
-    goes to ``meta["workers"]``.
-    """
-    quality = ledger.close(len(records))
-    written = [collections.Counter() for _ in slots]
-    for rec in records:
-        written[rec.worker][rec.kind] += 1
-        written[rec.worker]["cells"] += rec.cells.size
-    summaries = [
-        NodeSummary(
-            proc=slot,
-            wires_routed=counts[COMMIT],
-            finish_time_s=0.0,
-            route_units=0.0,
-            commit_units=0.0,
-            assemble_units=0.0,
-            incorporate_units=0.0,
-            messages_sent=stats.get("messages_sent", 0),
-            messages_received=stats.get("messages_received", 0),
-            blocked_time_s=stats.get("blocked_time_s", 0.0),
-        )
-        for slot, (stats, counts) in enumerate(zip(slots, written))
-    ]
-    meta["workers"] = [
-        {
-            "incarnations": stats["incarnations"],
-            "grabs": stats["grabs"],
-            "ripups": counts[RIPUP],
-            "cells_written": counts["cells"],
-            "bytes_sent": stats.get("bytes_sent", 0),
-        }
-        for stats, counts in zip(slots, written)
-    ]
-    meta.update(ledger.verification_meta())
-    return ParallelRunResult(
-        paradigm=paradigm,
-        quality=quality,
-        exec_time_s=routing_wall_s,
-        paths=ledger.paths,
-        wire_router=ledger.wire_router,
-        node_summaries=summaries,
-        truth=ledger.truth,
-        meta=meta,
-    )

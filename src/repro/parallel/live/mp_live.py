@@ -11,8 +11,11 @@ local :class:`~repro.events.queue.EventQueue` fired against
 ``time.monotonic()``, ``on_ripup``/``on_commit`` append to the node's
 durable commit log stamped with ``time.monotonic_ns()``, and
 ``on_finished`` tells the parent.  The cost model charges nothing and the
-driver sets ``node.clock = max(node.clock, now)`` before every callback
-and every ``deliver``, so the node's clock *is* the wall clock.
+node loop sets ``node.clock = max(node.clock, now)`` before every callback
+and every ``deliver``, so the node's clock *is* the wall clock.  Processes,
+logs, the deadline and the replay are the shared
+:class:`~repro.parallel.live.driver.LiveFleet`'s; this module adds the
+pipe mesh and the go / finished / stop rounds.
 
 There is no per-iteration barrier: a node walks its whole queue (its
 wires, once per iteration) at its own pace, as in the simulator.  Node
@@ -26,9 +29,7 @@ union of the final committed paths.
 from __future__ import annotations
 
 import collections
-import os
 import queue
-import tempfile
 import threading
 import time
 from multiprocessing.connection import wait as conn_wait
@@ -42,7 +43,6 @@ from ...errors import SimulationError
 from ...events.queue import EventQueue
 from ...faults.plan import RecoveryPolicy
 from ...grid.regions import RegionMap
-from ...kernels import active_kernels, set_kernels
 from ...obs import telemetry as obs
 from ...route.path import RoutePath
 from ...route.twobend import route_wire
@@ -52,20 +52,14 @@ from ..mp_sim import default_assignment
 from ..node import MPNode, NodeServices
 from ..results import ParallelRunResult
 from ..timing import CostModel
-from .commitlog import (
-    COMMIT,
-    RIPUP,
-    CommitLogWriter,
-    live_result,
-    read_logs,
-    replay_records,
-)
+from .commitlog import COMMIT, RIPUP, CommitLogWriter
+from .driver import LiveFleet
 
-__all__ = ["run_live_message_passing", "DEFAULT_LIVE_POLICY"]
+__all__ = ["run_live_message_passing", "LIVE_POLICY"]
 
 #: The simulator's 10 ms virtual-time watchdog is far too twitchy for a
 #: loaded host: wait 250 ms, retry twice with 2x backoff, then abandon.
-DEFAULT_LIVE_POLICY = RecoveryPolicy(
+LIVE_POLICY = RecoveryPolicy(
     watchdog_timeout_s=0.25, backoff_factor=2.0, max_retries=2
 )
 
@@ -78,16 +72,13 @@ _PEER_GONE = (EOFError, ConnectionResetError, BrokenPipeError)
 
 def _mp_node(
     me: int,
+    log: CommitLogWriter,
+    control,
     wires: Tuple[int, ...],
     node_args: Dict[str, object],
-    kernel_mode: str,
-    log_path: str,
-    control,
     peer_conns: Dict[int, object],
 ) -> None:
     """Node process body (module-level: picklable under spawn)."""
-    set_kernels(kernel_mode)
-    log = CommitLogWriter(log_path, me)
     #: the totals every run reports, plus one count per packet kind sent
     traffic = collections.Counter(
         messages_sent=0, bytes_sent=0, requests_sent=0, requests_serviced=0
@@ -156,7 +147,6 @@ def _mp_node(
         traffic["requests_abandoned"] = node.requests_abandoned
         traffic["duplicate_responses_ignored"] = node.duplicate_responses_ignored
         slot = {
-            "incarnations": 1,
             "grabs": node.qi,
             "messages_sent": traffic["messages_sent"],
             "messages_received": node.messages_received,
@@ -210,34 +200,22 @@ def run_live_message_passing(
     n_procs: int = 2,
     iterations: int = 3,
     assignment: Optional[Assignment] = None,
-    policy: RecoveryPolicy = DEFAULT_LIVE_POLICY,
-    kernel_mode: Optional[str] = None,
     start_method: Optional[str] = None,
     timeout_s: float = 120.0,
-    keep_logs_dir: Optional[str] = None,
 ) -> ParallelRunResult:
     """Route *circuit* with one real process per message-passing node.
 
     Parameters mirror the simulator where they overlap; ``schedule``
     defaults to the sender-initiated ``SRD=1 SLD=1`` push schedule and
-    ``assignment`` to the ThresholdCost=1000 locality policy.  ``policy``
-    is the watchdog every node arms for its ReqRmtData requests, in real
-    seconds.  ``timeout_s`` bounds the whole run; a node process dying
-    (never on purpose — crash stress lives in the shared-memory twin) or
-    a transport error aborts it with :class:`~repro.errors.SimulationError`.
+    ``assignment`` to the ThresholdCost=1000 locality policy.  Every node
+    arms :data:`LIVE_POLICY` for its ReqRmtData requests.  ``timeout_s``
+    bounds the whole run; a node process dying (never on purpose — crash
+    stress lives in the shared-memory twin) or a transport error aborts it
+    with :class:`~repro.errors.SimulationError`.
     """
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    if n_procs < 1:
-        raise SimulationError("need at least one node process")
-    if iterations < 1:
-        raise SimulationError(f"iterations must be >= 1, got {iterations}")
+    fleet = LiveFleet("mp", circuit, n_procs, iterations, start_method, timeout_s)
     if schedule is None:
         schedule = UpdateSchedule.sender_initiated(1, 1)
-    kernel_mode = kernel_mode or active_kernels()
-
-    from ...harness.pool import mp_context
-
-    ctx = mp_context(start_method)
     regions = RegionMap(circuit.n_channels, circuit.n_grids, n_procs)
     if assignment is None:
         assignment = default_assignment(circuit, regions)
@@ -251,131 +229,75 @@ def run_live_message_passing(
         schedule=schedule,
         iterations=iterations,
         cost_model=_FREE,
-        recovery=policy,
+        recovery=LIVE_POLICY,
     )
 
-    tmpdir = None
-    if keep_logs_dir is None:
-        tmpdir = tempfile.TemporaryDirectory(prefix="locusroute-live-mp-")
-    log_dir = keep_logs_dir or tmpdir.name
-    os.makedirs(log_dir, exist_ok=True)
-    log_paths = [os.path.join(log_dir, f"node{p}.log") for p in range(n_procs)]
+    def tell(message: Tuple) -> None:
+        for node in fleet.workers:
+            node.conn.send(message)
 
-    # Full point-to-point mesh of pipes plus one control pipe per node.
-    peer_ends: List[Dict[int, object]] = [dict() for _ in range(n_procs)]
-    for i in range(n_procs):
-        for j in range(i + 1, n_procs):
-            peer_ends[i][j], peer_ends[j][i] = ctx.Pipe(duplex=True)
-    procs, controls = [], []
-    try:
-        for p in range(n_procs):
-            parent_end, child_end = ctx.Pipe(duplex=True)
-            wires = tuple(int(w) for w in per_node[p])
-            proc = ctx.Process(
-                target=_mp_node,
-                args=(p, wires, node_args, kernel_mode, log_paths[p], child_end,
-                      peer_ends[p]),
-                daemon=True,
-            )
-            proc.start()
-            child_end.close()
-            for conn in peer_ends[p].values():
-                conn.close()
-            procs.append(proc)
-            controls.append(parent_end)
+    def gather(expect: str) -> List[Tuple]:
+        """One *expect* message from every node; a node's death is an error."""
+        got: Dict[int, Tuple] = {}
+        while len(got) < n_procs:
+            for node, message in fleet.wait():
+                if message is None:
+                    raise SimulationError(
+                        f"node {node.slot} died (exit {node.proc.exitcode})"
+                    )
+                if message[0] != expect:
+                    raise SimulationError(
+                        f"node {node.slot} sent {message[0]!r}, expected {expect!r}"
+                    )
+                got[node.slot] = message
+        return [got[p] for p in range(n_procs)]
 
-        deadline = time.monotonic() + timeout_s
+    with fleet:
+        # Full point-to-point mesh of pipes; each node's control pipe is
+        # the fleet's.
+        peer_ends: List[Dict[int, object]] = [dict() for _ in range(n_procs)]
+        for i in range(n_procs):
+            for j in range(i + 1, n_procs):
+                peer_ends[i][j], peer_ends[j][i] = fleet.ctx.Pipe(duplex=True)
+        try:
+            for p in range(n_procs):
+                wires = tuple(int(w) for w in per_node[p])
+                fleet.start(_mp_node, p, wires, node_args, peer_ends[p])
+                for conn in peer_ends[p].values():
+                    conn.close()
+            gather("ready")
+            routing_t0 = time.perf_counter()
+            tell(("go",))
+            gather("finished")
+            routing_wall = time.perf_counter() - routing_t0
+            # Every node has routed its last wire, but packets may still be
+            # queued and serving one can send another (a ReqRmtData's answer
+            # rides with a ReqLocData).  Each "stop" round has every node serve
+            # all that was sent before it; a round in which nobody sent anything
+            # is quiescence.  Peer pipes stay open until "exit".
+            sent = None
+            while True:
+                tell(("stop",))
+                byes = gather("bye")
+                previous, sent = sent, sum(w["messages_sent"] for _, w, _, _ in byes)
+                if sent == previous:
+                    break
+            fleet.dismiss(("exit",))
+        except (EOFError, OSError) as exc:
+            raise SimulationError(f"live MP transport failed: {exc!r}") from None
 
-        def tell(message: Tuple) -> None:
-            for conn in controls:
-                conn.send(message)
-
-        def gather(expect: str) -> List[Tuple]:
-            """Collect one *expect* message from every node."""
-            got: Dict[int, Tuple] = {}
-            while len(got) < n_procs:
-                if time.monotonic() > deadline:
-                    raise SimulationError(f"live MP run exceeded {timeout_s}s")
-                waiting = {controls[p]: p for p in range(n_procs) if p not in got}
-                for conn, p in waiting.items():
-                    # A dead node with an empty control pipe can never
-                    # deliver; one with buffered output still can.
-                    if not procs[p].is_alive() and not conn.poll():
-                        raise SimulationError(
-                            f"node {p} died (exit {procs[p].exitcode})"
-                        )
-                for conn in conn_wait(list(waiting), timeout=0.25):
-                    got[waiting[conn]] = conn.recv()
-                    assert got[waiting[conn]][0] == expect
-            return [got[p] for p in range(n_procs)]
-
-        gather("ready")
-        routing_t0 = time.perf_counter()
-        tell(("go",))
-        gather("finished")
-        routing_wall = time.perf_counter() - routing_t0
-        # Every node has routed its last wire, but packets may still be
-        # queued and serving one can send another (a ReqRmtData's answer
-        # rides with a ReqLocData).  Each "stop" round has every node serve
-        # all that was sent before it; a round in which nobody sent anything
-        # is quiescence.  Peer pipes stay open until "exit".
-        sent = None
-        while True:
-            tell(("stop",))
-            byes = gather("bye")
-            previous, sent = sent, sum(w["messages_sent"] for _, w, _, _ in byes)
-            if sent == previous:
-                break
-        tell(("exit",))
-        for proc in procs:
-            proc.join(timeout=10.0)
-    except (EOFError, OSError) as exc:
-        raise SimulationError(f"live MP transport failed: {exc!r}") from None
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5.0)
-        for conn in controls:
-            conn.close()
-
-    # Replay: canonical truth from the durable logs.
-    records = read_logs(log_paths)
-    if tmpdir is not None:
-        tmpdir.cleanup()
-    ledger = replay_records(records, circuit, iterations)
-
-    traffic = collections.Counter()
-    for _, _, node_traffic, _ in byes:
-        traffic.update(node_traffic)
-    meta: Dict[str, object] = {
-        "circuit": circuit.name,
-        "n_procs": n_procs,
-        "iterations": iterations,
-        "schedule": schedule.describe(),
-        "assignment": assignment.method,
-        "start_method": ctx.get_start_method(),
-        "kernel_mode": kernel_mode,
-        "traffic": dict(traffic),
-        "view_divergence_max": max(
-            int(np.abs(view - ledger.truth.data).max()) for _, _, _, view in byes
-        ),
-    }
-    result = live_result(
-        "message_passing_live",
-        ledger,
-        records,
-        routing_wall,
-        [slot for _, slot, _, _ in byes],
-        meta,
+        traffic = collections.Counter()
+        for _, _, node_traffic, _ in byes:
+            traffic.update(node_traffic)
+        meta: Dict[str, object] = {
+            "schedule": schedule.describe(),
+            "assignment": assignment.method,
+            "traffic": dict(traffic),
+        }
+        result = fleet.finish(routing_wall, [slot for _, slot, _, _ in byes], meta)
+    result.meta["view_divergence_max"] = max(
+        int(np.abs(view - result.truth.data).max()) for _, _, _, view in byes
     )
-
-    wall = time.perf_counter() - wall0
-    meta["wall_s"] = wall
-    obs.record_span("live.mp", wall, time.process_time() - cpu0)
-    obs.incr("live.mp.runs")
     obs.incr("live.mp.messages", traffic["messages_sent"])
     obs.incr("live.mp.bytes", traffic["bytes_sent"])
-    if not meta["verification"]["ok"]:
-        obs.incr("live.mp.replay_failures")
     return result

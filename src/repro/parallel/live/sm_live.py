@@ -36,41 +36,34 @@ and never half-applied (kills happen at safe points between critical
 sections; a worker dying *inside* a lock would hang the run, which the
 parent converts into an error via ``timeout_s``).
 
-After the run the logs replay into the ground-truth ledger the simulators
-use (:func:`~repro.parallel.live.commitlog.replay_records`), so one ledger
-judges all four engines: the :class:`~repro.parallel.results.ParallelRunResult`
-takes truth, paths and quality from it, and the replayed array must equal
-the shared segment bit for bit (``replay-shared-segment``).
+Processes, logs, the deadline and the replay are the shared driver's
+(:class:`~repro.parallel.live.driver.LiveFleet`): after the run the logs
+replay into the ground-truth ledger the simulators use, so one ledger
+judges all four engines, and this router adds one check to it — the
+replayed array must equal the shared segment bit for bit
+(``replay-shared-segment``).
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import tempfile
 import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory, sharedctypes
-from multiprocessing.connection import wait as conn_wait
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ...circuits.model import Circuit
 from ...errors import SimulationError
 from ...grid.cost_array import CostArray
-from ...kernels import active_kernels, set_kernels
 from ...obs import telemetry as obs
 from ...route.twobend import route_wire
+from ..ledger import GroundTruthLedger
 from ..results import ParallelRunResult
-from .commitlog import (
-    COMMIT,
-    RIPUP,
-    CommitLogWriter,
-    live_result,
-    read_logs,
-    replay_records,
-)
+from .commitlog import COMMIT, RIPUP, CommitLogWriter, read_logs
+from .driver import LiveFleet, LiveWorker
 
 __all__ = ["run_live_shared_memory", "KillPlanEntry", "KILL_POINTS"]
 
@@ -114,20 +107,6 @@ class KillPlanEntry:
             raise SimulationError("after_commits must be >= 0")
 
 
-@dataclass(frozen=True)
-class _WorkerConfig:
-    """Everything a worker needs, picklable for the spawn start method."""
-
-    circuit: Circuit
-    slot: int
-    incarnation: int
-    n_workers: int
-    shm_name: str
-    log_path: str
-    kernel_mode: str
-    kill: Optional[Tuple[int, str]]  #: (after_commits, point) or None
-
-
 def _attach_shared_array(name: str, shape: Tuple[int, int]):
     """Attach the parent's segment as an int32 grid view.
 
@@ -145,8 +124,12 @@ def _attach_shared_array(name: str, shape: Tuple[int, int]):
 
 
 def _sm_worker(
-    cfg: _WorkerConfig,
+    slot: int,
+    log: CommitLogWriter,
     conn,
+    circuit: Circuit,
+    shm_name: str,
+    kill: Optional[Tuple[int, str]],
     order,
     ctrl,
     requeue,
@@ -155,20 +138,18 @@ def _sm_worker(
     grab_lock,
     commit_lock,
 ) -> None:
-    """Worker process body (module-level: picklable under spawn)."""
-    set_kernels(cfg.kernel_mode)
-    shm, data = _attach_shared_array(
-        cfg.shm_name, (cfg.circuit.n_channels, cfg.circuit.n_grids)
-    )
-    view = CostArray.wrap(data)
-    log = CommitLogWriter(cfg.log_path, cfg.slot)
-    circuit = cfg.circuit
-    n_wires = circuit.n_wires
-    slot2 = 2 * cfg.slot
-    stats = {"grabs": 0, "commits": 0, "ripups": 0, "cells_written": 0}
-    commits_done = 0
+    """Worker process body (module-level: picklable under spawn).
 
-    kill_after, kill_point = cfg.kill if cfg.kill is not None else (-1, "")
+    *kill* is the slot's ``(after_commits, point)`` crash instruction, or
+    ``None``.
+    """
+    shm, data = _attach_shared_array(shm_name, (circuit.n_channels, circuit.n_grids))
+    view = CostArray.wrap(data)
+    n_wires = circuit.n_wires
+    slot2 = 2 * slot
+    grabs = commits_done = 0
+
+    kill_after, kill_point = kill if kill is not None else (-1, "")
 
     def maybe_kill(point: str) -> None:
         if kill_after >= 0 and point == kill_point and commits_done >= kill_after:
@@ -195,16 +176,16 @@ def _sm_worker(
                 ctrl[_REQ_N] = req_n - 1
                 wire = int(requeue[2 * (req_n - 1)])
                 skip_ripup = bool(requeue[2 * (req_n - 1) + 1])
-                if armed[cfg.slot] > 0:
-                    armed[cfg.slot] -= 1
+                if armed[slot] > 0:
+                    armed[slot] -= 1
                 inflight[slot2] = wire
                 inflight[slot2 + 1] = 1 if skip_ripup else 0
                 return wire, skip_ripup
             pos = ctrl[_NEXT]
             if pos >= n_wires:
                 return None
-            if armed[cfg.slot] > 0:
-                armed[cfg.slot] -= 1
+            if armed[slot] > 0:
+                armed[slot] -= 1
             elif n_wires - pos <= sum(armed):
                 return None
             ctrl[_NEXT] = pos + 1
@@ -214,12 +195,12 @@ def _sm_worker(
             return wire, False
 
     def route_one(iteration: int, prev_cells: Dict[int, np.ndarray]) -> bool:
-        nonlocal commits_done
+        nonlocal grabs, commits_done
         got = grab()
         if got is None:
             return False
         wire_idx, skip_ripup = got
-        stats["grabs"] += 1
+        grabs += 1
         maybe_kill("after_grab")
 
         old = None if skip_ripup else prev_cells.get(wire_idx)
@@ -232,8 +213,6 @@ def _sm_worker(
                 view.remove_path(old, strict=True)
                 log.append(RIPUP, iteration, wire_idx, seq, old)
                 inflight[slot2 + 1] = 1
-            stats["ripups"] += 1
-            stats["cells_written"] += int(old.size)
         else:
             # Nothing to rip (first iteration, or a previous owner of
             # this requeued wire already did it): an adopter after a
@@ -254,14 +233,12 @@ def _sm_worker(
             log.append(COMMIT, iteration, wire_idx, seq, cells, price)
             inflight[slot2] = -1
             inflight[slot2 + 1] = 0
-        stats["commits"] += 1
-        stats["cells_written"] += int(cells.size)
         commits_done += 1
         maybe_kill("after_commit")
         return True
 
     try:
-        conn.send(("ready", cfg.slot, cfg.incarnation))
+        conn.send(("ready",))
         iteration = 0
         prev_cells: Dict[int, np.ndarray] = {}
         while True:
@@ -275,25 +252,9 @@ def _sm_worker(
             # dead worker's wire after this worker went idle.
             while route_one(iteration, prev_cells):
                 pass
-            conn.send(("idle", iteration, dict(stats)))
+            conn.send(("idle", grabs))
     finally:
-        log.close()
         shm.close()
-
-
-class _Handle:
-    """Parent-side bookkeeping for one worker process."""
-
-    def __init__(self, slot, incarnation, proc, conn, log_path):
-        self.slot = slot
-        self.incarnation = incarnation
-        self.proc = proc
-        self.conn = conn
-        self.log_path = log_path
-        self.ready = False
-        self.idle = False
-        self.dead = False
-        self.last_stats: Dict[str, int] = {}
 
 
 def run_live_shared_memory(
@@ -301,12 +262,10 @@ def run_live_shared_memory(
     n_procs: int = 2,
     iterations: int = 3,
     seed: Optional[int] = None,
-    kernel_mode: Optional[str] = None,
     start_method: Optional[str] = None,
     kill_plan: Sequence[KillPlanEntry] = (),
     respawn: bool = True,
     timeout_s: float = 120.0,
-    keep_logs_dir: Optional[str] = None,
 ) -> ParallelRunResult:
     """Route *circuit* on real cores with the shared-memory design.
 
@@ -317,10 +276,6 @@ def run_live_shared_memory(
     seed:
         ``None`` keeps the natural wire order (matching the simulator's
         distributed loop); an int shuffles it deterministically.
-    kernel_mode:
-        Routing kernels for the workers (defaults to the caller's
-        :func:`~repro.kernels.active_kernels` — explicitly forwarded
-        because spawn-started children do not inherit the global).
     start_method:
         ``fork`` / ``spawn`` / ``forkserver``; defaults to the
         :data:`repro.harness.pool.START_METHOD_ENV` environment override
@@ -336,15 +291,8 @@ def run_live_shared_memory(
         are killed and :class:`~repro.errors.SimulationError` is raised
         (the escape hatch for a worker dying inside a critical section,
         which the fail-stop-at-safe-points model does not cover).
-    keep_logs_dir:
-        Write commit logs into this directory (kept) instead of a
-        temporary one (deleted after replay).
     """
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    if n_procs < 1:
-        raise SimulationError("need at least one worker process")
-    if iterations < 1:
-        raise SimulationError(f"iterations must be >= 1, got {iterations}")
+    fleet = LiveFleet("sm", circuit, n_procs, iterations, start_method, timeout_s)
     kill_plan = tuple(kill_plan)
     bad = [k.slot for k in kill_plan if not (0 <= k.slot < n_procs)]
     if bad:
@@ -353,27 +301,11 @@ def run_live_shared_memory(
         raise SimulationError("kill plan names a worker slot twice")
     if len(kill_plan) >= n_procs and not respawn:
         raise SimulationError("at least one worker must survive the kill plan")
-    kernel_mode = kernel_mode or active_kernels()
 
-    from ...harness.pool import mp_context
-
-    ctx = mp_context(start_method)
     n_wires = circuit.n_wires
     order_list = list(range(n_wires))
     if seed is not None:
         order_list = [int(w) for w in np.random.default_rng(seed).permutation(n_wires)]
-
-    shm = shared_memory.SharedMemory(
-        create=True, size=circuit.n_channels * circuit.n_grids * 4
-    )
-    final_data: Optional[np.ndarray] = None
-    tmpdir: Optional[tempfile.TemporaryDirectory] = None
-    if keep_logs_dir is None:
-        tmpdir = tempfile.TemporaryDirectory(prefix="locusroute-live-")
-        log_dir = tmpdir.name
-    else:
-        os.makedirs(keep_logs_dir, exist_ok=True)
-        log_dir = keep_logs_dir
 
     # Shared state: wire order, control words, requeue stack and per-slot
     # inflight pairs.  RawArrays ride to spawn children via fd-backed
@@ -382,8 +314,8 @@ def run_live_shared_memory(
     ctrl = sharedctypes.RawArray("q", _CTRL_WORDS)
     requeue = sharedctypes.RawArray("q", max(2, 2 * n_wires))
     inflight = sharedctypes.RawArray("q", [-1, 0] * n_procs)
-    grab_lock = ctx.Lock()
-    commit_lock = ctx.Lock()
+    grab_lock = fleet.ctx.Lock()
+    commit_lock = fleet.ctx.Lock()
 
     kill_by_slot = {k.slot: (k.after_commits, k.point) for k in kill_plan}
     # Per-slot grab budget reserved for unfired kill plans: enough grabs
@@ -397,73 +329,31 @@ def run_live_shared_memory(
             for s in range(n_procs)
         ],
     )
-    handles: List[_Handle] = []
-    all_log_paths: List[str] = []
     crash_meta = {
         "planned": len(kill_plan),
         "confirmed": [],
         "requeued_wires": 0,
         "respawned": 0,
     }
+    ready: Set[LiveWorker] = set()  #: sent "ready"
+    idle: Set[LiveWorker] = set()  #: sent "idle" since its last "iter" / "resume"
+    grabs: Dict[LiveWorker, int] = {}  #: grabs reported in the last "idle"
 
-    def spawn_worker(slot: int, incarnation: int) -> _Handle:
-        log_path = os.path.join(log_dir, f"worker{slot}_{incarnation}.log")
-        all_log_paths.append(log_path)
-        cfg = _WorkerConfig(
-            circuit=circuit,
-            slot=slot,
-            incarnation=incarnation,
-            n_workers=n_procs,
-            shm_name=shm.name,
-            log_path=log_path,
-            kernel_mode=kernel_mode,
-            # A respawned worker never re-arms the kill switch, so the
-            # stress plan terminates.
-            kill=kill_by_slot.get(slot) if incarnation == 0 else None,
+    def start(slot: int, kill: Optional[Tuple[int, str]] = None) -> None:
+        fleet.start(
+            _sm_worker, slot, circuit, shm.name, kill,
+            order, ctrl, requeue, inflight, armed, grab_lock, commit_lock,
         )
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        proc = ctx.Process(
-            target=_sm_worker,
-            args=(
-                cfg,
-                child_conn,
-                order,
-                ctrl,
-                requeue,
-                inflight,
-                armed,
-                grab_lock,
-                commit_lock,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        handle = _Handle(slot, incarnation, proc, parent_conn, log_path)
-        handles.append(handle)
-        return handle
 
-    def live_handles() -> List[_Handle]:
-        return [h for h in handles if not h.dead]
+    def send(worker: LiveWorker, message: Tuple) -> None:
+        worker.conn.send(message)
+        idle.discard(worker)
 
-    deadline = time.monotonic() + timeout_s
-
-    def check_deadline() -> None:
-        if time.monotonic() > deadline:
-            raise SimulationError(
-                f"live shared-memory run exceeded {timeout_s}s — a worker "
-                "likely died inside a critical section or deadlocked"
-            )
-
-    def on_death(handle: _Handle) -> None:
+    def on_death(worker: LiveWorker) -> None:
         """Recover a dead worker: requeue its in-flight wire, respawn."""
-        if handle.dead:
-            return
-        handle.dead = True
-        handle.conn.close()
-        crash_meta["confirmed"].append([handle.slot, handle.incarnation])
-        armed[handle.slot] = 0  # the plan fired (or died with it): unreserve
-        slot2 = 2 * handle.slot
+        crash_meta["confirmed"].append([worker.slot, worker.incarnation])
+        armed[worker.slot] = 0  # the plan fired (or died with it): unreserve
+        slot2 = 2 * worker.slot
         wire = int(inflight[slot2])
         flag = int(inflight[slot2 + 1])
         if wire >= 0:
@@ -478,15 +368,16 @@ def run_live_shared_memory(
             inflight[slot2 + 1] = 0
             crash_meta["requeued_wires"] += 1
         if respawn:
+            # A respawned worker never re-arms the kill switch, so the
+            # stress plan terminates.
             crash_meta["respawned"] += 1
-            spawn_worker(handle.slot, handle.incarnation + 1)
+            start(worker.slot)
         # Idle survivors must wake up to absorb the requeued work.
-        for other in live_handles():
-            if other.ready and other.idle:
-                other.conn.send(("resume",))
-                other.idle = False
+        for other in fleet.live:
+            if other in idle:
+                send(other, ("resume",))
 
-    def pump_events(current_prev, poll_s: float = 0.05) -> None:
+    def pump_events(current_prev) -> None:
         """Service one round of worker messages and death notices.
 
         ``current_prev`` is the in-progress iteration's ``(iteration,
@@ -494,35 +385,18 @@ def run_live_shared_memory(
         mid-iteration (respawns); ``None`` during the startup handshake,
         when the main loop will send the first ``iter`` itself.
         """
-        check_deadline()
-        live = live_handles()
-        waitables: Dict[object, Tuple[str, _Handle]] = {}
-        for h in live:
-            waitables[h.conn] = ("conn", h)
-            waitables[h.proc.sentinel] = ("sentinel", h)
-        if not waitables:
-            raise SimulationError("all live workers died and respawn is off")
-        for obj in conn_wait(list(waitables), timeout=poll_s):
-            kind, h = waitables[obj]
-            if h.dead:
-                continue
-            if kind == "sentinel":
-                on_death(h)
-                continue
-            try:
-                msg = h.conn.recv()
-            except (EOFError, OSError):
-                on_death(h)
-                continue
-            if msg[0] == "ready":
-                h.ready = True
+        for worker, msg in fleet.wait():
+            if msg is None:
+                on_death(worker)
+            elif msg[0] == "ready":
+                ready.add(worker)
                 if current_prev is not None:
-                    h.conn.send(("iter",) + current_prev)
+                    send(worker, ("iter",) + current_prev)
             elif msg[0] == "idle":
-                h.idle = True
-                h.last_stats = msg[2]
-            elif msg[0] == "fatal":  # pragma: no cover - defensive
-                raise SimulationError(f"worker {h.slot} failed: {msg[1]}")
+                idle.add(worker)
+                grabs[worker] = msg[1]
+            else:
+                raise SimulationError(f"worker {worker.slot} sent {msg[0]!r}")
 
     def committed_this_iteration(iteration: int) -> Dict[int, np.ndarray]:
         """Wire -> cells committed in *iteration*, from the durable logs.
@@ -532,7 +406,7 @@ def run_live_shared_memory(
         """
         cells: Dict[int, np.ndarray] = {}
         count = 0
-        for rec in read_logs(all_log_paths):
+        for rec in read_logs(fleet.log_paths):
             if rec.kind == COMMIT and rec.iteration == iteration:
                 if rec.wire in cells:
                     raise SimulationError(
@@ -544,119 +418,88 @@ def run_live_shared_memory(
         assert count == len(cells)
         return cells
 
+    def check_segment(ledger: GroundTruthLedger) -> None:
+        # Imported here: every worker process imports this module, none needs it.
+        from ...verify.invariants import first_differing_cell
+
+        diff = first_differing_cell(final_data, ledger.truth.data)
+        where = {} if diff is None else dict(cell=diff[:2], expected=diff[2], actual=diff[3])
+        ledger.report.check(
+            "replay-shared-segment",
+            diff is None,
+            "the replayed truth differs from the final shared segment",
+            **where,
+        )
+
     committed: Dict[int, np.ndarray] = {}
-    routing_wall = 0.0
+    shm = shared_memory.SharedMemory(
+        create=True, size=circuit.n_channels * circuit.n_grids * 4
+    )
     try:
-        for slot in range(n_procs):
-            spawn_worker(slot, 0)
+        with fleet:
+            for slot in range(n_procs):
+                start(slot, kill_by_slot.get(slot))
 
-        # Handshake before the clock starts: process startup (fork vs
-        # spawn, interpreter boot) is setup cost, not routing time.
-        while not live_handles() or not all(h.ready for h in live_handles()):
-            pump_events(None)
+            # Handshake before the clock starts: process startup (fork vs
+            # spawn, interpreter boot) is setup cost, not routing time.
+            while not ready.issuperset(fleet.live):
+                pump_events(None)
 
-        routing_t0 = time.perf_counter()
-        for iteration in range(iterations):
-            ctrl[_NEXT] = 0
-            ctrl[_REQ_N] = 0
-            prev_payload = (
-                iteration,
-                [(w, c) for w, c in sorted(committed.items())],
-            )
-            for h in live_handles():
-                if h.ready:
-                    h.conn.send(("iter",) + prev_payload)
-                    h.idle = False
-            while True:
-                live = live_handles()
-                if live and all(h.idle for h in live if h.ready) and all(
-                    h.ready for h in live
-                ):
-                    iter_commits = committed_this_iteration(iteration)
-                    if len(iter_commits) == n_wires:
-                        committed = iter_commits
-                        break
-                    if int(ctrl[_REQ_N]) > 0 or int(ctrl[_NEXT]) < n_wires:
-                        for h in live:
-                            if h.idle:
-                                h.conn.send(("resume",))
-                                h.idle = False
-                        continue
-                    raise SimulationError(
-                        f"iteration {iteration} stalled with "
-                        f"{n_wires - len(iter_commits)} wires uncommitted "
-                        "and an empty loop — in-flight recovery failed"
-                    )
-                pump_events(prev_payload)
-        routing_wall = time.perf_counter() - routing_t0
+            routing_t0 = time.perf_counter()
+            for iteration in range(iterations):
+                ctrl[_NEXT] = 0
+                ctrl[_REQ_N] = 0
+                prev_payload = (
+                    iteration,
+                    [(w, c) for w, c in sorted(committed.items())],
+                )
+                for worker in fleet.live:
+                    if worker in ready:
+                        send(worker, ("iter",) + prev_payload)
+                while True:
+                    live = fleet.live
+                    if live and idle.issuperset(live):
+                        iter_commits = committed_this_iteration(iteration)
+                        if len(iter_commits) == n_wires:
+                            committed = iter_commits
+                            break
+                        if int(ctrl[_REQ_N]) > 0 or int(ctrl[_NEXT]) < n_wires:
+                            for worker in live:
+                                send(worker, ("resume",))
+                            continue
+                        raise SimulationError(
+                            f"iteration {iteration} stalled with "
+                            f"{n_wires - len(iter_commits)} wires uncommitted "
+                            "and an empty loop — in-flight recovery failed"
+                        )
+                    pump_events(prev_payload)
+            routing_wall = time.perf_counter() - routing_t0
 
-        for h in live_handles():
-            h.conn.send(("stop",))
-        for h in live_handles():
-            h.proc.join(timeout=10.0)
-            if h.proc.is_alive():  # pragma: no cover - defensive
-                h.proc.kill()
-        final_data = np.ndarray(
-            (circuit.n_channels, circuit.n_grids), dtype=np.int32, buffer=shm.buf
-        ).copy()
+            fleet.dismiss(("stop",))
+            final_data = np.ndarray(
+                (circuit.n_channels, circuit.n_grids), dtype=np.int32, buffer=shm.buf
+            ).copy()
+            slots = [{"grabs": 0} for _ in range(n_procs)]
+            for worker, n in grabs.items():
+                slots[worker.slot]["grabs"] += n
+            result = fleet.finish(routing_wall, slots, {"order_seed": seed}, check_segment)
     finally:
-        for h in handles:
-            if h.proc.is_alive():
-                h.proc.kill()
-                h.proc.join(timeout=5.0)
-            try:
-                h.conn.close()
-            except OSError:
-                pass
         shm.close()
         shm.unlink()
+        # Under spawn each lock is a named semaphore in /dev/shm that lasts
+        # as long as the lock object, and an aborted run's traceback keeps
+        # this frame alive.
+        del grab_lock, commit_lock
 
-    records = read_logs(all_log_paths)
-    if tmpdir is not None:
-        tmpdir.cleanup()
-    ledger = replay_records(records, circuit, iterations)
-    # Imported here: every worker process imports this module, none needs it.
-    from ...verify.invariants import first_differing_cell
-
-    diff = first_differing_cell(final_data, ledger.truth.data)
-    where = {} if diff is None else dict(cell=diff[:2], expected=diff[2], actual=diff[3])
-    ledger.report.check(
-        "replay-shared-segment",
-        diff is None,
-        "the replayed truth differs from the final shared segment",
-        **where,
+    commits = sum(summary.wires_routed for summary in result.node_summaries)
+    # Nothing a dead worker committed is ever dropped (durable logs), so
+    # the only crash casualties are in-flight routes, which are re-run via
+    # the requeue.  Asserted by the stress tests.
+    result.meta["crash"] = dict(
+        crash_meta,
+        crash_dropped_commits=n_wires * iterations - commits,
+        crash_dropped_inflight=crash_meta["requeued_wires"],
     )
-    commits = sum(rec.kind == COMMIT for rec in records)
-    slots = [{"incarnations": 0, "grabs": 0} for _ in range(n_procs)]
-    for h in handles:
-        slots[h.slot]["incarnations"] += 1
-        slots[h.slot]["grabs"] += int(h.last_stats.get("grabs", 0))
-    meta: Dict[str, object] = {
-        "circuit": circuit.name,
-        "n_procs": n_procs,
-        "iterations": iterations,
-        "start_method": ctx.get_start_method(),
-        "kernel_mode": kernel_mode,
-        "order_seed": seed,
-        # Nothing a dead worker committed is ever dropped (durable logs),
-        # so the only crash casualties are in-flight routes, which are
-        # re-run via the requeue.  Asserted by the stress tests.
-        "crash": dict(
-            crash_meta,
-            crash_dropped_commits=n_wires * iterations - commits,
-            crash_dropped_inflight=crash_meta["requeued_wires"],
-        ),
-    }
-    result = live_result(
-        "shared_memory_live", ledger, records, routing_wall, slots, meta
-    )
-
-    wall = time.perf_counter() - wall0
-    meta["wall_s"] = wall
-    obs.record_span("live.sm", wall, time.process_time() - cpu0)
-    obs.incr("live.sm.runs")
     obs.incr("live.sm.commits", commits)
     obs.incr("live.sm.requeued_wires", crash_meta["requeued_wires"])
-    if not meta["verification"]["ok"]:
-        obs.incr("live.sm.replay_failures")
     return result

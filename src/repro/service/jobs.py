@@ -95,13 +95,20 @@ _SIM_FIELDS = frozenset(f.name for f in fields(SimConfig))
 #: Inclusive bounds of the integer parameters, checked at submission so
 #: a pool worker is never handed a job it cannot run or one that
 #: allocates without limit: the largest circuit CI routes, the coherence
-#: engines' processor limit, and a handful of rip-up iterations.
+#: engines' processor limit, and a handful of rip-up iterations.  A node
+#: resets its period counters only when it sends, and no node routes more
+#: than ``MAX_WIRES * MAX_ITERATIONS`` wire instances, so a longer update
+#: period never fires: it would only give one result many fingerprints.
 MAX_WIRES = 100_000
 MAX_ITERATIONS = 10
 _BOUNDS = {
     "n_wires": (1, MAX_WIRES),
     "n_procs": (1, WriteBackInvalidate.MAX_PROCS),
     "iterations": (1, MAX_ITERATIONS),
+    **{
+        period: (1, MAX_WIRES * MAX_ITERATIONS)
+        for period in ("send_loc", "send_rmt", "req_loc", "req_rmt")
+    },
 }
 
 

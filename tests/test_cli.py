@@ -129,16 +129,16 @@ class TestRunCommand:
         assert data["n_wires"] == 24
 
     def test_failed_replay_exits_1(self, capsys, monkeypatch):
-        from repro.parallel.live import sm_live
+        from repro.parallel.live import driver
 
-        real = sm_live.replay_records
+        real = driver.replay_records
 
         def corrupted(records, circuit, iterations):
             ledger = real(records, circuit, iterations)
             ledger.truth.data[0, 0] += 1
             return ledger
 
-        monkeypatch.setattr(sm_live, "replay_records", corrupted)
+        monkeypatch.setattr(driver, "replay_records", corrupted)
         code = main(
             ["run", "--live", "sm", "--wires", "24", "--procs", "1",
              "--iterations", "2"]

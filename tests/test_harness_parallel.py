@@ -257,11 +257,3 @@ class TestRunAllParallel:
         assert [r.exp_id for r in results] == ["X4", "T6"]
         assert simjobs._STRATEGY == before
         assert simjobs._STRATEGY.cache is None
-
-    def test_no_cache_bypasses_reads_and_writes(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        run_all(
-            ["X4"], quick=True, echo=False,
-            cache_dir=cache_dir, use_cache=False,
-        )
-        assert not cache_dir.exists()

@@ -390,6 +390,8 @@ class TestJobParameters:
             ("sm", "n_procs", 200),
             ("route", "iterations", 0),
             ("sm", "line_size", 3),
+            ("mp", "send_loc", 10**30),
+            ("mp", "req_rmt", 1_000_001),
         ],
     )
     def test_an_out_of_range_integer_is_refused_by_name(self, kind, name, value):
@@ -400,6 +402,10 @@ class TestJobParameters:
         assert JobSpec.from_params("route", {"n_wires": 100_000, "iterations": 10})
         assert JobSpec.from_params("sm", {"n_wires": 1, "n_procs": 63, "line_size": 4})
         assert JobSpec.from_params("mp", {"n_procs": 1, "iterations": 1})
+        assert JobSpec.from_params(
+            "mp",
+            {name: 1_000_000 for name in ("send_loc", "send_rmt", "req_loc", "req_rmt")},
+        )
 
     def test_cli_flags_reach_the_parameter_they_name(self):
         from repro.cli import _jobs_submit_params, build_parser
