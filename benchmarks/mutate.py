@@ -156,12 +156,30 @@ TARGETS: Tuple[Target, ...] = (
             "tests/test_determinism.py",
         ),
     ),
+    Target(
+        "harness/cache.py: result store", "harness/cache.py",
+        ("open_sqlite", "_CACHE_SQL", "_UNREADABLE", "_experiment_payload",
+         "_sim_result", "_OPEN", "_INHERITED", "_after_fork_in_child", "ResultCache"),
+        (
+            "tests/test_harness_cache.py",
+            "tests/test_service_repository.py",
+            "tests/test_cli.py",
+        ),
+    ),
 )
 
 #: Surviving mutants that cannot change any observable result, keyed by
 #: :attr:`Mutant.key`, with the reason.  A survivor missing here fails
 #: the run.
-EQUIVALENT: Dict[str, str] = {}
+EQUIVALENT: Dict[str, str] = {
+    'harness/cache.py:open_sqlite:cmp: if "locked" not in str(exc) or '
+    'time.monotonic() >= deadline: [>= -> >]':
+        "the retry deadline is a wall-clock instant: reaching it exactly "
+        "or one tick later gives up the same way",
+    "harness/cache.py:open_sqlite:dropcall: time.sleep(0.01) [dropped]":
+        "the pause only spaces the retries; without it the loop retries "
+        "sooner and ends at the same deadline",
+}
 
 
 # ----------------------------------------------------------------------

@@ -140,8 +140,8 @@ _RUN_FLAGS: Dict[str, Dict[str, Any]] = {
     "timeout": dict(type=float, metavar="SECONDS"),
     "jobs": dict(type=int),
     "cache_dir": dict(
-        help="content-addressed result cache directory; the service's "
-        "executions run through it (default: %(default)s)"
+        help="result cache directory (entries in DIR/results.sqlite); the "
+        "service's executions run through it (default: %(default)s)"
     ),
     "no_cache": dict(
         action="store_true", help="bypass the result cache (neither read nor write it)"
@@ -804,7 +804,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"routing service listening on http://{host}:{port}")
     print(f"repository: {server.service.repository.path}")
     cache = server.service.cache
-    print(f"execution file cache: {cache.directory if cache else 'disabled'}")
+    print(f"execution result cache: {cache.path if cache else 'disabled'}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

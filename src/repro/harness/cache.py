@@ -6,22 +6,23 @@ input that determines its output (experiment id, circuit parameters,
 schedule fields, processor count, iteration count, cost-model fields,
 and a digest of the package source).  :func:`stable_hash` canonicalises
 the fingerprint to JSON and hashes it, so the same configuration always
-maps to the same cache file and *any* single field change maps to a
+maps to the same cache entry and *any* single field change maps to a
 different one.
 
-Two storage namespaces share one directory:
+Entries are rows of one table in ``<directory>/results.sqlite``, keyed
+by namespace and fingerprint:
 
-- ``experiments/<key>.json`` — rendered :class:`ExperimentResult`
-  payloads (rows, checks, notes), human-inspectable JSON;
-- ``sims/<key>.pkl`` — pickled
-  :class:`~repro.parallel.results.ParallelRunResult` objects for the
-  per-row simulation cache (they carry numpy arrays and routed paths,
-  which JSON cannot round-trip).
+- ``experiment`` — rendered :class:`ExperimentResult` payloads (rows,
+  checks, notes) as JSON text, readable with ``sqlite3``;
+- ``sim`` — pickled :class:`~repro.parallel.results.ParallelRunResult`
+  objects for the per-row simulation cache (they carry numpy arrays and
+  routed paths, which JSON cannot round-trip).
 
-All writes are atomic *and durable* (tmp file + fsync + ``os.replace``
-in the same directory, then a directory fsync), so a reader can never
-observe a half-written entry and a committed entry survives power loss;
-a corrupted or truncated entry is treated as a miss and overwritten on
+The file is opened by :func:`open_sqlite`, the same code that opens the
+service's repository: WAL mode, a busy timeout for writers racing from
+other processes, and a corrupt file moved aside.  The cache commits under
+``PRAGMA synchronous=FULL``, so a committed entry survives power loss; a
+truncated or undecodable value is treated as a miss and overwritten on
 the next run.  Hits and misses are counted in the global telemetry
 (``cache.experiment.hits`` etc.) so ``BENCH_harness.json`` can report
 them.
@@ -30,16 +31,20 @@ them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pickle
 import re
-import tempfile
+import sqlite3
+import threading
+import time
+from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -52,8 +57,7 @@ __all__ = [
     "ResultCache",
     "stable_hash",
     "jsonify",
-    "atomic_write_text",
-    "atomic_write_bytes",
+    "open_sqlite",
     "code_fingerprint",
     "circuit_fingerprint",
     "cost_model_fingerprint",
@@ -174,103 +178,160 @@ def cost_model_fingerprint(cost_model: CostModel = DEFAULT_COST_MODEL) -> Dict[s
 
 
 # ----------------------------------------------------------------------
-# atomic writes (shared with runner.save_result)
+# one SQLite file (shared with service.repository)
 # ----------------------------------------------------------------------
-def _fsync_dir(directory: Path) -> None:
-    """fsync a directory so a just-renamed entry survives power loss.
+def open_sqlite(
+    path: PathLike, schema: str, synchronous: str, recovered_counter: str,
+    timeout_s: float = 30.0,
+) -> sqlite3.Connection:
+    """Connect to the SQLite file *path* (created, with its directory, on
+    first use) in WAL mode with a busy timeout, and apply *schema*.
 
-    Best-effort: platforms/filesystems that cannot open or fsync a
-    directory (e.g. Windows) keep the rename's atomicity and lose only
-    the durability guarantee, exactly like the pre-fsync behaviour.
+    A file that is not a database (garbage, truncated) is moved aside to
+    ``<name>.corrupt.<n>``, recreated empty and counted in
+    *recovered_counter*: a store degrades to a miss, not a crash loop.  A
+    busy or unopenable file is not corrupt: its ``OperationalError``
+    surfaces and the file is left alone.
     """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def atomic_write_bytes(path: PathLike, data: bytes) -> Path:
-    """Write *data* to *path* atomically and durably.
-
-    tmp file + fsync + rename + directory fsync: the rename makes the
-    write atomic for concurrent readers, the file fsync makes the *data*
-    durable before the name points at it, and the directory fsync makes
-    the *name* durable — without it the commit-log entries and cache
-    files "written atomically" could still vanish wholesale on power
-    loss.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(path.parent)
-    except BaseException:
+    path = str(path)
+    if path != ":memory:":
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    deadline = time.monotonic() + timeout_s
+    aside = None  # the corrupt file's new name, once it has been moved
+    while True:
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def atomic_write_text(path: PathLike, text: str) -> Path:
-    """Write *text* (UTF-8) to *path* atomically."""
-    return atomic_write_bytes(path, text.encode("utf-8"))
+            conn = sqlite3.connect(path, timeout=timeout_s, check_same_thread=False)
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute(f"PRAGMA synchronous={synchronous}")
+            conn.executescript(schema)
+            return conn
+        except sqlite3.OperationalError as exc:
+            # Processes creating one file at once can deadlock on the
+            # switch to WAL, and SQLite then answers "locked" without
+            # waiting: the busy timeout is served here instead.
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
+        except sqlite3.DatabaseError:
+            if path == ":memory:" or aside is not None:
+                raise
+            target = Path(path)
+            for n in itertools.count():
+                aside = target.with_name(f"{target.name}.corrupt.{n}")
+                if not aside.exists():
+                    break
+            target.replace(aside)
+            obs.incr(recovered_counter)
 
 
 # ----------------------------------------------------------------------
 # the cache proper
 # ----------------------------------------------------------------------
-class ResultCache:
-    """Content-addressed cache over one directory (see module docstring).
+#: One row per entry: a pickle (``sim``) or JSON text (``experiment``).
+#: A 256 KiB page cache: an entry is read once, and the OS caches the file.
+_CACHE_SQL = """
+PRAGMA cache_size = -256;
+CREATE TABLE IF NOT EXISTS entries (
+    namespace TEXT NOT NULL,
+    key       TEXT NOT NULL,
+    value     BLOB NOT NULL,
+    PRIMARY KEY (namespace, key)
+);
+"""
 
-    Parameters
-    ----------
-    directory:
-        Cache root; created lazily on the first write.
+#: What a truncated, garbage or unreachable entry raises on its way in.
+_UNREADABLE = (sqlite3.DatabaseError, ValueError, EOFError, pickle.UnpicklingError,
+               AttributeError, ImportError, IndexError, TypeError)
+
+
+def _experiment_payload(value: Any) -> Optional[dict]:
+    payload = json.loads(value)
+    current = isinstance(payload, dict) and payload.get("schema") == CACHE_SCHEMA
+    return payload if current else None
+
+
+def _sim_result(value: Any) -> Optional[object]:
+    schema, obj = pickle.loads(value)
+    return obj if schema == CACHE_SCHEMA else None
+
+
+#: This process's one open cache connection, by absolute file path;
+#: opening another file closes it.  The lock serialises threads.
+_OPEN: Dict[str, sqlite3.Connection] = {}
+_LOCK = threading.Lock()
+#: Connections a forked child inherited: SQLite forbids using them there,
+#: and closing them too, so the child keeps them and opens its own.
+_INHERITED: List[sqlite3.Connection] = []
+
+
+def _after_fork_in_child() -> None:
+    global _LOCK
+    _INHERITED.extend(_OPEN.values())
+    _OPEN.clear()
+    _LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+class ResultCache:
+    """Content-addressed cache in ``directory/results.sqlite``, created on
+    first use (see module docstring).
+
+    The cache holds only its directory, so it pickles into pool tasks;
+    its connection is the process's (:data:`_OPEN`).
     """
 
     def __init__(self, directory: PathLike) -> None:
         self.directory = Path(directory)
 
-    # -- paths ---------------------------------------------------------
-    def experiment_path(self, key: str) -> Path:
-        """Cache file for an experiment-level JSON payload."""
-        return self.directory / "experiments" / f"{key}.json"
+    @property
+    def path(self) -> Path:
+        """The SQLite file holding every entry."""
+        return self.directory / "results.sqlite"
 
-    def sim_path(self, key: str) -> Path:
-        """Cache file for a pickled simulation result."""
-        return self.directory / "sims" / f"{key}.pkl"
+    @contextmanager
+    def _connect(self) -> Iterator[sqlite3.Connection]:
+        """This process's connection to the cache file, opened on first use
+        (``synchronous=FULL``: a committed entry survives power loss)."""
+        path = os.path.abspath(self.path)
+        with _LOCK:
+            if path not in _OPEN:
+                for conn in _OPEN.values():
+                    conn.close()
+                _OPEN.clear()
+                _OPEN[path] = open_sqlite(path, _CACHE_SQL, "FULL", "cache.recovered")
+            yield _OPEN[path]
 
-    # -- experiment-level (JSON) ---------------------------------------
+    def _get(self, namespace: str, key: str, decode: Callable[[Any], Any]) -> Any:
+        """The decoded entry, or ``None`` when absent, unreadable or of
+        another schema; counted as a hit or a miss."""
+        entry = None
+        try:
+            with self._connect() as conn:
+                for (value,) in conn.execute(
+                    "SELECT value FROM entries WHERE namespace = ? AND key = ?",
+                    (namespace, key),
+                ):
+                    entry = decode(value)
+        except _UNREADABLE:
+            pass
+        obs.incr(f"cache.{namespace}.{'misses' if entry is None else 'hits'}")
+        return entry
+
+    def _put(self, namespace: str, key: str, value: Any) -> None:
+        with self._connect() as conn, conn:
+            conn.execute(
+                "INSERT OR REPLACE INTO entries (namespace, key, value) VALUES (?, ?, ?)",
+                (namespace, key, value),
+            )
+
     def get_experiment(self, key: str) -> Optional[dict]:
         """Cached experiment payload, or ``None`` on miss/corruption."""
-        path = self.experiment_path(key)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            obs.incr("cache.experiment.misses")
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
-            obs.incr("cache.experiment.misses")
-            return None
-        obs.incr("cache.experiment.hits")
-        return payload
+        return self._get("experiment", key, _experiment_payload)
 
-    def put_experiment(self, key: str, payload: dict) -> Path:
+    def put_experiment(self, key: str, payload: dict) -> None:
         """Store an experiment payload (adds the schema tag).
 
         ``"schema"`` is reserved for the cache's own format tag: a caller
@@ -283,29 +344,12 @@ class ResultCache:
                 "experiment payloads may not carry the reserved 'schema' "
                 "key (it is the cache's format tag)"
             )
-        payload = {"schema": CACHE_SCHEMA, **payload}
-        return atomic_write_text(
-            self.experiment_path(key), json.dumps(payload, indent=1)
-        )
+        self._put("experiment", key, json.dumps({"schema": CACHE_SCHEMA, **payload}))
 
-    # -- simulation-level (pickle) -------------------------------------
     def get_sim(self, key: str) -> Optional[object]:
         """Cached simulation result, or ``None`` on miss/corruption."""
-        path = self.sim_path(key)
-        try:
-            with path.open("rb") as handle:
-                schema, obj = pickle.load(handle)
-        except (OSError, ValueError, EOFError, pickle.UnpicklingError,
-                AttributeError, ImportError, IndexError, TypeError):
-            obs.incr("cache.sim.misses")
-            return None
-        if schema != CACHE_SCHEMA:
-            obs.incr("cache.sim.misses")
-            return None
-        obs.incr("cache.sim.hits")
-        return obj
+        return self._get("sim", key, _sim_result)
 
-    def put_sim(self, key: str, obj: object) -> Path:
+    def put_sim(self, key: str, obj: object) -> None:
         """Store a simulation result."""
-        data = pickle.dumps((CACHE_SCHEMA, obj), protocol=pickle.HIGHEST_PROTOCOL)
-        return atomic_write_bytes(self.sim_path(key), data)
+        self._put("sim", key, pickle.dumps((CACHE_SCHEMA, obj), pickle.HIGHEST_PROTOCOL))

@@ -35,11 +35,11 @@ def _run_experiment_task(
 ) -> Tuple[ExperimentResult, Dict[str, object]]:
     """Pool task: one experiment id through the cache, sim rows serial.
 
-    Each worker opens its own handle on the shared cache directory —
-    entries are content-addressed and written atomically, so concurrent
-    writers are safe (last writer wins with identical bytes).  The
-    strategy is scoped, so a retry of this task in the parent leaves the
-    parent's own strategy as it found it.
+    Each worker opens its own connection to the shared cache file —
+    entries are content-addressed rows and SQLite serialises the writers,
+    so concurrent writers are safe (last writer wins with identical
+    bytes).  The strategy is scoped, so a retry of this task in the
+    parent leaves the parent's own strategy as it found it.
     """
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     with simjobs.strategy(cache=cache):

@@ -27,6 +27,7 @@ Three orthogonal capabilities wrap the plain drivers:
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -37,7 +38,6 @@ from ..obs import telemetry as obs
 from . import simjobs
 from .cache import (
     ResultCache,
-    atomic_write_text,
     code_fingerprint,
     cost_model_fingerprint,
     jsonify,
@@ -61,6 +61,20 @@ PathLike = Union[str, Path]
 
 #: Default file name of the harness telemetry record.
 BENCH_FILENAME = "BENCH_harness.json"
+
+
+def atomic_write_text(path: PathLike, text: str) -> Path:
+    """Write *text* (UTF-8) to *path* atomically: a reader sees the old
+    file or the new one, never half of either."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
 
 
 def save_result(result: ExperimentResult, directory: PathLike) -> Path:

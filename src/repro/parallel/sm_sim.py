@@ -313,6 +313,7 @@ def run_shared_memory(
                 waker = parked[0]
                 at_barrier.discard(waker)
                 sim.at(c.at_s, lambda p=waker, t=c.at_s: proc_step(p, t))
+                obs.incr("sim.sm.crash_wakeups")
         at_barrier.discard(proc)
         maybe_release_barrier()
 

@@ -5,8 +5,8 @@ traffic: ``locusroute serve`` runs a daemon that accepts routing /
 simulation / experiment jobs over JSON/HTTP, deduplicates identical
 work by content-addressed fingerprint, executes on the harness's
 salvage process pool, and persists every run into a queryable SQLite
-repository that supersedes the file cache as the canonical store
-(executions still run through the file cache).  See docs/SERVICE.md.
+repository that supersedes the result cache as the canonical store
+(executions still run through the result cache).  See docs/SERVICE.md.
 """
 
 from .client import ServiceClient

@@ -14,7 +14,7 @@ executes once:
 
 - a fingerprint already **done** in the repository is answered
   immediately — job row with status ``done``, zero executions; any other
-  is queued, and its execution runs through the file cache, so a warm
+  is queued, and its execution runs through the result cache, so a warm
   ``mp`` / ``sm`` / ``experiment`` entry is answered without simulating;
 - a fingerprint already **queued or running** gains a follower job
   (``dedup_of`` = the primary's id) that completes when the shared
@@ -28,12 +28,13 @@ Execution model
 One dispatcher thread drains the queue in batches and hands each batch
 to :func:`pool_map_salvage` (``jobs`` workers), so a crashed worker is
 respawned and a twice-failed job becomes a *failed row*, never a dead
-daemon.  SQLite writes happen only on daemon threads — pool workers
-return payloads; the dispatcher persists them.  A daemon holds an
-exclusive lock on ``<db>.lock`` from construction to :meth:`stop`, so
-a second daemon on the same file is refused; one started on the file
-of a daemon killed mid-run re-adopts its ``queued`` and ``running``
-rows under their own job ids.
+daemon.  Repository writes happen only on daemon threads — pool workers
+return payloads; the dispatcher persists them.  The workers do write
+the result cache (``<cache_dir>/results.sqlite``), each through its
+own connection.  A daemon holds an exclusive lock on ``<db>.lock`` from
+construction to :meth:`stop`, so a second daemon on the same file is
+refused; one started on the file of a daemon killed mid-run re-adopts
+its ``queued`` and ``running`` rows under their own job ids.
 
 Waiting
 -------
@@ -55,6 +56,7 @@ import json
 import math
 import queue
 import socket
+import sqlite3
 import sys
 import threading
 import time
@@ -109,7 +111,7 @@ class RoutingService:
     repository:
         The canonical store (shared with the HTTP layer and reports).
     cache:
-        Optional file cache that executions run through: warm entries
+        Optional result cache that executions run through: warm entries
         answer without simulating, fresh ones warm it.
     jobs:
         Salvage-pool width per batch (``1`` executes in-process, which
@@ -648,7 +650,10 @@ def serve(
     ``server.shutdown()`` + ``server.service.stop()`` +
     ``server.service.repository.close()`` to tear down.
     """
-    repository = Repository(db)
+    try:
+        repository = Repository(db)
+    except sqlite3.OperationalError as exc:  # busy or unopenable, not corrupt
+        raise ServiceError(f"cannot open repository {db}: {exc}") from exc
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     try:
         service = RoutingService(

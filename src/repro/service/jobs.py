@@ -5,16 +5,16 @@ sequential routing run (``route``), one simulated parallel run
 (``mp`` / ``sm``, exactly a :class:`~repro.harness.simjobs.SimConfig`
 row), or a whole paper experiment (``experiment``).  Each job is
 identified by the same content-addressed fingerprint discipline as the
-file cache — :func:`job_key` hashes every input that determines the
+result cache — :func:`job_key` hashes every input that determines the
 output, including the package source digest — so the repository, the
-in-flight dedup map, and the file cache all agree on what "the same
+in-flight dedup map, and the result cache all agree on what "the same
 job" means.
 
 Cache layering (docs/SERVICE.md):
 
 1. the SQLite repository is canonical — a hit there never re-executes;
 2. a repository miss is queued and executed (:func:`execute_job`), which
-   runs through the file cache (:class:`~repro.harness.cache.ResultCache`)
+   runs through the result cache (:class:`~repro.harness.cache.ResultCache`)
    for ``mp``/``sm``/``experiment`` kinds: a warm entry is answered
    without simulating, a cold one is computed and warms the cache, and
    the payload is the same either way.
@@ -274,7 +274,7 @@ def route_payload(result) -> Dict[str, Any]:
 def execute_job(spec: JobSpec, cache: Optional[ResultCache] = None) -> Dict[str, Any]:
     """Run one job to completion and return its JSON-safe payload.
 
-    ``mp``/``sm`` rows and experiments run *through* the file cache when
+    ``mp``/``sm`` rows and experiments run *through* the result cache when
     one is given, so warm configurations come back without simulating and
     fresh ones warm the cache for future CLI runs.
     """

@@ -1,11 +1,11 @@
 -- SQLite schema of the routing service repository (docs/SERVICE.md).
 --
--- Two tables, mirroring the file cache's two roles but queryable:
+-- Two tables:
 --
 --   results: the canonical content-addressed store.  One row per
---            *distinct* configuration ever executed (or imported from
---            the file cache), keyed by the stable_hash fingerprint of
---            everything that determines the output.
+--            *distinct* configuration ever executed, keyed by the
+--            stable_hash fingerprint of everything that determines the
+--            output.
 --   jobs:    the submission history.  One row per *submission*, so
 --            deduplicated submissions of the same configuration each
 --            keep their own audit row (status, timestamps, which
@@ -18,7 +18,7 @@ CREATE TABLE IF NOT EXISTS results (
     payload        TEXT NOT NULL,      -- JSON result payload
     telemetry      TEXT NOT NULL DEFAULT '{}',  -- counters/spans snapshot
     schema_version INTEGER NOT NULL,   -- repository payload format
-    wall_s         REAL,               -- execution wall time (NULL: imported)
+    wall_s         REAL,               -- execution wall time
     created_unix   REAL NOT NULL
 );
 

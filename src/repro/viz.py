@@ -117,7 +117,7 @@ def ascii_job_timeline(
     first): a bar of ``=`` proportional to the job's wall time relative
     to the slowest job shown, the status spelled out, and a marker for
     deduplicated submissions.  Jobs without timing (queued, running,
-    served from the repository or file cache) render their status glyph
+    served from the repository or result cache) render their status glyph
     instead of a bar.
     """
     jobs = list(jobs)

@@ -197,12 +197,18 @@ class TestExperimentCommand:
         assert (tmp_path / "BENCH_harness.json").exists()
 
     def test_cache_dir_warm_second_run(self, capsys, tmp_path):
+        import json
+
         argv = ["experiment", "X4", "--quick",
-                "--cache-dir", str(tmp_path / "cache")]
+                "--cache-dir", str(tmp_path / "cache"),
+                "--bench", str(tmp_path / "bench.json")]
         assert main(argv) == 0
-        assert (tmp_path / "cache" / "experiments").exists()
+        assert all(p.name.startswith("results.sqlite") for p in (tmp_path / "cache").iterdir())
+        assert (tmp_path / "cache" / "results.sqlite").exists()
         assert main(argv) == 0  # warm pass serves from the cache
         assert "[X4]" in capsys.readouterr().out
+        bench = json.loads((tmp_path / "bench.json").read_text())
+        assert bench["totals"]["cache"]["experiment.hits"] == 1
 
     def test_no_cache_flag_writes_nothing(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -38,6 +38,7 @@ from repro.grid import HashRing, OwnershipMap, RegionMap
 from repro.harness.cache import jsonify, stable_hash
 from repro.harness.pool import pool_map_salvage
 from repro.harness.simjobs import SimConfig, run_sim_configs
+from repro.obs import telemetry as obs
 from repro.parallel import run_message_passing, run_shared_memory
 from repro.grid.bbox import BBox
 from repro.updates import (
@@ -364,6 +365,26 @@ class TestSharedMemoryCrashRecovery:
         assert sorted(
             set(range(N_PROCS)) - {c.proc for c in crashes}
         ) == crash["survivors"]
+
+    def test_a_crash_wakes_a_survivor_parked_at_the_barrier(self):
+        # Proc 2 dies holding the last wire while procs 0 and 1 already
+        # wait at the barrier: the requeued wire is routed only if the
+        # crash wakes one of them.  The wakeup counter keeps this from
+        # passing vacuously if the crash stops landing on that moment.
+        circuit = bnre_like(n_wires=24)
+        fault_free = run_shared_memory(circuit, n_procs=3, iterations=1)
+        before = obs.get_telemetry().count("sim.sm.crash_wakeups")
+        result = run_shared_memory(
+            circuit,
+            n_procs=3,
+            iterations=1,
+            check_invariants=True,
+            crashes=(NodeCrash(proc=2, at_s=0.999 * fault_free.exec_time_s),),
+        )
+        assert obs.get_telemetry().count("sim.sm.crash_wakeups") - before == 1
+        assert result.meta["crash"]["requeued_wires"] == 1
+        assert result.meta["verification"]["ok"]
+        assert len(result.paths) == 24
 
     def test_same_seed_identical_results(self):
         circuit = bnre_like(n_wires=160)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
+import pickle
+import sqlite3
 
 import numpy as np
 import pytest
@@ -16,8 +19,6 @@ from repro.grid import RegionMap
 from repro.harness.cache import (
     CACHE_SCHEMA,
     ResultCache,
-    atomic_write_bytes,
-    atomic_write_text,
     code_fingerprint,
     jsonify,
     stable_hash,
@@ -37,7 +38,7 @@ from repro.parallel import (
     run_shared_memory,
 )
 from repro.faults import FaultPlan
-from repro.service.jobs import JobSpec, job_key
+from repro.service.jobs import JobSpec, execute_job_in_worker, job_key
 from repro.updates import UpdateSchedule
 
 
@@ -274,6 +275,19 @@ class TestAssigner:
         )
 
 
+def _misses(namespace):
+    return obs.get_telemetry().count(f"cache.{namespace}.misses")
+
+
+def _put_raw(cache, namespace, key, value):
+    """Write a row as the cache would, but with a value of our choosing."""
+    with cache._connect() as conn, conn:
+        conn.execute(
+            "INSERT OR REPLACE INTO entries (namespace, key, value) VALUES (?, ?, ?)",
+            (namespace, key, value),
+        )
+
+
 class TestResultCache:
     def test_experiment_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -283,19 +297,25 @@ class TestResultCache:
         assert payload["schema"] == CACHE_SCHEMA
 
     def test_experiment_miss(self, tmp_path):
+        before = _misses("experiment")
         assert ResultCache(tmp_path).get_experiment("absent") is None
+        assert _misses("experiment") - before == 1
 
     def test_corrupt_experiment_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        atomic_write_text(cache.experiment_path("bad"), "{not json")
+        _put_raw(cache, "experiment", "bad", "{not json")
+        before = _misses("experiment")
         assert cache.get_experiment("bad") is None
+        assert _misses("experiment") - before == 1
 
     def test_wrong_schema_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        atomic_write_text(
-            cache.experiment_path("old"), json.dumps({"schema": -1, "rows": []})
-        )
+        _put_raw(cache, "experiment", "old", json.dumps({"schema": -1, "rows": []}))
+        _put_raw(cache, "sim", "old", pickle.dumps((-1, {"x": 1})))
+        before = [_misses("experiment"), _misses("sim")]
         assert cache.get_experiment("old") is None
+        assert cache.get_sim("old") is None
+        assert [_misses("experiment"), _misses("sim")] == [b + 1 for b in before]
 
     def test_sim_round_trip_preserves_numpy(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -307,21 +327,37 @@ class TestResultCache:
     def test_truncated_sim_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put_sim("k", {"x": 1})
-        path = cache.sim_path("k")
-        path.write_bytes(path.read_bytes()[:10])  # truncate mid-pickle
+        with cache._connect() as conn:
+            (value,) = conn.execute("SELECT value FROM entries").fetchone()
+        _put_raw(cache, "sim", "k", value[:10])  # truncate mid-pickle
         assert cache.get_sim("k") is None
 
     def test_garbage_sim_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.sim_path("k").parent.mkdir(parents=True, exist_ok=True)
-        cache.sim_path("k").write_bytes(b"\x00\x01 not a pickle")
+        _put_raw(cache, "sim", "k", b"\x00\x01 not a pickle")
+        before = _misses("sim")
         assert cache.get_sim("k") is None
+        assert _misses("sim") - before == 1
 
-    def test_atomic_write_leaves_no_temp_files(self, tmp_path):
+    def test_namespaces_do_not_share_keys(self, tmp_path):
         cache = ResultCache(tmp_path)
+        cache.put_sim("k", {"x": 1})
+        assert cache.get_experiment("k") is None
         cache.put_experiment("k", {"rows": []})
-        names = [p.name for p in cache.experiment_path("k").parent.iterdir()]
-        assert names == ["k.json"]
+        assert cache.get_sim("k") == {"x": 1}
+
+    def test_entries_live_in_one_file(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        cache.put_experiment("k", {"rows": []})
+        cache.put_sim("k", {"x": 1})
+        assert cache.path == tmp_path / "c" / "results.sqlite"
+        # The file and, while a connection is open, its WAL companions.
+        names = {p.name for p in (tmp_path / "c").iterdir()}
+        assert "results.sqlite" in names
+        assert names <= {"results.sqlite", "results.sqlite-wal", "results.sqlite-shm"}
+        with sqlite3.connect(cache.path) as conn:
+            rows = conn.execute("SELECT namespace, key FROM entries ORDER BY 1").fetchall()
+        assert rows == [("experiment", "k"), ("sim", "k")]
 
     def test_reserved_schema_key_rejected(self, tmp_path):
         # Regression: {"schema": ..., **payload} let a caller payload
@@ -331,32 +367,83 @@ class TestResultCache:
             cache.put_experiment("k", {"schema": 99, "rows": []})
         assert cache.get_experiment("k") is None
 
+    def test_a_corrupt_file_is_moved_aside_and_recreated(self, tmp_path):
+        (tmp_path / "results.sqlite").write_bytes(b"not a database at all " * 50)
+        before = obs.get_telemetry().count("cache.recovered")
+        cache = ResultCache(tmp_path)
+        assert cache.get_sim("k") is None
+        cache.put_sim("k", {"x": 1})
+        assert cache.get_sim("k") == {"x": 1}
+        assert (tmp_path / "results.sqlite.corrupt.0").exists()
+        assert obs.get_telemetry().count("cache.recovered") - before == 1
+
+    def test_the_cache_pickles_without_a_connection(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put_sim("k", {"x": 1})
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.directory == cache.directory
+        assert clone.get_sim("k") == {"x": 1}
+
 
 class TestDurableWrites:
-    def _fsync_calls(self, monkeypatch):
-        calls = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))[1]
+    def test_cache_commits_under_synchronous_full(self, tmp_path):
+        # A committed entry must survive power loss, as the fsynced files
+        # it replaced did: WAL with synchronous=FULL syncs on every commit.
+        cache = ResultCache(tmp_path)
+        cache.put_sim("k", {"x": 1})
+        with cache._connect() as conn:
+            assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+            assert conn.execute("PRAGMA synchronous").fetchone()[0] == 2  # FULL
+
+
+def _use_after_fork(cache):
+    """Fork-pool task: read the parent's entry and write one, then report
+    whether the inherited connection was set aside, not used."""
+    from repro.harness import cache as cache_module
+
+    hit = cache.get_sim("parent")
+    cache.put_sim("child", {"pid": os.getpid()})
+    (own,) = cache_module._OPEN.values()
+    inherited = cache_module._INHERITED
+    return hit, len(inherited) == 1 and own is not inherited[0]
+
+
+class TestNoConnectionLeaks:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_many_worker_jobs_leave_the_fd_count_unchanged(self, tmp_path):
+        # The daemon's --jobs 1 path: every execution runs in the daemon's
+        # own process, through a fresh ResultCache per job.
+        item = (
+            JobSpec.from_params("mp", {"n_wires": 24, "n_procs": 2, "iterations": 1}),
+            str(tmp_path / "cache"),
         )
-        return calls
+        first, _ = execute_job_in_worker(item)  # cold: simulates and stores
+        gc.collect()  # earlier tests' garbage must not close fds mid-count
+        fds = len(os.listdir("/proc/self/fd"))
+        hits = obs.get_telemetry().count("cache.sim.hits")
+        for _ in range(200):
+            payload, _ = execute_job_in_worker(item)
+        assert payload == first
+        assert obs.get_telemetry().count("cache.sim.hits") - hits == 200
+        assert len(os.listdir("/proc/self/fd")) == fds
+        # One cache file is open at a time: moving on closes the last one.
+        for n in range(20):
+            assert ResultCache(tmp_path / f"other{n}").get_sim("k") is None
+        assert len(os.listdir("/proc/self/fd")) == fds
+        hits = obs.get_telemetry().count("cache.sim.hits")
+        assert execute_job_in_worker(item)[0] == first  # reopened, still warm
+        assert obs.get_telemetry().count("cache.sim.hits") - hits == 1
 
-    def test_atomic_write_fsyncs_file_and_directory(self, tmp_path, monkeypatch):
-        # Regression: atomic_write_bytes never fsynced, so a "committed"
-        # entry (or its name) could vanish on power loss.
-        calls = self._fsync_calls(monkeypatch)
-        atomic_write_bytes(tmp_path / "entry.bin", b"payload")
-        assert len(calls) >= 2  # the temp file and its directory
-        assert (tmp_path / "entry.bin").read_bytes() == b"payload"
-
-    def test_failed_write_cleans_up_temp_file(self, tmp_path, monkeypatch):
-        def boom(fd):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(os, "fsync", boom)
-        with pytest.raises(OSError):
-            atomic_write_bytes(tmp_path / "entry.bin", b"payload")
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_a_forked_child_opens_its_own_connection(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put_sim("parent", {"x": 1})  # the parent's connection is open
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            hit, own = pool.apply(_use_after_fork, (cache,))
+        assert hit == {"x": 1} and own
+        assert cache.get_sim("child")["pid"] != os.getpid()
 
 
 def _concurrent_put_sim(item):

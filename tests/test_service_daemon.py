@@ -314,6 +314,15 @@ class TestRestart:
             with pytest.raises(ServiceError, match="another daemon"):
                 daemon_module.serve(port=0, db=db, cache_dir=None)
 
+    def test_an_unopenable_repository_is_a_service_error(self, tmp_path):
+        """A database SQLite cannot open (here: a directory) is not moved
+        aside as corrupt: it is a ServiceError, which ``serve`` prints as
+        one ``error:`` line with exit code 2."""
+        (tmp_path / "db").mkdir()
+        with pytest.raises(ServiceError, match="cannot open repository .*unable to open"):
+            daemon_module.serve(port=0, db=str(tmp_path / "db"), cache_dir=None)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db"]
+
     def test_a_taken_port_gives_the_file_back(self, tmp_path):
         """A daemon that cannot listen is a one-line error and releases
         its database, so the next one on the file starts."""

@@ -171,6 +171,64 @@ class TestCorruptionRecovery:
         repo.close()
 
 
+class TestBusyIsNotCorrupt:
+    def test_a_locked_file_keeps_its_rows(self, tmp_path):
+        db = tmp_path / "svc.sqlite"
+        first = Repository(db)
+        first.record_result("fp1", "route", {}, {"v": 1})
+        first.close()
+        holder = sqlite3.connect(db, isolation_level=None)
+        try:
+            holder.execute("PRAGMA locking_mode=EXCLUSIVE")
+            holder.execute("BEGIN EXCLUSIVE")
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                Repository(db, timeout_s=0.05)
+        finally:
+            holder.close()
+        assert list(tmp_path.glob("*.corrupt.*")) == []
+        repo = Repository(db)
+        try:
+            assert repo.get_result("fp1")["payload"] == {"v": 1}
+        finally:
+            repo.close()
+
+    def test_a_lock_that_sqlite_does_not_wait_for_is_retried(self, tmp_path, monkeypatch):
+        # Processes creating one file at once can deadlock on the switch
+        # to WAL; SQLite answers "database is locked" at once instead of
+        # waiting out the busy timeout, so opening retries until it ends.
+        real_connect = sqlite3.connect
+        errors = ["database is locked"]
+
+        def connect(*args, **kwargs):
+            if errors:
+                raise sqlite3.OperationalError(errors.pop())
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        repo = Repository(tmp_path / "svc.sqlite")
+        repo.close()
+        errors.append("unable to open database file")
+        with pytest.raises(sqlite3.OperationalError, match="unable to open"):
+            Repository(tmp_path / "svc.sqlite")
+        assert errors == []
+
+    def test_the_repository_commits_under_synchronous_normal(self, repo):
+        # NORMAL, not the result cache's FULL: a job's three or four
+        # commits sit on every request's path, and WAL stays consistent.
+        assert repo._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert repo._conn.execute("PRAGMA synchronous").fetchone()[0] == 1
+
+    def test_a_store_in_a_missing_directory_opens(self, tmp_path):
+        db = tmp_path / "not" / "yet" / "svc.sqlite"
+        repo = Repository(db)
+        try:
+            repo.record_result("fp1", "route", {}, {"v": 1})
+            assert repo.get_result("fp1")["payload"] == {"v": 1}
+        finally:
+            repo.close()
+        assert db.exists()
+
+
 def _record_from_process(item):
     """Module-level pool worker (picklable under spawn)."""
     db_path, worker_id = item
