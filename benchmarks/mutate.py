@@ -148,6 +148,15 @@ TARGETS: Tuple[Target, ...] = (
         ),
     ),
     Target(
+        "parallel/sm_sim.py: SM step", "parallel/sm_sim.py", ("sm_step", "_SimServices"),
+        (
+            "tests/test_parallel_sm.py",
+            "tests/test_crash_recovery.py",
+            "tests/test_memsim_tango.py",
+            "tests/test_benchmark_seams.py",
+        ),
+    ),
+    Target(
         "harness/cache.py: fingerprints", "harness/cache.py",
         ("_TAGGED_KEY", "_jsonify_key", "jsonify", "stable_hash", "circuit_fingerprint"),
         (

@@ -1,46 +1,39 @@
 """The live shared-memory LocusRoute: real worker processes, one real grid.
 
-This is the real-core twin of :func:`repro.parallel.sm_sim.run_shared_memory`
-(which replays the design in virtual time through a Tango-style trace).
-Here the paper's §3 architecture actually executes:
+The real-core twin of :func:`repro.parallel.sm_sim.run_shared_memory`.
+Both run one worker step, :func:`~repro.parallel.sm_sim.sm_step` (grab,
+rip-up, lock-free evaluation, commit).  This module keeps the live side
+of that step, :class:`_LiveServices`, and the parent's iterations,
+resumes, requeues and respawns:
 
-- the cost array lives in one ``multiprocessing.shared_memory`` segment;
-  every worker process wraps the same buffer with
-  :meth:`CostArray.wrap <repro.grid.cost_array.CostArray.wrap>`;
-- wires are self-scheduled from a **distributed loop** — a shared counter
-  advanced under a short grab lock, mirroring the
-  :class:`~repro.assign.distributed_loop.DistributedLoop` API (grab /
-  push-back / reset) across process boundaries;
-- candidate evaluation reads the shared array **without any lock**: a
-  worker sees whatever mix of committed and in-flight wires happens to be
-  in memory, exactly the stale-read tolerance the paper relies on ("the
-  processors do not know about the work other processors are doing
-  simultaneously", §1);
-- the two *writes* per wire (rip-up, commit) each happen inside a short
-  commit-lock critical section that also takes a global sequence ticket
-  and appends a durable record to the worker's commit log.  Serialised
-  writes cost a little concurrency but buy the property the verifier
-  needs: replaying the logs in ticket order reproduces the final shared
-  array **bit-exactly** (racing unlocked ``+=`` scatter-adds would lose
-  updates and break both replay and the non-negativity canary).
+- the cost array lives in one ``multiprocessing.shared_memory`` segment
+  that every worker wraps with :meth:`CostArray.wrap
+  <repro.grid.cost_array.CostArray.wrap>`, and evaluation reads it
+  **without a lock**: a worker sees whatever mix of committed and
+  in-flight wires is in memory, the stale reads the paper tolerates (§1);
+- a grab advances a shared **distributed loop** counter under a short
+  grab lock, requeued wires first, like
+  :class:`~repro.assign.distributed_loop.DistributedLoop`;
+- the rip-up and the commit each write the array inside a short
+  commit-lock critical section that also draws a global sequence ticket
+  and appends a durable record to the worker's commit log, so replaying
+  the logs in ticket order reproduces the final array **bit-exactly**
+  (racing unlocked ``+=`` scatter-adds would lose updates).
 
-Crash tolerance (the PR 6 fail-stop model, now with real SIGKILLs): the
-parent watches every worker's process sentinel.  When a worker dies, its
-in-flight wire — published in a shared ``inflight`` slot at grab time,
-with an "old path already ripped" flag maintained under the commit lock —
-is pushed back into the loop's requeue for the next idle survivor, and
-the slot can be respawned with a fresh log incarnation.  Because log
-appends are unbuffered single writes performed inside the commit
-critical section, a SIGKILLed worker's completed commits are never lost
-and never half-applied (kills happen at safe points between critical
-sections; a worker dying *inside* a lock would hang the run, which the
-parent converts into an error via ``timeout_s``).
+Crashes are fail-stop at safe points, with real SIGKILLs.  The parent
+watches every worker's process sentinel; a dead worker's in-flight wire,
+published in a shared ``inflight`` slot at grab time with an "old path
+already ripped" flag set under the commit lock, goes back into the
+loop's requeue for the next idle survivor, and the slot can be respawned
+with a fresh log incarnation.  Log appends are unbuffered single writes
+inside the critical section, so a killed worker's completed commits are
+never lost or half-applied.  A worker dying *inside* a lock would hang
+the run; ``timeout_s`` turns that into an error.
 
-Processes, logs, the deadline and the replay are the shared driver's
-(:class:`~repro.parallel.live.driver.LiveFleet`): after the run the logs
-replay into the ground-truth ledger the simulators use, so one ledger
-judges all four engines, and this router adds one check to it — the
-replayed array must equal the shared segment bit for bit
+Processes, logs, the deadline and the replay are
+:class:`~repro.parallel.live.driver.LiveFleet`'s: the logs replay into the
+ground-truth ledger the simulators use, and this router adds one check to
+it — the replayed array must equal the shared segment bit for bit
 (``replay-shared-segment``).
 """
 
@@ -59,9 +52,9 @@ from ...circuits.model import Circuit
 from ...errors import SimulationError
 from ...grid.cost_array import CostArray
 from ...obs import telemetry as obs
-from ...route.twobend import route_wire
 from ..ledger import GroundTruthLedger
 from ..results import ParallelRunResult
+from ..sm_sim import sm_step
 from .commitlog import COMMIT, RIPUP, CommitLogWriter, read_logs
 from .driver import LiveFleet, LiveWorker
 
@@ -123,39 +116,32 @@ def _attach_shared_array(name: str, shape: Tuple[int, int]):
     return shm, data
 
 
-def _sm_worker(
-    slot: int,
-    log: CommitLogWriter,
-    conn,
-    circuit: Circuit,
-    shm_name: str,
-    kill: Optional[Tuple[int, str]],
-    order,
-    ctrl,
-    requeue,
-    inflight,
-    armed,
-    grab_lock,
-    commit_lock,
-) -> None:
-    """Worker process body (module-level: picklable under spawn).
+class _LiveServices:
+    """A worker process's side of :func:`~repro.parallel.sm_sim.sm_step`.
 
-    *kill* is the slot's ``(after_commits, point)`` crash instruction, or
-    ``None``.
+    The grab takes the distributed loop under the grab lock; the rip-up
+    and the commit each write the shared array, draw a sequence ticket
+    and append a log record under the commit lock.  The slot's kill plan
+    fires at the safe points between them, outside both locks.
     """
-    shm, data = _attach_shared_array(shm_name, (circuit.n_channels, circuit.n_grids))
-    view = CostArray.wrap(data)
-    n_wires = circuit.n_wires
-    slot2 = 2 * slot
-    grabs = commits_done = 0
 
-    kill_after, kill_point = kill if kill is not None else (-1, "")
+    def __init__(
+        self, slot, log, view, kill, order, ctrl, requeue, inflight, armed, grab_lock, commit_lock
+    ) -> None:
+        self.slot, self.log, self.view = slot, log, view
+        self.order, self.ctrl, self.requeue, self.inflight = order, ctrl, requeue, inflight
+        self.armed, self.grab_lock, self.commit_lock = armed, grab_lock, commit_lock
+        self.kill_after, self.kill_point = kill if kill is not None else (-1, "")
+        self.grabs = self.commits = self.iteration = 0
+        self.prev_cells: Dict[int, np.ndarray] = {}
+        #: The grabbed wire's old path already left the shared array.
+        self.ripped = False
 
-    def maybe_kill(point: str) -> None:
-        if kill_after >= 0 and point == kill_point and commits_done >= kill_after:
+    def _maybe_kill(self, point: str) -> None:
+        if self.kill_after >= 0 and point == self.kill_point and self.commits >= self.kill_after:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    def grab() -> Optional[Tuple[int, bool]]:
+    def grab(self) -> Optional[int]:
         """Take the next wire from the shared distributed loop.
 
         Requeued wires (a dead worker's in-flight work) go first, like
@@ -170,89 +156,79 @@ def _sm_worker(
         the processes (the parent will not end the iteration while wires
         are uncommitted).
         """
-        with grab_lock:
-            req_n = ctrl[_REQ_N]
-            if req_n > 0:
-                ctrl[_REQ_N] = req_n - 1
-                wire = int(requeue[2 * (req_n - 1)])
-                skip_ripup = bool(requeue[2 * (req_n - 1) + 1])
-                if armed[slot] > 0:
-                    armed[slot] -= 1
-                inflight[slot2] = wire
-                inflight[slot2 + 1] = 1 if skip_ripup else 0
-                return wire, skip_ripup
-            pos = ctrl[_NEXT]
-            if pos >= n_wires:
-                return None
+        ctrl, armed, slot, n = self.ctrl, self.armed, self.slot, len(self.order)
+        with self.grab_lock:
+            req_n, pos = ctrl[_REQ_N], ctrl[_NEXT]
+            if req_n == 0 and (pos >= n or (armed[slot] == 0 and n - pos <= sum(armed))):
+                return None  # drained, or the rest is reserved for armed workers
             if armed[slot] > 0:
                 armed[slot] -= 1
-            elif n_wires - pos <= sum(armed):
-                return None
-            ctrl[_NEXT] = pos + 1
-            wire = int(order[pos])
-            inflight[slot2] = wire
-            inflight[slot2 + 1] = 0
-            return wire, False
+            if req_n > 0:
+                ctrl[_REQ_N] = req_n - 1
+                wire = int(self.requeue[2 * req_n - 2])
+                self.ripped = bool(self.requeue[2 * req_n - 1])
+            else:
+                ctrl[_NEXT] = pos + 1
+                wire, self.ripped = int(self.order[pos]), False
+            self.inflight[2 * slot] = wire
+            self.inflight[2 * slot + 1] = int(self.ripped)
+        self.grabs += 1
+        self._maybe_kill("after_grab")
+        return wire
 
-    def route_one(iteration: int, prev_cells: Dict[int, np.ndarray]) -> bool:
-        nonlocal grabs, commits_done
-        got = grab()
-        if got is None:
-            return False
-        wire_idx, skip_ripup = got
-        grabs += 1
-        maybe_kill("after_grab")
+    def standing(self, wire_idx: int) -> Optional[np.ndarray]:
+        return None if self.ripped else self.prev_cells.get(wire_idx)
 
-        old = None if skip_ripup else prev_cells.get(wire_idx)
-        if old is not None:
-            # Rip-up is visible to everyone immediately (paper §3): the
-            # wire's old path leaves the shared array before re-routing.
-            with commit_lock:
-                seq = ctrl[_SEQ]
-                ctrl[_SEQ] = seq + 1
-                view.remove_path(old, strict=True)
-                log.append(RIPUP, iteration, wire_idx, seq, old)
-                inflight[slot2 + 1] = 1
-        else:
-            # Nothing to rip (first iteration, or a previous owner of
-            # this requeued wire already did it): an adopter after a
-            # crash here must not rip either.
-            inflight[slot2 + 1] = 1
-        maybe_kill("after_ripup")
+    def ripup(self, wire_idx: int, old: np.ndarray) -> None:
+        with self.commit_lock:
+            seq = self.ctrl[_SEQ]
+            self.ctrl[_SEQ] = seq + 1
+            self.view.remove_path(old, strict=True)
+            self.log.append(RIPUP, self.iteration, wire_idx, seq, old)
+            self.inflight[2 * self.slot + 1] = 1
 
-        # Lock-free evaluation against whatever the shared array holds
-        # right now — concurrent in-flight wires are simply not seen.
-        result = route_wire(view, circuit.wire(wire_idx), tie_break=iteration % 2)
+    def commit(self, wire_idx: int, result) -> None:
+        # The evaluation wrote nothing: dying here is dying after the
+        # rip-up, with the old path gone and the new one not yet in.
+        self._maybe_kill("after_ripup")
         cells = result.path.flat_cells
+        with self.commit_lock:
+            seq = self.ctrl[_SEQ]
+            self.ctrl[_SEQ] = seq + 1
+            price = self.view.path_cost(cells)
+            self.view.apply_path(cells)
+            self.log.append(COMMIT, self.iteration, wire_idx, seq, cells, price)
+            self.inflight[2 * self.slot] = -1
+            self.inflight[2 * self.slot + 1] = 0
+        self.commits += 1
+        self._maybe_kill("after_commit")
 
-        with commit_lock:
-            seq = ctrl[_SEQ]
-            ctrl[_SEQ] = seq + 1
-            price = view.path_cost(cells)
-            view.apply_path(cells)
-            log.append(COMMIT, iteration, wire_idx, seq, cells, price)
-            inflight[slot2] = -1
-            inflight[slot2 + 1] = 0
-        commits_done += 1
-        maybe_kill("after_commit")
-        return True
 
+def _sm_worker(
+    slot: int, log: CommitLogWriter, conn, circuit: Circuit, shm_name: str, kill, *shared
+) -> None:
+    """Worker process body (module-level: picklable under spawn).
+
+    *kill* is the slot's ``(after_commits, point)`` crash instruction, or
+    ``None``; *shared* is the loop's and the slots' shared state and the
+    two locks, in :class:`_LiveServices` order.
+    """
+    shm, data = _attach_shared_array(shm_name, (circuit.n_channels, circuit.n_grids))
+    view = CostArray.wrap(data)
+    services = _LiveServices(slot, log, view, kill, *shared)
     try:
         conn.send(("ready",))
-        iteration = 0
-        prev_cells: Dict[int, np.ndarray] = {}
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
                 break
             if msg[0] == "iter":
-                iteration = msg[1]
-                prev_cells = dict(msg[2])
+                services.iteration, services.prev_cells = msg[1], dict(msg[2])
             # "resume" keeps the current iteration: the parent requeued a
             # dead worker's wire after this worker went idle.
-            while route_one(iteration, prev_cells):
+            while sm_step(services, view, circuit, services.iteration):
                 pass
-            conn.send(("idle", grabs))
+            conn.send(("idle", services.grabs))
     finally:
         shm.close()
 
@@ -323,18 +299,9 @@ def run_live_shared_memory(
     # plus the one further grab the after_grab/after_ripup points need).
     # Zeroed by on_death once the plan fires.
     armed = sharedctypes.RawArray(
-        "q",
-        [
-            kill_by_slot[s][0] + 1 if s in kill_by_slot else 0
-            for s in range(n_procs)
-        ],
+        "q", [kill_by_slot[s][0] + 1 if s in kill_by_slot else 0 for s in range(n_procs)]
     )
-    crash_meta = {
-        "planned": len(kill_plan),
-        "confirmed": [],
-        "requeued_wires": 0,
-        "respawned": 0,
-    }
+    crash_meta = dict(planned=len(kill_plan), confirmed=[], requeued_wires=0, respawned=0)
     ready: Set[LiveWorker] = set()  #: sent "ready"
     idle: Set[LiveWorker] = set()  #: sent "idle" since its last "iter" / "resume"
     grabs: Dict[LiveWorker, int] = {}  #: grabs reported in the last "idle"
@@ -405,7 +372,6 @@ def run_live_shared_memory(
         dead ones dead), so the logs are quiescent.
         """
         cells: Dict[int, np.ndarray] = {}
-        count = 0
         for rec in read_logs(fleet.log_paths):
             if rec.kind == COMMIT and rec.iteration == iteration:
                 if rec.wire in cells:
@@ -414,8 +380,6 @@ def run_live_shared_memory(
                         f"{iteration} — requeue accounting bug"
                     )
                 cells[rec.wire] = rec.cells
-                count += 1
-        assert count == len(cells)
         return cells
 
     def check_segment(ledger: GroundTruthLedger) -> None:
@@ -449,10 +413,7 @@ def run_live_shared_memory(
             for iteration in range(iterations):
                 ctrl[_NEXT] = 0
                 ctrl[_REQ_N] = 0
-                prev_payload = (
-                    iteration,
-                    [(w, c) for w, c in sorted(committed.items())],
-                )
+                prev_payload = (iteration, sorted(committed.items()))
                 for worker in fleet.live:
                     if worker in ready:
                         send(worker, ("iter",) + prev_payload)

@@ -717,11 +717,8 @@ class MPNode:
             return
         entry = self._pending_probes.get(rid)
         if entry is None:
-            return  # ack arrived
+            return  # ack arrived, or the peer's death dropped the probe
         peer, retries, timeout = entry
-        if self.ownership is not None and not self.ownership.is_live(peer):
-            del self._pending_probes[rid]
-            return  # someone else's death notice beat us to it
         if retries < self.recovery.max_retries:
             entry[1] = retries + 1
             new_timeout = self._next_timeout(timeout)

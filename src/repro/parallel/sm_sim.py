@@ -7,9 +7,11 @@ iteration.  §2.2: the traces behind the traffic numbers come from
 fine-grained multiplexed execution on one machine — exactly what this
 module does in virtual time:
 
-- a processor *starts* a wire at its current virtual time: it rips up the
-  old path (writes, visible immediately), then evaluates the two-bend
-  candidates against the **current committed global array**;
+- a processor's turn is :func:`sm_step`, the one worker step the live
+  router (:mod:`repro.parallel.live.sm_live`) runs too.  It *starts* a
+  wire at the processor's virtual time: it rips up the old path (writes,
+  visible immediately), then evaluates the two-bend candidates against
+  the **current committed global array**;
 - the chosen path *commits* at start + work time.  Wires in flight on
   other processors during that window are invisible to the evaluation —
   "the processors do not know about the work other processors are doing
@@ -36,6 +38,7 @@ from ..circuits.model import Circuit
 from ..errors import SimulationError
 from ..events.sim import Simulator
 from ..faults.plan import validate_crashes
+from ..grid.cost_array import CostArray
 from ..grid.regions import RegionMap
 from ..memsim.addressing import AddressMap
 from ..kernels import active_kernels
@@ -46,13 +49,14 @@ from ..memsim.stats import CoherenceStats
 from ..memsim.tango import SharedLayout, TangoCollector
 from ..obs import telemetry as obs
 from ..route.path import RoutePath
+from ..route.segments import WireRoute
 from ..route.twobend import route_wire
 from ..route.workmodel import COMMIT_CELL_UNITS, WorkCounter
 from .ledger import GroundTruthLedger
 from .results import NodeSummary, ParallelRunResult
 from .timing import DEFAULT_COST_MODEL, CostModel
 
-__all__ = ["run_shared_memory", "DEFAULT_LINE_SIZE", "LOOP_GRAB_UNITS", "PROTOCOLS"]
+__all__ = ["run_shared_memory", "sm_step", "DEFAULT_LINE_SIZE", "LOOP_GRAB_UNITS", "PROTOCOLS"]
 
 #: Cache line size used when none is specified (Table 5 uses 8-byte lines).
 DEFAULT_LINE_SIZE = 8
@@ -62,6 +66,98 @@ PROTOCOLS = ("invalidate", "update")
 #: Work units to grab a wire subscript from the distributed loop (the
 #: shared counter fetch-and-add plus loop bookkeeping).
 LOOP_GRAB_UNITS = 4.0
+
+
+def sm_step(services, grid: CostArray, circuit: Circuit, iteration: int) -> bool:
+    """One processor's turn at the distributed loop (§3); False when idle.
+
+    Grab a wire, rip its standing path out of the shared array, evaluate
+    the two-bend candidates against *grid* without a lock (wires in
+    flight elsewhere are not seen) and commit.  *services* is the
+    engine's side of the four steps: :class:`_SimServices` here,
+    ``_LiveServices`` in :mod:`repro.parallel.live.sm_live`.
+    """
+    wire_idx = services.grab()
+    if wire_idx is None:
+        return False
+    # No standing path on a later iteration means the wire's previous
+    # owner ripped it out of the shared array before dying: only the
+    # re-route remains (a second rip-up would remove the path twice).
+    old = services.standing(wire_idx)
+    if old is not None:
+        services.ripup(wire_idx, old)
+    services.commit(wire_idx, route_wire(grid, circuit.wire(wire_idx), tie_break=iteration % 2))
+    return True
+
+
+class _SimServices:
+    """One simulated processor: the simulator's side of :func:`sm_step`.
+
+    It keeps the processor's virtual clock, work counter and in-flight
+    wire.  A wire starts at the clock after its grab, where its rip-up
+    lands; its commit is an event at start + work time, which hands the
+    processor back to the engine's ``resume(proc, time)``.
+    """
+
+    def __init__(
+        self, proc, circuit, sim, ledger, tango, cost_model, numa_regions, loop, dynamic, resume
+    ) -> None:
+        self.proc, self.circuit, self.sim, self.ledger = proc, circuit, sim, ledger
+        self.standing = ledger.standing
+        self.tango, self.cost_model, self.numa_regions = tango, cost_model, numa_regions
+        self.resume = resume
+        #: The shared distributed loop, whose grabs cost time, or this
+        #: processor's own list of a static assignment, whose grabs do not.
+        self.loop, self.dynamic = loop, dynamic
+        self.clock = 0.0
+        self.counter = WorkCounter()
+        self.wires_routed = 0
+        self.crashed = False
+        self.ripup_units = 0.0
+        #: (wire_idx, cancellable commit handle) while a wire is in
+        #: flight; a crash between start and commit cancels the commit and
+        #: pushes the wire back into the loop.
+        self.inflight: Optional[tuple] = None
+
+    def work_time(self, units: float) -> float:
+        return self.cost_model.work_time(units) * self.cost_model.sm_slowdown
+
+    def grab(self) -> Optional[int]:
+        if self.dynamic:
+            self.counter.route_units += LOOP_GRAB_UNITS
+            self.tango.record_loop_grab(self.clock, self.proc)
+            self.clock += self.work_time(LOOP_GRAB_UNITS)
+        return self.loop.next_wire()
+
+    def ripup(self, wire_idx: int, old: RoutePath) -> None:
+        self.ledger.ripup(wire_idx, self.clock)
+        self.tango.record_ripup(self.clock, self.proc, wire_idx, old)
+        self.ripup_units = COMMIT_CELL_UNITS * old.n_cells
+        self.counter.add_commit(old.n_cells)
+
+    def commit(self, wire_idx: int, result: WireRoute) -> None:
+        path = result.path
+        self.counter.add_route(result.work_cells)
+        self.counter.add_commit(path.n_cells)
+        units = self.ripup_units + result.work_cells + COMMIT_CELL_UNITS * path.n_cells
+        self.ripup_units = 0.0
+        if self.numa_regions is not None:
+            # Scale this wire's time by the remote fraction of the cells
+            # of its committed path under the hierarchical memory model.
+            owners = self.numa_regions.owners_of_cells(*path.coords())
+            remote_frac = float((owners != self.proc).mean())
+            units *= (1.0 - remote_frac) + remote_frac * self.cost_model.numa_remote_factor
+        t0 = self.clock
+        t1 = self.clock = t0 + self.work_time(units)
+        self.tango.record_evaluation(t0, t1, self.proc, self.circuit.wire(wire_idx))
+        self.inflight = (wire_idx, self.sim.at(t1, lambda: self._committed(wire_idx, path, t1)))
+
+    def _committed(self, wire_idx: int, path: RoutePath, time: float) -> None:
+        self.inflight = None
+        self.ledger.commit(self.proc, wire_idx, path, time)
+        self.tango.record_commit(time, self.proc, wire_idx, path)
+        self.wires_routed += 1
+        self.sim.at(time, lambda: self.resume(self.proc, time))
 
 
 def run_shared_memory(
@@ -169,105 +265,44 @@ def run_shared_memory(
     # Hierarchical (NUMA) timing: references outside a processor's own
     # region cost ``numa_remote_factor`` times a local one (§5.3.2).  The
     # region geometry matches the message passing mapping's Figure-2 grid.
-    numa = cost_model.numa_remote_factor
     numa_regions = (
         RegionMap(circuit.n_channels, circuit.n_grids, n_procs)
-        if numa != 1.0 and n_procs > 1
+        if cost_model.numa_remote_factor != 1.0 and n_procs > 1
         else None
     )
     tango = TangoCollector(layout, enabled=collect_trace, chunks=trace_chunks)
     ledger = GroundTruthLedger(circuit, "shared_memory", check_invariants)
     truth, report, monitor = ledger.truth, ledger.report, ledger.monitor
 
-    clocks = [0.0] * n_procs
-    counters = [WorkCounter() for _ in range(n_procs)]
-    wires_routed = [0] * n_procs
-    slow = cost_model.sm_slowdown
-
-    # Wire sourcing: dynamic loop or per-processor static pointers.
-    loop = DistributedLoop(range(circuit.n_wires)) if assignment is None else None
-    static_lists = assignment.per_proc_lists() if assignment is not None else None
-    static_pos = [0] * n_procs
-
+    # Wire sourcing: one shared distributed loop, or a private loop over
+    # each processor's list of a static assignment.
+    dynamic = assignment is None
+    loops = (
+        [DistributedLoop(range(circuit.n_wires))] * n_procs
+        if dynamic
+        else [DistributedLoop(wires) for wires in assignment.per_proc_lists()]
+    )
     state = {"iteration": 0, "finish_time": 0.0}
     at_barrier: set = set()
-    crashed = [False] * n_procs
-    #: proc -> (wire_idx, cancellable commit handle) while a wire is in
-    #: flight; a crash between start and commit cancels the commit and
-    #: pushes the wire back into the loop.
-    inflight: Dict[int, tuple] = {}
 
     def live_procs() -> list:
-        return [p for p in range(n_procs) if not crashed[p]]
-
-    def work_time(units: float) -> float:
-        return cost_model.work_time(units) * slow
-
-    def next_wire(proc: int) -> Optional[int]:
-        if loop is not None:
-            counters[proc].route_units += LOOP_GRAB_UNITS
-            tango.record_loop_grab(clocks[proc], proc)
-            clocks[proc] += work_time(LOOP_GRAB_UNITS)
-            return loop.next_wire()
-        lst = static_lists[proc]
-        if static_pos[proc] >= len(lst):
-            return None
-        wire = lst[static_pos[proc]]
-        static_pos[proc] += 1
-        return wire
+        return [p for p in range(n_procs) if not procs[p].crashed]
 
     def proc_step(proc: int, event_time: float) -> None:
-        if crashed[proc]:
+        services = procs[proc]
+        if services.crashed:
             return
-        clocks[proc] = max(clocks[proc], event_time)
-        wire_idx = next_wire(proc)
-        if wire_idx is None:
-            arrive_barrier(proc)
-            return
-        t0 = clocks[proc]
-        wire = circuit.wire(wire_idx)
+        services.clock = max(services.clock, event_time)
+        if not sm_step(services, truth, circuit, state["iteration"]):
+            at_barrier.add(proc)
+            maybe_release_barrier()
 
-        # No standing path on a later iteration means the wire's previous
-        # owner ripped it out of the shared array before dying: only the
-        # re-route remains (a second rip-up would remove the path twice).
-        ripup_units = 0.0
-        if ledger.standing(wire_idx) is not None:
-            old = ledger.ripup(wire_idx, t0)
-            tango.record_ripup(t0, proc, wire_idx, old)
-            ripup_units = COMMIT_CELL_UNITS * old.n_cells
-            counters[proc].add_commit(old.n_cells)
-
-        result = route_wire(truth, wire, tie_break=state["iteration"] % 2)
-        counters[proc].add_route(result.work_cells)
-        commit_units = COMMIT_CELL_UNITS * result.path.n_cells
-        counters[proc].add_commit(result.path.n_cells)
-        total_units = ripup_units + result.work_cells + commit_units
-        if numa_regions is not None:
-            # Scale this wire's time by the remote fraction of the cells
-            # of its committed path under the hierarchical memory model.
-            channels, xs = result.path.coords()
-            owners = numa_regions.owners_of_cells(channels, xs)
-            remote_frac = float((owners != proc).mean())
-            total_units *= (1.0 - remote_frac) + remote_frac * numa
-        clocks[proc] = t0 + work_time(total_units)
-
-        t_commit = clocks[proc]
-        tango.record_evaluation(t0, t_commit, proc, wire)
-        handle = sim.at(
-            t_commit, lambda: commit(proc, wire_idx, result.path, t_commit)
+    procs = [
+        _SimServices(
+            p, circuit, sim, ledger, tango, cost_model, numa_regions, loops[p], dynamic, proc_step
         )
-        inflight[proc] = (wire_idx, handle)
-
-    def commit(proc: int, wire_idx: int, path: RoutePath, time: float) -> None:
-        inflight.pop(proc, None)
-        ledger.commit(proc, wire_idx, path, time)
-        tango.record_commit(time, proc, wire_idx, path)
-        wires_routed[proc] += 1
-        sim.at(time, lambda: proc_step(proc, time))
-
-    def arrive_barrier(proc: int) -> None:
-        at_barrier.add(proc)
-        maybe_release_barrier()
+        for p in range(n_procs)
+    ]
 
     def maybe_release_barrier() -> None:
         live = live_procs()
@@ -275,7 +310,7 @@ def run_shared_memory(
             return
         # Every survivor arrived: the barrier releases at the latest
         # live clock (a dead processor's frozen clock never gates it).
-        release = max(clocks[p] for p in live)
+        release = max(procs[p].clock for p in live)
         at_barrier.clear()
         state["iteration"] += 1
         state["finish_time"] = release
@@ -283,38 +318,35 @@ def run_shared_memory(
             monitor.at_quiescence(release, f"barrier {state['iteration']}")
         if state["iteration"] >= iterations:
             return
-        if loop is not None:
-            loop.reset()
-        else:
-            for p in range(n_procs):
-                static_pos[p] = 0
+        for services in procs:
+            services.loop.reset()
         for p in live:
-            clocks[p] = release
+            procs[p].clock = release
         for p in live:
             sim.at(release, lambda p=p: proc_step(p, release))
 
     def do_crash(c) -> None:
         """Fail-stop a shared memory processor at its planned time."""
-        proc = c.proc
-        if crashed[proc]:
+        services = procs[c.proc]
+        if services.crashed:
             return
-        crashed[proc] = True
-        entry = inflight.pop(proc, None)
-        if entry is not None:
-            wire_idx, handle = entry
+        services.crashed = True
+        if services.inflight is not None:
+            wire_idx, handle = services.inflight
+            services.inflight = None
             sim.cancel(handle)
             # The dead processor's half-routed wire re-enters the
             # distributed loop: self-scheduling is the recovery story on
             # the shared memory side.
-            loop.push_back(wire_idx)
+            services.loop.push_back(wire_idx)
             # A survivor parked at the barrier must wake up to take it.
-            parked = sorted(p for p in at_barrier if not crashed[p])
+            parked = sorted(p for p in at_barrier if not procs[p].crashed)
             if parked:
                 waker = parked[0]
                 at_barrier.discard(waker)
                 sim.at(c.at_s, lambda p=waker, t=c.at_s: proc_step(p, t))
                 obs.incr("sim.sm.crash_wakeups")
-        at_barrier.discard(proc)
+        at_barrier.discard(c.proc)
         maybe_release_barrier()
 
     for c in crashes:
@@ -326,15 +358,16 @@ def run_shared_memory(
 
     if state["iteration"] != iterations:
         raise SimulationError("shared memory run ended before all iterations completed")
-    if sum(wires_routed) != circuit.n_wires * iterations:
+    routed = sum(p.wires_routed for p in procs)
+    if routed != circuit.n_wires * iterations:
         raise SimulationError(
-            f"routed {sum(wires_routed)} wire instances, expected "
+            f"routed {routed} wire instances, expected "
             f"{circuit.n_wires * iterations}"
         )
 
     quality = ledger.close(state["finish_time"])
 
-    # The step closures reference each other and the collector: take the
+    # The processors and their events reference the collector: take the
     # trace off the collector so its columns are freed on return (unless
     # ``keep_trace`` hands them on), not whenever the cycle collector
     # next runs a full collection.
@@ -368,18 +401,18 @@ def run_shared_memory(
 
     summaries = [
         NodeSummary(
-            proc=p,
-            wires_routed=wires_routed[p],
-            finish_time_s=clocks[p],
-            route_units=counters[p].route_units,
-            commit_units=counters[p].commit_units,
+            proc=p.proc,
+            wires_routed=p.wires_routed,
+            finish_time_s=p.clock,
+            route_units=p.counter.route_units,
+            commit_units=p.counter.commit_units,
             assemble_units=0.0,
             incorporate_units=0.0,
             messages_sent=0,
             messages_received=0,
             blocked_time_s=0.0,
         )
-        for p in range(n_procs)
+        for p in procs
     ]
     meta: Dict[str, object] = {
         "assignment": assignment.method if assignment is not None else "distributed loop",
@@ -395,7 +428,7 @@ def run_shared_memory(
         meta["crash"] = {
             "planned": [[int(c.proc), float(c.at_s)] for c in crashes],
             "survivors": live_procs(),
-            "requeued_wires": int(loop.requeues),
+            "requeued_wires": int(loops[0].requeues),
         }
     if by_line:
         meta["coherence_by_line_size"] = {ls: s.as_dict() for ls, s in by_line.items()}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -37,6 +38,19 @@ class TestRecording:
         delta.record_path(new, +1)
         assert delta.nonzero_count() == 2
         assert delta.data[1, 3] == -1 and delta.data[1, 6] == 1
+
+    def test_pickle_keeps_the_flat_view_of_the_data(self):
+        # __slots__ would pickle ``_flat`` as an array of its own; the
+        # copy's writes must land in its data.
+        delta = DeltaArray(6, 12)
+        delta.record_path(flat([(1, 3), (4, 9), (5, 11)]), +1)
+        back = pickle.loads(pickle.dumps(delta))
+        assert np.array_equal(back.data, delta.data)
+        assert np.shares_memory(back._flat, back._data)
+        regions = RegionMap(6, 12, 4)
+        assert back.dirty_bboxes_by_owner(regions) == delta.dirty_bboxes_by_owner(regions)
+        back.record_path(flat([(0, 0)]), +1)
+        assert back.data[0, 0] == 1 and delta.data[0, 0] == 0
 
     def test_empty_record_noop(self):
         delta = DeltaArray(4, 12)

@@ -23,7 +23,7 @@ from repro.parallel import DEFAULT_COST_MODEL
 from repro.parallel.node import MPNode, NodePhase, NodeServices
 from repro.parallel.wire_regions import wire_region_table
 from repro.updates import UpdateKind, UpdateSchedule, build_request
-from repro.updates.packets import UpdatePacket
+from repro.updates.packets import UpdatePacket, build_control
 
 
 class Harness:
@@ -404,3 +404,51 @@ class TestIterations:
         times = [t for _, _, t in harness.commits]
         assert times == sorted(times)
         assert node.finish_time_s == pytest.approx(node.clock)
+
+
+class TestCrashAwareRecovery:
+    """Recovery branches that whole crash runs do not reach."""
+
+    def crash_aware_node(self, circuit, regions):
+        node, harness = make_node(
+            circuit,
+            regions,
+            UpdateSchedule(),
+            wires=(),
+            ownership=OwnershipMap(regions, seed=3),
+            recovery=RecoveryPolicy(),
+        )
+        node.start()
+        harness.run()
+        harness.sent.clear()
+        return node, harness
+
+    @pytest.mark.parametrize(
+        "region_owner, box_region",
+        [(1, 1), (0, 3)],
+        ids=["region-not-owned", "box-outside-owned-region"],
+    )
+    def test_misdirected_req_rmt_is_counted_and_dropped(
+        self, circuit, regions, region_owner, box_region
+    ):
+        node, harness = self.crash_aware_node(circuit, regions)
+        request = build_request(
+            UpdateKind.REQ_RMT_DATA, 1, 0, regions.region(box_region), region_owner=region_owner
+        )
+        node.deliver(request, arrive_time=1.0)
+        harness.run()
+        assert node.misdirected_requests == 1
+        assert harness.sent == []
+
+    def test_probe_timeout_after_a_death_notice_sends_nothing(self, circuit, regions):
+        node, harness = self.crash_aware_node(circuit, regions)
+        node.probe_peer(1, 1.0)
+        assert [p.kind for p, _ in harness.sent] == [UpdateKind.HEARTBEAT]
+        notice = build_control(UpdateKind.DEATH_NOTICE, 2, 0, 1)
+        node.deliver(notice, arrive_time=1.0 + RecoveryPolicy().watchdog_timeout_s / 2)
+        harness.run()  # the notice arrives, then the probe's timeout fires
+        assert node.death_notices_received == 1
+        assert not node.ownership.is_live(1)
+        assert node._pending_probes == {}
+        assert node.probes_sent == 1
+        assert [p.kind for p, _ in harness.sent].count(UpdateKind.HEARTBEAT) == 1

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+import repro.parallel.sm_sim as sm_sim
 from repro.assign import RoundRobinAssigner, ThresholdCostAssigner
-from repro.circuits import tiny_test_circuit
+from repro.assign.base import Assignment
+from repro.circuits import Circuit, Pin, Wire, tiny_test_circuit
 from repro.errors import SimulationError
 from repro.grid import CostArray, RegionMap
-from repro.parallel import run_shared_memory
+from repro.parallel import DEFAULT_COST_MODEL, run_shared_memory
 from repro.route import SequentialRouter
 
 
@@ -214,3 +219,68 @@ class TestTimeScale:
         mp = run_message_passing(circuit, UpdateSchedule(), n_procs=1, iterations=2)
         ratio = sm.exec_time_s / mp.exec_time_s
         assert 4.5 < ratio < 6.0
+
+
+class TestStepAccounting:
+    """What the simulator's services charge and record for each step."""
+
+    def test_one_processors_work_counters_add_up_to_its_clock(self, circuit):
+        # One processor never waits, so its virtual time is exactly its
+        # loop grabs, evaluations, rip-ups and commits.
+        result = run_shared_memory(circuit, n_procs=1, iterations=3, collect_trace=False)
+        (node,) = result.node_summaries
+        units = node.route_units + node.commit_units
+        expected = DEFAULT_COST_MODEL.work_time(units) * DEFAULT_COST_MODEL.sm_slowdown
+        assert node.finish_time_s == pytest.approx(expected, rel=1e-12)
+
+    def test_every_ripup_traces_the_path_committed_before_it(self, circuit, monkeypatch):
+        ops = []
+
+        class Recording(sm_sim.TangoCollector):
+            def record_commit(self, time, proc, wire_idx, path):
+                super().record_commit(time, proc, wire_idx, path)
+                ops.append((False, wire_idx, path))
+
+            def record_ripup(self, time, proc, wire_idx, path):
+                super().record_ripup(time, proc, wire_idx, path)
+                ops.append((True, wire_idx, path))
+
+        monkeypatch.setattr(sm_sim, "TangoCollector", Recording)
+        result = run_shared_memory(circuit, n_procs=4, iterations=3)
+        standing = {}
+        for ripup, wire_idx, path in ops:
+            if ripup:
+                assert standing.pop(wire_idx) is path
+            else:
+                assert wire_idx not in standing
+                standing[wire_idx] = path
+        assert sum(ripup for ripup, _, _ in ops) == 2 * circuit.n_wires
+        assert standing == dict(result.paths)
+
+    def test_numa_scales_exactly_the_remote_work(self):
+        """Wires that stay inside one region cost ``numa_remote_factor``
+        times as much on a processor that does not own the region, and
+        nothing extra on the one that does."""
+        regions = RegionMap(4, 40, 4)
+        wires, home = [], []
+        for r in range(4):
+            box = regions.region(r)
+            for k in range(3):
+                pins = [Pin(box.x_lo + k, box.c_lo), Pin(box.x_hi - 2 * k, box.c_hi)]
+                wires.append(Wire(f"w{len(wires)}", pins))
+                home.append(r)
+        circuit = Circuit("regional", 4, 40, wires)
+        remote = dataclasses.replace(DEFAULT_COST_MODEL, numa_remote_factor=3.0)
+
+        def exec_time(owner, cost_model):
+            asg = Assignment(np.array(owner), 4, "by region")
+            run = run_shared_memory(
+                circuit, n_procs=4, iterations=2, assignment=asg,
+                cost_model=cost_model, collect_trace=False,
+            )
+            return run.exec_time_s
+
+        local = home
+        away = [(r + 1) % 4 for r in home]
+        assert exec_time(local, remote) == pytest.approx(exec_time(local, DEFAULT_COST_MODEL))
+        assert exec_time(away, remote) == pytest.approx(3.0 * exec_time(away, DEFAULT_COST_MODEL))
