@@ -1,4 +1,4 @@
-"""Stdlib HTTP client for the routing service daemon.
+"""HTTP/1.1 client for the routing service daemon, on the stdlib's sockets.
 
 Used by the ``locusroute jobs`` subcommands, the CI service smoke, and
 any script that wants to talk to a running ``locusroute serve`` without
@@ -9,36 +9,68 @@ server's ``error`` message when one was sent.
 Each thread that calls a client keeps one persistent connection to the
 daemon, and :meth:`ServiceClient.wait` is answered when the job
 finishes (``?wait=``): a job costs a submit, one held status request and
-a result read, not a connection per call and a poll per tick.
+a result read, not a connection per call and a poll per tick.  A request
+is one ``sendall`` of head and body; the answer's head is read by
+:mod:`.wire`, as the daemon reads requests, and its body by its
+``Content-Length``.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
+import ssl
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import urlsplit
 
 from ..errors import ServiceError
+from .wire import HeadError, closes, http_version, read_head
 
 __all__ = ["ServiceClient"]
 
-_CONNECTIONS = {
-    "http": http.client.HTTPConnection,
-    "https": getattr(http.client, "HTTPSConnection", None),  # absent without ssl
-}
-
 
 class _Kept:
-    """Holds one thread's connection and closes it when dropped: at that
-    thread's exit or with the client, since no ``with`` block spans calls."""
+    """Holds one thread's socket and its reader and closes them when
+    dropped: at that thread's exit or with the client, since no ``with``
+    block spans calls."""
 
-    def __init__(self, connection: http.client.HTTPConnection) -> None:
-        self.connection = connection
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
 
-    def __del__(self) -> None:
-        self.connection.close()
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+    __del__ = close
+
+
+def _exchange(kept: _Kept, message: bytes) -> Optional[Tuple[int, str, bytes, bool]]:
+    """Send *message* on *kept* and read the answer: its status, reason,
+    body and whether the daemon closes the connection after it.  ``None``
+    when the socket died before any byte of an answer arrived."""
+    try:
+        kept.sock.sendall(message)
+        head = read_head(kept.rfile)
+    except (BrokenPipeError, ConnectionResetError):
+        return None
+    if head is None:
+        return None
+    start, headers = head
+    version_word, _, rest = start.partition(" ")
+    code, _, reason = rest.partition(" ")
+    version = http_version(version_word)
+    if version is None or not (len(code) == 3 and code.isascii() and code.isdigit()):
+        raise HeadError(f"malformed status line {start[:80]!r}")
+    length = headers.get("Content-Length")
+    if length is None:
+        raise HeadError("an answer without Content-Length")
+    raw = kept.rfile.read(int(length))
+    if len(raw) < int(length):
+        raise ConnectionError("the connection closed inside an answer's body")
+    return int(code), reason, raw, closes(version, headers)
 
 
 class ServiceClient:
@@ -47,23 +79,35 @@ class ServiceClient:
     def __init__(self, url: str = "http://127.0.0.1:8642", timeout_s: float = 30.0) -> None:
         self.url = url.rstrip("/")
         self.timeout_s = timeout_s
-        scheme, _, rest = self.url.partition("://")
-        self._host, slash, prefix = rest.partition("/")
-        self._prefix = slash + prefix
-        self._connect = _CONNECTIONS.get(scheme)
-        if self._connect is None or not self._host:
-            raise ServiceError(f"service URL must be http(s)://host[:port], got {url!r}")
+        parts = urlsplit(self.url)
+        try:
+            port = parts.port  # ValueError: not a port number
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ValueError
+        except ValueError:
+            raise ServiceError(
+                f"service URL must be http(s)://host[:port], got {url!r}"
+            ) from None
+        self._tls = parts.scheme == "https"
+        self._address = (parts.hostname, port or (443 if self._tls else 80))
+        self._host = parts.netloc  # the Host header
+        self._prefix = parts.path
         self._local = threading.local()  # .kept: the calling thread's _Kept
 
     # -- transport -----------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
-        """The calling thread's connection: opened by its first request,
-        then kept, so concurrent callers never share a socket."""
-        kept = getattr(self._local, "kept", None)
-        if kept is None:
-            kept = _Kept(self._connect(self._host, timeout=self.timeout_s))
-            self._local.kept = kept
-        return kept.connection
+    def _connect(self) -> _Kept:
+        """A new socket to the daemon, for the calling thread to keep."""
+        sock = socket.create_connection(self._address, self.timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self._tls:
+            try:
+                sock = ssl.create_default_context().wrap_socket(
+                    sock, server_hostname=self._address[0]
+                )
+            except OSError:
+                sock.close()
+                raise
+        return _Kept(sock)
 
     def _request(
         self,
@@ -71,40 +115,44 @@ class ServiceClient:
         body: Optional[Dict[str, Any]] = None,
         ok_statuses: tuple = (200, 202),
     ) -> Dict[str, Any]:
-        data = None if body is None else json.dumps(body).encode("utf-8")
-        method = "GET" if data is None else "POST"
-        headers = {"Content-Type": "application/json"} if data else {}
-        connection = None
+        method = "GET" if body is None else "POST"
+        head = f"{method} {self._prefix}{path} HTTP/1.1\r\nHost: {self._host}\r\n"
+        data = b""
+        if body is not None:
+            data = json.dumps(body).encode("utf-8")
+            head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+        message = (head + "\r\n").encode("utf-8") + data
+        kept = getattr(self._local, "kept", None)
         try:
-            connection = self._connection()
-            reused = connection.sock is not None
-            try:
-                connection.request(method, self._prefix + path, data, headers)
-                response = connection.getresponse()
-            except (BrokenPipeError, ConnectionResetError):
-                # No response byte arrived (RemoteDisconnected is a
-                # ConnectionResetError).  On a kept connection that is a
-                # daemon that restarted or timed the idle connection out:
-                # ask once more on a new one.  A repeated POST /jobs is
-                # safe, dedup makes it one more audit row and no second
-                # execution.
-                connection.close()
-                if not reused:
-                    raise
-                connection.request(method, self._prefix + path, data, headers)
-                response = connection.getresponse()
-            status, raw = response.status, response.read()
-        except (http.client.HTTPException, OSError) as exc:
-            if connection is not None:
-                connection.close()  # whatever state it is in, do not reuse it
+            answer = None if kept is None else _exchange(kept, message)
+            if answer is None:
+                # Nothing kept, or the kept socket died before any answer
+                # byte: the daemon restarted or timed the idle connection
+                # out.  Ask (once more) on a new one.  A repeated POST
+                # /jobs is safe, dedup makes it one more audit row and no
+                # second execution.
+                if kept is not None:
+                    kept.close()
+                kept = self._local.kept = self._connect()
+                answer = _exchange(kept, message)
+                if answer is None:
+                    raise ConnectionResetError("the connection closed without an answer")
+        except (HeadError, OSError) as exc:
+            if kept is not None:
+                kept.close()  # whatever state it is in, do not reuse it
+            self._local.kept = None
             raise ServiceError(
                 f"cannot reach routing service at {self.url}: {exc}"
             ) from exc
+        status, reason, raw, close = answer
+        if close:
+            kept.close()
+            self._local.kept = None
         try:
             payload = json.loads(raw)
         except ValueError as exc:
             raise ServiceError(
-                f"service returned HTTP {status} {response.reason}, not JSON"
+                f"service returned HTTP {status} {reason}, not JSON"
             ) from exc
         if status not in ok_statuses:
             raise ServiceError(

@@ -63,7 +63,7 @@ import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import IO, Any, Callable, Dict, List, Optional, Set, Tuple
-from urllib.parse import urlparse
+from urllib.parse import urlsplit
 
 from ..errors import ReproError, ServiceError
 from ..harness.cache import ResultCache, jsonify
@@ -71,6 +71,7 @@ from ..harness.pool import pool_map_salvage
 from ..obs import telemetry as obs
 from .jobs import JobSpec, execute_job_in_worker, job_key
 from .repository import Repository
+from .wire import HeadError, closes, http_version, read_headers
 
 __all__ = ["RoutingService", "ServiceServer", "serve", "DEFAULT_PORT"]
 
@@ -455,12 +456,14 @@ class _Handler(BaseHTTPRequestHandler):
     the id unknown, the hold over, the service stopping) and then answers
     exactly as without it; holds are clamped to ``MAX_WAIT_S``.  A number
     that does not parse (``limit``, ``wait``, ``Content-Length``) is a
-    ``400``, a body over ``MAX_BODY_BYTES`` a ``413``.
+    ``400``, a body over ``MAX_BODY_BYTES`` a ``413``, and any other method
+    a ``404``: an endpoint is a method and a path.
 
-    Connections are persistent.  Headers and body leave in one write
-    (buffered ``wfile``, Nagle off): written apart, the body would sit
-    behind Nagle's algorithm until the client's delayed ACK of the header
-    segment, ~40 ms on every reused connection.
+    The head is read by :mod:`.wire`; every answer, a refusal included, is
+    compact JSON.  Connections are persistent.  Headers and body leave in
+    one write (buffered ``wfile``, Nagle off): written apart, the body
+    would sit behind Nagle's algorithm until the client's delayed ACK of
+    the header segment, ~40 ms on every reused connection.
     """
 
     server_version = "locusroute-service/1"
@@ -486,22 +489,71 @@ class _Handler(BaseHTTPRequestHandler):
         super().finish()
 
     def parse_request(self) -> bool:
-        """Count the request and note whether it carries a body."""
-        parsed = super().parse_request()
-        if parsed:
-            obs.incr("service.http.requests")
-            self._body_unread = (
-                self.headers.get("Content-Length", "0") != "0"
-                or "Transfer-Encoding" in self.headers
-            )
-        return parsed
+        """Parse the request line and head, refusing what does not parse;
+        count the request and note whether it carries a body.
+
+        The stdlib's rules stand: a bad request line is a 400, a version
+        other than HTTP/1.x a 505, a head over the limits a 431; a path's
+        leading ``//`` is one ``/``; an HTTP/1.0 connection closes unless it
+        asks for keep-alive.  ``100 Continue`` leaves at once: held in the
+        buffered ``wfile`` until the final answer, it stalled a client that
+        waits for it before sending its body.
+        """
+        self.command, self.request_version = None, ""  # a refusal still gets a status line
+        self.close_connection = True
+        self.requestline = self.raw_requestline.rstrip(b"\r\n").decode("latin-1")
+        words = self.requestline.split()
+        if not words:
+            return False  # a blank line: close without an answer
+        version = http_version(words[2]) if len(words) == 3 else None
+        if version is None:
+            self.send_error(400, f"bad request line {self.requestline!r}")
+            return False
+        if version[0] != 1:
+            self.send_error(505, f"{words[2]} is not supported")
+            return False
+        self.command, path, self.request_version = words
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        if not hasattr(self, "do_" + self.command):
+            self.send_error(404, f"no such endpoint {self.command} {self.path!r}")
+            return False
+        try:
+            self._target = urlsplit(self.path)
+        except ValueError:
+            self.send_error(400, f"bad request target {self.path!r}")
+            return False
+        try:
+            self.headers = read_headers(self.rfile)
+        except HeadError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        self.close_connection = closes(version, self.headers)
+        obs.incr("service.http.requests")
+        self._body_unread = (
+            self.headers.get("Content-Length", "0") != "0"
+            or "Transfer-Encoding" in self.headers
+        )
+        if version >= (1, 1) and self.headers.get("Expect", "").lower() == "100-continue":
+            self.send_response_only(100)
+            self.end_headers()
+            self.wfile.flush()
+        return True
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """Refuse with ``{"error": ...}`` like every other answer, not the
+        stdlib's HTML page, and close: after a request that did not parse,
+        nothing more on the connection can be framed."""
+        self._body_unread = True
+        self._send(code, {"error": message or self.responses[code][0]})
 
     def _send(self, code: int, payload: Dict[str, Any]) -> None:
         """Answer with *payload*, and close the connection after an answer
         given without reading the request's body (a refused ``POST``, a
         ``GET`` that sent one), so that the body is never parsed as the
         connection's next request."""
-        body = json.dumps(payload, indent=1).encode("utf-8")
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -530,10 +582,9 @@ class _Handler(BaseHTTPRequestHandler):
         return min(value, ceiling)
 
     def do_GET(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        parts = [p for p in parsed.path.split("/") if p]
+        parts = [p for p in self._target.path.split("/") if p]
         params = dict(
-            pair.split("=", 1) for pair in parsed.query.split("&") if "=" in pair
+            pair.split("=", 1) for pair in self._target.query.split("&") if "=" in pair
         )
         if parts == ["health"]:
             self._send(200, {"ok": True})
@@ -571,17 +622,13 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send(200, {"status": "done", **stored})
         else:
-            self._send(404, {"error": f"no such endpoint {parsed.path!r}"})
+            self._send(404, {"error": f"no such endpoint {self._target.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        if parsed.path.rstrip("/") != "/jobs":
-            self._send(404, {"error": f"no such endpoint {parsed.path!r}"})
+        if self._target.path.rstrip("/") != "/jobs":
+            self._send(404, {"error": f"no such endpoint {self._target.path!r}"})
             return
-        declared = self.headers.get("Content-Length") or "0"
-        length = self._number("Content-Length", declared, int)
-        if length is None:
-            return
+        length = int(self.headers.get("Content-Length", "0"))  # digits: wire checked
         if length > MAX_BODY_BYTES:
             error = f"request body of {length} bytes is over {MAX_BODY_BYTES}"
             self._send(413, {"error": error})
@@ -593,7 +640,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.loads(raw or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             self._send(400, {"error": f"bad request body: {exc}"})
             return
         try:

@@ -26,6 +26,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RoutingError, ServiceError
 from repro.harness.cache import ResultCache, jsonify
@@ -632,13 +634,13 @@ class TestConnections:
 
     def test_unreachable_daemon_is_one_attempt(self, tmp_path, monkeypatch):
         attempts = []
-        connect = http.client.HTTPConnection.connect
+        connect = ServiceClient._connect
 
         def counting_connect(self):
-            attempts.append(self.port)
-            connect(self)
+            attempts.append(self._address)
+            return connect(self)
 
-        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+        monkeypatch.setattr(ServiceClient, "_connect", counting_connect)
         with running_server(tmp_path) as srv:
             client = client_of(srv, timeout_s=2.0)
             client.health()
@@ -683,6 +685,15 @@ class TestConnections:
         for url in ("127.0.0.1:8642", "ftp://127.0.0.1", "http://"):
             with pytest.raises(ServiceError, match="service URL"):
                 ServiceClient(url)
+
+    def test_https_wraps_the_socket_with_tls(self, server, capsys):
+        """An ``https://`` client speaks TLS first: against this plain-HTTP
+        daemon the handshake fails, as a ServiceError."""
+        secure = ServiceClient(f"https://127.0.0.1:{server.server_address[1]}", timeout_s=5)
+        with pytest.raises(ServiceError, match="cannot reach.*SSL"):
+            secure.health()
+        assert client_of(server).health() == {"ok": True}
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_base_url_path_prefix_is_kept(self, server):
         prefixed = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}/api/")
@@ -974,6 +985,208 @@ class TestMalformedInput:
         assert b"Connection: close" in received and b"queue_depth" not in received
 
 
+def answers(received):
+    """(status, headers, JSON body) of each final answer in *received*,
+    framed by ``Content-Length``; interim ``100 Continue`` heads skipped."""
+    found = []
+    while received:
+        head, blank, rest = received.partition(b"\r\n\r\n")
+        assert blank, received
+        status_line, *fields = head.decode("latin-1").split("\r\n")
+        version, status, _ = status_line.split(" ", 2)
+        assert version == "HTTP/1.1", status_line
+        headers = {n.lower(): v.strip() for n, _, v in (f.partition(":") for f in fields)}
+        length = 0 if status == "100" else int(headers["content-length"])
+        if status != "100":
+            found.append((int(status), headers, json.loads(rest[:length])))
+        received = rest[length:]
+    return found
+
+
+def talk(port, raw):
+    """Send *raw* on a new connection, half-close it and read everything
+    the daemon answers before it closes."""
+    received = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        with contextlib.suppress(OSError):  # it closed before reading everything
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+        with contextlib.suppress(ConnectionResetError):  # it closed on unread bytes
+            while chunk := sock.recv(65536):
+                received += chunk
+    return answers(received)
+
+
+class TestRequestHead:
+    """The stdlib's request rules, kept under the service's own head
+    reader, and what it refuses besides; every refusal is JSON."""
+
+    @pytest.mark.parametrize(
+        "raw, status, message",
+        [
+            (b"GET /health HTTP/1.1 x\r\n\r\n", 400, "bad request line"),
+            (b"GET /health\r\n\r\n", 400, "bad request line"),
+            (b"GET /health HTTP/1\r\n\r\n", 400, "bad request line"),
+            (b"GET /health HTTP/2.0\r\n\r\n", 505, "HTTP/2.0 is not supported"),
+            (b"GET /health HTTP/0.9\r\n\r\n", 505, "HTTP/0.9 is not supported"),
+            (b"GET /health HTTP/1.1\r\nX: " + b"v" * 65536 + b"\r\n\r\n", 431, "longer than"),
+            (
+                b"GET /health HTTP/1.1\r\n" + b"".join(b"X-%d: v\r\n" % i for i in range(101))
+                + b"\r\n",
+                431, "more than 100 header fields",
+            ),
+            (
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+                400, "repeated Content-Length",
+            ),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 2, 2\r\n\r\n{}", 400, "Content-Length"),
+            (b"GET /health HTTP/1.1\r\nX-A: 1\r\n folded\r\n\r\n", 400, "folded"),
+            (b"PUT /jobs HTTP/1.1\r\n\r\n", 404, "no such endpoint PUT '/jobs'"),
+            (b"GET http://[x/health HTTP/1.1\r\n\r\n", 400, "bad request target"),
+        ],
+    )
+    def test_a_refused_head_is_one_json_answer_and_a_close(self, server, raw, status, message):
+        ((code, headers, body),) = talk(server.server_address[1], raw)
+        assert code == status and message in body["error"]
+        assert headers["connection"] == "close"
+
+    def test_a_doubled_slash_is_one(self, server):
+        ((code, _, body),) = talk(server.server_address[1], b"GET //health HTTP/1.1\r\n\r\n")
+        assert (code, body) == (200, {"ok": True})
+
+    def test_http_1_0_closes_unless_it_keeps_alive(self, server):
+        port = server.server_address[1]
+        twice = b"GET /health HTTP/1.0\r\n\r\n" * 2
+        assert len(talk(port, twice)) == 1  # closed after the first answer
+        kept = b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        assert len(talk(port, kept * 2)) == 2
+        assert len(talk(port, b"GET /health HTTP/1.1\r\n\r\n" * 2)) == 2
+
+    def test_answers_are_compact_json(self, client, server):
+        record = client.submit("route", quick_route_params())
+        client.wait(record["job_id"], timeout_s=60)
+        connection = http.client.HTTPConnection("127.0.0.1", server.server_address[1])
+        try:
+            connection.request("GET", f"/jobs/{record['job_id']}/result")
+            raw = connection.getresponse().read()
+        finally:
+            connection.close()
+        assert raw == json.dumps(json.loads(raw), separators=(",", ":")).encode()
+
+    def test_expect_100_continue_is_answered_before_the_body(self, paused_server):
+        """The interim answer leaves at once: held back until the final
+        one, it stalled a client that waits for it (curl: 1 s a POST)."""
+        body = json.dumps({"kind": "route", "params": quick_route_params()}).encode()
+        address = ("127.0.0.1", paused_server.server_address[1])
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+                b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(body)
+            )
+            sock.settimeout(2.0)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.settimeout(10)
+            sock.sendall(body)
+            sock.shutdown(socket.SHUT_WR)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        ((status, _, record),) = answers(received)
+        assert status == 202 and record["status"] == "queued"
+
+
+_MAX_BODY = daemon_module.MAX_BODY_BYTES
+_JOBS = [
+    json.dumps({"kind": "route", "params": ROUTE_PARAMS}).encode(),
+    json.dumps({"kind": "route", "params": ROUTE_PARAMS, "force": True}).encode(),
+    json.dumps({"kind": "sm", "params": {"n_wires": 24, "line_size": 3}}).encode(),
+    b"{}",
+]
+_ODD_METHODS = st.one_of(
+    st.sampled_from(["PUT", "HEAD", "get", ""]), st.text(alphabet="GETPOS@\x00é", max_size=5)
+)
+_TARGETS = {
+    "GET": [
+        "/health", "/stats", "/jobs", "/jobs?limit=2", "/jobs?limit=x",
+        "/jobs?status=done&limit=" + "9" * 40, "/jobs/nope", "/jobs/nope/result?wait=0",
+        "/jobs/nope?wait=inf", "//health", "/nope",
+    ],
+    "POST": ["/jobs", "/jobs/", "//jobs", "/nope"],
+}
+_ODD_TARGETS = st.one_of(
+    st.sampled_from(["*", "http://[x/health", "http://h/jobs", ""]), st.text(max_size=12)
+)
+_ODD_VERSIONS = st.sampled_from(["HTTP/2.0", "HTTP/0.9", "HTTP/1", "http/1.1", "", "HTTP/1.1 x"])
+_ODD_NAMES = st.sampled_from(
+    ["Content-Length", "content-length", "Transfer-Encoding", "X-Ünïcode", "X Bad", ""]
+)
+_MOSTLY = st.sampled_from([True, True, True, False])
+_VALUES = ["0", "2", "17", "100-continue", "close", "keep-alive", "x"]
+_ODD_VALUES = st.one_of(
+    st.sampled_from(["5, 6", "-1", "+3", "chunked", "é", str(_MAX_BODY + 1), "9" * 30]),
+    st.text(max_size=8),
+)
+_ODD_BODIES = st.one_of(
+    st.sampled_from([b"[" * 100_000, b"[]", b'{"kind": "route", "params": 7}']),
+    st.binary(max_size=40),
+)
+
+
+@st.composite
+def fuzzed_requests(draw):
+    """Raw request bytes: a request line, header fields (duplicate and
+    conflicting lengths, folded lines, non-ASCII), then a body that a
+    ``Content-Length`` may or may not declare.  Each part is a common
+    well-formed value three times in four, so that a good share of the
+    requests get past the head and reach the endpoints."""
+
+    def usually(common, odd):
+        return draw(st.sampled_from(common)) if draw(_MOSTLY) else draw(odd)
+
+    method = usually(["GET", "POST"], _ODD_METHODS)
+    target = usually(_TARGETS.get(method, _TARGETS["GET"]), _ODD_TARGETS)
+    line = f"{method} {target} {usually(['HTTP/1.1', 'HTTP/1.0'], _ODD_VERSIONS)}"
+    fields = [
+        f"{usually(['Host', 'Expect', 'Connection'], _ODD_NAMES)}: "
+        f"{usually(_VALUES, _ODD_VALUES)}"
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    body = usually(_JOBS if method == "POST" else [b""], _ODD_BODIES)
+    if draw(_MOSTLY):
+        fields.append(f"Content-Length: {len(body)}")
+    if fields and not draw(_MOSTLY):
+        fields.insert(1, " folded")
+    head = "\r\n".join([line, *fields, "", ""])
+    return head.encode("utf-8", "surrogatepass") + body
+
+
+class TestFuzzedSurface:
+    #: What the daemon may answer anything with: 500 is only a failed job's
+    #: result, and 414 the stdlib loop's refusal of a request line longer
+    #: than the head reader's line limit.
+    ANSWERS = {200, 202, 400, 404, 409, 413, 414, 431, 505}
+
+    def test_any_request_gets_a_listed_json_answer_or_a_close(self, tmp_path, capsys):
+        with running_server(tmp_path, paused=True) as srv:
+            port = srv.server_address[1]
+
+            @settings(max_examples=150, deadline=None)
+            @given(raw=fuzzed_requests())
+            @example(raw=b"POST /jobs HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" + b"[" * 100_000)
+            def exchange(raw):
+                for status, _, body in talk(port, raw):
+                    assert status in self.ANSWERS, (status, body, raw[:200])
+                    if status not in (200, 202, 409):
+                        assert isinstance(body["error"], str), (status, body)
+
+            exchange()
+            assert client_of(srv).health() == {"ok": True}
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestCLI:
     def test_route_json_matches_service_payload(self, capsys):
         # --wires pins the circuit, so the service job's `quick` flag is
@@ -1057,6 +1270,24 @@ class TestServiceReport:
         assert record["job_id"] in text
         assert "## Job counts" in text
         assert "## Stored results" in text
+
+    def test_report_renders_a_stored_experiment(self, service, tmp_path):
+        """A stored ``experiment`` result renders its paper-vs-measured
+        table and its shape checks, as EXPERIMENTS.md shows them."""
+        from repro.harness.report import render_service_report
+
+        record = service.submit("experiment", {"exp_id": "X4", "quick": True})
+        service.start()
+        assert service.drain(timeout_s=60)
+        stored, state = service.result(record["job_id"])
+        assert state == "done"
+        payload = stored["payload"]
+        text = render_service_report(service.repository.path)
+        assert f"\n## X4 — {payload['title']}\n" in text
+        assert "| " + " | ".join(payload["columns"]) + " |" in text
+        assert len(payload["rows"]) >= 1 and "Shape checks:" in text
+        for name, ok in payload["checks"].items():
+            assert f"- {'✅' if ok else '❌'} {name}" in text
 
 
 class TestTimelineViz:
