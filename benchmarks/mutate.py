@@ -66,12 +66,15 @@ VERIFY_CMD = ("-m", "repro", "verify", "--quick")
 
 @dataclass(frozen=True)
 class Target:
-    """One module (or some of its top-level names) and its test files."""
+    """One module (or some of its names) and its test files."""
 
     label: str
     path: str  #: under ``src/repro``
-    names: Optional[Tuple[str, ...]]  #: top-level defs / assignments; None: all
+    #: Top-level defs / assignments, or ``Class.method``; None: all.
+    names: Optional[Tuple[str, ...]]
     tests: Tuple[str, ...]
+    #: ``(path, names)`` of the same target in further modules.
+    more: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
 
 
 _WAVEFRONT_TESTS = (
@@ -175,6 +178,26 @@ TARGETS: Tuple[Target, ...] = (
             "tests/test_cli.py",
         ),
     ),
+    Target(
+        "service/wire.py", "service/wire.py", None,
+        ("tests/test_service_wire.py", "tests/test_service_daemon.py"),
+    ),
+    Target(
+        "service: job keys and the stored-result reader", "service/jobs.py",
+        ("job_fingerprint", "job_key", "KEY_CACHE_SIZE", "_job_key"),
+        (
+            "tests/test_harness_cache.py",
+            "tests/test_service_repository.py",
+            "tests/test_service_daemon.py",
+        ),
+        more=(
+            (
+                "service/repository.py",
+                ("_RESULT_FIELDS", "_JSON_COLUMNS", "_dumps", "_stored",
+                 "Repository._read", "Repository.get_result", "Repository.job_result"),
+            ),
+        ),
+    ),
 )
 
 #: Surviving mutants that cannot change any observable result, keyed by
@@ -188,6 +211,16 @@ EQUIVALENT: Dict[str, str] = {
     "harness/cache.py:open_sqlite:dropcall: time.sleep(0.01) [dropped]":
         "the pause only spaces the retries; without it the loop retries "
         "sooner and ends at the same deadline",
+    "service/jobs.py:KEY_CACHE_SIZE:const: KEY_CACHE_SIZE = 4096 [4096 -> 4097]":
+        "the bound of a memo: a key computed again is the same key",
+    "service/jobs.py:KEY_CACHE_SIZE:const: KEY_CACHE_SIZE = 4096 [4096 -> 4095]":
+        "the bound of a memo: a key computed again is the same key",
+    "service/repository.py:Repository.get_result:const: return "
+    "_stored(rows[0] if rows else None, text=False) [0 -> -1]":
+        "fingerprint is the results table's primary key: at most one row",
+    "service/repository.py:Repository.job_result:const: row = rows[0] [0 -> -1]":
+        "job_id is the jobs table's primary key and the join is on the "
+        "results table's: at most one row",
 }
 
 
@@ -286,8 +319,16 @@ def _scoped(tree: ast.Module) -> Iterator[Tuple[str, str, ast.AST]]:
 
 
 def make_mutants(target: Target) -> List[Mutant]:
-    """Every mutant of *target*, in source order."""
-    source = (ROOT / "src" / "repro" / target.path).read_bytes()
+    """Every mutant of *target*, module by module in source order."""
+    parts = ((target.path, target.names), *target.more)
+    return [m for path, names in parts for m in _module_mutants(target.label, path, names)]
+
+
+def _module_mutants(
+    label: str, path: str, names: Optional[Tuple[str, ...]]
+) -> List[Mutant]:
+    """Every mutant of *names* (None: all) in one module, in source order."""
+    source = (ROOT / "src" / "repro" / path).read_bytes()
     tree = ast.parse(source)
     baseline = ast.dump(tree)
     lines = source.split(b"\n")
@@ -296,8 +337,10 @@ def make_mutants(target: Target) -> List[Mutant]:
         line_at.append(line_at[-1] + len(raw) + 1)
     mutants: List[Mutant] = []
     seen: Counter = Counter()
-    for top, scope, node in _scoped(tree):
-        if target.names is not None and top not in target.names:
+    for _top, scope, node in _scoped(tree):
+        if names is not None and not any(
+            scope == name or scope.startswith(name + ".") for name in names
+        ):
             continue
         for op, where, text, change in _edits(node):
             start = line_at[where.lineno - 1] + where.col_offset
@@ -309,12 +352,12 @@ def make_mutants(target: Target) -> List[Mutant]:
             except SyntaxError:
                 continue
             code = lines[where.lineno - 1].decode().strip()
-            key = f"{target.path}:{scope}:{op}: {code} [{change}]"
+            key = f"{path}:{scope}:{op}: {code} [{change}]"
             seen[key] += 1
             if seen[key] > 1:
                 key += f" #{seen[key]}"
             mutants.append(
-                Mutant(target.label, target.path, key, where.lineno, start, end, text)
+                Mutant(label, path, key, where.lineno, start, end, text)
             )
     return mutants
 

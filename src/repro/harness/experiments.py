@@ -300,9 +300,8 @@ def run_table3(quick: bool = False) -> Table:
         ),
     }
     notes = (
-        "note: growth direction matches the paper; magnitude is muted "
-        "because our traces record access bursts rather than individual "
-        "references (see EXPERIMENTS.md, T3)."
+        "note: growth direction matches the paper; magnitude is muted, "
+        "and not by trace granularity (see EXPERIMENTS.md, T3)."
     )
     return rows, checks, notes
 

@@ -309,14 +309,49 @@ class RoutingService:
         """The job's record (``None`` for an unknown id), held up to *wait_s*.
 
         A hold ends when the job is ``done``/``failed``, the id is
-        unknown, *wait_s* has passed or the service stops.  The row is
-        read under the condition :meth:`_finish` notifies, so a job that
-        finishes between the read and the wait still wakes the caller.
+        unknown, *wait_s* has passed or the service stops.
+        """
+        return self._held(lambda: self.repository.get_job(job_id), wait_s)
+
+    def result(
+        self, job_id: str, wait_s: float = 0.0
+    ) -> Tuple[Optional[Dict[str, Any]], str]:
+        """(result row or None, state) for a job id, held like :meth:`status`.
+
+        States: ``unknown``, ``pending``, ``failed``, ``done``.
+        """
+        return self._result(job_id, wait_s, text=False)
+
+    def result_text(self, job_id: str, wait_s: float = 0.0) -> Tuple[Optional[str], str]:
+        """:meth:`result` with the row as its stored JSON object text."""
+        return self._result(job_id, wait_s, text=True)
+
+    def _result(self, job_id: str, wait_s: float, text: bool) -> Tuple[Any, str]:
+        job = self._held(lambda: self.repository.job_result(job_id, text), wait_s)
+        if job is None:
+            return None, "unknown"
+        if job["status"] == "failed":
+            return None, "failed"
+        if job["status"] != "done":
+            return None, "pending"
+        if job["result"] is None:  # done job whose row was lost to corruption
+            return None, "failed"
+        return job["result"], "done"
+
+    def _held(
+        self, read: Callable[[], Optional[Dict[str, Any]]], wait_s: float
+    ) -> Optional[Dict[str, Any]]:
+        """``read()`` once the job it reads is finished, or *wait_s* has
+        passed, the service stops, or it reads ``None`` (an unknown id).
+
+        The row is read under the condition :meth:`_finish` notifies, so a
+        job that finishes between the read and the wait still wakes the
+        caller.
         """
         deadline = time.monotonic() + wait_s
         with self._finished:
             while True:
-                record = self.repository.get_job(job_id)
+                record = read()
                 left = deadline - time.monotonic()
                 if (
                     record is None
@@ -326,25 +361,6 @@ class RoutingService:
                 ):
                     return record
                 self._finished.wait(left)
-
-    def result(
-        self, job_id: str, wait_s: float = 0.0
-    ) -> Tuple[Optional[Dict[str, Any]], str]:
-        """(result row or None, state) for a job id, held like :meth:`status`.
-
-        States: ``unknown``, ``pending``, ``failed``, ``done``.
-        """
-        job = self.status(job_id, wait_s)
-        if job is None:
-            return None, "unknown"
-        if job["status"] == "failed":
-            return None, "failed"
-        if job["status"] != "done":
-            return None, "pending"
-        stored = self.repository.get_result(job["fingerprint"])
-        if stored is None:  # done job whose row was lost to corruption
-            return None, "failed"
-        return stored, "done"
 
     def stats(self) -> Dict[str, Any]:
         """Queue depth, in-flight map size, counters, repository counts."""
@@ -549,11 +565,15 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(code, {"error": message or self.responses[code][0]})
 
     def _send(self, code: int, payload: Dict[str, Any]) -> None:
-        """Answer with *payload*, and close the connection after an answer
-        given without reading the request's body (a refused ``POST``, a
-        ``GET`` that sent one), so that the body is never parsed as the
-        connection's next request."""
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        """Answer with *payload*."""
+        self._send_json(code, json.dumps(payload, separators=(",", ":")))
+
+    def _send_json(self, code: int, text: str) -> None:
+        """Answer with the JSON *text*, and close the connection after an
+        answer given without reading the request's body (a refused
+        ``POST``, a ``GET`` that sent one), so that the body is never
+        parsed as the connection's next request."""
+        body = text.encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -611,7 +631,7 @@ class _Handler(BaseHTTPRequestHandler):
             wait_s = self._number("wait", params.get("wait", "0"), float, MAX_WAIT_S)
             if wait_s is None:
                 return
-            stored, state = self.service.result(parts[1], wait_s)
+            stored, state = self.service.result_text(parts[1], wait_s)
             if state == "unknown":
                 self._send(404, {"error": f"unknown job {parts[1]!r}"})
             elif state == "pending":
@@ -620,7 +640,7 @@ class _Handler(BaseHTTPRequestHandler):
                 job = self.service.status(parts[1]) or {}
                 self._send(500, {"error": job.get("error") or "job failed"})
             else:
-                self._send(200, {"status": "done", **stored})
+                self._send_json(200, '{"status":"done",' + stored[1:])
         else:
             self._send(404, {"error": f"no such endpoint {self._target.path!r}"})
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ServiceError
@@ -241,21 +242,35 @@ def job_fingerprint(spec: JobSpec) -> Dict[str, Any]:
                 spec.params["exp_id"], bool(spec.params["quick"])
             ),
         }
-    circuit = simjobs._named_circuit(
-        spec.params["which"], bool(spec.params["quick"]), spec.params["n_wires"]
-    )
     return {
         "unit": "service-job",
         "kind": "route",
-        "circuit": simjobs.circuit_fingerprint(circuit),
+        "circuit": simjobs._named_circuit_fingerprint(
+            spec.params["which"], bool(spec.params["quick"]), spec.params["n_wires"]
+        ),
         "iterations": int(spec.params["iterations"]),
         "code": code_fingerprint(),
     }
 
 
 def job_key(spec: JobSpec) -> str:
-    """The content-addressed identity of one job."""
-    return stable_hash(job_fingerprint(spec))
+    """The content-addressed identity of one job.
+
+    Memoised per process on the canonical parameters and the code digest,
+    so a repeat submission costs a lookup, not a re-hash, and a changed
+    digest gives a fresh key.  :meth:`JobSpec.from_params` gives every
+    parameter one JSON type, so equal tuples are equal fingerprints.
+    """
+    return _job_key(spec.kind, tuple(spec.params.items()), code_fingerprint())
+
+
+#: Distinct jobs whose keys one process remembers.
+KEY_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=KEY_CACHE_SIZE)
+def _job_key(kind: str, params: Tuple[Tuple[str, Any], ...], _code: str) -> str:
+    return stable_hash(job_fingerprint(JobSpec(kind, dict(params))))
 
 
 # ----------------------------------------------------------------------

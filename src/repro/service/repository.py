@@ -26,6 +26,13 @@ A corrupted or truncated database degrades to a miss, never an error:
 ``service.repository.recovered``), and a row that fails to decode
 mid-read is treated as absent (``service.repository.corrupt_rows``), as
 the result cache treats a truncated value.
+
+JSON columns are stored compact with sorted keys, so a stored result
+can leave as it is stored: :meth:`Repository.job_result` with
+``text=True`` splices the column texts into one JSON object instead of
+decoding and encoding them again.  The row is validated either way, by
+one helper: a row of another schema version, or one whose JSON columns
+do not decode, is a miss in both forms.
 """
 
 from __future__ import annotations
@@ -49,6 +56,47 @@ PathLike = Union[str, Path]
 REPOSITORY_SCHEMA = 1
 
 _SCHEMA_PATH = Path(__file__).with_name("schema.sql")
+
+#: A stored result's fields, in answer order, and which of them are JSON text.
+_RESULT_FIELDS = (
+    "fingerprint", "kind", "config", "payload", "telemetry", "wall_s", "created_unix",
+)
+_JSON_COLUMNS = ("config", "payload", "telemetry")
+
+
+def _dumps(value: Any) -> str:
+    """A JSON column's text: compact, keys sorted."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _stored(row: Optional[sqlite3.Row], text: bool) -> Union[None, str, Dict[str, Any]]:
+    """A stored result as a dict, or as its JSON object text (``text``);
+    ``None``, a counted miss, when *row* is absent, of another schema
+    version, or has a JSON column that does not decode.
+
+    The text form puts the stored JSON columns in as they are: they are
+    checked by decoding, never encoded again.
+    """
+    if row is None or row["schema_version"] != REPOSITORY_SCHEMA:
+        obs.incr("service.repository.misses")
+        return None
+    try:
+        decoded = {}
+        for name in _JSON_COLUMNS:
+            if not isinstance(row[name], str):  # json.loads takes bytes too
+                raise TypeError(f"{name} is not text")
+            decoded[name] = json.loads(row[name])
+    except (TypeError, ValueError):
+        obs.incr("service.repository.corrupt_rows")
+        obs.incr("service.repository.misses")
+        return None
+    obs.incr("service.repository.hits")
+    if text:
+        return "{" + ",".join(
+            f'"{name}":{row[name] if name in decoded else json.dumps(row[name])}'
+            for name in _RESULT_FIELDS
+        ) + "}"
+    return {name: decoded[name] if name in decoded else row[name] for name in _RESULT_FIELDS}
 
 
 class Repository:
@@ -122,7 +170,7 @@ class Repository:
                 job_id,
                 fingerprint,
                 kind,
-                json.dumps(config, sort_keys=True),
+                _dumps(config),
                 status,
                 source,
                 dedup_of,
@@ -192,9 +240,9 @@ class Repository:
             (
                 fingerprint,
                 kind,
-                json.dumps(config, sort_keys=True),
-                json.dumps(payload, sort_keys=True),
-                json.dumps(telemetry or {}, sort_keys=True),
+                _dumps(config),
+                _dumps(payload),
+                _dumps(telemetry or {}),
                 REPOSITORY_SCHEMA,
                 wall_s,
                 time.time(),
@@ -208,26 +256,27 @@ class Repository:
         same treatment the result cache gives stale or truncated entries.
         """
         rows = self._read("SELECT * FROM results WHERE fingerprint = ?", (fingerprint,))
-        if not rows or rows[0]["schema_version"] != REPOSITORY_SCHEMA:
-            obs.incr("service.repository.misses")
+        return _stored(rows[0] if rows else None, text=False)
+
+    def job_result(self, job_id: str, text: bool = False) -> Optional[Dict[str, Any]]:
+        """A job's ``status`` and ``error`` and, once it is ``done``, its
+        stored ``result`` (``None`` if the row is missing or invalid), read
+        in one statement; ``None`` for an unknown job.
+
+        *text* gives the result as its JSON object text, the stored
+        columns spliced in (see the module notes).
+        """
+        rows = self._read(
+            "SELECT jobs.status, jobs.error, results.* FROM jobs"
+            " LEFT JOIN results ON results.fingerprint = jobs.fingerprint"
+            " WHERE jobs.job_id = ?",
+            (job_id,),
+        )
+        if not rows:
             return None
         row = rows[0]
-        try:
-            record = {
-                "fingerprint": row["fingerprint"],
-                "kind": row["kind"],
-                "config": json.loads(row["config"]),
-                "payload": json.loads(row["payload"]),
-                "telemetry": json.loads(row["telemetry"]),
-                "wall_s": row["wall_s"],
-                "created_unix": row["created_unix"],
-            }
-        except (TypeError, ValueError):
-            obs.incr("service.repository.corrupt_rows")
-            obs.incr("service.repository.misses")
-            return None
-        obs.incr("service.repository.hits")
-        return record
+        result = _stored(row, text) if row["status"] == "done" else None
+        return {"status": row["status"], "error": row["error"], "result": result}
 
     def history(
         self, kind: Optional[str] = None, limit: int = 100

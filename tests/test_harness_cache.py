@@ -38,7 +38,14 @@ from repro.parallel import (
     run_shared_memory,
 )
 from repro.faults import FaultPlan
-from repro.service.jobs import JobSpec, execute_job_in_worker, job_key
+from repro.service import jobs as service_jobs
+from repro.service.jobs import (
+    PARAM_SCHEMA,
+    JobSpec,
+    execute_job_in_worker,
+    job_fingerprint,
+    job_key,
+)
 from repro.updates import UpdateSchedule
 
 
@@ -202,6 +209,39 @@ class TestPinnedKeys:
     def test_job_keys_unchanged(self):
         for key, (kind, params) in self.JOBS.items():
             assert job_key(JobSpec.from_params(kind, params)) == key, kind
+
+
+class TestJobKeyMemo:
+    """``job_key`` is remembered per process; a remembered key is always
+    the key a fresh fingerprint gives, and a new code digest is a new key."""
+
+    PARAMS = {
+        "route": {"n_wires": 24, "iterations": 2},
+        "mp": {"n_wires": 24, "n_procs": 4, "send_rmt": 2, "send_loc": 10},
+        "sm": {"n_wires": 24, "n_procs": 4, "line_size": 16, "protocol": "update"},
+        "experiment": {"exp_id": "t6", "quick": True},
+    }
+
+    @staticmethod
+    def fresh(spec):
+        return stable_hash(job_fingerprint(spec))
+
+    def test_every_kind_is_covered(self):
+        assert set(self.PARAMS) == set(PARAM_SCHEMA)
+
+    @pytest.mark.parametrize("kind", sorted(PARAM_SCHEMA))
+    def test_memoised_key_is_the_fresh_key(self, kind, monkeypatch):
+        spec = JobSpec.from_params(kind, self.PARAMS[kind])
+        key = job_key(spec)
+        hits = service_jobs._job_key.cache_info().hits
+        assert job_key(JobSpec.from_params(kind, self.PARAMS[kind])) == key
+        assert service_jobs._job_key.cache_info().hits == hits + 1
+        assert key == self.fresh(spec)
+        for module in ("harness.simjobs", "harness.runner", "service.jobs"):
+            monkeypatch.setattr(f"repro.{module}.code_fingerprint", lambda: "patched")
+        patched = job_key(spec)
+        assert patched == self.fresh(spec) != key
+        assert job_key(spec) == patched
 
 
 class TestAssigner:

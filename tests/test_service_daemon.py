@@ -18,8 +18,10 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import math
 import random
 import socket
+import sqlite3
 import struct
 import sys
 import threading
@@ -1185,6 +1187,139 @@ class TestFuzzedSurface:
             exchange()
             assert client_of(srv).health() == {"ok": True}
         assert "Traceback" not in capsys.readouterr().err
+
+
+def get_raw(srv, path):
+    """``(status, body bytes)`` of one GET, read as it left the daemon."""
+    connection = http.client.HTTPConnection("127.0.0.1", srv.server_address[1], timeout=10)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def store_done_job(repo, job_id, fingerprint, payload):
+    """A done job and its stored result."""
+    repo.record_result(fingerprint, "route", {"n_wires": 24}, payload, wall_s=0.25)
+    repo.add_job(job_id, fingerprint, "route", {"n_wires": 24}, status="done")
+
+
+def overwrite_results(repo, column, value):
+    """Overwrite one column of every stored result in place."""
+    with repo._lock:
+        repo._conn.execute(f"UPDATE results SET {column} = ?", (value,))
+        repo._conn.commit()
+
+
+class TestStoredAnswer:
+    """``GET /jobs/<id>/result`` sends the stored JSON columns as stored:
+    spliced into the answer, checked by decoding, never encoded again."""
+
+    COMPACT = {"separators": (",", ":")}
+
+    def test_every_kind_answers_byte_compact(self, client, server):
+        params = {
+            "route": quick_route_params(),
+            "mp": tiny_mp_params(),
+            "sm": {"which": "bnrE", "n_wires": 24, "iterations": 1, "n_procs": 4, "line_size": 16},
+        }
+        for kind, job in params.items():
+            record = client.wait(client.submit(kind, job)["job_id"], timeout_s=60)
+            status, raw = get_raw(server, f"/jobs/{record['job_id']}/result")
+            answer = json.loads(raw)
+            assert status == 200 and answer["payload"]["kind"] == kind
+            assert raw == json.dumps(answer, **self.COMPACT).encode(), kind
+            stored = server.service.repository.get_result(record["fingerprint"])
+            assert answer == {"status": "done", **stored}
+
+    def test_an_overwritten_payload_is_a_json_500_and_a_resubmission_heals(
+        self, client, server
+    ):
+        record = client.wait(client.submit("route", quick_route_params())["job_id"], 60)
+        first = client.result(record["job_id"])
+        overwrite_results(server.service.repository, "payload", "{not json")
+        status, raw = get_raw(server, f"/jobs/{record['job_id']}/result")
+        assert status == 500 and b"not json" not in raw
+        assert set(json.loads(raw)) == {"error"}
+        before = executed_count()
+        again = client.submit("route", quick_route_params())
+        assert again["status"] == "queued"
+        client.wait(again["job_id"], timeout_s=60)
+        assert executed_count() - before == 1
+        for job_id in (record["job_id"], again["job_id"]):
+            assert client.result(job_id)["payload"] == first["payload"]
+
+    def test_a_legacy_row_answers_valid_json(self, server):
+        repo = server.service.repository
+        payload = {"kind": "route", "quality": {"height": 7, "wirelength": 1.5}}
+        store_done_job(repo, "legacy", "f" * 64, {})
+        for name, value in (("config", {"n_wires": 24}), ("payload", payload),
+                            ("telemetry", {"counters": {"a": 1}})):
+            overwrite_results(repo, name, json.dumps(value, sort_keys=True))
+        status, raw = get_raw(server, "/jobs/legacy/result")
+        assert status == 200 and b'"height": 7' in raw
+        assert json.loads(raw) == {"status": "done", **repo.get_result("f" * 64)}
+
+    def test_nan_and_inf_answer_as_jsonify_passes_them(self, server):
+        repo = server.service.repository
+        payload = jsonify({"x": float("nan"), "y": [math.inf, -math.inf], "z": 0.1})
+        store_done_job(repo, "floats", "e" * 64, payload)
+        status, raw = get_raw(server, "/jobs/floats/result")
+        answer = json.loads(raw)
+        assert status == 200 and math.isnan(answer["payload"]["x"])
+        assert answer["payload"]["y"] == [math.inf, -math.inf]
+        expected = {"status": "done", **repo.get_result("e" * 64)}
+        assert json.dumps(answer) == json.dumps(expected)
+        assert list(answer) == list(expected)
+
+    def test_a_column_that_is_not_text_is_a_miss(self, server):
+        repo = server.service.repository
+        store_done_job(repo, "blob", "d" * 64, {})
+        overwrite_results(repo, "payload", b'{"v": 1}')
+        assert repo.get_result("d" * 64) is None
+        assert get_raw(server, "/jobs/blob/result")[0] == 500
+
+    def test_a_read_that_fails_is_a_counted_miss(self, service):
+        class Unreadable:
+            def execute(self, sql, params):
+                raise sqlite3.DatabaseError("database disk image is malformed")
+
+        repo = service.repository
+        store_done_job(repo, "done", "c" * 64, {"v": 1})
+        readable, repo._conn = repo._conn, Unreadable()
+        counters = ("service.repository.corrupt_rows", "service.repository.misses")
+        before = [counter(name) for name in counters]
+        try:
+            assert repo.get_result("c" * 64) is None
+            assert repo.job_result("done") is None
+        finally:
+            repo._conn = readable
+        after = [counter(name) for name in counters]
+        assert [a - b for a, b in zip(after, before)] == [2, 1]
+
+    def test_one_read_gives_status_and_row(self, service):
+        repo = service.repository
+        store_done_job(repo, "done", "c" * 64, {"v": 1})
+        repo.add_job("waiting", "c" * 64, "route", {})
+        repo.add_job("orphan", "b" * 64, "route", {}, status="done")
+        repo.add_job("broke", "a" * 64, "route", {}, status="failed")
+        repo.set_status("broke", "failed", error="boom")
+        counters = ("service.repository.hits", "service.repository.misses")
+        before = [counter(name) for name in counters]
+        text = repo.job_result("done", text=True)
+        assert json.loads(text["result"]) == repo.job_result("done")["result"]
+        assert repo.job_result("done")["result"] == repo.get_result("c" * 64)
+        assert repo.job_result("waiting") == {"status": "queued", "error": None, "result": None}
+        assert repo.job_result("broke") == {"status": "failed", "error": "boom", "result": None}
+        assert repo.job_result("orphan") == {"status": "done", "error": None, "result": None}
+        assert repo.job_result("absent") is None
+        after = [counter(name) for name in counters]
+        assert [a - b for a, b in zip(after, before)] == [4, 1]
+        assert service.result_text("orphan") == (None, "failed")
+        assert service.result_text("waiting") == (None, "pending")
+        assert service.result_text("done") == (text["result"], "done")
 
 
 class TestCLI:

@@ -9,6 +9,7 @@ more lines than the limits allow.
 
 from __future__ import annotations
 
+import http.client
 import io
 
 import pytest
@@ -95,6 +96,7 @@ class TestReadHead:
             ((b"Name : v",), "malformed header line"),
             ((b"X-\xc3\xbc: v",), "malformed header line"),
             ((b"no colon",), "malformed header line"),
+            ((b"X-A: 1", b"\tx: v"), "obsolete line folding"),
         ],
     )
     def test_fields_two_readers_could_disagree_on_are_refused(self, lines, message):
@@ -114,6 +116,7 @@ class TestReadHead:
         with pytest.raises(HeadError, match="longer than") as caught:
             read_headers(head(fits + b"v"))
         assert caught.value.status == 431
+        assert str(caught.value) == f"a head line is longer than {wire.MAX_LINE} bytes"
 
     def test_the_field_limit(self):
         fields = [b"X-%d: v" % i for i in range(wire.MAX_HEADERS)]
@@ -123,6 +126,13 @@ class TestReadHead:
             read_headers(reader)
         assert caught.value.status == 431
         assert reader.lines == wire.MAX_HEADERS + 1
+
+    def test_the_limits_are_the_stdlibs(self):
+        """The daemon refuses no head the stdlib's reader took, and the
+        limits docs/SERVICE.md states are these."""
+        assert (wire.MAX_LINE, wire.MAX_HEADERS) == (
+            http.client._MAXLINE, http.client._MAXHEADERS,
+        ) == (65536, 100)
 
     def test_the_error_is_a_service_error(self):
         assert issubclass(HeadError, ServiceError)
