@@ -198,6 +198,12 @@ TARGETS: Tuple[Target, ...] = (
             ),
         ),
     ),
+    Target(
+        "harness: the named-circuit memo", "harness/simjobs.py",
+        ("CIRCUIT_CACHE_WIRES", "_SIZES", "_CircuitMemo", "_build", "_MEMO",
+         "_after_fork_in_child", "named_circuit"),
+        ("tests/test_harness_circuits.py", "tests/test_harness_cache.py"),
+    ),
 )
 
 #: Surviving mutants that cannot change any observable result, keyed by
@@ -215,6 +221,10 @@ EQUIVALENT: Dict[str, str] = {
         "the bound of a memo: a key computed again is the same key",
     "service/jobs.py:KEY_CACHE_SIZE:const: KEY_CACHE_SIZE = 4096 [4096 -> 4095]":
         "the bound of a memo: a key computed again is the same key",
+    "harness/simjobs.py:CIRCUIT_CACHE_WIRES:const: CIRCUIT_CACHE_WIRES = 16_384 [16384 -> 16385]":
+        "the bound of a memo: a circuit built again is the same circuit",
+    "harness/simjobs.py:CIRCUIT_CACHE_WIRES:const: CIRCUIT_CACHE_WIRES = 16_384 [16384 -> 16383]":
+        "the bound of a memo: a circuit built again is the same circuit",
     "service/repository.py:Repository.get_result:const: return "
     "_stored(rows[0] if rows else None, text=False) [0 -> -1]":
         "fingerprint is the results table's primary key: at most one row",

@@ -35,7 +35,7 @@ from ..route import LocalityReport, SequentialRouter, locality_measure
 from ..updates import UpdateSchedule
 from . import reference as ref
 from .cache import jsonify, stable_hash
-from .simjobs import SimConfig, _named_circuit, run_sim_config, run_sim_configs
+from .simjobs import SimConfig, named_circuit, run_sim_config, run_sim_configs
 from .tables import render_checks, render_table
 
 __all__ = [
@@ -130,7 +130,7 @@ SENDER_2_10 = UpdateSchedule.sender_initiated(2, 10)
 
 def quick_circuit(which: str, quick: bool) -> Circuit:
     """The benchmark circuit, shrunk in quick mode (sizes live in simjobs)."""
-    return _named_circuit(which, quick, None)
+    return named_circuit(which, quick, None).circuit
 
 
 def _iters(quick: bool) -> int:

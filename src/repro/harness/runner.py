@@ -138,7 +138,7 @@ def experiment_cache_key(exp_id: str, quick: bool) -> str:
             "exp_id": exp_id.upper(),
             "quick": quick,
             "circuits": {
-                which: simjobs._named_circuit_fingerprint(which, quick, None)
+                which: simjobs.named_circuit(which, quick, None).fingerprint
                 for which in ("bnrE", "MDC")
             },
             "cost_model": cost_model_fingerprint(),

@@ -27,10 +27,12 @@ handle), so pools never nest.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..assign import (
     Assignment,
@@ -60,6 +62,9 @@ from .pool import pool_map
 
 __all__ = [
     "ASSIGNERS",
+    "CIRCUIT_CACHE_WIRES",
+    "NamedCircuit",
+    "named_circuit",
     "SimConfig",
     "sim_fingerprint",
     "sim_key",
@@ -93,7 +98,7 @@ class SimConfig:
     ``kind`` selects the paradigm: ``"mp"`` (requires ``schedule``) or
     ``"sm"``.  The circuit is named, not embedded, so configs stay tiny
     on the wire: ``which`` is ``"bnrE"`` or ``"MDC"``, shrunk by ``quick``
-    (:func:`_named_circuit` is the one place that knows the sizes), or
+    (:func:`named_circuit` is the one place that knows the sizes), or
     overridden to ``n_wires`` wires (tests and smoke benches).
     """
 
@@ -143,30 +148,87 @@ class SimConfig:
             )
 
 
-@lru_cache(maxsize=32)
-def _named_circuit(which: str, quick: bool, n_wires: Optional[int]) -> Circuit:
-    """Build (and memoise) the named benchmark circuit for a config.
+#: Wires the named-circuit memo holds at most.  A held circuit costs about
+#: 4-5 KB per wire once its geometry and region tables exist, so this is
+#: tens of megabytes; the entry just used always stays, however large.
+CIRCUIT_CACHE_WIRES = 16_384
 
-    The only place that knows how far ``quick`` shrinks each circuit.
+#: name -> (wires under ``quick``, wires of the canonical circuit): the
+#: one place that knows how far ``quick`` shrinks each circuit.
+_SIZES = {"bnrE": (160, 420), "MDC": (200, 573)}
+
+
+class NamedCircuit(NamedTuple):
+    """A built benchmark circuit and its ``circuit_fingerprint``."""
+
+    circuit: Circuit
+    fingerprint: str
+
+
+class _CircuitMemo:
+    """Least-recently-used named circuits, bounded by the wires they hold.
+
+    A lock guards the bookkeeping only: a build runs outside it, and when
+    two threads race on one key the later build is dropped, so every
+    caller gets the stored entry.
     """
-    if which == "bnrE":
-        base_quick_wires = 160
-        maker = bnre_like
-    elif which == "MDC":
-        base_quick_wires = 200
-        maker = mdc_like
-    else:
+
+    def __init__(self, max_wires: int) -> None:
+        self.max_wires = max_wires
+        self.wires = 0
+        self._entries: "OrderedDict[Tuple[str, int], NamedCircuit]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, which: str, n_wires: int) -> NamedCircuit:
+        key = (which, n_wires)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry
+        built = _build(which, n_wires)
+        with self._lock:
+            obs.incr("circuits.named_builds")
+            entry = self._entries.setdefault(key, built)
+            if entry is built:
+                self.wires += built.circuit.n_wires
+            self._entries.move_to_end(key)
+            while self.wires > self.max_wires and len(self._entries) > 1:
+                _key, old = self._entries.popitem(last=False)
+                self.wires -= old.circuit.n_wires
+            return entry
+
+
+def _build(which: str, n_wires: int) -> NamedCircuit:
+    circuit = (bnre_like if which == "bnrE" else mdc_like)(n_wires=n_wires)
+    return NamedCircuit(circuit, circuit_fingerprint(circuit))
+
+
+_MEMO = _CircuitMemo(CIRCUIT_CACHE_WIRES)
+
+
+def _after_fork_in_child() -> None:
+    # The parent's lock may have been held by a thread the child lacks.
+    _MEMO._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def named_circuit(which: str, quick: bool, n_wires: Optional[int]) -> NamedCircuit:
+    """The named benchmark circuit of a config, built once per process.
+
+    ``n_wires`` overrides the size; otherwise ``quick`` picks the shrunk
+    one.  Requests that resolve to the same (name, wire count) share one
+    memo entry, whichever way they spelled it.
+    """
+    if which not in _SIZES:
         raise ExperimentError(f"unknown circuit {which!r}")
-    if n_wires is not None:
-        return maker(n_wires=n_wires)
-    return maker(n_wires=base_quick_wires) if quick else maker()
-
-
-@lru_cache(maxsize=32)
-def _named_circuit_fingerprint(
-    which: str, quick: bool, n_wires: Optional[int]
-) -> str:
-    return circuit_fingerprint(_named_circuit(which, quick, n_wires))
+    if n_wires is None:
+        quick_wires, full_wires = _SIZES[which]
+        n_wires = quick_wires if quick else full_wires
+    return _MEMO.get(which, n_wires)
 
 
 def sim_fingerprint(config: SimConfig) -> Dict[str, object]:
@@ -184,7 +246,7 @@ def sim_fingerprint(config: SimConfig) -> Dict[str, object]:
     }
     fingerprint.update(
         unit="sim",
-        circuit=_named_circuit_fingerprint(config.which, config.quick, config.n_wires),
+        circuit=named_circuit(config.which, config.quick, config.n_wires).fingerprint,
         cost_model=cost_model_fingerprint(DEFAULT_COST_MODEL),
         code=code_fingerprint(),
     )
@@ -208,7 +270,7 @@ def _assignment(
 
 def run_sim_config(config: SimConfig) -> ParallelRunResult:
     """Execute one simulation row (no caching; used by pool workers)."""
-    circuit = _named_circuit(config.which, config.quick, config.n_wires)
+    circuit = named_circuit(config.which, config.quick, config.n_wires).circuit
     assignment = _assignment(config, circuit)
     if config.kind == "mp":
         return run_message_passing(

@@ -245,9 +245,9 @@ def job_fingerprint(spec: JobSpec) -> Dict[str, Any]:
     return {
         "unit": "service-job",
         "kind": "route",
-        "circuit": simjobs._named_circuit_fingerprint(
+        "circuit": simjobs.named_circuit(
             spec.params["which"], bool(spec.params["quick"]), spec.params["n_wires"]
-        ),
+        ).fingerprint,
         "iterations": int(spec.params["iterations"]),
         "code": code_fingerprint(),
     }
@@ -294,9 +294,9 @@ def execute_job(spec: JobSpec, cache: Optional[ResultCache] = None) -> Dict[str,
     fresh ones warm the cache for future CLI runs.
     """
     if spec.kind == "route":
-        circuit = simjobs._named_circuit(
+        circuit = simjobs.named_circuit(
             spec.params["which"], bool(spec.params["quick"]), spec.params["n_wires"]
-        )
+        ).circuit
         result = SequentialRouter(
             circuit, iterations=int(spec.params["iterations"])
         ).run()
