@@ -231,6 +231,13 @@ EQUIVALENT: Dict[str, str] = {
     "service/repository.py:Repository.job_result:const: row = rows[0] [0 -> -1]":
         "job_id is the jobs table's primary key and the join is on the "
         "results table's: at most one row",
+    **{
+        "route/wavefront.py:plan_waves:cmp: if w > max_wave: [> -> >=]"
+        + ("" if n == 1 else f" #{n}"):
+        "max_wave is a running maximum: where w equals it, assigning w "
+        "leaves it as it was"
+        for n in range(1, 8)
+    },
 }
 
 

@@ -13,7 +13,7 @@ cell-to-owner distance for long wires.
 :class:`~repro.assign.threshold.ThresholdCostAssigner` (same cost
 measure, same ThresholdCost semantics, same LPT balancing of the long
 tail), so the two heuristics compare one variable at a time — which is
-what ablation A8 (``benchmarks/bench_experiments.py -k A8``) measures.
+what ablation A8 (``locusroute experiment A8``) measures.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ Installed as ``locusroute`` (also ``python -m repro``).  Subcommands:
     Run the consistency verification sweep: every invariant checker
     plus the three-way differential oracle (see docs/VERIFICATION.md).
 ``profile``
-    Time experiments phase by phase (wall/CPU), dump the kernels' hot
-    path counters, and optionally attach cProfile (docs/PERFORMANCE.md).
+    Time experiments one by one (wall/CPU from the harness's run record,
+    peak RSS), dump the kernels' hot path counters, and optionally attach
+    cProfile (docs/PERFORMANCE.md).
 ``serve``
     Run the routing service daemon: a JSON/HTTP job queue over the
     salvage process pool with a SQLite result repository
@@ -60,6 +61,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 from . import __version__
@@ -75,7 +77,7 @@ from .circuits import (
 )
 from .errors import ReproError
 from .harness.pool import default_jobs
-from .harness.runner import BENCH_FILENAME, run_all
+from .harness.runner import BENCH_FILENAME, run_all, run_one_cached
 from .kernels import KERNEL_MODES, set_kernels
 from .parallel import run_dynamic_assignment, run_message_passing, run_shared_memory
 from .parallel.sm_sim import PROTOCOLS
@@ -360,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
-        help="phase timers, hot-path counters, optional cProfile",
+        help="per-experiment wall/CPU/peak RSS, hot-path counters, "
+        "optional cProfile",
     )
     p_profile.add_argument(
         "ids", nargs="*", default=["T3"], help="experiment ids (default: T3)"
@@ -426,7 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     j_submit.add_argument("--line-size", type=int, default=None, help="sm only")
     j_submit.add_argument("--exp-id", default=None, help="experiment id (T1..)")
     j_submit.add_argument(
-        "--force", action="store_true", help="recompute even on a stored result"
+        "--force",
+        action="store_true",
+        help="execute even on a stored result (mp/sm/experiment jobs still "
+        "read the daemon's result cache)",
     )
     j_submit.add_argument(
         "--wait", action="store_true", help="poll until done and print the result"
@@ -739,23 +745,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .harness import run_experiment
     from .kernels import active_kernels
-    from .obs import PhaseTimer, hot_counters, memory_snapshot, profile_call
+    from .obs import hot_counters, memory_snapshot, profile_call
 
-    timer = PhaseTimer(track_memory=True)
+    # Each experiment is timed by the record the harness already makes
+    # (the one BENCH_harness.json holds); the peak RSS is read after it.
+    phases = []
     profiles = {}
-    results = {}
+    passed = {}
     for exp_id in args.ids:
-        with timer.phase(exp_id):
-            if args.cprofile:
-                results[exp_id], profiles[exp_id] = profile_call(
-                    lambda exp_id=exp_id: run_experiment(exp_id, quick=args.quick),
-                    sort=args.sort,
-                    top=args.top,
-                )
-            else:
-                results[exp_id] = run_experiment(exp_id, quick=args.quick)
+        run = partial(run_one_cached, exp_id, args.quick, None)
+        if args.cprofile:
+            (result, record), profiles[exp_id] = profile_call(
+                run, sort=args.sort, top=args.top
+            )
+        else:
+            result, record = run()
+        passed[exp_id] = result.passed
+        phases.append(
+            {
+                "name": exp_id,
+                "wall_s": record["wall_s"],
+                "cpu_s": record["cpu_s"],
+                "peak_rss_bytes": memory_snapshot()["peak_rss_bytes"],
+            }
+        )
+    total = sum(p["wall_s"] for p in phases)
     counters = hot_counters()
     memory = memory_snapshot()
     if args.json:
@@ -764,17 +779,29 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 {
                     "kernels": active_kernels(),
                     "quick": args.quick,
-                    "timing": timer.as_dict(),
+                    "timing": {"phases": phases, "total_wall_s": total},
                     "memory": memory,
                     "hot_counters": counters,
-                    "passed": {k: r.passed for k, r in results.items()},
+                    "passed": passed,
                 },
                 indent=1,
             )
         )
     else:
         print(f"kernels: {active_kernels()}  quick: {args.quick}")
-        print(timer.render())
+        width = max(len("phase"), *(len(p["name"]) for p in phases))
+        print(
+            f"{'phase':<{width}}  {'wall':>9}  {'cpu':>9}  {'share':>6}  "
+            f"{'peakRSS':>9}"
+        )
+        for p in phases:
+            share = p["wall_s"] / total * 100.0 if total > 0 else 0.0
+            print(
+                f"{p['name']:<{width}}  {p['wall_s'] * 1e3:7.1f}ms  "
+                f"{p['cpu_s'] * 1e3:7.1f}ms  {share:5.1f}%  "
+                f"{p['peak_rss_bytes'] / 2**20:7.1f}MB"
+            )
+        print(f"{'total':<{width}}  {total * 1e3:7.1f}ms")
         print(
             f"memory: rss {memory['rss_bytes'] / 2**20:.1f}MB  "
             f"peak rss {memory['peak_rss_bytes'] / 2**20:.1f}MB"
@@ -786,7 +813,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         for exp_id, text in profiles.items():
             print(f"--- cProfile {exp_id} (sort={args.sort}) ---")
             print(text)
-    return 0 if all(r.passed for r in results.values()) else 1
+    return 0 if all(passed.values()) else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

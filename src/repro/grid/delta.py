@@ -85,8 +85,6 @@ class DeltaArray:
         over the same cell sums to zero and the cell drops out of future
         update packets.
         """
-        if flat_cells.size == 0:
-            return
         self._flat[flat_cells] += delta
         self._log(flat_cells)
 

@@ -17,7 +17,7 @@ Because copies are never invalidated there are no refetches, so traffic
 is essentially word-broadcast volume and nearly independent of the cache
 line size; whether that beats invalidation depends on the write-sharing
 pattern.  For LocusRoute's migratory cost-array access the broadcast
-volume is large — ablation A5 (``benchmarks/bench_experiments.py -k A5``)
+volume is large — ablation A5 (``locusroute experiment A5``)
 measures the comparison and shows why the paper's invalidation choice
 suits this workload.
 """

@@ -10,14 +10,7 @@ See :mod:`repro.obs.telemetry` for the model.  Typical use::
     print(tel.count("sim.events"), tel.rate("sim.events", "sim.mp"))
 """
 
-from .profiling import (
-    PhaseRecord,
-    PhaseTimer,
-    hot_counters,
-    memory_snapshot,
-    profile_call,
-    record_peak_memory,
-)
+from .profiling import hot_counters, memory_snapshot, profile_call
 from .telemetry import (
     Telemetry,
     get_telemetry,
@@ -29,15 +22,12 @@ from .telemetry import (
 )
 
 __all__ = [
-    "PhaseRecord",
-    "PhaseTimer",
     "Telemetry",
     "get_telemetry",
     "hot_counters",
     "incr",
     "memory_snapshot",
     "profile_call",
-    "record_peak_memory",
     "record_span",
     "reset",
     "snapshot",

@@ -19,9 +19,12 @@ executes once:
 - a fingerprint already **queued or running** gains a follower job
   (``dedup_of`` = the primary's id) that completes when the shared
   execution does — counted in ``service.jobs.dedup_hits``;
-- ``force=True`` skips the completed-result lookup (recompute) but still
-  coalesces with an in-flight execution of the same fingerprint: the
-  recompute the caller asked for is already happening.
+- ``force=True`` skips the repository lookup and queues an execution,
+  which still runs through the result cache: a forced ``route`` routes
+  again, a forced ``mp`` / ``sm`` / ``experiment`` whose entry the cache
+  holds is answered from it without simulating.  It still coalesces with
+  an in-flight execution of the same fingerprint, which is already the
+  execution the caller asked for.
 
 Execution model
 ---------------

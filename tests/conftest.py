@@ -2,7 +2,8 @@
 
 Everything here is deterministic: fixed seeds, fixed circuit sizes.  Tests
 use small circuits so the whole suite stays fast; the full-size benchmark
-circuits are exercised by ``benchmarks/``.
+circuits are exercised by ``locusroute experiment`` (CI's "Paper-vs-measured
+record is current" step) and ``benchmarks/``.
 """
 
 from __future__ import annotations

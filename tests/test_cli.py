@@ -357,6 +357,40 @@ class TestProfileCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestProfileReadsTheRunRecord:
+    """``profile`` takes each experiment's wall and CPU time from the
+    record ``run_one_cached`` returns; it times nothing itself."""
+
+    def test_timed_once(self):
+        from repro import obs
+
+        obs.reset()
+        assert main(["profile", "T3", "T6", "--quick"]) == 0
+        spans = obs.get_telemetry().spans
+        assert spans["harness.experiment"]["calls"] == 2
+        assert [name for name in spans if name.startswith("profile.")] == []
+
+    def test_phases_follow_the_ids(self, capsys):
+        import json
+
+        assert main(["profile", "T6", "X4", "T6", "--quick", "--json"]) == 0
+        timing = json.loads(capsys.readouterr().out)["timing"]
+        phases = timing["phases"]
+        assert [p["name"] for p in phases] == ["T6", "X4", "T6"]
+        for p in phases:
+            assert p["wall_s"] >= 0 and p["cpu_s"] >= 0 and p["peak_rss_bytes"] > 0
+        assert timing["total_wall_s"] == pytest.approx(sum(p["wall_s"] for p in phases))
+
+    def test_table_row_per_id_with_memory(self, capsys):
+        assert main(["profile", "T6", "X4", "--quick"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["phase", "wall", "cpu", "share", "peakRSS"]
+        rows = [line.split() for line in lines[2:5]]
+        assert [row[0] for row in rows] == ["T6", "X4", "total"]
+        assert all(row[4].endswith("MB") for row in rows[:2])
+        assert sum(float(row[3].rstrip("%")) for row in rows[:2]) == pytest.approx(100, abs=0.2)
+
+
 class TestScaledCircuit:
     def test_circuit_scaled_name(self, capsys):
         assert main(["circuit", "--name", "scaled", "--wires", "500"]) == 0

@@ -1,58 +1,14 @@
-"""Tests for the profiling layer (phase timers, hot counters, cProfile hook)."""
+"""Tests for the profiling hooks (hot counters, cProfile, memory snapshot).
+
+How ``locusroute profile`` times experiments is tested in ``tests/test_cli.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import obs
-from repro.obs.profiling import PhaseTimer, hot_counters, profile_call
-
-
-class TestPhaseTimer:
-    def test_records_phases_in_order(self):
-        timer = PhaseTimer()
-        with timer.phase("build"):
-            pass
-        with timer.phase("simulate"):
-            pass
-        assert [r.name for r in timer.records] == ["build", "simulate"]
-        assert all(r.wall_s >= 0 and r.cpu_s >= 0 for r in timer.records)
-
-    def test_repeated_phases_keep_every_occurrence(self):
-        timer = PhaseTimer()
-        for _ in range(3):
-            with timer.phase("iteration"):
-                pass
-        assert len(timer.records) == 3
-        assert timer.total_wall_s == sum(r.wall_s for r in timer.records)
-
-    def test_phase_recorded_even_when_body_raises(self):
-        timer = PhaseTimer()
-        with pytest.raises(ValueError):
-            with timer.phase("boom"):
-                raise ValueError("x")
-        assert timer.records[0].name == "boom"
-
-    def test_reports_into_telemetry_spans(self):
-        obs.reset()
-        timer = PhaseTimer()
-        with timer.phase("spanned"):
-            pass
-        spans = obs.get_telemetry().spans
-        assert "profile.spanned" in spans
-
-    def test_as_dict_and_render(self):
-        timer = PhaseTimer()
-        with timer.phase("only"):
-            pass
-        d = timer.as_dict()
-        assert d["phases"][0]["name"] == "only"
-        assert "total_wall_s" in d
-        text = timer.render()
-        assert "only" in text and "share" in text
-
-    def test_render_empty_timer(self):
-        assert "total" in PhaseTimer().render()
+from repro.obs.profiling import hot_counters, profile_call
 
 
 class TestHotCounters:
@@ -112,37 +68,3 @@ class TestMemorySnapshot:
             assert snap["traced_peak_bytes"] >= snap["traced_bytes"]
         finally:
             tracemalloc.stop()
-
-    def test_record_peak_memory_feeds_telemetry(self, monkeypatch):
-        from repro.obs import profiling, record_peak_memory
-        from repro.obs.telemetry import get_telemetry
-
-        # The process-wide high-water mark already published by earlier
-        # tests would leave nothing new to report unless the peak grew.
-        monkeypatch.setattr(profiling, "_reported_peak", 0)
-        snap = record_peak_memory()
-        assert snap["peak_rss_bytes"] > 0
-        assert get_telemetry().counters.get("mem.peak_rss_bytes", 0) > 0
-
-
-class TestPhaseTimerMemoryTracking:
-    def test_track_memory_records_peak_rss(self):
-        timer = PhaseTimer(track_memory=True)
-        with timer.phase("work"):
-            _ = bytearray(1_000_000)
-        rec = timer.records[0]
-        assert rec.peak_rss_bytes > 0
-        d = timer.as_dict()
-        assert d["phases"][0]["peak_rss_bytes"] == rec.peak_rss_bytes
-        assert d["peak_rss_bytes"] >= rec.peak_rss_bytes
-        assert "peakRSS" in timer.render()
-
-    def test_default_timer_omits_memory_columns(self):
-        timer = PhaseTimer()
-        with timer.phase("work"):
-            pass
-        assert timer.records[0].peak_rss_bytes == 0
-        assert "peakRSS" not in timer.render()
-        assert "peak_rss_bytes" not in timer.as_dict()["phases"][0] or (
-            timer.as_dict()["phases"][0].get("peak_rss_bytes", 0) == 0
-        )

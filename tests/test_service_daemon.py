@@ -181,6 +181,24 @@ class TestDedup:
         assert service.drain(timeout_s=60)
         assert executed_count() - before == 1
 
+    def test_forced_mp_is_answered_by_the_result_cache(self, service):
+        """force skips the repository lookup, not the result cache: a
+        forced mp job whose row the cache holds simulates nothing."""
+        service.start()
+        first = service.submit("mp", tiny_mp_params())
+        assert service.drain(timeout_s=60)
+        hits, events = counter("cache.sim.hits"), counter("sim.events")
+        forced = service.submit("mp", tiny_mp_params(), force=True)
+        assert forced["status"] == "queued"
+        assert service.drain(timeout_s=60)
+        assert counter("cache.sim.hits") - hits == 1
+        assert counter("sim.events") == events
+        assert service.status(forced["job_id"])["source"] == "executed"
+        assert (
+            service.result(forced["job_id"])[0]["payload"]
+            == service.result(first["job_id"])[0]["payload"]
+        )
+
     def test_file_cache_read_through(self, service):
         """A repository miss is executed, and the execution reads through a
         warm file cache: no simulation, the warm row's payload."""

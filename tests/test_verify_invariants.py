@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.verify import (
     CoherenceInvariantChecker,
     CostConservationMonitor,
     InvariantViolation,
+    NetworkInvariantMonitor,
     VerificationReport,
     check_truth_is_path_union,
     first_differing_cell,
@@ -155,6 +158,28 @@ class TestCostConservationMonitor:
         v = report.violations[0]
         assert v.expected == 3 and v.actual == 0
         assert v.event_time_s == 0.1
+
+
+class TestNetworkInvariantMonitor:
+    @pytest.mark.parametrize(
+        "injected, delivered, in_flight, ok",
+        [
+            (3, 3, 0, True),
+            (5, 3, 2, True),
+            (5, 3, 1, False),
+            # Balanced, but no message is in flight a negative number of times.
+            (2, 3, -1, False),
+        ],
+    )
+    def test_probe(self, injected, delivered, in_flight, ok):
+        network = SimpleNamespace(
+            messages_injected=injected, messages_delivered=delivered,
+            in_flight=in_flight, sim=SimpleNamespace(now=0.25),
+        )
+        report = VerificationReport()
+        NetworkInvariantMonitor(report, network).probe()
+        assert report.checks_run == {"flit-conservation": 1}
+        assert [v.event_time_s for v in report.violations] == ([] if ok else [0.25])
 
 
 # ----------------------------------------------------------------------
