@@ -373,22 +373,39 @@ class TestProfileReadsTheRunRecord:
     def test_phases_follow_the_ids(self, capsys):
         import json
 
-        assert main(["profile", "T6", "X4", "T6", "--quick", "--json"]) == 0
+        assert main(["profile", "T6", "X4", "--quick", "--json"]) == 0
         timing = json.loads(capsys.readouterr().out)["timing"]
         phases = timing["phases"]
-        assert [p["name"] for p in phases] == ["T6", "X4", "T6"]
+        assert [p["name"] for p in phases] == ["T6", "X4"]
         for p in phases:
-            assert p["wall_s"] >= 0 and p["cpu_s"] >= 0 and p["peak_rss_bytes"] > 0
+            assert p["wall_s"] >= 0 and p["cpu_s"] >= 0
         assert timing["total_wall_s"] == pytest.approx(sum(p["wall_s"] for p in phases))
 
-    def test_table_row_per_id_with_memory(self, capsys):
+    def test_repeated_id_keeps_its_own_row(self, capsys):
+        import json
+
+        assert main(["profile", "T6", "X4", "T6", "--quick", "--json"]) == 0
+        phases = json.loads(capsys.readouterr().out)["timing"]["phases"]
+        assert [p["name"] for p in phases] == ["T6", "X4", "T6"]
+
+    def test_table_row_per_id(self, capsys):
         assert main(["profile", "T6", "X4", "--quick"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split() == ["phase", "wall", "cpu", "share", "peakRSS"]
         rows = [line.split() for line in lines[2:5]]
         assert [row[0] for row in rows] == ["T6", "X4", "total"]
-        assert all(row[4].endswith("MB") for row in rows[:2])
         assert sum(float(row[3].rstrip("%")) for row in rows[:2]) == pytest.approx(100, abs=0.2)
+
+    def test_peak_rss_per_id(self, capsys):
+        import json
+
+        assert main(["profile", "T6", "X4", "--quick", "--json"]) == 0
+        phases = json.loads(capsys.readouterr().out)["timing"]["phases"]
+        assert all(p["peak_rss_bytes"] > 0 for p in phases)
+        assert main(["profile", "T6", "X4", "--quick"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:4]]
+        assert [row[0] for row in rows] == ["T6", "X4"]
+        assert all(row[4].endswith("MB") for row in rows)
 
 
 class TestScaledCircuit:
