@@ -76,13 +76,14 @@ from .circuits import (
     save_text,
 )
 from .errors import ReproError
+from .faults import FaultPlan, random_crashes
 from .harness.pool import default_jobs
 from .harness.runner import BENCH_FILENAME, run_all, run_one_cached
+from .harness.simjobs import SimConfig, run_params
 from .kernels import KERNEL_MODES, set_kernels
 from .parallel import run_dynamic_assignment, run_message_passing, run_shared_memory
-from .parallel.sm_sim import PROTOCOLS
 from .route import SequentialRouter
-from .updates import PacketStructure, UpdateSchedule
+from .updates import UpdateSchedule
 
 __all__ = ["main", "build_parser"]
 
@@ -105,45 +106,35 @@ def _get_circuit(args: argparse.Namespace):
     raise SystemExit(f"unknown circuit name {args.name!r} (use bnrE, MDC, or scaled)")
 
 
-#: Every flag that describes a run, declared once: its ``add_argument``
-#: keywords, plus ``param`` where the service's job parameter
-#: (``repro.service.jobs.PARAM_SCHEMA``) goes by another name than the
-#: flag.  Sub-commands list the names they take (:func:`_run_flags`) with
-#: their own defaults, so a new simulator keyword is one row here.
+#: Every flag that describes a run, declared once.  The run parameters
+#: are the fields of SimConfig, UpdateSchedule and FaultPlan that carry
+#: ``metadata`` (``repro.harness.simjobs.run_params``: default, help and
+#: flag name live on the field, and ``field`` names it); the rest describe
+#: the invocation.  Sub-commands list the names they take
+#: (:func:`_run_flags`), with a default of their own only where theirs
+#: differs.
 _RUN_FLAGS: Dict[str, Dict[str, Any]] = {
-    "name": dict(help="benchmark circuit (bnrE, MDC, or scaled)", param="which"),
-    "wires": dict(type=int, help="override wire count", param="n_wires"),
-    "procs": dict(type=int, help="processors", param="n_procs"),
-    "iterations": dict(type=int, help="routing iterations"),
-    "send_loc": dict(type=int, help="SendLocData interval (mp)"),
-    "send_rmt": dict(type=int, help="SendRmtData interval (mp)"),
-    "req_loc": dict(type=int, help="ReqLocData threshold (mp)"),
-    "req_rmt": dict(type=int, help="ReqRmtData threshold (mp)"),
-    "blocking": dict(action="store_true", help="blocking requests (mp)"),
-    "packet_structure": dict(
-        choices=[ps.value for ps in PacketStructure],
-        help="update packet encoding (paper §4.3.1)",
+    **run_params(SimConfig, UpdateSchedule, FaultPlan),
+    "fault_crash": dict(
+        type=int,
+        default=0,
+        metavar="N",
+        help="fail-stop crash N processors mid-run (deterministic per "
+        "--fault-seed; survivors detect the deaths and adopt the work)",
     ),
-    "interrupts": dict(
-        action="store_true", help="interrupt-driven request reception (paper §4.2)"
-    ),
-    "check_invariants": dict(
-        action="store_true",
-        help="run the repro.verify invariant checkers alongside the simulation",
-    ),
-    "quick": dict(
-        action="store_true",
-        help="CI-scale run: shrunk circuits (mp / run: 160 wires, 2 iterations)",
-    ),
-    "protocol": dict(
-        choices=list(PROTOCOLS),
-        help="coherence protocol for the traffic replay (sm)",
+    "crash_at": dict(
+        type=float,
+        default=0.01,
+        metavar="T",
+        help="base virtual time (seconds) of the --fault-crash crashes; "
+        "actual times spread deterministically over [T, 1.5*T]",
     ),
     "timeout": dict(type=float, metavar="SECONDS"),
-    "jobs": dict(type=int),
+    "jobs": dict(type=int, default=1),
     "cache_dir": dict(
+        default=".locusroute_cache",
         help="result cache directory (entries in DIR/results.sqlite); the "
-        "service's executions run through it (default: %(default)s)"
+        "service's executions run through it (default: %(default)s)",
     ),
     "no_cache": dict(
         action="store_true", help="bypass the result cache (neither read nor write it)"
@@ -160,14 +151,16 @@ def _run_flags(parser: argparse.ArgumentParser, *names: str, **own: Any) -> None
     flag means something of its own there.
     """
     for name in names:
-        spec = {k: v for k, v in _RUN_FLAGS[name].items() if k != "param"}
+        spec = {k: v for k, v in _RUN_FLAGS[name].items() if k != "field"}
         if name in own:
             spec.update(own[name] if isinstance(own[name], dict) else {"default": own[name]})
         parser.add_argument("--" + name.replace("_", "-"), **spec)
 
 
 def _add_circuit_args(parser: argparse.ArgumentParser) -> None:
-    _run_flags(parser, "name", "wires", name="bnrE")
+    _run_flags(
+        parser, "name", "wires", name=dict(help="benchmark circuit (bnrE, MDC, or scaled)")
+    )
     parser.add_argument("--load", help="load a circuit JSON file instead")
     parser.add_argument(
         "--rent",
@@ -212,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_route,
         "iterations",
         "json",
-        iterations=3,
         json=dict(help="print the JSON payload (same shape as a service route job)"),
     )
 
@@ -222,81 +214,28 @@ def build_parser() -> argparse.ArgumentParser:
         p_mp,
         "procs", "iterations", "send_loc", "send_rmt", "req_loc", "req_rmt",
         "blocking", "packet_structure", "interrupts", "check_invariants", "quick", "json",
-        procs=16,
-        iterations=3,
-        packet_structure=PacketStructure.BOUNDING_BOX.value,
+        "fault_drop", "fault_duplicate", "fault_delay", "fault_reorder", "fault_crash",
+        "crash_at", "fault_seed",
         quick=dict(
             help="CI-scale smoke run: 160-wire circuit, 2 iterations, and (when "
             "no schedule flags are given) the blocking receiver-initiated 1/5 "
             "schedule so fault flags exercise the recovery path"
         ),
     )
-    p_mp.add_argument(
-        "--fault-drop",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="drop each packet with probability P (deterministic, see --fault-seed)",
-    )
-    p_mp.add_argument(
-        "--fault-duplicate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="duplicate each packet with probability P",
-    )
-    p_mp.add_argument(
-        "--fault-delay",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="delay each packet with probability P",
-    )
-    p_mp.add_argument(
-        "--fault-reorder",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="reorder each packet with probability P",
-    )
-    p_mp.add_argument(
-        "--fault-crash",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fail-stop crash N processors mid-run (deterministic per "
-        "--fault-seed; survivors detect the deaths and adopt the work)",
-    )
-    p_mp.add_argument(
-        "--crash-at",
-        type=float,
-        default=0.01,
-        metavar="T",
-        help="base virtual time (seconds) of the --fault-crash crashes; "
-        "actual times spread deterministically over [T, 1.5*T]",
-    )
-    p_mp.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="PCG64 seed of the fault stream (same seed => identical faults)",
-    )
 
     p_dyn = sub.add_parser("dynamic", help="dynamic wire assignment (§4.2)")
     _add_circuit_args(p_dyn)
-    _run_flags(p_dyn, "procs", "send_loc", "send_rmt", "interrupts", "json", procs=16)
+    _run_flags(p_dyn, "procs", "send_loc", "send_rmt", "interrupts", "json")
 
     p_sm = sub.add_parser("sm", help="shared memory simulation")
     _add_circuit_args(p_sm)
-    _run_flags(
-        p_sm,
-        "procs", "iterations", "protocol", "check_invariants", "json",
-        procs=16,
-        iterations=3,
-        protocol="invalidate",
-    )
+    _run_flags(p_sm, "procs", "iterations", "protocol", "check_invariants", "json")
     p_sm.add_argument(
-        "--line-sizes", type=int, nargs="+", default=[8], help="cache line sizes (bytes)"
+        "--line-sizes",
+        type=int,
+        nargs="+",
+        default=[_RUN_FLAGS["line_size"]["default"]],
+        help="cache line sizes (bytes)",
     )
 
     p_run = sub.add_parser(
@@ -314,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         "procs", "iterations", "send_loc", "send_rmt", "req_rmt", "blocking",
         "timeout", "quick", "json",
         procs=dict(default=2, help="worker processes"),
-        iterations=3,
         timeout=dict(default=120.0, help="abort the live run after this much wall time"),
     )
     p_run.add_argument(
@@ -339,11 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_exp,
         "quick", "jobs", "cache_dir", "no_cache", "timeout",
         jobs=dict(
-            default=1,
             help="process-pool width (0 = one per CPU); many ids fan out per "
             "experiment, a single id fans out its sweep rows",
         ),
-        cache_dir=".locusroute_cache",
         timeout=dict(help="per-task timeout for parallel execution (retried once)"),
     )
     p_exp.add_argument(
@@ -358,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="invariant checkers + three-way differential oracle",
     )
     _add_circuit_args(p_verify)
-    _run_flags(p_verify, "quick", "procs", "iterations", "json")
+    _run_flags(p_verify, "quick", "procs", "iterations", "json", procs=None, iterations=None)
 
     p_profile = sub.add_parser(
         "profile",
@@ -400,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     _run_flags(
         p_serve,
         "jobs", "cache_dir", "no_cache", "timeout",
-        jobs=dict(default=1, help="salvage-pool width for job execution (0 = one per CPU)"),
-        cache_dir=".locusroute_cache",
+        jobs=dict(help="salvage-pool width for job execution (0 = one per CPU)"),
         timeout=dict(help="per-job pool timeout (retried once, then the job fails)"),
     )
 
@@ -422,11 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     _run_flags(
         j_submit,
         "name", "wires", "iterations", "procs", "quick", "send_loc", "send_rmt",
-        "req_loc", "req_rmt", "blocking", "protocol", "timeout", "json",
-        name=dict(help="circuit (bnrE or MDC)"),
+        "req_loc", "req_rmt", "blocking", "line_size", "protocol", "timeout", "json",
+        name=None,
+        iterations=None,
+        procs=None,
+        line_size=None,
+        protocol=None,
         timeout=dict(default=600.0, help="--wait poll budget (seconds)"),
     )
-    j_submit.add_argument("--line-size", type=int, default=None, help="sm only")
     j_submit.add_argument("--exp-id", default=None, help="experiment id (T1..)")
     j_submit.add_argument(
         "--force",
@@ -512,32 +450,20 @@ def _verification_exit(result, args: argparse.Namespace) -> int:
     return 1
 
 
-def _build_fault_plan(args: argparse.Namespace):
-    """The FaultPlan implied by the --fault-* flags (None when fault-free)."""
-    probs = (
-        args.fault_drop,
-        args.fault_duplicate,
-        args.fault_delay,
-        args.fault_reorder,
-    )
-    n_crashes = getattr(args, "fault_crash", 0)
-    if all(p == 0 for p in probs) and n_crashes == 0:
-        return None  # negative values fall through to FaultPlan validation
-    from .faults import FaultPlan, random_crashes
+def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
+    """The FaultPlan implied by the --fault-* flags (None when fault-free).
 
+    Out-of-range values (a negative probability or crash count) fail the
+    plan's own validation.
+    """
     crashes = ()
-    if n_crashes != 0:  # negative counts fall through to validation too
-        crashes = random_crashes(
-            args.procs, n_crashes, args.crash_at, args.fault_seed
-        )
-    return FaultPlan(
-        seed=args.fault_seed,
-        drop_prob=args.fault_drop,
-        duplicate_prob=args.fault_duplicate,
-        delay_prob=args.fault_delay,
-        reorder_prob=args.fault_reorder,
+    if args.fault_crash != 0:
+        crashes = random_crashes(args.procs, args.fault_crash, args.crash_at, args.fault_seed)
+    plan = FaultPlan(
+        **{row["field"]: getattr(args, flag) for flag, row in run_params(FaultPlan).items()},
         node_crashes=crashes,
     )
+    return plan if plan.has_packet_faults or plan.node_crashes else None
 
 
 def _get_quick_circuit(args: argparse.Namespace):
@@ -547,7 +473,7 @@ def _get_quick_circuit(args: argparse.Namespace):
     if args.quick:
         if args.wires is None and args.load is None:
             args.wires = 160
-        if args.iterations == 3:  # the argparse default
+        if args.iterations == _RUN_FLAGS["iterations"]["default"]:
             args.iterations = 2
     return _get_circuit(args)
 
@@ -848,11 +774,12 @@ def _jobs_submit_params(args: argparse.Namespace) -> dict:
     flags the user set are sent; the service fills canonical defaults).
 
     A loop over the parameter names the service lists for the kind; a
-    flag the kind does not take is not sent.
+    flag the kind does not take is not sent.  A parameter named after a
+    field reads that field's flag.
     """
     from .service.jobs import PARAM_SCHEMA
 
-    flag_of = {spec["param"]: name for name, spec in _RUN_FLAGS.items() if "param" in spec}
+    flag_of = {row["field"]: flag for flag, row in _RUN_FLAGS.items() if "field" in row}
     params = {}
     for name in PARAM_SCHEMA[args.kind]:
         value = getattr(args, flag_of.get(name, name))

@@ -15,7 +15,7 @@ configured by the nested :class:`RecoveryPolicy` and executed by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -231,6 +231,12 @@ def _check_prob(name: str, value: float) -> None:
         raise FaultPlanError(f"{name} must be a probability in [0, 1], got {value}")
 
 
+def _prob(flag: str, verb: str) -> Any:
+    """A per-packet fault probability: a run parameter, 0 by default."""
+    text = f"{verb} each packet with probability P (same --fault-seed, same faults)"
+    return field(default=0.0, metadata=dict(flag=flag, metavar="P", help=text))
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Everything the injector needs to decide each packet's fate.
@@ -245,15 +251,19 @@ class FaultPlan:
     :class:`~repro.updates.types.UpdateKind` member *name* (e.g.
     ``"RSP_RMT_DATA"``); this is how the test suite expresses "drop every
     response" without touching requests.
+
+    A field with ``metadata`` is a run parameter, ``mp``'s ``--fault-*`` flag.
     """
 
-    seed: int = 0
-    drop_prob: float = 0.0
-    duplicate_prob: float = 0.0
-    delay_prob: float = 0.0
+    seed: int = field(
+        default=0, metadata=dict(flag="fault_seed", help="PCG64 seed of the fault stream")
+    )
+    drop_prob: float = _prob("fault_drop", "drop")
+    duplicate_prob: float = _prob("fault_duplicate", "duplicate")
+    delay_prob: float = _prob("fault_delay", "delay")
     #: Extra latency of a delayed packet: uniform in (0, max_delay_s].
     max_delay_s: float = 500e-6
-    reorder_prob: float = 0.0
+    reorder_prob: float = _prob("fault_reorder", "reorder")
     #: A reordered packet is held up to this long, letting later
     #: injections overtake it.
     reorder_window_s: float = 100e-6

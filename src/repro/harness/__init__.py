@@ -1,7 +1,6 @@
 """Experiment harness: paper reference values, per-table drivers with
 shape checks, table rendering, the run-everything runner, and its
-parallel/cached execution machinery (pool, simjobs, cache,
-parallel_runner)."""
+parallel/cached execution machinery (pool, simjobs, cache)."""
 
 from .cache import ResultCache, stable_hash
 from .experiments import EXPERIMENTS, ExperimentResult, run_experiment

@@ -1,7 +1,7 @@
 """Deterministic process-pool mapping with per-task timeout and retry.
 
 Both fan-out levels of the parallel harness — experiment ids in
-:mod:`repro.harness.parallel_runner`, and per-row simulation configs in
+:func:`repro.harness.runner.run_all`, and per-row simulation configs in
 :mod:`repro.harness.simjobs` — need the same primitive: map a picklable
 function over independent items on a ``ProcessPoolExecutor`` and get the
 results back *in item order* regardless of completion order, with a

@@ -8,10 +8,10 @@ from.
 Three orthogonal capabilities wrap the plain drivers:
 
 - **Parallel fan-out** (``jobs > 1``): experiment ids run across a
-  process pool (:mod:`repro.harness.parallel_runner`); a single id
-  instead fans out its per-row simulation configs
-  (:mod:`repro.harness.simjobs`).  Results are returned in id order and
-  are row-identical to a serial run.
+  process pool (:func:`repro.harness.pool.pool_map`, one
+  :func:`_run_experiment_task` per id); a single id instead fans out its
+  per-row simulation configs (:mod:`repro.harness.simjobs`).  Results
+  are returned in id order and are row-identical to a serial run.
 - **Result caching** (``cache_dir``): experiments and individual
   simulation rows are content-addressed
   (:mod:`repro.harness.cache`) so warm re-runs and overlapping sweeps
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -44,6 +45,7 @@ from .cache import (
     stable_hash,
 )
 from .experiments import EXPERIMENTS, ExperimentResult, run_experiment
+from .pool import pool_map
 
 __all__ = [
     "run_all",
@@ -291,6 +293,22 @@ def write_bench_record(
 # ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
+def _run_experiment_task(
+    exp_id: str, quick: bool, cache_dir: Optional[str]
+) -> Tuple[ExperimentResult, Dict[str, object]]:
+    """Pool task: one experiment id through the cache, sim rows serial.
+
+    Each worker opens its own connection to the shared cache file —
+    entries are content-addressed rows and SQLite serialises the writers,
+    so concurrent writers are safe (last writer wins with identical
+    bytes).  The strategy is scoped, so a retry of this task in the
+    parent leaves the parent's own strategy as it found it.
+    """
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    with simjobs.strategy(cache=cache):
+        return run_one_cached(exp_id, quick, cache)
+
+
 def run_all(
     exp_ids: Optional[Iterable[str]] = None,
     quick: bool = False,
@@ -335,12 +353,12 @@ def run_all(
             print(f"({record['wall_s']:.1f}s wall)\n")
 
     if jobs > 1 and len(ids) > 1:
-        from .parallel_runner import run_parallel
-
-        results, records = run_parallel(
-            ids, quick=quick, jobs=jobs, cache=cache, timeout_s=timeout_s
-        )
-        for result, record in zip(results, records):
+        # Many ids: one pool task each, in id order whatever finishes first.
+        cache_dir = str(cache.directory) if cache is not None else None
+        task = partial(_run_experiment_task, quick=quick, cache_dir=cache_dir)
+        outs = pool_map(task, ids, jobs=jobs, timeout_s=timeout_s, label="experiment")
+        results, records = [out[0] for out in outs], [out[1] for out in outs]
+        for result, record in outs:
             show(result, record)
     else:
         # One id (or one worker): the ids run here, one after another,

@@ -31,8 +31,9 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields
+from enum import Enum
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..assign import (
     Assignment,
@@ -65,6 +66,7 @@ __all__ = [
     "CIRCUIT_CACHE_WIRES",
     "NamedCircuit",
     "named_circuit",
+    "run_params",
     "SimConfig",
     "sim_fingerprint",
     "sim_key",
@@ -99,26 +101,42 @@ class SimConfig:
     ``"sm"``.  The circuit is named, not embedded, so configs stay tiny
     on the wire: ``which`` is ``"bnrE"`` or ``"MDC"``, shrunk by ``quick``
     (:func:`named_circuit` is the one place that knows the sizes), or
-    overridden to ``n_wires`` wires (tests and smoke benches).
+    overridden to ``n_wires`` wires (tests and smoke benches), and
+    ``circuit_seed`` regenerates it from another generator seed
+    (``None``: the canonical benchmark).
+
+    A field with ``metadata`` is a run parameter (:func:`run_params`): a
+    command line flag and, where the service takes it, a job parameter.
     """
 
     kind: str
-    which: str = "bnrE"
-    quick: bool = False
-    n_wires: Optional[int] = None
+    which: str = field(
+        default="bnrE", metadata=dict(flag="name", help="benchmark circuit (bnrE or MDC)")
+    )
+    quick: bool = field(
+        default=False, metadata=dict(help="CI-scale run: shrunk circuits, 2 iterations")
+    )
+    n_wires: Optional[int] = field(
+        default=None, metadata=dict(flag="wires", type=int, help="override wire count")
+    )
+    circuit_seed: Optional[int] = None
     schedule: Optional[UpdateSchedule] = None
-    n_procs: int = 16
-    iterations: int = 3
+    n_procs: int = field(default=16, metadata=dict(flag="procs", help="processors"))
+    iterations: int = field(default=3, metadata=dict(help="routing iterations"))
     #: Static wire assignment, by its Table 4/5 row label (a key of
     #: :data:`ASSIGNERS`); ``None`` keeps each simulator's default.
     assigner: Optional[str] = None
     # shared memory only
-    line_size: int = 8
+    line_size: int = field(default=8, metadata=dict(help="cache line size, bytes (sm)"))
     extra_line_sizes: Tuple[int, ...] = ()
-    protocol: str = "invalidate"
+    protocol: str = field(
+        default="invalidate",
+        metadata=dict(choices=list(PROTOCOLS), help="coherence protocol of the replay"),
+    )
     collect_trace: bool = True
-    #: Run the repro.verify invariant checkers alongside the simulation.
-    check_invariants: bool = False
+    check_invariants: bool = field(
+        default=False, metadata=dict(help="run the repro.verify invariant checkers too")
+    )
     #: Fault-injection plan (message passing only); ``None`` = fault-free.
     faults: Optional[FaultPlan] = None
 
@@ -176,17 +194,17 @@ class _CircuitMemo:
     def __init__(self, max_wires: int) -> None:
         self.max_wires = max_wires
         self.wires = 0
-        self._entries: "OrderedDict[Tuple[str, int], NamedCircuit]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, NamedCircuit]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, which: str, n_wires: int) -> NamedCircuit:
-        key = (which, n_wires)
+    def get(self, which: str, n_wires: int, seed: Optional[int]) -> NamedCircuit:
+        key = (which, n_wires, seed)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 return entry
-        built = _build(which, n_wires)
+        built = _build(which, n_wires, seed)
         with self._lock:
             obs.incr("circuits.named_builds")
             entry = self._entries.setdefault(key, built)
@@ -199,8 +217,8 @@ class _CircuitMemo:
             return entry
 
 
-def _build(which: str, n_wires: int) -> NamedCircuit:
-    circuit = (bnre_like if which == "bnrE" else mdc_like)(n_wires=n_wires)
+def _build(which: str, n_wires: int, seed: Optional[int]) -> NamedCircuit:
+    circuit = (bnre_like if which == "bnrE" else mdc_like)(seed=seed, n_wires=n_wires)
     return NamedCircuit(circuit, circuit_fingerprint(circuit))
 
 
@@ -216,11 +234,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-def named_circuit(which: str, quick: bool, n_wires: Optional[int]) -> NamedCircuit:
+def named_circuit(
+    which: str, quick: bool, n_wires: Optional[int], seed: Optional[int] = None
+) -> NamedCircuit:
     """The named benchmark circuit of a config, built once per process.
 
     ``n_wires`` overrides the size; otherwise ``quick`` picks the shrunk
-    one.  Requests that resolve to the same (name, wire count) share one
+    one.  ``seed`` is the generator's (``None``: the canonical one).
+    Requests that resolve to the same (name, wire count, seed) share one
     memo entry, whichever way they spelled it.
     """
     if which not in _SIZES:
@@ -228,7 +249,36 @@ def named_circuit(which: str, quick: bool, n_wires: Optional[int]) -> NamedCircu
     if n_wires is None:
         quick_wires, full_wires = _SIZES[which]
         n_wires = quick_wires if quick else full_wires
-    return _MEMO.get(which, n_wires)
+    return _MEMO.get(which, n_wires, seed)
+
+
+def run_params(*classes: type) -> Dict[str, Dict[str, Any]]:
+    """The run parameters of the dataclasses *classes*, by flag name.
+
+    A field is a run parameter when it carries ``metadata``: ``flag`` where
+    the flag is named otherwise than the field, and the ``add_argument``
+    keywords its default cannot imply (``type`` for a ``None`` default,
+    ``choices``, ``metavar``, ``help``).  Each row holds those keywords,
+    the field's own ``default`` (an enum's by value), the ``action`` or
+    ``type`` that default implies, and ``field``, the field's name.
+    """
+    rows: Dict[str, Dict[str, Any]] = {}
+    for cls in classes:
+        for f in fields(cls):
+            if not f.metadata:
+                continue
+            row = {k: v for k, v in f.metadata.items() if k != "flag"}
+            default = f.default.value if isinstance(f.default, Enum) else f.default
+            if isinstance(default, bool):
+                row["action"] = "store_true"
+            elif isinstance(default, (int, float)):
+                row["type"] = type(default)
+            rows[f.metadata.get("flag", f.name)] = dict(row, default=default, field=f.name)
+    return rows
+
+
+def _circuit(config: SimConfig) -> NamedCircuit:
+    return named_circuit(config.which, config.quick, config.n_wires, config.circuit_seed)
 
 
 def sim_fingerprint(config: SimConfig) -> Dict[str, object]:
@@ -237,16 +287,16 @@ def sim_fingerprint(config: SimConfig) -> Dict[str, object]:
     Every :class:`SimConfig` field, read off the dataclass so a field
     added there cannot be forgotten here (``schedule`` and ``faults`` are
     dataclasses themselves; ``stable_hash`` jsonifies them), with the
-    three fields that name the circuit replaced by its netlist digest.
+    four fields that name the circuit replaced by its netlist digest.
     """
     fingerprint = {
         f.name: getattr(config, f.name)
         for f in fields(SimConfig)
-        if f.name not in ("which", "quick", "n_wires")
+        if f.name not in ("which", "quick", "n_wires", "circuit_seed")
     }
     fingerprint.update(
         unit="sim",
-        circuit=named_circuit(config.which, config.quick, config.n_wires).fingerprint,
+        circuit=_circuit(config).fingerprint,
         cost_model=cost_model_fingerprint(DEFAULT_COST_MODEL),
         code=code_fingerprint(),
     )
@@ -270,7 +320,7 @@ def _assignment(
 
 def run_sim_config(config: SimConfig) -> ParallelRunResult:
     """Execute one simulation row (no caching; used by pool workers)."""
-    circuit = named_circuit(config.which, config.quick, config.n_wires).circuit
+    circuit = _circuit(config).circuit
     assignment = _assignment(config, circuit)
     if config.kind == "mp":
         return run_message_passing(

@@ -68,28 +68,28 @@ __all__ = [
 
 JOB_KINDS = ("route", "mp", "sm", "experiment")
 
+#: Every job parameter's default, read off its field: a SimConfig field's
+#: parameter is named after the field, an UpdateSchedule field's after its
+#: flag (the name UpdateSchedule.from_flags reads).
+_DEFAULTS: Dict[str, Any] = {
+    **{row["field"]: row["default"] for row in simjobs.run_params(SimConfig).values()},
+    **{flag: row["default"] for flag, row in simjobs.run_params(UpdateSchedule).items()},
+}
+
+
+def _params(*names: str) -> Dict[str, Any]:
+    return {name: _DEFAULTS[name] for name in names}
+
+
+_CIRCUIT = ("which", "n_wires", "quick", "iterations")
 #: Per-kind parameter schema: name -> default.  ``...`` marks required.
-_COMMON: Dict[str, Any] = {"which": "bnrE", "n_wires": None, "quick": False}
 PARAM_SCHEMA: Dict[str, Dict[str, Any]] = {
-    "route": {**_COMMON, "iterations": 3},
-    "mp": {
-        **_COMMON,
-        "iterations": 3,
-        "n_procs": 16,
-        "send_loc": None,
-        "send_rmt": None,
-        "req_loc": None,
-        "req_rmt": None,
-        "blocking": False,
-    },
-    "sm": {
-        **_COMMON,
-        "iterations": 3,
-        "n_procs": 16,
-        "line_size": 8,
-        "protocol": "invalidate",
-    },
-    "experiment": {"exp_id": ..., "quick": False},
+    "route": _params(*_CIRCUIT),
+    "mp": _params(
+        *_CIRCUIT, "n_procs", "send_loc", "send_rmt", "req_loc", "req_rmt", "blocking"
+    ),
+    "sm": _params(*_CIRCUIT, "n_procs", "line_size", "protocol"),
+    "experiment": {"exp_id": ..., "quick": _DEFAULTS["quick"]},
 }
 _SIM_FIELDS = frozenset(f.name for f in fields(SimConfig))
 

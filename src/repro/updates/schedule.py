@@ -23,7 +23,7 @@ from the results section are provided as constructors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional
 
 from ..errors import ProtocolError
@@ -35,25 +35,40 @@ __all__ = ["UpdateSchedule"]
 DEFAULT_LOOKAHEAD = 5
 
 
+def _period(flag: str, text: str) -> Any:
+    """A transaction period: an ``int`` run parameter, ``None`` (off) by default."""
+    return field(default=None, metadata=dict(flag=flag, type=int, help=f"{text} (mp)"))
+
+
 @dataclass(frozen=True)
 class UpdateSchedule:
-    """A complete update-strategy configuration (see module docstring)."""
+    """A complete update-strategy configuration (see module docstring).
 
-    send_loc_every: Optional[int] = None
-    send_rmt_every: Optional[int] = None
-    req_rmt_every: Optional[int] = None
-    req_loc_every: Optional[int] = None
-    blocking: bool = False
+    A field with ``metadata`` is a run parameter, flag ``metadata["flag"]``.
+    """
+
+    send_loc_every: Optional[int] = _period("send_loc", "SendLocData interval")
+    send_rmt_every: Optional[int] = _period("send_rmt", "SendRmtData interval")
+    req_rmt_every: Optional[int] = _period("req_rmt", "ReqRmtData threshold")
+    req_loc_every: Optional[int] = _period("req_loc", "ReqLocData threshold")
+    blocking: bool = field(default=False, metadata=dict(help="blocking requests (mp)"))
     lookahead_wires: int = DEFAULT_LOOKAHEAD
-    #: §4.3.1 data-packet encoding (wire-based / full-region / bounding-box).
-    packet_structure: PacketStructure = PacketStructure.BOUNDING_BOX
+    packet_structure: PacketStructure = field(
+        default=PacketStructure.BOUNDING_BOX,
+        metadata=dict(
+            choices=[p.value for p in PacketStructure],
+            help="update packet encoding (paper §4.3.1)",
+        ),
+    )
     #: Interrupt-driven reception (§4.2): request packets interrupt the
     #: routing of the current wire and are serviced at arrival (plus an
     #: interrupt overhead), instead of waiting for the next between-wires
     #: poll.  CBS could not simulate this; this reproduction can, which is
     #: what lets the §5.1.3 prediction about blocking strategies be tested
     #: (see experiment A2; `locusroute experiment A2`).
-    interrupt_reception: bool = False
+    interrupt_reception: bool = field(
+        default=False, metadata=dict(flag="interrupts", help="request interrupts (§4.2)")
+    )
 
     def __post_init__(self) -> None:
         for name in ("send_loc_every", "send_rmt_every", "req_rmt_every", "req_loc_every"):
@@ -120,23 +135,19 @@ class UpdateSchedule:
     def from_flags(flags: Mapping[str, Any]) -> "UpdateSchedule":
         """The schedule a flat set of run flags describes.
 
-        *flags* uses the names the command line (``--send-loc`` is
-        ``send_loc``) and the service's job parameters share; other keys
-        are ignored and an absent name keeps its field's default, so each
-        caller passes whatever namespace it has and only the names it
-        accepts take effect.
+        *flags* uses the run parameters' flag names, which the command line
+        (``--send-loc`` is ``send_loc``) and the service's job parameters
+        share; other keys are ignored and an absent name keeps its field's
+        default, so each caller passes whatever namespace it has and only
+        the names it accepts take effect.  A value takes its default's type.
         """
-        return UpdateSchedule(
-            send_loc_every=flags.get("send_loc"),
-            send_rmt_every=flags.get("send_rmt"),
-            req_loc_every=flags.get("req_loc"),
-            req_rmt_every=flags.get("req_rmt"),
-            blocking=bool(flags.get("blocking", False)),
-            packet_structure=PacketStructure(
-                flags.get("packet_structure", PacketStructure.BOUNDING_BOX)
-            ),
-            interrupt_reception=bool(flags.get("interrupts", False)),
-        )
+        values = {}
+        for f in fields(UpdateSchedule):
+            flag = f.metadata.get("flag", f.name)
+            if f.metadata and flag in flags:
+                value = flags[flag]
+                values[f.name] = value if f.default is None else type(f.default)(value)
+        return UpdateSchedule(**values)
 
     def with_blocking(self, blocking: bool) -> "UpdateSchedule":
         """Copy of this schedule with the blocking flag changed."""

@@ -211,6 +211,50 @@ class TestPinnedKeys:
             assert job_key(JobSpec.from_params(kind, params)) == key, kind
 
 
+class TestRunParams:
+    """The run parameters are dataclass fields now.  The service accepts,
+    per kind, the parameters, defaults and order it took when they were
+    literals in service/jobs.py, and the new ``circuit_seed`` field left
+    every key as it was."""
+
+    SCHEMA = {
+        "route": {"which": "bnrE", "n_wires": None, "quick": False, "iterations": 3},
+        "mp": {
+            "which": "bnrE",
+            "n_wires": None,
+            "quick": False,
+            "iterations": 3,
+            "n_procs": 16,
+            "send_loc": None,
+            "send_rmt": None,
+            "req_loc": None,
+            "req_rmt": None,
+            "blocking": False,
+        },
+        "sm": {
+            "which": "bnrE",
+            "n_wires": None,
+            "quick": False,
+            "iterations": 3,
+            "n_procs": 16,
+            "line_size": 8,
+            "protocol": "invalidate",
+        },
+        "experiment": {"exp_id": ..., "quick": False},
+    }
+
+    def test_param_schema_unchanged(self):
+        # repr: equal values of equal types, in equal key order.
+        assert repr(PARAM_SCHEMA) == repr(self.SCHEMA)
+
+    def test_an_unset_circuit_seed_keeps_every_sim_key(self, monkeypatch):
+        monkeypatch.setattr("repro.harness.simjobs.code_fingerprint", lambda: "code")
+        for key, overrides in TestPinnedKeys.SIM.items():
+            config = tiny_mp_config(circuit_seed=None, **overrides)
+            assert "circuit_seed" not in sim_fingerprint(config)
+            assert sim_key(config) == key, overrides
+
+
 class TestJobKeyMemo:
     """``job_key`` is remembered per process; a remembered key is always
     the key a fresh fingerprint gives, and a new code digest is a new key."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,11 @@ from repro.harness.simjobs import (
     SimConfig,
     named_circuit,
     run_sim_config,
+    sim_fingerprint,
     sim_key,
 )
 from repro.obs import telemetry as obs
+from repro.parallel import run_shared_memory
 from repro.service.jobs import JobSpec, execute_job, job_key
 from repro.updates import UpdateSchedule
 
@@ -145,6 +148,16 @@ def test_a_sim_key_and_its_run_share_one_build(memo):
     assert builds() == before + 1
 
 
+def test_a_circuit_seed_runs_the_seeded_circuit(memo):
+    seeded = bnre_like(seed=5, n_wires=20)
+    config = SimConfig(kind="sm", n_wires=20, circuit_seed=5, n_procs=2, iterations=1)
+    assert named_circuit("bnrE", False, 20, 5).fingerprint == circuit_fingerprint(seeded)
+    assert sim_fingerprint(config)["circuit"] == circuit_fingerprint(seeded)
+    assert sim_key(config) != sim_key(replace(config, circuit_seed=None))
+    by_hand = run_shared_memory(seeded, n_procs=2, iterations=1)
+    assert run_sim_config(config).summary_dict() == by_hand.summary_dict()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     max_wires=st.integers(1, 120),
@@ -161,8 +174,8 @@ def test_the_memo_holds_its_bound_or_one_entry(max_wires, requests):
             entry = named_circuit(which, False, n)
             assert memo.wires <= max_wires or len(memo._entries) == 1
             assert memo.wires == sum(e.circuit.n_wires for e in memo._entries.values())
-            assert list(memo._entries)[-1] == (which, n)
-            assert memo._entries[(which, n)] is entry
+            assert list(memo._entries)[-1] == (which, n, None)
+            assert memo._entries[(which, n, None)] is entry
 
 
 def test_racing_threads_get_one_entry(memo, monkeypatch):
@@ -170,9 +183,9 @@ def test_racing_threads_get_one_entry(memo, monkeypatch):
     barrier = threading.Barrier(n_threads)
     build = simjobs._build
 
-    def build_together(which, n_wires):
+    def build_together(which, n_wires, seed):
         barrier.wait(timeout=30)  # every thread has missed before any stores
-        return build(which, n_wires)
+        return build(which, n_wires, seed)
 
     monkeypatch.setattr(simjobs, "_build", build_together)
     got = [None] * n_threads
@@ -196,7 +209,9 @@ def test_racing_threads_get_one_entry(memo, monkeypatch):
 def test_threads_evicting_under_a_tight_bound_keep_the_books(monkeypatch):
     memo = fresh_memo(monkeypatch, max_wires=25)
     keys = [(which, n) for which in ("bnrE", "MDC") for n in range(3, 10)]
-    fingerprints = {key: circuit_fingerprint(simjobs._build(*key).circuit) for key in keys}
+    fingerprints = {
+        key: circuit_fingerprint(simjobs._build(*key, None).circuit) for key in keys
+    }
     wrong = []
 
     def ask(seed):
@@ -225,11 +240,11 @@ def test_a_build_that_lost_the_race_still_refreshes_the_entry(monkeypatch):
     building, go = threading.Event(), threading.Event()
     build = simjobs._build
 
-    def build_late(which, n_wires):
+    def build_late(which, n_wires, seed):
         if threading.current_thread() is late:
             building.set()
             assert go.wait(timeout=30)
-        return build(which, n_wires)
+        return build(which, n_wires, seed)
 
     monkeypatch.setattr(simjobs, "_build", build_late)
     got = []

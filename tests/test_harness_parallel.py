@@ -201,7 +201,8 @@ class TestRunAllParallel:
     def test_single_id_inner_fan_out_matches_serial(self):
         # T4 (2 circuits x 4 assigners) used to call the simulator itself,
         # so --jobs never reached its rows; every table is a sweep now.
-        for exp_id, n_rows in (("T6", 4), ("T4", 8)):
+        # R1 regenerates its circuits from other seeds: 2 seeds x 5 rows.
+        for exp_id, n_rows in (("T6", 4), ("T4", 8), ("R1", 10)):
             serial = run_all([exp_id], quick=True, echo=False)
             before = obs.snapshot()["counters"].get("harness.sim_rows", 0)
             parallel = run_all([exp_id], quick=True, echo=False, jobs=2)

@@ -57,6 +57,22 @@ def assert_planners_agree(order, boxes) -> np.ndarray:
     return waves
 
 
+@pytest.mark.parametrize(
+    "boxes",
+    [
+        [(0, 0, 0, 2), (0, 2, 0, 2)],  # one channel row
+        [(0, 0, 1, 2), (1, 2, 1, 2)],  # two rows
+        [(0, 0, 2, 2), (2, 2, 2, 2)],  # three rows
+    ],
+    ids=["one-row", "two-rows", "three-rows"],
+)
+def test_a_three_cell_footprint_blocks_its_third_cell(boxes):
+    # The second wire overlaps only the third cell of the first: a planner
+    # that took the 3-cell footprint for a unit span (2 cells) misses it.
+    waves = assert_planners_agree([0, 1], np.array(boxes, dtype=np.int64))
+    assert waves.tolist() == [0, 1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), allow_inverted=st.booleans())
 def test_index_matches_recurrence(data, allow_inverted):
