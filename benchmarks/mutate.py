@@ -86,13 +86,24 @@ _WAVEFRONT_TESTS = (
 
 TARGETS: Tuple[Target, ...] = (
     Target(
-        "memsim/columnar.py", "memsim/columnar.py", None,
+        "memsim/columnar.py: line events and epochs", "memsim/columnar.py",
+        ("MAX_PROCS", "_WRITE", "_CODE_BIT", "_ZERO", "_M1", "_popcount", "_cells_int32",
+         "_LineEvents", "_line_events", "_first_of_runs", "_shift_in", "_prefix_or", "_Epochs",
+         "_epochs", "ColumnarTrace.per_reference", "ColumnarTrace._events",
+         "ColumnarTrace._begin"),
         (
             "tests/test_memsim_columnar.py",
             "tests/test_memsim_reference_level.py",
             "tests/test_memsim_tango.py",
             "tests/test_parallel_sm.py",
         ),
+    ),
+    Target(
+        "memsim: the sharded replay", "memsim/columnar.py",
+        ("SHARD_REFS", "_GRANULE_SHIFT", "_expand", "_cut", "_Pieces",
+         "_partition", "ColumnarTrace.from_trace", "ColumnarTrace._shards",
+         "ColumnarTrace.replay", "ColumnarTrace.replay_write_update"),
+        ("tests/test_memsim_columnar.py", "tests/test_memsim_update_protocol.py"),
     ),
     Target(
         "route/wavefront.py: plan_waves", "route/wavefront.py",
@@ -231,6 +242,32 @@ EQUIVALENT: Dict[str, str] = {
     "service/repository.py:Repository.job_result:const: row = rows[0] [0 -> -1]":
         "job_id is the jobs table's primary key and the join is on the "
         "results table's: at most one row",
+    "memsim/columnar.py:SHARD_REFS:const: SHARD_REFS = 1 << 17 [17 -> 16]":
+        "the shard bound: smaller shards sum to the same statistics, and a "
+        "replay's memory only shrinks",
+    "memsim/columnar.py:_partition:const: return _Pieces(*[np.zeros(0, dtype=np.int32)] * 5) [0 -> 1]":
+        "an empty trace's shard table: with one edge or none it has no "
+        "shard, and its replay reads nothing",
+    "memsim/columnar.py:_partition:cmp: "
+    "if int(counts.sum()) <= SHARD_REFS:  # one shard: a piece per burst [<= -> <]":
+        "a trace of exactly SHARD_REFS references is one shard either way: "
+        "the greedy cut takes every granule and cuts no slice",
+    "memsim/columnar.py:ColumnarTrace.from_trace:const: "
+    "n_procs_used=int(procs.max()) + 1 if procs.size else 0, [0 -> 1]":
+        "an empty trace references no processor; a replay needs at least "
+        "one, so 0 and 1 reject the same counts",
+    "memsim/columnar.py:ColumnarTrace.from_trace:const: "
+    "n_procs_used=int(procs.max()) + 1 if procs.size else 0, [0 -> -1]":
+        "an empty trace references no processor; a replay needs at least "
+        "one, so 0 and -1 reject the same counts",
+    "memsim/columnar.py:ColumnarTrace._shards:cmp: "
+    "if b - a > 1:  # merged shards: back to global order [> -> >=]":
+        "one shard's pieces are already in (record, pool position) order: "
+        "sorting them again is the identity",
+    "memsim/columnar.py:ColumnarTrace._shards:const: "
+    "if b - a > 1:  # merged shards: back to global order [1 -> 0]":
+        "one shard's pieces are already in (record, pool position) order: "
+        "sorting them again is the identity",
     **{
         "route/wavefront.py:plan_waves:cmp: if w > max_wave: [> -> >=]"
         + ("" if n == 1 else f" #{n}"):

@@ -93,15 +93,16 @@ def _get_circuit(args: argparse.Namespace):
     if getattr(args, "load", None):
         return load_json(args.load)
     name = args.name.lower()
+    seed = getattr(args, "circuit_seed", None)
     if name in ("bnre", "bnre-like"):
-        return bnre_like(n_wires=args.wires)
+        return bnre_like(seed=seed, n_wires=args.wires)
     if name in ("mdc", "mdc-like"):
-        return mdc_like(n_wires=args.wires)
+        return mdc_like(seed=seed, n_wires=args.wires)
     if name in ("scaled", "s1"):
         return generate_scaled(
             args.wires if args.wires is not None else 10_000,
             rent_exponent=getattr(args, "rent", None) or 0.6,
-            seed=getattr(args, "circuit_seed", None) or SCALED_SEED,
+            seed=SCALED_SEED if seed is None else seed,
         )
     raise SystemExit(f"unknown circuit name {args.name!r} (use bnrE, MDC, or scaled)")
 

@@ -226,7 +226,10 @@ class _OperationTrace(ReferenceTrace):
         own_at = at + _pointers(own_len)[:-1]
         words_at = at + int(own_len.sum())
         words = np.arange(layout.scheduler_base, layout.total_words, dtype=np.int64)
-        pool = np.concatenate([*columns, *self._cells, words]).astype(np.int64, copy=False)
+        # Every cell is a shared word, and the run's cost array holds every
+        # one of those: an int32 pool is half the bytes of the trace's
+        # largest array.
+        pool = np.concatenate([*columns, *self._cells, words], dtype=np.int32)
 
         evals = np.flatnonzero(kind == _EVAL)
         n = np.where(kind <= _WRITE, 1, 2)
@@ -239,15 +242,24 @@ class _OperationTrace(ReferenceTrace):
 
         # Evaluation burst j of a row is sweep j // n_seg of the wire's
         # segment j % n_seg, timed exactly as t0 + span * sweep / chunks.
+        # (Each step frees what the next does not read: these columns are
+        # the largest the trace builds.)
         n_e = n[evals]
         pos = _ranges(ptr[evals], n_e)
-        j = pos - np.repeat(ptr[evals], n_e)
         w = np.repeat(wire[evals], n_e)
-        seg = wire_seg0[w] + j % wire_nseg[w]
-        span = np.maximum(np.array(self._t1, dtype=np.float64)[evals] - t0[evals], 0.0)
-        times[pos] = np.repeat(t0[evals], n_e) + np.repeat(span, n_e) * (j // wire_nseg[w]) / chunks
+        sweep, seg = np.divmod(pos - np.repeat(ptr[evals], n_e), wire_nseg[w])
+        seg += wire_seg0[w]
+        del w
         starts[pos] = seg_start[seg]
         counts[pos] = seg_len[seg]
+        del seg
+        span = np.maximum(np.array(self._t1, dtype=np.float64)[evals] - t0[evals], 0.0)
+        when = np.repeat(span, n_e) * sweep
+        del sweep
+        when /= chunks
+        when += np.repeat(t0[evals], n_e)
+        times[pos] = when
+        del when, pos
 
         # Every other row's first burst, then the second of the paired kinds.
         rows = np.flatnonzero(kind != _EVAL)

@@ -75,7 +75,7 @@ class BurstTable(NamedTuple):
     writes: np.ndarray  #: bool
     starts: np.ndarray  #: int64
     counts: np.ndarray  #: int64
-    pool: np.ndarray  #: int64
+    pool: np.ndarray  #: int64, or int32 where every cell fits one
 
 
 class ReferenceTrace:
@@ -152,20 +152,32 @@ class ReferenceTrace:
         table, order = self._ordered()
         return _records(table, order.tolist())
 
-    def columns(self) -> TraceColumns:
-        """The whole trace as arrays in global replay order.
+    def bursts(self) -> BurstTable:
+        """The burst table with its rows in global replay order.
 
-        One stable ``argsort`` of the times, then one gather of the
-        ordered bursts' slices of the pool; no per-burst objects.
+        One stable ``argsort`` of the times reorders the per-burst
+        columns; the pool is not copied, and no cell is gathered.
         """
         table, order = self._ordered()
-        counts = table.counts[order]
-        return TraceColumns(
+        return BurstTable(
             times=table.times[order],
             procs=table.procs[order],
             writes=table.writes[order],
-            offsets=_pointers(counts),
-            cells=table.pool[_ranges(table.starts[order], counts)],
+            starts=table.starts[order],
+            counts=table.counts[order],
+            pool=table.pool,
+        )
+
+    def columns(self) -> TraceColumns:
+        """The whole trace as arrays in global replay order: the ordered
+        bursts' slices of the pool gathered into one cell stream."""
+        bursts = self.bursts()
+        return TraceColumns(
+            times=bursts.times,
+            procs=bursts.procs,
+            writes=bursts.writes,
+            offsets=_pointers(bursts.counts),
+            cells=bursts.pool[_ranges(bursts.starts, bursts.counts)].astype(np.int64, copy=False),
         )
 
 
@@ -173,6 +185,6 @@ def _records(table: BurstTable, rows: Sequence[int]) -> Iterator[TraceRecord]:
     """*table*'s bursts *rows* as records (cells are views of the pool)."""
     times, procs, writes = table.times.tolist(), table.procs.tolist(), table.writes.tolist()
     starts, ends = table.starts.tolist(), (table.starts + table.counts).tolist()
-    pool = table.pool
+    pool = table.pool.astype(np.int64, copy=False)
     for i in rows:
         yield TraceRecord(times[i], procs[i], writes[i], pool[starts[i] : ends[i]])

@@ -1,9 +1,9 @@
 """Hypothesis strategies for coherence traces the replays must not trust.
 
-The invalidate replay drops a burst's same-line cells with a neighbour
-comparison of the packed ``(line, record)`` keys before their sort
-(``memsim.columnar._line_events``).  These bursts are built so that pass
-is *not* exact: cells arrive unsorted and repeated, two cells of one line
+The invalidate replay folds each run of neighbouring pool cells on one
+line to the run's first cell before it expands a shard
+(``memsim.columnar.ColumnarTrace._shards``).  These bursts are built so
+that fold is *not* exact: cells arrive unsorted and repeated, two cells of one line
 sit apart in the stream, times tie, and some cells land in the scheduler
 and wire-record words past the cost array — the exact mask after the
 sort has to catch all of it, and the write-update replay's per-event

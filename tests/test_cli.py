@@ -74,6 +74,21 @@ class TestMpCommand:
         assert "SLD=5 SRD=2" in out
         assert "mbytes" in out
 
+    def test_circuit_seed_perturbs_the_named_circuit(self, monkeypatch, capsys):
+        from repro import cli
+        from repro.circuits import bnre_like
+        from repro.harness.cache import circuit_fingerprint
+
+        routed = []
+        real = cli._get_circuit
+        monkeypatch.setattr(cli, "_get_circuit", lambda args: routed.append(real(args)) or routed[-1])
+        flags = ["mp", "--wires", "40", "--procs", "4", "--iterations", "1", "--send-rmt", "2", "--send-loc", "5"]
+        assert main(flags + ["--circuit-seed", "99"]) == 0
+        assert main(flags) == 0
+        seeded, canonical = map(circuit_fingerprint, routed)
+        assert seeded == circuit_fingerprint(bnre_like(seed=99, n_wires=40))
+        assert canonical == circuit_fingerprint(bnre_like(n_wires=40)) != seeded
+
     def test_blocking_receiver_run(self, capsys):
         code = main(
             ["mp", "--wires", "40", "--procs", "4", "--iterations", "2",
@@ -433,6 +448,16 @@ class TestScaledCircuit:
             == 0
         )
         assert "p0.75" in capsys.readouterr().out
+
+    def test_circuit_seed_zero_is_a_seed(self):
+        from repro.cli import _get_circuit
+        from repro.harness.cache import circuit_fingerprint
+
+        def fingerprint(*extra):
+            args = build_parser().parse_args(["route", "--name", "scaled", "--wires", "300", *extra])
+            return circuit_fingerprint(_get_circuit(args))
+
+        assert fingerprint("--circuit-seed", "0") != fingerprint()
 
     def test_route_scaled_circuit(self, capsys):
         assert (

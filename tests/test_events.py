@@ -287,6 +287,18 @@ class TestCancelEdgeCases:
         assert len(q) == 0
         assert not q._cancelled  # a fired event is never marked for skipping
 
+    def test_a_skipped_dead_key_leaves_the_cancelled_set(self):
+        # The set holds only the dead keys still in the heap, so a run's
+        # cancellations do not pile up, whether a pop or a peek skips them.
+        q = EventQueue()
+        handles = [q.push(float(t), lambda: None) for t in range(4)]
+        q.cancel(handles[0])
+        q.cancel(handles[2])
+        assert q.pop_next()[0] == 1.0
+        assert q._cancelled == {handles[2][1]}
+        assert q.peek_time() == 3.0
+        assert not q._cancelled
+
     def test_double_cancel_counted_once(self):
         q = EventQueue()
         handle = q.push(1.0, lambda: None)

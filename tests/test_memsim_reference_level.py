@@ -76,15 +76,16 @@ class TestBasics:
         trace.add(0.5, 1, True, np.array([9]))
         trace.add(1.0, 2, True, np.array([6, 5, 6]))
         view = per_reference(trace)
-        assert view.cells.tolist() == [9, 5, 6, 6, 5, 6]  # time-sorted, flattened
-        assert view.rec_ids.tolist() == list(range(6))
-        assert view.rec_proc.tolist() == [1, 0, 0, 2, 2, 2]
-        assert view.rec_is_write.tolist() == [True, False, False, True, True, True]
+        [(cells, rec_ids, codes)] = view._shards(1)  # one shard
+        assert cells.tolist() == [9, 5, 6, 6, 5, 6]  # time-sorted, flattened
+        assert rec_ids.tolist() == list(range(6))
+        assert (codes & 127).tolist() == [1, 0, 0, 2, 2, 2]
+        assert (codes >= 128).tolist() == [True, False, False, True, True, True]
         # ... which is exactly the flattening of a one-reference-per-record trace.
         direct = ColumnarTrace.from_trace(one_record_per_reference(trace))
-        for name in ("cells", "rec_ids", "rec_proc", "rec_is_write"):
-            got, want = getattr(view, name), getattr(direct, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        [want] = direct._shards(1)
+        for got, expected in zip((cells, rec_ids, codes), want, strict=True):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
         assert (view.n_read_refs, view.n_write_refs) == (direct.n_read_refs, direct.n_write_refs)
         assert (view.n_read_refs, view.n_write_refs) == (2, 4)
 

@@ -182,6 +182,29 @@ class TestNetworkInvariantMonitor:
         assert [v.event_time_s for v in report.violations] == ([] if ok else [0.25])
 
 
+    @pytest.mark.parametrize(
+        "expected_busy, error, ok",
+        [
+            (1000.0, 5e-7, True),  # within 1e-9 of the expected busy time
+            (1000.0, 2e-6, False),
+            (0.5, 7e-10, True),  # below one second the bound is 1e-9 s
+            (0.5, 2e-9, False),
+        ],
+    )
+    def test_link_busy_time_is_checked_relative_to_its_size(self, expected_busy, error, ok):
+        # One 1-hop, 9-byte message held its link for 10 byte-times.
+        stats = SimpleNamespace(n_messages=1, total_bytes=9, total_hop_bytes=9, total_hops=1)
+        network = SimpleNamespace(
+            in_flight=0, messages_injected=1, messages_delivered=1,
+            bytes_injected=9, bytes_delivered=9, stats=stats,
+            hop_time_s=expected_busy / 10, _link_busy_s=[expected_busy + error],
+        )
+        report = VerificationReport()
+        NetworkInvariantMonitor(report, network).at_end(2.0)
+        assert report.checks_run == {"flit-conservation": 4}
+        assert [v.expected for v in report.violations] == ([] if ok else [expected_busy])
+
+
 # ----------------------------------------------------------------------
 # MSI coherence legality
 # ----------------------------------------------------------------------
