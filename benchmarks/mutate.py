@@ -215,6 +215,12 @@ TARGETS: Tuple[Target, ...] = (
          "_after_fork_in_child", "named_circuit"),
         ("tests/test_harness_circuits.py", "tests/test_harness_cache.py"),
     ),
+    Target(
+        "harness: the run executor", "harness/simjobs.py",
+        ("SimConfig.__post_init__", "resolve_iterations", "sim_fingerprint",
+         "_assignment", "run_sim_config"),
+        ("tests/test_harness_cache.py", "tests/test_cli.py", "tests/test_harness_parallel.py"),
+    ),
 )
 
 #: Surviving mutants that cannot change any observable result, keyed by
@@ -252,6 +258,9 @@ EQUIVALENT: Dict[str, str] = {
     "if int(counts.sum()) <= SHARD_REFS:  # one shard: a piece per burst [<= -> <]":
         "a trace of exactly SHARD_REFS references is one shard either way: "
         "the greedy cut takes every granule and cuts no slice",
+    "memsim/columnar.py:_partition:cmp: if cut <= at: [<= -> <]":
+        "the greedy cut always advances (a shard takes at least its first "
+        "referenced granule), so the stall guard fires on neither comparison",
     "memsim/columnar.py:ColumnarTrace.from_trace:const: "
     "n_procs_used=int(procs.max()) + 1 if procs.size else 0, [0 -> 1]":
         "an empty trace references no processor; a replay needs at least "

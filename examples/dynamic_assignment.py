@@ -13,21 +13,22 @@ Run:  python examples/dynamic_assignment.py
 
 from dataclasses import replace
 
-from repro import UpdateSchedule, bnre_like, run_message_passing
+from repro import UpdateSchedule, bnre_like
 from repro.harness import render_table
-from repro.parallel import run_dynamic_assignment
+from repro.harness.simjobs import SimConfig, run_sim_config
 
 
 def main() -> None:
-    circuit = bnre_like()
+    print(bnre_like().describe(), "— one routing iteration, 16 processors\n")
     schedule = UpdateSchedule.sender_initiated(2, 10)
-    print(circuit.describe(), "— one routing iteration, 16 processors\n")
 
-    static = run_message_passing(circuit, schedule, iterations=1)
-    polled = run_dynamic_assignment(circuit, schedule)
-    interrupt = run_dynamic_assignment(
-        circuit, replace(schedule, interrupt_reception=True)
-    )
+    def one_iteration(schedule, assigner):
+        config = SimConfig(kind="mp", schedule=schedule, iterations=1, assigner=assigner)
+        return run_sim_config(config)
+
+    static = one_iteration(schedule, None)  # the default, ThresholdCost=1000
+    polled = one_iteration(schedule, "dynamic")
+    interrupt = one_iteration(replace(schedule, interrupt_reception=True), "dynamic")
 
     rows = []
     for label, result in (

@@ -62,16 +62,15 @@ import argparse
 import json
 import sys
 from functools import partial
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .circuits import (
     SCALED_SEED,
-    bnre_like,
+    Circuit,
     compute_stats,
     generate_scaled,
     load_json,
-    mdc_like,
     save_json,
     save_text,
 )
@@ -79,13 +78,18 @@ from .errors import ReproError
 from .faults import FaultPlan, random_crashes
 from .harness.pool import default_jobs
 from .harness.runner import BENCH_FILENAME, run_all, run_one_cached
-from .harness.simjobs import SimConfig, run_params
+from .harness.simjobs import SimConfig, named_circuit, resolve_iterations, run_params
+from .harness.simjobs import run_sim_config
 from .kernels import KERNEL_MODES, set_kernels
-from .parallel import run_dynamic_assignment, run_message_passing, run_shared_memory
+from .parallel import ParallelRunResult
 from .route import SequentialRouter
 from .updates import UpdateSchedule
 
 __all__ = ["main", "build_parser"]
+
+
+#: ``--name`` spellings of the benchmarks a SimConfig names (``which``).
+_BENCHMARKS = {"bnre": "bnrE", "bnre-like": "bnrE", "mdc": "MDC", "mdc-like": "MDC"}
 
 
 def _get_circuit(args: argparse.Namespace):
@@ -94,10 +98,8 @@ def _get_circuit(args: argparse.Namespace):
         return load_json(args.load)
     name = args.name.lower()
     seed = getattr(args, "circuit_seed", None)
-    if name in ("bnre", "bnre-like"):
-        return bnre_like(seed=seed, n_wires=args.wires)
-    if name in ("mdc", "mdc-like"):
-        return mdc_like(seed=seed, n_wires=args.wires)
+    if name in _BENCHMARKS:
+        return named_circuit(_BENCHMARKS[name], False, args.wires, seed).circuit
     if name in ("scaled", "s1"):
         return generate_scaled(
             args.wires if args.wires is not None else 10_000,
@@ -169,12 +171,7 @@ def _add_circuit_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="Rent exponent for --name scaled (default 0.6; lower = more local)",
     )
-    parser.add_argument(
-        "--circuit-seed",
-        type=int,
-        default=None,
-        help="RNG seed for --name scaled (default: fixed S-series seed)",
-    )
+    _run_flags(parser, "circuit_seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fault_drop", "fault_duplicate", "fault_delay", "fault_reorder", "fault_crash",
         "crash_at", "fault_seed",
         quick=dict(
-            help="CI-scale smoke run: 160-wire circuit, 2 iterations, and (when "
+            help="CI-scale smoke run: the quick circuit, 2 iterations, and (when "
             "no schedule flags are given) the blocking receiver-initiated 1/5 "
             "schedule so fault flags exercise the recovery path"
         ),
@@ -416,7 +413,8 @@ def _cmd_circuit(args: argparse.Namespace) -> int:
 
 def _cmd_route(args: argparse.Namespace) -> int:
     circuit = _get_circuit(args)
-    result = SequentialRouter(circuit, iterations=args.iterations).run()
+    iterations = resolve_iterations(False, args.iterations)
+    result = SequentialRouter(circuit, iterations=iterations).run()
     if args.json:
         from .service.jobs import route_payload
 
@@ -467,36 +465,47 @@ def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
     return plan if plan.has_packet_faults or plan.node_crashes else None
 
 
-def _get_quick_circuit(args: argparse.Namespace):
-    """The circuit of an ``mp`` / ``run`` invocation, at ``--quick`` scale
-    (160 wires, 2 iterations) where that flag is given and nothing more
-    specific overrides it."""
-    if args.quick:
-        if args.wires is None and args.load is None:
-            args.wires = 160
-        if args.iterations == _RUN_FLAGS["iterations"]["default"]:
-            args.iterations = 2
-    return _get_circuit(args)
+def _sim_config(
+    args: argparse.Namespace, kind: str, **fields: Any
+) -> Tuple[SimConfig, Circuit, Optional[Circuit]]:
+    """The SimConfig of the sub-command's run-parameter flags and *fields*,
+    its circuit, and that circuit again where it replaces the one the
+    config names (``--load``, ``--name scaled``: ``--quick`` is refused)."""
+    for flag, row in run_params(SimConfig).items():
+        if hasattr(args, flag):
+            fields.setdefault(row["field"], getattr(args, flag))
+    fields["which"] = _BENCHMARKS.get(args.name.lower())
+    if fields["which"] is not None and not args.load:
+        config = SimConfig(kind=kind, **fields)
+        named = named_circuit(config.which, config.quick, config.n_wires, config.circuit_seed)
+        return config, named.circuit, None
+    if fields.pop("quick", False):
+        raise ReproError(
+            "--quick sizes the named benchmarks only (bnrE, MDC), not --load or --name scaled"
+        )
+    del fields["which"]
+    circuit = _get_circuit(args)
+    return SimConfig(kind=kind, **fields), circuit, circuit
+
+
+def _run_sim(
+    args: argparse.Namespace, kind: str, **fields: Any
+) -> Tuple[ParallelRunResult, Circuit]:
+    """Run the invocation's SimConfig; its result and its circuit."""
+    config, circuit, override = _sim_config(args, kind, **fields)
+    return run_sim_config(config, override), circuit
 
 
 def _cmd_mp(args: argparse.Namespace) -> int:
     no_schedule_flags = all(
         v is None for v in (args.send_loc, args.send_rmt, args.req_loc, args.req_rmt)
     )
-    circuit = _get_quick_circuit(args)
     if args.quick and no_schedule_flags:
         schedule = UpdateSchedule.receiver_initiated(1, 5, blocking=True)
     else:
         schedule = UpdateSchedule.from_flags(vars(args))
     faults = _build_fault_plan(args)
-    result = run_message_passing(
-        circuit,
-        schedule,
-        n_procs=args.procs,
-        iterations=args.iterations,
-        check_invariants=args.check_invariants,
-        faults=faults,
-    )
+    result, circuit = _run_sim(args, "mp", schedule=schedule, faults=faults)
     if args.json:
         print(json.dumps(result.summary_dict(), indent=1))
         return _verification_exit(result, args)
@@ -539,16 +548,11 @@ def _cmd_mp(args: argparse.Namespace) -> int:
 
 
 def _cmd_sm(args: argparse.Namespace) -> int:
-    circuit = _get_circuit(args)
-    primary, extra = args.line_sizes[0], args.line_sizes[1:]
-    result = run_shared_memory(
-        circuit,
-        n_procs=args.procs,
-        iterations=args.iterations,
-        line_size=primary,
-        extra_line_sizes=extra,
-        protocol=args.protocol,
-        check_invariants=args.check_invariants,
+    result, circuit = _run_sim(
+        args,
+        "sm",
+        line_size=args.line_sizes[0],
+        extra_line_sizes=tuple(args.line_sizes[1:]),
     )
     if args.json:
         print(json.dumps(result.summary_dict(), indent=1))
@@ -569,12 +573,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # The live twins pull in multiprocessing.shared_memory: only `run --live` pays for them.
     from .parallel.live import run_live_message_passing, run_live_shared_memory
 
-    circuit = _get_quick_circuit(args)
+    # The live routers take the circuit and iteration count a simulated
+    # run of the same flags would (either kind resolves them alike).
+    config, circuit, _override = _sim_config(args, "sm")
     if args.live == "sm":
         result = run_live_shared_memory(
             circuit,
             n_procs=args.procs,
-            iterations=args.iterations,
+            iterations=config.iterations,
             seed=args.seed,
             start_method=args.start_method,
             timeout_s=args.timeout,
@@ -588,7 +594,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             circuit,
             schedule,
             n_procs=args.procs,
-            iterations=args.iterations,
+            iterations=config.iterations,
             start_method=args.start_method,
             timeout_s=args.timeout,
         )
@@ -623,9 +629,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
-    circuit = _get_circuit(args)
-    schedule = UpdateSchedule.from_flags(vars(args))
-    result = run_dynamic_assignment(circuit, schedule, n_procs=args.procs)
+    result, circuit = _run_sim(
+        args,
+        "mp",
+        schedule=UpdateSchedule.from_flags(vars(args)),
+        assigner="dynamic",
+        iterations=1,
+    )
     if args.json:
         print(json.dumps(result.summary_dict(), indent=1))
         return 0

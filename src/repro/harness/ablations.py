@@ -27,35 +27,31 @@ experiments:
   replay granularity (lossless) and recorded-interleaving granularity
   (raises traffic, but converges far from the paper's growth).
 
-A1, A3, A5 and A8 are plain sweeps and run as ``SimConfig`` rows; the
-others need a simulator keyword ``SimConfig`` does not carry (a cost
-model, a kept trace, divergence tracking) and call it directly.
+A1-A5 and A8 run as ``SimConfig`` rows (A2 and A4 vary its cost model).
+A6, A7 and A9 call a simulator directly: they need a kept trace, trace
+chunks or divergence tracking, which no cached row carries.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Dict, List
 
-from ..assign import RoundRobinAssigner, ThresholdCostAssigner
-from ..grid import RegionMap
 from ..memsim import AddressMap, ColumnarTrace, simulate_trace, simulate_trace_finite
-from ..parallel import CostModel, run_message_passing, run_shared_memory
+from ..parallel import DEFAULT_COST_MODEL, CostModel, run_message_passing, run_shared_memory
 from ..parallel.results import ParallelRunResult
 from ..route import LocalityReport
 from ..updates import PacketStructure, UpdateSchedule
 from .experiments import (
     SENDER_2_10,
     Table,
-    _iters,
     _locality,
     _sim,
     experiment,
     quick_circuit,
     sweep,
 )
-from .simjobs import run_sim_configs
+from .simjobs import resolve_iterations, run_sim_configs
 
 __all__ = [
     "run_a1_packet_structures",
@@ -107,34 +103,30 @@ def run_a1_packet_structures(quick: bool = False) -> Table:
 @experiment("A2", "Ablation: the §5.1.3 blocking prediction (RLD=1 RRD=5)")
 def run_a2_interrupts(quick: bool = False) -> Table:
     """A2: blocking receivers with interrupt reception / faster network."""
-    circuit = quick_circuit("bnrE", quick)
-    slow = CostModel()
+    slow = DEFAULT_COST_MODEL
     fast = replace(
         slow,
         hop_time_s=slow.hop_time_s / 10,
         process_time_s=slow.process_time_s / 10,
         packet_fixed_s=slow.packet_fixed_s / 10,
     )
+    networks = {
+        "paper network, polled": (slow, False),
+        "paper network, interrupts": (slow, True),
+        "10x network, interrupts": (fast, True),
+    }
+
+    def config(cost_model, interrupts, blocking):
+        schedule = UpdateSchedule.receiver_initiated(1, 5, blocking=blocking)
+        schedule = replace(schedule, interrupt_reception=interrupts)
+        return _sim("mp", quick, schedule=schedule, cost_model=cost_model)
+
+    # A non-blocking then a blocking run per network.
+    runs = iter(run_sim_configs([config(*n, b) for n in networks.values() for b in (False, True)]))
     rows: List[Dict[str, object]] = []
     penalty: Dict[str, float] = {}
-    for label, cm, interrupts in (
-        ("paper network, polled", slow, False),
-        ("paper network, interrupts", slow, True),
-        ("10x network, interrupts", fast, True),
-    ):
-        nb = replace(
-            UpdateSchedule.receiver_initiated(1, 5), interrupt_reception=interrupts
-        )
-        bl = replace(
-            UpdateSchedule.receiver_initiated(1, 5, blocking=True),
-            interrupt_reception=interrupts,
-        )
-        t_nb = run_message_passing(
-            circuit, nb, cost_model=cm, iterations=_iters(quick)
-        ).exec_time_s
-        t_bl = run_message_passing(
-            circuit, bl, cost_model=cm, iterations=_iters(quick)
-        ).exec_time_s
+    for label in networks:
+        t_nb, t_bl = next(runs).exec_time_s, next(runs).exec_time_s
         penalty[label] = t_bl / t_nb - 1.0
         rows.append(
             {
@@ -207,26 +199,17 @@ def run_a3_dynamic_assignment(quick: bool = False) -> Table:
 @experiment("A4", "Ablation: §5.3.2 hierarchical shared memory (remote refs 10x)")
 def run_a4_numa_locality(quick: bool = False) -> Table:
     """A4: locality on a hierarchical (NUMA) shared memory machine."""
-    circuit = quick_circuit("bnrE", quick)
-    regions = RegionMap(circuit.n_channels, circuit.n_grids, 16)
+    assigners = ("round robin", "TC=30", "TC=inf")
     numa = CostModel(numa_remote_factor=10.0)
+    # A flat then a hierarchical run per assignment.
+    runs = iter(run_sim_configs([
+        _sim("sm", quick, assigner=label, collect_trace=False, cost_model=cost_model)
+        for label in assigners for cost_model in (DEFAULT_COST_MODEL, numa)
+    ]))
     rows: List[Dict[str, object]] = []
     slowdown: Dict[str, float] = {}
-    for label, assignment in (
-        ("round robin", RoundRobinAssigner(circuit, regions).assign()),
-        ("TC=30", ThresholdCostAssigner(circuit, regions, 30).assign()),
-        ("TC=inf", ThresholdCostAssigner(circuit, regions, math.inf).assign()),
-    ):
-        flat = run_shared_memory(
-            circuit, assignment=assignment, collect_trace=False, iterations=_iters(quick)
-        )
-        hier = run_shared_memory(
-            circuit,
-            assignment=assignment,
-            collect_trace=False,
-            cost_model=numa,
-            iterations=_iters(quick),
-        )
+    for label in assigners:
+        flat, hier = next(runs), next(runs)
         slowdown[label] = hier.exec_time_s / flat.exec_time_s
         rows.append(
             {
@@ -318,7 +301,9 @@ def run_a5_write_update(quick: bool = False) -> Table:
 def run_a6_cache_size(quick: bool = False) -> Table:
     """A6: the footnote-3 effect — traffic vs finite cache size."""
     circuit = quick_circuit("bnrE", quick)
-    result = run_shared_memory(circuit, iterations=_iters(quick), line_size=8, keep_trace=True)
+    result = run_shared_memory(
+        circuit, iterations=resolve_iterations(quick), line_size=8, keep_trace=True
+    )
     trace = result.meta["trace"]
     layout = result.meta["layout"]
     amap = AddressMap(
@@ -460,7 +445,7 @@ def run_a8_centroid(quick: bool = False) -> Table:
 def run_a9_trace_granularity(quick: bool = False) -> Table:
     """A9: trace granularity — tested as the cause of the T3 magnitude gap."""
     circuit = quick_circuit("bnrE", quick)
-    iters = _iters(quick)
+    iters = resolve_iterations(quick)
 
     # Part 1: burst-level protocol processing is *lossless* — replaying
     # the same trace one reference at a time yields identical traffic.

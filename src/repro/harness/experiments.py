@@ -29,13 +29,12 @@ from ..circuits import Circuit
 from ..errors import ExperimentError
 from ..faults import FaultPlan, RecoveryPolicy, random_crashes
 from ..grid import RegionMap
-from ..parallel import run_message_passing, run_shared_memory
 from ..parallel.results import ParallelRunResult
 from ..route import LocalityReport, SequentialRouter, locality_measure
 from ..updates import UpdateSchedule
 from . import reference as ref
 from .cache import jsonify, stable_hash
-from .simjobs import SimConfig, named_circuit, run_sim_config, run_sim_configs
+from .simjobs import SimConfig, named_circuit, resolve_iterations, run_sim_config, run_sim_configs
 from .tables import render_checks, render_table
 
 __all__ = [
@@ -133,13 +132,8 @@ def quick_circuit(which: str, quick: bool) -> Circuit:
     return named_circuit(which, quick, None).circuit
 
 
-def _iters(quick: bool) -> int:
-    return 2 if quick else 3
-
-
 def _sim(kind: str, quick: bool, **fields) -> SimConfig:
     """One row's config at the harness scale (circuit size, iterations)."""
-    fields.setdefault("iterations", _iters(quick))
     return SimConfig(kind=kind, quick=quick, **fields)
 
 
@@ -620,18 +614,16 @@ def run_x7_live_vs_sim(quick: bool = False) -> Table:
     from ..verify.live import within_tolerance
 
     circuit = quick_circuit("bnrE", quick)
-    iters = _iters(quick)
+    iters = resolve_iterations(quick)
     cores = os.cpu_count() or 1
     n_live = max(2, min(4, cores))
 
     seq = SequentialRouter(circuit, iterations=iters).run()
-    sm_sim = run_shared_memory(
-        circuit, n_procs=n_live, iterations=iters, collect_trace=False
-    )
     mp_schedule = UpdateSchedule.sender_initiated(1, 1)
-    mp_sim = run_message_passing(
-        circuit, mp_schedule, n_procs=n_live, iterations=iters
-    )
+    sm_sim, mp_sim = run_sim_configs([
+        _sim("sm", quick, n_procs=n_live, collect_trace=False),
+        _sim("mp", quick, n_procs=n_live, schedule=mp_schedule),
+    ])
     live_solo = run_live_shared_memory(circuit, n_procs=1, iterations=iters)
     live_sm = run_live_shared_memory(circuit, n_procs=n_live, iterations=iters)
     live_mp = run_live_message_passing(

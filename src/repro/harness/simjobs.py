@@ -49,7 +49,7 @@ from ..grid import RegionMap
 from ..parallel import run_message_passing, run_shared_memory
 from ..parallel.sm_sim import PROTOCOLS
 from ..parallel.results import ParallelRunResult
-from ..parallel.timing import DEFAULT_COST_MODEL
+from ..parallel.timing import DEFAULT_COST_MODEL, CostModel
 from ..obs import telemetry as obs
 from ..updates import UpdateSchedule
 from .cache import (
@@ -66,6 +66,7 @@ __all__ = [
     "CIRCUIT_CACHE_WIRES",
     "NamedCircuit",
     "named_circuit",
+    "resolve_iterations",
     "run_params",
     "SimConfig",
     "sim_fingerprint",
@@ -103,7 +104,7 @@ class SimConfig:
     (:func:`named_circuit` is the one place that knows the sizes), or
     overridden to ``n_wires`` wires (tests and smoke benches), and
     ``circuit_seed`` regenerates it from another generator seed
-    (``None``: the canonical benchmark).
+    (``None``: the canonical benchmark).  Unset ``iterations`` follow ``quick``.
 
     A field with ``metadata`` is a run parameter (:func:`run_params`): a
     command line flag and, where the service takes it, a job parameter.
@@ -119,10 +120,14 @@ class SimConfig:
     n_wires: Optional[int] = field(
         default=None, metadata=dict(flag="wires", type=int, help="override wire count")
     )
-    circuit_seed: Optional[int] = None
+    circuit_seed: Optional[int] = field(
+        default=None, metadata=dict(type=int, help="circuit generator seed (default: canonical)")
+    )
     schedule: Optional[UpdateSchedule] = None
     n_procs: int = field(default=16, metadata=dict(flag="procs", help="processors"))
-    iterations: int = field(default=3, metadata=dict(help="routing iterations"))
+    iterations: Optional[int] = field(
+        default=None, metadata=dict(type=int, help="routing iterations")
+    )
     #: Static wire assignment, by its Table 4/5 row label (a key of
     #: :data:`ASSIGNERS`); ``None`` keeps each simulator's default.
     assigner: Optional[str] = None
@@ -139,8 +144,11 @@ class SimConfig:
     )
     #: Fault-injection plan (message passing only); ``None`` = fault-free.
     faults: Optional[FaultPlan] = None
+    cost_model: CostModel = DEFAULT_COST_MODEL
 
     def __post_init__(self) -> None:
+        if self.iterations is None:
+            object.__setattr__(self, "iterations", resolve_iterations(self.quick))
         if self.kind not in ("mp", "sm"):
             raise ExperimentError(f"unknown sim kind {self.kind!r}")
         if self.kind == "mp" and self.schedule is None:
@@ -164,6 +172,11 @@ class SimConfig:
                 "fault injection targets the message passing network; "
                 "shared memory configs cannot carry a FaultPlan"
             )
+
+
+def resolve_iterations(quick: bool, iterations: Optional[int] = None) -> int:
+    """*iterations*, or the count of any run that names none: 2 if *quick*, else 3."""
+    return (2 if quick else 3) if iterations is None else iterations
 
 
 #: Wires the named-circuit memo holds at most.  A held circuit costs about
@@ -287,7 +300,8 @@ def sim_fingerprint(config: SimConfig) -> Dict[str, object]:
     Every :class:`SimConfig` field, read off the dataclass so a field
     added there cannot be forgotten here (``schedule`` and ``faults`` are
     dataclasses themselves; ``stable_hash`` jsonifies them), with the
-    four fields that name the circuit replaced by its netlist digest.
+    four fields that name the circuit replaced by its netlist digest and
+    the cost model by its fields.
     """
     fingerprint = {
         f.name: getattr(config, f.name)
@@ -297,7 +311,7 @@ def sim_fingerprint(config: SimConfig) -> Dict[str, object]:
     fingerprint.update(
         unit="sim",
         circuit=_circuit(config).fingerprint,
-        cost_model=cost_model_fingerprint(DEFAULT_COST_MODEL),
+        cost_model=cost_model_fingerprint(config.cost_model),
         code=code_fingerprint(),
     )
     return fingerprint
@@ -318,9 +332,12 @@ def _assignment(
     return ASSIGNERS[config.assigner](circuit, regions)
 
 
-def run_sim_config(config: SimConfig) -> ParallelRunResult:
-    """Execute one simulation row (no caching; used by pool workers)."""
-    circuit = _circuit(config).circuit
+def run_sim_config(config: SimConfig, circuit: Optional[Circuit] = None) -> ParallelRunResult:
+    """Execute one simulation row, uncached: the one place a config becomes
+    a simulator call.  *circuit* replaces the one the config names; as
+    :func:`run_sim_configs` never passes one, such a run is never cached."""
+    if circuit is None:
+        circuit = _circuit(config).circuit
     assignment = _assignment(config, circuit)
     if config.kind == "mp":
         return run_message_passing(
@@ -329,6 +346,7 @@ def run_sim_config(config: SimConfig) -> ParallelRunResult:
             assignment=assignment,
             n_procs=config.n_procs,
             iterations=config.iterations,
+            cost_model=config.cost_model,
             check_invariants=config.check_invariants,
             faults=config.faults,
         )
@@ -339,6 +357,7 @@ def run_sim_config(config: SimConfig) -> ParallelRunResult:
         iterations=config.iterations,
         line_size=config.line_size,
         extra_line_sizes=config.extra_line_sizes,
+        cost_model=config.cost_model,
         protocol=config.protocol,
         collect_trace=config.collect_trace,
         check_invariants=config.check_invariants,

@@ -338,14 +338,19 @@ def _partition(pool: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> _Pie
 
     # Greedy cut: each shard takes granules while it holds at most
     # SHARD_REFS references, and at least its first referenced granule
-    # and the empty ones after that.
+    # and the empty ones after that.  A cut that does not advance is a
+    # defect, raised rather than looped on.
     total = np.cumsum(refs.astype(np.int64))
-    edge = [0]
-    while edge[-1] < total.size:
-        base = int(total[edge[-1] - 1]) if edge[-1] else 0
+    edges, at = [0], 0
+    while at < total.size:
+        base = int(total[at - 1]) if at else 0
         first = total[np.searchsorted(total, base, "right")]
-        edge.append(int(np.searchsorted(total, max(base + SHARD_REFS, first), "right")))
-    edge = np.array(edge, dtype=np.int64)
+        cut = int(np.searchsorted(total, max(base + SHARD_REFS, first), "right"))
+        if cut <= at:
+            raise CoherenceError(f"the shard cut stalled at granule {at}")
+        at = cut
+        edges.append(at)
+    edge = np.array(edges, dtype=np.int64)
     n_shards = edge.size - 1
     shard_of = np.repeat(np.arange(n_shards, dtype=_narrowest(n_shards)), np.diff(edge))
     shard_of = shard_of[pool >> _GRANULE_SHIFT]

@@ -8,7 +8,7 @@ traces, cache coherence traffic).  Their real-core twins live in
 :mod:`repro.parallel.live`, imported only by whoever runs one.
 """
 
-from .mp_sim import default_assignment, run_dynamic_assignment, run_message_passing
+from .mp_sim import default_assignment, run_message_passing
 from .node import MPNode, NodePhase, NodeServices
 from .results import NodeSummary, ParallelRunResult
 from .sm_sim import DEFAULT_LINE_SIZE, run_shared_memory
@@ -17,7 +17,6 @@ from .timing import DEFAULT_COST_MODEL, CostModel
 __all__ = [
     "run_message_passing",
     "run_shared_memory",
-    "run_dynamic_assignment",
     "default_assignment",
     "ParallelRunResult",
     "NodeSummary",

@@ -45,7 +45,7 @@ from .node import TASK_MASTER, MPNode, NodeServices
 from .results import NodeSummary, ParallelRunResult
 from .timing import DEFAULT_COST_MODEL, CostModel
 
-__all__ = ["run_message_passing", "run_dynamic_assignment", "default_assignment"]
+__all__ = ["run_message_passing", "default_assignment"]
 
 #: The static assignment the update-strategy tables use (Table 1/2 runs
 #: share "the same static wire assignment"; ThresholdCost=1000 matches the
@@ -506,15 +506,3 @@ def run_message_passing(
         meta=meta,
     )
 
-
-def run_dynamic_assignment(
-    circuit: Circuit,
-    schedule: Optional[UpdateSchedule] = None,
-    n_procs: int = 16,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> ParallelRunResult:
-    """One routing iteration under the §4.2 dynamic distribution (ablation A3)."""
-    loop = DistributedLoop(range(circuit.n_wires))
-    return run_message_passing(
-        circuit, schedule or UpdateSchedule(), n_procs, 1, loop, cost_model
-    )

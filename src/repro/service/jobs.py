@@ -126,7 +126,8 @@ class JobSpec:
 
         Defaults are filled in eagerly so two submissions that spell the
         same configuration differently (one relying on defaults, one
-        explicit) canonicalise to the same fingerprint.
+        explicit) canonicalise to the same fingerprint (unset ``iterations``
+        to the count ``quick`` implies).
         """
         if kind not in JOB_KINDS:
             raise ServiceError(
@@ -150,6 +151,10 @@ class JobSpec:
                 raise ServiceError(f"{kind} jobs require the {name!r} parameter")
             else:
                 canonical[name] = default
+        if "iterations" in canonical:
+            canonical["iterations"] = simjobs.resolve_iterations(
+                canonical["quick"], canonical["iterations"]
+            )
         spec = cls(kind=kind, params=canonical)
         spec._validate()
         return spec

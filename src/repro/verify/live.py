@@ -99,8 +99,8 @@ def run_live_checks(
     checks) merges in beside the ``live-*`` quality, agreement and
     solo-exact checks.
     """
+    from ..harness.simjobs import SimConfig, run_sim_config
     from ..parallel.live import run_live_message_passing, run_live_shared_memory
-    from ..parallel.mp_sim import run_message_passing
     from ..updates.schedule import UpdateSchedule
 
     reference = SequentialRouter(circuit, iterations=iterations).run()
@@ -125,8 +125,9 @@ def run_live_checks(
         iterations=iterations,
         start_method=start_method,
     )
-    mp_sim = run_message_passing(
-        circuit, schedule, n_procs=n_procs, iterations=iterations
+    mp_sim = run_sim_config(
+        SimConfig(kind="mp", schedule=schedule, n_procs=n_procs, iterations=iterations),
+        circuit,
     )
     report.merge(mp.meta["verification_report"])
     report.check(

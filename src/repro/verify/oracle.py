@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..circuits.model import Circuit
-from ..parallel.mp_sim import run_message_passing
-from ..parallel.sm_sim import run_shared_memory
 from ..route.engine import SequentialRouter
 from ..updates.schedule import UpdateSchedule
 from .invariants import check_truth_is_path_union
@@ -96,24 +94,16 @@ def run_differential_oracle(
     checkers enabled; their ledgers' reports merge into the returned
     run's ``report`` beside the oracle's own cross-engine checks.
     """
+    # Imported here: a simulator that checks invariants imports this package.
+    from ..harness.simjobs import SimConfig, run_sim_config
+
     if schedule is None:
         schedule = UpdateSchedule.sender_initiated(2, 10)
 
     seq = SequentialRouter(circuit, iterations=iterations).run()
-    sm = run_shared_memory(
-        circuit,
-        n_procs=n_procs,
-        iterations=iterations,
-        line_size=line_size,
-        check_invariants=True,
-    )
-    mp = run_message_passing(
-        circuit,
-        schedule,
-        n_procs=n_procs,
-        iterations=iterations,
-        check_invariants=True,
-    )
+    checked = dict(n_procs=n_procs, iterations=iterations, check_invariants=True)
+    sm = run_sim_config(SimConfig(kind="sm", line_size=line_size, **checked), circuit)
+    mp = run_sim_config(SimConfig(kind="mp", schedule=schedule, **checked), circuit)
 
     quality = {
         "sequential": {

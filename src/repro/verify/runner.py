@@ -47,11 +47,13 @@ def run_verification(
 ) -> VerifyRun:
     """Run the full verification sweep; see the module docstring.
 
-    ``quick`` shrinks the circuit and processor count to CI scale
-    (seconds, not minutes); explicit ``circuit``/``n_procs``/
-    ``iterations`` override either preset.
+    ``quick`` selects this sweep's own CI-scale preset (seconds, not
+    minutes): 120 bnrE wires on 4 processors, and the quick iteration
+    count; explicit ``circuit``/``n_procs``/``iterations`` override
+    either preset.  Every run executes through ``run_sim_config``: a
+    cache hit would check nothing.
     """
-    from ..parallel.mp_sim import run_message_passing
+    from ..harness.simjobs import SimConfig, resolve_iterations, run_sim_config
     from .kernels import run_kernel_equivalence
     from .live import run_live_checks
 
@@ -59,19 +61,18 @@ def run_verification(
         circuit = bnre_like(n_wires=120) if quick else bnre_like()
     if n_procs is None:
         n_procs = 4 if quick else 16
-    if iterations is None:
-        iterations = 2 if quick else 3
+    iterations = resolve_iterations(quick, iterations)
 
     run = run_differential_oracle(circuit, n_procs=n_procs, iterations=iterations)
     for schedule in EXTRA_SCHEDULES:
-        result = run_message_passing(
-            circuit,
-            schedule,
+        config = SimConfig(
+            kind="mp",
+            schedule=schedule,
             n_procs=n_procs,
             iterations=iterations,
             check_invariants=True,
         )
-        run.report.merge(result.meta["verification_report"])
+        run.report.merge(run_sim_config(config, circuit).meta["verification_report"])
     run.report.merge(
         run_kernel_equivalence(circuit, n_procs=n_procs, iterations=iterations)
     )

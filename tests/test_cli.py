@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _sim_config, build_parser, main
+from repro.updates import UpdateSchedule
 
 
 class TestParser:
@@ -25,8 +26,10 @@ class TestParser:
 
     def test_mp_defaults(self):
         args = build_parser().parse_args(["mp"])
-        assert args.procs == 16 and args.iterations == 3
+        assert args.procs == 16 and args.iterations is None
         assert args.send_loc is None
+        config, _circuit, _override = _sim_config(args, "mp", schedule=UpdateSchedule())
+        assert config.iterations == 3
 
 
 class TestCircuitCommand:
@@ -75,13 +78,18 @@ class TestMpCommand:
         assert "mbytes" in out
 
     def test_circuit_seed_perturbs_the_named_circuit(self, monkeypatch, capsys):
-        from repro import cli
         from repro.circuits import bnre_like
+        from repro.harness import simjobs
         from repro.harness.cache import circuit_fingerprint
 
         routed = []
-        real = cli._get_circuit
-        monkeypatch.setattr(cli, "_get_circuit", lambda args: routed.append(real(args)) or routed[-1])
+        real = simjobs.run_message_passing
+
+        def recording(circuit, *args, **kwargs):
+            routed.append(circuit)
+            return real(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(simjobs, "run_message_passing", recording)
         flags = ["mp", "--wires", "40", "--procs", "4", "--iterations", "1", "--send-rmt", "2", "--send-loc", "5"]
         assert main(flags + ["--circuit-seed", "99"]) == 0
         assert main(flags) == 0
@@ -96,6 +104,39 @@ class TestMpCommand:
         )
         assert code == 0
         assert "blocking" in capsys.readouterr().out
+
+
+class TestQuick:
+    """``--quick`` is one size and one iteration count, the harness's and
+    the service's, and sizes the named benchmarks only."""
+
+    def test_mdc_quick_is_the_service_jobs_run(self):
+        from repro.harness.simjobs import sim_key
+        from repro.service.jobs import JobSpec
+
+        args = build_parser().parse_args(["mp", "--name", "MDC", "--quick"])
+        schedule = UpdateSchedule.receiver_initiated(1, 5, blocking=True)
+        config, circuit, override = _sim_config(args, "mp", schedule=schedule)
+        assert override is None
+        assert circuit.n_wires == 200 and config.iterations == 2
+        # The service spelling of the same run, the schedule `mp --quick`
+        # defaults to included.
+        params = {"which": "MDC", "quick": True, "req_loc": 1, "req_rmt": 5, "blocking": True}
+        job = JobSpec.from_params("mp", params).sim_config()
+        assert job.iterations == 2
+        assert sim_key(job) == sim_key(config)
+
+    @pytest.mark.parametrize("source", [["--name", "scaled"], ["--load", "c.json"]])
+    def test_refused_beside_another_circuit_source(self, source, capsys):
+        assert main(["mp", "--quick", *source]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --quick sizes the named benchmarks")
+
+    def test_an_explicit_count_wins(self):
+        # 3, the unset default's value, too: it once read as unset.
+        args = build_parser().parse_args(["mp", "--quick", "--iterations", "3"])
+        config, _circuit, _override = _sim_config(args, "mp", schedule=UpdateSchedule())
+        assert config.iterations == 3
 
 
 class TestSmCommand:
@@ -163,7 +204,9 @@ class TestRunCommand:
 
     def test_quick_defaults(self):
         args = build_parser().parse_args(["run", "--live", "sm", "--quick"])
-        assert args.procs == 2 and args.iterations == 3 and args.quick
+        assert args.procs == 2 and args.iterations is None and args.quick
+        config, circuit, _override = _sim_config(args, "sm")
+        assert config.iterations == 2 and circuit.n_wires == 160
 
     def test_requires_live_flag(self):
         with pytest.raises(SystemExit):

@@ -12,7 +12,12 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.assign import CentroidAssigner, RoundRobinAssigner, ThresholdCostAssigner
+from repro.assign import (
+    CentroidAssigner,
+    DistributedLoop,
+    RoundRobinAssigner,
+    ThresholdCostAssigner,
+)
 from repro.circuits import bnre_like
 from repro.errors import ExperimentError
 from repro.grid import RegionMap
@@ -33,7 +38,8 @@ from repro.harness.simjobs import (
 )
 from repro.obs import telemetry as obs
 from repro.parallel import (
-    run_dynamic_assignment,
+    DEFAULT_COST_MODEL,
+    CostModel,
     run_message_passing,
     run_shared_memory,
 )
@@ -149,6 +155,18 @@ class TestSimKey:
     def test_circuit_scale_changes_key(self):
         assert sim_key(tiny_mp_config()) != sim_key(tiny_mp_config(n_wires=30))
 
+    def test_cost_model_changes_key(self):
+        fast = CostModel(hop_time_s=DEFAULT_COST_MODEL.hop_time_s / 10)
+        assert sim_key(tiny_mp_config(cost_model=fast)) != sim_key(tiny_mp_config())
+        assert sim_key(tiny_mp_config(cost_model=CostModel())) == sim_key(tiny_mp_config())
+
+    def test_unset_iterations_follow_quick(self):
+        assert SimConfig(kind="sm").iterations == 3
+        assert SimConfig(kind="sm", quick=True).iterations == 2
+        assert sim_key(tiny_mp_config(quick=True, iterations=None)) == sim_key(
+            tiny_mp_config(quick=True, iterations=2)
+        )
+
     def test_kind_in_fingerprint(self):
         fp = sim_fingerprint(tiny_mp_config())
         assert fp["kind"] == "mp" and fp["unit"] == "sim"
@@ -214,16 +232,17 @@ class TestPinnedKeys:
 class TestRunParams:
     """The run parameters are dataclass fields now.  The service accepts,
     per kind, the parameters, defaults and order it took when they were
-    literals in service/jobs.py, and the new ``circuit_seed`` field left
-    every key as it was."""
+    literals in service/jobs.py, except that ``iterations`` defaults to
+    ``None``, the count ``quick`` implies; and the new ``circuit_seed``
+    field left every key as it was."""
 
     SCHEMA = {
-        "route": {"which": "bnrE", "n_wires": None, "quick": False, "iterations": 3},
+        "route": {"which": "bnrE", "n_wires": None, "quick": False, "iterations": None},
         "mp": {
             "which": "bnrE",
             "n_wires": None,
             "quick": False,
-            "iterations": 3,
+            "iterations": None,
             "n_procs": 16,
             "send_loc": None,
             "send_rmt": None,
@@ -235,7 +254,7 @@ class TestRunParams:
             "which": "bnrE",
             "n_wires": None,
             "quick": False,
-            "iterations": 3,
+            "iterations": None,
             "n_procs": 16,
             "line_size": 8,
             "protocol": "invalidate",
@@ -302,11 +321,15 @@ class TestAssigner:
     def test_every_label_is_covered(self):
         assert set(self.LABELS) | {"dynamic"} == set(ASSIGNERS)
 
-    def test_dynamic_label_is_the_public_wrapper(self):
+    def test_dynamic_label_is_a_loop_over_every_wire(self):
         # A3's rows: the §4.2 dynamic distribution as a plain SimConfig.
         mp = tiny_mp_config(assigner="dynamic")
-        by_hand = run_dynamic_assignment(
-            bnre_like(n_wires=24), mp.schedule, n_procs=4
+        by_hand = run_message_passing(
+            bnre_like(n_wires=24),
+            mp.schedule,
+            n_procs=4,
+            iterations=1,
+            assignment=DistributedLoop(range(24)),
         )
         swept = run_sim_config(mp)
         assert swept.table_row() == by_hand.table_row()

@@ -12,11 +12,8 @@ import pytest
 
 from repro.circuits import tiny_test_circuit
 from repro.grid import CostArray
-from repro.parallel import (
-    run_dynamic_assignment,
-    run_message_passing,
-    run_shared_memory,
-)
+from repro.harness.simjobs import SimConfig, run_sim_config
+from repro.parallel import run_message_passing, run_shared_memory
 from repro.route import SequentialRouter
 from repro.updates import UpdateSchedule
 
@@ -37,7 +34,16 @@ def all_runs(circuit):
         "mp_receiver": run_message_passing(
             circuit, UpdateSchedule.receiver_initiated(1, 3), n_procs=4, iterations=2
         ),
-        "dynamic": run_dynamic_assignment(circuit, n_procs=4),
+        "dynamic": run_sim_config(
+            SimConfig(
+                kind="mp",
+                schedule=UpdateSchedule(),
+                n_procs=4,
+                iterations=1,
+                assigner="dynamic",
+            ),
+            circuit,
+        ),
     }
 
 

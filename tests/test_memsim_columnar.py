@@ -383,6 +383,26 @@ def pooled_traces(draw):
     return PooledTrace(pool, [s for s, _ in slices], [c for _, c in slices], procs, writes)
 
 
+class TestShardTable:
+    """The shard table's own invariants, checked before anything replays
+    it: a wrong cut fails here at once, not in a replay that never ends."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pooled_traces(), st.integers(1, 40))
+    def test_edges_increase_and_every_piece_holds_references(self, trace, bound):
+        with mock.patch.object(columnar, "SHARD_REFS", bound):
+            flat = ColumnarTrace.from_trace(trace)
+        pieces = flat.pieces
+        assert np.all(np.diff(pieces.edge) > 0)
+        assert np.all(np.diff(pieces.ptr) > 0)  # a shard holds its first granule
+        assert np.all(pieces.length > 0)
+        assert int(pieces.length.sum()) == trace.n_references
+        # Lines of 1 to 64 words: 256-byte lines merge 64-byte shards.
+        for words_per_line in (1, 4, 16, 64):
+            for _cells, rec_ids, _codes in flat._shards(words_per_line):
+                assert np.all(np.diff(rec_ids) >= 0), words_per_line
+
+
 class TestShards:
     """A replay expands one line shard at a time; the sums are the trace's."""
 

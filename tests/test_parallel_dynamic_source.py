@@ -22,7 +22,8 @@ from repro.circuits import bnre_like, tiny_test_circuit
 from repro.cli import main
 from repro.errors import ProtocolError, SimulationError
 from repro.faults import FaultPlan, NodeCrash
-from repro.parallel import run_dynamic_assignment, run_message_passing
+from repro.harness.simjobs import SimConfig, run_sim_config
+from repro.parallel import run_message_passing
 from repro.route import SequentialRouter
 from repro.updates import UpdateSchedule
 
@@ -40,7 +41,10 @@ class TestOneProcessor:
         circuit = tiny_test_circuit(n_wires=30)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = run_dynamic_assignment(circuit, n_procs=1)
+            config = SimConfig(
+                kind="mp", schedule=UpdateSchedule(), n_procs=1, iterations=1, assigner="dynamic"
+            )
+            result = run_sim_config(config, circuit)
         assert result.meta["mean_task_wait_s"] == 0.0
         sequential = SequentialRouter(circuit, iterations=1).run()
         assert set(result.paths) == set(sequential.paths)

@@ -15,7 +15,9 @@ import pytest
 
 from repro.circuits import bnre_like
 from repro.cli import main
-from repro.parallel import mp_sim
+from repro.harness import simjobs
+from repro.harness.cache import ResultCache
+from repro.obs import telemetry as obs
 from repro.parallel.node import MPNode
 from repro.verify import run_differential_oracle, run_verification, runner
 
@@ -93,12 +95,13 @@ class TestRunner:
         passing runs (mixed, blocking receiver-initiated) included: their
         reports' counts add to the oracle's."""
         extra, oracle = [], []
-        run_mp = mp_sim.run_message_passing
+        run_mp = simjobs.run_message_passing
         run_oracle = runner.run_differential_oracle
 
         def recording_mp(circuit, schedule, **kwargs):
             result = run_mp(circuit, schedule, **kwargs)
-            if kwargs.get("check_invariants"):  # the kernel pairs run unchecked
+            # Runs after the oracle's; the kernel pairs run unchecked.
+            if oracle and kwargs.get("check_invariants"):
                 extra.append((schedule, result))
             return result
 
@@ -107,7 +110,7 @@ class TestRunner:
             oracle.append(dict(run.report.checks_run))
             return run
 
-        monkeypatch.setattr(mp_sim, "run_message_passing", recording_mp)
+        monkeypatch.setattr(simjobs, "run_message_passing", recording_mp)
         monkeypatch.setattr(runner, "run_differential_oracle", recording_oracle)
         # The quick preset's own 120 wires: the live-vs-simulated band was
         # measured there and does not hold at half the size (verify/live.py).
@@ -129,6 +132,18 @@ class TestRunner:
             assert run.report.checks_run[f"kernel-{label}"] == 1, label
         families = {name.split("-")[0] for name in run.report.checks_run}
         assert {"live", "replay"} <= families
+
+
+    def test_reads_no_cache(self, tmp_path):
+        """A cache hit would check nothing: under an installed result
+        cache, a repeated sweep still simulates every run."""
+        counts = ("cache.sim.hits", "cache.sim.misses")
+        before = [obs.get_telemetry().count(name) for name in counts]
+        circuit = bnre_like(n_wires=24)
+        with simjobs.strategy(cache=ResultCache(tmp_path)):
+            for _ in range(2):
+                run_verification(circuit=circuit, n_procs=2, iterations=1)
+        assert [obs.get_telemetry().count(name) for name in counts] == before
 
 
 class TestCli:
