@@ -118,12 +118,33 @@ TARGETS: Tuple[Target, ...] = (
         _WAVEFRONT_TESTS,
     ),
     Target(
-        "grid/delta.py", "grid/delta.py", None,
+        "grid/delta.py: the array and the region scan", "grid/delta.py",
+        ("DeltaArray.__init__", "DeltaArray.region_dirty_bbox", "DeltaArray.extract",
+         "DeltaArray.is_clean", "DeltaArray.nonzero_count"),
         (
             "tests/test_grid_delta.py",
             "tests/test_updates_packets.py",
             "tests/test_parallel_node_unit.py",
             "tests/test_parallel_mp_identity.py",
+        ),
+    ),
+    Target(
+        "MP push: candidate boxes", "grid/delta.py",
+        ("DeltaArray.__getstate__", "DeltaArray.__setstate__", "DeltaArray.record_path",
+         "DeltaArray._mark", "DeltaArray.may_be_dirty", "DeltaArray.dirty_bboxes_by_owner",
+         "DeltaArray.accumulate", "DeltaArray.clear_region", "DeltaArray.clear_all"),
+        (
+            "tests/test_grid_delta.py",
+            "tests/test_parallel_mp.py",
+            "tests/test_parallel_mp_identity.py",
+            "tests/test_crash_recovery.py",
+        ),
+        more=(
+            (
+                "parallel/node.py",
+                ("MPNode._refresh_ownership", "MPNode._start_wire", "MPNode._finish_wire",
+                 "MPNode._send_rmt_data", "MPNode._process_packet", "MPNode._apply_absolute"),
+            ),
         ),
     ),
     Target(

@@ -93,13 +93,15 @@ _BENCHMARKS = {"bnre": "bnrE", "bnre-like": "bnrE", "mdc": "MDC", "mdc-like": "M
 
 
 def _get_circuit(args: argparse.Namespace):
-    """Resolve the circuit from --name or --load."""
+    """Resolve the circuit from --name or --load; --quick, where the
+    sub-command takes it, sizes a named benchmark as every quick run does."""
     if getattr(args, "load", None):
         return load_json(args.load)
     name = args.name.lower()
     seed = getattr(args, "circuit_seed", None)
     if name in _BENCHMARKS:
-        return named_circuit(_BENCHMARKS[name], False, args.wires, seed).circuit
+        quick = getattr(args, "quick", False)
+        return named_circuit(_BENCHMARKS[name], quick, args.wires, seed).circuit
     if name in ("scaled", "s1"):
         return generate_scaled(
             args.wires if args.wires is not None else 10_000,

@@ -13,29 +13,27 @@ memory version pays coherence traffic for every individual write (§5.2).
 
 :class:`DeltaArray` records signed changes and supports the per-region
 "scan for nonzero, take the bounding box" packet construction of §4.3.1.
+Which regions a write can reach is fixed by the written wire and the
+processor mesh, so every writer names them: the array keeps one candidate
+box per region, and a scan reads only those boxes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import GridError
 from .bbox import BBox
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .regions import RegionMap
-
 __all__ = ["DeltaArray"]
-
-_NO_CELLS = np.empty(0, dtype=np.int64)
 
 
 class DeltaArray:
     """Signed change counts with the same shape as the cost array."""
 
-    __slots__ = ("n_channels", "n_grids", "_data", "_flat", "_touched", "_n_touched")
+    __slots__ = ("n_channels", "n_grids", "_data", "_flat", "_boxes")
 
     def __init__(self, n_channels: int, n_grids: int) -> None:
         if n_channels < 1 or n_grids < 1:
@@ -44,29 +42,20 @@ class DeltaArray:
         self.n_grids = n_grids
         self._data = np.zeros((n_channels, n_grids), dtype=np.int32)
         self._flat = self._data.reshape(-1)
-        # Flat indices of cells written since the last owner scan.  Every
-        # nonzero cell is in here (writes append; clears only zero cells,
-        # and zeroed entries are filtered out at scan time), which lets
-        # :meth:`dirty_bboxes_by_owner` avoid a full-grid nonzero sweep.
-        # Schedules that never push never scan, so a log that outgrows
-        # the grid compacts itself (:meth:`_log`).  Measured and kept: one
-        # ``flatnonzero`` over the array is as fast on the 3-5k-cell grids
-        # of the paper's circuits but 4x slower per push on the
-        # 121 980-cell grid of a 15k-wire scaled circuit, which
-        # ``locusroute mp --name scaled`` reaches (docs/PERFORMANCE.md,
-        # "Measured and kept").
-        self._touched: List[np.ndarray] = []
-        self._n_touched = 0
+        # Region index -> candidate box ``[c_lo, x_lo, c_hi, x_hi]``: a box
+        # inside that region bounding every nonzero cell of the region.  A
+        # region with no entry is clean.  One box per region, so the map is
+        # bounded whether or not anything ever scans it.
+        self._boxes: Dict[int, List[int]] = {}
 
-    def __getstate__(self) -> Tuple[np.ndarray, List[np.ndarray]]:
-        return (self._data, self._touched)
+    def __getstate__(self) -> Tuple[np.ndarray, Dict[int, List[int]]]:
+        return (self._data, self._boxes)
 
-    def __setstate__(self, state: Tuple[np.ndarray, List[np.ndarray]]) -> None:
+    def __setstate__(self, state: Tuple[np.ndarray, Dict[int, List[int]]]) -> None:
         # ``_flat`` must stay a view of ``_data`` (see CostArray).
-        self._data, self._touched = state
+        self._data, self._boxes = state
         self.n_channels, self.n_grids = self._data.shape
         self._flat = self._data.reshape(-1)
-        self._n_touched = sum(cells.size for cells in self._touched)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -78,43 +67,42 @@ class DeltaArray:
         """The live backing array."""
         return self._data
 
-    def record_path(self, flat_cells: np.ndarray, delta: int) -> None:
+    def record_path(
+        self, flat_cells: np.ndarray, delta: int, clips: Iterable[Tuple[int, BBox]]
+    ) -> None:
         """Record a path application (+1) or rip-up (−1) on *flat_cells*.
+
+        *clips* are ``(region, box)`` pairs whose boxes, each inside its
+        region, cover every written cell: a wire's
+        :attr:`~repro.parallel.wire_regions.WireRegionTable.clips`.
 
         Cancellation happens automatically: a rip-up followed by a re-route
         over the same cell sums to zero and the cell drops out of future
         update packets.
         """
         self._flat[flat_cells] += delta
-        self._log(flat_cells)
+        self._mark(clips)
 
-    def _log(self, flat_cells: np.ndarray) -> None:
-        """Append written cells to the log; compact it past twice the grid."""
-        self._touched.append(flat_cells)
-        self._n_touched += flat_cells.size
-        if self._n_touched > 2 * self._flat.size:
-            self._live_cells()
+    def _mark(self, clips: Iterable[Tuple[int, BBox]]) -> None:
+        """Grow each clip's region's candidate box to cover the clip's box."""
+        boxes = self._boxes
+        for region, box in clips:
+            cand = boxes.get(region)
+            if cand is None:
+                boxes[region] = [box.c_lo, box.x_lo, box.c_hi, box.x_hi]
+                continue
+            if box.c_lo < cand[0]:
+                cand[0] = box.c_lo
+            if box.x_lo < cand[1]:
+                cand[1] = box.x_lo
+            if box.c_hi > cand[2]:
+                cand[2] = box.c_hi
+            if box.x_hi > cand[3]:
+                cand[3] = box.x_hi
 
-    def _live_cells(self) -> np.ndarray:
-        """The nonzero cells, ascending; they replace the write log."""
-        touched = self._touched
-        if not touched:
-            return _NO_CELLS
-        cand = touched[0] if len(touched) == 1 else np.concatenate(touched)
-        cand = np.sort(cand)
-        if cand.size > 1:
-            # Consecutive-duplicate mask: cheaper than np.unique and the
-            # input is a concatenation of already-sorted runs.
-            keep = np.empty(cand.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(cand[1:], cand[:-1], out=keep[1:])
-            cand = cand[keep]
-        live = cand[self._flat[cand] != 0]
-        # The live set is exactly the nonzero cells, so the tracking
-        # invariant holds for the next scan.
-        self._touched = [live] if live.size else []
-        self._n_touched = live.size
-        return live
+    def may_be_dirty(self, region: int) -> bool:
+        """False when region index *region* certainly holds no deltas."""
+        return region in self._boxes
 
     def region_dirty_bbox(self, region: BBox) -> Optional[BBox]:
         """Bounding box of nonzero deltas *inside* ``region``.
@@ -137,56 +125,35 @@ class DeltaArray:
             local.x_hi + region.x_lo,
         )
 
-    def dirty_bboxes_by_owner(self, regions: "RegionMap") -> Dict[int, BBox]:
-        """Dirty bounding box of every processor's region, in one scan.
+    def dirty_bboxes_by_owner(self, skip: Collection[int] = ()) -> Dict[int, BBox]:
+        """Dirty bounding box of every dirty region, ascending by region.
 
-        Equivalent to calling :meth:`region_dirty_bbox` for each region of
-        *regions* (owned regions partition the grid, so grouping dirty
-        cells by owner yields exactly the per-region dirty boxes), but the
-        incremental write log replaces ``n_procs`` region slices — the
-        dominant cost of the sender-initiated update push when most
-        regions are clean.  Clean regions are simply absent from the
-        returned dict.
+        Equal to :meth:`region_dirty_bbox` of each region not in *skip*
+        (clean regions are absent), but only the candidate boxes are read:
+        one ``nonzero`` each, after which the box shrinks to the exact
+        dirty box or, for a clean region, is dropped.  A node passes the
+        regions it owns as *skip*; their SendLocData push scans them.
         """
-        live = self._live_cells()
-        if live.size == 0:
-            return {}
-        # Ascending flat indices == row-major scan order, matching what
-        # np.nonzero over the full grid would yield.
-        n_grids = self.n_grids
-        owners = regions.cell_owner[live]
-        xx = live % n_grids
-        first = int(owners[0])
-        if owners[-1] == first and (owners == first).all():
-            # Single dirty region — the common case for a locally routed
-            # wire; row-major order, so the channels are sorted.
-            return {
-                first: BBox(
-                    int(live[0]) // n_grids, int(xx.min()),
-                    int(live[-1]) // n_grids, int(xx.max()),
-                )
-            }
-        order = np.argsort(owners, kind="stable")
-        owners_s = owners[order]
-        starts = np.flatnonzero(owners_s[1:] != owners_s[:-1]) + 1
-        starts = np.concatenate(([0], starts))
-        # Row-major order survives the stable sort, so within each owner
-        # group the channels stay sorted; only x needs a group min/max.
-        live_s = live[order]
-        xx_s = xx[order]
-        c_lo = (live_s[starts] // n_grids).tolist()
-        c_hi = (live_s[np.append(starts[1:], live_s.size) - 1] // n_grids).tolist()
-        x_lo = np.minimum.reduceat(xx_s, starts).tolist()
-        x_hi = np.maximum.reduceat(xx_s, starts).tolist()
-        return {
-            owner: BBox(a, b, c, d)
-            for owner, a, b, c, d in zip(
-                owners_s[starts].tolist(), c_lo, x_lo, c_hi, x_hi
-            )
-        }
+        boxes = self._boxes
+        data = self._data
+        dirty: Dict[int, BBox] = {}
+        for region in sorted(boxes):
+            if region in skip:
+                continue
+            c_lo, x_lo, c_hi, x_hi = boxes[region]
+            rows, cols = data[c_lo : c_hi + 1, x_lo : x_hi + 1].nonzero()
+            if not rows.size:
+                del boxes[region]
+                continue
+            # Row-major order: the channels come out sorted.
+            xs = cols.tolist()
+            cand = [c_lo + int(rows[0]), x_lo + min(xs), c_lo + int(rows[-1]), x_lo + max(xs)]
+            boxes[region] = cand
+            dirty[region] = BBox(*cand)
+        return dirty
 
-    def accumulate(self, box: BBox, deltas: np.ndarray) -> None:
-        """Fold received relative *deltas* into a bbox of this array.
+    def accumulate(self, box: BBox, deltas: np.ndarray, region: int) -> None:
+        """Fold received relative *deltas* into *box*, which lies in *region*.
 
         Used by owners when they incorporate a remote's SendRmtData /
         RspLocData: the incorporated changes become part of the owner's
@@ -202,9 +169,7 @@ class DeltaArray:
             )
         rows, cols = box.slices()
         self._data[rows, cols] += deltas
-        dc, dx = np.nonzero(deltas)
-        if dc.size:
-            self._log((dc + box.c_lo) * self.n_grids + (dx + box.x_lo))
+        self._mark(((region, box),))
 
     def extract(self, box: BBox) -> np.ndarray:
         """Copy the delta values of a bbox (payload of SendRmtData)."""
@@ -213,13 +178,26 @@ class DeltaArray:
         return box.extract(self._data)
 
     def clear_region(self, region: BBox) -> None:
-        """Zero all deltas in ``region`` (after they have been sent)."""
+        """Zero all deltas in ``region`` (after they have been sent).
+
+        Candidate boxes inside ``region`` go with them; one that reaches
+        past it still bounds what is left of its region.
+        """
         rows, cols = region.slices()
         self._data[rows, cols] = 0
+        covered = [
+            r
+            for r, (c_lo, x_lo, c_hi, x_hi) in self._boxes.items()
+            if region.c_lo <= c_lo and c_hi <= region.c_hi
+            and region.x_lo <= x_lo and x_hi <= region.x_hi
+        ]
+        for r in covered:
+            del self._boxes[r]
 
     def clear_all(self) -> None:
         """Zero the whole delta array."""
         self._data[:] = 0
+        self._boxes.clear()
 
     def is_clean(self) -> bool:
         """True if no unsent changes remain anywhere."""

@@ -16,7 +16,7 @@ sweep dispatch     ``parallel.sm_sim``         per-line-size scalar replay      
 write-update       ``memsim.update_protocol``  ``memsim.update_protocol``         ``memsim.columnar.ColumnarTrace.replay_write_update``  ``kernel-write_update``
 two-bend route     ``route.twobend``           ``route.twobend.route_segment``    ``route.wavefront.route_wire_fused``                   ``kernel-twobend``
 routing iteration  ``route.engine``            per-wire loop in ``route.engine``  one fused step per wave (``route.wavefront``)          ``kernel-wavefront``
-MP update push     ``parallel.node``           per-region dirty-box scan          ``grid.delta.DeltaArray.dirty_bboxes_by_owner``        (tests)
+MP update push     ``parallel.node``           per-region dirty-box scan          ``grid.delta.DeltaArray.dirty_bboxes_by_owner``        ``kernel-mp_push``
 =================  ==========================  =================================  =====================================================  =======================
 
 The vectorized engines are the default.  The reference engines remain

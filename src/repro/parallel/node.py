@@ -442,7 +442,7 @@ class MPNode:
             # so rip-ups on the view are non-strict; the ground truth rip-up
             # in the simulator stays strict.
             self.view.remove_path(old.flat_cells, strict=False)
-            self.delta.record_path(old.flat_cells, -1)
+            self.delta.record_path(old.flat_cells, -1, self._wire_regions.clips[wire_idx])
             if self._wire_based:
                 self._record_change_counts(wire_idx)
             self.work.add_commit(old.n_cells)
@@ -482,7 +482,7 @@ class MPNode:
 
         path = result.path
         self.view.apply_path(path.flat_cells)
-        self.delta.record_path(path.flat_cells, +1)
+        self.delta.record_path(path.flat_cells, +1, self._wire_regions.clips[wire_idx])
         if self._wire_based:
             self._record_change_counts(wire_idx)
         self.paths[wire_idx] = path
@@ -875,22 +875,21 @@ class MPNode:
         """Push accumulated deltas of every remote region to its owner.
 
         Under the vectorised kernels the per-region delta scans collapse
-        into one :meth:`DeltaArray.dirty_bboxes_by_owner` pass and only
-        the dirty regions are visited; packets, ordering (ascending
-        region), and accounted scan work are identical either way (the
-        simulated scan cost models the original program's full sweep).
+        into one :meth:`DeltaArray.dirty_bboxes_by_owner` pass that reads
+        only the boxes this node's writes reached; packets, ordering
+        (ascending region), and accounted scan work are identical either
+        way (the simulated scan cost models the original program's full
+        sweep).
         """
         scan_area = self._rmt_scan_area
         self.work.add_scan(scan_area)
         self.clock += self.cost_model.work_time(SCAN_CELL_UNITS * scan_area)
         if active_kernels() == "vectorized":
-            dirty_regions = self.delta.dirty_bboxes_by_owner(self.regions).items()
+            dirty_regions = self.delta.dirty_bboxes_by_owner(self._owned).items()
         else:
             dirty_regions = self._scan_remote_regions()
         full_region = self.schedule.packet_structure is PacketStructure.FULL_REGION
         for owner, dirty in dirty_regions:
-            if owner in self._owned:
-                continue
             # Everything about the packet is decided before it is built:
             # the bbox (the whole region under FULL_REGION), the accounted
             # size (the wire-based override), and the destination — the
@@ -944,7 +943,7 @@ class MPNode:
             # view *and* into our delta array, so the next SendLocData push
             # propagates the remote's contribution to our neighbours.
             self.view.accumulate(packet.bbox, packet.values)
-            self.delta.accumulate(packet.bbox, packet.values)
+            self.delta.accumulate(packet.bbox, packet.values, packet.region_owner)
             # For the wire-based encoding, an incorporated remote update
             # counts as roughly one changed wire (two segments) that the
             # next SendLocData must describe.
@@ -977,8 +976,13 @@ class MPNode:
                     self.duplicate_responses_ignored += 1
                     return
                 self._rsp_loc_seen.add(rid)
-            self.view.accumulate(packet.bbox, packet.values)
-            self.delta.accumulate(packet.bbox, packet.values)
+            # The answer lies inside the region asked about, which is not
+            # ``region_owner`` (the asker) for an adopted region's re-announce.
+            bbox = packet.bbox
+            self.view.accumulate(bbox, packet.values)
+            self.delta.accumulate(
+                bbox, packet.values, self.regions.owner_of(bbox.c_lo, bbox.x_lo)
+            )
         elif kind is UpdateKind.HEARTBEAT:
             ack = build_control(
                 UpdateKind.HEARTBEAT_ACK, self.proc, packet.src, self.proc,
@@ -1019,6 +1023,9 @@ class MPNode:
         owner's subsequent absolutes carry them, so nothing double-counts.
         """
         self.view.replace(packet.bbox, packet.values)
+        # The packet's box lies inside region ``region_owner``.
+        if not self.delta.may_be_dirty(packet.region_owner):
+            return
         pending = self.delta.extract(packet.bbox)
         if pending.any():
             self.view.accumulate(packet.bbox, pending)
@@ -1078,7 +1085,10 @@ class MPNode:
 
     def _answer_req_loc(self, request: UpdatePacket) -> None:
         """Serve our pending deltas inside the requesting owner's region."""
-        dirty = self.delta.region_dirty_bbox(request.bbox)
+        region = request.bbox  # one whole region: the asker's own or an adopted one
+        if not self.delta.may_be_dirty(self.regions.owner_of(region.c_lo, region.x_lo)):
+            return
+        dirty = self.delta.region_dirty_bbox(region)
         if dirty is None:
             return  # nothing to report; owners do not block on ReqLocData
         response = build_response(

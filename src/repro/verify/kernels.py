@@ -1,7 +1,7 @@
 """Scalar-vs-vectorized kernel equivalence checks for ``locusroute verify``.
 
 The vectorised kernels (:mod:`repro.memsim.columnar`, the fused two-bend
-router, the wave-front engine) promise *bit-identical* output to their
+router, the wave-front engine, the message passing update push) promise *bit-identical* output to their
 scalar reference counterparts.  The
 hypothesis suites fuzz that promise; this module re-verifies it at
 ``locusroute verify`` time on workloads derived from the verify run's
@@ -146,6 +146,43 @@ def _wavefront_check(circuit: Circuit, iterations: int) -> Optional[str]:
     return None
 
 
+def _mp_push_check(circuit: Circuit, n_procs: int, iterations: int) -> Optional[str]:
+    """The message passing update push under both modes.
+
+    The reference push scans every remote region of the delta array; the
+    vectorised one reads only the candidate boxes the node's own writes
+    reached.  A sender-initiated and a mixed run must send the same
+    packets at the same simulated times.
+    """
+    from ..harness.simjobs import SimConfig, run_sim_config
+    from ..updates import UpdateSchedule
+
+    def run(schedule: UpdateSchedule) -> Tuple:
+        config = SimConfig(kind="mp", schedule=schedule, n_procs=n_procs, iterations=iterations)
+        result = run_sim_config(config, circuit)
+        return (
+            dict(result.network.bytes_by_kind),
+            dict(result.network.messages_by_kind),
+            result.exec_time_s,
+            result.node_summaries,
+        )
+
+    diverged = []
+    for label, schedule in (
+        ("sender", UpdateSchedule.sender_initiated(2, 10)),
+        ("mixed", UpdateSchedule.mixed_example()),
+    ):
+        with use_kernels("reference"):
+            ref = run(schedule)
+        with use_kernels("vectorized"):
+            vec = run(schedule)
+        if ref != vec:
+            diverged.append(label)
+    if diverged:
+        return f"packets or timing diverged under {diverged}"
+    return None
+
+
 def run_kernel_equivalence(
     circuit: Circuit, n_procs: int, iterations: int = 2
 ) -> VerificationReport:
@@ -156,6 +193,7 @@ def run_kernel_equivalence(
         "write_update": _write_update_check(circuit, n_procs),
         "twobend": _twobend_check(circuit, iterations),
         "wavefront": _wavefront_check(circuit, iterations),
+        "mp_push": _mp_push_check(circuit, n_procs, iterations),
     }
     for label, failure in failures.items():
         report.check(f"kernel-{label}", failure is None, failure or "")

@@ -132,6 +132,29 @@ class TestQuick:
         err = capsys.readouterr().err
         assert err.startswith("error: --quick sizes the named benchmarks")
 
+    @pytest.mark.parametrize(
+        "flags, wires", [(["--name", "MDC"], 200), (["--name", "MDC", "--wires", "30"], 30), ([], None)]
+    )
+    def test_verify_sizes_a_named_circuit_by_the_quick_rule(self, monkeypatch, flags, wires):
+        # No circuit (None) is the verification sweep's own quick preset.
+        import repro.verify
+
+        routed = []
+
+        class Passed:
+            ok = True
+
+            def render(self):
+                return "PASS"
+
+        def recording(quick, circuit, n_procs, iterations):
+            routed.append(None if circuit is None else circuit.n_wires)
+            return Passed()
+
+        monkeypatch.setattr(repro.verify, "run_verification", recording)
+        assert main(["verify", "--quick", *flags]) == 0
+        assert routed == [wires]
+
     def test_an_explicit_count_wins(self):
         # 3, the unset default's value, too: it once read as unset.
         args = build_parser().parse_args(["mp", "--quick", "--iterations", "3"])

@@ -39,7 +39,9 @@ from repro.harness.cache import jsonify, stable_hash
 from repro.harness.pool import pool_map_salvage
 from repro.harness.simjobs import SimConfig, run_sim_configs
 from repro.obs import telemetry as obs
-from repro.parallel import run_message_passing, run_shared_memory
+from repro.kernels import use_kernels
+from repro.parallel import mp_sim, run_message_passing, run_shared_memory
+from repro.parallel.node import MPNode
 from repro.grid.bbox import BBox
 from repro.updates import (
     HEADER_BYTES,
@@ -294,6 +296,71 @@ class TestMessagePassingCrashRecovery:
         result = crash_run(plan)
         assert len(result.paths) == 160
         assert result.meta["faults"]["crash"]["confirmed"] == []
+
+
+class TestVotedOutNode:
+    VICTIM = 5
+
+    def voted_out_run(self, monkeypatch, kernels):
+        """Node 0 declares the live node ``VICTIM`` dead after its fourth
+        wire (a failure-detector false positive).  Returns every packet the
+        run emitted, the victim's pending delta box in its own region when
+        it learned of its death, and the SendRmtData boxes it then pushed
+        for that region."""
+        victim = self.VICTIM
+        seen = {"packets": [], "pushed": []}
+
+        class Voting(MPNode):
+            def _finish_wire(self):
+                super()._finish_wire()
+                if self.proc == 0 and self.qi == 4:
+                    self._declare_dead(victim, self.clock)
+
+            def _handle_death(self, dead, t):
+                if dead == self.proc and self.ownership.is_live(dead):
+                    seen["pending"] = self.delta.region_dirty_bbox(self.own_region)
+                super()._handle_death(dead, t)
+
+            def _send_rmt_data(self):
+                super()._send_rmt_data()
+                for region in range(self.regions.n_procs):
+                    if region not in self._owned:
+                        box = self.regions.region(region)
+                        assert self.delta.region_dirty_bbox(box) is None
+
+            def _emit(self, packet, payload_cells):
+                values = None if packet.values is None else packet.values.tobytes()
+                seen["packets"].append(
+                    (packet.kind, packet.src, packet.dst, packet.region_owner, packet.bbox, values)
+                )
+                if (packet.src, packet.kind, packet.region_owner) == (
+                    victim, UpdateKind.SEND_RMT_DATA, victim
+                ):
+                    seen["pushed"].append((packet.dst, packet.bbox))
+                super()._emit(packet, payload_cells)
+
+        monkeypatch.setattr(mp_sim, "MPNode", Voting)
+        plan = FaultPlan(
+            seed=5, node_crashes=(NodeCrash(proc=3, at_s=1e6),), recovery=RecoveryPolicy()
+        )
+        with use_kernels(kernels):
+            result = crash_run(plan, schedule=UpdateSchedule.sender_initiated(2, 10))
+        assert len(result.paths) == 160
+        assert result.meta["faults"]["crash"]["confirmed"] == [victim]
+        return seen
+
+    def test_pending_deltas_are_pushed_to_the_new_owner(self, monkeypatch):
+        """The victim stops owning its region; the deltas it had pending
+        there go out as SendRmtData to the region's adopter, identically
+        under both kernel modes."""
+        runs = {k: self.voted_out_run(monkeypatch, k) for k in ("vectorized", "reference")}
+        vec = runs["vectorized"]
+        assert vec == runs["reference"]
+        pending = vec["pending"]
+        assert pending is not None  # the victim had unsent deltas at home
+        dst, first = vec["pushed"][0]
+        assert dst != self.VICTIM
+        assert pending.union(first) == first
 
 
 class TestCounterReconciliationUnderOverlap:

@@ -9,6 +9,7 @@ from repro.assign import RoundRobinAssigner, ThresholdCostAssigner
 from repro.circuits import bnre_like, tiny_test_circuit
 from repro.errors import SimulationError
 from repro.grid import CostArray, RegionMap
+from repro.kernels import use_kernels
 from repro.parallel import mp_sim, run_message_passing
 from repro.parallel.node import MPNode
 from repro.updates import UpdateSchedule
@@ -162,12 +163,37 @@ class TestNodeAccounting:
             assert 0.0 <= s.message_overhead_fraction < 0.9
 
 
-class TestDeltaWriteLog:
-    def test_receiver_initiated_run_keeps_the_log_bounded(self, monkeypatch):
-        """Regression: the delta array's write log was compacted only by
-        the SendRmtData scan, so a schedule that never pushes kept every
-        path array it had ever recorded (15 000+ logged cells per node on
-        this 3 410-cell grid)."""
+class TestDeltaCandidateBoxes:
+    @pytest.mark.parametrize("kernels", ["vectorized", "reference"])
+    @pytest.mark.parametrize(
+        "schedule",
+        [UpdateSchedule.sender_initiated(2, 5), UpdateSchedule.mixed_example()],
+        ids=["sender", "mixed"],
+    )
+    def test_push_leaves_no_delta_outside_owned_regions(
+        self, monkeypatch, kernels, schedule
+    ):
+        """After every SendRmtData push the node holds deltas only in the
+        regions it owns, whichever scan found the dirty regions."""
+        pushes = []
+
+        class Checked(MPNode):
+            def _send_rmt_data(self):
+                super()._send_rmt_data()
+                pushes.append(self.proc)
+                for region in range(self.regions.n_procs):
+                    if region not in self._owned:
+                        box = self.regions.region(region)
+                        assert self.delta.region_dirty_bbox(box) is None, region
+
+        monkeypatch.setattr(mp_sim, "MPNode", Checked)
+        with use_kernels(kernels):
+            run_message_passing(bnre_like(n_wires=120), schedule, n_procs=4, iterations=2)
+        assert len(pushes) > 20
+
+    def test_receiver_initiated_run_keeps_one_box_per_region(self, monkeypatch):
+        """A schedule that never pushes never scans: the candidate boxes
+        stay one per region and still bound every pending delta."""
         nodes = []
 
         class Recording(MPNode):
@@ -180,12 +206,11 @@ class TestDeltaWriteLog:
         run_message_passing(
             circuit, UpdateSchedule.receiver_initiated(1, 5), n_procs=4, iterations=3
         )
-        n_cells = circuit.n_channels * circuit.n_grids
         assert len(nodes) == 4
         for node in nodes:
-            logged = sum(cells.size for cells in node.delta._touched)
-            assert logged <= 3 * n_cells
-            scan = node.delta.dirty_bboxes_by_owner(node.regions)
+            assert set(node.delta._boxes) <= set(range(4))
+            assert not node.delta.is_clean()
+            scan = node.delta.dirty_bboxes_by_owner()
             for proc in range(4):
                 assert scan.get(proc) == node.delta.region_dirty_bbox(
                     node.regions.region(proc)

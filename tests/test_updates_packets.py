@@ -33,10 +33,14 @@ def state():
     return cost, delta
 
 
+#: the whole 4x40 grid as one region's clip: covers any written cells
+WHOLE = ((0, BBox(0, 0, 3, 39)),)
+
+
 def touch(cost, delta, cells):
     flat = np.array([c * 40 + x for c, x in cells], dtype=np.int64)
     cost.apply_path(flat)
-    delta.record_path(flat, +1)
+    delta.record_path(flat, +1, WHOLE)
 
 
 class TestClassification:
@@ -103,7 +107,7 @@ class TestBuildRmtData:
         cost, delta = state
         cost.data[1, 5] = 7  # pre-existing occupancy not in delta
         flat = np.array([1 * 40 + 5], dtype=np.int64)
-        delta.record_path(flat, -1)
+        delta.record_path(flat, -1, WHOLE)
         pkt = build_rmt_data(0, 1, delta, BBox(0, 0, 3, 39))
         assert pkt.kind is UpdateKind.SEND_RMT_DATA
         assert pkt.values[0, 0] == -1

@@ -128,7 +128,7 @@ class TestRunner:
         ]
         for name in SIMULATOR_INVARIANTS:
             assert run.report.checks_run[name] > 0, name
-        for label in ("coherence", "write_update", "twobend", "wavefront"):
+        for label in ("coherence", "write_update", "twobend", "wavefront", "mp_push"):
             assert run.report.checks_run[f"kernel-{label}"] == 1, label
         families = {name.split("-")[0] for name in run.report.checks_run}
         assert {"live", "replay"} <= families
