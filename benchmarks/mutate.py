@@ -299,6 +299,14 @@ EQUIVALENT: Dict[str, str] = {
         "one shard's pieces are already in (record, pool position) order: "
         "sorting them again is the identity",
     **{
+        "verify/invariants.py:first_differing_cell:const: return (flat // n_grids, "
+        "flat % n_grids, int(a.reshape(-1)[flat]), int(b.reshape(-1)[flat])) [1 -> 2]"
+        + suffix:
+        "NumPy's reshape reads any negative size as the one unknown dimension: "
+        "reshape(-2) is the same flat view as reshape(-1)"
+        for suffix in ("", " #2")
+    },
+    **{
         "route/wavefront.py:plan_waves:cmp: if w > max_wave: [> -> >=]"
         + ("" if n == 1 else f" #{n}"):
         "max_wave is a running maximum: where w equals it, assigning w "

@@ -10,6 +10,7 @@ kinds, the salvaging process pool, and the CLI surface.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -45,11 +46,13 @@ from repro.parallel.node import MPNode
 from repro.grid.bbox import BBox
 from repro.updates import (
     HEADER_BYTES,
+    PacketStructure,
     UpdateKind,
     UpdatePacket,
     UpdateSchedule,
     build_control,
     is_control,
+    wire_based_bytes,
 )
 
 N_PROCS = 16
@@ -301,7 +304,7 @@ class TestMessagePassingCrashRecovery:
 class TestVotedOutNode:
     VICTIM = 5
 
-    def voted_out_run(self, monkeypatch, kernels):
+    def voted_out_run(self, monkeypatch, kernels, schedule=UpdateSchedule.sender_initiated(2, 10)):
         """Node 0 declares the live node ``VICTIM`` dead after its fourth
         wire (a failure-detector false positive).  Returns every packet the
         run emitted, the victim's pending delta box in its own region when
@@ -336,7 +339,7 @@ class TestVotedOutNode:
                 if (packet.src, packet.kind, packet.region_owner) == (
                     victim, UpdateKind.SEND_RMT_DATA, victim
                 ):
-                    seen["pushed"].append((packet.dst, packet.bbox))
+                    seen["pushed"].append((packet.dst, packet.bbox, packet.length_bytes))
                 super()._emit(packet, payload_cells)
 
         monkeypatch.setattr(mp_sim, "MPNode", Voting)
@@ -344,7 +347,7 @@ class TestVotedOutNode:
             seed=5, node_crashes=(NodeCrash(proc=3, at_s=1e6),), recovery=RecoveryPolicy()
         )
         with use_kernels(kernels):
-            result = crash_run(plan, schedule=UpdateSchedule.sender_initiated(2, 10))
+            result = crash_run(plan, schedule=schedule)
         assert len(result.paths) == 160
         assert result.meta["faults"]["crash"]["confirmed"] == [victim]
         return seen
@@ -358,9 +361,19 @@ class TestVotedOutNode:
         assert vec == runs["reference"]
         pending = vec["pending"]
         assert pending is not None  # the victim had unsent deltas at home
-        dst, first = vec["pushed"][0]
+        dst, first, _ = vec["pushed"][0]
         assert dst != self.VICTIM
         assert pending.union(first) == first
+
+    def test_wire_based_pushes_of_a_lost_region_count_no_wires(self, monkeypatch):
+        # The victim's changes at home were counted for SendLocData, so its
+        # SendRmtData for that region describes no changed wire.
+        schedule = dataclasses.replace(
+            UpdateSchedule.sender_initiated(2, 10), packet_structure=PacketStructure.WIRE_BASED
+        )
+        pushed = self.voted_out_run(monkeypatch, "vectorized", schedule)["pushed"]
+        assert pushed
+        assert {size for _, _, size in pushed} == {HEADER_BYTES + wire_based_bytes(0, 0)}
 
 
 class TestCounterReconciliationUnderOverlap:

@@ -93,6 +93,11 @@ class TestRecording:
         record(back, flat([(0, 0)]), +1)
         assert back.data[0, 0] == 1 and delta.data[0, 0] == 0
 
+    @pytest.mark.parametrize("shape", [(0, 12), (4, 0)])
+    def test_empty_shape_rejected(self, shape):
+        with pytest.raises(GridError):
+            DeltaArray(*shape)
+
     def test_empty_record_noop(self):
         delta = DeltaArray(4, 12)
         record(delta, np.empty(0, dtype=np.int64), 1)
