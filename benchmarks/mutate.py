@@ -138,12 +138,17 @@ TARGETS: Tuple[Target, ...] = (
             "tests/test_parallel_mp.py",
             "tests/test_parallel_mp_identity.py",
             "tests/test_crash_recovery.py",
+            # _process_packet also serves probes, duplicates and task grants.
+            "tests/test_parallel_node_unit.py",
+            "tests/test_faults.py",
+            "tests/test_parallel_dynamic.py",
         ),
         more=(
             (
                 "parallel/node.py",
                 ("MPNode._refresh_ownership", "MPNode._start_wire", "MPNode._finish_wire",
-                 "MPNode._send_rmt_data", "MPNode._process_packet", "MPNode._apply_absolute"),
+                 "MPNode._send_rmt_data", "MPNode._process_packet", "MPNode._apply_absolute",
+                 "MPNode._answer_req_loc"),
             ),
         ),
     ),
@@ -306,6 +311,24 @@ EQUIVALENT: Dict[str, str] = {
         "reshape(-2) is the same flat view as reshape(-1)"
         for suffix in ("", " #2")
     },
+    "grid/delta.py:DeltaArray.__setstate__:const: self._flat = self._data.reshape(-1) [1 -> 2]":
+        "NumPy's reshape reads any negative size as the one unknown dimension: "
+        "reshape(-2) is the same flat view as reshape(-1)",
+    **{
+        f"grid/delta.py:DeltaArray._mark:cmp: if box.{side} {op} cand[{i}]: [{op} -> {op}=]":
+        "a candidate box edge equal to the clip's is assigned the same value"
+        for i, (side, op) in enumerate((("c_lo", "<"), ("x_lo", "<"), ("c_hi", ">"), ("x_hi", ">")))
+    },
+    **{
+        f"updates/packets.py:build_control:const: bbox=BBox(0, 0, 0, 0), [0 -> 1] #{n}":
+        "a control packet's box is a header placeholder that nothing reads: "
+        "its length is the header alone and it carries no payload"
+        for n in (3, 4)
+    },
+    'parallel/node.py:MPNode._send_rmt_data:cmp: if active_kernels() == "vectorized": [== -> !=]':
+        "the candidate-box scan and the per-region reference scan yield the "
+        "same regions and boxes in the same order (the kernel pair's "
+        "contract, checked by kernel-mp_push); swapping them changes speed only",
     **{
         "route/wavefront.py:plan_waves:cmp: if w > max_wave: [> -> >=]"
         + ("" if n == 1 else f" #{n}"):

@@ -1,8 +1,8 @@
 """Scalar-vs-vectorized kernel equivalence checks for ``locusroute verify``.
 
 The vectorised kernels (:mod:`repro.memsim.columnar`, the fused two-bend
-router, the wave-front engine, the message passing update push) promise *bit-identical* output to their
-scalar reference counterparts.  The
+router, the wave-front engine, the message passing update push) promise
+*bit-identical* output to their scalar reference counterparts.  The
 hypothesis suites fuzz that promise; this module re-verifies it at
 ``locusroute verify`` time on workloads derived from the verify run's
 own circuit, so a verification sweep also certifies the kernel pair the

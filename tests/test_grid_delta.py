@@ -161,6 +161,12 @@ class TestExtractAccumulate:
         with pytest.raises(GridError):
             delta.accumulate(BBox(0, 0, 1, 1), np.ones((3, 3), dtype=np.int32), 0)
 
+    @pytest.mark.parametrize("box", [BBox(5, 0, 6, 0), BBox(0, 11, 0, 12)])
+    def test_accumulate_one_past_the_edge_rejected(self, box):
+        delta = DeltaArray(6, 12)
+        with pytest.raises(GridError):
+            delta.accumulate(box, np.ones((box.height, box.width), dtype=np.int32), 0)
+
 
 class TestBatchedOwnerScan:
     """dirty_bboxes_by_owner == region_dirty_bbox per region."""

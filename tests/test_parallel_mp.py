@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from repro.assign import RoundRobinAssigner, ThresholdCostAssigner
 from repro.circuits import bnre_like, tiny_test_circuit
 from repro.errors import SimulationError
 from repro.grid import CostArray, RegionMap
+from repro.grid.delta import DeltaArray
 from repro.kernels import use_kernels
 from repro.parallel import mp_sim, run_message_passing
 from repro.parallel.node import MPNode
+from repro.route.workmodel import COMMIT_CELL_UNITS, INCORPORATE_CELL_UNITS, SCAN_CELL_UNITS
 from repro.updates import UpdateSchedule
 
 
@@ -161,6 +165,56 @@ class TestNodeAccounting:
         result = run(circuit, UpdateSchedule.sender_initiated(1, 1))
         for s in result.node_summaries:
             assert 0.0 <= s.message_overhead_fraction < 0.9
+
+    @pytest.mark.parametrize("name", ["sender", "mixed"])
+    def test_work_units_are_what_each_node_did(self, circuit, monkeypatch, name):
+        """A summary's commit, assembly and incorporation units are the
+        cells its node wrote, scanned, marshalled and folded in."""
+        did = {}
+        written = Counter()
+        record_path = DeltaArray.record_path
+
+        def counted(delta, flat_cells, sign, clips):
+            written[id(delta)] += len(flat_cells)
+            record_path(delta, flat_cells, sign, clips)
+
+        class Tallied(MPNode):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                did[self.proc] = (self, Counter())
+
+            def _send_rmt_data(self):
+                did[self.proc][1]["scanned"] += self._rmt_scan_area
+                super()._send_rmt_data()
+
+            def _send_loc_data(self):
+                did[self.proc][1]["scanned"] += sum(r.area for _, r, _ in self._loc_pushes)
+                super()._send_loc_data()
+
+            def _emit(self, packet, payload_cells):
+                did[self.proc][1]["marshalled"] += payload_cells
+                super()._emit(packet, payload_cells)
+
+            def _process_packet(self, packet):
+                did[self.proc][1]["folded"] += packet.payload_cells
+                super()._process_packet(packet)
+
+        monkeypatch.setattr(DeltaArray, "record_path", counted)
+        monkeypatch.setattr(mp_sim, "MPNode", Tallied)
+        result = run(circuit, SCHEDULES[name])
+        for s in result.node_summaries:
+            node, tally = did[s.proc]
+            assert tally["scanned"] and tally["marshalled"] and tally["folded"]
+            assert s.commit_units == pytest.approx(
+                COMMIT_CELL_UNITS * written[id(node.delta)]
+            )
+            assert s.assemble_units == pytest.approx(
+                SCAN_CELL_UNITS * tally["scanned"]
+                + INCORPORATE_CELL_UNITS * tally["marshalled"]
+            )
+            assert s.incorporate_units == pytest.approx(
+                INCORPORATE_CELL_UNITS * tally["folded"]
+            )
 
 
 class TestDeltaCandidateBoxes:

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.assign import DistributedLoop
 from repro.circuits import Circuit, Pin, Wire, bnre_like
 from repro.circuits.generate import generate_scaled
-from repro.errors import GridError
+from repro.errors import GridError, ProtocolError
 from repro.faults import RecoveryPolicy
 from repro.grid import BBox, OwnershipMap, RegionMap
 from repro.parallel import DEFAULT_COST_MODEL
@@ -292,6 +293,70 @@ class TestReceiverInitiated:
         harness.run()
         assert node.outstanding_responses == before - 1
 
+    def test_a_duplicated_response_is_counted_once_and_applied_once(
+        self, circuit, regions
+    ):
+        node, harness = make_node(
+            circuit, regions, UpdateSchedule.receiver_initiated(100, 1)
+        )
+        node.start()
+        harness.run()
+        req = next(p for p, _ in harness.sent if p.kind is UpdateKind.REQ_RMT_DATA)
+        response = UpdatePacket(
+            kind=UpdateKind.RSP_RMT_DATA,
+            src=req.dst,
+            dst=0,
+            bbox=req.bbox,
+            values=np.zeros((req.bbox.height, req.bbox.width), dtype=np.int32),
+            region_owner=req.dst,
+            req_id=req.req_id,
+        )
+        before = node.outstanding_responses
+        for _ in range(2):
+            node.deliver(response, arrive_time=node.clock + 1.0)
+            harness.run()
+        assert node.outstanding_responses == before - 1
+        assert node.duplicate_responses_ignored == 1
+
+    def test_a_response_without_a_request_is_a_protocol_error(self, circuit, regions):
+        node, harness = make_node(circuit, regions, UpdateSchedule(), wires=())
+        node.start()
+        harness.run()
+        box = regions.region(1)
+        stray = UpdatePacket(
+            kind=UpdateKind.RSP_RMT_DATA,
+            src=1,
+            dst=0,
+            bbox=box,
+            values=np.zeros((box.height, box.width), dtype=np.int32),
+            region_owner=1,
+        )
+        with pytest.raises(ProtocolError):
+            node.deliver(stray, arrive_time=node.clock + 1.0)
+            harness.run()
+
+    def test_a_duplicated_delta_response_is_counted_once_and_folded_once(
+        self, circuit, regions
+    ):
+        node, harness = make_node(circuit, regions, UpdateSchedule(), wires=())
+        node.start()
+        harness.run()
+        box = BBox(0, 0, 0, 0)
+        answer = UpdatePacket(
+            kind=UpdateKind.RSP_LOC_DATA,
+            src=1,
+            dst=0,
+            bbox=box,
+            values=np.ones((1, 1), dtype=np.int32),
+            region_owner=0,
+            req_id=7,
+        )
+        for _ in range(2):
+            node.deliver(answer, arrive_time=node.clock + 1.0)
+            harness.run()
+        assert node.duplicate_responses_ignored == 1
+        assert node.delta.data[0, 0] == 1
+
     def test_owner_answers_req_rmt(self, circuit, regions):
         node, harness = make_node(circuit, regions, UpdateSchedule(), wires=())
         node.start()
@@ -452,3 +517,57 @@ class TestCrashAwareRecovery:
         assert node._pending_probes == {}
         assert node.probes_sent == 1
         assert [p.kind for p, _ in harness.sent].count(UpdateKind.HEARTBEAT) == 1
+
+    def test_an_answered_probe_clears_its_peers_abandonments(self, circuit, regions):
+        node, harness = self.crash_aware_node(circuit, regions)
+        node._abandons_by_peer.update({1: 2, 2: 2})
+        node.probe_peer(1, 1.0)
+        probe = harness.sent[0][0]
+        ack = build_control(UpdateKind.HEARTBEAT_ACK, 1, 0, 1, req_id=probe.req_id)
+        for _ in range(2):  # the second ack answers nothing
+            node.deliver(ack, arrive_time=1.0 + RecoveryPolicy().watchdog_timeout_s / 2)
+            harness.run()
+        assert node._pending_probes == {}
+        assert node._abandons_by_peer == {1: 0, 2: 2}
+        assert node.duplicate_responses_ignored == 1
+
+
+class TestControlPackets:
+    def test_control_answers_marshal_no_cells(self, circuit, regions):
+        node, harness = make_node(
+            circuit, regions, UpdateSchedule(), wires=(), task_loop=DistributedLoop([])
+        )
+        node.start()
+        harness.run()
+        harness.sent.clear()
+        before = node.work.assemble_units
+        for kind in (UpdateKind.HEARTBEAT, UpdateKind.TASK_REQUEST):
+            node.deliver(build_control(kind, 1, 0, 1, req_id=5), arrive_time=1.0)
+            harness.run()
+        assert [(p.kind, p.dst) for p, _ in harness.sent] == [
+            (UpdateKind.HEARTBEAT_ACK, 1),
+            (UpdateKind.TASK_GRANT, 1),
+        ]
+        assert node.work.assemble_units == before
+
+    def test_the_last_grant_ends_the_wait_for_it(self, circuit, regions):
+        harness = Harness()
+        node = MPNode(
+            proc=1,
+            circuit=circuit,
+            regions=regions,
+            schedule=UpdateSchedule(),
+            wires=[],
+            iterations=1,
+            cost_model=DEFAULT_COST_MODEL,
+            services=harness.services(),
+            task_loop=DistributedLoop([]),
+        )
+        node.start()
+        harness.run()
+        assert [p.kind for p, _ in harness.sent] == [UpdateKind.TASK_REQUEST]
+        waited_from = node.clock
+        node.deliver(build_control(UpdateKind.TASK_GRANT, 0, 1, -1), arrive_time=waited_from + 1.0)
+        harness.run()
+        assert node.phase is NodePhase.DONE
+        assert node.blocked_time_s == node.finish_time_s - waited_from > 1.0
